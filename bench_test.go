@@ -106,7 +106,7 @@ func BenchmarkTable4Static(b *testing.B) {
 	for _, p := range []int{1, 2, 5} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.MeasureStaticRun(tg, p, iters, workRep, benchNetScale, false); err != nil {
+				if _, err := bench.MeasureStaticRun(tg, p, iters, workRep, benchNetScale, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

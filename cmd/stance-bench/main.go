@@ -15,12 +15,22 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 
 	"stance/internal/bench"
 	"stance/internal/comm"
 )
+
+// checkScale rejects a network-model scale comm.Ethernet would panic on:
+// anything but a finite positive number.
+func checkScale(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s must be a finite positive number, got %g", name, v)
+	}
+	return nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -29,8 +39,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sizes and sample counts")
 	netScale := flag.Float64("netscale", 1, "Ethernet model scale (1 = the paper's 10 Mbit shared Ethernet)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	overlap := flag.Bool("overlap", false, "run the solver tables on the split-phase overlapped executor (Phase C′)")
-	pipeline := flag.Int("pipeline", 0, "run the solver tables on the software-pipelined executor at this depth (0 = off); conflicts with -overlap")
+	pipeline := flag.Int("pipeline", 0, "executor depth for the solver tables: 0 = synchronous, 1 = exchanges in flight behind the interior sweep, >=2 = also across iterations")
 	fields := flag.Int("fields", 1, "independent solution fields per iteration (>=2 lets -pipeline fly several exchanges at once)")
 	virtual := flag.Bool("virtual", false, "run the solver tables (4, 5) on the simulated clock: exact, deterministic virtual durations in milliseconds of real time")
 	cost := flag.Duration("cost", time.Microsecond, "virtual compute cost per element per work repetition (with -virtual)")
@@ -41,12 +50,12 @@ func main() {
 	compress := flag.String("compress", "", "tcp per-batch compression codec: none, flate or gzip")
 	flag.Parse()
 
-	if *pipeline > 0 && *overlap {
-		log.Fatal("-overlap and -pipeline are mutually exclusive: the pipelined executor subsumes the interior/boundary overlap; drop one")
+	if err := checkScale("-netscale", *netScale); err != nil {
+		log.Fatal(err)
 	}
 	opts := bench.Options{
 		Quick: *quick, NetScale: *netScale, Seed: *seed,
-		Overlap: *overlap, Pipeline: *pipeline, Fields: *fields,
+		Pipeline: *pipeline, Fields: *fields,
 		Transport: *transport, Groups: *groups,
 	}
 	if *flushPeriod > 0 || *batchBytes > 0 || *compress != "" {

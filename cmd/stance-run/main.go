@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -101,6 +102,15 @@ func (l *loadFlags) Set(s string) error {
 	return nil
 }
 
+// checkScale rejects a network-model scale comm.Ethernet would panic on:
+// anything but a finite positive number.
+func checkScale(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s must be a finite positive number, got %g", name, v)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stance-run: ")
@@ -111,8 +121,7 @@ func main() {
 	ordName := flag.String("order", "rcb", "locality ordering: "+strings.Join(order.Names(), ", "))
 	strategy := flag.String("strategy", "sort2", "inspector strategy: sort1, sort2, simple")
 	lb := flag.Bool("lb", false, "enable adaptive load balancing")
-	overlap := flag.Bool("overlap", false, "split-phase overlapped executor (interior/boundary pipelining); requires a kernel with a boundary split")
-	pipeline := flag.Int("pipeline", 0, "software-pipelined executor depth (0 = off, 1 = within-iteration, >=2 = across iterations); keeps every field's exchange in flight on its own op handle; requires a kernel with a boundary split, conflicts with -overlap")
+	pipeline := flag.Int("pipeline", 0, "executor depth: 0 = synchronous exchange then sweep, 1 = every field's exchange in flight behind the interior sweep, >=2 = a field's next exchange also departs as soon as its update completes")
 	fields := flag.Int("fields", 1, "independent solution fields the solver advances per iteration (>=2 lets -pipeline fly several exchanges at once)")
 	kernelName := flag.String("kernel", "figure8", "solver compute body: "+solver.KernelNames())
 	checkEvery := flag.Int("check-every", 10, "iterations between load-balance checks")
@@ -160,6 +169,17 @@ func main() {
 	if *groups == 0 && (explicitFlags["interscale"] || *flatCut) {
 		log.Fatalf("-interscale and -flat-cut only apply with -groups")
 	}
+	if err := checkScale("-netscale", *netScale); err != nil {
+		log.Fatal(err)
+	}
+	if *groups > 0 {
+		if err := checkScale("-interscale", *interScale); err != nil {
+			log.Fatal(err)
+		}
+		if err := checkScale("-netscale times -interscale", *netScale**interScale); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	// A scenario file owns the whole environment description: flags
 	// that would edit it piecemeal conflict rather than silently merge.
@@ -200,27 +220,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *overlap {
-		// Overlapped mode needs the kernel cut at the interior/boundary
-		// line. Refuse up front with an actionable message — silently
-		// falling back to the synchronous executor would misreport every
-		// measurement taken from this run.
-		if _, ok := kern.(solver.SubsetKernel); !ok {
-			log.Fatalf("-overlap requires a kernel with a boundary split, but kernel %q has none; "+
-				"drop -overlap or use -kernel figure8", *kernelName)
-		}
-	}
-	if *pipeline > 0 {
-		if *overlap {
-			log.Fatalf("-overlap and -pipeline are mutually exclusive: the pipelined executor subsumes the interior/boundary overlap; drop one")
-		}
-		// Same contract as -overlap: pipelining restarts exchanges behind
-		// the interior sweep, so the kernel must expose the split.
-		if _, ok := kern.(solver.SubsetKernel); !ok {
-			log.Fatalf("-pipeline requires a kernel with a boundary split, but kernel %q has none; "+
-				"drop -pipeline or use -kernel figure8", *kernelName)
-		}
-	}
 	cfg := session.Config{
 		Procs:      *p,
 		Transport:  *transport,
@@ -229,7 +228,6 @@ func main() {
 		WorkRep:    *workRep,
 		CheckEvery: *checkEvery,
 		Kernel:     kern,
-		Overlap:    *overlap,
 		Pipeline:   *pipeline,
 		Fields:     *fields,
 	}
@@ -356,12 +354,8 @@ func main() {
 		fmt.Printf("wire: %d msgs in %d flushes (%.1f msgs/write), %d tx / %d rx bytes, %d hb misses, %d backpressure stalls\n",
 			t.NTx, t.NFlushes, float64(t.NTx)/float64(t.NFlushes), t.NTxByte, t.NRxByte, t.NDroppedHB, t.NTxBackpressure)
 	}
-	if *overlap {
-		fmt.Printf("overlapped executor: %d split-phase ops, %v un-hidden exchange idle\n",
-			rep.Exec.Overlapped, rep.Exec.Idle.Round(time.Microsecond))
-	}
 	if *pipeline > 0 {
-		fmt.Printf("pipelined executor (depth %d, %d fields): %d split-phase ops, %d issued with another in flight, %v un-hidden exchange idle\n",
+		fmt.Printf("executor depth %d (%d fields): %d split-phase ops, %d issued with another in flight, %v un-hidden exchange idle\n",
 			*pipeline, *fields, rep.Exec.Overlapped, rep.Exec.Pipelined, rep.Exec.Idle.Round(time.Microsecond))
 	}
 	fmt.Println("rank  compute     comm        items")

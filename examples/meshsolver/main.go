@@ -5,16 +5,16 @@
 // is one session. Scaled-down defaults keep the demo under a minute;
 // flags restore paper scale.
 //
-// By default the solver runs the split-phase overlapped executor
-// (Phase C′): each iteration posts its ghost exchange, computes the
-// interior elements while the messages are in flight, then finishes
-// the boundary strip. Results are bit-for-bit identical to the
-// synchronous executor (-overlap=false); the printed idle column shows
-// how much exchange latency the interior compute failed to hide.
+// By default the solver runs at executor depth 1: each iteration posts
+// its ghost exchange, computes the interior elements while the
+// messages are in flight, then finishes the boundary strip. Results
+// are bit-for-bit identical to the synchronous depth 0 (-pipeline 0);
+// the printed idle column shows how much exchange latency the interior
+// compute failed to hide.
 //
 //	go run ./examples/meshsolver
 //	go run ./examples/meshsolver -iters 500 -work 300
-//	go run ./examples/meshsolver -overlap=false   # the paper's synchronous Phase C
+//	go run ./examples/meshsolver -pipeline 0   # the paper's synchronous Phase C
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 	workRep := flag.Int("work", 150, "work amplification per element")
 	netScale := flag.Float64("netscale", 1, "Ethernet model scale")
 	small := flag.Bool("small", false, "use a small mesh instead of the paper-scale one")
-	overlap := flag.Bool("overlap", true, "split-phase overlapped executor (interior/boundary pipelining)")
+	pipeline := flag.Int("pipeline", 1, "executor depth (0 = the paper's synchronous phase, 1 = exchange in flight behind the interior sweep)")
 	flag.Parse()
 
 	var g *stance.Graph
@@ -48,11 +48,7 @@ func main() {
 		g = stance.PaperMesh()
 	}
 	fmt.Printf("mesh: %d vertices, %d edges (paper: 30269/44929)\n", g.N, g.NumEdges())
-	mode := "overlapped (Phase C′)"
-	if !*overlap {
-		mode = "synchronous (Phase C)"
-	}
-	fmt.Printf("%d iterations, work %d, Ethernet x%g, executor %s\n\n", *iters, *workRep, *netScale, mode)
+	fmt.Printf("%d iterations, work %d, Ethernet x%g, executor depth %d\n\n", *iters, *workRep, *netScale, *pipeline)
 	fmt.Println("Workstations  Time       Efficiency  Exchange idle   (paper: 97.61s..31.50s, eff 1.00..0.62 at 500 iters)")
 
 	var t1 float64
@@ -62,9 +58,7 @@ func main() {
 			stance.WithNetworkModel(stance.Ethernet(*netScale)),
 			stance.WithEnv(stance.UniformEnv(p)),
 			stance.WithWorkRep(*workRep),
-		}
-		if *overlap {
-			opts = append(opts, stance.WithOverlap())
+			stance.WithPipeline(*pipeline),
 		}
 		s, err := stance.NewSession(context.Background(), g, p, opts...)
 		if err != nil {

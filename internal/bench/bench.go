@@ -34,19 +34,14 @@ type Options struct {
 	NetScale float64
 	// Seed makes randomized workloads reproducible.
 	Seed int64
-	// Overlap runs the solver tables (4 and 5) on the split-phase
-	// overlapped executor (Phase C′) instead of the synchronous one.
-	// Results are bit-for-bit identical; only the schedule of
-	// communication against computation changes.
-	Overlap bool
-	// Pipeline runs the solver tables (4 and 5) on the handle-based
-	// software-pipelined executor at the given depth (0 = off). Like
-	// Overlap — which it subsumes and is mutually exclusive with — the
-	// results stay bit-for-bit identical.
+	// Pipeline runs the solver tables (4 and 5) at the given executor
+	// depth (see session.Config.Pipeline; 0 = the paper's synchronous
+	// phase). Results are bit-for-bit identical at every depth; only
+	// the schedule of communication against computation changes.
 	Pipeline int
 	// Fields is the number of independent solution fields the solver
 	// advances per iteration (0 or 1 = the paper's single field). With
-	// Pipeline set and Fields >= 2, several exchanges fly concurrently.
+	// Pipeline >= 1 and Fields >= 2, several exchanges fly concurrently.
 	Fields int
 	// Clock runs the solver tables (4 and 5) on an explicit clock (nil
 	// means the real clock). With a vtime.Sim the tables measure exact

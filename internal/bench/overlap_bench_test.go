@@ -1,13 +1,12 @@
 package bench
 
-// Overlap benchmarks: the split-phase executor (Phase C′) against the
-// synchronous one under an injected network-delay model
-// (comm.Model.Delay): every message stays invisible to its receiver
-// for a fixed one-way delay, without blocking the sender. A rank that
-// exchanges synchronously idles out the full delay every iteration;
-// the overlapped mode computes the interior strip through that window.
-// This is the ≥1-benchmark-where-overlap-wins acceptance criterion —
-// compare executor=sync with executor=overlap in bench.json.
+// Overlap benchmarks: executor depth 1 against depth 0 under an
+// injected network-delay model (comm.Model.Delay): every message stays
+// invisible to its receiver for a fixed one-way delay, without blocking
+// the sender. A rank that exchanges synchronously idles out the full
+// delay every iteration; depth 1 computes the interior strip through
+// that window. This is the ≥1-benchmark-where-overlap-wins acceptance
+// criterion — compare depth=0 with depth=1 in bench.json.
 
 import (
 	"context"
@@ -23,7 +22,7 @@ import (
 
 // delayedSession builds a 4-rank session over a delay-dominated
 // modeled network with enough amplified compute to hide the exchange.
-func delayedSession(overlap bool, delay time.Duration) (*session.Session, error) {
+func delayedSession(depth int, delay time.Duration) (*session.Session, error) {
 	g, err := mesh.Honeycomb(60, 100)
 	if err != nil {
 		return nil, err
@@ -33,29 +32,25 @@ func delayedSession(overlap bool, delay time.Duration) (*session.Session, error)
 		Model:     &comm.Model{Delay: delay},
 		OrderName: "rcb",
 		WorkRep:   200,
-		Overlap:   overlap,
+		Pipeline:  depth,
 	})
 }
 
 // benchDelay is the injected one-way delivery delay. It is chosen to
 // dominate one iteration's aggregate compute, so the synchronous
 // executor idles a full delay per iteration even on a single-CPU
-// machine (where rank compute serializes anyway), while the
-// overlapped one fills that window with interior sweeps.
+// machine (where rank compute serializes anyway), while depth 1 fills
+// that window with interior sweeps.
 const benchDelay = 5 * time.Millisecond
 
 // BenchmarkOverlapLatencyHiding measures whole solver iterations under
-// the injected delivery delay. The overlapped executor should be
-// measurably faster than the synchronous one: the interior sweep runs
-// while the exchange messages are in flight.
+// the injected delivery delay. Depth 1 should be measurably faster
+// than depth 0: the interior sweep runs while the exchange messages
+// are in flight.
 func BenchmarkOverlapLatencyHiding(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		name := "executor=sync"
-		if overlap {
-			name = "executor=overlap"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := delayedSession(overlap, benchDelay)
+	for depth := 0; depth <= 1; depth++ {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s, err := delayedSession(depth, benchDelay)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,7 +65,7 @@ func BenchmarkOverlapLatencyHiding(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if overlap {
+			if depth > 0 {
 				b.ReportMetric(float64(rep.Exec.Idle.Nanoseconds())/float64(b.N), "idle-ns/op")
 			}
 		})
@@ -84,12 +79,11 @@ func BenchmarkOverlapLatencyHiding(b *testing.B) {
 // virtualized compute, so both executors measure exact, deterministic
 // virtual durations and the whole test takes milliseconds of real
 // time. The interior sweep (~6ms of virtual compute per iteration)
-// more than covers the delay, so the overlapped executor must beat the
-// synchronous one by well over 5% and hide the exchange entirely
-// (zero idle).
+// more than covers the delay, so depth 1 must beat depth 0 by well
+// over 5% and hide nearly all of the exchange.
 func TestOverlapLatencyHidingVirtual(t *testing.T) {
 	const iters = 30
-	run := func(overlap bool) *session.RunReport {
+	run := func(depth int) *session.RunReport {
 		g, err := mesh.Honeycomb(60, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +94,7 @@ func TestOverlapLatencyHidingVirtual(t *testing.T) {
 			Clock:       vtime.NewSim(),
 			OrderName:   "rcb",
 			ComputeCost: 4 * time.Microsecond,
-			Overlap:     overlap,
+			Pipeline:    depth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,40 +110,38 @@ func TestOverlapLatencyHidingVirtual(t *testing.T) {
 		return rep
 	}
 	wall := time.Now()
-	sync := run(false)
-	ov := run(true)
-	t.Logf("virtual: sync %v, overlap %v (idle %v over %d split ops) in %v real",
+	sync := run(0)
+	ov := run(1)
+	t.Logf("virtual: depth 0 %v, depth 1 %v (idle %v over %d split ops) in %v real",
 		sync.Wall, ov.Wall, ov.Exec.Idle, ov.Exec.Overlapped, time.Since(wall))
 	if ov.Exec.Overlapped == 0 {
-		t.Fatal("overlapped run recorded no split-phase ops")
+		t.Fatal("depth-1 run recorded no split-phase ops")
 	}
 	if sync.Exec.Overlapped != 0 {
 		t.Fatal("synchronous run recorded split-phase ops")
 	}
 	if ov.Wall > sync.Wall-sync.Wall/20 {
-		t.Errorf("overlapped run took %v virtual, synchronous %v; overlap should beat synchronous by >5%% under a %v one-way delay",
+		t.Errorf("depth 1 took %v virtual, depth 0 %v; depth 1 should win by >5%% under a %v one-way delay",
 			ov.Wall, sync.Wall, benchDelay)
 	}
 	// The interior sweep outlasts the delay, so the drain hides nearly
 	// all of it — a little genuine idle remains because per-rank
 	// compute imbalance lets iteration starts drift apart, so a fast
 	// rank can finish its interior before a slow peer's message was
-	// even sent. The synchronous executor is exposed to the delay on
-	// every exchange; the overlapped one must hide at least 90% of that
-	// exposure. Exact virtual quantities, so the bound cannot flake.
+	// even sent. Depth 0 is exposed to the delay on every exchange;
+	// depth 1 must hide at least 90% of that exposure. Exact virtual quantities, so the bound cannot flake.
 	exposure := time.Duration(iters) * benchDelay
 	if ov.Exec.Idle > exposure/10 {
-		t.Errorf("overlapped run idled %v of a %v delay exposure; the interior sweep should hide at least 90%%", ov.Exec.Idle, exposure)
+		t.Errorf("depth 1 idled %v of a %v delay exposure; the interior sweep should hide at least 90%%", ov.Exec.Idle, exposure)
 	}
 }
 
-// BenchmarkSolverStep records the no-delay baseline of both executor
-// modes, so the split-phase bookkeeping overhead itself stays visible
-// in bench.json.
+// BenchmarkSolverStep records the no-delay baseline of depths 0 and 1,
+// so the split-phase bookkeeping overhead itself stays visible in
+// bench.json.
 func BenchmarkSolverStep(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		name := fmt.Sprintf("executor=%s", map[bool]string{false: "sync", true: "overlap"}[overlap])
-		b.Run(name, func(b *testing.B) {
+	for depth := 0; depth <= 1; depth++ {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			g, err := mesh.Honeycomb(40, 60)
 			if err != nil {
 				b.Fatal(err)
@@ -158,7 +150,7 @@ func BenchmarkSolverStep(b *testing.B) {
 				Procs:     4,
 				OrderName: "rcb",
 				WorkRep:   8,
-				Overlap:   overlap,
+				Pipeline:  depth,
 			})
 			if err != nil {
 				b.Fatal(err)

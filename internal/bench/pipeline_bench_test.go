@@ -1,19 +1,16 @@
 package bench
 
-// Pipeline benchmarks: the handle-based software-pipelined executor
-// against Phase C′ overlap and the synchronous baseline under an
-// injected delivery delay, on a multi-field kernel. Overlap hides one
-// exchange behind one field's interior sweep but still serializes the
-// fields' exchanges — each field waits out its own delay when the
-// sweep is shorter than the flight time. The pipelined executor keeps
-// every field's exchange in flight at once (and, at depth >= 2,
-// restarts a field's exchange the moment its update completes), so the
-// per-iteration delay exposure collapses from fields × delay to one
-// delay. This is PR 7's measured-win acceptance criterion — compare
-// executor=overlap with executor=pipeline in bench.json.
+// Pipeline benchmarks: executor depths 0, 1 and 2 under an injected
+// delivery delay, on a two-field kernel whose compute is too small to
+// cover the flight time. Depth 0 waits out one delay per field per
+// iteration. Depths >= 1 keep both fields' exchanges in flight at once,
+// so the per-iteration delay exposure collapses from fields × delay to
+// one delay; depth 2 additionally restarts a field's exchange the
+// moment its update completes. Compare depth=0/1/2 in bench.json.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,26 +20,13 @@ import (
 	"stance/internal/vtime"
 )
 
-// pipelineModes are the three executor configurations the benchmarks
-// sweep, all on the same two-field kernel so the compute is identical.
-var pipelineModes = []struct {
-	name     string
-	overlap  bool
-	pipeline int
-}{
-	{"executor=sync", false, 0},
-	{"executor=overlap", true, 0},
-	{"executor=pipeline", false, 2},
-}
-
 // BenchmarkPipelineLatencyHiding measures whole two-field solver
 // iterations under the injected delivery delay, with compute too small
-// to cover the flight time: the overlapped executor pays ~2 delays per
-// iteration (one per field, serialized), the pipelined one ~1 (both
-// exchanges in flight together).
+// to cover the flight time: depth 0 pays ~2 delays per iteration (one
+// per field), depths 1 and 2 ~1 (both exchanges in flight together).
 func BenchmarkPipelineLatencyHiding(b *testing.B) {
-	for _, mode := range pipelineModes {
-		b.Run(mode.name, func(b *testing.B) {
+	for depth := 0; depth <= 2; depth++ {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			g, err := mesh.Honeycomb(60, 100)
 			if err != nil {
 				b.Fatal(err)
@@ -52,8 +36,7 @@ func BenchmarkPipelineLatencyHiding(b *testing.B) {
 				Model:     &comm.Model{Delay: benchDelay},
 				OrderName: "rcb",
 				Fields:    2,
-				Overlap:   mode.overlap,
-				Pipeline:  mode.pipeline,
+				Pipeline:  depth,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -70,11 +53,11 @@ func BenchmarkPipelineLatencyHiding(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if mode.overlap || mode.pipeline > 0 {
+			if depth > 0 {
 				b.ReportMetric(float64(rep.Exec.Idle.Nanoseconds())/float64(b.N), "idle-ns/op")
-			}
-			if mode.pipeline > 0 && rep.Exec.Pipelined == 0 {
-				b.Fatal("pipelined run recorded no pipelined ops")
+				if rep.Exec.Pipelined == 0 {
+					b.Fatal("two fields at depth >= 1 recorded no pipelined ops")
+				}
 			}
 		})
 	}
@@ -83,14 +66,15 @@ func BenchmarkPipelineLatencyHiding(b *testing.B) {
 // TestPipelineLatencyHidingVirtual is the exact acceptance assertion
 // on a simulated clock: a 4-rank two-field session under a 5ms one-way
 // delay with compute far smaller than the flight time. Every quantity
-// is virtual and deterministic, so the bounds cannot flake. The
-// pipelined executor must beat Phase C′ overlap by at least 10%
-// virtual wall time, with the aggregate handle Idle shrinking, because
-// overlap serializes the two fields' exchanges (≈2 delays/iteration)
-// while the pipeline flies them together (≈1 delay/iteration).
+// is virtual and deterministic, so the bounds cannot flake. Depths 1
+// and 2 must each beat depth 0 by at least 10% virtual wall time —
+// depth 0 waits out the two fields' exchanges one after the other
+// (≈2 delays/iteration) while depths >= 1 fly them together (≈1) — and
+// restarting exchanges across the iteration boundary must not make
+// depth 2 slower than depth 1.
 func TestPipelineLatencyHidingVirtual(t *testing.T) {
 	const iters = 30
-	run := func(overlap bool, pipeline int) *session.RunReport {
+	run := func(depth int) *session.RunReport {
 		g, err := mesh.Honeycomb(60, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -102,8 +86,7 @@ func TestPipelineLatencyHidingVirtual(t *testing.T) {
 			OrderName:   "rcb",
 			ComputeCost: 500 * time.Nanosecond,
 			Fields:      2,
-			Overlap:     overlap,
-			Pipeline:    pipeline,
+			Pipeline:    depth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,34 +102,24 @@ func TestPipelineLatencyHidingVirtual(t *testing.T) {
 		return rep
 	}
 	wall := time.Now()
-	sync := run(false, 0)
-	ov := run(true, 0)
-	pipe := run(false, 2)
-	t.Logf("virtual: sync %v, overlap %v (idle %v), pipeline %v (idle %v, %d pipelined of %d ops) in %v real",
-		sync.Wall, ov.Wall, ov.Exec.Idle, pipe.Wall, pipe.Exec.Idle,
-		pipe.Exec.Pipelined, pipe.Exec.Ops, time.Since(wall))
-	if pipe.Exec.Pipelined == 0 {
-		t.Fatal("pipelined run recorded no ops issued while another was in flight")
+	d0, d1, d2 := run(0), run(1), run(2)
+	t.Logf("virtual: depth 0 %v, depth 1 %v (idle %v), depth 2 %v (idle %v, %d pipelined of %d ops) in %v real",
+		d0.Wall, d1.Wall, d1.Exec.Idle, d2.Wall, d2.Exec.Idle,
+		d2.Exec.Pipelined, d2.Exec.Ops, time.Since(wall))
+	if d1.Exec.Pipelined == 0 || d2.Exec.Pipelined == 0 {
+		t.Fatalf("two fields at depth >= 1 recorded no ops issued while another was in flight: depth 1 %d, depth 2 %d",
+			d1.Exec.Pipelined, d2.Exec.Pipelined)
 	}
-	if ov.Exec.Pipelined != 0 || sync.Exec.Pipelined != 0 {
-		t.Fatalf("non-pipelined runs recorded pipelined ops: overlap %d, sync %d",
-			ov.Exec.Pipelined, sync.Exec.Pipelined)
+	if d0.Exec.Pipelined != 0 {
+		t.Fatalf("depth 0 recorded %d pipelined ops", d0.Exec.Pipelined)
 	}
-	// The headline acceptance bound: >= 10% virtual wall reduction over
-	// the overlapped executor on the same kernel and network.
-	if pipe.Wall > ov.Wall-ov.Wall/10 {
-		t.Errorf("pipelined run took %v virtual, overlapped %v; pipelining should beat overlap by >=10%% under a %v one-way delay",
-			pipe.Wall, ov.Wall, benchDelay)
+	for depth, rep := range map[int]*session.RunReport{1: d1, 2: d2} {
+		if rep.Wall > d0.Wall-d0.Wall/10 {
+			t.Errorf("depth %d took %v virtual, depth 0 %v; it should win by >=10%% under a %v one-way delay",
+				depth, rep.Wall, d0.Wall, benchDelay)
+		}
 	}
-	if pipe.Wall > sync.Wall-sync.Wall/10 {
-		t.Errorf("pipelined run took %v virtual, synchronous %v; pipelining should beat synchronous by >=10%%",
-			pipe.Wall, sync.Wall)
-	}
-	// Flying the fields' exchanges together also shrinks the blocked
-	// drain time itself: only the first Wait of an iteration eats the
-	// delay, the others find their arrivals already queued.
-	if pipe.Exec.Idle >= ov.Exec.Idle {
-		t.Errorf("pipelined handles idled %v, overlap idled %v; concurrent flights should shrink the blocked drain time",
-			pipe.Exec.Idle, ov.Exec.Idle)
+	if d2.Wall > d1.Wall {
+		t.Errorf("depth 2 took %v virtual, depth 1 %v; posting ahead must not cost time", d2.Wall, d1.Wall)
 	}
 }

@@ -35,11 +35,10 @@ func staticScale(opts Options) (iters, workRep int) {
 // MeasureStaticRun runs iters solver iterations on p equally fast,
 // unloaded workstations over the modeled Ethernet, returning the
 // session report (Wall is rank 0's barrier-to-barrier time; Exec the
-// executor's own traffic counters). overlap selects the split-phase
-// executor.
-func MeasureStaticRun(g *graph.Graph, p, iters, workRep int, netScale float64, overlap bool) (*session.RunReport, error) {
+// executor's own traffic counters) at executor depth depth.
+func MeasureStaticRun(g *graph.Graph, p, iters, workRep int, netScale float64, depth int) (*session.RunReport, error) {
 	return measureRun(g, hetero.Uniform(p), p, iters, workRep,
-		Options{NetScale: netScale, Overlap: overlap}, nil)
+		Options{NetScale: netScale, Pipeline: depth}, nil)
 }
 
 // measureRun executes an iterative solve through the session driver
@@ -58,7 +57,6 @@ func measureRun(g *graph.Graph, env *hetero.Env, p, iters, workRep int,
 		ComputeCost: opts.ComputeCost,
 		Env:         env,
 		WorkRep:     workRep,
-		Overlap:     opts.Overlap,
 		Pipeline:    opts.Pipeline,
 		Fields:      opts.Fields,
 		Balancer:    bal,
@@ -92,11 +90,8 @@ func Table4(opts Options) (*Table, error) {
 			"paper: 500 iterations on SUN4s; efficiency E = (1/Tpar)/sum(1/Ti)",
 		},
 	}
-	if opts.Overlap {
-		t.Notes = append(t.Notes, "split-phase overlapped executor (Phase C′)")
-	}
 	if opts.Pipeline > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("software-pipelined executor, depth %d", opts.Pipeline))
+		t.Notes = append(t.Notes, fmt.Sprintf("executor depth %d", opts.Pipeline))
 	}
 	var t1 float64
 	for _, p := range []int{1, 2, 3, 4, 5} {

@@ -135,11 +135,8 @@ func Table5(opts Options) (*Table, error) {
 			"paper: 500 iterations; sequential loaded workstation: 290.93s (vs 97.61s unloaded)",
 		},
 	}
-	if opts.Overlap {
-		t.Notes = append(t.Notes, "split-phase overlapped executor (Phase C′)")
-	}
 	if opts.Pipeline > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("software-pipelined executor, depth %d", opts.Pipeline))
+		t.Notes = append(t.Notes, fmt.Sprintf("executor depth %d", opts.Pipeline))
 	}
 	// The single loaded workstation row.
 	g, err := benchMesh(opts)

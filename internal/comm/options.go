@@ -8,8 +8,7 @@ import (
 )
 
 // TransportOptions is the composable transport configuration passed to
-// Open. It replaces the old flat TransportConfig: the model and clock
-// keep their meaning, and the remaining fields tune the socket
+// Open: the model and clock, and the fields that tune the socket
 // transports (today: "tcp"). The zero value is valid and means "library
 // defaults" everywhere; factories ignore fields that do not apply to
 // them (the in-process transport has no sockets to batch or

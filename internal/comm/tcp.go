@@ -430,11 +430,15 @@ func (t *tcpTransport) writer(conn net.Conn, out *outbox) {
 		if err != nil {
 			return
 		}
+		// Count before the syscall: the receiver can hold the data the
+		// moment Write hands it to the kernel, and the counters must
+		// never be observed behind the data they describe. A failed
+		// write kills the connection anyway.
+		t.stats.nFlushes.Add(1)
+		t.stats.nTxByte.Add(int64(len(wire)))
 		if _, err := conn.Write(wire); err != nil {
 			return
 		}
-		t.stats.nFlushes.Add(1)
-		t.stats.nTxByte.Add(int64(len(wire)))
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"stance/internal/vtime"
 )
 
 // TestTCPBatchingCoalesces pins the tx batching loop: with a flush
@@ -291,32 +289,5 @@ func TestTCPSubWorldSharesRootMesh(t *testing.T) {
 	subStats, ok := subs[0].TransportStats()
 	if !ok || subStats != rootStats {
 		t.Errorf("sub-endpoint stats %+v != root stats %+v", subStats, rootStats)
-	}
-}
-
-// TestTransportConfigCompat keeps the deprecated flat configuration
-// working: Options maps it onto the options it is a subset of, and
-// OpenConfig opens an equivalent world.
-func TestTransportConfigCompat(t *testing.T) {
-	model := &Model{Latency: time.Millisecond}
-	clk := vtime.NewSim()
-	cfg := TransportConfig{Model: model, Clock: clk}
-	opts := cfg.Options()
-	if opts.Model != model || opts.Clock != clk {
-		t.Errorf("Options() = %+v, want the model and clock carried over", opts)
-	}
-	if (opts == TransportOptions{Model: model, Clock: clk}) == false {
-		t.Errorf("Options() carries more than the legacy fields: %+v", opts)
-	}
-	w, err := OpenConfig("inproc", 2, TransportConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Comm(0).Send(1, 1, []byte("compat")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := w.Comm(1).Recv(0, 1); err != nil || string(got) != "compat" {
-		t.Fatalf("legacy-config world exchange: %q, %v", got, err)
 	}
 }

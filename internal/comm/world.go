@@ -6,36 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"stance/internal/vtime"
 )
-
-// TransportConfig is the legacy flat transport configuration, kept as
-// a compatibility shim over TransportOptions.
-//
-// Deprecated: use TransportOptions with Open. TransportConfig predates
-// the tunable wire transport and can only carry the model and clock;
-// Options converts it, and OpenConfig opens a world from it directly.
-type TransportConfig struct {
-	// Model is the network cost model (nil means a free network).
-	Model *Model
-	// Clock is the time source (nil means the real clock).
-	Clock vtime.Clock
-}
-
-// Options maps the legacy configuration onto the options it is a
-// subset of.
-func (c TransportConfig) Options() TransportOptions {
-	return TransportOptions{Model: c.Model, Clock: c.Clock}
-}
-
-// OpenConfig is Open for callers still holding a legacy
-// TransportConfig.
-//
-// Deprecated: use Open with TransportOptions.
-func OpenConfig(transport string, p int, cfg TransportConfig) (*World, error) {
-	return Open(transport, p, cfg.Options())
-}
 
 // TransportFactory builds the endpoints of a p-rank world from
 // validated options (factories ignore fields that do not apply to

@@ -27,7 +27,6 @@ func dedicatedResult(t *testing.T, spec Spec, procs int) []float64 {
 		OrderName:  spec.Order,
 		CheckEvery: spec.CheckEvery,
 		WorkRep:    spec.WorkRep,
-		Overlap:    spec.Overlap,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,8 +90,8 @@ type Spec struct {
 	WorkRep int `json:"work_rep,omitempty"`
 	// Kernel names a built-in solver kernel ("" means the default).
 	Kernel string `json:"kernel,omitempty"`
-	// Overlap runs the split-phase executor (requires a kernel with a
-	// boundary split; the default has one).
+	// Overlap runs the job at executor depth 1 (session.Config.Pipeline):
+	// ghost exchanges fly behind the interior sweep.
 	Overlap bool `json:"overlap,omitempty"`
 	// ComputeCost virtualizes compute: each element charges this many
 	// nanoseconds to the clock per iteration instead of spinning.
@@ -179,7 +179,6 @@ func (sp Spec) sessionConfig(world *comm.World) (session.Config, error) {
 		OrderName:   sp.Order,
 		CheckEvery:  sp.CheckEvery,
 		WorkRep:     sp.WorkRep,
-		Overlap:     sp.Overlap,
 		ComputeCost: sp.ComputeCost,
 		Elastic:     world.Size() > 1,
 	}
@@ -189,6 +188,9 @@ func (sp Spec) sessionConfig(world *comm.World) (session.Config, error) {
 			return session.Config{}, err
 		}
 		cfg.Kernel = k
+	}
+	if sp.Overlap {
+		cfg.Pipeline = 1
 	}
 	if sp.Balance {
 		cfg.Balancer = &loadbal.Config{}

@@ -86,7 +86,7 @@ type Config struct {
 	Topology *comm.Topology
 	// Groups is the convenience form of Topology: split the Procs ranks
 	// into this many contiguous, near-equal node groups. 0 means flat;
-	// mutually exclusive with an explicit Topology.
+	// cannot be combined with an explicit Topology.
 	Groups int
 	// InterModel is the cost model for messages crossing group
 	// boundaries (requires Topology; nil prices inter-group traffic on
@@ -150,33 +150,23 @@ type Config struct {
 	// are treated as 1).
 	WorkRep int
 	// Kernel is the solver's compute body (nil means the built-in
-	// Figure 8 kernel). With Overlap or Pipeline set it must be a
-	// solver.SubsetKernel — a kernel that can sweep the interior and
-	// boundary strips separately.
+	// Figure 8 kernel).
 	Kernel solver.Kernel
-	// Overlap runs the executor split-phase (Phase C′): each iteration
-	// posts its ghost exchange, computes the interior elements while the
-	// messages are in flight, then drains the arrivals and computes the
-	// boundary strip. Results are bit-for-bit identical to the
-	// synchronous executor; RunReport.Exec.Overlapped and .Idle report
-	// how much latency the overlap hid. Requires a kernel with a
-	// boundary split — New fails loudly otherwise, it never falls back
-	// to synchronous. Mutually exclusive with Pipeline.
-	Overlap bool
-	// Pipeline, when positive, runs the solver software-pipelined on op
-	// handles: every field's ghost exchange is in flight at once, and at
-	// depth >= 2 a field's next-iteration exchange is posted as soon as
-	// its update completes, so the pipeline spans iteration boundaries.
-	// Results stay bit-for-bit identical; RunReport.Exec.Pipelined
-	// counts the ops issued while another was already in flight. Like
-	// Overlap it requires a solver.SubsetKernel and never falls back
-	// silently; the two modes are mutually exclusive (pipelining
-	// subsumes the overlap).
+	// Pipeline is the executor depth: how far a field's ghost exchange
+	// may run ahead of the sweep that consumes it. 0 is the paper's
+	// synchronous phase (exchange, then sweep). 1 posts every field's
+	// exchange at the top of the iteration and computes the interior
+	// elements while the messages are in flight, then drains the
+	// arrivals and computes the boundary strip. 2 additionally posts a
+	// field's next-iteration exchange as soon as its update completes,
+	// so flights span iteration boundaries. Results are bit-for-bit
+	// identical at every depth; RunReport.Exec.Overlapped, .Pipelined
+	// and .Idle report how much latency was hidden.
 	Pipeline int
 	// Fields is the number of independent solution fields the solver
-	// advances per iteration (0 means 1). Extra fields give the
-	// pipelined executor independent exchanges to keep in flight; field
-	// 0 is the solution vector Result returns.
+	// advances per iteration (0 means 1). Extra fields give depths >= 1
+	// independent exchanges to keep in flight; field 0 is the solution
+	// vector Result returns.
 	Fields int
 	// Balancer enables Phase D adaptive load balancing (nil disables
 	// it). A zero Horizon defaults to CheckEvery.
@@ -358,23 +348,8 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	if cfg.Weights != nil && len(cfg.Weights) != cfg.Procs {
 		return nil, fmt.Errorf("session: %d weights for %d ranks", len(cfg.Weights), cfg.Procs)
 	}
-	if cfg.Overlap && cfg.Kernel != nil {
-		if _, ok := cfg.Kernel.(solver.SubsetKernel); !ok {
-			return nil, fmt.Errorf("session: overlapped mode requires a kernel with a boundary split (solver.SubsetKernel); %T has none", cfg.Kernel)
-		}
-	}
 	if cfg.Pipeline < 0 {
 		return nil, fmt.Errorf("session: negative pipeline depth %d", cfg.Pipeline)
-	}
-	if cfg.Pipeline > 0 {
-		if cfg.Overlap {
-			return nil, fmt.Errorf("session: Overlap and Pipeline are mutually exclusive (pipelining subsumes the overlap)")
-		}
-		if cfg.Kernel != nil {
-			if _, ok := cfg.Kernel.(solver.SubsetKernel); !ok {
-				return nil, fmt.Errorf("session: pipelined mode requires a kernel with a boundary split (solver.SubsetKernel); %T has none", cfg.Kernel)
-			}
-		}
 	}
 	if cfg.Fields < 0 {
 		return nil, fmt.Errorf("session: negative field count %d", cfg.Fields)
@@ -564,9 +539,7 @@ func (s *Session) activeWeights(active []int) []float64 {
 }
 
 // newSolver builds a rank's solver with the configured kernel, field
-// count and executor mode. SetOverlap/SetPipeline run last: they are
-// the checks that reject a kernel without a boundary split instead of
-// silently running the synchronous path.
+// count and executor depth.
 func (s *Session) newSolver(rt *core.Runtime) (*solver.Solver, error) {
 	sol, err := solver.New(rt, s.cfg.Env, s.cfg.WorkRep)
 	if err != nil {
@@ -582,15 +555,8 @@ func (s *Session) newSolver(rt *core.Runtime) (*solver.Solver, error) {
 			return nil, err
 		}
 	}
-	if s.cfg.Overlap {
-		if err := sol.SetOverlap(true); err != nil {
-			return nil, err
-		}
-	}
-	if s.cfg.Pipeline > 0 {
-		if err := sol.SetPipeline(s.cfg.Pipeline); err != nil {
-			return nil, err
-		}
+	if err := sol.SetPipeline(s.cfg.Pipeline); err != nil {
+		return nil, err
 	}
 	if s.cfg.ComputeCost > 0 {
 		sol.SetVirtualCompute(s.cfg.ComputeCost)

@@ -248,7 +248,6 @@ func dedicatedReference(spec jobsvc.Spec, procs int) ([]float64, error) {
 		OrderName:  spec.Order,
 		CheckEvery: spec.CheckEvery,
 		WorkRep:    spec.WorkRep,
-		Overlap:    spec.Overlap,
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@
 // The invariants every scenario must satisfy:
 //
 //   - The gathered result is bit-equal to a fixed-world synchronous
-//     single-rank reference: no remap, rebind, overlap mode, delay
+//     single-rank reference: no remap, rebind, executor depth, delay
 //     model or membership change may perturb the numerics.
 //   - Element conservation: summed over ranks, exactly N items are
 //     computed per iteration, across every remap and epoch transition.
@@ -64,10 +64,8 @@ type Scenario struct {
 	HasDelay    bool
 	HasBalancer bool
 	Elastic     bool
-	Overlap     bool
-	// Pipeline and Fields mirror the session config: a positive
-	// Pipeline runs the handle-based pipelined executor at that depth,
-	// over Fields independent solution fields.
+	// Pipeline and Fields mirror the session config: the executor
+	// depth, over Fields independent solution fields.
 	Pipeline int
 	Fields   int
 	// Kernel names a non-default compute body ("" means the built-in
@@ -212,19 +210,18 @@ func Generate(seed int64) (*Scenario, error) {
 		sc.HasBalancer = true
 	}
 
-	// Executor mode: synchronous, split-phase overlapped, or pipelined
-	// on op handles with a random depth and field count — the modes are
-	// mutually exclusive. Multi-field pipelined runs keep several
-	// exchanges in flight at once, exercising the dependency tracker and
-	// rotating wire tags under every network model and churn pattern.
+	// Executor depth: synchronous, depth 1 on a single field, or a
+	// random depth and field count. Multi-field runs at depth >= 1 keep
+	// several exchanges in flight at once, exercising the dependency
+	// tracker and rotating wire tags under every network model and churn
+	// pattern.
 	switch rng.Intn(3) {
 	case 1:
-		cfg.Overlap = true
+		cfg.Pipeline = 1
 	case 2:
 		cfg.Pipeline = 1 + rng.Intn(2)
 		cfg.Fields = 1 + rng.Intn(3)
 	}
-	sc.Overlap = cfg.Overlap
 	sc.Pipeline = cfg.Pipeline
 	sc.Fields = cfg.Fields
 	if sc.Fields == 0 {
@@ -327,9 +324,9 @@ func Generate(seed int64) (*Scenario, error) {
 	sc.Cfg = cfg
 
 	sc.Desc = fmt.Sprintf(
-		"seed=%d n=%d procs=%d iters=%v order=%s check=%d cost=%v model=%+v overlap=%v pipeline=%d fields=%d kernel=%q balancer=%v elastic=%v ckpt=%v kills=%v loads=%d traces=%d outages=%d resizes=%v groups=%v flatcut=%v",
+		"seed=%d n=%d procs=%d iters=%v order=%s check=%d cost=%v model=%+v pipeline=%d fields=%d kernel=%q balancer=%v elastic=%v ckpt=%v kills=%v loads=%d traces=%d outages=%d resizes=%v groups=%v flatcut=%v",
 		seed, g.N, procs, sc.Segments, cfg.OrderName, checkEvery, cfg.ComputeCost,
-		cfg.Model, cfg.Overlap, cfg.Pipeline, sc.Fields, sc.Kernel, sc.HasBalancer, sc.Elastic,
+		cfg.Model, cfg.Pipeline, sc.Fields, sc.Kernel, sc.HasBalancer, sc.Elastic,
 		sc.Checkpoint, sc.Kills,
 		len(env.Loads), len(env.Traces), len(env.Outages), sc.Resizes, sc.Groups, sc.FlatCut)
 	return sc, nil
@@ -522,11 +519,11 @@ func checkInvariants(sc *Scenario, res *Result, ref []float64) error {
 		if rep.Exec.Ops < 0 || rep.Exec.Msgs < 0 || rep.Exec.Bytes < 0 || rep.Exec.Idle < 0 || rep.Exec.Pipelined < 0 {
 			return fmt.Errorf("segment %d: negative executor counters %+v", si, rep.Exec)
 		}
-		if !sc.Overlap && sc.Pipeline == 0 && rep.Exec.Overlapped != 0 {
+		if sc.Pipeline == 0 && rep.Exec.Overlapped != 0 {
 			return fmt.Errorf("segment %d: synchronous run recorded %d overlapped ops", si, rep.Exec.Overlapped)
 		}
-		if sc.Pipeline == 0 && rep.Exec.Pipelined != 0 {
-			return fmt.Errorf("segment %d: non-pipelined run recorded %d pipelined ops", si, rep.Exec.Pipelined)
+		if (sc.Pipeline == 0 || sc.Fields == 1) && rep.Exec.Pipelined != 0 {
+			return fmt.Errorf("segment %d: run with at most one exchange in flight recorded %d pipelined ops", si, rep.Exec.Pipelined)
 		}
 		if rep.Iters > 0 && rep.Wall <= 0 {
 			return fmt.Errorf("segment %d: non-positive virtual wall %v for %d iters", si, rep.Wall, rep.Iters)

@@ -43,8 +43,8 @@ func TestSimSeeds(t *testing.T) {
 // otherwise the fuzzer silently stops covering what it was built to
 // cover.
 func TestSimScenarioDiversity(t *testing.T) {
-	var delay, balancer, elastic, overlap, traces, multiSeg, resize int
-	var pipeline, pipelineMulti, syncMode int
+	var delay, balancer, elastic, depth1Single, traces, multiSeg, resize int
+	var depth2, multiField, syncMode int
 	var cg, ckptOverhead, kills int
 	var hier, hierBalanced int
 	for seed := int64(0); seed < simSeeds; seed++ {
@@ -76,16 +76,19 @@ func TestSimScenarioDiversity(t *testing.T) {
 		if sc.Elastic {
 			elastic++
 		}
-		if sc.Overlap {
-			overlap++
+		if sc.Pipeline == 1 && sc.Fields == 1 {
+			// The paper loop with its one exchange hidden behind the
+			// interior sweep.
+			depth1Single++
 		}
-		if sc.Pipeline > 0 {
-			pipeline++
-			if sc.Fields > 1 {
-				// Several exchanges genuinely in flight at once.
-				pipelineMulti++
-			}
-		} else if !sc.Overlap {
+		if sc.Pipeline >= 2 {
+			depth2++
+		}
+		if sc.Pipeline > 0 && sc.Fields > 1 {
+			// Several exchanges genuinely in flight at once.
+			multiField++
+		}
+		if sc.Pipeline == 0 {
 			syncMode++
 		}
 		if len(sc.Cfg.Env.Traces) > 0 {
@@ -103,10 +106,10 @@ func TestSimScenarioDiversity(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"delay models": delay, "balancers": balancer, "elastic churn": elastic,
-		"overlap executors": overlap, "capability traces": traces,
+		"single-field depth-1 executors": depth1Single, "capability traces": traces,
 		"multi-segment runs": multiSeg, "explicit resizes": resize,
-		"pipelined executors":         pipeline,
-		"multi-field pipelined runs":  pipelineMulti,
+		"depth-2 executors":           depth2,
+		"multi-field depth>=1 runs":   multiField,
 		"plain synchronous executors": syncMode,
 		"cg kernels":                  cg,
 		"kill-free checkpointing":     ckptOverhead,

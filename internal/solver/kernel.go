@@ -18,24 +18,15 @@ type Kernel interface {
 	// Sweep computes tv[u] for every local element u in [lo, hi), in
 	// ascending order.
 	Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int)
-}
-
-// SubsetKernel is implemented by kernels that can sweep an arbitrary
-// ascending subset of the local elements. This is the boundary split
-// the overlapped and pipelined executor modes need: the solver sweeps
-// the plan's interior elements while Exchange messages are in flight
-// and the boundary elements after the handle's Wait. A kernel without
-// it can only run synchronously.
-type SubsetKernel interface {
-	Kernel
-	// SweepIdx computes tv[u] for each u in idx, in idx order.
+	// SweepIdx computes tv[u] for each u in idx, in idx order. This is
+	// the boundary split executor depths >= 1 run on: the solver sweeps
+	// the plan's interior elements while Exchange messages are in flight
+	// and the boundary elements after the handle's Wait.
 	SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32)
 }
 
 // Figure8 is the paper's Figure 8 kernel — each element sums its
-// neighbors' values — with full subset-sweep support, so it runs in
-// both the synchronous and the overlapped executor mode. It is the
-// solver's default kernel.
+// neighbors' values. It is the solver's default kernel.
 type Figure8 struct{}
 
 // Sweep sums each element's neighbors over the contiguous range.
@@ -49,8 +40,7 @@ func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int
 	}
 }
 
-// SweepIdx sums each listed element's neighbors — the boundary-split
-// form the overlapped mode computes interior and boundary strips with.
+// SweepIdx sums each listed element's neighbors.
 func (Figure8) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
 	for _, u := range idx {
 		sum := 0.0
@@ -61,28 +51,13 @@ func (Figure8) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []i
 	}
 }
 
-// Figure8Fused is the same computation as Figure8 but deliberately
-// without a subset sweep: it can only traverse the full contiguous
-// range, like a fused or library-provided compute body that cannot be
-// cut at the interior/boundary line. Requesting the overlapped mode
-// with it is an error — there is no silent fallback to synchronous —
-// which makes it the A/B partner for attributing overlap speedups with
-// the compute body held constant.
-type Figure8Fused struct{}
-
-// Sweep sums each element's neighbors over the contiguous range.
-func (Figure8Fused) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
-	Figure8{}.Sweep(data, xadj, adj, tv, lo, hi)
-}
-
 // CG is a sparse conjugate-gradient-style smoothing kernel: each
 // element combines its own value with its neighbor sum, weighting the
 // diagonal by the element's degree. After the solver's
 // divide-by-degree this yields y' = (x + avg(neighbors)) / 2 — a
 // damped Jacobi relaxation step, the smoother at the heart of a CG
 // preconditioner — which contracts smoothly instead of Figure8's pure
-// neighbor averaging. Fully subset-sweep capable, so it runs in the
-// synchronous, overlapped and pipelined executor modes alike.
+// neighbor averaging.
 type CG struct{}
 
 // Sweep computes the degree-weighted aggregate over the contiguous
@@ -99,7 +74,7 @@ func (CG) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
 }
 
 // SweepIdx computes the degree-weighted aggregate for each listed
-// element — the boundary-split form for the overlapped mode.
+// element.
 func (CG) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
 	for _, u := range idx {
 		sum := 0.0
@@ -113,9 +88,8 @@ func (CG) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32)
 
 // kernelRegistry names the built-in kernels for CLI selection.
 var kernelRegistry = map[string]func() Kernel{
-	"figure8":       func() Kernel { return Figure8{} },
-	"figure8-fused": func() Kernel { return Figure8Fused{} },
-	"cg":            func() Kernel { return CG{} },
+	"figure8": func() Kernel { return Figure8{} },
+	"cg":      func() Kernel { return CG{} },
 }
 
 // KernelByName returns a built-in kernel by registry name.

@@ -33,26 +33,16 @@ func testSolver(t *testing.T) *Solver {
 }
 
 func TestKernelRegistry(t *testing.T) {
-	k, err := KernelByName("figure8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := k.(SubsetKernel); !ok {
-		t.Error("figure8 kernel lost its boundary split")
-	}
-	k, err = KernelByName("figure8-fused")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := k.(SubsetKernel); ok {
-		t.Error("figure8-fused kernel implements SubsetKernel; it exists precisely to not have one")
+	for _, name := range []string{"figure8", "cg"} {
+		if _, err := KernelByName(name); err != nil {
+			t.Error(err)
+		}
+		if !strings.Contains(KernelNames(), name) {
+			t.Errorf("KernelNames() = %q, want it to list %q", KernelNames(), name)
+		}
 	}
 	if _, err := KernelByName("nope"); err == nil || !strings.Contains(err.Error(), "figure8") {
 		t.Errorf("unknown kernel error %v should list the registry", err)
-	}
-	names := KernelNames()
-	if !strings.Contains(names, "figure8") || !strings.Contains(names, "figure8-fused") {
-		t.Errorf("KernelNames() = %q, want both built-ins", names)
 	}
 }
 
@@ -61,11 +51,6 @@ func TestCGKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, ok := k.(SubsetKernel)
-	if !ok {
-		t.Fatal("cg kernel has no boundary split")
-	}
-
 	// A 4-cycle: every vertex has degree 2.
 	xadj := []int32{0, 2, 4, 6, 8}
 	adj := []int32{1, 3, 0, 2, 1, 3, 0, 2}
@@ -89,8 +74,8 @@ func TestCGKernel(t *testing.T) {
 
 	// The split form must match the contiguous form bit for bit.
 	tv2 := make([]float64, 4)
-	sk.SweepIdx(data, xadj, adj, tv2, []int32{1, 3})
-	sk.SweepIdx(data, xadj, adj, tv2, []int32{0, 2})
+	k.SweepIdx(data, xadj, adj, tv2, []int32{1, 3})
+	k.SweepIdx(data, xadj, adj, tv2, []int32{0, 2})
 	for u := range want {
 		if tv2[u] != tv[u] {
 			t.Errorf("SweepIdx tv[%d] = %v, Sweep gave %v", u, tv2[u], tv[u])
@@ -98,43 +83,36 @@ func TestCGKernel(t *testing.T) {
 	}
 }
 
-func TestSetOverlapValidation(t *testing.T) {
+func TestSetPipelineValidation(t *testing.T) {
 	s := testSolver(t)
-	if !s.CanOverlap() {
-		t.Fatal("default kernel cannot overlap")
-	}
-	if err := s.SetOverlap(true); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Overlap() {
-		t.Fatal("overlap not enabled")
-	}
-	// Swapping in a split-less kernel while overlapped must fail and
-	// leave the kernel unchanged.
-	if err := s.SetKernel(Figure8Fused{}); err == nil || !strings.Contains(err.Error(), "boundary split") {
-		t.Fatalf("SetKernel(fused) while overlapped: err=%v, want boundary-split error", err)
-	}
-	if _, ok := s.Kernel().(Figure8); !ok {
-		t.Fatalf("kernel changed to %T after a rejected SetKernel", s.Kernel())
+	if err := s.SetPipeline(-1); err == nil {
+		t.Fatal("negative depth accepted")
 	}
 	if err := s.SetKernel(nil); err == nil {
 		t.Fatal("SetKernel(nil) succeeded")
 	}
-	// And the reverse order: split-less kernel first, then overlap.
-	if err := s.SetOverlap(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetKernel(Figure8Fused{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.CanOverlap() {
-		t.Fatal("fused kernel reports overlap capability")
-	}
-	if err := s.SetOverlap(true); err == nil || !strings.Contains(err.Error(), "boundary split") {
-		t.Fatalf("SetOverlap with fused kernel: err=%v, want boundary-split error", err)
-	}
-	// A solver refused the overlapped mode still steps synchronously.
-	if err := s.Step(); err != nil {
-		t.Fatal(err)
+	// SetOverlap is the benchmark-pinned spelling of depth 1 / depth 0;
+	// like every setter, the last call wins.
+	for _, c := range []struct {
+		set  func() error
+		want int
+	}{
+		{func() error { return s.SetPipeline(2) }, 2},
+		{func() error { return s.SetOverlap(true) }, 1},
+		{func() error { return s.SetOverlap(false) }, 0},
+	} {
+		if err := c.set(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Pipeline() != c.want {
+			t.Fatalf("depth = %d, want %d", s.Pipeline(), c.want)
+		}
+		// Step is valid at every depth and always returns drained.
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Runtime().LiveOps(); n != 0 {
+			t.Fatalf("depth %d: %d live ops after Step", c.want, n)
+		}
 	}
 }

@@ -28,25 +28,18 @@ type Solver struct {
 	// fields are the independent solution vectors the loop advances
 	// each iteration; fields[0] is y. A multi-field solver models the
 	// paper's multi-vector kernels: every field runs the same sweep on
-	// its own data, so their exchanges are independent ops the
-	// pipelined executor can keep in flight together.
+	// its own data, so their exchanges are independent ops that depths
+	// >= 1 keep in flight together.
 	fields []*core.Vector
-	// handles are the per-field in-flight exchanges of the pipelined
-	// mode, reused across iterations.
+	// handles[f] is field f's in-flight exchange at depths >= 1 (nil
+	// when none is).
 	handles []*core.OpHandle
 
 	// kern is the per-iteration compute body (Figure8 by default).
 	kern Kernel
-	// overlap selects the split-phase executor mode: ExchangeStart,
-	// interior sweep while messages fly, Wait, boundary sweep — one op
-	// in flight at a time. Requires a SubsetKernel.
-	overlap bool
-	// pipeline, when positive, selects the asynchronous dataflow mode:
-	// every field's exchange is a live handle and, at depth >= 2, a
-	// field's next-iteration exchange departs while the remaining
-	// fields still drain the current one. Mutually exclusive with
-	// overlap; requires a SubsetKernel.
-	pipeline int
+	// depth is how far a field's ghost exchange may run ahead of the
+	// sweep that consumes it; see SetPipeline.
+	depth int
 
 	// workRep is the number of times each element's kernel body is
 	// repeated per iteration at work factor 1. Amplifying per-element
@@ -101,6 +94,7 @@ func New(rt *core.Runtime, env *hetero.Env, workRep int) (*Solver, error) {
 		workRep: workRep,
 	}
 	s.fields = []*core.Vector{s.y}
+	s.handles = make([]*core.OpHandle, 1)
 	s.InitDefault()
 	return s, nil
 }
@@ -108,83 +102,48 @@ func New(rt *core.Runtime, env *hetero.Env, workRep int) (*Solver, error) {
 // Kernel returns the solver's compute body.
 func (s *Solver) Kernel() Kernel { return s.kern }
 
-// SetKernel replaces the compute body. With the overlapped or
-// pipelined mode enabled the kernel must support the boundary split
-// (SubsetKernel).
+// SetKernel replaces the compute body.
 func (s *Solver) SetKernel(k Kernel) error {
 	if k == nil {
 		return fmt.Errorf("solver: nil kernel")
-	}
-	if s.overlap || s.pipeline > 0 {
-		if _, ok := k.(SubsetKernel); !ok {
-			return fmt.Errorf("solver: kernel %T has no boundary split (SubsetKernel); disable the overlapped/pipelined mode or use a split-capable kernel", k)
-		}
 	}
 	s.kern = k
 	return nil
 }
 
-// CanOverlap reports whether the current kernel supports the
-// interior/boundary split the overlapped executor mode needs.
-func (s *Solver) CanOverlap() bool {
-	_, ok := s.kern.(SubsetKernel)
-	return ok
-}
+// Pipeline returns the executor depth.
+func (s *Solver) Pipeline() int { return s.depth }
 
-// Overlap reports whether the solver runs the split-phase executor.
-func (s *Solver) Overlap() bool { return s.overlap }
-
-// SetOverlap switches the solver between the synchronous executor
-// (Exchange, then the full sweep) and the split-phase overlapped one
-// (ExchangeStart, interior sweep while messages are in flight, the
-// handle's Wait, boundary sweep). The numerical result is identical
-// bit for bit; only the schedule of communication against computation
-// changes. Enabling it fails — loudly, never falling back — when the
-// kernel has no boundary split.
-func (s *Solver) SetOverlap(on bool) error {
-	if on && !s.CanOverlap() {
-		return fmt.Errorf("solver: kernel %T has no boundary split (SubsetKernel); cannot run overlapped", s.kern)
-	}
-	if on && s.pipeline > 0 {
-		return fmt.Errorf("solver: overlapped and pipelined modes are mutually exclusive (pipelining subsumes the overlap)")
-	}
-	s.overlap = on
-	return nil
-}
-
-// Pipeline returns the configured pipeline depth (zero when the
-// pipelined mode is off).
-func (s *Solver) Pipeline() int { return s.pipeline }
-
-// SetPipeline switches the solver to the asynchronous dataflow
-// executor: every field's exchange becomes a live op handle serviced
-// fairly while the kernel computes. Depth 1 keeps all handles within
-// one iteration (start every field, then sweep and drain each); depth
-// 2 — the default when the session enables pipelining — additionally
-// lets a field's next-iteration exchange depart while the remaining
-// fields still drain the current one (software pipelining across
-// iterations). The kernel's dependency chain (a field's exchange needs
-// its previous divide) bounds the useful depth at 2; larger values
-// behave like 2. The numerical result is bit-for-bit identical to the
-// synchronous executor. Depth 0 restores the synchronous/overlapped
-// dispatch. Requires a SubsetKernel; mutually exclusive with
-// SetOverlap.
+// SetPipeline sets the executor depth: how far a field's ghost exchange
+// may run ahead of the sweep that consumes it. Depth 0 is the paper's
+// synchronous phase — block in Exchange, then sweep every local
+// element. Depth 1 posts every field's exchange at the top of the
+// iteration and sweeps the interior strip while the messages fly, then
+// drains the arrivals and sweeps the boundary strip. Depth 2
+// additionally re-posts a field's exchange the moment its divide
+// completes, so iteration k+1's messages fly while the remaining fields
+// still drain iteration k. The kernel's dependency chain (a field's
+// exchange needs its previous divide) bounds the useful depth at 2;
+// larger values behave like 2. Interior elements touch no ghost and
+// boundary sums run after every ghost has landed, so the result is
+// bit-for-bit the same at every depth; only the schedule of
+// communication against computation changes.
 func (s *Solver) SetPipeline(depth int) error {
 	if depth < 0 {
 		return fmt.Errorf("solver: negative pipeline depth %d", depth)
 	}
-	if depth == 0 {
-		s.pipeline = 0
-		return nil
-	}
-	if s.overlap {
-		return fmt.Errorf("solver: overlapped and pipelined modes are mutually exclusive (pipelining subsumes the overlap)")
-	}
-	if !s.CanOverlap() {
-		return fmt.Errorf("solver: kernel %T has no boundary split (SubsetKernel); cannot run pipelined", s.kern)
-	}
-	s.pipeline = depth
+	s.depth = depth
 	return nil
+}
+
+// SetOverlap is SetPipeline(1) when on and SetPipeline(0) when off. The
+// benchmark module compiles against this name and may not change in the
+// same PR as the code it measures; a later benchmark PR removes it.
+func (s *Solver) SetOverlap(on bool) error {
+	if on {
+		return s.SetPipeline(1)
+	}
+	return s.SetPipeline(0)
 }
 
 // Fields returns the number of independent solution fields.
@@ -211,6 +170,7 @@ func (s *Solver) SetFields(n int) error {
 		off := float64(f)
 		v.SetByGlobal(func(g int64) float64 { return float64(g%97) + 1 + off })
 		s.fields = append(s.fields, v)
+		s.handles = append(s.handles, nil)
 	}
 	return nil
 }
@@ -231,17 +191,6 @@ func (s *Solver) SetVirtualCompute(perItem time.Duration) {
 // VirtualCompute returns the virtual per-element compute cost (zero in
 // spinning mode).
 func (s *Solver) VirtualCompute() time.Duration { return s.costPerItem }
-
-// virtualCost returns this iteration's virtual compute charge for n
-// elements at the current work amplification. Pure float arithmetic on
-// deterministic inputs, so identical on every run.
-func (s *Solver) virtualCost(n int) time.Duration {
-	factor := 1.0
-	if s.env != nil {
-		factor = s.env.WorkFactor(s.rt.Comm().WorldRank(), s.iter)
-	}
-	return time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
-}
 
 // Y returns the solution vector.
 func (s *Solver) Y() *core.Vector { return s.y }
@@ -269,22 +218,6 @@ func (s *Solver) InitDefault() {
 	}
 }
 
-// reps returns this iteration's work amplification as whole passes
-// plus a fractional pass.
-func (s *Solver) reps() (full int, frac float64) {
-	factor := 1.0
-	if s.env != nil {
-		// Index the environment by world rank: the workstation identity
-		// survives membership changes that renumber the active
-		// sub-world.
-		factor = s.env.WorkFactor(s.rt.Comm().WorldRank(), s.iter)
-	}
-	r := float64(s.workRep) * factor
-	full = int(r)
-	frac = r - float64(full)
-	return full, frac
-}
-
 // scratch returns the tv buffer sized for the current local section.
 func (s *Solver) scratch(nLocal int) []float64 {
 	if cap(s.t) < nLocal {
@@ -297,155 +230,86 @@ func (s *Solver) scratch(nLocal int) []float64 {
 //
 //	gather ghosts; t[i] = sum_k y[ia[k]]; y[i] = t[i]/deg(i)
 //
-// The kernel body is repeated workRep * WorkFactor(rank, iter) times;
-// repeats recompute identical values, so the numerical result is
-// independent of the environment — only the time changes, exactly like
-// a slower workstation. With the overlapped mode enabled the exchange
-// is split-phase and the interior sweep hides the message flight time;
-// the result is bit-for-bit the same either way. In pipelined mode the
-// in-flight handles span iterations, so stepping one iteration at a
-// time is not meaningful — use Run.
-func (s *Solver) Step() error {
-	if s.pipeline > 0 {
-		return fmt.Errorf("solver: Step is unavailable in pipelined mode (op handles span iterations); use Run")
-	}
-	for _, v := range s.fields {
-		var err error
-		if s.overlap {
-			err = s.fieldOverlap(v)
-		} else {
-			err = s.fieldSync(v)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	s.items += int64(s.rt.LocalN() * len(s.fields))
-	s.iter++
-	return nil
-}
+// It is Run(1, nil): at depth >= 2 a lone step has no next iteration to
+// post ahead for, so it schedules like depth 1.
+func (s *Solver) Step() error { return s.Run(1, nil) }
 
-// fieldSync is the paper's synchronous phase for one field: gather
-// every ghost, then sweep all local elements.
-func (s *Solver) fieldSync(v *core.Vector) error {
-	t0 := s.clock.Now()
-	if err := s.rt.Exchange(v); err != nil {
-		return err
-	}
-	s.commTime += s.clock.Now().Sub(t0)
+// strip names the part of the local section one sweep covers.
+type strip int
 
+const (
+	// whole is every local element as one contiguous range.
+	whole strip = iota
+	// interior is the plan's elements that reference no ghost.
+	interior
+	// boundary is the plan's elements that reference a ghost; with
+	// interior it partitions the local section.
+	boundary
+)
+
+// sweep computes one strip of a field's neighbor sums and accounts for
+// its compute time; the strip that completes the sums (every one but
+// interior) also runs the divide. The kernel body is repeated workRep ×
+// WorkFactor(rank, iter) times; repeats recompute identical values, so
+// the numerical result is independent of the environment — only the
+// time changes, exactly like a slower workstation. With a virtual
+// compute cost the data is swept once and the same amplification is
+// charged to the clock with a single Sleep instead; between an
+// exchange's Start and Wait that sleep is when the in-flight deliveries
+// land, so it hides the message flight like real interior compute does.
+func (s *Solver) sweep(data []float64, part strip) {
 	nLocal := s.rt.LocalN()
 	tv := s.scratch(nLocal)
 	xadj, adj := s.rt.LocalAdj()
-	data := v.Data
-
-	if s.costPerItem > 0 {
-		// Virtual compute: one real sweep for the numerics, one exact
-		// charge for the time.
-		s.kern.Sweep(data, xadj, adj, tv, 0, nLocal)
-		s.divide(data, xadj, tv, nLocal)
-		d := s.virtualCost(nLocal)
-		s.clock.Sleep(d)
-		s.computeTime += d
-	} else {
-		full, frac := s.reps()
-		t1 := s.clock.Now()
-		for rep := 0; rep <= full; rep++ {
-			limit := nLocal
-			if rep == full {
-				limit = int(frac * float64(nLocal))
-			}
+	var idx []int32
+	n := nLocal
+	switch part {
+	case interior:
+		idx = s.rt.Plan().Interior()
+		n = len(idx)
+	case boundary:
+		idx = s.rt.Plan().Boundary()
+		n = len(idx)
+	}
+	pass := func(limit int) {
+		if part == whole {
 			s.kern.Sweep(data, xadj, adj, tv, 0, limit)
+		} else {
+			s.kern.SweepIdx(data, xadj, adj, tv, idx[:limit])
 		}
-		// One guaranteed full pass so results never depend on the factor.
-		s.kern.Sweep(data, xadj, adj, tv, 0, nLocal)
+	}
+	factor := 1.0
+	if s.env != nil {
+		// Index the environment by world rank: the workstation identity
+		// survives membership changes that renumber the active
+		// sub-world.
+		factor = s.env.WorkFactor(s.rt.Comm().WorldRank(), s.iter)
+	}
+
+	var t0 time.Time
+	if s.costPerItem == 0 {
+		t0 = s.clock.Now()
+		r := float64(s.workRep) * factor
+		full := int(r)
+		for rep := 0; rep < full; rep++ {
+			pass(n)
+		}
+		pass(int((r - float64(full)) * float64(n)))
+	}
+	// One guaranteed full pass so results never depend on the factor.
+	pass(n)
+	if part != interior {
 		s.divide(data, xadj, tv, nLocal)
-		s.computeTime += s.clock.Now().Sub(t1)
 	}
-	return nil
-}
-
-// fieldOverlap is the split-phase variant (Phase C′) for one field:
-// post the exchange, sweep the interior strip while the messages are
-// in flight, drain the arrivals, then sweep the boundary strip. One op
-// in flight at a time — fields serialize, which is what the pipelined
-// mode improves on. The per-element sums read exactly the same values
-// as the synchronous step — interior elements touch no ghost, boundary
-// sums run after every ghost has landed — so the result is bit-for-bit
-// identical.
-func (s *Solver) fieldOverlap(v *core.Vector) error {
-	kern, ok := s.kern.(SubsetKernel)
-	if !ok {
-		return fmt.Errorf("solver: kernel %T has no boundary split (SubsetKernel); cannot run overlapped", s.kern)
+	if s.costPerItem == 0 {
+		s.computeTime += s.clock.Now().Sub(t0)
+		return
 	}
-	t0 := s.clock.Now()
-	h, err := s.rt.ExchangeStart(v)
-	if err != nil {
-		return err
-	}
-	s.commTime += s.clock.Now().Sub(t0)
-
-	nLocal := s.rt.LocalN()
-	tv := s.scratch(nLocal)
-	xadj, adj := s.rt.LocalAdj()
-	data := v.Data
-	plan := s.rt.Plan()
-	interior, boundary := plan.Interior(), plan.Boundary()
-
-	if s.costPerItem > 0 {
-		// Virtual compute: the interior charge happens between Start
-		// and Wait, so in virtual time the interior sweep hides the
-		// message flight exactly like real interior compute would —
-		// the in-flight deliveries land while this rank sleeps.
-		kern.SweepIdx(data, xadj, adj, tv, interior)
-		d := s.virtualCost(len(interior))
-		s.clock.Sleep(d)
-		s.computeTime += d
-
-		t2 := s.clock.Now()
-		if err := h.Wait(); err != nil {
-			return err
-		}
-		s.commTime += s.clock.Now().Sub(t2)
-
-		kern.SweepIdx(data, xadj, adj, tv, boundary)
-		s.divide(data, xadj, tv, nLocal)
-		d = s.virtualCost(len(boundary))
-		s.clock.Sleep(d)
-		s.computeTime += d
-		return nil
-	}
-
-	full, frac := s.reps()
-	t1 := s.clock.Now()
-	for rep := 0; rep <= full; rep++ {
-		limit := len(interior)
-		if rep == full {
-			limit = int(frac * float64(limit))
-		}
-		kern.SweepIdx(data, xadj, adj, tv, interior[:limit])
-	}
-	kern.SweepIdx(data, xadj, adj, tv, interior)
-	s.computeTime += s.clock.Now().Sub(t1)
-
-	t2 := s.clock.Now()
-	if err := h.Wait(); err != nil {
-		return err
-	}
-	s.commTime += s.clock.Now().Sub(t2)
-
-	t3 := s.clock.Now()
-	for rep := 0; rep <= full; rep++ {
-		limit := len(boundary)
-		if rep == full {
-			limit = int(frac * float64(limit))
-		}
-		kern.SweepIdx(data, xadj, adj, tv, boundary[:limit])
-	}
-	kern.SweepIdx(data, xadj, adj, tv, boundary)
-	s.divide(data, xadj, tv, nLocal)
-	s.computeTime += s.clock.Now().Sub(t3)
-	return nil
+	// Pure float arithmetic on deterministic inputs, so the charge is
+	// identical on every run.
+	d := time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
+	s.clock.Sleep(d)
+	s.computeTime += d
 }
 
 // divide finishes the phase: y[u] = tv[u] / deg(u).
@@ -494,64 +358,54 @@ func (s *Solver) TakeTimings() Timings {
 }
 
 // Run executes n iterations, invoking afterIter (if non-nil) once per
-// completed iteration — the hook the session's cancellation poll and
-// the load balancer's periodic check use. In pipelined mode afterIter
-// may run while next-iteration handles are in flight, so it must not
-// trigger a Remap or Rebind; the session segments its runs so checks
-// fall between Run calls, by which point every handle has drained.
+// completed iteration — the hook the session's cancellation poll uses.
+// At depth >= 2 afterIter may run while next-iteration handles are in
+// flight, so it must not trigger a Remap or Rebind. The final iteration
+// never re-posts: Run always returns with zero live handles, which is
+// what lets the session check, remap, rebind or gather between Run
+// calls.
 func (s *Solver) Run(n int, afterIter func(iter int) error) error {
-	if s.pipeline > 0 {
-		return s.runPipelined(n, afterIter)
-	}
-	for i := 0; i < n; i++ {
-		if err := s.Step(); err != nil {
-			return err
-		}
-		if afterIter != nil {
-			if err := afterIter(s.iter); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// runPipelined drives n iterations of the asynchronous dataflow loop.
-// At depth 1 every field's exchange is posted at the top of each
-// iteration and drained within it; at depth >= 2 the prologue posts
-// the first iteration's exchanges and each field re-posts its next
-// exchange as soon as its divide completes, so iteration k+1's
-// messages fly while the remaining fields still drain iteration k. The
-// final iteration never re-posts: Run always returns with zero live
-// handles, which is what lets the session remap, rebind or gather at
-// segment boundaries.
-func (s *Solver) runPipelined(n int, afterIter func(iter int) error) error {
-	kern, ok := s.kern.(SubsetKernel)
-	if !ok {
-		return fmt.Errorf("solver: kernel %T has no boundary split (SubsetKernel); cannot run pipelined", s.kern)
-	}
-	if n <= 0 {
-		return nil
-	}
-	if cap(s.handles) < len(s.fields) {
-		s.handles = make([]*core.OpHandle, len(s.fields))
-	}
-	s.handles = s.handles[:len(s.fields)]
-	cross := s.pipeline >= 2
-	if cross {
-		if err := s.startAll(); err != nil {
-			return err
-		}
-	}
 	for k := 0; k < n; k++ {
-		if !cross {
-			if err := s.startAll(); err != nil {
-				return err
+		// Depth 1 posts at the top of every iteration; depth >= 2 only
+		// of the first — each later one was posted behind its field's
+		// previous divide.
+		if s.depth == 1 || s.depth >= 2 && k == 0 {
+			for f := range s.fields {
+				if err := s.post(f); err != nil {
+					return err
+				}
 			}
 		}
-		if err := s.stepPipelined(kern, cross && k < n-1); err != nil {
-			return err
+		ahead := s.depth >= 2 && k < n-1
+		for f, v := range s.fields {
+			if s.depth == 0 {
+				t0 := s.clock.Now()
+				if err := s.rt.Exchange(v); err != nil {
+					return err
+				}
+				s.commTime += s.clock.Now().Sub(t0)
+				s.sweep(v.Data, whole)
+				continue
+			}
+			// This field's exchange and every other live handle make
+			// progress while the interior strip computes.
+			s.sweep(v.Data, interior)
+			t0 := s.clock.Now()
+			h := s.handles[f]
+			s.handles[f] = nil
+			if err := h.Wait(); err != nil {
+				return err
+			}
+			s.commTime += s.clock.Now().Sub(t0)
+			s.sweep(v.Data, boundary)
+			if ahead {
+				if err := s.post(f); err != nil {
+					return err
+				}
+			}
 		}
+		s.items += int64(s.rt.LocalN() * len(s.fields))
+		s.iter++
 		if afterIter != nil {
 			if err := afterIter(s.iter); err != nil {
 				return err
@@ -561,99 +415,15 @@ func (s *Solver) runPipelined(n int, afterIter func(iter int) error) error {
 	return nil
 }
 
-// startAll posts every field's exchange, one live handle per field.
-func (s *Solver) startAll() error {
+// post starts field f's ghost exchange and keeps its handle.
+func (s *Solver) post(f int) error {
 	t0 := s.clock.Now()
-	for f, v := range s.fields {
-		h, err := s.rt.ExchangeStart(v)
-		if err != nil {
-			return err
-		}
-		s.handles[f] = h
+	h, err := s.rt.ExchangeStart(s.fields[f])
+	if err != nil {
+		return err
 	}
+	s.handles[f] = h
 	s.commTime += s.clock.Now().Sub(t0)
-	return nil
-}
-
-// stepPipelined completes one iteration over all fields against their
-// already-posted exchanges: per field, sweep the interior strip (its
-// own exchange and every other live handle make progress meanwhile),
-// Wait, sweep the boundary strip, divide — and, with restart set,
-// immediately post the field's next-iteration exchange. The values
-// each sum reads are exactly the synchronous schedule's, so the result
-// is bit-for-bit identical; only the communication overlap changes.
-func (s *Solver) stepPipelined(kern SubsetKernel, restart bool) error {
-	nLocal := s.rt.LocalN()
-	tv := s.scratch(nLocal)
-	xadj, adj := s.rt.LocalAdj()
-	plan := s.rt.Plan()
-	interior, boundary := plan.Interior(), plan.Boundary()
-
-	for f, v := range s.fields {
-		data := v.Data
-		if s.costPerItem > 0 {
-			kern.SweepIdx(data, xadj, adj, tv, interior)
-			d := s.virtualCost(len(interior))
-			s.clock.Sleep(d)
-			s.computeTime += d
-		} else {
-			full, frac := s.reps()
-			t1 := s.clock.Now()
-			for rep := 0; rep <= full; rep++ {
-				limit := len(interior)
-				if rep == full {
-					limit = int(frac * float64(limit))
-				}
-				kern.SweepIdx(data, xadj, adj, tv, interior[:limit])
-			}
-			kern.SweepIdx(data, xadj, adj, tv, interior)
-			s.computeTime += s.clock.Now().Sub(t1)
-		}
-
-		t2 := s.clock.Now()
-		h := s.handles[f]
-		s.handles[f] = nil
-		if err := h.Wait(); err != nil {
-			return err
-		}
-		s.commTime += s.clock.Now().Sub(t2)
-
-		if s.costPerItem > 0 {
-			kern.SweepIdx(data, xadj, adj, tv, boundary)
-			s.divide(data, xadj, tv, nLocal)
-			d := s.virtualCost(len(boundary))
-			s.clock.Sleep(d)
-			s.computeTime += d
-		} else {
-			full, frac := s.reps()
-			t3 := s.clock.Now()
-			for rep := 0; rep <= full; rep++ {
-				limit := len(boundary)
-				if rep == full {
-					limit = int(frac * float64(limit))
-				}
-				kern.SweepIdx(data, xadj, adj, tv, boundary[:limit])
-			}
-			kern.SweepIdx(data, xadj, adj, tv, boundary)
-			s.divide(data, xadj, tv, nLocal)
-			s.computeTime += s.clock.Now().Sub(t3)
-		}
-
-		if restart {
-			// The field's next-iteration exchange departs while the
-			// remaining fields still drain this iteration — the
-			// cross-iteration software pipeline.
-			t4 := s.clock.Now()
-			nh, err := s.rt.ExchangeStart(v)
-			if err != nil {
-				return err
-			}
-			s.handles[f] = nh
-			s.commTime += s.clock.Now().Sub(t4)
-		}
-	}
-	s.items += int64(nLocal * len(s.fields))
-	s.iter++
 	return nil
 }
 

@@ -143,12 +143,31 @@ func TestTimingsAccumulateAndReset(t *testing.T) {
 	}
 }
 
-func TestWorkFactorSlowsComputation(t *testing.T) {
-	g, err := mesh.Honeycomb(40, 50) // big enough to time reliably
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(env *hetero.Env) float64 {
+// countingKernel is Figure8 counting the elements it is asked to sweep.
+type countingKernel struct {
+	Figure8
+	swept *int
+}
+
+func (k countingKernel) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
+	*k.swept += hi - lo
+	k.Figure8.Sweep(data, xadj, adj, tv, lo, hi)
+}
+
+func (k countingKernel) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
+	*k.swept += len(idx)
+	k.Figure8.SweepIdx(data, xadj, adj, tv, idx)
+}
+
+// TestWorkFactorAmplifiesSweeps: a competing load multiplies the kernel
+// passes per iteration — workRep × factor repeats plus the one
+// guaranteed pass — identically whether the section is swept whole
+// (depth 0) or as interior and boundary strips (depth 1). Counted in
+// elements swept, not seconds, so machine load cannot move it.
+func TestWorkFactorAmplifiesSweeps(t *testing.T) {
+	g := testMesh(t)
+	const iters, workRep = 3, 4
+	measure := func(env *hetero.Env, depth int) int {
 		ws, err := comm.NewWorld(1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -158,19 +177,36 @@ func TestWorkFactorSlowsComputation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(rt, env, 4)
+		s, err := New(rt, env, workRep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(3, nil); err != nil {
+		swept := 0
+		if err := s.SetKernel(countingKernel{swept: &swept}); err != nil {
 			t.Fatal(err)
 		}
-		return s.TakeTimings().Compute.Seconds()
+		if err := s.SetPipeline(depth); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(iters, nil); err != nil {
+			t.Fatal(err)
+		}
+		return swept
 	}
-	base := measure(hetero.Uniform(1))
-	loaded := measure(hetero.PaperAdaptive(1, 4))
-	if loaded < base*2 {
-		t.Errorf("factor-4 load: compute %.4fs vs base %.4fs, want >= 2x slower", loaded, base)
+	loadedEnv := hetero.PaperAdaptive(1, 4)
+	factor := loadedEnv.WorkFactor(0, 0)
+	if factor <= 1 {
+		t.Fatalf("loaded environment has work factor %v", factor)
+	}
+	for depth := 0; depth <= 1; depth++ {
+		base := measure(hetero.Uniform(1), depth)
+		loaded := measure(loadedEnv, depth)
+		if want := iters * (workRep + 1) * g.N; base != want {
+			t.Errorf("depth %d: unloaded run swept %d elements, want %d", depth, base, want)
+		}
+		if want := iters * (int(workRep*factor) + 1) * g.N; loaded != want {
+			t.Errorf("depth %d: factor-%v run swept %d elements, want %d", depth, factor, loaded, want)
+		}
 	}
 }
 

@@ -64,11 +64,6 @@ type (
 	// structure of a nonuniform network. See WithGroups and
 	// WithTopology.
 	Topology = comm.Topology
-	// TransportConfig is the legacy flat transport configuration.
-	//
-	// Deprecated: use TransportOptions (see WithTransportTuning and
-	// OpenWorldOptions); the shim converts with its Options method.
-	TransportConfig = comm.TransportConfig
 	// TransportOptions is the composable transport configuration:
 	// model, clock, and the wire tuning (batching, compression,
 	// heartbeat liveness, outbox bounds, mesh deadlines).
@@ -317,34 +312,20 @@ func WithOnMembership(f func(MembershipEvent)) Option {
 	return func(c *session.Config) { c.OnMembership = f }
 }
 
-// WithOverlap runs the executor split-phase (Phase C′): each iteration
-// posts its ghost exchange with ExchangeStart, computes the interior
+// WithPipeline sets the executor depth: how far a field's ghost
+// exchange may run ahead of the sweep that consumes it. Depth 0 (the
+// default) is the paper's synchronous phase. Depth 1 posts every
+// field's exchange at the top of the iteration, computes the interior
 // elements — which reference no ghost value — while the messages are
-// in flight, then drains the arrivals with the handle's Wait and
-// computes the boundary strip. The numerical result is bit-for-bit
-// identical to the synchronous executor; on a latency-bound network
-// the interior sweep hides the message flight time.
-// RunReport.Exec.Overlapped counts the split-phase operations and
-// RunReport.Exec.Idle is the latency the overlap failed to hide. The
-// kernel must support the boundary split (SubsetKernel; the built-in
-// Figure8 does) — NewSession fails loudly otherwise instead of
-// silently running synchronously. Mutually exclusive with
-// WithPipeline.
-func WithOverlap() Option {
-	return func(c *session.Config) { c.Overlap = true }
-}
-
-// WithPipeline software-pipelines the solver on op handles: every
-// field's ghost exchange is a live handle at once, and at depth >= 2
-// the pipeline spans iteration boundaries — a field's next exchange is
-// posted as soon as its update completes, so its flight time hides
-// behind the other fields' compute. The numerical result stays
-// bit-for-bit identical; RunReport.Exec.Pipelined counts the
-// operations issued while another was already in flight. Like
-// WithOverlap it requires a SubsetKernel and fails loudly at
-// NewSession otherwise; the two options are mutually exclusive
-// (pipelining subsumes the overlap). Combine with WithFields to give
-// the pipeline independent exchanges to keep in flight:
+// in flight, then drains the arrivals and computes the boundary strip.
+// Depth 2 additionally posts a field's next exchange as soon as its
+// update completes, so its flight time hides behind the other fields'
+// compute across the iteration boundary. The numerical result is
+// bit-for-bit identical at every depth. RunReport.Exec.Overlapped
+// counts the split-phase operations, .Pipelined those issued while
+// another was already in flight, and .Idle is the latency the schedule
+// failed to hide. Combine with WithFields to give depth 2 independent
+// exchanges to keep in flight:
 //
 //	s, err := stance.NewSession(ctx, g, 4,
 //	    stance.WithFields(2),
@@ -353,17 +334,21 @@ func WithPipeline(depth int) Option {
 	return func(c *session.Config) { c.Pipeline = depth }
 }
 
+// WithOverlap is WithPipeline(1). The benchmark module compiles
+// against this name and may not change in the same PR as the code it
+// measures; a later benchmark PR removes it.
+func WithOverlap() Option { return WithPipeline(1) }
+
 // WithFields makes the solver advance n independent solution fields
 // per iteration (default 1). Field 0 is the solution vector Result
 // returns, so existing results are unchanged; the extra fields give
-// the pipelined executor independent exchanges to keep in flight.
+// executor depths >= 1 independent exchanges to keep in flight.
 func WithFields(n int) Option {
 	return func(c *session.Config) { c.Fields = n }
 }
 
 // WithKernel replaces the solver's compute body (the built-in Figure8
-// kernel by default). With WithOverlap or WithPipeline the kernel must
-// implement SubsetKernel.
+// kernel by default).
 func WithKernel(k Kernel) Option {
 	return func(c *session.Config) { c.Kernel = k }
 }

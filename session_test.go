@@ -212,3 +212,30 @@ func TestOpenWorldFacade(t *testing.T) {
 		t.Errorf("Transports() = %v, want tcp listed", stance.Transports())
 	}
 }
+
+// TestWithOverlapIsDepthOne pins the benchmark-kept spelling: it is
+// WithPipeline(1), applied in order like every option.
+func TestWithOverlapIsDepthOne(t *testing.T) {
+	g, err := stance.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts []stance.Option
+		want int
+	}{
+		{nil, 0},
+		{[]stance.Option{stance.WithOverlap()}, 1},
+		{[]stance.Option{stance.WithPipeline(2), stance.WithOverlap()}, 1},
+		{[]stance.Option{stance.WithOverlap(), stance.WithPipeline(2)}, 2},
+	} {
+		s, err := stance.NewSession(context.Background(), g, 2, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Solver(0).Pipeline(); got != c.want {
+			t.Errorf("executor depth %d, want %d", got, c.want)
+		}
+		s.Close()
+	}
+}

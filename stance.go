@@ -93,21 +93,13 @@ type (
 	Timings = solver.Timings
 	// Kernel is the solver's per-iteration compute body.
 	Kernel = solver.Kernel
-	// SubsetKernel is a kernel with the interior/boundary split the
-	// overlapped and pipelined executor modes (WithOverlap,
-	// WithPipeline) require.
-	SubsetKernel = solver.SubsetKernel
 	// OpHandle is one in-flight split-phase executor operation; Start
 	// calls on the Runtime return one and its Wait completes the op.
 	OpHandle = core.OpHandle
-	// Figure8 is the paper's default kernel, split-capable.
+	// Figure8 is the paper's default kernel.
 	Figure8 = solver.Figure8
-	// Figure8Fused is the same computation without a boundary split —
-	// the A/B partner for attributing overlap speedups; it cannot run
-	// overlapped.
-	Figure8Fused = solver.Figure8Fused
 	// ExecStats counts the executor data path's traffic, including the
-	// overlapped/pipelined modes' Overlapped/Pipelined/Idle counters.
+	// Overlapped/Pipelined/Idle counters of executor depths >= 1.
 	ExecStats = core.ExecStats
 	// Balancer drives the periodic load-balance check.
 	Balancer = loadbal.Balancer
@@ -154,24 +146,6 @@ const (
 	RemapKeepArrangement = core.RemapKeepArrangement
 )
 
-// NewWorld creates an in-process SPMD world of p ranks whose messages
-// cost according to model (nil = free network).
-//
-// Legacy constructor: it returns raw endpoints without the shared
-// lifecycle. Prefer OpenWorld("inproc", p, model), which returns a
-// *World with context-aware SPMD and idempotent Close.
-func NewWorld(p int, model *NetworkModel) ([]*Comm, error) {
-	return comm.NewWorld(p, model)
-}
-
-// NewTCPWorld creates a world connected by loopback TCP sockets; the
-// returned closer shuts the mesh down.
-//
-// Legacy constructor: prefer OpenWorld("tcp", p, nil).
-func NewTCPWorld(p int) ([]*Comm, func() error, error) {
-	return comm.NewTCPWorld(p)
-}
-
 // Ethernet models the paper's 10 Mbit shared Ethernet; scale < 1
 // speeds it up proportionally.
 func Ethernet(scale float64) *NetworkModel {
@@ -190,19 +164,6 @@ func NewTopology(groupOf []int) (*Topology, error) {
 // WithGroups constructs internally.
 func ContiguousGroups(p, groups int) (*Topology, error) {
 	return comm.ContiguousGroups(p, groups)
-}
-
-// SPMD runs f once per rank, each in its own goroutine, and joins all
-// errors. Legacy entry point: World.SPMD additionally threads a
-// context through every rank's blocking operations.
-func SPMD(comms []*Comm, f func(c *Comm) error) error {
-	return comm.SPMD(comms, f)
-}
-
-// CloseWorld closes every endpoint in a world. Legacy: World.Close
-// also releases transport-shared resources and is idempotent.
-func CloseWorld(comms []*Comm) error {
-	return comm.CloseWorld(comms)
 }
 
 // New builds the runtime collectively on every rank.

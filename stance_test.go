@@ -1,6 +1,7 @@
 package stance_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,14 +16,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := stance.NewWorld(3, nil)
+	world, err := stance.OpenWorld("inproc", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stance.CloseWorld(world)
+	defer world.Close()
 
 	env := stance.LoadedEnv(3, 2.5)
-	err = stance.SPMD(world, func(c *stance.Comm) error {
+	err = world.SPMD(context.Background(), func(c *stance.Comm) error {
 		rt, err := stance.New(c, g, stance.Config{Order: stance.RCB})
 		if err != nil {
 			return err
@@ -115,12 +116,12 @@ func TestFacadeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, closer, err := stance.NewTCPWorld(2)
+	world, err := stance.OpenWorld("tcp", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer()
-	err = stance.SPMD(world, func(c *stance.Comm) error {
+	defer world.Close()
+	err = world.SPMD(context.Background(), func(c *stance.Comm) error {
 		rt, err := stance.New(c, g, stance.Config{})
 		if err != nil {
 			return err
