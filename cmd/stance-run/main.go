@@ -128,7 +128,6 @@ func main() {
 	netScale := flag.Float64("netscale", 0.1, "Ethernet model scale (in-process transport only)")
 	groups := flag.Int("groups", 0, "node-group count for a two-level cluster: ranks split into this many groups over a slower inter-group link (0 = flat); enables the hierarchy-aware cut and leader-aggregated balance checks")
 	interScale := flag.Float64("interscale", 10, "inter-group link slowdown relative to -netscale (with -groups)")
-	flatCut := flag.Bool("flat-cut", false, "keep the two-level pricing but cut the partition flat (the control arm; with -groups)")
 	transport := flag.String("transport", "inproc", "comm transport: "+strings.Join(comm.Transports(), ", "))
 	tcp := flag.Bool("tcp", false, "shorthand for -transport tcp")
 	weighted := flag.Bool("weighted", false, "balance vertex weight (degree) instead of vertex counts")
@@ -166,8 +165,8 @@ func main() {
 	if len(kills) > 0 && *ckptTimeout <= 0 {
 		log.Fatalf("-kill requires -ckpt: without checkpoints a killed rank is just a hang")
 	}
-	if *groups == 0 && (explicitFlags["interscale"] || *flatCut) {
-		log.Fatalf("-interscale and -flat-cut only apply with -groups")
+	if *groups == 0 && explicitFlags["interscale"] {
+		log.Fatalf("-interscale only applies with -groups")
 	}
 	if err := checkScale("-netscale", *netScale); err != nil {
 		log.Fatal(err)
@@ -245,7 +244,6 @@ func main() {
 		}
 		cfg.Topology = topo
 		cfg.InterModel = comm.Ethernet(*netScale * *interScale)
-		cfg.FlatCut = *flatCut
 	}
 	if *ckptTimeout > 0 {
 		cfg.Checkpoint = &ckpt.Config{DetectTimeout: *ckptTimeout, Kills: kills}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"stance/internal/vtime"
 )
@@ -28,18 +29,45 @@ var ErrClosed = errors.New("comm: communicator closed")
 // death — the rank goes silent and the survivors recover.
 var ErrKilled = errors.New("comm: endpoint killed")
 
-// Transport moves raw tagged messages between ranks.
+// Transport is the whole contract between a Comm and the medium under
+// it: a send path plus a mailbox to receive from. Every endpoint — the
+// built-in media and the sub-world translation layer alike — implements
+// all of it, so nothing above the transport probes for capabilities.
 type Transport interface {
 	// Send delivers data to dst with the given tag. Data is copied
 	// before Send returns; the caller may reuse the buffer.
 	Send(dst, tag int, data []byte) error
 	// Recv blocks until a message with the given source and tag
-	// arrives, and returns its payload. Messages from the same source
+	// arrives, the endpoint closes, or ctx is cancelled (a nil or
+	// Background ctx is uncancellable). Messages from the same source
 	// with the same tag arrive in send order.
-	Recv(src, tag int) ([]byte, error)
-	// RecvAny blocks until a message with the given tag arrives from
-	// any source.
-	RecvAny(tag int) (src int, data []byte, err error)
+	Recv(ctx context.Context, src, tag int) ([]byte, error)
+	// RecvAnyOf blocks until a message with the tag arrives from a
+	// source the mask admits (nil mask admits all), completing in
+	// arrival order — the executor's drain primitive: mark the peers
+	// still missing and unpack whichever delivers first, while messages
+	// from already-served peers (which belong to a later collective
+	// operation) stay queued.
+	RecvAnyOf(ctx context.Context, tag int, mask []bool) (src int, data []byte, err error)
+	// PollAnyOf is the non-blocking RecvAnyOf: ok=false when nothing
+	// admissible has arrived yet.
+	PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error)
+	// RecvTimeout is Recv with a deadline on the transport's clock; it
+	// fails with ErrTimeout when the deadline passes first.
+	RecvTimeout(src, tag int, d time.Duration) ([]byte, error)
+	// Release hands a payload returned by a receive back for reuse; the
+	// caller must not touch the buffer afterwards. Recycling is what
+	// makes the executor's steady-state data path allocation-free.
+	Release(buf []byte)
+	// Clock is the clock cost charges, delivery delays and deadlines run
+	// on. The runtime derives every timing — solver phases, balance
+	// checks, remap costs — from it, so a world opened on a simulated
+	// clock (vtime.Sim) runs its entire adaptive protocol in
+	// deterministic virtual time.
+	Clock() vtime.Clock
+	// TransportStats reports the endpoint's wire counters; ok=false
+	// means the medium has no wire to count.
+	TransportStats() (stats TransportStats, ok bool)
 	// Close shuts the transport down; blocked receives fail.
 	Close() error
 }
@@ -47,52 +75,21 @@ type Transport interface {
 // Multicaster is implemented by transports that can deliver one
 // message to many destinations for (approximately) the cost of one
 // send — the Ethernet/ATM multicast capability of paper Section 3.6.
+// It is optional because it is a real difference between media: a
+// socket mesh has no multicast, and Comm.Multicast falls back to one
+// send per destination there.
 type Multicaster interface {
 	Multicast(dsts []int, tag int, data []byte) error
 }
 
-// ContextTransport is implemented by transports whose blocking receives
-// can be cancelled through a context. Both built-in transports
-// implement it; a transport that does not simply blocks until a message
-// arrives or the endpoint closes.
-type ContextTransport interface {
-	RecvContext(ctx context.Context, src, tag int) ([]byte, error)
-	RecvAnyContext(ctx context.Context, tag int) (src int, data []byte, err error)
-}
-
-// MaskedTransport is implemented by transports that can complete
-// receives in arrival order among a restricted set of sources — the
-// executor's drain primitive: mark the peers still missing and unpack
-// whichever delivers first, while messages from already-served peers
-// (which belong to a later collective operation) stay queued. Both
-// built-in transports implement it.
-type MaskedTransport interface {
-	// RecvAnyOf blocks until a message with the tag arrives from a
-	// source the mask admits (nil mask admits all).
-	RecvAnyOf(ctx context.Context, tag int, mask []bool) (src int, data []byte, err error)
-	// PollAnyOf is the non-blocking variant: ok=false when nothing
-	// admissible has arrived yet.
-	PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error)
-}
-
-// ClockedTransport is implemented by transports that run their cost
-// charges and delivery delays on an explicit clock (both built-in
-// transports do). The runtime derives every timing — solver phases,
-// balance checks, remap costs — from the transport's clock, so a world
-// opened with a simulated clock (vtime.Sim) runs its entire adaptive
-// protocol in deterministic virtual time.
-type ClockedTransport interface {
-	Clock() vtime.Clock
-}
-
-// Recycler is implemented by transports that reuse receive buffers.
-// Release hands a payload returned by a receive back to the transport;
-// the caller must not touch the buffer afterwards. Both built-in
-// transports implement it, which is what makes the executor's
-// steady-state data path allocation-free.
-type Recycler interface {
-	Release(buf []byte)
-}
+// A missing method is a build error here, not a degraded path at run
+// time.
+var (
+	_ Transport = (*inprocTransport)(nil)
+	_ Transport = (*tcpTransport)(nil)
+	_ Transport = (*hybridTransport)(nil)
+	_ Transport = (*subTransport)(nil)
+)
 
 // Comm is one rank's endpoint in a world of size ranks.
 type Comm struct {
@@ -170,18 +167,9 @@ func (c *Comm) boundCtx() context.Context {
 // operations (context.Background unless bound by World.SPMD).
 func (c *Comm) Context() context.Context { return c.boundCtx() }
 
-// Clock returns the clock the endpoint's world runs on: the
-// transport's clock when it has one, the real clock otherwise. All
-// runtime timing (measurement, cost charging, timeouts) goes through
-// it.
-func (c *Comm) Clock() vtime.Clock {
-	if ct, ok := c.tr.(ClockedTransport); ok {
-		if clk := ct.Clock(); clk != nil {
-			return clk
-		}
-	}
-	return vtime.Real{}
-}
+// Clock returns the clock the endpoint's world runs on. All runtime
+// timing (measurement, cost charging, timeouts) goes through it.
+func (c *Comm) Clock() vtime.Clock { return c.tr.Clock() }
 
 // Rank returns this endpoint's rank in [0, Size()).
 func (c *Comm) Rank() int { return c.rank }
@@ -258,87 +246,49 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 }
 
 // RecvContext is Recv under an explicit context: a cancelled ctx
-// unblocks the receive with ctx.Err() on transports that support
-// cancellation (both built-in transports do). On a transport without
-// cancellation support, an already-cancelled context still fails fast;
-// only mid-receive cancellation is unavailable.
+// unblocks the receive with ctx.Err().
 func (c *Comm) RecvContext(ctx context.Context, src, tag int) ([]byte, error) {
 	if src < 0 || src >= c.size {
 		return nil, fmt.Errorf("comm: recv from rank %d of %d", src, c.size)
 	}
-	if ctx != nil && ctx.Done() != nil {
-		if ct, ok := c.tr.(ContextTransport); ok {
-			return ct.RecvContext(ctx, src, tag)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return c.tr.Recv(src, tag)
+	return c.tr.Recv(ctx, src, tag)
+}
+
+// RecvTimeout is Recv with a deadline on the world's clock, for failure
+// detection and tests; it fails with ErrTimeout when the deadline passes
+// without a matching message.
+func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
+	return c.tr.RecvTimeout(src, tag, d)
 }
 
 // RecvAny blocks until a message with the given tag arrives from any
 // source, the endpoint closes, or the bound context is cancelled.
 func (c *Comm) RecvAny(tag int) (int, []byte, error) {
-	return c.RecvAnyContext(c.boundCtx(), tag)
+	return c.tr.RecvAnyOf(c.boundCtx(), tag, nil)
 }
 
 // RecvAnyContext is RecvAny under an explicit context.
 func (c *Comm) RecvAnyContext(ctx context.Context, tag int) (int, []byte, error) {
-	if ctx != nil && ctx.Done() != nil {
-		if ct, ok := c.tr.(ContextTransport); ok {
-			return ct.RecvAnyContext(ctx, tag)
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-	}
-	return c.tr.RecvAny(tag)
+	return c.tr.RecvAnyOf(ctx, tag, nil)
 }
 
 // RecvAnyOf blocks until a message with the tag arrives from a source
 // the mask admits (mask[src] true; nil admits every source) — the
-// arrival-order receive the executor drains with. On a transport
-// without masked-receive support it degrades to a blocking Recv from
-// the lowest admitted rank, which is correct (collective operations
-// deliver exactly one message per admitted peer) but loses the
-// arrival-order overlap.
+// arrival-order receive the executor drains with.
 func (c *Comm) RecvAnyOf(tag int, mask []bool) (int, []byte, error) {
-	if mt, ok := c.tr.(MaskedTransport); ok {
-		return mt.RecvAnyOf(c.boundCtx(), tag, mask)
-	}
-	if mask == nil {
-		return c.RecvAny(tag)
-	}
-	for src := 0; src < c.size && src < len(mask); src++ {
-		if mask[src] {
-			data, err := c.Recv(src, tag)
-			return src, data, err
-		}
-	}
-	return 0, nil, fmt.Errorf("comm: RecvAnyOf with no admitted source")
+	return c.tr.RecvAnyOf(c.boundCtx(), tag, mask)
 }
 
 // PollAnyOf returns an already-arrived message from a source the mask
 // admits without blocking; ok=false means nothing admissible has
-// arrived yet (always the case on transports without masked-receive
-// support).
+// arrived yet.
 func (c *Comm) PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
-	if mt, k := c.tr.(MaskedTransport); k {
-		return mt.PollAnyOf(tag, mask)
-	}
-	return 0, nil, false, nil
+	return c.tr.PollAnyOf(tag, mask)
 }
 
 // Release hands a payload returned by a receive back to the transport
-// for reuse. The buffer must not be used afterwards. It is a no-op on
-// transports without buffer recycling, so callers can Release
-// unconditionally.
-func (c *Comm) Release(buf []byte) {
-	if r, ok := c.tr.(Recycler); ok {
-		r.Release(buf)
-	}
-}
+// for reuse. The buffer must not be used afterwards.
+func (c *Comm) Release(buf []byte) { c.tr.Release(buf) }
 
 // RecvInto receives from src into the caller's buffer, returning the
 // payload length; it fails (consuming the message) if the payload does

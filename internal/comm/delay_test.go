@@ -3,6 +3,7 @@ package comm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -114,40 +115,112 @@ func TestDelayedDeliveryVirtualSpacing(t *testing.T) {
 	}
 }
 
-// TestDelayedDeliveryFIFOReal keeps the real-clock courier path
-// covered: FIFO ordering and sender non-blocking are structural here
-// (no wall-clock duration assertions, which belong to the virtual
-// twin above).
+// TestDelayedDeliveryFIFOReal runs the one delayed-delivery path on the
+// real clock through every medium: an inproc pair, a socket pair, and
+// both routes of a hybrid world (shared memory inside a group, sockets
+// between groups). Everything is structural except one load-safe,
+// one-sided bound: all sends return before any receive is even posted
+// (the sender never waits for the delay), FIFO order survives the
+// in-flight window whatever order the timer goroutines run in, and the
+// first message is not visible earlier than Delay after its send. The
+// exact timings belong to the virtual twins above.
 func TestDelayedDeliveryFIFOReal(t *testing.T) {
-	ws, err := NewWorld(2, &Model{Delay: time.Millisecond})
+	const delay = 20 * time.Millisecond
+	twoGroups, err := ContiguousGroups(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseWorld(ws)
-	const n = 10
-	err = SPMD(ws, func(c *Comm) error {
-		if c.Rank() == 0 {
+	cases := []struct {
+		name, transport string
+		p, dst          int
+		opts            TransportOptions
+	}{
+		{"inproc", "inproc", 2, 1, TransportOptions{Model: &Model{Delay: delay}}},
+		{"tcp", "tcp", 2, 1, TransportOptions{Model: &Model{Delay: delay}}},
+		{"hybrid inter-group", "hybrid", 4, 2, TransportOptions{Topology: twoGroups, InterModel: &Model{Delay: delay}}},
+		{"hybrid intra-group", "hybrid", 4, 1, TransportOptions{Topology: twoGroups, Model: &Model{Delay: delay}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Open(tc.transport, tc.p, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			const n = 10
+			start := time.Now()
 			for i := 0; i < n; i++ {
-				if err := c.Send(1, 7, []byte{byte(i)}); err != nil {
-					return err
+				if err := w.Comm(0).Send(tc.dst, 7, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
 				}
 			}
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			data, err := c.Recv(0, 7)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			recv := w.Comm(tc.dst)
+			for i := 0; i < n; i++ {
+				data, err := recv.RecvContext(ctx, 0, 7)
+				if err != nil {
+					t.Fatalf("message %d: %v", i, err)
+				}
+				if d := time.Since(start); i == 0 && d < delay {
+					t.Errorf("first message visible %v after its send; must not beat the %v delay", d, delay)
+				}
+				if len(data) != 1 || data[0] != byte(i) {
+					t.Errorf("message %d carried %v; FIFO order must survive the delay", i, data)
+				}
+				recv.Release(data)
+			}
+		})
+	}
+}
+
+// TestSendAfterCloseFailsLoudly: a send to a closed world returns
+// ErrClosed on every medium and clock, delayed or not, however many
+// times it is tried — it neither reports success for a message nobody
+// can receive nor parks the sender on a delivery path that has shut
+// down. The context deadline turns a hang into a failure.
+func TestSendAfterCloseFailsLoudly(t *testing.T) {
+	delayed := &Model{Delay: time.Millisecond}
+	cases := []struct {
+		name, transport string
+		opts            TransportOptions
+	}{
+		{"inproc free", "inproc", TransportOptions{}},
+		{"inproc delay real clock", "inproc", TransportOptions{Model: delayed}},
+		{"inproc delay sim clock", "inproc", TransportOptions{Model: delayed, Clock: vtime.NewSim()}},
+		{"tcp", "tcp", TransportOptions{}},
+		{"tcp delay", "tcp", TransportOptions{Model: delayed}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Open(tc.transport, 2, tc.opts)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			if len(data) != 1 || data[0] != byte(i) {
-				t.Errorf("message %d carried %v; FIFO order must survive the delay", i, data)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
 			}
-			c.Release(data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < 2000; i++ {
+					if err := w.Comm(0).Send(1, 7, []byte{1}); !errors.Is(err, ErrClosed) {
+						done <- fmt.Errorf("send %d after Close returned %v, want ErrClosed", i, err)
+						return
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-ctx.Done():
+				t.Fatal("a send after Close hung")
+			}
+		})
 	}
 }
 

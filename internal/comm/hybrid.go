@@ -80,16 +80,12 @@ func (t *hybridTransport) Send(dst, tag int, data []byte) error {
 	// Intra-group messages still pay the (fast) model for their group's
 	// medium, then land in the destination's mailbox without touching a
 	// socket; the destination's dispatch applies any modeled delivery
-	// delay through its couriers, exactly as for a socket arrival.
+	// delay, exactly as for a socket arrival.
 	if m := t.modelFor(dst); m != nil {
 		m.charge(t.clock, len(data))
 	}
 	peer := t.peers[dst]
-	buf := peer.box.getBuf(len(data))
+	buf := peer.getBuf(len(data))
 	copy(buf, data)
-	if err := peer.dispatch(t.rank, tag, buf); err != nil {
-		peer.box.putBuf(buf)
-		return err
-	}
-	return nil
+	return peer.dispatch(t.rank, tag, buf)
 }

@@ -1,12 +1,8 @@
 package comm
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
-
-	"stance/internal/vtime"
 )
 
 // inprocTransport connects goroutine "workstations" through shared
@@ -20,11 +16,12 @@ import (
 // scheduling-dependent, so the simulated network is modeled as
 // switched (contention-free) to keep runs deterministic.
 type inprocTransport struct {
-	rank  int
-	boxes []*mailbox // shared across the world
-	model *Model
-	topo  *Topology // group structure; nil on flat worlds
-	inter *Model    // prices cross-group messages; non-nil only with topo
+	*mailbox // this rank's own: the receive half, the clock, Close
+	rank     int
+	boxes    []*mailbox // every rank's, shared across the world: the send path
+	model    *Model
+	topo     *Topology // group structure; nil on flat worlds
+	inter    *Model    // prices cross-group messages; non-nil only with topo
 
 	// The shared media, real clock only (nil slices on a simulated
 	// clock or a free network). A flat world has one wire (wires[0]).
@@ -34,26 +31,6 @@ type inprocTransport struct {
 	// all inter-group traffic serializes on the slow shared link.
 	wires     []*sync.Mutex
 	interWire *sync.Mutex
-
-	clock vtime.Clock
-	sim   *vtime.Sim // non-nil when clock is a vtime.Sim
-
-	// Delayed-delivery machinery for the real clock (Model.Delay > 0):
-	// one courier goroutine per destination preserves arrival order
-	// while messages sit in flight, so per-(src, tag) FIFO survives the
-	// delay. Shared across the world; stop tears the couriers down
-	// once. On a simulated clock deliveries are clock events instead
-	// and no couriers exist.
-	couriers []chan delayedMsg
-	stop     chan struct{}
-	stopOnce *sync.Once
-}
-
-// delayedMsg is one in-flight message on a delayed medium.
-type delayedMsg struct {
-	src, tag int
-	buf      []byte
-	readyAt  time.Time
 }
 
 // NewWorld creates an in-process world of p ranks whose messages cost
@@ -71,19 +48,14 @@ func newInprocWorld(p int, opts TransportOptions) ([]*Comm, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("comm: world size must be positive, got %d", p)
 	}
-	model, clock := opts.Model, opts.Clock
-	topo, inter := opts.Topology, opts.InterModel
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	sim := vtime.AsSim(clock)
+	model, topo, inter := opts.Model, opts.Topology, opts.InterModel
 	boxes := make([]*mailbox, p)
 	for i := range boxes {
-		boxes[i] = newMailbox(clock)
+		boxes[i] = newMailbox(opts.Clock)
 	}
 	var wires []*sync.Mutex
 	var interWire *sync.Mutex
-	if sim == nil {
+	if boxes[0].sim == nil {
 		switch {
 		case inter != nil:
 			// Two-level world: independent fast media inside the
@@ -97,26 +69,12 @@ func newInprocWorld(p int, opts TransportOptions) ([]*Comm, error) {
 			wires = []*sync.Mutex{new(sync.Mutex)}
 		}
 	}
-	var couriers []chan delayedMsg
-	var stop chan struct{}
-	var stopOnce *sync.Once
-	delayed := (model != nil && model.Delay > 0) || (inter != nil && inter.Delay > 0)
-	if delayed && sim == nil {
-		couriers = make([]chan delayedMsg, p)
-		stop = make(chan struct{})
-		stopOnce = new(sync.Once)
-		for i := range couriers {
-			couriers[i] = make(chan delayedMsg, 1024)
-			go courier(boxes[i], couriers[i], stop)
-		}
-	}
 	comms := make([]*Comm, p)
 	for i := range comms {
 		c, err := NewComm(i, p, &inprocTransport{
-			rank: i, boxes: boxes, model: model, topo: topo, inter: inter,
+			mailbox: boxes[i], rank: i, boxes: boxes,
+			model: model, topo: topo, inter: inter,
 			wires: wires, interWire: interWire,
-			clock: clock, sim: sim,
-			couriers: couriers, stop: stop, stopOnce: stopOnce,
 		})
 		if err != nil {
 			return nil, err
@@ -125,29 +83,6 @@ func newInprocWorld(p int, opts TransportOptions) ([]*Comm, error) {
 	}
 	return comms, nil
 }
-
-// courier delivers one destination's in-flight messages after their
-// delivery delay. A single courier per mailbox keeps arrival order
-// identical to send order, so the per-(src, tag) FIFO guarantee holds
-// on a delayed medium too.
-func courier(box *mailbox, ch chan delayedMsg, stop chan struct{}) {
-	for {
-		select {
-		case m := <-ch:
-			if d := time.Until(m.readyAt); d > 0 {
-				time.Sleep(d)
-			}
-			if err := box.deliver(m.src, m.tag, m.buf); err != nil {
-				box.putBuf(m.buf)
-			}
-		case <-stop:
-			return
-		}
-	}
-}
-
-// Clock returns the clock the world's charges and delays run on.
-func (t *inprocTransport) Clock() vtime.Clock { return t.clock }
 
 // modelFor returns the model pricing a message from this rank to dst:
 // the inter-group model when one is set and dst lies in another group,
@@ -197,31 +132,10 @@ func (t *inprocTransport) transmit(dst, n int) {
 	t.transmitOn(t.modelFor(dst), t.wireFor(dst), n)
 }
 
-// dispatch hands a copied payload to the destination: directly, or —
-// when the model carries a delivery delay — through a real-clock
-// courier or a virtual-clock timer. Consecutive sends from one rank
-// keep their order on every path, preserving per-(src, tag) FIFO.
+// dispatch hands a copied payload to the destination's mailbox, which
+// holds it back for the delivery delay of the model pricing the pair.
 func (t *inprocTransport) dispatch(dst, tag int, buf []byte) error {
-	box := t.boxes[dst]
-	if m := t.modelFor(dst); m != nil && m.Delay > 0 {
-		if t.sim != nil {
-			src := t.rank
-			t.sim.AfterFunc(m.Delay, func() {
-				if err := box.deliver(src, tag, buf); err != nil {
-					box.putBuf(buf)
-				}
-			})
-			return nil
-		}
-		t.couriers[dst] <- delayedMsg{src: t.rank, tag: tag, buf: buf,
-			readyAt: time.Now().Add(m.Delay)}
-		return nil
-	}
-	if err := box.deliver(t.rank, tag, buf); err != nil {
-		box.putBuf(buf)
-		return err
-	}
-	return nil
+	return t.boxes[dst].deliver(t.rank, tag, buf, t.modelFor(dst).delay())
 }
 
 func (t *inprocTransport) Send(dst, tag int, data []byte) error {
@@ -289,44 +203,7 @@ func (t *inprocTransport) Multicast(dsts []int, tag int, data []byte) error {
 	return nil
 }
 
-func (t *inprocTransport) Recv(src, tag int) ([]byte, error) {
-	return t.boxes[t.rank].recv(nil, src, tag)
-}
-
-func (t *inprocTransport) RecvAny(tag int) (int, []byte, error) {
-	return t.boxes[t.rank].recvAny(nil, tag)
-}
-
-func (t *inprocTransport) RecvContext(ctx context.Context, src, tag int) ([]byte, error) {
-	return t.boxes[t.rank].recv(ctx, src, tag)
-}
-
-func (t *inprocTransport) RecvAnyContext(ctx context.Context, tag int) (int, []byte, error) {
-	return t.boxes[t.rank].recvAny(ctx, tag)
-}
-
-func (t *inprocTransport) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
-	return t.boxes[t.rank].recvAnyOf(ctx, tag, mask)
-}
-
-func (t *inprocTransport) PollAnyOf(tag int, mask []bool) (int, []byte, bool, error) {
-	return t.boxes[t.rank].pollAnyOf(tag, mask)
-}
-
-// Release returns a received payload buffer to this rank's pool for
-// reuse by future senders.
-func (t *inprocTransport) Release(buf []byte) {
-	t.boxes[t.rank].putBuf(buf)
-}
-
-func (t *inprocTransport) recvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	return t.boxes[t.rank].recvTimeout(src, tag, d)
-}
-
-func (t *inprocTransport) Close() error {
-	if t.stopOnce != nil {
-		t.stopOnce.Do(func() { close(t.stop) })
-	}
-	t.boxes[t.rank].close()
-	return nil
+// TransportStats reports no counters: shared memory has no wire.
+func (t *inprocTransport) TransportStats() (TransportStats, bool) {
+	return TransportStats{}, false
 }

@@ -42,11 +42,19 @@ func (q *msgq) pop() []byte {
 // for reuse; beyond that, returned buffers fall to the GC.
 const maxPooled = 64
 
-// mailbox is a rank's incoming-message store: per-(src, tag) FIFO
-// queues with blocking receive. Both transports deliver into it. It
-// also owns the rank's receive-buffer pool: delivery paths take
-// payload buffers from getBuf and receivers hand them back through
-// putBuf (via Comm.Release), so the steady-state executor data path
+// inflight is one message in modeled flight: parked by deliver,
+// invisible to receivers until a clock event lands it.
+type inflight struct {
+	tag int
+	buf []byte
+}
+
+// mailbox is a rank's incoming-message store and the receive half of
+// every transport endpoint: per-(src, tag) FIFO queues with blocking
+// receive, written once here and embedded by the endpoints, which add
+// only their send path. It also owns the rank's receive-buffer pool:
+// delivery paths take payload buffers from getBuf and receivers hand
+// them back through Release, so the steady-state executor data path
 // recycles buffers instead of allocating per message.
 type mailbox struct {
 	mu     sync.Mutex
@@ -54,6 +62,9 @@ type mailbox struct {
 	queues map[msgKey]*msgq
 	free   [][]byte
 	closed bool
+	// flights holds, per source, the messages still in modeled flight
+	// (Model.Delay), oldest first; see deliver.
+	flights map[int][]inflight
 	// closeErr is what pending and future receives fail with once the
 	// mailbox is closed: ErrClosed on a normal shutdown, ErrKilled when
 	// the endpoint was crash-injected.
@@ -85,7 +96,8 @@ func newMailbox(clock vtime.Clock) *mailbox {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	m := &mailbox{queues: make(map[msgKey]*msgq), clock: clock, sim: vtime.AsSim(clock)}
+	m := &mailbox{queues: make(map[msgKey]*msgq), flights: make(map[int][]inflight),
+		clock: clock, sim: vtime.AsSim(clock)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -151,9 +163,9 @@ func (m *mailbox) getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// putBuf returns a delivered payload buffer to the pool. The caller
+// Release returns a delivered payload buffer to the pool. The caller
 // must not touch the buffer afterwards.
-func (m *mailbox) putBuf(b []byte) {
+func (m *mailbox) Release(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
@@ -212,14 +224,38 @@ func (m *mailbox) closedErrLocked() error {
 	return ErrClosed
 }
 
-// deliver appends a message; the payload must already be owned by the
-// mailbox (callers copy user buffers).
-func (m *mailbox) deliver(src, tag int, data []byte) error {
+// deliver hands the mailbox a message that becomes receivable after the
+// medium's one-way delivery delay (Model.Delay; zero means at once). The
+// payload must come from this mailbox's getBuf and is the mailbox's from
+// here on, accepted or not: a closed mailbox refuses it with ErrClosed
+// and lets it fall to the GC (its pool is dead too). It is the one
+// delivery path of every transport on either clock: a delayed payload
+// parks in its source's in-flight FIFO and a clock event lands it,
+// without holding the sender. Each event lands the source's oldest
+// in-flight message rather than "its own", so per-(src, tag) FIFO holds
+// whatever order the real clock runs timer goroutines in; one (src, dst)
+// pair has one delay, so the oldest is never landed before its own
+// instant. A simulated clock fires events in scheduling order, which
+// makes the two readings coincide.
+func (m *mailbox) deliver(src, tag int, data []byte, delay time.Duration) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return ErrClosed
 	}
+	if delay <= 0 {
+		m.enqueueLocked(src, tag, data)
+		m.mu.Unlock()
+		return nil
+	}
+	m.flights[src] = append(m.flights[src], inflight{tag, data})
+	m.mu.Unlock()
+	m.clock.AfterFunc(delay, func() { m.land(src) })
+	return nil
+}
+
+// enqueueLocked makes a message receivable and wakes the waiters.
+func (m *mailbox) enqueueLocked(src, tag int, data []byte) {
 	k := msgKey{src, tag}
 	q := m.queues[k]
 	if q == nil {
@@ -228,7 +264,20 @@ func (m *mailbox) deliver(src, tag int, data []byte) error {
 	}
 	q.push(data)
 	m.wakeLocked()
-	return nil
+}
+
+// land makes src's oldest in-flight message receivable; a mailbox closed
+// in the meantime drops it.
+func (m *mailbox) land(src int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.flights[src]
+	f := q[0]
+	q[0] = inflight{}
+	m.flights[src] = q[1:]
+	if !m.closed {
+		m.enqueueLocked(src, f.tag, f.buf)
+	}
 }
 
 // watchCancel arranges for a cancelled context to wake every waiter on
@@ -247,9 +296,9 @@ func (m *mailbox) watchCancel(ctx context.Context) func() bool {
 	})
 }
 
-// recv blocks until a (src, tag) message is available, the mailbox is
+// Recv blocks until a (src, tag) message is available, the mailbox is
 // closed, or ctx is cancelled (nil ctx blocks indefinitely).
-func (m *mailbox) recv(ctx context.Context, src, tag int) ([]byte, error) {
+func (m *mailbox) Recv(ctx context.Context, src, tag int) ([]byte, error) {
 	cancellable := ctx != nil && ctx.Done() != nil
 	var stop func() bool
 	defer func() {
@@ -282,11 +331,11 @@ func (m *mailbox) recv(ctx context.Context, src, tag int) ([]byte, error) {
 	}
 }
 
-// recvTimeout is recv with a deadline on the mailbox clock; it returns
+// RecvTimeout is Recv with a deadline on the mailbox clock; it returns
 // ErrTimeout when the deadline passes without a matching message. On a
 // simulated clock the deadline is a scheduled event like any other, so
 // failure-detection timeouts fire at exact virtual instants.
-func (m *mailbox) recvTimeout(src, tag int, d time.Duration) ([]byte, error) {
+func (m *mailbox) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
 	deadline := m.clock.Now().Add(d)
 	timer := m.clock.AfterFunc(d, func() {
 		m.mu.Lock()
@@ -332,19 +381,14 @@ func (m *mailbox) match(tag int, mask []bool) int {
 	return bestSrc
 }
 
-// recvAny blocks until any message with the tag is available,
-// preferring the lowest source rank for determinism. It unblocks with
-// an error when the mailbox closes or ctx is cancelled.
-func (m *mailbox) recvAny(ctx context.Context, tag int) (int, []byte, error) {
-	return m.recvAnyOf(ctx, tag, nil)
-}
-
-// recvAnyOf is recvAny restricted to sources the mask admits — the
-// arrival-order receive primitive: the executor marks the peers it is
-// still missing and unpacks whichever of them delivers first, while
-// messages from already-served peers (which belong to a later
-// operation) stay queued.
-func (m *mailbox) recvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
+// RecvAnyOf blocks until a message with the tag is available from a
+// source the mask admits (nil admits all), preferring the lowest source
+// rank for determinism; it unblocks with an error when the mailbox
+// closes or ctx is cancelled. It is the arrival-order receive
+// primitive: the executor marks the peers it is still missing and
+// unpacks whichever of them delivers first, while messages from
+// already-served peers (which belong to a later operation) stay queued.
+func (m *mailbox) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
 	cancellable := ctx != nil && ctx.Done() != nil
 	var stop func() bool
 	defer func() {
@@ -376,10 +420,10 @@ func (m *mailbox) recvAnyOf(ctx context.Context, tag int, mask []bool) (int, []b
 	}
 }
 
-// pollAnyOf is the non-blocking recvAnyOf: it returns ok=false when no
+// PollAnyOf is the non-blocking RecvAnyOf: it returns ok=false when no
 // admissible message has arrived yet, letting a send loop drain ready
 // receives without stalling.
-func (m *mailbox) pollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
+func (m *mailbox) PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if src := m.match(tag, mask); src >= 0 {
@@ -391,8 +435,15 @@ func (m *mailbox) pollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool
 	return 0, nil, false, nil
 }
 
-// close fails all pending and future receives with ErrClosed.
-func (m *mailbox) close() { m.closeWith(nil) }
+// Clock returns the clock deadlines and delivery delays run on.
+func (m *mailbox) Clock() vtime.Clock { return m.clock }
+
+// Close fails all pending and future receives, and sends to this
+// mailbox, with ErrClosed.
+func (m *mailbox) Close() error {
+	m.closeWith(nil)
+	return nil
+}
 
 // closeWith is close with an explicit failure cause (nil means
 // ErrClosed); the first close wins.

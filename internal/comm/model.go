@@ -43,9 +43,19 @@ type Model struct {
 	// sender does not wait for it. Unlike Latency (sender-side
 	// occupancy), this is the network time a split-phase executor can
 	// hide behind interior computation — the injected-delay knob the
-	// overlap benchmarks turn. Per-(source, tag) FIFO ordering is
-	// preserved.
+	// overlap benchmarks turn. Every transport applies it at the
+	// receiving mailbox, on the world's clock, and per-(source, tag) FIFO
+	// ordering is preserved.
 	Delay time.Duration
+}
+
+// delay is the one-way delivery delay of the medium (zero on a free
+// network).
+func (m *Model) delay() time.Duration {
+	if m == nil {
+		return 0
+	}
+	return m.Delay
 }
 
 // maxCost is the saturation bound for modeled costs: converting a
@@ -108,17 +118,4 @@ func Ethernet(scale float64) *Model {
 		Bandwidth: 1.25e6 / scale,
 		Multicast: true,
 	}
-}
-
-// RecvTimeout is Comm.Recv with a deadline, for failure detection and
-// tests. It is only supported on transports backed by a mailbox (both
-// built-in transports are).
-func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	type timeoutRecver interface {
-		recvTimeout(src, tag int, d time.Duration) ([]byte, error)
-	}
-	if tr, ok := c.tr.(timeoutRecver); ok {
-		return tr.recvTimeout(src, tag, d)
-	}
-	return nil, errors.New("comm: transport does not support timed receive")
 }

@@ -15,11 +15,10 @@ import (
 // heartbeat). Open validates the options before building the world, so
 // an inconsistent tuning fails loudly at one place.
 type TransportOptions struct {
-	// Model is the network cost model (nil means a free network). The
-	// in-process transport applies the full model; the TCP transport
-	// charges Latency/Bandwidth on the sender's clock before each
-	// socket write and applies Delay on the receive side through a
-	// courier, additive to the real wire time.
+	// Model is the network cost model (nil means a free network). Every
+	// transport charges Latency/Bandwidth on the sender's clock and holds
+	// a message back for Delay at the receiving mailbox; on the socket
+	// transports both are additive to the real wire time.
 	Model *Model
 	// Clock is the time source for charges, delays, timeouts and all
 	// runtime measurement (nil means the real clock). A vtime.Sim runs
@@ -205,21 +204,10 @@ func (s TransportStats) Sub(o TransportStats) TransportStats {
 	}
 }
 
-// statReporter is implemented by transports that keep wire counters.
-type statReporter interface {
-	transportStats() (TransportStats, bool)
-}
-
-// TransportStats returns the endpoint's wire counters when its
-// transport keeps them (the TCP transport does; in-process endpoints
-// have no wire and report ok=false). Sub-world endpoints report their
-// root endpoint's counters.
-func (c *Comm) TransportStats() (TransportStats, bool) {
-	if sr, ok := c.tr.(statReporter); ok {
-		return sr.transportStats()
-	}
-	return TransportStats{}, false
-}
+// TransportStats returns the endpoint's wire counters when its medium
+// has a wire (the socket transports do; in-process endpoints report
+// ok=false). Sub-world endpoints report their root endpoint's counters.
+func (c *Comm) TransportStats() (TransportStats, bool) { return c.tr.TransportStats() }
 
 // TransportStats sums the wire counters of every endpoint that reports
 // them; ok=false means the world's transport keeps none.

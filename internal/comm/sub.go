@@ -119,11 +119,11 @@ type subTransport struct {
 // sub-world is the same timeline as the world it was derived from.
 func (t *subTransport) Clock() vtime.Clock { return t.parent.Clock() }
 
-// transportStats reports the root endpoint's wire counters: a
+// TransportStats reports the root endpoint's wire counters: a
 // sub-world multiplexes over its root's socket mesh (that is the whole
 // point — one mesh per world, shared by every sub-world and grant), so
 // the root's connections are where its bytes flow.
-func (t *subTransport) transportStats() (TransportStats, bool) {
+func (t *subTransport) TransportStats() (TransportStats, bool) {
 	return t.parent.TransportStats()
 }
 
@@ -131,55 +131,21 @@ func (t *subTransport) Send(dst, tag int, data []byte) error {
 	return t.parent.Send(t.toWorld[dst], tag, data)
 }
 
-func (t *subTransport) Recv(src, tag int) ([]byte, error) {
-	return t.parent.Recv(t.toWorld[src], tag)
-}
-
-func (t *subTransport) RecvContext(ctx context.Context, src, tag int) ([]byte, error) {
+func (t *subTransport) Recv(ctx context.Context, src, tag int) ([]byte, error) {
 	return t.parent.RecvContext(ctx, t.toWorld[src], tag)
 }
 
-// recvTimeout delegates the timed receive to the parent endpoint, so
-// failure detection works on sub-worlds whenever the root transport
-// has a mailbox (both built-in transports do).
-func (t *subTransport) recvTimeout(src, tag int, d time.Duration) ([]byte, error) {
+// RecvTimeout delegates the timed receive to the parent endpoint, so
+// failure detection works on sub-worlds.
+func (t *subTransport) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
 	return t.parent.RecvTimeout(t.toWorld[src], tag, d)
 }
 
-// RecvAny admits only members: a non-member's message with the same
-// tag (from an earlier or later epoch) stays queued for whichever
-// sub-world it belongs to. On a parent transport without masked
-// receives this degrades to arrival order over everyone, failing
-// loudly if a non-member's message arrives first.
-func (t *subTransport) RecvAny(tag int) (int, []byte, error) {
-	return t.RecvAnyContext(t.parent.boundCtx(), tag)
-}
-
-func (t *subTransport) RecvAnyContext(ctx context.Context, tag int) (int, []byte, error) {
-	if mt, ok := t.parent.tr.(MaskedTransport); ok {
-		w, data, err := mt.RecvAnyOf(ctx, tag, t.memberMask)
-		if err != nil {
-			return 0, nil, err
-		}
-		return t.fromWorld[w], data, nil
-	}
-	w, data, err := t.parent.RecvAnyContext(ctx, tag)
-	if err != nil {
-		return 0, nil, err
-	}
-	if s := t.fromWorld[w]; s >= 0 {
-		return s, data, nil
-	}
-	return 0, nil, fmt.Errorf("comm: sub-world received tag %#x from non-member world rank %d "+
-		"(parent transport has no masked receives)", tag, w)
-}
-
+// RecvAnyOf admits only members, even under a nil mask: a non-member's
+// message with the same tag (from an earlier or later epoch) stays
+// queued for whichever sub-world it belongs to.
 func (t *subTransport) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
-	mt, ok := t.parent.tr.(MaskedTransport)
-	if !ok {
-		return 0, nil, fmt.Errorf("comm: sub-world masked receive needs a masked parent transport")
-	}
-	w, data, err := mt.RecvAnyOf(ctx, tag, t.translateMask(mask))
+	w, data, err := t.parent.tr.RecvAnyOf(ctx, tag, t.translateMask(mask))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -187,11 +153,7 @@ func (t *subTransport) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int
 }
 
 func (t *subTransport) PollAnyOf(tag int, mask []bool) (int, []byte, bool, error) {
-	mt, ok := t.parent.tr.(MaskedTransport)
-	if !ok {
-		return 0, nil, false, nil
-	}
-	w, data, ok, err := mt.PollAnyOf(tag, t.translateMask(mask))
+	w, data, ok, err := t.parent.tr.PollAnyOf(tag, t.translateMask(mask))
 	if err != nil || !ok {
 		return 0, nil, false, err
 	}

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,13 +33,11 @@ const maxFrame = 1 << 30
 // jobsvc grant shares the root's socket pair per peer — there is one
 // mesh per world, never one per sub-world.
 type tcpTransport struct {
-	rank  int
-	size  int
-	box   *mailbox
-	model *Model      // optional sender-side cost model
-	clock vtime.Clock // the clock charges run on (always real today; see newTCPWorld)
-	opts  TransportOptions
-	codec uint8
+	*mailbox // the receive half, fed by the socket readers; its clock is always real (see newTCPWorld)
+	rank     int
+	size     int
+	opts     TransportOptions // Model/InterModel are the sender-side cost models
+	codec    uint8
 
 	stats tcpStats
 
@@ -49,14 +46,6 @@ type tcpTransport struct {
 	conns  []net.Conn
 	closed bool
 	killed bool
-
-	// Receive-side couriers apply Model.Delay on the real clock: one
-	// courier per source preserves per-(src, tag) FIFO while messages
-	// sit in modeled flight, additive to the real wire time. nil when
-	// the model carries no delay.
-	couriers    []chan delayedMsg
-	courierStop chan struct{}
-	courierOnce sync.Once
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -68,7 +57,8 @@ type tcpStats struct {
 	nTx, nRx, nFlushes, nTxByte, nRxByte, nDroppedHB, nTxBackpressure atomic.Int64
 }
 
-func (t *tcpTransport) transportStats() (TransportStats, bool) {
+// TransportStats sums the endpoint's per-connection wire counters.
+func (t *tcpTransport) TransportStats() (TransportStats, bool) {
 	return TransportStats{
 		NTx:             t.stats.nTx.Load(),
 		NRx:             t.stats.nRx.Load(),
@@ -230,13 +220,12 @@ func NewTCPWorld(p int) ([]*Comm, func() error, error) {
 // newTCPWorld builds the TCP world. The model's Latency and Bandwidth
 // charge the sender's clock before each socket write, so a zero-Delay
 // model prices messages identically on inproc and tcp; Model.Delay is
-// applied on the receive side through per-source couriers, additive to
-// the real wire time. One thing real sockets cannot do, and the
-// constructor rejects loudly instead of approximating: a simulated
-// clock. Socket reads complete on the wall clock, invisible to a
-// vtime.Sim, so the sim would advance past in-flight messages (or
-// declare a deadlock while bytes are on the wire) and determinism is
-// lost. Virtual time is an inproc-only feature.
+// applied by the receiving mailbox, additive to the real wire time. One
+// thing real sockets cannot do, and the constructor rejects loudly
+// instead of approximating: a simulated clock. Socket reads complete on
+// the wall clock, invisible to a vtime.Sim, so the sim would advance
+// past in-flight messages (or declare a deadlock while bytes are on the
+// wire) and determinism is lost. Virtual time is an inproc-only feature.
 func newTCPWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
 	transports, closer, err := newTCPTransports(p, opts)
 	if err != nil {
@@ -266,42 +255,24 @@ func newTCPTransports(p int, opts TransportOptions) ([]*tcpTransport, func() err
 		return nil, nil, err
 	}
 	opts = opts.withDefaults()
-	clock := opts.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	if vtime.AsSim(clock) != nil {
+	if vtime.AsSim(opts.Clock) != nil {
 		return nil, nil, fmt.Errorf("comm: the tcp transport cannot run on a simulated clock (real sockets deliver on the wall clock); use the inproc transport for virtual-time runs")
 	}
 	codec, err := codecOf(opts.Compression)
 	if err != nil {
 		return nil, nil, err
 	}
-	model := opts.Model
 	transports := make([]*tcpTransport, p)
 	for i := range transports {
-		t := &tcpTransport{
-			rank:  i,
-			size:  p,
-			box:   newMailbox(clock),
-			model: model,
-			clock: clock,
-			opts:  opts,
-			codec: codec,
-			outs:  make([]*outbox, p),
-			conns: make([]net.Conn, p),
+		transports[i] = &tcpTransport{
+			mailbox: newMailbox(opts.Clock),
+			rank:    i,
+			size:    p,
+			opts:    opts,
+			codec:   codec,
+			outs:    make([]*outbox, p),
+			conns:   make([]net.Conn, p),
 		}
-		delayed := (model != nil && model.Delay > 0) ||
-			(opts.InterModel != nil && opts.InterModel.Delay > 0)
-		if delayed {
-			t.couriers = make([]chan delayedMsg, p)
-			t.courierStop = make(chan struct{})
-			for s := range t.couriers {
-				t.couriers[s] = make(chan delayedMsg, 1024)
-				go courier(t.box, t.couriers[s], t.courierStop)
-			}
-		}
-		transports[i] = t
 	}
 	// Rank i listens; ranks j > i dial i. The dialer announces its
 	// rank in the first 4 bytes.
@@ -520,10 +491,9 @@ func (t *tcpTransport) reader(peer int, conn net.Conn) {
 			}
 			// Payloads come from the mailbox pool so released receive
 			// buffers cycle back to the socket reader.
-			buf := t.box.getBuf(len(payload))
+			buf := t.getBuf(len(payload))
 			copy(buf, payload)
 			if err := t.dispatch(peer, tag, buf); err != nil {
-				t.box.putBuf(buf)
 				return err
 			}
 			t.stats.nRx.Add(1)
@@ -542,18 +512,11 @@ func (t *tcpTransport) modelFor(peer int) *Model {
 	return t.opts.pairModel(t.rank, peer)
 }
 
-// dispatch hands a mailbox-owned payload to this rank: directly, or
-// through the source's courier when the model pricing that source
-// carries a delivery delay.
+// dispatch hands a mailbox-owned payload from src to this rank's
+// mailbox, which holds it back for the delivery delay of the model
+// pricing that source.
 func (t *tcpTransport) dispatch(src, tag int, buf []byte) error {
-	if t.couriers != nil {
-		if m := t.modelFor(src); m != nil && m.Delay > 0 {
-			t.couriers[src] <- delayedMsg{src: src, tag: tag, buf: buf,
-				readyAt: time.Now().Add(m.Delay)}
-			return nil
-		}
-	}
-	return t.box.deliver(src, tag, buf)
+	return t.deliver(src, tag, buf, t.modelFor(src).delay())
 }
 
 // heartbeater queues a heartbeat section to every peer each interval.
@@ -592,7 +555,7 @@ func (t *tcpTransport) declareDead(peer int) {
 	conn := t.conns[peer]
 	out := t.outs[peer]
 	t.mu.Unlock()
-	t.box.markPeerDead(peer)
+	t.markPeerDead(peer)
 	if out != nil {
 		out.closeDiscard()
 	}
@@ -611,13 +574,6 @@ func (t *tcpTransport) isShutdown() bool {
 func (t *tcpTransport) stopHeartbeat() {
 	if t.hbStop != nil {
 		t.hbOnce.Do(func() { close(t.hbStop) })
-	}
-}
-
-// stopCouriers stops the delay couriers, if any were started.
-func (t *tcpTransport) stopCouriers() {
-	if t.courierStop != nil {
-		t.courierOnce.Do(func() { close(t.courierStop) })
 	}
 }
 
@@ -642,8 +598,7 @@ func (t *tcpTransport) Kill() {
 			o.closeDiscard()
 		}
 	}
-	t.stopCouriers()
-	t.box.closeWith(ErrKilled)
+	t.closeWith(ErrKilled)
 }
 
 // KillEndpoint crash-injects the transport under c (the root endpoint,
@@ -660,9 +615,6 @@ func KillEndpoint(c *Comm) error {
 	}
 	return fmt.Errorf("comm: transport does not support kill injection")
 }
-
-// Clock returns the clock the transport's charges run on.
-func (t *tcpTransport) Clock() vtime.Clock { return t.clock }
 
 func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 	if len(data) > maxFrame {
@@ -694,53 +646,15 @@ func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 		m.charge(t.clock, len(data))
 	}
 	if dst == t.rank {
-		buf := t.box.getBuf(len(data))
+		buf := t.getBuf(len(data))
 		copy(buf, data)
-		if err := t.dispatch(t.rank, tag, buf); err != nil {
-			t.box.putBuf(buf)
-			return err
-		}
-		return nil
+		return t.dispatch(t.rank, tag, buf)
 	}
 	if err := out.push(tag, data); err != nil {
 		return err
 	}
 	t.stats.nTx.Add(1)
 	return nil
-}
-
-func (t *tcpTransport) Recv(src, tag int) ([]byte, error) {
-	return t.box.recv(nil, src, tag)
-}
-
-func (t *tcpTransport) RecvAny(tag int) (int, []byte, error) {
-	return t.box.recvAny(nil, tag)
-}
-
-func (t *tcpTransport) RecvContext(ctx context.Context, src, tag int) ([]byte, error) {
-	return t.box.recv(ctx, src, tag)
-}
-
-func (t *tcpTransport) RecvAnyContext(ctx context.Context, tag int) (int, []byte, error) {
-	return t.box.recvAny(ctx, tag)
-}
-
-func (t *tcpTransport) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
-	return t.box.recvAnyOf(ctx, tag, mask)
-}
-
-func (t *tcpTransport) PollAnyOf(tag int, mask []bool) (int, []byte, bool, error) {
-	return t.box.pollAnyOf(tag, mask)
-}
-
-// Release returns a received payload buffer to the mailbox pool for
-// reuse by the socket readers.
-func (t *tcpTransport) Release(buf []byte) {
-	t.box.putBuf(buf)
-}
-
-func (t *tcpTransport) recvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	return t.box.recvTimeout(src, tag, d)
 }
 
 func (t *tcpTransport) Close() error {
@@ -770,7 +684,6 @@ func (t *tcpTransport) Close() error {
 			}
 		}
 	}
-	t.stopCouriers()
-	t.box.close()
+	t.mailbox.Close()
 	return errors.Join(errs...)
 }

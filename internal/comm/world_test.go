@@ -32,10 +32,12 @@ func TestWorldRegistry(t *testing.T) {
 		t.Errorf("Open(bogus) error %q does not list registered transports", err)
 	}
 
-	RegisterTransport("test-custom", func(p int, opts TransportOptions) ([]*Comm, func() error, error) {
-		comms, err := NewWorld(p, opts.Model)
-		return comms, nil, err
-	})
+	if !has("test-custom") { // the registry is process-wide: -count=2 runs this twice
+		RegisterTransport("test-custom", func(p int, opts TransportOptions) ([]*Comm, func() error, error) {
+			comms, err := NewWorld(p, opts.Model)
+			return comms, nil, err
+		})
+	}
 	w, err := Open("test-custom", 3, TransportOptions{})
 	if err != nil {
 		t.Fatal(err)

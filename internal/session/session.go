@@ -70,10 +70,9 @@ type Config struct {
 	// single source of truth and are injected into the tuning at Open.
 	// Like Transport and Model it conflicts with an adopted World.
 	Tuning *comm.TransportOptions
-	// Model is the network cost model (nil means a free network). The
-	// in-process transport applies it in full; the TCP transport
-	// charges Latency/Bandwidth sender-side and applies Delay on the
-	// receive side, additive to the real wire time.
+	// Model is the network cost model (nil means a free network); every
+	// transport applies it in full, on the socket transports additive
+	// to the real wire time.
 	Model *comm.Model
 	// Topology declares a two-level world: ranks grouped into node
 	// clusters joined by a slower inter-group link (the paper's

@@ -157,20 +157,6 @@ func WithInterModel(m *NetworkModel) Option {
 	return func(c *session.Config) { c.InterModel = m }
 }
 
-// WithFlatCut keeps the two-level pricing and leader-aggregated checks
-// but cuts the partition flat, ignoring group boundaries — the control
-// arm for measuring what the hierarchy-aware cut is worth.
-func WithFlatCut() Option {
-	return func(c *session.Config) { c.FlatCut = true }
-}
-
-// WithFlatReports keeps the hierarchy-aware cut but exchanges balance
-// reports by flat all-gather instead of through group leaders — the
-// control arm for measuring the leader aggregation.
-func WithFlatReports() Option {
-	return func(c *session.Config) { c.FlatReports = true }
-}
-
 // WithClock sets the session's time source. Everything temporal —
 // network charges, delivery delays, solver and balancer measurement,
 // RecvTimeout deadlines, the RunReport's durations — runs on it. Pass

@@ -109,53 +109,32 @@ func TestSessionFacadeWeights(t *testing.T) {
 }
 
 // TestSessionFacadeGroups drives a two-level world through the
-// options: the run must count slow-link traffic, and an hierarchy-aware
-// run must put fewer bytes on the slow link than its flat-cut control
-// arm while producing bit-identical numerics.
+// options: the run must count slow-link traffic. (What the
+// hierarchy-aware cut saves against the flat control arm, bit-exact, is
+// pinned by internal/session TestHierarchicalCutBeatsFlatOnSlowLink.)
 func TestSessionFacadeGroups(t *testing.T) {
 	g, err := stance.Honeycomb(20, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts ...stance.Option) (*stance.RunReport, []float64) {
-		t.Helper()
-		base := []stance.Option{
-			stance.WithOrdering("rcb"),
-			stance.WithClock(stance.NewSimClock()),
-			stance.WithVirtualCompute(time.Microsecond),
-			stance.WithNetworkModel(stance.Ethernet(0.1)),
-			stance.WithGroups(2),
-			stance.WithInterModel(stance.Ethernet(1)),
-		}
-		s, err := stance.NewSession(context.Background(), g, 4, append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		rep, err := s.Run(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := s.ResultByVertex()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, y
+	s, err := stance.NewSession(context.Background(), g, 4,
+		stance.WithOrdering("rcb"),
+		stance.WithClock(stance.NewSimClock()),
+		stance.WithVirtualCompute(time.Microsecond),
+		stance.WithNetworkModel(stance.Ethernet(0.1)),
+		stance.WithGroups(2),
+		stance.WithInterModel(stance.Ethernet(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	hier, yh := run()
-	flat, yf := run(stance.WithFlatCut())
+	hier, err := s.Run(6)
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if hier.InterMsgs <= 0 || hier.InterBytes <= 0 {
 		t.Errorf("hierarchical run counted no slow-link traffic: %d msgs, %d bytes",
 			hier.InterMsgs, hier.InterBytes)
-	}
-	if hier.InterBytes > flat.InterBytes {
-		t.Errorf("hierarchy-aware cut put %d bytes on the slow link, flat cut %d",
-			hier.InterBytes, flat.InterBytes)
-	}
-	for v := range yh {
-		if yh[v] != yf[v] {
-			t.Fatalf("vertex %d: hier %v != flat %v — the cut changed the numerics", v, yh[v], yf[v])
-		}
 	}
 
 	// An explicit topology through NewTopology must work too, and a
@@ -164,7 +143,7 @@ func TestSessionFacadeGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := stance.NewSession(context.Background(), g, 4, stance.WithTopology(topo))
+	s, err = stance.NewSession(context.Background(), g, 4, stance.WithTopology(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
