@@ -160,15 +160,42 @@ func TestAllStrategiesComputeTheSame(t *testing.T) {
 	}
 }
 
-func TestRootComputesOrder(t *testing.T) {
+// Ranks handed one Transform compute what ranks that each prepare
+// their own do, and share its storage.
+func TestSharedTransform(t *testing.T) {
 	g := testMesh(t)
 	const iters = 3
 	want := seqReference(t, g, order.RCB, iters)
-	got := runParallel(t, g, 4, iters, Config{Order: order.RCB, RootComputesOrder: true})
+	tr, err := NewTransform(g, Config{Order: order.RCB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runParallel(t, g, 4, iters, Config{Transform: tr, Order: func(*graph.Graph) ([]int32, error) {
+		return nil, fmt.Errorf("ordering invoked despite a Transform")
+	}})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+	ws, err := comm.NewWorld(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.CloseWorld(ws)
+	rt, err := New(ws[0], g, Config{Transform: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rt.Perm()[0] != &tr.perm[0] {
+		t.Error("runtime copied the shared permutation")
+	}
+	small, err := mesh.GridTriangulated(4, 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(ws[0], small, Config{Transform: tr}); err == nil {
+		t.Error("transform of another graph accepted")
 	}
 }
 

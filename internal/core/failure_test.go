@@ -84,19 +84,6 @@ func TestRemapFailsCleanlyOnClosedWorld(t *testing.T) {
 	}
 }
 
-func TestNewFailsOnClosedWorldWithRootOrder(t *testing.T) {
-	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm.CloseWorld(ws)
-	// RootComputesOrder requires a broadcast, which must fail loudly.
-	if _, err := New(ws[0], g, Config{Order: order.RCB, RootComputesOrder: true}); err == nil {
-		t.Fatal("runtime construction on a closed world succeeded")
-	}
-}
-
 func TestGatherGlobalFailsOnClosedWorld(t *testing.T) {
 	g := testMesh(t)
 	ws, err := comm.NewWorld(2, nil)

@@ -21,7 +21,6 @@ import (
 
 // Message tags used by the runtime (distinct from the inspector's).
 const (
-	tagOrder    = 0x201
 	tagExchange = 0x202
 	tagScatter  = 0x203
 	tagRedist   = 0x204
@@ -63,9 +62,13 @@ const (
 type Config struct {
 	// Order is the locality transformation (nil means identity; the
 	// experiments use order.RCB or order.Spectral). It must be
-	// deterministic: every rank computes it independently unless
-	// RootComputesOrder is set.
+	// deterministic: ranks that prepare their own Transform each
+	// compute it independently.
 	Order order.Func
+	// Transform is Phase A already done — NewTransform's result for the
+	// same graph, Order and VertexWeights — shared read-only by every
+	// rank that is handed it. nil means the rank prepares its own.
+	Transform *Transform
 	// Weights are the initial relative processor capabilities (nil
 	// means uniform). Length must equal the world size.
 	Weights []float64
@@ -84,9 +87,6 @@ type Config struct {
 	// RemapCost scores candidate arrangements (nil means maximize
 	// overlap).
 	RemapCost redist.CostFunc
-	// RootComputesOrder makes rank 0 compute the transformation and
-	// broadcast it, instead of every rank computing it independently.
-	RootComputesOrder bool
 	// Groups assigns each rank of the full world to a node group
 	// (comm.Topology.GroupOfSlice; nil means a flat environment). With
 	// groups set, CutLayout cuts hierarchically: across groups first —
@@ -237,64 +237,77 @@ func New(c *comm.Comm, g *graph.Graph, cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// NewParked builds a dormant runtime: the Phase A locality transform
-// runs (over c when RootComputesOrder is set, so every rank of an
-// elastic world learns the ordering while it is still fully
-// assembled), but the rank owns no data and holds no schedule until
-// Bind or Rebind admits it into an active sub-world. Vectors may be
-// created on a parked runtime; they are empty until admission.
-func NewParked(c *comm.Comm, g *graph.Graph, cfg Config) (*Runtime, error) {
-	if c == nil || g == nil {
-		return nil, fmt.Errorf("core: nil communicator or graph")
+// Transform is the product of Phase A (paper Section 3.1): the
+// locality permutation, the graph renumbered by it and the vertex
+// weights in transformed order. It is architecture-independent — every
+// partition, remap and membership change only re-cuts the same list —
+// and immutable, so one Transform serves any number of runtimes.
+type Transform struct {
+	perm []int32      // original vertex -> transformed index
+	tg   *graph.Graph // g renumbered by perm
+	// itemWeights are cfg.VertexWeights in transformed order, or nil
+	// for unit weights.
+	itemWeights []float64
+}
+
+// NewTransform runs Phase A on g: cfg.Order (nil means identity), its
+// validation, the renumbering, and the reordering of
+// cfg.VertexWeights. No other Config field is read.
+func NewTransform(g *graph.Graph, cfg Config) (*Transform, error) {
+	if g == nil {
+		return nil, fmt.Errorf("core: nil graph")
 	}
 	if cfg.Order == nil {
 		cfg.Order = order.Identity
 	}
-	rt := &Runtime{c: c, clock: c.Clock(), cfg: cfg, n: int64(g.N)}
-
-	var perm []int32
-	var err error
-	if cfg.RootComputesOrder {
-		var payload []byte
-		if c.Rank() == 0 {
-			perm, err = cfg.Order(g)
-			if err != nil {
-				return nil, fmt.Errorf("core: ordering: %w", err)
-			}
-			payload = comm.I32sToBytes(perm)
-		}
-		payload, err = c.Bcast(0, tagOrder, payload)
-		if err != nil {
-			return nil, err
-		}
-		perm, err = comm.BytesToI32s(payload)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		perm, err = cfg.Order(g)
-		if err != nil {
-			return nil, fmt.Errorf("core: ordering: %w", err)
-		}
+	perm, err := cfg.Order(g)
+	if err != nil {
+		return nil, fmt.Errorf("core: ordering: %w", err)
 	}
 	if err := order.Validate(perm, g.N); err != nil {
 		return nil, fmt.Errorf("core: ordering: %w", err)
 	}
-	rt.perm = perm
-	rt.tg, err = g.Permute(perm)
-	if err != nil {
+	t := &Transform{perm: perm}
+	if t.tg, err = g.Permute(perm); err != nil {
 		return nil, err
 	}
 	if cfg.VertexWeights != nil {
 		if len(cfg.VertexWeights) != g.N {
 			return nil, fmt.Errorf("core: %d vertex weights for %d vertices", len(cfg.VertexWeights), g.N)
 		}
-		rt.itemWeights = make([]float64, g.N)
+		t.itemWeights = make([]float64, g.N)
 		for orig, nw := range perm {
-			rt.itemWeights[nw] = cfg.VertexWeights[orig]
+			t.itemWeights[nw] = cfg.VertexWeights[orig]
 		}
 	}
-	return rt, nil
+	return t, nil
+}
+
+// NewParked builds a dormant runtime: it holds the Phase A locality
+// transform (cfg.Transform, or its own when that is nil), but the rank
+// owns no data and holds no schedule until Bind or Rebind admits it
+// into an active sub-world. Vectors may be created on a parked
+// runtime; they are empty until admission.
+func NewParked(c *comm.Comm, g *graph.Graph, cfg Config) (*Runtime, error) {
+	if c == nil || g == nil {
+		return nil, fmt.Errorf("core: nil communicator or graph")
+	}
+	t := cfg.Transform
+	if t == nil {
+		var err error
+		if t, err = NewTransform(g, cfg); err != nil {
+			return nil, err
+		}
+	} else if len(t.perm) != g.N {
+		return nil, fmt.Errorf("core: transform of %d vertices for a graph of %d", len(t.perm), g.N)
+	}
+	// The runtime keeps the transform's parts, not the Transform:
+	// SetGraph replaces tg alone.
+	cfg.Transform = nil
+	return &Runtime{
+		c: c, clock: c.Clock(), cfg: cfg, n: int64(g.N),
+		tg: t.tg, perm: t.perm, itemWeights: t.itemWeights,
+	}, nil
 }
 
 // CutLayout cuts the transformed list into len(weights) contiguous

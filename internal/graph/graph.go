@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stance/internal/geom"
@@ -199,7 +200,7 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 		for i, w := range g.Neighbors(int(old)) {
 			dst[i] = perm[w]
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+		slices.Sort(dst)
 	}
 	return ng, nil
 }

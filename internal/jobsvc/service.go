@@ -328,8 +328,14 @@ func (s *Service) setStateLocked(j *job, st State) {
 	if st == Running {
 		s.nRunning++
 	}
-	if st.Finished() && j.started != (time.Time{}) {
-		s.nRunning--
+	if st.Finished() {
+		if j.started != (time.Time{}) {
+			s.nRunning--
+		}
+		// A finished job is its status, report and result; the session
+		// and the graph it ran on would otherwise live as long as the
+		// record does.
+		j.sess, j.g = nil, nil
 	}
 }
 

@@ -340,3 +340,75 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("%d jobs recorded from rejected submissions", n)
 	}
 }
+
+// TestFinishedJobReleasesSession: while a job runs, its ranks share one
+// Phase A transform; once it is finished the record keeps the status,
+// report and result but neither the session nor the graph, so a
+// long-lived service does not grow by a mesh per job served.
+func TestFinishedJobReleasesSession(t *testing.T) {
+	s, err := New(Config{PoolRanks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	record := func(id string) *job {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[id]
+	}
+	released := func(j *job) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if j.sess != nil || j.g != nil {
+			t.Errorf("%s job still holds session %p and graph %p", j.state, j.sess, j.g)
+		}
+	}
+	spec := Spec{
+		Graph:        GraphSpec{Kind: "honeycomb", Rows: 8, Cols: 10},
+		Iters:        1 << 20, // runs until canceled
+		Ranks:        4,
+		ComputeCost:  50 * time.Microsecond,
+		ReturnResult: true,
+	}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := record(st.ID)
+	for shared := false; !shared; time.Sleep(200 * time.Microsecond) {
+		s.mu.Lock()
+		if long.state.Finished() {
+			s.mu.Unlock()
+			t.Fatalf("job ended %q before its session was seen", long.state)
+		}
+		if sess := long.sess; sess != nil {
+			for r := 1; r < len(long.granted); r++ {
+				if &sess.Runtime(r).Perm()[0] != &sess.Runtime(0).Perm()[0] {
+					t.Errorf("sub-rank %d holds its own copy of the permutation", r)
+				}
+			}
+			shared = true
+		}
+		s.mu.Unlock()
+	}
+	if err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, State.Finished, 10*time.Second)
+	released(long)
+
+	spec.Iters = 20
+	st, err = s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, s, st.ID, State.Finished, 10*time.Second)
+	if final.State != Done {
+		t.Fatalf("job ended %q: %s", final.State, final.Error)
+	}
+	if final.Report == nil || final.Report.Iters != spec.Iters || len(final.Result) == 0 {
+		t.Errorf("done job serves report %+v and %d result values", final.Report, len(final.Result))
+	}
+	released(record(st.ID))
+}

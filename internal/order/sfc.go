@@ -1,7 +1,6 @@
 package order
 
 import (
-	"fmt"
 	"sort"
 
 	"stance/internal/geom"
@@ -38,8 +37,8 @@ func quantize(coords []geom.Point) ([][3]uint32, bool) {
 // Morton orders vertices along the Z-order (Morton) space-filling
 // curve of their quantized coordinates. Works for 2-D and 3-D data.
 func Morton(g *graph.Graph) ([]int32, error) {
-	if g.Coords == nil {
-		return nil, fmt.Errorf("order: Morton requires vertex coordinates")
+	if err := checkCoords(g, "Morton"); err != nil {
+		return nil, err
 	}
 	q, is3D := quantize(g.Coords)
 	keys := make([]uint64, g.N)
@@ -57,8 +56,8 @@ func Morton(g *graph.Graph) ([]int32, error) {
 // quantized coordinates; for 3-D inputs it falls back to interleaving
 // the Hilbert index of (x, y) with z, which preserves most locality.
 func Hilbert(g *graph.Graph) ([]int32, error) {
-	if g.Coords == nil {
-		return nil, fmt.Errorf("order: Hilbert requires vertex coordinates")
+	if err := checkCoords(g, "Hilbert"); err != nil {
+		return nil, err
 	}
 	q, is3D := quantize(g.Coords)
 	keys := make([]uint64, g.N)

@@ -131,9 +131,6 @@ type Config struct {
 	Strategy core.Strategy
 	// RemapPolicy selects the arrangement search used on remaps.
 	RemapPolicy core.RemapPolicy
-	// RootComputesOrder makes rank 0 compute the ordering and broadcast
-	// it instead of every rank computing it independently.
-	RootComputesOrder bool
 	// Env simulates a nonuniform/adaptive cluster (nil means uniform,
 	// unloaded). Availability outages in the environment enable the
 	// elastic membership protocol.
@@ -401,18 +398,33 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 		ranks:    make([]*rankState, cfg.Procs),
 		elastic:  cfg.Elastic || (cfg.Env != nil && cfg.Env.Elastic()) || cfg.Checkpoint != nil,
 	}
-	var err error
 	if cfg.Checkpoint != nil {
 		s.cks = make([]*ckpt.Store, cfg.Procs)
 		s.killed = make([]bool, cfg.Procs)
 		s.aliveVerdict = ckpt.EncodeAlive()
 	}
+	build := s.buildFixedRank
 	if s.elastic {
 		s.ctls = make([]*elastic.Controller, cfg.Procs)
 		s.subs = make([]*comm.Comm, cfg.Procs)
-		err = world.SPMD(ctx, s.buildElasticRank)
-	} else {
-		err = world.SPMD(ctx, s.buildFixedRank)
+		build = s.buildElasticRank
+	}
+	// Phase A runs once, here, and every rank shares its result
+	// read-only. The session itself keeps no reference: the ranks'
+	// runtimes do, so Close releases it with them.
+	cc := core.Config{
+		Order:         cfg.Order,
+		Weights:       cfg.Weights,
+		VertexWeights: cfg.VertexWeights,
+		Strategy:      cfg.Strategy,
+		RemapPolicy:   cfg.RemapPolicy,
+	}
+	if cfg.Topology != nil && !cfg.FlatCut {
+		cc.Groups = cfg.Topology.GroupOfSlice()
+	}
+	var err error
+	if cc.Transform, err = core.NewTransform(g, cc); err == nil {
+		err = world.SPMD(ctx, func(c *comm.Comm) error { return build(c, cc) })
 	}
 	if err != nil {
 		if ownWorld {
@@ -423,27 +435,10 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// coreConfig assembles the runtime configuration shared by both build
-// paths.
-func (s *Session) coreConfig() core.Config {
-	cc := core.Config{
-		Order:             s.cfg.Order,
-		Weights:           s.cfg.Weights,
-		VertexWeights:     s.cfg.VertexWeights,
-		Strategy:          s.cfg.Strategy,
-		RemapPolicy:       s.cfg.RemapPolicy,
-		RootComputesOrder: s.cfg.RootComputesOrder,
-	}
-	if s.cfg.Topology != nil && !s.cfg.FlatCut {
-		cc.Groups = s.cfg.Topology.GroupOfSlice()
-	}
-	return cc
-}
-
 // buildFixedRank constructs one rank's stack for a fixed-membership
 // session: runtime, solver, balancer, all on the full world.
-func (s *Session) buildFixedRank(c *comm.Comm) error {
-	rt, err := core.New(c, s.g, s.coreConfig())
+func (s *Session) buildFixedRank(c *comm.Comm, cc core.Config) error {
+	rt, err := core.New(c, s.g, cc)
 	if err != nil {
 		return err
 	}
@@ -462,10 +457,10 @@ func (s *Session) buildFixedRank(c *comm.Comm) error {
 }
 
 // buildElasticRank constructs one rank's stack for an elastic session:
-// the locality transform runs on every rank of the full world (so
-// parked ranks can be admitted later), but only the initial active set
-// binds runtimes — onto a sub-world — and everyone else parks.
-func (s *Session) buildElasticRank(c *comm.Comm) error {
+// every rank of the full world holds the locality transform (so parked
+// ranks can be admitted later), but only the initial active set binds
+// runtimes — onto a sub-world — and everyone else parks.
+func (s *Session) buildElasticRank(c *comm.Comm, cc core.Config) error {
 	active := s.initialActive()
 	ctl, err := elastic.NewController(c, active)
 	if err != nil {
@@ -479,7 +474,7 @@ func (s *Session) buildElasticRank(c *comm.Comm) error {
 		}
 		s.cks[c.Rank()] = ckpt.NewStore(c, fields)
 	}
-	rt, err := core.NewParked(c, s.g, s.coreConfig())
+	rt, err := core.NewParked(c, s.g, cc)
 	if err != nil {
 		return err
 	}

@@ -352,12 +352,6 @@ func WithCheckEvery(n int) Option {
 	return func(c *session.Config) { c.CheckEvery = n }
 }
 
-// WithRootComputesOrder makes rank 0 compute the locality ordering and
-// broadcast it instead of every rank computing it independently.
-func WithRootComputesOrder() Option {
-	return func(c *session.Config) { c.RootComputesOrder = true }
-}
-
 // WithOnCheck registers a callback invoked on rank 0 immediately after
 // each balance check, for live progress output during long runs (the
 // consolidated RunReport still records every check). The callback runs

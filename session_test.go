@@ -3,6 +3,11 @@ package stance_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,5 +221,169 @@ func TestWithOverlapIsDepthOne(t *testing.T) {
 			t.Errorf("executor depth %d, want %d", got, c.want)
 		}
 		s.Close()
+	}
+}
+
+// TestSessionTransformsOnce: Phase A runs once per session whatever the
+// world size and whatever happens to the membership afterwards; every
+// rank's runtime shares the one permutation; and the numbers are those
+// of ranks that each prepared their own transform through stance.New.
+func TestSessionTransformsOnce(t *testing.T) {
+	const p, iters = 16, 40
+	g, err := stance.GridMesh(40, 40, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: hand-wired ranks, no shared transform.
+	var want []float64
+	world, err := stance.OpenWorld("inproc", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = world.SPMD(context.Background(), func(c *stance.Comm) error {
+		rt, err := stance.New(c, g, stance.Config{Order: stance.RCB})
+		if err != nil {
+			return err
+		}
+		sol, err := stance.NewSolver(rt, nil, 1)
+		if err != nil {
+			return err
+		}
+		if err := sol.Run(iters, nil); err != nil {
+			return err
+		}
+		y, err := sol.GatherResult(0)
+		if c.Rank() == 0 {
+			want = y
+		}
+		return err
+	})
+	world.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	all := make([]int, p)
+	for i := range all {
+		all[i] = i
+	}
+	sim := []stance.Option{stance.WithClock(stance.NewSimClock()), stance.WithVirtualCompute(10 * time.Microsecond)}
+	cases := []struct {
+		name string
+		opts []stance.Option
+		run  func(s *stance.Session) error
+	}{
+		{"fixed", nil, func(s *stance.Session) error {
+			_, err := s.Run(iters)
+			return err
+		}},
+		{"elastic", []stance.Option{stance.WithElastic()}, func(s *stance.Session) error {
+			if err := s.Resize(all[:5]); err != nil {
+				return err
+			}
+			if _, err := s.Run(iters / 2); err != nil {
+				return err
+			}
+			if err := s.Resize(all); err != nil {
+				return err
+			}
+			rep, err := s.Run(iters / 2)
+			if err == nil && len(rep.Members) == 0 {
+				err = errors.New("no membership transition committed")
+			}
+			return err
+		}},
+		{"kill-recover", append(sim, stance.WithCheckpoint(stance.CheckpointConfig{
+			DetectTimeout: 50 * time.Millisecond,
+			Kills:         []stance.Kill{{Rank: 5, Iter: 20}},
+		})), func(s *stance.Session) error {
+			rep, err := s.Run(iters)
+			if err == nil && len(rep.Recoveries) != 1 {
+				err = fmt.Errorf("%d recoveries, want 1", len(rep.Recoveries))
+			}
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			counting := func(g *stance.Graph) ([]int32, error) {
+				calls.Add(1)
+				return stance.RCB(g)
+			}
+			s, err := stance.NewSession(context.Background(), g, p,
+				append(tc.opts, stance.WithOrderFunc(counting), stance.WithCheckEvery(10))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := tc.run(s); err != nil {
+				t.Fatal(err)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("ordering invoked %d times, want 1", n)
+			}
+			for r := 1; r < p; r++ {
+				if &s.Runtime(r).Perm()[0] != &s.Runtime(0).Perm()[0] {
+					t.Fatalf("rank %d holds its own copy of the permutation", r)
+				}
+			}
+			got, err := s.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("result has %d values, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("element %d = %v, hand-wired ranks computed %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestSessionPhaseAErrors: what Phase A rejects comes out of NewSession
+// worded as the runtime words it, and an owned world does not outlive
+// the failure.
+func TestSessionPhaseAErrors(t *testing.T) {
+	g, err := stance.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		opt  stance.Option
+		want string
+	}{
+		{"ordering fails", stance.WithOrderFunc(func(*stance.Graph) ([]int32, error) {
+			return nil, errors.New("boom")
+		}), "core: ordering: boom"},
+		{"ordering is no permutation", stance.WithOrderFunc(func(g *stance.Graph) ([]int32, error) {
+			return make([]int32, g.N), nil
+		}), "core: ordering: order: duplicate target 0"},
+		{"short vertex weights", stance.WithVertexWeights([]float64{1, 2, 3}),
+			fmt.Sprintf("core: 3 vertex weights for %d vertices", g.N)},
+	} {
+		for _, transport := range []string{"inproc", "tcp"} {
+			s, err := stance.NewSession(context.Background(), g, 3, stance.WithTransport(transport), tc.opt)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s on %s: accepted", tc.name, transport)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s on %s: error %q, want it to contain %q", tc.name, transport, err, tc.want)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after the failed NewSessions", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
