@@ -16,15 +16,25 @@ package bench
 // every rank to finish, which in the steady state costs zero
 // allocations end to end.
 //
+// The workers live inside one World.SPMD section under a cancellable
+// context, because that is how every session runs: a receive that
+// blocks there takes the mailbox's cancellation path, which a world
+// driven under no context never enters. The cases cover the shapes the
+// benchmark runs — p=64 on the 150×150 grid is scale-p64's — and one
+// sub-world, whose receives reach the mailbox through the mask
+// translation of Comm.Sub.
+//
 // Deliberately NOT -short-gated: the gate must run in CI. It skips
 // only under the race detector, whose instrumentation perturbs
 // allocation counts; CI runs it in a dedicated no-race step.
 
 import (
+	"context"
 	"testing"
 
 	"stance/internal/comm"
 	"stance/internal/core"
+	"stance/internal/graph"
 	"stance/internal/mesh"
 	"stance/internal/order"
 )
@@ -33,34 +43,54 @@ import (
 type allocOp func(rt *core.Runtime, vs []*core.Vector) error
 
 // allocHarness drives a warm world through executor operations with
-// persistent per-rank workers.
+// persistent per-rank workers, one per member of the executor's world.
 type allocHarness struct {
-	p    int
 	reqs []chan allocOp
 	done []chan error
 }
 
-func newAllocHarness(t *testing.T, p, nvecs int) *allocHarness {
+// newAllocHarness opens a p-rank world and parks one worker per rank
+// inside a World.SPMD section. With sub non-nil the executor runs on the
+// sub-world of those ranks, and the others sit the section out.
+func newAllocHarness(t *testing.T, g *graph.Graph, p int, sub []int, nvecs int) *allocHarness {
 	t.Helper()
-	g, err := mesh.Honeycomb(30, 40)
+	world, err := comm.Open("inproc", p, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
+	members := sub
+	if members == nil {
+		for r := 0; r < p; r++ {
+			members = append(members, r)
+		}
 	}
-	t.Cleanup(func() { comm.CloseWorld(ws) })
-	h := &allocHarness{p: p, reqs: make([]chan allocOp, p), done: make([]chan error, p)}
+	h := &allocHarness{reqs: make([]chan allocOp, p), done: make([]chan error, p)}
+	for _, r := range members {
+		h.reqs[r] = make(chan allocOp)
+		h.done[r] = make(chan error, 1)
+	}
 	ready := make(chan error, p)
-	for i := 0; i < p; i++ {
-		h.reqs[i] = make(chan allocOp)
-		h.done[i] = make(chan error, 1)
-		go func(c *comm.Comm, req chan allocOp, done chan error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	section := make(chan error, 1)
+	go func() {
+		section <- world.SPMD(ctx, func(c *comm.Comm) error {
+			req, done := h.reqs[c.Rank()], h.done[c.Rank()]
+			if req == nil {
+				ready <- nil
+				return nil
+			}
+			if sub != nil {
+				sc, err := c.Sub(sub)
+				if err != nil {
+					ready <- err
+					return nil
+				}
+				c = sc
+			}
 			rt, err := core.New(c, g, core.Config{Order: order.RCB})
 			if err != nil {
 				ready <- err
-				return
+				return nil
 			}
 			vs := make([]*core.Vector, nvecs)
 			for j := range vs {
@@ -72,27 +102,40 @@ func newAllocHarness(t *testing.T, p, nvecs int) *allocHarness {
 			for op := range req {
 				done <- op(rt, vs)
 			}
-		}(ws[i], h.reqs[i], h.done[i])
-	}
+			return nil
+		})
+	}()
+	t.Cleanup(func() {
+		for _, req := range h.reqs {
+			if req != nil {
+				close(req)
+			}
+		}
+		if err := <-section; err != nil {
+			t.Error(err)
+		}
+		cancel()
+		world.Close()
+	})
 	for i := 0; i < p; i++ {
 		if err := <-ready; err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Cleanup(func() {
-		for _, req := range h.reqs {
-			close(req)
-		}
-	})
 	return h
 }
 
 // run triggers op collectively and waits for every rank.
 func (h *allocHarness) run(t *testing.T, op allocOp) {
 	for _, req := range h.reqs {
-		req <- op
+		if req != nil {
+			req <- op
+		}
 	}
 	for _, done := range h.done {
+		if done == nil {
+			continue
+		}
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -182,47 +225,67 @@ func TestExecutorZeroAlloc(t *testing.T) {
 			return h0.Wait()
 		}},
 	}
-	for _, p := range []int{2, 4} {
-		h := newAllocHarness(t, p, 3)
-		// Warm every path first: wire buffers grow to the coalesced
-		// size, receive pools fill, handle pools and scratch are
-		// retained.
-		for _, op := range ops {
-			for i := 0; i < 4; i++ {
-				h.run(t, op.op)
-			}
-		}
-		// Handle-based ops rotate through the 64-tag wire window and the
-		// transport allocates its per-(source, tag) mailbox slot lazily,
-		// so spin the full window once for each replay direction before
-		// measuring.
-		h.run(t, func(rt *core.Runtime, vs []*core.Vector) error {
-			for i := 0; i < 64; i++ {
-				hd, err := rt.ExchangeStart(vs[0])
-				if err != nil {
-					return err
-				}
-				if err := hd.Wait(); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < 64; i++ {
-				hd, err := rt.ScatterAddStart(vs[0])
-				if err != nil {
-					return err
-				}
-				if err := hd.Wait(); err != nil {
-					return err
+	honeycomb, err := mesh.Honeycomb(30, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := mesh.GridTriangulated(150, 150, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		p    int
+		sub  []int
+	}{
+		{"p=2", honeycomb, 2, nil},
+		{"p=4", honeycomb, 4, nil},
+		{"p=64", grid, 64, nil},
+		{"sub 4 of p=5", honeycomb, 5, []int{4, 0, 3, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newAllocHarness(t, tc.g, tc.p, tc.sub, 3)
+			// Warm every path first: wire buffers grow to the coalesced
+			// size, receive pools fill, handle pools and scratch are
+			// retained.
+			for _, op := range ops {
+				for i := 0; i < 4; i++ {
+					h.run(t, op.op)
 				}
 			}
-			return nil
+			// Handle-based ops rotate through the 64-tag wire window and
+			// the mailbox builds a tag's table on its first message, so
+			// spin the full window once for each replay direction before
+			// measuring.
+			h.run(t, func(rt *core.Runtime, vs []*core.Vector) error {
+				for i := 0; i < 64; i++ {
+					hd, err := rt.ExchangeStart(vs[0])
+					if err != nil {
+						return err
+					}
+					if err := hd.Wait(); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < 64; i++ {
+					hd, err := rt.ScatterAddStart(vs[0])
+					if err != nil {
+						return err
+					}
+					if err := hd.Wait(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			for _, op := range ops {
+				avg := testing.AllocsPerRun(20, func() { h.run(t, op.op) })
+				if avg != 0 {
+					t.Errorf("%s: %.1f allocs/run in the steady state, want 0", op.name, avg)
+				}
+			}
 		})
-		for _, op := range ops {
-			op := op
-			avg := testing.AllocsPerRun(20, func() { h.run(t, op.op) })
-			if avg != 0 {
-				t.Errorf("p=%d %s: %.1f allocs/run in the steady state, want 0", p, op.name, avg)
-			}
-		}
 	}
 }

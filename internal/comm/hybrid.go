@@ -84,8 +84,5 @@ func (t *hybridTransport) Send(dst, tag int, data []byte) error {
 	if m := t.modelFor(dst); m != nil {
 		m.charge(t.clock, len(data))
 	}
-	peer := t.peers[dst]
-	buf := peer.getBuf(len(data))
-	copy(buf, data)
-	return peer.dispatch(t.rank, tag, buf)
+	return t.peers[dst].dispatch(t.rank, tag, data)
 }

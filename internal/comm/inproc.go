@@ -132,20 +132,17 @@ func (t *inprocTransport) transmit(dst, n int) {
 	t.transmitOn(t.modelFor(dst), t.wireFor(dst), n)
 }
 
-// dispatch hands a copied payload to the destination's mailbox, which
-// holds it back for the delivery delay of the model pricing the pair.
-func (t *inprocTransport) dispatch(dst, tag int, buf []byte) error {
-	return t.boxes[dst].deliver(t.rank, tag, buf, t.modelFor(dst).delay())
+// dispatch hands a payload to the destination's mailbox, which copies it
+// into a buffer recycled from its own pool — so a steady-state
+// send/receive/Release loop allocates nothing — and holds it back for
+// the delivery delay of the model pricing the pair.
+func (t *inprocTransport) dispatch(dst, tag int, data []byte) error {
+	return t.boxes[dst].deliver(t.rank, tag, data, t.modelFor(dst).delay())
 }
 
 func (t *inprocTransport) Send(dst, tag int, data []byte) error {
 	t.transmit(dst, len(data))
-	// The payload copy goes into a buffer recycled from the receiver's
-	// pool, so a steady-state send/receive/Release loop allocates
-	// nothing.
-	buf := t.boxes[dst].getBuf(len(data))
-	copy(buf, data)
-	return t.dispatch(dst, tag, buf)
+	return t.dispatch(dst, tag, data)
 }
 
 // Multicast delivers to all destinations for a single network charge
@@ -194,9 +191,7 @@ func (t *inprocTransport) Multicast(dsts []int, tag int, data []byte) error {
 		}
 	}
 	for _, d := range dsts {
-		buf := t.boxes[d].getBuf(len(data))
-		copy(buf, data)
-		if err := t.dispatch(d, tag, buf); err != nil {
+		if err := t.dispatch(d, tag, data); err != nil {
 			return err
 		}
 	}

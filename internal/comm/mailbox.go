@@ -3,16 +3,12 @@ package comm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"stance/internal/vtime"
 )
-
-// msgKey matches messages by (source, tag), the P4-style matching rule.
-type msgKey struct {
-	src, tag int
-}
 
 // msgq is one (source, tag) stream's FIFO. It is a slice drained by a
 // head index instead of re-slicing, so the backing array is reused once
@@ -38,6 +34,75 @@ func (q *msgq) pop() []byte {
 	return b
 }
 
+// tagq holds one tag's messages — matching is by (source, tag), the
+// P4-style rule — as one FIFO per source that has ever sent the tag,
+// kept in ascending source order: a tag's table is as long as its set of
+// senders (the executor's peers, or the whole world at a collective's
+// root), whatever else the mailbox has carried. Slots are never freed: a
+// table is reused by every later message on its tag, which is what keeps
+// the executor's rotating wire tags allocation-free once each has been
+// used.
+type tagq struct {
+	srcs   []int  // ascending
+	from   []msgq // from[i] is srcs[i]'s FIFO
+	queued int    // messages waiting, over all sources
+}
+
+func (t *tagq) push(src int, b []byte) {
+	i, ok := slices.BinarySearch(t.srcs, src)
+	if !ok {
+		t.srcs = slices.Insert(t.srcs, i, src)
+		t.from = slices.Insert(t.from, i, msgq{})
+	}
+	t.from[i].push(b)
+	t.queued++
+}
+
+// pop takes the oldest message of the non-empty FIFO at position i.
+func (t *tagq) pop(i int) []byte {
+	t.queued--
+	return t.from[i].pop()
+}
+
+// popFrom takes src's oldest message, if it has one queued.
+func (t *tagq) popFrom(src int) ([]byte, bool) {
+	if t.queued == 0 {
+		return nil, false
+	}
+	if i, ok := slices.BinarySearch(t.srcs, src); ok && !t.from[i].empty() {
+		return t.pop(i), true
+	}
+	return nil, false
+}
+
+// popLowest takes the oldest message of the lowest source with one
+// queued that the mask admits (nil admits every source); src is -1 when
+// there is none.
+func (t *tagq) popLowest(mask []bool) (src int, data []byte) {
+	if t.queued == 0 {
+		return -1, nil
+	}
+	for i, src := range t.srcs {
+		if t.from[i].empty() {
+			continue
+		}
+		if mask == nil || (src >= 0 && src < len(mask) && mask[src]) {
+			return src, t.pop(i)
+		}
+	}
+	return -1, nil
+}
+
+// cancelWatch is the mailbox's one registration on a context some
+// receive has parked under: when the context is cancelled it wakes the
+// mailbox. It outlives the receive that created it, so later receives
+// under the same context park without touching the context at all.
+type cancelWatch struct {
+	done   <-chan struct{} // the context's Done channel: its identity
+	stop   func() bool
+	parked int // receives currently blocked under the context
+}
+
 // maxPooled bounds the number of idle payload buffers a mailbox keeps
 // for reuse; beyond that, returned buffers fall to the GC.
 const maxPooled = 64
@@ -53,13 +118,16 @@ type inflight struct {
 // every transport endpoint: per-(src, tag) FIFO queues with blocking
 // receive, written once here and embedded by the endpoints, which add
 // only their send path. It also owns the rank's receive-buffer pool:
-// delivery paths take payload buffers from getBuf and receivers hand
+// deliver copies each payload into a pooled buffer and receivers hand
 // them back through Release, so the steady-state executor data path
 // recycles buffers instead of allocating per message.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[msgKey]*msgq
+	mu   sync.Mutex
+	cond *sync.Cond
+	// tags is the matching structure: one table per tag ever received,
+	// one FIFO per sender of that tag inside it (see tagq). A receive
+	// looks its tag up once and never visits another tag's queues.
+	tags   map[int]*tagq
 	free   [][]byte
 	closed bool
 	// flights holds, per source, the messages still in modeled flight
@@ -69,6 +137,10 @@ type mailbox struct {
 	// mailbox is closed: ErrClosed on a normal shutdown, ErrKilled when
 	// the endpoint was crash-injected.
 	closeErr error
+
+	// watches are the contexts whose cancellation wakes the mailbox; see
+	// parkLocked.
+	watches []*cancelWatch
 
 	// dead marks sources the transport's liveness layer has declared
 	// failed (missed heartbeats). Queued messages from a dead source
@@ -96,7 +168,7 @@ func newMailbox(clock vtime.Clock) *mailbox {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	m := &mailbox{queues: make(map[msgKey]*msgq), flights: make(map[int][]inflight),
+	m := &mailbox{tags: make(map[int]*tagq), flights: make(map[int][]inflight),
 		clock: clock, sim: vtime.AsSim(clock)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -139,14 +211,74 @@ func (m *mailbox) wakeLocked() {
 	m.cond.Broadcast()
 }
 
-// getBuf returns a payload buffer of length n, reusing a pooled one
-// when possible. One pool serves all message sizes on a rank, so the
+// parkLocked blocks a receive that found nothing to take until the next
+// wake, or fails it with ctx.Err() when ctx (nil or Background:
+// uncancellable) is already cancelled. Cancellation reaches parked
+// receives through one watch per context: the first receive to park
+// under a context registers it, every later one under the same context
+// only counts itself in and out — no registration, no allocation, and
+// no contact with the context beyond reading its Done channel, which
+// takes no lock the other ranks of an SPMD section share. A watch is
+// dropped when its context is cancelled (World.SPMD cancels its
+// section's context on the way out), when the mailbox closes, or, idle,
+// when a receive parks under a different context — so the mailbox holds
+// at most one registration beyond the contexts receives are parked
+// under right now, and a context in use is never unregistered by
+// another's arrival.
+func (m *mailbox) parkLocked(ctx context.Context) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	if done == nil {
+		m.waitLocked()
+		return nil
+	}
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+	}
+	w := m.watchLocked(ctx, done)
+	w.parked++
+	m.waitLocked()
+	w.parked--
+	return nil
+}
+
+// watchLocked returns the watch on ctx, registering it — and retiring
+// the idle watches on other contexts — when there is none.
+func (m *mailbox) watchLocked(ctx context.Context, done <-chan struct{}) *cancelWatch {
+	for _, w := range m.watches {
+		if w.done == done {
+			return w
+		}
+	}
+	m.watches = slices.DeleteFunc(m.watches, func(w *cancelWatch) bool {
+		return w.parked == 0 && w.stop()
+	})
+	w := &cancelWatch{done: done}
+	// An already-cancelled ctx runs the callback on its own goroutine; it
+	// only blocks on m.mu, which the caller releases inside cond.Wait.
+	w.stop = context.AfterFunc(ctx, func() {
+		m.mu.Lock()
+		if i := slices.Index(m.watches, w); i >= 0 {
+			m.watches = slices.Delete(m.watches, i, i+1)
+		}
+		m.wakeLocked()
+		m.mu.Unlock()
+	})
+	m.watches = append(m.watches, w)
+	return w
+}
+
+// takeBufLocked returns a payload buffer of length n, reusing a pooled
+// one when possible. One pool serves all message sizes on a rank, so the
 // newest-first scan skips entries too small for this request instead
 // of discarding them — small control-frame buffers stay pooled for
 // small requests, and in the homogeneous steady state the newest entry
 // fits immediately.
-func (m *mailbox) getBuf(n int) []byte {
-	m.mu.Lock()
+func (m *mailbox) takeBufLocked(n int) []byte {
 	for i := len(m.free) - 1; i >= 0; i-- {
 		if cap(m.free[i]) < n {
 			continue
@@ -156,10 +288,8 @@ func (m *mailbox) getBuf(n int) []byte {
 		m.free[i] = m.free[last]
 		m.free[last] = nil
 		m.free = m.free[:last]
-		m.mu.Unlock()
 		return b[:n]
 	}
-	m.mu.Unlock()
 	return make([]byte, n)
 }
 
@@ -224,31 +354,32 @@ func (m *mailbox) closedErrLocked() error {
 	return ErrClosed
 }
 
-// deliver hands the mailbox a message that becomes receivable after the
-// medium's one-way delivery delay (Model.Delay; zero means at once). The
-// payload must come from this mailbox's getBuf and is the mailbox's from
-// here on, accepted or not: a closed mailbox refuses it with ErrClosed
-// and lets it fall to the GC (its pool is dead too). It is the one
-// delivery path of every transport on either clock: a delayed payload
-// parks in its source's in-flight FIFO and a clock event lands it,
-// without holding the sender. Each event lands the source's oldest
-// in-flight message rather than "its own", so per-(src, tag) FIFO holds
-// whatever order the real clock runs timer goroutines in; one (src, dst)
-// pair has one delay, so the oldest is never landed before its own
-// instant. A simulated clock fires events in scheduling order, which
-// makes the two readings coincide.
-func (m *mailbox) deliver(src, tag int, data []byte, delay time.Duration) error {
+// deliver copies a message from src into a pooled buffer and makes it
+// receivable after the medium's one-way delivery delay (Model.Delay;
+// zero means at once) — one lock round, the whole of an in-process
+// send. The caller keeps payload. A closed mailbox refuses the message
+// with ErrClosed. It is the one delivery path of every transport on
+// either clock: a delayed message parks in its source's in-flight FIFO
+// and a clock event lands it, without holding the sender. Each event
+// lands the source's oldest in-flight message rather than "its own", so
+// per-(src, tag) FIFO holds whatever order the real clock runs timer
+// goroutines in; one (src, dst) pair has one delay, so the oldest is
+// never landed before its own instant. A simulated clock fires events in
+// scheduling order, which makes the two readings coincide.
+func (m *mailbox) deliver(src, tag int, payload []byte, delay time.Duration) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return ErrClosed
 	}
+	buf := m.takeBufLocked(len(payload))
+	copy(buf, payload)
 	if delay <= 0 {
-		m.enqueueLocked(src, tag, data)
+		m.enqueueLocked(src, tag, buf)
 		m.mu.Unlock()
 		return nil
 	}
-	m.flights[src] = append(m.flights[src], inflight{tag, data})
+	m.flights[src] = append(m.flights[src], inflight{tag, buf})
 	m.mu.Unlock()
 	m.clock.AfterFunc(delay, func() { m.land(src) })
 	return nil
@@ -256,13 +387,12 @@ func (m *mailbox) deliver(src, tag int, data []byte, delay time.Duration) error 
 
 // enqueueLocked makes a message receivable and wakes the waiters.
 func (m *mailbox) enqueueLocked(src, tag int, data []byte) {
-	k := msgKey{src, tag}
-	q := m.queues[k]
-	if q == nil {
-		q = &msgq{}
-		m.queues[k] = q
+	t := m.tags[tag]
+	if t == nil {
+		t = &tagq{}
+		m.tags[tag] = t
 	}
-	q.push(data)
+	t.push(src, data)
 	m.wakeLocked()
 }
 
@@ -280,54 +410,36 @@ func (m *mailbox) land(src int) {
 	}
 }
 
-// watchCancel arranges for a cancelled context to wake every waiter on
-// the mailbox, so blocked receives can observe ctx.Err() instead of
-// sleeping forever. It returns a stop function that must be called when
-// the receive completes. Receivers register it lazily — only once they
-// are actually about to block — so a receive satisfied from the queue
-// pays nothing for cancellation support. If ctx is already cancelled
-// the callback fires asynchronously; it only blocks on m.mu, which the
-// caller releases inside cond.Wait, so there is no deadlock.
-func (m *mailbox) watchCancel(ctx context.Context) func() bool {
-	return context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.wakeLocked()
-		m.mu.Unlock()
-	})
+// takeLocked is the non-blocking half of Recv: the oldest (src, tag)
+// message, or the error that says none can ever come; ok=false means
+// the caller may wait for one.
+func (m *mailbox) takeLocked(src, tag int) (data []byte, ok bool, err error) {
+	if t := m.tags[tag]; t != nil {
+		if data, ok := t.popFrom(src); ok {
+			return data, true, nil
+		}
+	}
+	if m.closed {
+		return nil, false, m.closedErrLocked()
+	}
+	if m.deadLocked(src) {
+		return nil, false, fmt.Errorf("comm: recv from rank %d: %w", src, ErrPeerDead)
+	}
+	return nil, false, nil
 }
 
 // Recv blocks until a (src, tag) message is available, the mailbox is
 // closed, or ctx is cancelled (nil ctx blocks indefinitely).
 func (m *mailbox) Recv(ctx context.Context, src, tag int) ([]byte, error) {
-	cancellable := ctx != nil && ctx.Done() != nil
-	var stop func() bool
-	defer func() {
-		if stop != nil {
-			stop()
-		}
-	}()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := msgKey{src, tag}
 	for {
-		if q := m.queues[k]; q != nil && !q.empty() {
-			return q.pop(), nil
+		if data, ok, err := m.takeLocked(src, tag); ok || err != nil {
+			return data, err
 		}
-		if m.closed {
-			return nil, m.closedErrLocked()
+		if err := m.parkLocked(ctx); err != nil {
+			return nil, err
 		}
-		if m.deadLocked(src) {
-			return nil, fmt.Errorf("comm: recv from rank %d: %w", src, ErrPeerDead)
-		}
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if stop == nil {
-				stop = m.watchCancel(ctx)
-			}
-		}
-		m.waitLocked()
 	}
 }
 
@@ -345,16 +457,9 @@ func (m *mailbox) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
 	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := msgKey{src, tag}
 	for {
-		if q := m.queues[k]; q != nil && !q.empty() {
-			return q.pop(), nil
-		}
-		if m.closed {
-			return nil, m.closedErrLocked()
-		}
-		if m.deadLocked(src) {
-			return nil, fmt.Errorf("comm: recv from rank %d: %w", src, ErrPeerDead)
+		if data, ok, err := m.takeLocked(src, tag); ok || err != nil {
+			return data, err
 		}
 		if !m.clock.Now().Before(deadline) {
 			return nil, ErrTimeout
@@ -363,22 +468,20 @@ func (m *mailbox) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
 	}
 }
 
-// match returns the lowest source with a queued message for tag that
-// the mask admits (nil mask admits every source), or -1.
-func (m *mailbox) match(tag int, mask []bool) int {
-	bestSrc := -1
-	for k, q := range m.queues {
-		if k.tag != tag || q.empty() {
-			continue
-		}
-		if mask != nil && (k.src < 0 || k.src >= len(mask) || !mask[k.src]) {
-			continue
-		}
-		if bestSrc < 0 || k.src < bestSrc {
-			bestSrc = k.src
+// takeAnyLocked is the non-blocking half of RecvAnyOf: the oldest
+// message of the lowest source with one queued for tag that the mask
+// admits (nil admits every source), or the mailbox's close error;
+// ok=false means nothing admissible has arrived yet.
+func (m *mailbox) takeAnyLocked(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
+	if t := m.tags[tag]; t != nil {
+		if src, data := t.popLowest(mask); src >= 0 {
+			return src, data, true, nil
 		}
 	}
-	return bestSrc
+	if m.closed {
+		return 0, nil, false, m.closedErrLocked()
+	}
+	return 0, nil, false, nil
 }
 
 // RecvAnyOf blocks until a message with the tag is available from a
@@ -389,34 +492,18 @@ func (m *mailbox) match(tag int, mask []bool) int {
 // unpacks whichever of them delivers first, while messages from
 // already-served peers (which belong to a later operation) stay queued.
 func (m *mailbox) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []byte, error) {
-	cancellable := ctx != nil && ctx.Done() != nil
-	var stop func() bool
-	defer func() {
-		if stop != nil {
-			stop()
-		}
-	}()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if src := m.match(tag, mask); src >= 0 {
-			return src, m.queues[msgKey{src, tag}].pop(), nil
-		}
-		if m.closed {
-			return 0, nil, m.closedErrLocked()
+		if src, data, ok, err := m.takeAnyLocked(tag, mask); ok || err != nil {
+			return src, data, err
 		}
 		if m.allDeadLocked(mask) {
 			return 0, nil, fmt.Errorf("comm: every admitted source is dead: %w", ErrPeerDead)
 		}
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return 0, nil, err
-			}
-			if stop == nil {
-				stop = m.watchCancel(ctx)
-			}
+		if err := m.parkLocked(ctx); err != nil {
+			return 0, nil, err
 		}
-		m.waitLocked()
 	}
 }
 
@@ -426,13 +513,7 @@ func (m *mailbox) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []b
 func (m *mailbox) PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if src := m.match(tag, mask); src >= 0 {
-		return src, m.queues[msgKey{src, tag}].pop(), true, nil
-	}
-	if m.closed {
-		return 0, nil, false, m.closedErrLocked()
-	}
-	return 0, nil, false, nil
+	return m.takeAnyLocked(tag, mask)
 }
 
 // Clock returns the clock deadlines and delivery delays run on.
@@ -446,13 +527,19 @@ func (m *mailbox) Close() error {
 }
 
 // closeWith is close with an explicit failure cause (nil means
-// ErrClosed); the first close wins.
+// ErrClosed); the first close wins. A closed mailbox parks no receive,
+// so it lets go of every context it was watching.
 func (m *mailbox) closeWith(err error) {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
 		m.closeErr = err
 	}
+	for _, w := range m.watches {
+		w.stop()
+	}
+	clear(m.watches)
+	m.watches = m.watches[:0]
 	m.wakeLocked()
 	m.mu.Unlock()
 }

@@ -489,11 +489,9 @@ func (t *tcpTransport) reader(peer int, conn net.Conn) {
 			if tag == hbTag {
 				return nil // pure liveness traffic
 			}
-			// Payloads come from the mailbox pool so released receive
-			// buffers cycle back to the socket reader.
-			buf := t.getBuf(len(payload))
-			copy(buf, payload)
-			if err := t.dispatch(peer, tag, buf); err != nil {
+			// The mailbox copies the section into a buffer from its pool,
+			// so released receive buffers cycle back to the socket reader.
+			if err := t.dispatch(peer, tag, payload); err != nil {
 				return err
 			}
 			t.stats.nRx.Add(1)
@@ -512,11 +510,11 @@ func (t *tcpTransport) modelFor(peer int) *Model {
 	return t.opts.pairModel(t.rank, peer)
 }
 
-// dispatch hands a mailbox-owned payload from src to this rank's
-// mailbox, which holds it back for the delivery delay of the model
-// pricing that source.
-func (t *tcpTransport) dispatch(src, tag int, buf []byte) error {
-	return t.deliver(src, tag, buf, t.modelFor(src).delay())
+// dispatch hands a payload from src to this rank's mailbox, which copies
+// it and holds it back for the delivery delay of the model pricing that
+// source.
+func (t *tcpTransport) dispatch(src, tag int, data []byte) error {
+	return t.deliver(src, tag, data, t.modelFor(src).delay())
 }
 
 // heartbeater queues a heartbeat section to every peer each interval.
@@ -646,9 +644,7 @@ func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 		m.charge(t.clock, len(data))
 	}
 	if dst == t.rank {
-		buf := t.getBuf(len(data))
-		copy(buf, data)
-		return t.dispatch(t.rank, tag, buf)
+		return t.dispatch(t.rank, tag, data)
 	}
 	if err := out.push(tag, data); err != nil {
 		return err

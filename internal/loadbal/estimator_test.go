@@ -8,7 +8,6 @@ import (
 	"stance/internal/core"
 	"stance/internal/hetero"
 	"stance/internal/redist"
-	"stance/internal/solver"
 )
 
 func TestNewEstimatorValidation(t *testing.T) {
@@ -106,18 +105,13 @@ func TestDecentralizedMatchesCentralized(t *testing.T) {
 	g := testMesh(t)
 	env := hetero.PaperAdaptive(3, 3)
 	run := func(decentralized bool) []Decision {
-		ws, err := comm.NewWorld(3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer comm.CloseWorld(ws)
 		decisions := make([]Decision, 3)
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		simSPMD(t, 3, func(c *comm.Comm) error {
 			rt, err := core.New(c, g, core.Config{})
 			if err != nil {
 				return err
 			}
-			s, err := solver.New(rt, env, 2)
+			s, err := virtualSolver(rt, env, 2)
 			if err != nil {
 				return err
 			}
@@ -136,9 +130,6 @@ func TestDecentralizedMatchesCentralized(t *testing.T) {
 			decisions[c.Rank()] = d
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return decisions
 	}
 	central := run(false)
@@ -174,18 +165,13 @@ func TestEstimatorDampensTransientLoad(t *testing.T) {
 	// polluted, but the longer history is clean.
 	env := hetero.Uniform(2)
 	env.Loads = []hetero.Load{{Rank: 0, Factor: 8, FromIter: 6, UntilIter: 8}}
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
 	var lastW, ewmaW float64
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	simSPMD(t, 2, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{})
 		if err != nil {
 			return err
 		}
-		s, err := solver.New(rt, env, 2)
+		s, err := virtualSolver(rt, env, 2)
 		if err != nil {
 			return err
 		}
@@ -225,9 +211,6 @@ func TestEstimatorDampensTransientLoad(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The last-window estimate sees rank 0 as ~8x slower; the EWMA
 	// estimate is much closer to parity.
 	if !(ewmaW > lastW) {

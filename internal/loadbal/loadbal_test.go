@@ -25,6 +25,34 @@ func testMesh(t testing.TB) *graph.Graph {
 	return g
 }
 
+// simSPMD runs f on every rank of a p-rank world on a simulated clock
+// over a priced network. Together with virtualSolver it makes every
+// rate a balancer sees, and every duration it measures, an exact virtual
+// quantity: what these tests assert no longer depends on how a
+// microsecond kernel happened to be scheduled on a loaded machine.
+func simSPMD(t *testing.T, p int, f func(c *comm.Comm) error) {
+	t.Helper()
+	w, err := comm.Open("inproc", p, comm.TransportOptions{Clock: vtime.NewSim(), Model: comm.Ethernet(0.01)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.SPMD(nil, f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// virtualSolver is solver.New with compute charged to the clock instead
+// of spun: an element costs exactly 5µs × workRep × the rank's load
+// factor.
+func virtualSolver(rt *core.Runtime, env *hetero.Env, workRep int) (*solver.Solver, error) {
+	s, err := solver.New(rt, env, workRep)
+	if err == nil {
+		s.SetVirtualCompute(5 * time.Microsecond)
+	}
+	return s, err
+}
+
 // runScenario runs the solver under env for warmup iterations, checks
 // once, and returns the decisions (indexed by rank) plus the final
 // layout sizes.
@@ -32,19 +60,14 @@ func runScenario(t *testing.T, env *hetero.Env, cfg Config, warmup int) ([]Decis
 	t.Helper()
 	g := testMesh(t)
 	p := env.P()
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
 	decisions := make([]Decision, p)
 	sizes := make([]int64, p)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	simSPMD(t, p, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil {
 			return err
 		}
-		s, err := solver.New(rt, env, 2)
+		s, err := virtualSolver(rt, env, 2)
 		if err != nil {
 			return err
 		}
@@ -68,9 +91,6 @@ func runScenario(t *testing.T, env *hetero.Env, cfg Config, warmup int) ([]Decis
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return decisions, sizes
 }
 

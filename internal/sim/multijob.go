@@ -169,7 +169,8 @@ func RunMultiJob(seed int64) (*MultiJobResult, error) {
 		return fmt.Errorf("sim: %s: %s", sc.Desc, fmt.Sprintf(format, args...))
 	}
 
-	svc, err := jobsvc.New(jobsvc.Config{PoolRanks: sc.Pool, Clock: vtime.NewSim()})
+	clk := vtime.NewSim()
+	svc, err := jobsvc.New(jobsvc.Config{PoolRanks: sc.Pool, Clock: clk})
 	if err != nil {
 		return nil, fail("service: %v", err)
 	}
@@ -178,22 +179,33 @@ func RunMultiJob(seed int64) (*MultiJobResult, error) {
 	// The hog goes in first and grabs the whole idle pool; the burst is
 	// submitted only once it is running, so every burst job queues
 	// behind a saturated pool and the scheduler must shrink the hog to
-	// place them.
-	hogSt, err := svc.Submit(sc.Hog)
-	if err != nil {
-		return nil, fail("submit hog: %v", err)
-	}
-	if err := waitFor(svc, hogSt.ID, func(st jobsvc.State) bool { return st == jobsvc.Running }, 30*time.Second); err != nil {
-		return nil, fail("%v", err)
-	}
-
-	ids := []string{hogSt.ID}
-	for _, sp := range sc.Burst {
-		st, err := svc.Submit(sp)
+	// place them. The submitter counts as a worker of the clock until
+	// the burst is in: virtual time cannot pass while it is not blocked,
+	// so the hog cannot run its thousands of iterations to the end in
+	// the wall-clock gap between two polls, however fast the runtime
+	// under it gets.
+	clk.Add(1)
+	ids, err := func() ([]string, error) {
+		defer clk.Done()
+		hogSt, err := svc.Submit(sc.Hog)
 		if err != nil {
-			return nil, fail("submit %s: %v", sp.Name, err)
+			return nil, fail("submit hog: %v", err)
 		}
-		ids = append(ids, st.ID)
+		if err := waitFor(svc, hogSt.ID, func(st jobsvc.State) bool { return st == jobsvc.Running }, 30*time.Second); err != nil {
+			return nil, fail("%v", err)
+		}
+		ids := []string{hogSt.ID}
+		for _, sp := range sc.Burst {
+			st, err := svc.Submit(sp)
+			if err != nil {
+				return nil, fail("submit %s: %v", sp.Name, err)
+			}
+			ids = append(ids, st.ID)
+		}
+		return ids, nil
+	}()
+	if err != nil {
+		return nil, err
 	}
 
 	res := &MultiJobResult{Scenario: sc}

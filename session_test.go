@@ -15,13 +15,18 @@ import (
 )
 
 // TestSessionFacade drives the one-call API end to end the way the
-// quickstart does: options in, report and result out.
+// quickstart does: options in, report and result out. It runs on the
+// simulated clock with virtual compute, so the 2.5x imbalance the
+// balancer must see is exact and not a wall-clock measurement of
+// microsecond kernels (which missed the remap about once in 70 runs).
 func TestSessionFacade(t *testing.T) {
 	g, err := stance.Honeycomb(20, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := stance.NewSession(context.Background(), g, 3,
+		stance.WithClock(stance.NewSimClock()),
+		stance.WithVirtualCompute(time.Microsecond),
 		stance.WithOrdering("rcb"),
 		stance.WithStrategy(stance.StrategySort2),
 		stance.WithEnv(stance.LoadedEnv(3, 2.5)),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"stance"
 )
@@ -16,7 +17,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := stance.OpenWorld("inproc", 3, nil)
+	// Simulated clock and virtual compute: the 2.5x imbalance the
+	// balancer must see is exact, not a wall-clock reading of
+	// microsecond kernels.
+	world, err := stance.OpenWorldOptions("inproc", 3, stance.TransportOptions{Clock: stance.NewSimClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +36,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		s.SetVirtualCompute(time.Microsecond)
 		est, err := stance.NewEstimator(stance.EstimateEWMA, 0.5)
 		if err != nil {
 			return err
