@@ -37,6 +37,7 @@ import (
 	"stance/internal/graph"
 	"stance/internal/mesh"
 	"stance/internal/order"
+	"stance/internal/solver"
 )
 
 // allocOp is one rank's share of a collective executor operation.
@@ -47,6 +48,9 @@ type allocOp func(rt *core.Runtime, vs []*core.Vector) error
 type allocHarness struct {
 	reqs []chan allocOp
 	done []chan error
+	// solvers holds each member's two-field solver by world rank, for
+	// the ops that replay whole solver iterations.
+	solvers []*solver.Solver
 }
 
 // newAllocHarness opens a p-rank world and parks one worker per rank
@@ -64,7 +68,7 @@ func newAllocHarness(t *testing.T, g *graph.Graph, p int, sub []int, nvecs int) 
 			members = append(members, r)
 		}
 	}
-	h := &allocHarness{reqs: make([]chan allocOp, p), done: make([]chan error, p)}
+	h := &allocHarness{reqs: make([]chan allocOp, p), done: make([]chan error, p), solvers: make([]*solver.Solver, p)}
 	for _, r := range members {
 		h.reqs[r] = make(chan allocOp)
 		h.done[r] = make(chan error, 1)
@@ -98,6 +102,15 @@ func newAllocHarness(t *testing.T, g *graph.Graph, p int, sub []int, nvecs int) 
 				off := float64(j)
 				vs[j].SetByGlobal(func(gid int64) float64 { return float64(gid%89) + off })
 			}
+			s, err := solver.New(rt, nil, 1)
+			if err == nil {
+				err = s.SetFields(2)
+			}
+			if err != nil {
+				ready <- err
+				return nil
+			}
+			h.solvers[c.WorldRank()] = s
 			ready <- nil
 			for op := range req {
 				done <- op(rt, vs)
@@ -143,7 +156,8 @@ func (h *allocHarness) run(t *testing.T, op allocOp) {
 }
 
 // TestExecutorZeroAlloc asserts zero steady-state allocations for
-// every executor replay operation, synchronous and split-phase.
+// every executor replay operation, synchronous and split-phase, and for
+// whole solver iterations at every executor depth.
 func TestExecutorZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector; CI runs this in a no-race step")
@@ -284,6 +298,25 @@ func TestExecutorZeroAlloc(t *testing.T) {
 				avg := testing.AllocsPerRun(20, func() { h.run(t, op.op) })
 				if avg != 0 {
 					t.Errorf("%s: %.1f allocs/run in the steady state, want 0", op.name, avg)
+				}
+			}
+			// Whole solver iterations at every executor depth: the sweep's
+			// pass closure, the two-list depth-0 sweep and the depth-2
+			// re-post must not allocate either.
+			for depth := 0; depth <= 2; depth++ {
+				iterate := func(rt *core.Runtime, _ []*core.Vector) error {
+					s := h.solvers[rt.Comm().WorldRank()]
+					if err := s.SetPipeline(depth); err != nil {
+						return err
+					}
+					return s.Run(2, nil)
+				}
+				for i := 0; i < 4; i++ {
+					h.run(t, iterate)
+				}
+				avg := testing.AllocsPerRun(20, func() { h.run(t, iterate) })
+				if avg != 0 {
+					t.Errorf("solver.Run at depth %d: %.1f allocs/run in the steady state, want 0", depth, avg)
 				}
 			}
 		})

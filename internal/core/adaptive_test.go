@@ -95,6 +95,7 @@ func TestSetGraphAdaptsTheInspector(t *testing.T) {
 			if len(v.Data) != rt.LocalN()+rt.Schedule().NGhosts() {
 				return fmt.Errorf("vector not resized after SetGraph")
 			}
+			checkSplit(t, rt, "after SetGraph")
 			if err := parKernel(rt, v, itersAfter); err != nil {
 				return err
 			}

@@ -206,6 +206,9 @@ func runHandleScript(t *testing.T, p int, sc handleScript, async bool) [][][]flo
 				Old: oldL, New: newL,
 				OldProcs: oldActive, NewProcs: newActive,
 			})
+			if err == nil && !rt.Parked() {
+				checkSplit(t, rt, "after Rebind")
+			}
 			return err
 		}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,45 +355,71 @@ func TestOpTagWindowExhaustion(t *testing.T) {
 	_ = extra
 }
 
+// planWindow is sched's unexported rowWindow: how many consecutive
+// entries of an ascending row list Classify groups by degree at a time.
+const planWindow = 256
+
+// checkPlanOrder asserts a plan list's row order: cut into windows of
+// planWindow entries, every window holds smaller rows than the next
+// (the windows are those of the ascending list), and inside a window
+// degrees are non-decreasing and rows ascend within a degree.
+func checkPlanOrder(t *testing.T, rows, xadj []int32, label string) {
+	t.Helper()
+	deg := func(u int32) int32 { return xadj[u+1] - xadj[u] }
+	for lo := 0; lo < len(rows); lo += planWindow {
+		w := rows[lo:min(lo+planWindow, len(rows))]
+		for i := 1; i < len(w); i++ {
+			if a, b := w[i-1], w[i]; deg(a) > deg(b) || deg(a) == deg(b) && a >= b {
+				t.Errorf("%s: window at %d: row %d (degree %d) precedes row %d (degree %d)",
+					label, lo, a, deg(a), b, deg(b))
+				return
+			}
+		}
+		if lo > 0 && slices.Max(rows[lo-planWindow:lo]) >= slices.Min(w) {
+			t.Errorf("%s: window at %d holds a row below one of the window before it", label, lo)
+			return
+		}
+	}
+}
+
 // checkSplit asserts the classification invariant on one rank: the
-// interior and boundary lists are ascending, disjoint, exactly cover
-// [0, LocalN), and an element is boundary iff its localized adjacency
-// references the ghost section.
+// interior and boundary lists are disjoint, exactly cover [0, LocalN),
+// each is in plan order, and an element is boundary iff its localized
+// adjacency references the ghost section. It reports the first breach
+// with Errorf and returns — ranks call it inside SPMD sections, where
+// a Fatalf would strand the others in their next collective.
 func checkSplit(t *testing.T, rt *Runtime, label string) {
 	t.Helper()
 	p := rt.Plan()
 	if !p.Classified() {
-		t.Fatalf("%s: plan not classified", label)
+		t.Errorf("%s: plan not classified", label)
+		return
 	}
 	nLocal := rt.LocalN()
+	xadj, adj := rt.LocalAdj()
 	interior, boundary := p.Interior(), p.Boundary()
 	if len(interior)+len(boundary) != nLocal {
-		t.Fatalf("%s: |interior|=%d + |boundary|=%d != nLocal=%d",
+		t.Errorf("%s: |interior|=%d + |boundary|=%d != nLocal=%d",
 			label, len(interior), len(boundary), nLocal)
+		return
 	}
+	checkPlanOrder(t, interior, xadj, label+": interior")
+	checkPlanOrder(t, boundary, xadj, label+": boundary")
+	inBoundary := make([]bool, nLocal)
 	seen := make([]int, nLocal)
-	last := int32(-1)
 	for _, u := range interior {
-		if u <= last {
-			t.Fatalf("%s: interior not strictly ascending at %d", label, u)
-		}
-		last = u
 		seen[u]++
 	}
-	last = -1
 	for _, u := range boundary {
-		if u <= last {
-			t.Fatalf("%s: boundary not strictly ascending at %d", label, u)
-		}
-		last = u
 		seen[u]++
+		inBoundary[u] = true
 	}
 	for u, n := range seen {
 		if n != 1 {
-			t.Fatalf("%s: local index %d appears %d times across interior+boundary, want exactly once", label, u, n)
+			t.Errorf("%s: local index %d appears %d times across interior+boundary, want exactly once", label, u, n)
+			return
 		}
 	}
-	xadj, adj := rt.LocalAdj()
 	for u := 0; u < nLocal; u++ {
 		hasGhost := false
 		for k := xadj[u]; k < xadj[u+1]; k++ {
@@ -401,27 +428,27 @@ func checkSplit(t *testing.T, rt *Runtime, label string) {
 				break
 			}
 		}
-		inBoundary := false
-		for _, b := range boundary {
-			if int(b) == u {
-				inBoundary = true
-				break
-			}
-		}
-		if hasGhost != inBoundary {
-			t.Fatalf("%s: local index %d hasGhost=%v but inBoundary=%v", label, u, hasGhost, inBoundary)
+		if hasGhost != inBoundary[u] {
+			t.Errorf("%s: local index %d hasGhost=%v but inBoundary=%v", label, u, hasGhost, inBoundary[u])
+			return
 		}
 	}
 }
 
 // TestClassificationPropertyRandomGraphs is the property test: for
 // random geometric graphs, every rank's interior ∪ boundary is exactly
-// its local index set — disjoint and complete — and stays so across
-// remaps to random capability vectors.
+// its local index set — disjoint and complete, each list in plan order
+// — and stays so across remaps to random capability vectors.
 func TestClassificationPropertyRandomGraphs(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := mesh.RandomGeometric(300+rng.Intn(200), 0.12, seed)
+		n, radius := 300+rng.Intn(200), 0.12
+		if seed == 4 {
+			// Large enough that every rank's interior list spans several
+			// plan windows.
+			n, radius = 2400, 0.035
+		}
+		g, err := mesh.RandomGeometric(n, radius, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

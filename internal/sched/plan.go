@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"stance/internal/comm"
 )
@@ -52,13 +53,13 @@ type Plan struct {
 	held    [][]byte
 
 	// interior/boundary split the local index set [0, NLocal) for the
-	// overlapped executor: interior elements reference no ghost value,
-	// so a kernel can compute them while Exchange messages are still in
-	// flight; boundary elements read at least one ghost and must wait
-	// for the exchange handle's Wait. Both are ascending; together they partition
-	// the local index set exactly. Populated by Classify (core calls it
-	// on every rebuild, so the split survives remaps and rebinds on the
-	// recompiled plan).
+	// executor: interior elements reference no ghost value, so a kernel
+	// can compute them while Exchange messages are still in flight;
+	// boundary elements read at least one ghost and must wait for the
+	// exchange handle's Wait. Together they partition the local index
+	// set exactly; each is in plan order (see Classify). Populated by
+	// Classify (core calls it on every rebuild, so the split survives
+	// remaps and rebinds on the recompiled plan).
 	interior, boundary []int32
 	classified         bool
 }
@@ -98,12 +99,28 @@ func Compile(s *Schedule) *Plan {
 	return p
 }
 
+// rowWindow is how many consecutive entries of an ascending row list
+// Classify groups by degree at a time. Chosen by measurement: on a
+// 45 000-row rank of the triangulated benchmark grid 256 sweeps as fast
+// as grouping the whole list, while keeping each group's rows within
+// 256 list positions of where ascending order had them — so any prefix
+// of a list carries its share of the adjacency entries to within one
+// window, which the solver's fractional work-factor pass relies on.
+const rowWindow = 256
+
 // Classify splits the local index set into interior and boundary
 // elements from the localized CSR (references >= NLocal index the
 // ghost section): a local element is boundary iff any of its
-// references is a ghost. The classification is what the split-phase
-// executor computes against — interior work overlaps in-flight
-// Exchange messages, boundary work runs after the handle's Wait.
+// references is a ghost. The classification is what the executor
+// computes against — interior work overlaps in-flight Exchange
+// messages, boundary work runs after the handle's Wait.
+//
+// Both lists come out in plan order: cut the ascending list into
+// windows of rowWindow entries; inside each window the rows are
+// grouped by degree, non-decreasing, and ascending within a degree. A
+// kernel handed consecutive rows of equal degree can run them in
+// lockstep, and its loop's exit branch repeats instead of following
+// the mesh's scattered degrees.
 func (p *Plan) Classify(xadj, adj []int32) error {
 	if len(xadj) != p.nlocal+1 {
 		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
@@ -124,8 +141,43 @@ func (p *Plan) Classify(xadj, adj []int32) error {
 			p.interior = append(p.interior, int32(u))
 		}
 	}
+	groupByDegree(p.interior, xadj)
+	groupByDegree(p.boundary, xadj)
 	p.classified = true
 	return nil
+}
+
+// groupByDegree puts an ascending row list into plan order, in place.
+// Each window is regrouped on the stack one degree at a time, smallest
+// first: a pass over the window keeps the rows of the current degree —
+// in the window's ascending order — and finds the next larger one (the
+// first pass only finds the smallest). A mesh has a handful of distinct
+// degrees, so a window costs a handful of passes. A pass stores every
+// row and advances only past the ones it keeps, so it has no branch
+// that follows the mesh's scattered degrees; the spare slot takes the
+// store that comes after the last row kept.
+func groupByDegree(rows, xadj []int32) {
+	var grouped [rowWindow + 1]int32
+	for len(rows) > 0 {
+		w := rows[:min(rowWindow, len(rows))]
+		kept := 0
+		for deg := int32(math.MinInt32); kept < len(w); {
+			next := int32(math.MaxInt32)
+			for _, u := range w {
+				d := xadj[u+1] - xadj[u]
+				grouped[kept] = u
+				if d == deg {
+					kept++
+				}
+				if d > deg {
+					next = min(next, d)
+				}
+			}
+			deg = next
+		}
+		copy(w, grouped[:kept])
+		rows = rows[len(w):]
+	}
 }
 
 // Classified reports whether Classify has populated the
@@ -133,11 +185,13 @@ func (p *Plan) Classify(xadj, adj []int32) error {
 func (p *Plan) Classified() bool { return p.classified }
 
 // Interior returns the local indices that reference no ghost value,
-// ascending. Not to be modified; empty until Classify runs.
+// in plan order (see Classify). Not to be modified; empty until
+// Classify runs.
 func (p *Plan) Interior() []int32 { return p.interior }
 
 // Boundary returns the local indices that reference at least one ghost
-// value, ascending. Not to be modified; empty until Classify runs.
+// value, in plan order (see Classify). Not to be modified; empty until
+// Classify runs.
 func (p *Plan) Boundary() []int32 { return p.boundary }
 
 // Rank returns the rank the plan was compiled for.

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -136,5 +138,89 @@ func TestPlanPendingAndHold(t *testing.T) {
 	}
 	if d := p.TakeHeld(0); d != nil {
 		t.Error("TakeHeld did not clear the slot")
+	}
+}
+
+// randomLocalCSR draws a localized CSR of nLocal rows whose references
+// reach into a ghost section of nGhost slots; about one row in five
+// references a ghost, and degree-0 rows occur.
+func randomLocalCSR(rng *rand.Rand, nLocal, nGhost int) (xadj, adj []int32) {
+	xadj = make([]int32, nLocal+1)
+	for u := 0; u < nLocal; u++ {
+		deg := rng.Intn(9)
+		ghostly := nGhost > 0 && rng.Intn(5) == 0
+		for k := 0; k < deg; k++ {
+			ref := rng.Intn(nLocal)
+			if ghostly && k == deg-1 {
+				ref = nLocal + rng.Intn(nGhost)
+			}
+			adj = append(adj, int32(ref))
+		}
+		xadj[u+1] = int32(len(adj))
+	}
+	return xadj, adj
+}
+
+// TestClassifyPlanOrder pins what Classify promises a kernel about the
+// two row lists: together they partition [0, NLocal) exactly, interior
+// rows reference no ghost and boundary rows at least one, and each list
+// is the ascending list regrouped window by window — every window holds
+// the same rows ascending order would put there, by non-decreasing
+// degree and ascending within a degree. Reclassifying a plan (what a
+// runtime does when the structure changes under the same layout) must
+// reuse the lists.
+func TestClassifyPlanOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, nLocal := range []int{0, 1, 3, rowWindow - 1, rowWindow, rowWindow + 1, 5*rowWindow + 17} {
+		const nGhost = 40
+		xadj, adj := randomLocalCSR(rng, nLocal, nGhost)
+		p := Compile(&Schedule{NProcs: 1, NLocal: nLocal, SendIdx: [][]int32{nil}, RecvSlot: [][]int32{nil}})
+		if err := p.Classify(xadj, adj); err != nil {
+			t.Fatal(err)
+		}
+		deg := func(u int32) int32 { return xadj[u+1] - xadj[u] }
+		seen := make([]bool, nLocal)
+		for li, rows := range [][]int32{p.Interior(), p.Boundary()} {
+			for _, u := range rows {
+				if seen[u] {
+					t.Fatalf("nLocal=%d: row %d listed twice", nLocal, u)
+				}
+				seen[u] = true
+				ghost := false
+				for _, ref := range adj[xadj[u]:xadj[u+1]] {
+					ghost = ghost || int(ref) >= nLocal
+				}
+				if ghost != (li == 1) {
+					t.Fatalf("nLocal=%d: row %d references a ghost: %v, but is in list %d", nLocal, u, ghost, li)
+				}
+			}
+			for lo := 0; lo < len(rows); lo += rowWindow {
+				w := rows[lo:min(lo+rowWindow, len(rows))]
+				for i := 1; i < len(w); i++ {
+					if a, b := w[i-1], w[i]; deg(a) > deg(b) || deg(a) == deg(b) && a >= b {
+						t.Fatalf("nLocal=%d list %d window %d: row %d (degree %d) precedes row %d (degree %d)",
+							nLocal, li, lo, a, deg(a), b, deg(b))
+					}
+				}
+				if lo > 0 && slices.Max(rows[lo-rowWindow:lo]) >= slices.Min(w) {
+					t.Fatalf("nLocal=%d list %d: window %d holds a row below one of the window before it", nLocal, li, lo)
+				}
+			}
+		}
+		for u, ok := range seen {
+			if !ok {
+				t.Fatalf("nLocal=%d: row %d in neither list", nLocal, u)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := p.Classify(xadj, adj); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("nLocal=%d: a second Classify allocates %v times, want 0", nLocal, allocs)
+		}
+	}
+	if err := Compile(planSchedule()).Classify(make([]int32, 3), nil); err == nil {
+		t.Error("Classify accepted a CSR of the wrong row count")
 	}
 }

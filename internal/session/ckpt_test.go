@@ -104,6 +104,7 @@ func TestKillRecoverBitExact(t *testing.T) {
 	if epoch, active := s.Membership(); epoch != 1 || len(active) != 3 {
 		t.Errorf("final membership epoch %d with %d active, want 1 with 3", epoch, len(active))
 	}
+	checkPlanSplit(t, s, "after recovery")
 
 	got, err := s.ResultByVertex()
 	if err != nil {

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -153,11 +154,15 @@ func TestDepthsBitExactAcrossRemap(t *testing.T) {
 	})
 }
 
-// checkPlanSplit asserts the interior/boundary partition invariant on
-// a session's active runtimes — the cross-world half of the
-// classification property test, exercised after elastic rebinds.
+// checkPlanSplit asserts the interior/boundary invariant on a session's
+// active runtimes — the cross-world half of core's classification
+// property test, exercised after elastic rebinds and recoveries: the
+// two lists partition the local index set, interior rows reference no
+// ghost, and each list is in plan order.
 func checkPlanSplit(t *testing.T, s *Session, label string) {
 	t.Helper()
+	// planWindow is sched's unexported rowWindow.
+	const planWindow = 256
 	_, active := s.Membership()
 	for _, r := range active {
 		rt := s.Runtime(r)
@@ -165,20 +170,47 @@ func checkPlanSplit(t *testing.T, s *Session, label string) {
 		if p == nil || !p.Classified() {
 			t.Fatalf("%s: rank %d has no classified plan", label, r)
 		}
+		nLocal := rt.LocalN()
+		xadj, adj := rt.LocalAdj()
 		interior, boundary := p.Interior(), p.Boundary()
-		if len(interior)+len(boundary) != rt.LocalN() {
+		if len(interior)+len(boundary) != nLocal {
 			t.Fatalf("%s: rank %d: |interior|=%d + |boundary|=%d != nLocal=%d",
-				label, r, len(interior), len(boundary), rt.LocalN())
+				label, r, len(interior), len(boundary), nLocal)
 		}
-		seen := make(map[int32]bool, rt.LocalN())
-		for _, u := range append(append([]int32(nil), interior...), boundary...) {
-			if u < 0 || int(u) >= rt.LocalN() {
-				t.Fatalf("%s: rank %d: index %d out of local range [0,%d)", label, r, u, rt.LocalN())
+		deg := func(u int32) int32 { return xadj[u+1] - xadj[u] }
+		seen := make(map[int32]bool, nLocal)
+		for _, rows := range [][]int32{interior, boundary} {
+			for _, u := range rows {
+				if u < 0 || int(u) >= nLocal {
+					t.Fatalf("%s: rank %d: index %d out of local range [0,%d)", label, r, u, nLocal)
+				}
+				if seen[u] {
+					t.Fatalf("%s: rank %d: index %d listed twice", label, r, u)
+				}
+				seen[u] = true
 			}
-			if seen[u] {
-				t.Fatalf("%s: rank %d: index %d in both interior and boundary", label, r, u)
+			// Plan order: the windows are those of the ascending list, and
+			// inside one degrees are non-decreasing, rows ascending within
+			// a degree.
+			for lo := 0; lo < len(rows); lo += planWindow {
+				w := rows[lo:min(lo+planWindow, len(rows))]
+				for i := 1; i < len(w); i++ {
+					if a, b := w[i-1], w[i]; deg(a) > deg(b) || deg(a) == deg(b) && a >= b {
+						t.Fatalf("%s: rank %d: window at %d: row %d (degree %d) precedes row %d (degree %d)",
+							label, r, lo, a, deg(a), b, deg(b))
+					}
+				}
+				if lo > 0 && slices.Max(rows[lo-planWindow:lo]) >= slices.Min(w) {
+					t.Fatalf("%s: rank %d: window at %d holds a row below one of the window before it", label, r, lo)
+				}
 			}
-			seen[u] = true
+		}
+		for _, u := range interior {
+			for _, ref := range adj[xadj[u]:xadj[u+1]] {
+				if int(ref) >= nLocal {
+					t.Fatalf("%s: rank %d: interior row %d references ghost %d", label, r, u, ref)
+				}
+			}
 		}
 	}
 }

@@ -239,3 +239,52 @@ func TestTCPRejectsSimClock(t *testing.T) {
 		t.Fatal("tcp transport accepted a simulated clock")
 	}
 }
+
+// TestVirtualReportIgnoresRowOrder pins an adaptive virtual-time run —
+// mixed-degree mesh, fractional work factors, balancer remaps — to the
+// report the runtime produced before the plan started ordering each
+// rank's rows for the kernel. The virtual compute charge is
+// cost × workRep × factor × rows and Items counts rows, so neither may
+// move with the order the rows are swept in, at any depth; the values
+// are the parent commit's, to the nanosecond.
+func TestVirtualReportIgnoresRowOrder(t *testing.T) {
+	g, err := mesh.GridTriangulated(60, 60, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRanks := []RankUsage{
+		{Compute: 112665000, Items: 21460},
+		{Compute: 92400000, Items: 30800},
+		{Compute: 97987500, Items: 27030},
+		{Compute: 80236200, Items: 64710},
+	}
+	for depth, wantWall := range []time.Duration{163136150, 162332900, 162332900} {
+		env := hetero.Uniform(4)
+		env.Speeds[3] = 3
+		env.Loads = []hetero.Load{{Rank: 0, Factor: 1.75}, {Rank: 2, Factor: 1.25, FromIter: 5}, {Rank: 3, Factor: 1.3, FromIter: 12}}
+		s, err := New(context.Background(), g, Config{
+			Procs: 4, OrderName: "rcb", Clock: vtime.NewSim(),
+			Model:       &comm.Model{Latency: 100 * time.Microsecond, Bandwidth: 1.25e6},
+			ComputeCost: time.Microsecond, WorkRep: 3, Pipeline: depth, CheckEvery: 10,
+			Env: env, Balancer: &loadbal.Config{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Run(40)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Wall != wantWall || len(rep.Remaps()) != 3 || rep.Msgs != 370 || rep.Bytes != 112752 {
+			t.Errorf("depth %d: wall %d ns, %d remaps, %d msgs, %d bytes; want %d, 3, 370, 112752",
+				depth, rep.Wall, len(rep.Remaps()), rep.Msgs, rep.Bytes, wantWall)
+		}
+		for r, want := range wantRanks {
+			if got := rep.Ranks[r]; got.Compute != want.Compute || got.Items != want.Items {
+				t.Errorf("depth %d rank %d: charged %d ns for %d items, want %d ns for %d",
+					depth, r, got.Compute, got.Items, want.Compute, want.Items)
+			}
+		}
+	}
+}

@@ -15,23 +15,55 @@ import (
 // kernels computing the same aggregate are interchangeable bit for
 // bit.
 type Kernel interface {
-	// Sweep computes tv[u] for every local element u in [lo, hi), in
-	// ascending order.
-	Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int)
-	// SweepIdx computes tv[u] for each u in idx, in idx order. This is
-	// the boundary split executor depths >= 1 run on: the solver sweeps
-	// the plan's interior elements while Exchange messages are in flight
-	// and the boundary elements after the handle's Wait.
+	// SweepIdx computes tv[u] for each u in idx and writes no other
+	// element of tv. The solver hands it the plan's interior list (while
+	// Exchange messages are in flight at depths >= 1) and boundary list
+	// (once every ghost has landed), or a prefix of one. The rows arrive
+	// in the plan's order — grouped by degree inside fixed windows, not
+	// ascending — hold no duplicates, and are independent: tv[u] may
+	// depend on data and the CSR only, never on the order of idx.
 	SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32)
 }
 
-// Figure8 is the paper's Figure 8 kernel — each element sums its
-// neighbors' values. It is the solver's default kernel.
-type Figure8 struct{}
+// sumRows writes tv[u] = Σ data[adj[k]] over row u's entries for each
+// listed row. It takes the rows four at a time: when the four have the
+// same degree — the plan's lists are grouped by degree, so almost
+// always — one inner loop feeds four independent accumulators, which
+// is four floating-point chains in flight instead of one and an exit
+// branch that repeats instead of guessing. Each accumulator still
+// starts from +0.0 and adds its row's neighbors in CSR order, so every
+// tv[u] is bit-identical to the plain row loop, which the mixed groups
+// and the tail fall back to.
+func sumRows(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
+	for ; len(idx) >= 4; idx = idx[4:] {
+		u0, u1, u2, u3 := idx[0], idx[1], idx[2], idx[3]
+		k0, k1, k2, k3 := xadj[u0], xadj[u1], xadj[u2], xadj[u3]
+		d := xadj[u0+1] - k0
+		if xadj[u1+1]-k1 != d || xadj[u2+1]-k2 != d || xadj[u3+1]-k3 != d {
+			sumRowsPlain(data, xadj, adj, tv, idx[:4])
+			continue
+		}
+		// Equal lengths let the compiler drop the bounds checks on the
+		// four reference slices.
+		r0 := adj[k0 : k0+d]
+		r1 := adj[k1 : k1+d][:len(r0)]
+		r2 := adj[k2 : k2+d][:len(r0)]
+		r3 := adj[k3 : k3+d][:len(r0)]
+		var s0, s1, s2, s3 float64
+		for k := range r0 {
+			s0 += data[r0[k]]
+			s1 += data[r1[k]]
+			s2 += data[r2[k]]
+			s3 += data[r3[k]]
+		}
+		tv[u0], tv[u1], tv[u2], tv[u3] = s0, s1, s2, s3
+	}
+	sumRowsPlain(data, xadj, adj, tv, idx)
+}
 
-// Sweep sums each element's neighbors over the contiguous range.
-func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
-	for u := lo; u < hi; u++ {
+// sumRowsPlain is sumRows one row at a time.
+func sumRowsPlain(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
+	for _, u := range idx {
 		sum := 0.0
 		for k := xadj[u]; k < xadj[u+1]; k++ {
 			sum += data[adj[k]]
@@ -40,9 +72,22 @@ func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int
 	}
 }
 
+// Figure8 is the paper's Figure 8 kernel — each element sums its
+// neighbors' values. It is the solver's default kernel.
+type Figure8 struct{}
+
 // SweepIdx sums each listed element's neighbors.
 func (Figure8) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
-	for _, u := range idx {
+	sumRows(data, xadj, adj, tv, idx)
+}
+
+// Sweep is the reference form of SweepIdx: the paper's loop over the
+// contiguous range [lo, hi), one row at a time. The solver does not
+// call it; it is the oracle the kernel tests compare SweepIdx against,
+// and the benchmark module compiles against this name and may not
+// change in the same PR as the code it measures.
+func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
+	for u := lo; u < hi; u++ {
 		sum := 0.0
 		for k := xadj[u]; k < xadj[u+1]; k++ {
 			sum += data[adj[k]]
@@ -60,23 +105,21 @@ func (Figure8) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []i
 // neighbor averaging.
 type CG struct{}
 
-// Sweep computes the degree-weighted aggregate over the contiguous
-// range.
-func (CG) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		sum := 0.0
-		for k := xadj[u]; k < xadj[u+1]; k++ {
-			sum += data[adj[k]]
-		}
+// SweepIdx computes the degree-weighted aggregate for each listed
+// element: the neighbor sums, then the diagonal term in a second pass
+// over the same rows.
+func (CG) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
+	sumRows(data, xadj, adj, tv, idx)
+	for _, u := range idx {
 		deg := float64(xadj[u+1] - xadj[u])
-		tv[u] = 0.5 * (deg*data[u] + sum)
+		tv[u] = 0.5 * (deg*data[u] + tv[u])
 	}
 }
 
-// SweepIdx computes the degree-weighted aggregate for each listed
-// element.
-func (CG) SweepIdx(data []float64, xadj, adj []int32, tv []float64, idx []int32) {
-	for _, u := range idx {
+// Sweep is the reference form of SweepIdx over the contiguous range
+// [lo, hi); see Figure8.Sweep.
+func (CG) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
+	for u := lo; u < hi; u++ {
 		sum := 0.0
 		for k := xadj[u]; k < xadj[u+1]; k++ {
 			sum += data[adj[k]]

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -65,7 +67,7 @@ func TestCGKernel(t *testing.T) {
 		0.5 * (2*4 + (1 + 3)),
 	}
 	tv := make([]float64, 4)
-	k.Sweep(data, xadj, adj, tv, 0, 4)
+	CG{}.Sweep(data, xadj, adj, tv, 0, 4)
 	for u := range want {
 		if tv[u] != want[u] {
 			t.Errorf("Sweep tv[%d] = %v, want %v", u, tv[u], want[u])
@@ -113,6 +115,236 @@ func TestSetPipelineValidation(t *testing.T) {
 		}
 		if n := s.Runtime().LiveOps(); n != 0 {
 			t.Fatalf("depth %d: %d live ops after Step", c.want, n)
+		}
+	}
+}
+
+// sweepCase is a localized CSR of len(xadj)-1 rows, a vector with its
+// ghost section, and a duplicate-free row list in arbitrary order.
+type sweepCase struct {
+	xadj, adj []int32
+	data      []float64
+	idx       []int32
+}
+
+// specials are the payloads floating-point shortcuts get wrong: a sum
+// must propagate them exactly as the one-row-at-a-time loop does.
+var specials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+	5e-324, -2.2250738585072009e-308, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// newSweepCase builds a case from per-row degrees: references fall
+// anywhere in the local or the ghost section, every fourth value or so
+// is a special, and the list is listLen rows drawn without repetition.
+func newSweepCase(rng *rand.Rand, degs []int, nGhost, listLen int) sweepCase {
+	nLocal := len(degs)
+	c := sweepCase{xadj: make([]int32, nLocal+1), data: make([]float64, nLocal+nGhost)}
+	for u, d := range degs {
+		for k := 0; k < d; k++ {
+			c.adj = append(c.adj, int32(rng.Intn(nLocal+nGhost)))
+		}
+		c.xadj[u+1] = int32(len(c.adj))
+	}
+	for i := range c.data {
+		c.data[i] = rng.NormFloat64() * 1e3
+		if rng.Intn(4) == 0 {
+			c.data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	for _, u := range rng.Perm(nLocal)[:min(listLen, nLocal)] {
+		c.idx = append(c.idx, int32(u))
+	}
+	return c
+}
+
+// sameBits compares two results bit for bit. Two NaNs compare equal
+// whatever their payloads: which operand's payload an addition of two
+// NaNs keeps is the instruction's operand order, the compiler's choice,
+// not the kernel's (CG's reference loop and SweepIdx do differ there).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// referenceKernel is a built-in kernel with its contiguous reference
+// loop beside the form the solver runs.
+type referenceKernel interface {
+	Kernel
+	Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int)
+}
+
+var builtinKernels = []struct {
+	name string
+	k    referenceKernel
+}{{"figure8", Figure8{}}, {"cg", CG{}}}
+
+// checkSweepIdx runs both built-in kernels over the case's list and
+// holds every listed row to the contiguous reference loop's bits and
+// every unlisted row of tv to the sentinel it held before.
+func checkSweepIdx(t *testing.T, c sweepCase) {
+	t.Helper()
+	nLocal := len(c.xadj) - 1
+	const sentinel = -12345.678
+	for _, k := range builtinKernels {
+		want := make([]float64, nLocal)
+		k.k.Sweep(c.data, c.xadj, c.adj, want, 0, nLocal)
+		got := make([]float64, nLocal)
+		for u := range got {
+			got[u] = sentinel
+		}
+		k.k.SweepIdx(c.data, c.xadj, c.adj, got, c.idx)
+		listed := make([]bool, nLocal)
+		for _, u := range c.idx {
+			listed[u] = true
+			if !sameBits(got[u], want[u]) {
+				t.Errorf("%s: row %d (degree %d) of list %v: SweepIdx gave %v (%#x), Sweep %v (%#x)",
+					k.name, u, c.xadj[u+1]-c.xadj[u], c.idx, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
+			}
+		}
+		for u, on := range listed {
+			if !on && got[u] != sentinel {
+				t.Errorf("%s: unlisted row %d of tv was written: %v", k.name, u, got[u])
+			}
+		}
+	}
+}
+
+// TestSweepIdxEqualsReference: the four-rows-at-a-time sweep equals the
+// reference loop bit for bit on equal-degree groups, mixed groups, the
+// tail, degree-0 rows and rows up to degree 40, for every list length
+// around the group size and with ghost references and special payloads
+// in play.
+func TestSweepIdxEqualsReference(t *testing.T) {
+	repeat := func(n int, degs ...int) []int {
+		var out []int
+		for len(out) < n {
+			out = append(out, degs...)
+		}
+		return out[:n]
+	}
+	for _, tc := range []struct {
+		name   string
+		degs   []int
+		nGhost int
+	}{
+		{"one degree", repeat(12, 5), 4},
+		{"degree zero only", repeat(12, 0), 0},
+		{"degree zero among others", repeat(12, 0, 3, 0, 0, 7), 3},
+		{"benchmark mesh degrees", repeat(16, 4, 8), 6},
+		{"every group mixed", repeat(12, 4, 4, 4, 5), 2},
+		{"degree forty", repeat(9, 40, 40, 40, 40, 1), 9},
+		{"no ghosts", repeat(10, 3), 0},
+		{"single row", []int{6}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for listLen := 0; listLen <= 9; listLen++ {
+				for seed := int64(1); seed <= 20; seed++ {
+					checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), tc.degs, tc.nGhost, listLen))
+				}
+			}
+		})
+	}
+}
+
+// FuzzSweepIdx holds SweepIdx to the reference loop on arbitrary
+// localized CSRs: degs gives each row's degree (mod 41), seed the
+// references, the payload and the list.
+func FuzzSweepIdx(f *testing.F) {
+	f.Add(int64(1), []byte{4, 8, 4, 8, 4, 8, 4, 8, 4}, uint8(3), uint8(9))
+	f.Add(int64(2), []byte{0, 0, 0, 0, 40, 40, 40, 40}, uint8(0), uint8(8))
+	f.Add(int64(3), []byte{1}, uint8(1), uint8(1))
+	f.Add(int64(4), []byte{7, 7, 7, 6, 7, 7, 7, 7, 2, 2}, uint8(5), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, degs []byte, nGhost, listLen uint8) {
+		if len(degs) == 0 || len(degs) > 64 {
+			t.Skip()
+		}
+		d := make([]int, len(degs))
+		for i, b := range degs {
+			d[i] = int(b) % 41
+		}
+		checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), d, int(nGhost%16), int(listLen)))
+	})
+}
+
+// rankShape is one rank's view of a benchmark workload: its localized
+// CSR, the plan's row lists and a data vector with the ghost section.
+type rankShape struct {
+	xadj, adj          []int32
+	interior, boundary []int32
+	data               []float64
+}
+
+// benchShape builds rank 0's shape of the benchmark's perturbed
+// triangulated side x side grid cut p ways under RCB — kernel-p2 is
+// (300, 2), scale-p64 is (150, 64).
+func benchShape(tb testing.TB, side, p int) rankShape {
+	tb.Helper()
+	g, err := mesh.GridTriangulated(side, side, 0.2, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ws, err := comm.NewWorld(p, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer comm.CloseWorld(ws)
+	var sh rankShape
+	err = comm.SPMD(ws, func(c *comm.Comm) error {
+		rt, err := core.New(c, g, core.Config{Order: order.RCB})
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		sh.xadj, sh.adj = rt.LocalAdj()
+		sh.interior, sh.boundary = rt.Plan().Interior(), rt.Plan().Boundary()
+		v := rt.NewVector()
+		v.SetByGlobal(func(g int64) float64 { return float64(g%97) + 1 })
+		sh.data = v.Data
+		for i := rt.LocalN(); i < len(sh.data); i++ {
+			sh.data[i] = float64(i%89) + 1
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sh
+}
+
+// BenchmarkKernel times one full sweep of a rank's rows by each
+// built-in kernel in its two forms — the contiguous reference loop and
+// SweepIdx over the plan's interior and boundary lists, which is what
+// the solver runs — and reports the cost per adjacency entry.
+func BenchmarkKernel(b *testing.B) {
+	shapes := []struct {
+		name    string
+		side, p int
+	}{{"kernel-p2", 300, 2}, {"scale-p64", 150, 64}}
+	// Built on first use, once: the timer restarts a sub-benchmark
+	// several times.
+	built := map[string]rankShape{}
+	for _, kern := range builtinKernels {
+		for _, form := range []string{"reference", "plan"} {
+			for _, shape := range shapes {
+				b.Run(kern.name+"/"+form+"/"+shape.name, func(b *testing.B) {
+					sh, ok := built[shape.name]
+					if !ok {
+						sh = benchShape(b, shape.side, shape.p)
+						built[shape.name] = sh
+					}
+					nLocal := len(sh.xadj) - 1
+					tv := make([]float64, nLocal)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if form == "reference" {
+							kern.k.Sweep(sh.data, sh.xadj, sh.adj, tv, 0, nLocal)
+						} else {
+							kern.k.SweepIdx(sh.data, sh.xadj, sh.adj, tv, sh.interior)
+							kern.k.SweepIdx(sh.data, sh.xadj, sh.adj, tv, sh.boundary)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sh.adj)), "ns/entry")
+				})
+			}
 		}
 	}
 }

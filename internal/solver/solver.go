@@ -117,17 +117,18 @@ func (s *Solver) Pipeline() int { return s.depth }
 // SetPipeline sets the executor depth: how far a field's ghost exchange
 // may run ahead of the sweep that consumes it. Depth 0 is the paper's
 // synchronous phase — block in Exchange, then sweep every local
-// element. Depth 1 posts every field's exchange at the top of the
-// iteration and sweeps the interior strip while the messages fly, then
-// drains the arrivals and sweeps the boundary strip. Depth 2
-// additionally re-posts a field's exchange the moment its divide
-// completes, so iteration k+1's messages fly while the remaining fields
-// still drain iteration k. The kernel's dependency chain (a field's
-// exchange needs its previous divide) bounds the useful depth at 2;
-// larger values behave like 2. Interior elements touch no ghost and
-// boundary sums run after every ghost has landed, so the result is
-// bit-for-bit the same at every depth; only the schedule of
-// communication against computation changes.
+// element (the plan's interior list, then its boundary list). Depth 1
+// posts every field's exchange at the top of the iteration and sweeps
+// the interior strip while the messages fly, then drains the arrivals
+// and sweeps the boundary strip. Depth 2 additionally re-posts a
+// field's exchange the moment its divide completes, so iteration k+1's
+// messages fly while the remaining fields still drain iteration k. The
+// kernel's dependency chain (a field's exchange needs its previous
+// divide) bounds the useful depth at 2; larger values behave like 2.
+// Interior elements touch no ghost and boundary sums run after every
+// ghost has landed, so the result is bit-for-bit the same at every
+// depth; only the schedule of communication against computation
+// changes.
 func (s *Solver) SetPipeline(depth int) error {
 	if depth < 0 {
 		return fmt.Errorf("solver: negative pipeline depth %d", depth)
@@ -238,7 +239,8 @@ func (s *Solver) Step() error { return s.Run(1, nil) }
 type strip int
 
 const (
-	// whole is every local element as one contiguous range.
+	// whole is every local element: the plan's interior list, then its
+	// boundary list.
 	whole strip = iota
 	// interior is the plan's elements that reference no ghost.
 	interior
@@ -249,33 +251,39 @@ const (
 
 // sweep computes one strip of a field's neighbor sums and accounts for
 // its compute time; the strip that completes the sums (every one but
-// interior) also runs the divide. The kernel body is repeated workRep ×
-// WorkFactor(rank, iter) times; repeats recompute identical values, so
-// the numerical result is independent of the environment — only the
-// time changes, exactly like a slower workstation. With a virtual
-// compute cost the data is swept once and the same amplification is
-// charged to the clock with a single Sleep instead; between an
-// exchange's Start and Wait that sleep is when the in-flight deliveries
-// land, so it hides the message flight like real interior compute does.
+// interior) also runs the divide. The kernel always runs over the
+// plan's row lists, so it sees the same rows in the same order at every
+// depth. The kernel body is repeated workRep × WorkFactor(rank, iter)
+// times; repeats recompute identical values, so the numerical result is
+// independent of the environment — only the time changes, exactly like
+// a slower workstation. A fractional repeat sweeps that share of each
+// list's rows from its front: the plan groups rows by degree only
+// inside fixed windows, so a prefix holds its share of the adjacency
+// entries too. With a virtual compute cost the data is swept once and
+// the same amplification is charged to the clock with a single Sleep
+// instead; between an exchange's Start and Wait that sleep is when the
+// in-flight deliveries land, so it hides the message flight like real
+// interior compute does.
 func (s *Solver) sweep(data []float64, part strip) {
 	nLocal := s.rt.LocalN()
 	tv := s.scratch(nLocal)
 	xadj, adj := s.rt.LocalAdj()
-	var idx []int32
-	n := nLocal
+	plan := s.rt.Plan()
+	var lists [2][]int32
 	switch part {
+	case whole:
+		lists[0], lists[1] = plan.Interior(), plan.Boundary()
 	case interior:
-		idx = s.rt.Plan().Interior()
-		n = len(idx)
+		lists[0] = plan.Interior()
 	case boundary:
-		idx = s.rt.Plan().Boundary()
-		n = len(idx)
+		lists[0] = plan.Boundary()
 	}
-	pass := func(limit int) {
-		if part == whole {
-			s.kern.Sweep(data, xadj, adj, tv, 0, limit)
-		} else {
-			s.kern.SweepIdx(data, xadj, adj, tv, idx[:limit])
+	n := len(lists[0]) + len(lists[1])
+	pass := func(share float64) {
+		for _, idx := range lists {
+			if len(idx) > 0 {
+				s.kern.SweepIdx(data, xadj, adj, tv, idx[:int(share*float64(len(idx)))])
+			}
 		}
 	}
 	factor := 1.0
@@ -292,12 +300,12 @@ func (s *Solver) sweep(data []float64, part strip) {
 		r := float64(s.workRep) * factor
 		full := int(r)
 		for rep := 0; rep < full; rep++ {
-			pass(n)
+			pass(1)
 		}
-		pass(int((r - float64(full)) * float64(n)))
+		pass(r - float64(full))
 	}
 	// One guaranteed full pass so results never depend on the factor.
-	pass(n)
+	pass(1)
 	if part != interior {
 		s.divide(data, xadj, tv, nLocal)
 	}
@@ -427,8 +435,8 @@ func (s *Solver) post(f int) error {
 	return nil
 }
 
-// SequentialReference runs the same kernel single-rank and returns the
-// gathered result; see core's tests for the bit-exactness argument.
+// GatherResult assembles the solution vector (field 0) on root in
+// transformed-global order. Collective.
 func (s *Solver) GatherResult(root int) ([]float64, error) {
 	return s.rt.GatherGlobal(root, s.y)
 }

@@ -334,7 +334,9 @@ func WithFields(n int) Option {
 }
 
 // WithKernel replaces the solver's compute body (the built-in Figure8
-// kernel by default).
+// kernel by default). A kernel is one method, SweepIdx; its rows arrive
+// in the plan's order, not ascending, and each row's result must not
+// depend on that order.
 func WithKernel(k Kernel) Option {
 	return func(c *session.Config) { c.Kernel = k }
 }

@@ -91,7 +91,9 @@ type (
 	Solver = solver.Solver
 	// Timings are the solver's accumulated per-rank measurements.
 	Timings = solver.Timings
-	// Kernel is the solver's per-iteration compute body.
+	// Kernel is the solver's per-iteration compute body: one method,
+	// SweepIdx, handed the plan's row lists. Rows arrive in the plan's
+	// order — grouped by degree, not ascending — and are independent.
 	Kernel = solver.Kernel
 	// OpHandle is one in-flight split-phase executor operation; Start
 	// calls on the Runtime return one and its Wait completes the op.
