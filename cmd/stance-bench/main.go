@@ -15,22 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"time"
 
 	"stance/internal/bench"
 	"stance/internal/comm"
 )
-
-// checkScale rejects a network-model scale comm.Ethernet would panic on:
-// anything but a finite positive number.
-func checkScale(name string, v float64) error {
-	if !(v > 0) || math.IsInf(v, 1) {
-		return fmt.Errorf("%s must be a finite positive number, got %g", name, v)
-	}
-	return nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -50,8 +40,8 @@ func main() {
 	compress := flag.String("compress", "", "tcp per-batch compression codec: none, flate or gzip")
 	flag.Parse()
 
-	if err := checkScale("-netscale", *netScale); err != nil {
-		log.Fatal(err)
+	if err := comm.CheckEthernetScale(*netScale); err != nil {
+		log.Fatalf("-netscale: %v", err)
 	}
 	opts := bench.Options{
 		Quick: *quick, NetScale: *netScale, Seed: *seed,

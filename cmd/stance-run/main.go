@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -102,15 +101,6 @@ func (l *loadFlags) Set(s string) error {
 	return nil
 }
 
-// checkScale rejects a network-model scale comm.Ethernet would panic on:
-// anything but a finite positive number.
-func checkScale(name string, v float64) error {
-	if !(v > 0) || math.IsInf(v, 1) {
-		return fmt.Errorf("%s must be a finite positive number, got %g", name, v)
-	}
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stance-run: ")
@@ -168,15 +158,15 @@ func main() {
 	if *groups == 0 && explicitFlags["interscale"] {
 		log.Fatalf("-interscale only applies with -groups")
 	}
-	if err := checkScale("-netscale", *netScale); err != nil {
-		log.Fatal(err)
+	if err := comm.CheckEthernetScale(*netScale); err != nil {
+		log.Fatalf("-netscale: %v", err)
 	}
 	if *groups > 0 {
-		if err := checkScale("-interscale", *interScale); err != nil {
-			log.Fatal(err)
+		if err := comm.CheckEthernetScale(*interScale); err != nil {
+			log.Fatalf("-interscale: %v", err)
 		}
-		if err := checkScale("-netscale times -interscale", *netScale**interScale); err != nil {
-			log.Fatal(err)
+		if err := comm.CheckEthernetScale(*netScale * *interScale); err != nil {
+			log.Fatalf("-netscale times -interscale: %v", err)
 		}
 	}
 

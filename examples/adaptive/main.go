@@ -63,6 +63,9 @@ func main() {
 	netScale := flag.Float64("netscale", 1, "Ethernet model scale")
 	small := flag.Bool("small", true, "use a small mesh (disable for paper scale)")
 	flag.Parse()
+	if err := stance.CheckEthernetScale(*netScale); err != nil {
+		log.Fatalf("-netscale: %v", err)
+	}
 
 	var g *stance.Graph
 	var err error

@@ -36,6 +36,9 @@ func main() {
 	small := flag.Bool("small", false, "use a small mesh instead of the paper-scale one")
 	pipeline := flag.Int("pipeline", 1, "executor depth (0 = the paper's synchronous phase, 1 = exchange in flight behind the interior sweep)")
 	flag.Parse()
+	if err := stance.CheckEthernetScale(*netScale); err != nil {
+		log.Fatalf("-netscale: %v", err)
+	}
 
 	var g *stance.Graph
 	var err error

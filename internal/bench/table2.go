@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -58,13 +59,13 @@ func MeasureRemap(size int64, p, samples int, withMCR bool, netScale float64, se
 // time (barrier to barrier).
 func runRedistribution(old, newLayout *partition.Layout, netScale float64) (time.Duration, error) {
 	p := old.P()
-	ws, err := comm.NewWorld(p, comm.Ethernet(netScale))
+	w, err := comm.Open("inproc", p, comm.TransportOptions{Model: comm.Ethernet(netScale)})
 	if err != nil {
 		return 0, err
 	}
-	defer comm.CloseWorld(ws)
+	defer w.Close()
 	var elapsed time.Duration
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err = w.SPMD(context.Background(), func(c *comm.Comm) error {
 		rank := c.Rank()
 		data := make([]float64, old.Size(rank))
 		for i := range data {

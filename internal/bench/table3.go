@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -86,17 +87,17 @@ func MeasureScheduleBuild(g *graph.Graph, p int, strategy string, netScale float
 		}
 		return maxRank, nil
 	case "simple":
-		ws, err := comm.NewWorld(p, comm.Ethernet(netScale))
+		w, err := comm.Open("inproc", p, comm.TransportOptions{Model: comm.Ethernet(netScale)})
 		if err != nil {
 			return 0, err
 		}
-		defer comm.CloseWorld(ws)
+		defer w.Close()
 		allRefs := make([]sched.Refs, p)
 		for rank := 0; rank < p; rank++ {
 			allRefs[rank] = refsFor(g, layout, rank)
 		}
 		var elapsed time.Duration
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err = w.SPMD(context.Background(), func(c *comm.Comm) error {
 			if err := c.Barrier(0x311); err != nil {
 				return err
 			}

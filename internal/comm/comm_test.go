@@ -278,6 +278,37 @@ func TestModelCost(t *testing.T) {
 	}
 }
 
+// TestCheckEthernetScale: every scale Ethernet would panic on is an
+// error from the validator the CLIs and examples call first, and
+// Ethernet's panic is that error — the rule is written once.
+func TestCheckEthernetScale(t *testing.T) {
+	for _, c := range []struct {
+		v  float64
+		ok bool
+	}{
+		{0, false},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{1e-4, true},
+		{1, true},
+	} {
+		err := CheckEthernetScale(c.v)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckEthernetScale(%g) = %v, want ok=%v", c.v, err, c.ok)
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok || (err != nil && r != "comm: "+err.Error()) {
+					t.Errorf("Ethernet(%g) panicked with %v, validator said %v", c.v, r, err)
+				}
+			}()
+			Ethernet(c.v)
+		}()
+	}
+}
+
 // Ethernet used to silently default a non-positive scale to 1, so a
 // miscomputed scale (0, a negated value, NaN from 0/0) produced a
 // model the caller never asked for — or, for NaN and +Inf, a garbage

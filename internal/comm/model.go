@@ -101,17 +101,29 @@ func (m *Model) charge(clock vtime.Clock, n int) {
 	}
 }
 
+// CheckEthernetScale reports whether Ethernet accepts scale: anything
+// but a finite positive number is an error. It is the one statement of
+// the rule, for callers whose scale comes from outside the program (a
+// command-line flag) and must yield an error, not Ethernet's panic.
+func CheckEthernetScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("Ethernet scale must be a finite positive number, got %g", scale)
+	}
+	return nil
+}
+
 // Ethernet returns a model of the paper's interconnect: 10 Mbit/s
 // shared Ethernet with ~1 ms message setup and hardware multicast.
 // Scale multiplies both latency and transfer time (scale < 1 speeds
 // the network up, handy for quick benchmark runs). Scale must be a
-// finite positive number: dividing by zero, a negative value, NaN or
-// an infinity would silently produce a meaningless bandwidth, so an
-// invalid scale panics — a configuration bug, caught loudly at the
-// construction site like a bad regexp in MustCompile.
+// finite positive number (CheckEthernetScale): dividing by zero, a
+// negative value, NaN or an infinity would silently produce a
+// meaningless bandwidth, so an invalid scale panics — a configuration
+// bug, caught loudly at the construction site like a bad regexp in
+// MustCompile. Programs that take the scale from a user check it first.
 func Ethernet(scale float64) *Model {
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		panic(fmt.Sprintf("comm: Ethernet scale must be a finite positive number, got %g", scale))
+	if err := CheckEthernetScale(scale); err != nil {
+		panic("comm: " + err.Error())
 	}
 	return &Model{
 		Latency:   time.Duration(float64(time.Millisecond) * scale),

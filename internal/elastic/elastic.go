@@ -310,22 +310,22 @@ func (ct *Controller) ReleaseParked(skip []int) error {
 	if ct.c.Rank() != 0 {
 		return fmt.Errorf("elastic: ReleaseParked on rank %d", ct.c.Rank())
 	}
-	cur := ct.Membership()
-	payload := encodeOp(opRunEnd)
+	// Who is parked is decided under the lock, without copying the
+	// active set: on a fixed-membership world nobody ever is, and the
+	// call then costs no allocation and no message.
+	var parked []int
+	ct.mu.Lock()
 	for r := 0; r < ct.c.Size(); r++ {
-		if cur.Contains(r) {
-			continue
+		if !ct.cur.Contains(r) && !containsInt(skip, r) {
+			parked = append(parked, r)
 		}
-		dead := false
-		for _, d := range skip {
-			if d == r {
-				dead = true
-				break
-			}
-		}
-		if dead {
-			continue
-		}
+	}
+	ct.mu.Unlock()
+	if len(parked) == 0 {
+		return nil
+	}
+	payload := encodeOp(opRunEnd)
+	for _, r := range parked {
 		if err := ct.c.Send(r, tagCtl, payload); err != nil {
 			return err
 		}
@@ -423,20 +423,22 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// diffInts returns the elements of a not present in b (both ascending).
+// diffInts returns the elements of a not present in b.
 func diffInts(a, b []int) []int {
 	var out []int
 	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if y == x {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !containsInt(b, x) {
 			out = append(out, x)
 		}
 	}
 	return out
+}
+
+func containsInt(list []int, x int) bool {
+	for _, y := range list {
+		if y == x {
+			return true
+		}
+	}
+	return false
 }

@@ -10,7 +10,7 @@ import (
 	"stance/internal/elastic"
 )
 
-// Crash-stop fault tolerance (internal/ckpt wired into the elastic
+// Crash-stop fault tolerance (internal/ckpt wired into the session
 // driver). With Config.Checkpoint set, every check boundary and every
 // Run start is a checkpoint gate: active members heartbeat the
 // coordinator, which collects them under a receive deadline and
@@ -66,10 +66,14 @@ func (s *Session) ckptTake(me, iter int) error {
 }
 
 // ckptGate runs one rank's side of a checkpoint gate at iteration
-// iter. The caller must have drained the pipeline and recorded the
+// iter; without Config.Checkpoint there is no gate and every rank is
+// alive. The caller must have drained the pipeline and recorded the
 // solver's timings first (a dying rank's last segment must still be
 // accounted).
 func (s *Session) ckptGate(c *comm.Comm, rep *RunReport, iter int) (gateResult, error) {
+	if !s.ckptOn() {
+		return gateAlive, nil
+	}
 	me := c.Rank()
 	ck := s.cks[me]
 	for _, k := range s.cfg.Checkpoint.Kills {
@@ -238,16 +242,8 @@ func (s *Session) recover(c *comm.Comm, rep *RunReport, p *ckpt.Plan, detect tim
 		restored = p.New.N() * int64(rk.sol.Fields()) * 8
 	}
 	s.ctls[me].Force(elastic.Membership{Epoch: epoch, Active: p.NewActive})
-	if s.cfg.Balancer != nil {
-		// A recovery is a forced remap: measurement history from the
-		// old world would poison the estimator.
-		if rk.bal == nil {
-			if rk.bal, err = s.newBalancer(rk.rt); err != nil {
-				return err
-			}
-		} else {
-			rk.bal.Reset()
-		}
+	if err := s.armBalancer(rk); err != nil {
+		return err
 	}
 	if err := s.ckptTake(me, rk.sol.Iter()); err != nil {
 		return err

@@ -13,6 +13,14 @@
 // set, data migrates onto the survivors, and parked ranks block
 // cheaply until re-admitted.
 //
+// There is one driver. Every session gives every rank a membership
+// controller and runs the same loop; at a check boundary the steps are
+// always gate → verdict → check → take, each switched on by its own
+// configuration (Checkpoint, Elastic or outages, Balancer, Checkpoint).
+// A fixed-membership session is the same loop with the verdict off:
+// every rank stays active, the runtimes bind on the world endpoints
+// themselves, and a boundary without a balancer sends nothing.
+//
 // The facade package re-exports this as stance.NewSession with
 // functional options; internal callers (the bench harness) use the
 // Config struct directly.
@@ -140,7 +148,13 @@ type Config struct {
 	// enables elastic membership.
 	Outages []hetero.Outage
 	// Elastic enables the membership protocol even without outages, so
-	// Session.Resize can shrink and grow the active set explicitly.
+	// Session.Resize can shrink and grow the active set explicitly. It
+	// is the only thing that buys Resize, and it is not free: the
+	// runtimes bind on a sub-world of the active set (rank translation
+	// on every message), and every check boundary carries the
+	// coordinator's verdict — one multicast and Procs+1 small
+	// allocations — whether or not membership changes. Leave it off for
+	// a run whose ranks never come or go.
 	Elastic bool
 	// WorkRep is the kernel work amplification per element (values < 1
 	// are treated as 1).
@@ -216,22 +230,20 @@ type Session struct {
 	// closes); an adopted Config.World stays open after Close.
 	ownWorld bool
 	ranks    []*rankState
-	// elastic marks a session running the membership protocol; ctls
-	// and subs are per-world-rank: the rank's protocol controller and
-	// its endpoint in the current active sub-world (nil while parked).
+	// elastic marks a session whose membership can change (Config.Elastic,
+	// availability outages or checkpoints). ctls and subs are per-world-
+	// rank and every session has them: the rank's membership controller
+	// and its endpoint in the world its runtime is bound on — the world
+	// endpoint itself on a fixed session, the rank's endpoint in the
+	// current active sub-world on an elastic one (nil while parked).
 	elastic bool
 	ctls    []*elastic.Controller
 	subs    []*comm.Comm
-	// pendingCheck records that the previous Run ended on a check
-	// boundary whose check was skipped (a remap there could not pay
-	// off within that Run); the next Run performs it first, so a
-	// session driven by repeated short Runs still balances.
-	pendingCheck bool
-	// pendingBoundary is the elastic counterpart: the previous Run
-	// ended on a membership boundary whose verdict was skipped, so the
-	// next Run opens with it — a session driven by repeated short Runs
-	// tracks availability at the same iterations a single long Run
-	// would.
+	// pendingBoundary records that the previous Run ended on a check
+	// boundary, which was skipped (a remap there could not pay off
+	// within that Run); the next Run opens with it, so a session driven
+	// by repeated short Runs balances and tracks availability at the
+	// same iterations a single long Run would.
 	pendingBoundary bool
 	// broken marks a session whose Run failed partway: ranks may have
 	// stopped at different iterations, so any further collective would
@@ -397,17 +409,13 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 		ownWorld: ownWorld,
 		ranks:    make([]*rankState, cfg.Procs),
 		elastic:  cfg.Elastic || (cfg.Env != nil && cfg.Env.Elastic()) || cfg.Checkpoint != nil,
+		ctls:     make([]*elastic.Controller, cfg.Procs),
+		subs:     make([]*comm.Comm, cfg.Procs),
 	}
 	if cfg.Checkpoint != nil {
 		s.cks = make([]*ckpt.Store, cfg.Procs)
 		s.killed = make([]bool, cfg.Procs)
 		s.aliveVerdict = ckpt.EncodeAlive()
-	}
-	build := s.buildFixedRank
-	if s.elastic {
-		s.ctls = make([]*elastic.Controller, cfg.Procs)
-		s.subs = make([]*comm.Comm, cfg.Procs)
-		build = s.buildElasticRank
 	}
 	// Phase A runs once, here, and every rank shares its result
 	// read-only. The session itself keeps no reference: the ranks'
@@ -424,7 +432,7 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	}
 	var err error
 	if cc.Transform, err = core.NewTransform(g, cc); err == nil {
-		err = world.SPMD(ctx, func(c *comm.Comm) error { return build(c, cc) })
+		err = world.SPMD(ctx, func(c *comm.Comm) error { return s.buildRank(c, cc) })
 	}
 	if err != nil {
 		if ownWorld {
@@ -435,32 +443,14 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// buildFixedRank constructs one rank's stack for a fixed-membership
-// session: runtime, solver, balancer, all on the full world.
-func (s *Session) buildFixedRank(c *comm.Comm, cc core.Config) error {
-	rt, err := core.New(c, s.g, cc)
-	if err != nil {
-		return err
-	}
-	sol, err := s.newSolver(rt)
-	if err != nil {
-		return err
-	}
-	st := &rankState{rt: rt, sol: sol}
-	if s.cfg.Balancer != nil {
-		if st.bal, err = s.newBalancer(rt); err != nil {
-			return err
-		}
-	}
-	s.ranks[c.Rank()] = st
-	return nil
-}
-
-// buildElasticRank constructs one rank's stack for an elastic session:
-// every rank of the full world holds the locality transform (so parked
-// ranks can be admitted later), but only the initial active set binds
-// runtimes — onto a sub-world — and everyone else parks.
-func (s *Session) buildElasticRank(c *comm.Comm, cc core.Config) error {
+// buildRank constructs one rank's stack: every rank of the world holds
+// a membership controller and the locality transform (so a parked rank
+// can be admitted later), but only the initial active set binds
+// runtimes and everyone else parks. A fixed session's active set is
+// the whole world and never changes, so it binds on the world endpoint
+// itself — no sub-world, no rank translation on the hot path; an
+// elastic one binds on the sub-world of its active set.
+func (s *Session) buildRank(c *comm.Comm, cc core.Config) error {
 	active := s.initialActive()
 	ctl, err := elastic.NewController(c, active)
 	if err != nil {
@@ -479,9 +469,11 @@ func (s *Session) buildElasticRank(c *comm.Comm, cc core.Config) error {
 		return err
 	}
 	if ctl.ActiveHere() {
-		sub, err := c.Sub(active)
-		if err != nil {
-			return err
+		sub := c
+		if s.elastic {
+			if sub, err = c.Sub(active); err != nil {
+				return err
+			}
 		}
 		layout, err := rt.CutLayout(s.activeWeights(active))
 		if err != nil {
@@ -497,8 +489,8 @@ func (s *Session) buildElasticRank(c *comm.Comm, cc core.Config) error {
 		return err
 	}
 	st := &rankState{rt: rt, sol: sol}
-	if s.cfg.Balancer != nil && ctl.ActiveHere() {
-		if st.bal, err = s.newBalancer(rt); err != nil {
+	if ctl.ActiveHere() {
+		if err := s.armBalancer(st); err != nil {
 			return err
 		}
 	}
@@ -573,6 +565,23 @@ func (s *Session) newBalancer(rt *core.Runtime) (*loadbal.Balancer, error) {
 	}
 	bc.Estimator = bc.Estimator.Clone()
 	return loadbal.New(rt, bc)
+}
+
+// armBalancer leaves an active rank with a balancer that has no
+// measurement history (a no-op without Config.Balancer): a fresh one at
+// construction and on admission, a Reset after a membership transition
+// or a recovery — both are forced re-cuts, and history measured on the
+// old world would poison the estimator.
+func (s *Session) armBalancer(rk *rankState) (err error) {
+	if s.cfg.Balancer == nil {
+		return nil
+	}
+	if rk.bal == nil {
+		rk.bal, err = s.newBalancer(rk.rt)
+		return err
+	}
+	rk.bal.Reset()
+	return nil
 }
 
 // RankUsage is one rank's accumulated measurements over a Run: the
@@ -719,19 +728,12 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 	}
 	// The solvers' own counters are the source of truth for the global
 	// iteration count (they advance even on a Run that errors partway).
-	first := s.Iter()
-	last := first + iters
-	pending := s.pendingCheck
-	pendingB := s.pendingBoundary
-	s.pendingCheck, s.pendingBoundary = false, false
+	last := s.Iter() + iters
+	pending := s.pendingBoundary
+	s.pendingBoundary = false
 	var wall time.Duration
 	err := s.world.SPMD(s.ctx, func(c *comm.Comm) error {
-		var err error
-		if s.elastic {
-			err = s.runElastic(c, rep, last, pending, pendingB, &wall)
-		} else {
-			err = s.runFixed(c, rep, first, last, pending, &wall)
-		}
+		err := s.run(c, rep, last, pending, &wall)
 		if err != nil && s.ckptOn() && errors.Is(err, comm.ErrKilled) {
 			// The rank's transport endpoint was crash-injected
 			// (comm.KillEndpoint): a crash-stop death, not a program
@@ -747,8 +749,7 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 		s.broken = true
 		return nil, err
 	}
-	s.pendingCheck = s.ranks[0].bal != nil && last%s.cfg.CheckEvery == 0
-	s.pendingBoundary = s.elastic && last%s.cfg.CheckEvery == 0
+	s.pendingBoundary = last%s.cfg.CheckEvery == 0
 	rep.Wall = wall
 	msgs1, bytes1 := s.world.Stats()
 	rep.Msgs, rep.Bytes = msgs1-msgs0, bytes1-bytes0
@@ -785,69 +786,12 @@ func (s *Session) check(me int, rep *RunReport, iter int, tm solver.Timings) err
 	return nil
 }
 
-// runFixed is one rank's Run body on a fixed-membership session.
-func (s *Session) runFixed(c *comm.Comm, rep *RunReport, first, last int, pending bool, wall *time.Duration) error {
-	me := c.Rank()
-	rk := s.ranks[me]
-	usage := &rep.Ranks[me]
-	if err := c.Barrier(tagRunStart); err != nil {
-		return err
-	}
-	start := s.clock.Now()
-	if pending && rk.bal != nil {
-		if err := s.check(me, rep, first, rk.window); err != nil {
-			return err
-		}
-	}
-	// Iterate in segments between check boundaries, mirroring the
-	// elastic path: a check may Remap, and the pipelined solver keeps op
-	// handles in flight inside a Run call, so layout changes must fall
-	// between Run calls (every Run returns with the pipeline drained).
-	// The per-iteration callback only polls cancellation: a rank that
-	// never blocks (a one-rank world has no ghosts) must still notice
-	// it.
-	for iter := first; iter < last; {
-		next := iter + s.cfg.CheckEvery - iter%s.cfg.CheckEvery
-		if next > last {
-			next = last
-		}
-		if err := rk.sol.Run(next-iter, func(int) error { return s.ctx.Err() }); err != nil {
-			return err
-		}
-		iter = next
-		if rk.bal == nil || iter == last {
-			// A check on the final iteration is deferred to the next Run
-			// (its remap could not pay off within this one).
-			continue
-		}
-		tm := rk.sol.TakeTimings()
-		usage.Add(tm)
-		rk.window = tm
-		if err := s.check(me, rep, iter, tm); err != nil {
-			return err
-		}
-	}
-	if err := c.Barrier(tagRunEnd); err != nil {
-		return err
-	}
-	if me == 0 {
-		*wall = s.clock.Now().Sub(start)
-	}
-	tm := rk.sol.TakeTimings()
-	usage.Add(tm)
-	rk.window = tm
-	return nil
-}
-
-// runElastic is one rank's Run body on an elastic session. Active
-// ranks iterate in segments between check boundaries; at each interior
-// boundary the coordinator's membership verdict arrives first (a
-// transition forces a fresh cut and resets the balancer, so the
-// regular balance check is skipped at that boundary), then the regular
-// check runs. Parked ranks block in Park until admitted or the run
-// ends; retiring ranks migrate their data away and join the parked
-// set.
-func (s *Session) runElastic(c *comm.Comm, rep *RunReport, last int, pending, pendingB bool, wall *time.Duration) error {
+// run is one rank's Run body. Active ranks iterate in segments between
+// check boundaries; parked ranks block in Park until admitted or the
+// run ends; retiring ranks migrate their data away and join the parked
+// set. A fixed-membership session is the case where every rank is
+// active throughout, so Park is never reached and nobody is released.
+func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall *time.Duration) error {
 	me := c.Rank()
 	rk := s.ranks[me]
 	ctl := s.ctls[me]
@@ -865,58 +809,27 @@ func (s *Session) runElastic(c *comm.Comm, rep *RunReport, last int, pending, pe
 		// The Run start is a checkpoint gate: ranks that died at the
 		// end of the previous Run (or whose kill names iteration 0)
 		// are detected before any survivor blocks in a barrier with
-		// them. A recovery here voids the deferred boundary and check:
-		// it re-cut, rolled back and re-checkpointed already.
-		transitioned := false
-		if s.ckptOn() {
-			res, err := s.ckptGate(c, rep, rk.sol.Iter())
-			if err != nil {
-				return err
-			}
-			switch res {
-			case gateDied:
-				return nil
-			case gateRecovered:
-				transitioned = true
-				pendingB, pending = false, false
-			}
+		// them.
+		res, err := s.ckptGate(c, rep, rk.sol.Iter())
+		if err != nil {
+			return err
+		}
+		if res == gateDied {
+			return nil
 		}
 		if err := s.subs[me].Barrier(tagRunStart); err != nil {
 			return err
 		}
 		start = s.clock.Now()
 		// A boundary that fell on the previous Run's final iteration
-		// was deferred; perform it now, in boundary order: membership
-		// verdict first, then the deferred balance check unless a
-		// transition already forced a fresh cut. A rank retired here
-		// parks at the top of the loop; an admitted rank wakes inside
-		// its Park call below.
-		if pendingB {
-			iter := rk.sol.Iter()
-			prop, err := ctl.Boundary(iter, rk.rt.Layout(), s.desiredFn(ctl, iter), s.cutFn(rk))
-			if err != nil {
-				return err
-			}
-			if prop != nil {
-				if err := s.commit(me, rep, prop, s.subs[me]); err != nil {
-					return err
-				}
-				pending = false
-				transitioned = true
-			}
-		}
-		if pending && rk.bal != nil {
-			if err := s.check(me, rep, rk.sol.Iter(), rk.window); err != nil {
-				return err
-			}
-		}
-		// Checkpoint under the Run-start layout and membership. After
-		// a transition or recovery the commit/recovery itself took
-		// one, collectively with any admitted ranks, so taking again
-		// here would misalign the buddy ring. A retired rank is no
-		// longer active and parks at the top of the loop instead.
-		if s.ckptOn() && !transitioned && ctl.ActiveHere() {
-			if err := s.ckptTake(me, rk.sol.Iter()); err != nil {
+		// was deferred; perform it now, on the window that Run left.
+		// With nothing deferred only the checkpoint is taken, under the
+		// Run-start layout and membership. A recovery voids both: it
+		// re-cut, rolled back and re-checkpointed already. A rank
+		// retired here parks at the top of the loop; an admitted rank
+		// wakes inside its Park call below.
+		if res == gateAlive {
+			if err := s.boundary(me, rep, rk.sol.Iter(), rk.window, pending); err != nil {
 				return err
 			}
 		}
@@ -940,18 +853,23 @@ func (s *Session) runElastic(c *comm.Comm, rep *RunReport, last int, pending, pe
 		if iter >= last {
 			break
 		}
+		// Iterate in segments between check boundaries: a boundary may
+		// change the layout, and the pipelined solver keeps op handles in
+		// flight inside a Run call, so layout changes must fall between
+		// Run calls (every Run returns with the pipeline drained).
 		next := iter + s.cfg.CheckEvery - iter%s.cfg.CheckEvery
 		if next > last {
 			next = last
 		}
-		// As on the fixed path, cancellation is polled every iteration
-		// so compute-only segments notice it too.
+		// The per-iteration callback only polls cancellation: a rank
+		// that never blocks (a one-rank world has no ghosts) must still
+		// notice it.
 		if err := rk.sol.Run(next-iter, func(int) error { return s.ctx.Err() }); err != nil {
 			return err
 		}
 		if next == last {
-			// A boundary on the final iteration is deferred, exactly
-			// like the fixed path's final check.
+			// A boundary on the final iteration is deferred to the next
+			// Run (its remap could not pay off within this one).
 			break
 		}
 		tm := rk.sol.TakeTimings()
@@ -962,41 +880,18 @@ func (s *Session) runElastic(c *comm.Comm, rep *RunReport, last int, pending, pe
 		// last segment is still accounted. A recovery voids the rest
 		// of this boundary: membership and balance restart fresh on
 		// the survivor world at the next one.
-		if s.ckptOn() {
-			res, err := s.ckptGate(c, rep, next)
-			if err != nil {
-				return err
-			}
-			switch res {
-			case gateDied:
-				return nil
-			case gateRecovered:
-				continue
-			}
-		}
-		prop, err := ctl.Boundary(next, rk.rt.Layout(), s.desiredFn(ctl, next), s.cutFn(rk))
+		res, err := s.ckptGate(c, rep, next)
 		if err != nil {
 			return err
 		}
-		if prop != nil {
-			if err := s.commit(me, rep, prop, s.subs[me]); err != nil {
-				return err
-			}
+		switch res {
+		case gateDied:
+			return nil
+		case gateRecovered:
 			continue
 		}
-		if rk.bal != nil {
-			if err := s.check(me, rep, next, tm); err != nil {
-				return err
-			}
-		}
-		// Checkpoint after the balance check, so the snapshot always
-		// matches the layout the next segment runs on (a check may
-		// remap). On a transition the commit takes instead — jointly
-		// with any admitted ranks.
-		if s.ckptOn() {
-			if err := s.ckptTake(me, next); err != nil {
-				return err
-			}
+		if err := s.boundary(me, rep, next, tm, true); err != nil {
+			return err
 		}
 	}
 	// Run end: only reached by ranks active in the final epoch.
@@ -1018,6 +913,43 @@ func (s *Session) runElastic(c *comm.Comm, rep *RunReport, last int, pending, pe
 		if err := ctl.ReleaseParked(dead); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// boundary is an active rank's share of one check boundary once its
+// checkpoint gate has passed, in the order every configuration keeps:
+// the coordinator's membership verdict (elastic sessions only — it
+// costs a multicast, which a fixed run must not pay), then the balance
+// check on the window tm (ranks with a balancer), then the checkpoint
+// (Config.Checkpoint), taken last so the snapshot matches the layout
+// the next segment runs on (a check may remap). A transition ends the
+// boundary early: it forces a fresh cut and resets the balancer, and
+// its commit takes the checkpoint itself, jointly with any admitted
+// ranks, so checking or taking again here would misalign the buddy
+// ring. full=false is a Run start with nothing deferred: the checkpoint
+// only.
+func (s *Session) boundary(me int, rep *RunReport, iter int, tm solver.Timings, full bool) error {
+	rk := s.ranks[me]
+	if full {
+		if s.elastic {
+			ctl := s.ctls[me]
+			prop, err := ctl.Boundary(iter, rk.rt.Layout(), s.desiredFn(ctl, iter), s.cutFn(rk))
+			if err != nil {
+				return err
+			}
+			if prop != nil {
+				return s.commit(me, rep, prop, s.subs[me])
+			}
+		}
+		if rk.bal != nil {
+			if err := s.check(me, rep, iter, tm); err != nil {
+				return err
+			}
+		}
+	}
+	if s.ckptOn() {
+		return s.ckptTake(me, iter)
 	}
 	return nil
 }
@@ -1066,14 +998,8 @@ func (s *Session) commit(me int, rep *RunReport, prop *elastic.Proposal, oldSub 
 		rk.bal = nil
 	} else {
 		rk.sol.SetIter(prop.Iter)
-		if s.cfg.Balancer != nil {
-			if rk.bal == nil {
-				if rk.bal, err = s.newBalancer(rk.rt); err != nil {
-					return err
-				}
-			} else {
-				rk.bal.Reset()
-			}
+		if err := s.armBalancer(rk); err != nil {
+			return err
 		}
 	}
 	if me == 0 {
@@ -1115,9 +1041,6 @@ func (s *Session) Resize(active []int) error {
 // (rank 0's view). Fixed-membership sessions are permanently at epoch
 // 0 with every rank active.
 func (s *Session) Membership() (epoch int, active []int) {
-	if !s.elastic {
-		return 0, s.initialActive()
-	}
 	m := s.ctls[0].Membership()
 	return m.Epoch, m.Active
 }
@@ -1188,7 +1111,7 @@ func (s *Session) Result() ([]float64, error) {
 			// it contributes nothing and must stay silent.
 			return nil
 		}
-		if s.elastic && !s.ctls[c.Rank()].ActiveHere() {
+		if !s.ctls[c.Rank()].ActiveHere() {
 			return nil
 		}
 		y, err := s.ranks[c.Rank()].sol.GatherResult(0)

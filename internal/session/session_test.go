@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +78,9 @@ func handWired(t *testing.T, p, iters, checkEvery int, env *hetero.Env, balance 
 // TestRunMatchesHandWiredLoop is the acceptance test for the Session
 // driver: Run must reproduce, bit for bit, the final vector of the
 // hand-wired world/runtime/solver loop it replaced — with and without
-// load balancing (remaps move data without changing values).
+// load balancing (remaps move data without changing values), and with
+// the membership protocol switched on but idle (no outage, no Resize:
+// the verdict at every boundary says "continue" and changes nothing).
 func TestRunMatchesHandWiredLoop(t *testing.T) {
 	const p, iters, checkEvery = 3, 12, 5
 	g, err := mesh.Honeycomb(20, 30)
@@ -85,14 +89,20 @@ func TestRunMatchesHandWiredLoop(t *testing.T) {
 	}
 	env := hetero.PaperAdaptive(p, 2)
 
-	for _, balance := range []bool{false, true} {
-		name := "static"
+	for _, tc := range []struct {
+		name             string
+		balance, elastic bool
+	}{
+		{"static", false, false},
+		{"balanced", true, false},
+		{"elastic", true, true},
+	} {
+		balance := tc.balance
 		var balCfg *loadbal.Config
 		if balance {
-			name = "balanced"
 			balCfg = &loadbal.Config{}
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			want := handWired(t, p, iters, checkEvery, env, balance)
 
 			s, err := New(context.Background(), g, Config{
@@ -101,6 +111,7 @@ func TestRunMatchesHandWiredLoop(t *testing.T) {
 				Env:        env,
 				WorkRep:    2,
 				Balancer:   balCfg,
+				Elastic:    tc.elastic,
 				CheckEvery: checkEvery,
 			})
 			if err != nil {
@@ -415,5 +426,65 @@ func TestRunReportsExecutorTraffic(t *testing.T) {
 	}
 	if rep2.Exec != rep.Exec {
 		t.Errorf("static layout: second Run's Exec %+v != first %+v", rep2.Exec, rep.Exec)
+	}
+}
+
+// TestDriverTraffic pins the messages the driver itself sends — world
+// total minus executor replay — which no other test covers. A fixed
+// session without a balancer pays two barriers per Run and nothing per
+// boundary; the membership protocol adds exactly one verdict multicast
+// per boundary performed (interior, plus the one deferred from the
+// previous Run's last iteration). It also pins a fixed session's view
+// of membership: everyone, epoch 0, and no Resize.
+func TestDriverTraffic(t *testing.T) {
+	const p, checkEvery = 4, 10
+	g, err := mesh.Honeycomb(20, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyone := func(t *testing.T, s *Session) {
+		t.Helper()
+		epoch, active := s.Membership()
+		if epoch != 0 || len(active) != p {
+			t.Fatalf("Membership() = epoch %d, active %v; want epoch 0 and all %d ranks", epoch, active, p)
+		}
+		for i, r := range active {
+			if r != i {
+				t.Fatalf("Membership() active = %v, want 0..%d", active, p-1)
+			}
+		}
+	}
+	for _, elastic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("elastic=%v", elastic), func(t *testing.T) {
+			s, err := New(context.Background(), g, Config{Procs: p, Order: order.RCB, CheckEvery: checkEvery, Elastic: elastic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			everyone(t, s)
+			if _, err := s.Run(50); err != nil { // ends on a boundary, so the next Run opens with one
+				t.Fatal(err)
+			}
+			for _, iters := range []int{100, 1000} {
+				rep, err := s.Run(iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int64(2 * p)
+				if elastic {
+					want += int64(iters / checkEvery)
+				}
+				if got := rep.Msgs - rep.Exec.Msgs; got != want {
+					t.Errorf("Run(%d): driver sent %d messages (%d total, %d executor), want %d",
+						iters, got, rep.Msgs, rep.Exec.Msgs, want)
+				}
+			}
+			everyone(t, s)
+			if !elastic {
+				if err := s.Resize([]int{0, 1}); err == nil || !strings.Contains(err.Error(), "fixed-membership session") {
+					t.Errorf("Resize on a fixed session: %v, want the fixed-membership error", err)
+				}
+			}
+		})
 	}
 }

@@ -256,7 +256,10 @@ func WithAvailability(outages ...Outage) Option {
 
 // WithElastic enables the elastic membership protocol even without
 // availability outages, so Session.Resize can shrink and grow the
-// active rank set explicitly while the session runs.
+// active rank set explicitly while the session runs. It is what buys
+// Resize and it has a price — one verdict multicast per check boundary
+// and a sub-world under the runtimes — so leave it off when the ranks
+// never come or go.
 func WithElastic() Option {
 	return func(c *session.Config) { c.Elastic = true }
 }

@@ -154,6 +154,13 @@ func Ethernet(scale float64) *NetworkModel {
 	return comm.Ethernet(scale)
 }
 
+// CheckEthernetScale returns an error for a scale Ethernet would panic
+// on (anything but a finite positive number) — for scales read from a
+// flag or a file.
+func CheckEthernetScale(scale float64) error {
+	return comm.CheckEthernetScale(scale)
+}
+
 // NewTopology builds a rank → node-group assignment for WithTopology.
 // Group ids must be a contiguous range 0..G-1 with every group
 // non-empty.
