@@ -30,6 +30,8 @@ package bench
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"stance/internal/comm"
@@ -320,5 +322,105 @@ func TestExecutorZeroAlloc(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rebuildAllocs measures what one collective rebuild operation
+// allocates in the steady state — bytes and objects per rank per call,
+// process-wide over every rank of the harness — after warm round trips
+// have brought the runtime's buffers to their high-water sizes.
+func rebuildAllocs(t *testing.T, h *allocHarness, p int, op allocOp) (bytes, objects float64) {
+	t.Helper()
+	const warm, rounds = 2, 20
+	for i := 0; i < warm; i++ {
+		h.run(t, op)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		h.run(t, op)
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / (rounds * float64(p)), float64(m1.Mallocs-m0.Mallocs) / (rounds * float64(p))
+}
+
+// TestRemapSteadyAlloc gates the inspector's storage reuse on
+// BenchmarkRemap's mesh and world: once two round trips have warmed the
+// runtime, a Remap between a skewed and a uniform capability vector
+// allocates nothing that grows with the rank's rows or references — the
+// localized CSR, the plan's row lists and tables and the vectors all
+// live in storage kept from the previous rebuild. What is left is the
+// arrangement search's candidate layouts and the schedule builder's
+// hash sets and lists over the few hundred off-interval references:
+// measured 12.2 kB and 148 objects per rank per remap, where copying
+// the access pattern out and rebuilding everything cost 250 kB. The
+// bounds leave a quarter of headroom: one int32 per row of this
+// 1500-row rank is 6 kB and would trip them.
+func TestRemapSteadyAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector; CI runs this in a no-race step")
+	}
+	g, err := mesh.Honeycomb(60, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	h := newAllocHarness(t, g, p, nil, 1)
+	skewed, uniform := []float64{2, 1, 1, 1}, []float64{1, 1, 1, 1}
+	bytes, objects := rebuildAllocs(t, h, p, func(rt *core.Runtime, _ []*core.Vector) error {
+		for _, w := range [][]float64{skewed, uniform} {
+			st, err := rt.Remap(w)
+			if err != nil {
+				return err
+			}
+			if !st.Changed || st.Moved == 0 {
+				return fmt.Errorf("remap moved nothing (Changed=%v)", st.Changed)
+			}
+		}
+		return nil
+	})
+	bytes, objects = bytes/2, objects/2 // two remaps per round trip
+	t.Logf("steady-state Remap at p=%d: %.0f bytes, %.0f objects per rank", p, bytes, objects)
+	if bytes > 16<<10 || objects > 190 {
+		t.Errorf("steady-state Remap allocates %.0f bytes in %.0f objects per rank, want at most 16384 in 190", bytes, objects)
+	}
+}
+
+// TestRebindSteadyAlloc is the same gate for a membership round trip:
+// the world shrinks onto three survivors and grows back, so one rank
+// parks and is re-admitted — its inspector storage must survive the
+// park — and the others rebuild under a different world size. Measured
+// 15 kB and 103 objects per rank per round trip (two rebinds; 495 kB
+// before), which includes both sub-world endpoints.
+func TestRebindSteadyAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector; CI runs this in a no-race step")
+	}
+	g, err := mesh.Honeycomb(60, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	h := newAllocHarness(t, g, p, nil, 1)
+	full, wFull := []int{0, 1, 2, 3}, []float64{1, 1, 1, 1}
+	survivors, wShrunk := full[:p-1], wFull[:p-1]
+	bytes, objects := rebuildAllocs(t, h, p, func(rt *core.Runtime, _ []*core.Vector) error {
+		c := rt.Comm().Root()
+		fullLayout, err := rt.CutLayout(wFull)
+		if err != nil {
+			return err
+		}
+		shrunkLayout, err := rt.CutLayout(wShrunk)
+		if err != nil {
+			return err
+		}
+		if err := rebindTo(c, rt, fullLayout, full, shrunkLayout, survivors); err != nil {
+			return err
+		}
+		return rebindTo(c, rt, shrunkLayout, survivors, fullLayout, full)
+	})
+	t.Logf("steady-state Rebind shrink+grow at p=%d: %.0f bytes, %.0f objects per rank", p, bytes, objects)
+	if bytes > 24<<10 || objects > 140 {
+		t.Errorf("steady-state Rebind round trip allocates %.0f bytes in %.0f objects per rank, want at most 24576 in 140", bytes, objects)
 	}
 }

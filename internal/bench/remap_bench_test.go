@@ -100,6 +100,7 @@ func BenchmarkRebind(b *testing.B) {
 				wFull[i] = 1
 			}
 			wShrunk := wFull[:p-1]
+			b.ReportAllocs()
 			b.ResetTimer()
 			err = world.SPMD(nil, func(c *comm.Comm) error {
 				rt := rts[c.Rank()]

@@ -107,6 +107,16 @@ type cancelWatch struct {
 // for reuse; beyond that, returned buffers fall to the GC.
 const maxPooled = 64
 
+// A pooled buffer serves a request of n bytes when its capacity is at
+// least n and at most poolSlack*n + poolSmall: within a small multiple
+// for payloads, and any buffer of a few hundred bytes for the control
+// frames, whose sizes differ by more than that multiple but cost
+// nothing to over-serve.
+const (
+	poolSlack = 4
+	poolSmall = 512
+)
+
 // inflight is one message in modeled flight: parked by deliver,
 // invisible to receivers until a clock event lands it.
 type inflight struct {
@@ -274,13 +284,17 @@ func (m *mailbox) watchLocked(ctx context.Context, done <-chan struct{}) *cancel
 
 // takeBufLocked returns a payload buffer of length n, reusing a pooled
 // one when possible. One pool serves all message sizes on a rank, so the
-// newest-first scan skips entries too small for this request instead
-// of discarding them — small control-frame buffers stay pooled for
-// small requests, and in the homogeneous steady state the newest entry
-// fits immediately.
+// newest-first scan skips entries of the wrong size for this request
+// instead of discarding them: too small, or more than poolSlack times
+// too large — an 8-byte heartbeat must not walk off with a checkpoint
+// mirror's 190 kB buffer, which a receiver that never Releases would
+// then drop to the GC, one fresh snapshot buffer per checkpoint. Small
+// control-frame buffers stay pooled for small requests, large ones for
+// large, and in the homogeneous steady state the newest entry fits
+// immediately.
 func (m *mailbox) takeBufLocked(n int) []byte {
 	for i := len(m.free) - 1; i >= 0; i-- {
-		if cap(m.free[i]) < n {
+		if c := cap(m.free[i]); c < n || c > poolSlack*n+poolSmall {
 			continue
 		}
 		b := m.free[i]

@@ -663,3 +663,42 @@ func TestMailboxReceiveIsHistoryIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestMailboxPoolKeepsLargeBuffersForLargeMessages pins the pool's
+// size-aware match: a small message whose receiver never Releases must
+// not take the one pooled buffer that fits the next large message, or
+// every large message allocates afresh — a checkpoint session's
+// snapshot mirror between heartbeats did exactly that.
+func TestMailboxPoolKeepsLargeBuffersForLargeMessages(t *testing.T) {
+	m := newMailbox(nil)
+	large, small := make([]byte, 100<<10), make([]byte, 8)
+	recv := func(payload []byte, release bool) *byte {
+		t.Helper()
+		if err := m.deliver(1, 7, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		data, err := m.Recv(nil, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := &data[:1][0]
+		if release {
+			m.Release(data)
+		}
+		return first
+	}
+	pooled := recv(large, true)
+	for i := 0; i < 3; i++ {
+		if recv(small, false) == pooled {
+			t.Fatal("an 8-byte message was delivered in the pooled 100 kB buffer")
+		}
+		if recv(large, true) != pooled {
+			t.Fatalf("round %d: the large message did not reuse the pooled buffer", i)
+		}
+	}
+	// Control frames of different small sizes still share buffers.
+	ctl := recv(make([]byte, 200), true)
+	if recv(make([]byte, 24), true) != ctl {
+		t.Error("a 24-byte frame did not reuse the pooled 200-byte buffer")
+	}
+}

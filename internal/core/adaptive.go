@@ -38,11 +38,6 @@ func (rt *Runtime) SetGraph(g *graph.Graph) error {
 	}
 	// Vectors keep their owned sections; ghost sections are resized
 	// for the new schedule and refilled by the next Exchange.
-	for _, v := range rt.vecs {
-		local := v.Data[:rt.LocalN()]
-		nd := make([]float64, rt.LocalN()+rt.sch.NGhosts())
-		copy(nd, local)
-		v.Data = nd
-	}
+	rt.fitVectors()
 	return nil
 }

@@ -97,10 +97,11 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 	if rb.Sub == nil {
 		// Retire: the vectors were emptied by the move (New is empty);
 		// drop the schedule and go dormant on the carrier until a
-		// future Rebind re-admits the rank.
+		// future Rebind re-admits the rank. The inspector's storage
+		// stays for that day.
 		rt.c = rb.Carrier
-		rt.layout, rt.sch, rt.plan = nil, nil, nil
-		rt.lxadj, rt.ladj = nil, nil
+		rt.layout, rt.sch = nil, nil
+		rt.lxadj, rt.ladj = rt.lxadj[:0], rt.ladj[:0]
 		stats.Total = rt.clock.Now().Sub(start)
 		return stats, nil
 	}
@@ -109,12 +110,7 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 	if err := rt.rebuild(); err != nil {
 		return stats, err
 	}
-	// Re-extend the vectors' ghost sections for the new schedule.
-	for _, v := range rt.vecs {
-		local := v.Data[:plan.New.Len()]
-		v.Data = make([]float64, int(plan.New.Len())+rt.sch.NGhosts())
-		copy(v.Data, local)
-	}
+	rt.fitVectors()
 	stats.Inspector = rt.lastInspector
 	stats.Total = rt.clock.Now().Sub(start)
 	return stats, nil

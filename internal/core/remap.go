@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stance/internal/comm"
@@ -19,7 +20,8 @@ type RemapStats struct {
 	// Total is the wall time of the whole remap on this rank,
 	// including data movement and the inspector rebuild.
 	Total time.Duration
-	// Inspector is the schedule-rebuild portion.
+	// Inspector is the rebuild portion: all of Phase B (see
+	// Runtime.LastInspectorTime).
 	Inspector time.Duration
 	// Changed reports whether the layout actually changed.
 	Changed bool
@@ -68,12 +70,7 @@ func (rt *Runtime) Remap(newWeights []float64) (RemapStats, error) {
 	if err := rt.rebuild(); err != nil {
 		return RemapStats{}, err
 	}
-	// Re-extend the vectors' ghost sections for the new schedule.
-	for _, v := range rt.vecs {
-		local := v.Data[:plan.New.Len()]
-		v.Data = make([]float64, int(plan.New.Len())+rt.sch.NGhosts())
-		copy(v.Data, local)
-	}
+	rt.fitVectors()
 	stats.Inspector = rt.lastInspector
 	stats.Total = rt.clock.Now().Sub(start)
 	return stats, nil
@@ -122,27 +119,33 @@ func (rt *Runtime) moveVectors(plan *redist.Plan) error {
 // over an explicit carrier communicator — the runtime's own world for
 // a Remap, the full parent world for a cross-world Rebind (whose
 // transfer peers are carrier ranks). Vectors move in registration
-// order on all ranks, so same-tag transfers pair up FIFO.
+// order on all ranks, so same-tag transfers pair up FIFO. Each vector
+// moves into its spare array and keeps the one it leaves as the next
+// spare, so a steady state of remaps allocates nothing here.
 func (rt *Runtime) moveVectorsOn(c *comm.Comm, tag int, plan *redist.Plan) error {
 	for _, v := range rt.vecs {
 		oldLocal := v.Data[:plan.Old.Len()]
-		newLocal := make([]float64, plan.New.Len())
+		// Every element is written below — kept range or a receive — so
+		// the spare's old contents need no clearing. The ghost section
+		// fitVectors appends is about as long as the current one.
+		nNew := int(plan.New.Len())
+		newLocal := slices.Grow(v.spare[:0], nNew+rt.nGhosts())[:nNew]
 		if err := plan.ApplyLocal(oldLocal, newLocal); err != nil {
 			return err
 		}
 		for _, s := range plan.Sends {
 			off := s.Global.Lo - plan.Old.Lo
 			seg := oldLocal[off : off+s.Global.Len()]
-			if err := c.Send(s.Peer, tag, comm.F64sToBytes(seg)); err != nil {
+			buf := rt.wire(8 * len(seg))
+			comm.PutF64s(buf, seg)
+			if err := c.Send(s.Peer, tag, buf); err != nil {
 				return err
 			}
 		}
 		for _, r := range plan.Recvs {
 			want := int(r.Global.Len())
-			if cap(rt.wireScratch) < 8*want {
-				rt.wireScratch = make([]byte, 8*want)
-			}
-			n, err := c.RecvInto(r.Peer, tag, rt.wireScratch[:8*want])
+			buf := rt.wire(8 * want)
+			n, err := c.RecvInto(r.Peer, tag, buf)
 			if err != nil {
 				return err
 			}
@@ -151,13 +154,21 @@ func (rt *Runtime) moveVectorsOn(c *comm.Comm, tag int, plan *redist.Plan) error
 					r.Peer, n/8, want)
 			}
 			dst := newLocal[r.Global.Lo-plan.New.Lo:][:want]
-			if err := comm.GetF64s(dst, rt.wireScratch[:n]); err != nil {
+			if err := comm.GetF64s(dst, buf); err != nil {
 				return err
 			}
 		}
 		// Park the new local section; ghost space is re-attached once
 		// the new schedule is known.
-		v.Data = newLocal
+		v.Data, v.spare = newLocal, v.Data
 	}
 	return nil
+}
+
+// wire returns the runtime's redistribution wire buffer sized to n
+// bytes. A Send copies its payload before it returns, so one buffer
+// serves every transfer of a move in turn.
+func (rt *Runtime) wire(n int) []byte {
+	rt.wireScratch = slices.Grow(rt.wireScratch[:0], n)[:n]
+	return rt.wireScratch
 }

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stance/internal/comm"
@@ -121,14 +122,24 @@ type Runtime struct {
 	itemWeights []float64
 
 	// plan is the compiled replay form of sch: per-peer pack/unpack
-	// index tables plus persistent wire buffers. rebuild discards and
-	// recompiles it whenever the schedule changes.
+	// index tables plus persistent wire buffers. rebuild recompiles it
+	// into the previous plan's storage whenever the schedule changes; a
+	// parked runtime keeps it for that storage alone.
 	plan *sched.Plan
 
 	// Localized CSR: references < LocalN() are local indices,
-	// references >= LocalN() are LocalN()+ghost slot.
+	// references >= LocalN() are LocalN()+ghost slot. The inspector
+	// writes it in place: these slices and the three below keep their
+	// high-water capacity from one rebuild to the next.
 	lxadj []int32
 	ladj  []int32
+	// off is what the schedule builders read: Xadj spans every local
+	// row, but Adj holds the off-interval references alone — the only
+	// ones a builder acts on. offPos[i] is where off.Adj[i] sits in
+	// ladj, and boundaryRows lists the rows that have any, ascending.
+	off          sched.Refs
+	offPos       []int32
+	boundaryRows []int32
 
 	vecs []*Vector
 	// vecScratch is the reused [][]float64 view handed to the plan's
@@ -369,86 +380,94 @@ func (rt *Runtime) Bind(c *comm.Comm, layout *partition.Layout) error {
 	if err := rt.rebuild(); err != nil {
 		return err
 	}
-	for _, v := range rt.vecs {
-		local := v.Data
-		if int64(len(local)) > layout.Interval(c.Rank()).Len() {
-			local = local[:layout.Interval(c.Rank()).Len()]
-		}
-		data := make([]float64, int(layout.Interval(c.Rank()).Len())+rt.sch.NGhosts())
-		copy(data, local)
-		v.Data = data
-	}
+	rt.fitVectors()
 	return nil
 }
 
-// rebuild runs the inspector for the current layout: builds the
-// schedule and the localized CSR. Collective when StrategySimple.
+// rebuild runs the inspector for the current layout: one pass over the
+// rank's rows, the schedule build from what the pass set aside, and the
+// plan recompiled and classified in the previous plan's storage. All
+// three strategies take this path; the builders differ only in how they
+// turn the same off-interval references into the same schedule.
+// Collective when StrategySimple.
 func (rt *Runtime) rebuild() error {
-	refs := rt.refs()
 	start := rt.clock.Now()
+	rank := rt.c.Rank()
+	rt.scanRows(rt.layout.Interval(rank))
 	var s *sched.Schedule
 	var err error
 	switch rt.cfg.Strategy {
 	case StrategySort1:
-		s, err = sched.BuildSort1(rt.layout, rt.c.Rank(), refs)
+		s, err = sched.BuildSort1(rt.layout, rank, rt.off)
 	case StrategySimple:
-		s, err = sched.BuildSimple(rt.c, rt.layout, refs)
+		s, err = sched.BuildSimple(rt.c, rt.layout, rt.off)
 	default:
-		s, err = sched.BuildSort2(rt.layout, rt.c.Rank(), refs)
+		s, err = sched.BuildSort2(rt.layout, rank, rt.off)
 	}
 	if err != nil {
 		return err
 	}
-	rt.lastInspector = rt.clock.Now().Sub(start)
 	rt.sch = s
-	rt.plan = sched.Compile(s)
+	for i, g := range rt.off.Adj {
+		slot := s.GhostSlot(g)
+		if slot < 0 {
+			return fmt.Errorf("core: reference %d missing from ghost list", g)
+		}
+		rt.ladj[rt.offPos[i]] = int32(s.NLocal + slot)
+	}
+	rt.plan = sched.Recompile(rt.plan, s)
 	// The rotating op-tag counter restarts with the schedule: every
 	// rebuild site (Bind, Remap, Rebind) requires zero live handles,
 	// and resetting here keeps a freshly admitted rank's tag sequence
 	// aligned with the survivors'.
 	rt.opSeq = 0
-	if err := rt.localize(refs); err != nil {
-		return err
-	}
 	// The interior/boundary split rides on the plan, so it is rebuilt
 	// here too and stays valid across remaps and rebinds.
-	return rt.plan.Classify(rt.lxadj, rt.ladj)
+	err = rt.plan.ClassifyRows(rt.lxadj, rt.boundaryRows)
+	// The whole of Phase B, not the builder call: the builder sees a
+	// few thousand references and takes microseconds, and the balancer
+	// prices a remap with this figure.
+	rt.lastInspector = rt.clock.Now().Sub(start)
+	return err
 }
 
-// refs extracts this rank's access pattern from the transformed graph.
-func (rt *Runtime) refs() sched.Refs {
-	iv := rt.layout.Interval(rt.c.Rank())
+// scanRows is the inspector's pass over rows iv of the transformed CSR,
+// read in place. It writes the rebased row offsets and every local
+// reference of the localized CSR, preserving neighbor order so
+// floating-point sums match a sequential execution of the transformed
+// graph exactly, and sets the off-interval references aside for the
+// schedule builder (see Runtime.off); rebuild fills their ghost slots
+// in once the schedule exists. References outside [0, n) are
+// off-interval too, so the builder's validation still rejects them.
+func (rt *Runtime) scanRows(iv partition.Interval) {
 	nLocal := int(iv.Len())
-	r := sched.Refs{Xadj: make([]int32, 1, nLocal+1)}
-	for g := iv.Lo; g < iv.Hi; g++ {
-		for _, w := range rt.tg.Neighbors(int(g)) {
-			r.Adj = append(r.Adj, int64(w))
+	xadj, adj := rt.tg.Xadj[iv.Lo:iv.Hi+1], rt.tg.Adj
+	base := xadj[0]
+	lxadj := slices.Grow(rt.lxadj[:0], nLocal+1)[:nLocal+1]
+	ladj := slices.Grow(rt.ladj[:0], int(xadj[nLocal]-base))[:xadj[nLocal]-base]
+	offX := slices.Grow(rt.off.Xadj[:0], nLocal+1)[:nLocal+1]
+	offAdj, offPos, rows := rt.off.Adj[:0], rt.offPos[:0], rt.boundaryRows[:0]
+	for u := 0; u < nLocal; u++ {
+		lxadj[u] = xadj[u] - base
+		offX[u] = int32(len(offAdj))
+		for k := xadj[u]; k < xadj[u+1]; k++ {
+			g := int64(adj[k])
+			if iv.Contains(g) {
+				ladj[k-base] = int32(g - iv.Lo)
+				continue
+			}
+			offAdj = append(offAdj, g)
+			offPos = append(offPos, k-base)
 		}
-		r.Xadj = append(r.Xadj, int32(len(r.Adj)))
+		if int(offX[u]) < len(offAdj) {
+			rows = append(rows, int32(u))
+		}
 	}
-	return r
-}
-
-// localize rewrites the access pattern into local/ghost references,
-// preserving neighbor order so floating-point sums match a sequential
-// execution of the transformed graph exactly.
-func (rt *Runtime) localize(refs sched.Refs) error {
-	iv := rt.layout.Interval(rt.c.Rank())
-	nLocal := int(iv.Len())
-	rt.lxadj = refs.Xadj
-	rt.ladj = make([]int32, len(refs.Adj))
-	for i, g := range refs.Adj {
-		if iv.Contains(g) {
-			rt.ladj[i] = int32(g - iv.Lo)
-			continue
-		}
-		slot := rt.sch.GhostSlot(g)
-		if slot < 0 {
-			return fmt.Errorf("core: reference %d missing from ghost list", g)
-		}
-		rt.ladj[i] = int32(nLocal + slot)
-	}
-	return nil
+	lxadj[nLocal] = xadj[nLocal] - base
+	offX[nLocal] = int32(len(offAdj))
+	rt.lxadj, rt.ladj = lxadj, ladj
+	rt.off = sched.Refs{Xadj: offX, Adj: offAdj}
+	rt.offPos, rt.boundaryRows = offPos, rows
 }
 
 // Comm returns the rank's communicator.
@@ -461,13 +480,21 @@ func (rt *Runtime) Clock() vtime.Clock { return rt.clock }
 // Layout returns the current data layout.
 func (rt *Runtime) Layout() *partition.Layout { return rt.layout }
 
-// Schedule returns the current communication schedule.
+// Schedule returns the current communication schedule (nil while
+// parked). It is valid until the next Bind, Remap, Rebind or SetGraph,
+// which builds a new one; the plan's per-peer tables alias its lists.
 func (rt *Runtime) Schedule() *sched.Schedule { return rt.sch }
 
-// Plan returns the compiled exchange plan the executor replays; it is
-// discarded and recompiled whenever the schedule is rebuilt (Remap,
-// SetGraph).
-func (rt *Runtime) Plan() *sched.Plan { return rt.plan }
+// Plan returns the compiled exchange plan the executor replays (nil
+// while parked). The plan and every slice read from it are valid until
+// the next Bind, Remap, Rebind or SetGraph: the rebuild returns a new
+// *Plan and reuses this one's storage for it.
+func (rt *Runtime) Plan() *sched.Plan {
+	if rt.Parked() {
+		return nil
+	}
+	return rt.plan
+}
 
 // ExecStats returns the executor traffic counters accumulated since
 // the runtime was built.
@@ -520,11 +547,15 @@ func (rt *Runtime) GlobalInterval() partition.Interval {
 // LocalAdj returns the localized CSR: for local element u, its
 // references are adj[xadj[u]:xadj[u+1]], where values < LocalN() index
 // the vector's local section and values >= LocalN() index the ghost
-// section. The slices must not be modified.
+// section. The slices must not be modified, and are valid until the
+// next Bind, Remap, Rebind or SetGraph, which overwrites their storage
+// with the new localized CSR (empty while parked).
 func (rt *Runtime) LocalAdj() (xadj, adj []int32) { return rt.lxadj, rt.ladj }
 
-// LastInspectorTime reports how long the most recent schedule build
-// took — the Phase B cost the load balancer weighs remapping against.
+// LastInspectorTime reports how long the most recent inspector run took
+// — all of Phase B: the pass over the rank's rows, the schedule build,
+// the ghost slots, the plan compile and the classification. It is the
+// cost the load balancer weighs remapping against.
 func (rt *Runtime) LastInspectorTime() time.Duration { return rt.lastInspector }
 
 // identityArrangement returns the arrangement [0, 1, ..., p-1].

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"stance/internal/comm"
 )
@@ -11,8 +12,13 @@ import (
 // Data[LocalN():] is the ghost section filled by Exchange. Vectors are
 // registered with their runtime and follow it through Remap.
 type Vector struct {
-	rt   *Runtime
+	rt *Runtime
+	// Data is valid until the next Bind, Remap, Rebind or SetGraph on
+	// the runtime: they re-slice it, and a move swaps it with spare, so
+	// a slice of Data kept across one is overwritten by a later one.
 	Data []float64
+	// spare is the array Data left at the last move (see moveVectorsOn).
+	spare []float64
 }
 
 // NewVector allocates and registers a zero vector. All ranks must
@@ -26,6 +32,19 @@ func (rt *Runtime) NewVector() *Vector {
 	}
 	rt.vecs = append(rt.vecs, v)
 	return v
+}
+
+// fitVectors sizes every vector for the current schedule — the owned
+// section, then the ghost section — in the array it has when that is
+// large enough. Owned values the vector already holds stay; everything
+// after them reads zero until an Exchange or the caller fills it.
+func (rt *Runtime) fitVectors() {
+	nLocal, n := rt.LocalN(), rt.LocalN()+rt.nGhosts()
+	for _, v := range rt.vecs {
+		keep := min(len(v.Data), nLocal)
+		v.Data = slices.Grow(v.Data[:keep], n-keep)[:n]
+		clear(v.Data[keep:])
+	}
 }
 
 // Local returns the owned section.

@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stance/internal/comm"
 	"stance/internal/partition"
@@ -128,14 +128,13 @@ func buildSymmetric(layout *partition.Layout, rank int, refs Refs, sortSends boo
 
 	// Sort the ghost list; owners are contiguous intervals, so this
 	// groups by owner and orders by the owner's local reference.
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	slices.Sort(ghosts)
 	s.Ghosts = ghosts
 
 	if sortSends {
 		// schedule_sort1's extra pass: sort each send segment.
 		for q := range s.SendIdx {
-			idx := s.SendIdx[q]
-			sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+			slices.Sort(s.SendIdx[q])
 		}
 	}
 
@@ -201,7 +200,7 @@ func BuildSimple(c *comm.Comm, layout *partition.Layout, refs Refs) (*Schedule, 
 			ghosts = append(ghosts, g)
 		}
 	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	slices.Sort(ghosts)
 	s.Ghosts = ghosts
 
 	// The distributed translation table: this rank's shard.

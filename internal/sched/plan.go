@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stance/internal/comm"
 )
@@ -17,8 +18,13 @@ import (
 // []float64 and no per-call buffer churn.
 //
 // A Plan is bound to the Schedule it was compiled from. Whenever the
-// layout or structure changes (Remap, SetGraph) the runtime discards
-// it and compiles a fresh one from the rebuilt schedule.
+// layout or structure changes (Bind, Remap, Rebind, SetGraph) the
+// runtime's one-pass inspector hands the rebuilt schedule to Recompile,
+// which takes the previous plan's storage — row lists, per-peer tables,
+// wire buffers — for the new one, and then to ClassifyRows with the
+// boundary rows the pass recorded, so a steady-state rebuild allocates
+// only the plan's header. The previous plan is left empty: a *Plan, and
+// every slice read from it, is valid until the runtime's next rebuild.
 type Plan struct {
 	rank   int
 	nprocs int
@@ -36,8 +42,10 @@ type Plan struct {
 	// ghost[q] lists the absolute vector indices (NLocal + slot) of the
 	// ghosts received from peer q — the unpack target for Exchange, the
 	// pack source for ScatterAdd. Resolving NLocal+slot at compile time
-	// removes the per-element offset add from the replay loop.
-	ghost [][]int32
+	// removes the per-element offset add from the replay loop. The
+	// tables are cut from ghostBuf, one array for all peers.
+	ghost    [][]int32
+	ghostBuf []int32
 
 	// wire[q] is the persistent send-side wire buffer for messages to
 	// peer q, sized at compile time for single-vector operations and
@@ -58,43 +66,53 @@ type Plan struct {
 	// boundary elements read at least one ghost and must wait for the
 	// exchange handle's Wait. Together they partition the local index
 	// set exactly; each is in plan order (see Classify). Populated by
-	// Classify (core calls it on every rebuild, so the split survives
-	// remaps and rebinds on the recompiled plan).
+	// Classify or ClassifyRows (core calls the latter on every rebuild,
+	// so the split survives remaps and rebinds on the recompiled plan).
 	interior, boundary []int32
 	classified         bool
 }
 
 // Compile builds the replay plan for a schedule.
-func Compile(s *Schedule) *Plan {
-	p := &Plan{
-		rank:    s.Rank,
-		nprocs:  s.NProcs,
-		nlocal:  s.NLocal,
-		local:   make([][]int32, s.NProcs),
-		ghost:   make([][]int32, s.NProcs),
-		wire:    make([][]byte, s.NProcs),
-		pending: make([]bool, s.NProcs),
-		held:    make([][]byte, s.NProcs),
+func Compile(s *Schedule) *Plan { return Recompile(nil, s) }
+
+// Recompile builds the replay plan for a schedule in the storage of
+// old, a plan no operation is using any more (nil means fresh storage).
+// Every table is kept at its high-water capacity, so recompiling for a
+// schedule no larger than one seen before allocates only the returned
+// header. old is left empty, and slices read from it are overwritten.
+func Recompile(old *Plan, s *Schedule) *Plan {
+	p := &Plan{}
+	if old != nil {
+		*p, *old = *old, Plan{}
 	}
+	p.rank, p.nprocs, p.nlocal = s.Rank, s.NProcs, s.NLocal
+	p.sendPeers, p.recvPeers = p.sendPeers[:0], p.recvPeers[:0]
+	p.local = slices.Grow(p.local[:0], s.NProcs)[:s.NProcs]
+	p.ghost = slices.Grow(p.ghost[:0], s.NProcs)[:s.NProcs]
+	p.wire = slices.Grow(p.wire[:0], s.NProcs)[:s.NProcs]
+	p.pending = slices.Grow(p.pending[:0], s.NProcs)[:s.NProcs]
+	p.held = slices.Grow(p.held[:0], s.NProcs)[:s.NProcs]
+	clear(p.held) // pending is reset by every Pending call
+	p.ghostBuf = slices.Grow(p.ghostBuf[:0], s.NGhosts())
+	p.interior, p.boundary, p.classified = p.interior[:0], p.boundary[:0], false
 	for q := 0; q < s.NProcs; q++ {
+		p.local[q], p.ghost[q] = nil, nil
 		if idx := s.SendIdx[q]; len(idx) > 0 {
 			p.local[q] = idx
 			p.sendPeers = append(p.sendPeers, q)
 		}
 		if slots := s.RecvSlot[q]; len(slots) > 0 {
-			g := make([]int32, len(slots))
-			for i, slot := range slots {
-				g[i] = int32(s.NLocal) + slot
+			from := len(p.ghostBuf)
+			for _, slot := range slots {
+				p.ghostBuf = append(p.ghostBuf, int32(s.NLocal)+slot)
 			}
-			p.ghost[q] = g
+			p.ghost[q] = p.ghostBuf[from:len(p.ghostBuf):len(p.ghostBuf)]
 			p.recvPeers = append(p.recvPeers, q)
 		}
 		// Size the wire buffer once for single-vector replay; the max
 		// covers both directions (Exchange packs local, ScatterAdd
 		// packs ghost).
-		if n := 8 * max(len(p.local[q]), len(p.ghost[q])); n > 0 {
-			p.wire[q] = make([]byte, n)
-		}
+		p.wireFor(q, 8*max(len(p.local[q]), len(p.ghost[q])))
 	}
 	return p
 }
@@ -125,21 +143,40 @@ func (p *Plan) Classify(xadj, adj []int32) error {
 	if len(xadj) != p.nlocal+1 {
 		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
 	}
-	p.interior = p.interior[:0]
 	p.boundary = p.boundary[:0]
 	for u := 0; u < p.nlocal; u++ {
-		isBoundary := false
 		for k := xadj[u]; k < xadj[u+1]; k++ {
 			if int(adj[k]) >= p.nlocal {
-				isBoundary = true
+				p.boundary = append(p.boundary, int32(u))
 				break
 			}
 		}
-		if isBoundary {
-			p.boundary = append(p.boundary, int32(u))
-		} else {
-			p.interior = append(p.interior, int32(u))
+	}
+	return p.ClassifyRows(xadj, p.boundary)
+}
+
+// ClassifyRows is Classify for a caller that found the boundary rows
+// while it localized the CSR — strictly ascending, each in [0, NLocal).
+// The interior is their complement, so no reference is read again; only
+// xadj is, for the degrees. boundary is copied.
+func (p *Plan) ClassifyRows(xadj, boundary []int32) error {
+	if len(xadj) != p.nlocal+1 {
+		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
+	}
+	p.boundary = append(p.boundary[:0], boundary...)
+	p.interior = slices.Grow(p.interior[:0], max(0, p.nlocal-len(boundary)))
+	u := int32(0)
+	for _, b := range boundary {
+		if b < u || int(b) >= p.nlocal {
+			return fmt.Errorf("sched: boundary row %d out of order or outside [0,%d)", b, p.nlocal)
 		}
+		for ; u < b; u++ {
+			p.interior = append(p.interior, u)
+		}
+		u = b + 1
+	}
+	for ; int(u) < p.nlocal; u++ {
+		p.interior = append(p.interior, u)
 	}
 	groupByDegree(p.interior, xadj)
 	groupByDegree(p.boundary, xadj)

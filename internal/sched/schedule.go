@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stance/internal/partition"
 )
@@ -161,8 +161,7 @@ func (s *Schedule) Validate(layout *partition.Layout) error {
 // GhostSlot returns the ghost slot of a global index via binary
 // search, or -1 if the index is not a ghost.
 func (s *Schedule) GhostSlot(global int64) int {
-	i := sort.Search(len(s.Ghosts), func(i int) bool { return s.Ghosts[i] >= global })
-	if i < len(s.Ghosts) && s.Ghosts[i] == global {
+	if i, ok := slices.BinarySearch(s.Ghosts, global); ok {
 		return i
 	}
 	return -1

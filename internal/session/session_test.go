@@ -204,10 +204,15 @@ func TestRunDeferredCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(context.Background(), g, Config{
-		Procs:      3,
-		Order:      order.RCB,
-		Env:        hetero.PaperAdaptive(3, 3),
-		WorkRep:    5,
+		Procs: 3,
+		Order: order.RCB,
+		Env:   hetero.PaperAdaptive(3, 3),
+		// Enough work per phase that the 3x imbalance outweighs the
+		// remap's cost on the real clock by an order of magnitude: the
+		// inspector figure the balancer prices with covers all of
+		// Phase B, and a cold one on a 200-row rank is tens of
+		// microseconds.
+		WorkRep:    100,
 		Balancer:   &loadbal.Config{},
 		CheckEvery: 5,
 	})
