@@ -156,8 +156,10 @@ type Config struct {
 	// allocations — whether or not membership changes. Leave it off for
 	// a run whose ranks never come or go.
 	Elastic bool
-	// WorkRep is the kernel work amplification per element (values < 1
-	// are treated as 1).
+	// WorkRep is the kernel work amplification (values < 1 are treated
+	// as 1): an iteration sweeps each element WorkRep × WorkFactor times
+	// — never less than once, the pass that computes the result — which
+	// is the quantity ComputeCost charges.
 	WorkRep int
 	// Kernel is the solver's compute body (nil means the built-in
 	// Figure 8 kernel).

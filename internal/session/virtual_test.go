@@ -245,45 +245,66 @@ func TestTCPRejectsSimClock(t *testing.T) {
 // report the runtime produced before the plan started ordering each
 // rank's rows for the kernel. The virtual compute charge is
 // cost × workRep × factor × rows and Items counts rows, so neither may
-// move with the order the rows are swept in, at any depth; the values
-// are the parent commit's, to the nanosecond.
+// move with the order the rows are swept in, at any depth. Comm is the
+// solver's own stopwatch around exchanges, posts and waits: it reads
+// the clock once per phase boundary, and no virtual time passes between
+// the end of one phase and the start of the next, so it may not move
+// with how many reads bracket a phase either — with one field or with
+// two, whose posts and waits chain stamp to stamp. The values are the
+// commit's that introduced each pin (Comm: 5b89575), to the nanosecond.
 func TestVirtualReportIgnoresRowOrder(t *testing.T) {
 	g, err := mesh.GridTriangulated(60, 60, 0.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRanks := []RankUsage{
-		{Compute: 112665000, Items: 21460},
-		{Compute: 92400000, Items: 30800},
-		{Compute: 97987500, Items: 27030},
-		{Compute: 80236200, Items: 64710},
+	type pin struct {
+		wall time.Duration
+		comm [4]time.Duration
 	}
-	for depth, wantWall := range []time.Duration{163136150, 162332900, 162332900} {
-		env := hetero.Uniform(4)
-		env.Speeds[3] = 3
-		env.Loads = []hetero.Load{{Rank: 0, Factor: 1.75}, {Rank: 2, Factor: 1.25, FromIter: 5}, {Rank: 3, Factor: 1.3, FromIter: 12}}
-		s, err := New(context.Background(), g, Config{
-			Procs: 4, OrderName: "rcb", Clock: vtime.NewSim(),
-			Model:       &comm.Model{Latency: 100 * time.Microsecond, Bandwidth: 1.25e6},
-			ComputeCost: time.Microsecond, WorkRep: 3, Pipeline: depth, CheckEvery: 10,
-			Env: env, Balancer: &loadbal.Config{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(40)
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Wall != wantWall || len(rep.Remaps()) != 3 || rep.Msgs != 370 || rep.Bytes != 112752 {
-			t.Errorf("depth %d: wall %d ns, %d remaps, %d msgs, %d bytes; want %d, 3, 370, 112752",
-				depth, rep.Wall, len(rep.Remaps()), rep.Msgs, rep.Bytes, wantWall)
-		}
-		for r, want := range wantRanks {
-			if got := rep.Ranks[r]; got.Compute != want.Compute || got.Items != want.Items {
-				t.Errorf("depth %d rank %d: charged %d ns for %d items, want %d ns for %d",
-					depth, r, got.Compute, got.Items, want.Compute, want.Items)
+	for fields, tc := range map[int]struct {
+		msgs, bytes int64
+		compute     [4]time.Duration
+		depths      [3]pin
+	}{
+		1: {370, 112752, [4]time.Duration{112665000, 92400000, 97987500, 80236200}, [3]pin{
+			{163136150, [4]time.Duration{41673150, 61529550, 54554300, 69714050}},
+			{162332900, [4]time.Duration{35529250, 52915250, 51080850, 62737650}},
+			{162332900, [4]time.Duration{35529250, 52915250, 51080850, 62737650}},
+		}},
+		2: {720, 225096, [4]time.Duration{225330000, 184800000, 195975000, 160472400}, [3]pin{
+			{324368250, [4]time.Duration{85997850, 127120050, 110439700, 143350750}},
+			{323370600, [4]time.Duration{76248600, 112183500, 104731450, 128666300}},
+			{323370600, [4]time.Duration{72898300, 106825100, 102046850, 125947400}},
+		}},
+	} {
+		items := [4]int64{21460, 30800, 27030, 64710}
+		for depth, want := range tc.depths {
+			env := hetero.Uniform(4)
+			env.Speeds[3] = 3
+			env.Loads = []hetero.Load{{Rank: 0, Factor: 1.75}, {Rank: 2, Factor: 1.25, FromIter: 5}, {Rank: 3, Factor: 1.3, FromIter: 12}}
+			s, err := New(context.Background(), g, Config{
+				Procs: 4, OrderName: "rcb", Clock: vtime.NewSim(),
+				Model:       &comm.Model{Latency: 100 * time.Microsecond, Bandwidth: 1.25e6},
+				ComputeCost: time.Microsecond, WorkRep: 3, Pipeline: depth, Fields: fields, CheckEvery: 10,
+				Env: env, Balancer: &loadbal.Config{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run(40)
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Wall != want.wall || len(rep.Remaps()) != 3 || rep.Msgs != tc.msgs || rep.Bytes != tc.bytes {
+				t.Errorf("%d fields, depth %d: wall %d ns, %d remaps, %d msgs, %d bytes; want %d, 3, %d, %d",
+					fields, depth, rep.Wall, len(rep.Remaps()), rep.Msgs, rep.Bytes, want.wall, tc.msgs, tc.bytes)
+			}
+			for r, got := range rep.Ranks {
+				if got.Compute != tc.compute[r] || got.Items != int64(fields)*items[r] || got.Comm != want.comm[r] {
+					t.Errorf("%d fields, depth %d, rank %d: compute %d ns, comm %d ns, %d items; want %d, %d, %d",
+						fields, depth, r, got.Compute, got.Comm, got.Items, tc.compute[r], want.comm[r], int64(fields)*items[r])
+				}
 			}
 		}
 	}

@@ -58,8 +58,8 @@ func TestCGKernel(t *testing.T) {
 	adj := []int32{1, 3, 0, 2, 1, 3, 0, 2}
 	data := []float64{1, 2, 3, 4}
 
-	// tv[u] = 0.5*(deg*x[u] + Σ neighbors); after the solver's
-	// divide-by-degree that is (x + avg(neighbors)) / 2.
+	// Sweep's aggregate is tv[u] = 0.5*(deg*x[u] + Σ neighbors); divided
+	// by the degree that is (x + avg(neighbors)) / 2.
 	want := []float64{
 		0.5 * (2*1 + (2 + 4)),
 		0.5 * (2*2 + (1 + 3)),
@@ -74,13 +74,13 @@ func TestCGKernel(t *testing.T) {
 		}
 	}
 
-	// The split form must match the contiguous form bit for bit.
-	tv2 := make([]float64, 4)
-	k.SweepIdx(data, xadj, adj, tv2, []int32{1, 3})
-	k.SweepIdx(data, xadj, adj, tv2, []int32{0, 2})
+	// The split form yields the divided value bit for bit.
+	next := make([]float64, 4)
+	k.UpdateIdx(data, xadj, adj, next, []int32{1, 3})
+	k.UpdateIdx(data, xadj, adj, next, []int32{0, 2})
 	for u := range want {
-		if tv2[u] != tv[u] {
-			t.Errorf("SweepIdx tv[%d] = %v, Sweep gave %v", u, tv2[u], tv[u])
+		if next[u] != tv[u]/2 {
+			t.Errorf("UpdateIdx next[%d] = %v, Sweep and the divide gave %v", u, next[u], tv[u]/2)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func newSweepCase(rng *rand.Rand, degs []int, nGhost, listLen int) sweepCase {
 // sameBits compares two results bit for bit. Two NaNs compare equal
 // whatever their payloads: which operand's payload an addition of two
 // NaNs keeps is the instruction's operand order, the compiler's choice,
-// not the kernel's (CG's reference loop and SweepIdx do differ there).
+// not the kernel's (CG's reference loop and UpdateIdx do differ there).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
@@ -173,47 +173,89 @@ type referenceKernel interface {
 	Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int)
 }
 
+// Sweep is CG's reference loop, the counterpart of Figure8.Sweep: the
+// aggregate tv[u] = 0.5·(deg·x + Σ) over the contiguous range [lo, hi),
+// one row at a time, left for a separate divide-by-degree pass.
+func (CG) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		sum := 0.0
+		for k := xadj[u]; k < xadj[u+1]; k++ {
+			sum += data[adj[k]]
+		}
+		deg := float64(xadj[u+1] - xadj[u])
+		tv[u] = 0.5 * (deg*data[u] + sum)
+	}
+}
+
+// referenceUpdate is the iteration as the solver computed it before the
+// divide moved into the kernel — the kernel's aggregates by the
+// contiguous loop, then Solver.divide's loop, kept here as the oracle:
+// y[u] = tv[u] / deg(u), a row without neighbors keeping its value. It
+// returns the owned section's new values and leaves data alone.
+func referenceUpdate(k referenceKernel, data []float64, xadj, adj []int32) []float64 {
+	nLocal := len(xadj) - 1
+	tv := make([]float64, nLocal)
+	k.Sweep(data, xadj, adj, tv, 0, nLocal)
+	y := append([]float64(nil), data[:nLocal]...)
+	for u := 0; u < nLocal; u++ {
+		if d := xadj[u+1] - xadj[u]; d > 0 {
+			y[u] = tv[u] / float64(d)
+		}
+	}
+	return y
+}
+
 var builtinKernels = []struct {
 	name string
 	k    referenceKernel
 }{{"figure8", Figure8{}}, {"cg", CG{}}}
 
-// checkSweepIdx runs both built-in kernels over the case's list and
-// holds every listed row to the contiguous reference loop's bits and
-// every unlisted row of tv to the sentinel it held before.
+// checkSweepIdx runs both built-in kernels over the case's list — whole
+// and the prefixes a fractional work factor sweeps — and holds every
+// listed row to the reference iteration's bits, every unlisted row of
+// next to the sentinel it held before, and data to what it was.
 func checkSweepIdx(t *testing.T, c sweepCase) {
 	t.Helper()
 	nLocal := len(c.xadj) - 1
 	const sentinel = -12345.678
+	before := append([]float64(nil), c.data...)
 	for _, k := range builtinKernels {
-		want := make([]float64, nLocal)
-		k.k.Sweep(c.data, c.xadj, c.adj, want, 0, nLocal)
-		got := make([]float64, nLocal)
-		for u := range got {
-			got[u] = sentinel
-		}
-		k.k.SweepIdx(c.data, c.xadj, c.adj, got, c.idx)
-		listed := make([]bool, nLocal)
-		for _, u := range c.idx {
-			listed[u] = true
-			if !sameBits(got[u], want[u]) {
-				t.Errorf("%s: row %d (degree %d) of list %v: SweepIdx gave %v (%#x), Sweep %v (%#x)",
-					k.name, u, c.xadj[u+1]-c.xadj[u], c.idx, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
+		want := referenceUpdate(k.k, c.data, c.xadj, c.adj)
+		for _, share := range []float64{1, 0.75, 0.5, 0.25} {
+			idx := c.idx[:int(share*float64(len(c.idx)))]
+			got := make([]float64, nLocal)
+			for u := range got {
+				got[u] = sentinel
+			}
+			k.k.UpdateIdx(c.data, c.xadj, c.adj, got, idx)
+			listed := make([]bool, nLocal)
+			for _, u := range idx {
+				listed[u] = true
+				if !sameBits(got[u], want[u]) {
+					t.Errorf("%s: row %d (degree %d) of list %v: UpdateIdx gave %v (%#x), Sweep and the divide %v (%#x)",
+						k.name, u, c.xadj[u+1]-c.xadj[u], idx, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
+				}
+			}
+			for u, on := range listed {
+				if !on && got[u] != sentinel {
+					t.Errorf("%s: unlisted row %d of next was written: %v", k.name, u, got[u])
+				}
 			}
 		}
-		for u, on := range listed {
-			if !on && got[u] != sentinel {
-				t.Errorf("%s: unlisted row %d of tv was written: %v", k.name, u, got[u])
+		for i := range before {
+			if math.Float64bits(c.data[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: UpdateIdx wrote data[%d]", k.name, i)
 			}
 		}
 	}
 }
 
-// TestSweepIdxEqualsReference: the four-rows-at-a-time sweep equals the
-// reference loop bit for bit on equal-degree groups, mixed groups, the
-// tail, degree-0 rows and rows up to degree 40, for every list length
-// around the group size and with ghost references and special payloads
-// in play.
+// TestSweepIdxEqualsReference: the fused four-rows-at-a-time pass equals
+// the reference loop followed by the old divide bit for bit on
+// equal-degree groups, mixed groups, the tail, degree-0 rows (alone, in
+// whole groups and inside mixed ones) and rows up to degree 40, for
+// every list length around the group size and its prefixes, with ghost
+// references and special payloads in play.
 func TestSweepIdxEqualsReference(t *testing.T) {
 	repeat := func(n int, degs ...int) []int {
 		var out []int
@@ -230,6 +272,7 @@ func TestSweepIdxEqualsReference(t *testing.T) {
 		{"one degree", repeat(12, 5), 4},
 		{"degree zero only", repeat(12, 0), 0},
 		{"degree zero among others", repeat(12, 0, 3, 0, 0, 7), 3},
+		{"degree zero groups and tails", repeat(14, 0, 0, 0, 0, 2, 2, 2), 1},
 		{"benchmark mesh degrees", repeat(16, 4, 8), 6},
 		{"every group mixed", repeat(12, 4, 4, 4, 5), 2},
 		{"degree forty", repeat(9, 40, 40, 40, 40, 1), 9},
@@ -237,7 +280,7 @@ func TestSweepIdxEqualsReference(t *testing.T) {
 		{"single row", []int{6}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for listLen := 0; listLen <= 9; listLen++ {
+			for listLen := 0; listLen <= 14; listLen++ {
 				for seed := int64(1); seed <= 20; seed++ {
 					checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), tc.degs, tc.nGhost, listLen))
 				}
@@ -246,9 +289,12 @@ func TestSweepIdxEqualsReference(t *testing.T) {
 	}
 }
 
-// FuzzSweepIdx holds SweepIdx to the reference loop on arbitrary
-// localized CSRs: degs gives each row's degree (mod 41), seed the
-// references, the payload and the list.
+// FuzzSweepIdx holds UpdateIdx to the reference loop and the old divide
+// on arbitrary localized CSRs: degs gives each row's degree (mod 41),
+// seed the references, the payload and the list. testdata/fuzz holds
+// the shapes the fused divide added: whole groups of empty rows, empty
+// rows inside mixed groups and in the tail, and lists whose prefixes
+// cut a group.
 func FuzzSweepIdx(f *testing.F) {
 	f.Add(int64(1), []byte{4, 8, 4, 8, 4, 8, 4, 8, 4}, uint8(3), uint8(9))
 	f.Add(int64(2), []byte{0, 0, 0, 0, 40, 40, 40, 40}, uint8(0), uint8(8))
@@ -311,9 +357,10 @@ func benchShape(tb testing.TB, side, p int) rankShape {
 }
 
 // BenchmarkKernel times one full sweep of a rank's rows by each
-// built-in kernel in its two forms — the contiguous reference loop and
-// SweepIdx over the plan's interior and boundary lists, which is what
-// the solver runs — and reports the cost per adjacency entry.
+// built-in kernel in its two forms — the contiguous reference loop
+// (sums only, no divide) and UpdateIdx over the plan's interior and
+// boundary lists, which is what the solver runs — and reports the cost
+// per adjacency entry.
 func BenchmarkKernel(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -338,8 +385,8 @@ func BenchmarkKernel(b *testing.B) {
 						if form == "reference" {
 							kern.k.Sweep(sh.data, sh.xadj, sh.adj, tv, 0, nLocal)
 						} else {
-							kern.k.SweepIdx(sh.data, sh.xadj, sh.adj, tv, sh.interior)
-							kern.k.SweepIdx(sh.data, sh.xadj, sh.adj, tv, sh.boundary)
+							kern.k.UpdateIdx(sh.data, sh.xadj, sh.adj, tv, sh.interior)
+							kern.k.UpdateIdx(sh.data, sh.xadj, sh.adj, tv, sh.boundary)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sh.adj)), "ns/entry")

@@ -10,6 +10,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stance/internal/core"
@@ -23,7 +24,7 @@ type Solver struct {
 	env   *hetero.Env
 	clock vtime.Clock
 	y     *core.Vector
-	t     []float64
+	t     []float64 // Figure 8's scratch vector: the new values, until every row is in
 
 	// fields are the independent solution vectors the loop advances
 	// each iteration; fields[0] is y. A multi-field solver models the
@@ -58,6 +59,8 @@ type Solver struct {
 
 	iter int
 
+	// stamp is when the phase in progress began; see lap.
+	stamp time.Time
 	// Accumulated timings since the last TakeTimings call.
 	computeTime time.Duration
 	commTime    time.Duration
@@ -121,14 +124,14 @@ func (s *Solver) Pipeline() int { return s.depth }
 // posts every field's exchange at the top of the iteration and sweeps
 // the interior strip while the messages fly, then drains the arrivals
 // and sweeps the boundary strip. Depth 2 additionally re-posts a
-// field's exchange the moment its divide completes, so iteration k+1's
-// messages fly while the remaining fields still drain iteration k. The
-// kernel's dependency chain (a field's exchange needs its previous
-// divide) bounds the useful depth at 2; larger values behave like 2.
-// Interior elements touch no ghost and boundary sums run after every
-// ghost has landed, so the result is bit-for-bit the same at every
-// depth; only the schedule of communication against computation
-// changes.
+// field's exchange the moment its boundary strip is in, so iteration
+// k+1's messages fly while the remaining fields still drain iteration
+// k. The kernel's dependency chain (a field's exchange needs its
+// previous sweep's values) bounds the useful depth at 2; larger values
+// behave like 2. Interior elements touch no ghost and boundary rows run
+// after every ghost has landed, so the result is bit-for-bit the same
+// at every depth; only the schedule of communication against
+// computation changes.
 func (s *Solver) SetPipeline(depth int) error {
 	if depth < 0 {
 		return fmt.Errorf("solver: negative pipeline depth %d", depth)
@@ -219,17 +222,9 @@ func (s *Solver) InitDefault() {
 	}
 }
 
-// scratch returns the tv buffer sized for the current local section.
-func (s *Solver) scratch(nLocal int) []float64 {
-	if cap(s.t) < nLocal {
-		s.t = make([]float64, nLocal)
-	}
-	return s.t[:nLocal]
-}
-
 // Step executes one phase of the Figure 8 loop on every field:
 //
-//	gather ghosts; t[i] = sum_k y[ia[k]]; y[i] = t[i]/deg(i)
+//	gather ghosts; t[i] = sum_k y[ia[k]] / deg(i); y = t
 //
 // It is Run(1, nil): at depth >= 2 a lone step has no next iteration to
 // post ahead for, so it schedules like depth 1.
@@ -249,24 +244,26 @@ const (
 	boundary
 )
 
-// sweep computes one strip of a field's neighbor sums and accounts for
-// its compute time; the strip that completes the sums (every one but
-// interior) also runs the divide. The kernel always runs over the
-// plan's row lists, so it sees the same rows in the same order at every
-// depth. The kernel body is repeated workRep × WorkFactor(rank, iter)
-// times; repeats recompute identical values, so the numerical result is
-// independent of the environment — only the time changes, exactly like
-// a slower workstation. A fractional repeat sweeps that share of each
-// list's rows from its front: the plan groups rows by degree only
-// inside fixed windows, so a prefix holds its share of the adjacency
-// entries too. With a virtual compute cost the data is swept once and
-// the same amplification is charged to the clock with a single Sleep
-// instead; between an exchange's Start and Wait that sleep is when the
-// in-flight deliveries land, so it hides the message flight like real
-// interior compute does.
+// sweep computes one strip of a field's new values into the scratch
+// vector, and the strip that completes the iteration (every one but
+// interior) moves the scratch into the vector's owned section; compute
+// time runs from the stamp that ended the phase before (see lap). The
+// kernel sees the plan's rows in the same order at every depth. It runs
+// max(workRep × WorkFactor(rank, iter), 1) times: the first pass writes
+// every row of the strip and the repeats recompute identical values, so
+// the numerical result is independent of the environment — only the
+// time changes, exactly like a slower workstation. A fractional repeat
+// sweeps that share of each list's rows from its front: the plan groups
+// rows by degree only inside fixed windows, so a prefix holds its share
+// of the adjacency entries too. With a virtual compute cost the data is
+// swept once and workRep × WorkFactor is charged to the clock with a
+// single Sleep instead; between an exchange's Start and Wait that sleep
+// is when the in-flight deliveries land, so it hides the message flight
+// like real interior compute does.
 func (s *Solver) sweep(data []float64, part strip) {
 	nLocal := s.rt.LocalN()
-	tv := s.scratch(nLocal)
+	s.t = slices.Grow(s.t[:0], nLocal)[:nLocal]
+	next := s.t
 	xadj, adj := s.rt.LocalAdj()
 	plan := s.rt.Plan()
 	var lists [2][]int32
@@ -278,11 +275,10 @@ func (s *Solver) sweep(data []float64, part strip) {
 	case boundary:
 		lists[0] = plan.Boundary()
 	}
-	n := len(lists[0]) + len(lists[1])
 	pass := func(share float64) {
 		for _, idx := range lists {
-			if len(idx) > 0 {
-				s.kern.SweepIdx(data, xadj, adj, tv, idx[:int(share*float64(len(idx)))])
+			if m := int(share * float64(len(idx))); m > 0 {
+				s.kern.UpdateIdx(data, xadj, adj, next, idx[:m])
 			}
 		}
 	}
@@ -293,40 +289,28 @@ func (s *Solver) sweep(data []float64, part strip) {
 		// sub-world.
 		factor = s.env.WorkFactor(s.rt.Comm().WorldRank(), s.iter)
 	}
-
-	var t0 time.Time
+	r := 1.0
 	if s.costPerItem == 0 {
-		t0 = s.clock.Now()
-		r := float64(s.workRep) * factor
-		full := int(r)
-		for rep := 0; rep < full; rep++ {
-			pass(1)
-		}
-		pass(r - float64(full))
+		r = max(float64(s.workRep)*factor, 1)
 	}
-	// One guaranteed full pass so results never depend on the factor.
-	pass(1)
+	// Whole passes, then a prefix pass for what is left of r.
+	for ; r > 0; r-- {
+		pass(min(r, 1))
+	}
 	if part != interior {
-		s.divide(data, xadj, tv, nLocal)
+		copy(data, next)
 	}
 	if s.costPerItem == 0 {
-		s.computeTime += s.clock.Now().Sub(t0)
+		s.computeTime += s.lap()
 		return
 	}
 	// Pure float arithmetic on deterministic inputs, so the charge is
 	// identical on every run.
+	n := len(lists[0]) + len(lists[1])
 	d := time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
 	s.clock.Sleep(d)
 	s.computeTime += d
-}
-
-// divide finishes the phase: y[u] = tv[u] / deg(u).
-func (s *Solver) divide(data []float64, xadj []int32, tv []float64, nLocal int) {
-	for u := 0; u < nLocal; u++ {
-		if d := xadj[u+1] - xadj[u]; d > 0 {
-			data[u] = tv[u] / float64(d)
-		}
-	}
+	s.lap() // the charge is d, not the reading; restamp for the next phase
 }
 
 // Timings are the accumulated per-rank measurements since the last
@@ -374,9 +358,10 @@ func (s *Solver) TakeTimings() Timings {
 // calls.
 func (s *Solver) Run(n int, afterIter func(iter int) error) error {
 	for k := 0; k < n; k++ {
+		s.stamp = s.clock.Now()
 		// Depth 1 posts at the top of every iteration; depth >= 2 only
 		// of the first — each later one was posted behind its field's
-		// previous divide.
+		// previous sweep.
 		if s.depth == 1 || s.depth >= 2 && k == 0 {
 			for f := range s.fields {
 				if err := s.post(f); err != nil {
@@ -387,24 +372,22 @@ func (s *Solver) Run(n int, afterIter func(iter int) error) error {
 		ahead := s.depth >= 2 && k < n-1
 		for f, v := range s.fields {
 			if s.depth == 0 {
-				t0 := s.clock.Now()
 				if err := s.rt.Exchange(v); err != nil {
 					return err
 				}
-				s.commTime += s.clock.Now().Sub(t0)
+				s.commTime += s.lap()
 				s.sweep(v.Data, whole)
 				continue
 			}
 			// This field's exchange and every other live handle make
 			// progress while the interior strip computes.
 			s.sweep(v.Data, interior)
-			t0 := s.clock.Now()
 			h := s.handles[f]
 			s.handles[f] = nil
 			if err := h.Wait(); err != nil {
 				return err
 			}
-			s.commTime += s.clock.Now().Sub(t0)
+			s.commTime += s.lap()
 			s.sweep(v.Data, boundary)
 			if ahead {
 				if err := s.post(f); err != nil {
@@ -423,15 +406,24 @@ func (s *Solver) Run(n int, afterIter func(iter int) error) error {
 	return nil
 }
 
+// lap ends the phase that began at the last stamp and returns how long
+// it took. One clock read per phase boundary: the stamp that ends a
+// phase starts the next, so compute and communication tile an iteration.
+func (s *Solver) lap() time.Duration {
+	now := s.clock.Now()
+	d := now.Sub(s.stamp)
+	s.stamp = now
+	return d
+}
+
 // post starts field f's ghost exchange and keeps its handle.
 func (s *Solver) post(f int) error {
-	t0 := s.clock.Now()
 	h, err := s.rt.ExchangeStart(s.fields[f])
 	if err != nil {
 		return err
 	}
 	s.handles[f] = h
-	s.commTime += s.clock.Now().Sub(t0)
+	s.commTime += s.lap()
 	return nil
 }
 

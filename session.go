@@ -337,16 +337,19 @@ func WithFields(n int) Option {
 }
 
 // WithKernel replaces the solver's compute body (the built-in Figure8
-// kernel by default). A kernel is one method, SweepIdx; its rows arrive
-// in the plan's order, not ascending, and each row's result must not
-// depend on that order.
+// kernel by default). A kernel is one method, UpdateIdx, which writes
+// each listed element's new value; its rows arrive in the plan's order,
+// not ascending, and each row's result must not depend on that order.
 func WithKernel(k Kernel) Option {
 	return func(c *session.Config) { c.Kernel = k }
 }
 
-// WithWorkRep sets the kernel work amplification per element, keeping
-// the compute-to-communication ratio of the paper's SUN4 + Ethernet
-// setting reproducible on modern hardware. The default is 1.
+// WithWorkRep sets the kernel work amplification: an iteration sweeps
+// each element n × WorkFactor times (never less than once), the same
+// quantity WithVirtualCompute charges, keeping the
+// compute-to-communication ratio of the paper's SUN4 + Ethernet setting
+// reproducible on modern hardware. The default is 1: one sweep per
+// iteration on a reference workstation, two on one half as fast.
 func WithWorkRep(n int) Option {
 	return func(c *session.Config) { c.WorkRep = n }
 }

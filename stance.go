@@ -92,8 +92,11 @@ type (
 	// Timings are the solver's accumulated per-rank measurements.
 	Timings = solver.Timings
 	// Kernel is the solver's per-iteration compute body: one method,
-	// SweepIdx, handed the plan's row lists. Rows arrive in the plan's
-	// order — grouped by degree, not ascending — and are independent.
+	// UpdateIdx, handed the plan's row lists, which writes each listed
+	// element's new value — divide included; the solver only moves the
+	// values into the vector once every row is in. Rows arrive in the
+	// plan's order — grouped by degree, not ascending — and are
+	// independent.
 	Kernel = solver.Kernel
 	// OpHandle is one in-flight split-phase executor operation; Start
 	// calls on the Runtime return one and its Wait completes the op.
