@@ -106,8 +106,11 @@ func checkOracle(rt *Runtime) error {
 	if !got.Classified() {
 		return fmt.Errorf("plan not classified")
 	}
-	if !slices.Equal(got.Interior(), want.Interior()) || !slices.Equal(got.Boundary(), want.Boundary()) {
+	if !slices.Equal(got.InteriorRows().Idx, want.InteriorRows().Idx) || !slices.Equal(got.BoundaryRows().Idx, want.BoundaryRows().Idx) {
 		return fmt.Errorf("interior/boundary lists differ from the reference")
+	}
+	if err := checkChunkViews(got, xadj, adj); err != nil {
+		return err
 	}
 	if !slices.Equal(got.SendPeers(), want.SendPeers()) || !slices.Equal(got.RecvPeers(), want.RecvPeers()) {
 		return fmt.Errorf("peer lists differ from the reference")
@@ -115,6 +118,50 @@ func checkOracle(rt *Runtime) error {
 	for q := 0; q < want.NProcs(); q++ {
 		if !slices.Equal(got.LocalIdx(q), want.LocalIdx(q)) || !slices.Equal(got.GhostIdx(q), want.GhostIdx(q)) {
 			return fmt.Errorf("index tables for peer %d differ from the reference", q)
+		}
+	}
+	return nil
+}
+
+// oracleChunks builds a row list's chunked view from scratch: chunk c —
+// rows[8c:8c+8] — holds its rows' references interleaved when the eight
+// share one degree d > 0, and nothing otherwise.
+func oracleChunks(rows, xadj, adj []int32) (off, refs []int32) {
+	off = []int32{0}
+	for lo := 0; lo+sched.ChunkRows <= len(rows); lo += sched.ChunkRows {
+		chunk := rows[lo : lo+sched.ChunkRows]
+		d := xadj[chunk[0]+1] - xadj[chunk[0]]
+		uniform := d > 0
+		for _, u := range chunk {
+			uniform = uniform && xadj[u+1]-xadj[u] == d
+		}
+		for k := int32(0); uniform && k < d; k++ {
+			for _, u := range chunk {
+				refs = append(refs, adj[xadj[u]+k])
+			}
+		}
+		off = append(off, int32(len(refs)))
+	}
+	return off, refs
+}
+
+// checkChunkViews holds the plan's two Rows to the runtime's localized
+// CSR and a from-scratch build of their lists' chunked views — so no
+// table the plan took from its predecessor can show through.
+func checkChunkViews(p *sched.Plan, xadj, adj []int32) error {
+	for _, r := range []struct {
+		name string
+		rows sched.Rows
+	}{{"interior", p.InteriorRows()}, {"boundary", p.BoundaryRows()}} {
+		if !slices.Equal(r.rows.Xadj, xadj) || !slices.Equal(r.rows.Adj, adj) {
+			return fmt.Errorf("%s rows carry another CSR than the runtime's", r.name)
+		}
+		off, refs := oracleChunks(r.rows.Idx, xadj, adj)
+		if !slices.Equal(r.rows.ChunkOff, off) {
+			return fmt.Errorf("%s chunk offsets differ from the reference", r.name)
+		}
+		if !slices.Equal(r.rows.ChunkAdj, refs) {
+			return fmt.Errorf("%s chunked references differ from the reference", r.name)
 		}
 	}
 	return nil
@@ -569,6 +616,71 @@ func TestInspectorEqualsReferenceAcrossWindows(t *testing.T) {
 				{remap: []float64{1, 2, 4, 8}},
 				{remap: []float64{8, 4, 2, 1}},
 				{remap: []float64{1, 1, 1, 1}},
+			})
+		})
+	}
+}
+
+// TestChunkViewsEqualReference plays remaps, a shrink and a grow, a
+// recovery and a graph replacement on the benchmark's kind of mesh,
+// where degrees repeat and most references sit in uniform chunks, and
+// demands the from-scratch chunked views after every step. A fresh
+// rank is first shown to read most of its references through them, so
+// the comparison is not between two empty tables.
+func TestChunkViewsEqualReference(t *testing.T) {
+	g, err := mesh.GridTriangulated(60, 60, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replacement crosses every fourth cell's diagonal, so degrees
+	// change and the chunks fall elsewhere.
+	edges := g.Edges()
+	for y := 0; y+1 < 60; y++ {
+		for x := 0; x+1 < 60; x++ {
+			if (x+y)%4 == 0 {
+				edges = append(edges, graph.Edge{U: int32(y*60 + x + 1), V: int32((y+1)*60 + x)})
+			}
+		}
+	}
+	fine, err := graph.FromEdges(g.N, edges, g.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := comm.NewWorld(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.CloseWorld(ws)
+	err = comm.SPMD(ws, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		_, adj := rt.LocalAdj()
+		chunked := len(rt.Plan().InteriorRows().ChunkAdj) + len(rt.Plan().BoundaryRows().ChunkAdj)
+		if 10*chunked < 8*len(adj) {
+			return fmt.Errorf("rank %d: chunked views hold %d of %d references, want at least 80 %%", c.Rank(), chunked, len(adj))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(g.N)
+	all := []int{0, 1, 2, 3}
+	for name, cfg := range oracleConfigs(g, 4) {
+		t.Run(name, func(t *testing.T) {
+			runOracleScript(t, g, 4, cfg, []oracleStep{
+				{remap: []float64{3, 1, 1, 1}},
+				{resize: []int64{n / 3, n / 3, n - 2*(n/3)}, active: []int{0, 1, 2}},
+				{remap: []float64{1, 2, 1}},
+				{resize: []int64{n / 4, n / 4, n / 4, n - 3*(n/4)}, active: all},
+				{recoverTo: []int{0, 2, 3}},
+				{remap: []float64{1, 1, 2}},
+			})
+			runOracleScript(t, g, 4, cfg, []oracleStep{
+				{setGraph: fine},
+				{remap: []float64{1, 1, 1, 5}},
 			})
 		})
 	}

@@ -421,9 +421,10 @@ func (rt *Runtime) rebuild() error {
 	// and resetting here keeps a freshly admitted rank's tag sequence
 	// aligned with the survivors'.
 	rt.opSeq = 0
-	// The interior/boundary split rides on the plan, so it is rebuilt
-	// here too and stays valid across remaps and rebinds.
-	err = rt.plan.ClassifyRows(rt.lxadj, rt.boundaryRows)
+	// The interior/boundary split and the lists' chunked views ride on
+	// the plan, so they are rebuilt here too and stay valid across remaps
+	// and rebinds.
+	err = rt.plan.ClassifyRows(rt.lxadj, rt.ladj, rt.boundaryRows)
 	// The whole of Phase B, not the builder call: the builder sees a
 	// few thousand references and takes microseconds, and the balancer
 	// prices a remap with this figure.
@@ -554,8 +555,8 @@ func (rt *Runtime) LocalAdj() (xadj, adj []int32) { return rt.lxadj, rt.ladj }
 
 // LastInspectorTime reports how long the most recent inspector run took
 // — all of Phase B: the pass over the rank's rows, the schedule build,
-// the ghost slots, the plan compile and the classification. It is the
-// cost the load balancer weighs remapping against.
+// the ghost slots, the plan compile, the classification and the chunked
+// views. It is the cost the load balancer weighs remapping against.
 func (rt *Runtime) LastInspectorTime() time.Duration { return rt.lastInspector }
 
 // identityArrangement returns the arrangement [0, 1, ..., p-1].

@@ -60,7 +60,7 @@ func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 		// interiorMix folds v's interior values into w — compute that
 		// reads no ghost, legal while an Exchange is in flight.
 		interiorMix := func() {
-			for _, u := range rt.Plan().Interior() {
+			for _, u := range rt.Plan().InteriorRows().Idx {
 				w.Data[u] += v.Data[u] * 0.5
 			}
 		}
@@ -68,7 +68,7 @@ func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 		// completes in both modes.
 		boundaryMix := func() {
 			xadj, adj := rt.LocalAdj()
-			for _, u := range rt.Plan().Boundary() {
+			for _, u := range rt.Plan().BoundaryRows().Idx {
 				sum := 0.0
 				for k := xadj[u]; k < xadj[u+1]; k++ {
 					sum += v.Data[adj[k]]
@@ -397,7 +397,7 @@ func checkSplit(t *testing.T, rt *Runtime, label string) {
 	}
 	nLocal := rt.LocalN()
 	xadj, adj := rt.LocalAdj()
-	interior, boundary := p.Interior(), p.Boundary()
+	interior, boundary := p.InteriorRows().Idx, p.BoundaryRows().Idx
 	if len(interior)+len(boundary) != nLocal {
 		t.Errorf("%s: |interior|=%d + |boundary|=%d != nLocal=%d",
 			label, len(interior), len(boundary), nLocal)

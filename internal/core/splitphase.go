@@ -116,7 +116,7 @@ func (rt *Runtime) LiveOps() int { return len(rt.live) }
 
 // ExchangeStart posts the sends of an Exchange and returns its handle
 // without waiting for the ghosts to arrive. The caller may compute
-// over the plan's Interior() elements (which read no ghost value),
+// over the plan's InteriorRows() elements (which read no ghost value),
 // then must Wait on the handle before touching any ghost. Further
 // Starts on other vectors may be issued while this one is in flight.
 func (rt *Runtime) ExchangeStart(v *Vector) (*OpHandle, error) {

@@ -20,11 +20,12 @@ import (
 // A Plan is bound to the Schedule it was compiled from. Whenever the
 // layout or structure changes (Bind, Remap, Rebind, SetGraph) the
 // runtime's one-pass inspector hands the rebuilt schedule to Recompile,
-// which takes the previous plan's storage — row lists, per-peer tables,
-// wire buffers — for the new one, and then to ClassifyRows with the
-// boundary rows the pass recorded, so a steady-state rebuild allocates
-// only the plan's header. The previous plan is left empty: a *Plan, and
-// every slice read from it, is valid until the runtime's next rebuild.
+// which takes the previous plan's storage — row lists, chunked views,
+// per-peer tables, wire buffers — for the new one, and then to
+// ClassifyRows with the localized CSR and the boundary rows the pass
+// recorded, so a steady-state rebuild allocates only the plan's header.
+// The previous plan is left empty: a *Plan, and every slice read from
+// it, is valid until the runtime's next rebuild.
 type Plan struct {
 	rank   int
 	nprocs int
@@ -70,7 +71,17 @@ type Plan struct {
 	// so the split survives remaps and rebinds on the recompiled plan).
 	interior, boundary []int32
 	classified         bool
+
+	// xadj/adj are the localized CSR the lists were classified against,
+	// and interiorChunks/boundaryChunks the lists' chunked views of it
+	// (see Rows).
+	xadj, adj                      []int32
+	interiorChunks, boundaryChunks chunks
 }
+
+// chunks is one row list's chunked view: Rows.ChunkOff and
+// Rows.ChunkAdj.
+type chunks struct{ off, adj []int32 }
 
 // Compile builds the replay plan for a schedule.
 func Compile(s *Schedule) *Plan { return Recompile(nil, s) }
@@ -95,6 +106,9 @@ func Recompile(old *Plan, s *Schedule) *Plan {
 	clear(p.held) // pending is reset by every Pending call
 	p.ghostBuf = slices.Grow(p.ghostBuf[:0], s.NGhosts())
 	p.interior, p.boundary, p.classified = p.interior[:0], p.boundary[:0], false
+	p.xadj, p.adj = nil, nil
+	p.interiorChunks.reset()
+	p.boundaryChunks.reset()
 	for q := 0; q < s.NProcs; q++ {
 		p.local[q], p.ghost[q] = nil, nil
 		if idx := s.SendIdx[q]; len(idx) > 0 {
@@ -126,6 +140,35 @@ func Recompile(old *Plan, s *Schedule) *Plan {
 // window, which the solver's fractional work-factor pass relies on.
 const rowWindow = 256
 
+// ChunkRows is how many consecutive rows of a plan list make one chunk
+// of its chunked view (see Rows). Chosen by measurement, like rowWindow:
+// on a 45 000-row rank of the benchmark grid eight interleaved rows
+// sweep faster than four or sixteen (DESIGN.md "Chunked rows"). It
+// divides rowWindow, so a chunk never straddles a window.
+const ChunkRows = 8
+
+// Rows is what a kernel sweeps: a list of rows of a localized CSR and,
+// for a plan's list, the list's chunked view — the SELL-C-σ layout with
+// C = ChunkRows, σ being the plan's degree grouping.
+type Rows struct {
+	// Idx lists the rows to sweep, in plan order.
+	Idx []int32
+	// Xadj and Adj are the localized CSR: row u's references are
+	// Adj[Xadj[u]:Xadj[u+1]], in the order a row's sum must add them.
+	Xadj, Adj []int32
+	// ChunkOff and ChunkAdj are the chunked view of the list Idx is a
+	// prefix of. Chunk c is rows Idx[8c:8c+8]. When all eight have the
+	// same degree d > 0, ChunkAdj[ChunkOff[c]:ChunkOff[c+1]] holds their
+	// references interleaved, 8d of them: the k-th reference of each of
+	// the eight rows, in list order, for k = 0, then 1, … up to d−1.
+	// Otherwise the range is empty and the chunk's rows are read through
+	// the CSR, as is the tail after the last whole chunk. ChunkOff has
+	// one entry per whole chunk of the list plus one, so a prefix keeps
+	// the list's tables and covers the chunks that fit in it; nil tables
+	// cover nothing.
+	ChunkOff, ChunkAdj []int32
+}
+
 // Classify splits the local index set into interior and boundary
 // elements from the localized CSR (references >= NLocal index the
 // ghost section): a local element is boundary iff any of its
@@ -138,7 +181,9 @@ const rowWindow = 256
 // grouped by degree, non-decreasing, and ascending within a degree. A
 // kernel handed consecutive rows of equal degree can run them in
 // lockstep, and its loop's exit branch repeats instead of following
-// the mesh's scattered degrees.
+// the mesh's scattered degrees. Each list's chunked view is built from
+// the CSR too (see Rows); the plan keeps xadj and adj for its Rows, so
+// they must not change while the plan is in use.
 func (p *Plan) Classify(xadj, adj []int32) error {
 	if len(xadj) != p.nlocal+1 {
 		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
@@ -152,16 +197,20 @@ func (p *Plan) Classify(xadj, adj []int32) error {
 			}
 		}
 	}
-	return p.ClassifyRows(xadj, p.boundary)
+	return p.ClassifyRows(xadj, adj, p.boundary)
 }
 
 // ClassifyRows is Classify for a caller that found the boundary rows
 // while it localized the CSR — strictly ascending, each in [0, NLocal).
-// The interior is their complement, so no reference is read again; only
-// xadj is, for the degrees. boundary is copied.
-func (p *Plan) ClassifyRows(xadj, boundary []int32) error {
+// The interior is their complement, so no reference is read to find
+// it; the chunked views read each chunked reference once. boundary is
+// copied.
+func (p *Plan) ClassifyRows(xadj, adj, boundary []int32) error {
 	if len(xadj) != p.nlocal+1 {
 		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
+	}
+	if int(xadj[p.nlocal]) > len(adj) {
+		return fmt.Errorf("sched: classify with %d references for a CSR of %d", len(adj), xadj[p.nlocal])
 	}
 	p.boundary = append(p.boundary[:0], boundary...)
 	p.interior = slices.Grow(p.interior[:0], max(0, p.nlocal-len(boundary)))
@@ -180,8 +229,57 @@ func (p *Plan) ClassifyRows(xadj, boundary []int32) error {
 	}
 	groupByDegree(p.interior, xadj)
 	groupByDegree(p.boundary, xadj)
+	p.xadj, p.adj = xadj, adj
+	p.interiorChunks.build(p.interior, xadj, adj)
+	p.boundaryChunks.build(p.boundary, xadj, adj)
 	p.classified = true
 	return nil
+}
+
+// reset empties the view, keeping its storage.
+func (c *chunks) reset() { c.off, c.adj = c.off[:0], c.adj[:0] }
+
+// build lays out the chunked view of a row list in place: one pass over
+// the degrees sizes every chunk, a second interleaves the references of
+// the uniform ones. Both tables keep their high-water storage and are
+// reallocated at exactly the size needed when they fall short.
+func (c *chunks) build(rows, xadj, adj []int32) {
+	n := len(rows) / ChunkRows
+	c.off = fit(c.off, n+1)
+	size := int32(0)
+	for i := range n {
+		c.off[i] = size
+		chunk := rows[i*ChunkRows : (i+1)*ChunkRows]
+		d := xadj[chunk[0]+1] - xadj[chunk[0]]
+		for _, u := range chunk[1:] {
+			if xadj[u+1]-xadj[u] != d {
+				d = 0
+			}
+		}
+		size += ChunkRows * d
+	}
+	c.off[n] = size
+	c.adj = fit(c.adj, int(size))
+	for i := range n {
+		dst := c.adj[c.off[i]:c.off[i+1]]
+		if len(dst) == 0 {
+			continue
+		}
+		for j, u := range rows[i*ChunkRows : (i+1)*ChunkRows] {
+			for k, ref := range adj[xadj[u]:xadj[u+1]] {
+				dst[k*ChunkRows+j] = ref
+			}
+		}
+	}
+}
+
+// fit returns s resliced to length n, reallocated at exactly n when its
+// capacity falls short.
+func fit(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // groupByDegree puts an ascending row list into plan order, in place.
@@ -221,15 +319,19 @@ func groupByDegree(rows, xadj []int32) {
 // interior/boundary split.
 func (p *Plan) Classified() bool { return p.classified }
 
-// Interior returns the local indices that reference no ghost value,
-// in plan order (see Classify). Not to be modified; empty until
-// Classify runs.
-func (p *Plan) Interior() []int32 { return p.interior }
+// InteriorRows returns the local indices that reference no ghost value,
+// in plan order (see Classify), with the CSR they were classified
+// against and their chunked view: what a kernel sweeps for the interior
+// strip. Not to be modified; Idx is empty until Classify runs.
+func (p *Plan) InteriorRows() Rows { return p.rows(p.interior, p.interiorChunks) }
 
-// Boundary returns the local indices that reference at least one ghost
-// value, in plan order (see Classify). Not to be modified; empty until
-// Classify runs.
-func (p *Plan) Boundary() []int32 { return p.boundary }
+// BoundaryRows is InteriorRows for the local indices that reference at
+// least one ghost value.
+func (p *Plan) BoundaryRows() Rows { return p.rows(p.boundary, p.boundaryChunks) }
+
+func (p *Plan) rows(idx []int32, c chunks) Rows {
+	return Rows{Idx: idx, Xadj: p.xadj, Adj: p.adj, ChunkOff: c.off, ChunkAdj: c.adj}
+}
 
 // Rank returns the rank the plan was compiled for.
 func (p *Plan) Rank() int { return p.rank }

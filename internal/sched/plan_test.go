@@ -180,7 +180,7 @@ func TestClassifyPlanOrder(t *testing.T) {
 		}
 		deg := func(u int32) int32 { return xadj[u+1] - xadj[u] }
 		seen := make([]bool, nLocal)
-		for li, rows := range [][]int32{p.Interior(), p.Boundary()} {
+		for li, rows := range [][]int32{p.InteriorRows().Idx, p.BoundaryRows().Idx} {
 			for _, u := range rows {
 				if seen[u] {
 					t.Fatalf("nLocal=%d: row %d listed twice", nLocal, u)
@@ -212,6 +212,7 @@ func TestClassifyPlanOrder(t *testing.T) {
 				t.Fatalf("nLocal=%d: row %d in neither list", nLocal, u)
 			}
 		}
+		checkChunkViews(t, p, xadj, adj)
 		if allocs := testing.AllocsPerRun(10, func() {
 			if err := p.Classify(xadj, adj); err != nil {
 				t.Fatal(err)
@@ -222,5 +223,75 @@ func TestClassifyPlanOrder(t *testing.T) {
 	}
 	if err := Compile(planSchedule()).Classify(make([]int32, 3), nil); err == nil {
 		t.Error("Classify accepted a CSR of the wrong row count")
+	}
+	if err := Compile(planSchedule()).ClassifyRows([]int32{0, 1, 2, 3, 4}, make([]int32, 3), nil); err == nil {
+		t.Error("ClassifyRows accepted fewer references than the row offsets span")
+	}
+}
+
+// oracleChunks builds a row list's chunked view the plain way: chunk c —
+// rows[8c:8c+8] — holds its rows' references interleaved when the eight
+// share one degree d > 0, and nothing otherwise.
+func oracleChunks(rows, xadj, adj []int32) (off, refs []int32) {
+	off = []int32{0}
+	for lo := 0; lo+ChunkRows <= len(rows); lo += ChunkRows {
+		chunk := rows[lo : lo+ChunkRows]
+		d := xadj[chunk[0]+1] - xadj[chunk[0]]
+		uniform := d > 0
+		for _, u := range chunk {
+			uniform = uniform && xadj[u+1]-xadj[u] == d
+		}
+		for k := int32(0); uniform && k < d; k++ {
+			for _, u := range chunk {
+				refs = append(refs, adj[xadj[u]+k])
+			}
+		}
+		off = append(off, int32(len(refs)))
+	}
+	return off, refs
+}
+
+// checkChunkViews holds a classified plan's Rows to the CSR it was
+// classified against and the oracle's chunked views of its lists.
+func checkChunkViews(t *testing.T, p *Plan, xadj, adj []int32) {
+	t.Helper()
+	for li, r := range []Rows{p.InteriorRows(), p.BoundaryRows()} {
+		if !slices.Equal(r.Xadj, xadj) || !slices.Equal(r.Adj, adj) {
+			t.Fatalf("nLocal=%d list %d: Rows carries another CSR", p.NLocal(), li)
+		}
+		off, refs := oracleChunks(r.Idx, xadj, adj)
+		if !slices.Equal(r.ChunkOff, off) || !slices.Equal(r.ChunkAdj, refs) {
+			t.Fatalf("nLocal=%d list %d: chunked view (%d offsets, %d references) differs from the oracle's (%d, %d)",
+				p.NLocal(), li, len(r.ChunkOff), len(r.ChunkAdj), len(off), len(refs))
+		}
+	}
+}
+
+// TestChunkViewsKeepTheirStorage: reclassifying a recompiled plan — what
+// a runtime does on every rebuild — builds the chunked views in the old
+// plan's tables, which grow only to exactly what a larger list needs,
+// and leaves nothing of the previous views behind; an unclassified plan
+// hands out views that cover nothing.
+func TestChunkViewsKeepTheirStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sched := func(n int) *Schedule {
+		return &Schedule{NProcs: 1, NLocal: n, SendIdx: [][]int32{nil}, RecvSlot: [][]int32{nil}}
+	}
+	var p *Plan
+	for i, nLocal := range []int{600, 300, 40, 2000, 7, 0, 900} {
+		xadj, adj := randomLocalCSR(rng, nLocal, 30)
+		p = Recompile(p, sched(nLocal))
+		if r := p.InteriorRows(); len(r.Idx) != 0 || len(r.ChunkOff) != 0 || len(r.ChunkAdj) != 0 {
+			t.Fatalf("step %d: recompiled plan hands out a view before it is classified", i)
+		}
+		before := cap(p.InteriorRows().ChunkAdj)
+		if err := p.Classify(xadj, adj); err != nil {
+			t.Fatal(err)
+		}
+		checkChunkViews(t, p, xadj, adj)
+		if r := p.InteriorRows(); cap(r.ChunkAdj) != max(before, len(r.ChunkAdj)) {
+			t.Fatalf("step %d: interior chunk table has capacity %d for %d references (it had %d)",
+				i, cap(r.ChunkAdj), len(r.ChunkAdj), before)
+		}
 	}
 }

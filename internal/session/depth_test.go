@@ -172,7 +172,7 @@ func checkPlanSplit(t *testing.T, s *Session, label string) {
 		}
 		nLocal := rt.LocalN()
 		xadj, adj := rt.LocalAdj()
-		interior, boundary := p.Interior(), p.Boundary()
+		interior, boundary := p.InteriorRows().Idx, p.BoundaryRows().Idx
 		if len(interior)+len(boundary) != nLocal {
 			t.Fatalf("%s: rank %d: |interior|=%d + |boundary|=%d != nLocal=%d",
 				label, r, len(interior), len(boundary), nLocal)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"stance/internal/sched"
 )
 
 // Kernel is the compute body of one solver iteration: it sweeps local
@@ -15,65 +17,61 @@ import (
 // two kernels computing the same update are interchangeable bit for
 // bit.
 type Kernel interface {
-	// UpdateIdx computes next[u], the value element u takes at the end
-	// of the iteration, for each u in idx and writes no other element of
-	// next and none of data; a row without neighbors keeps data[u]. The
-	// solver hands it the plan's interior list (while Exchange messages
-	// are in flight at depths >= 1) and boundary list (once every ghost
-	// has landed), or a non-empty prefix of one. The rows arrive in the
-	// plan's order — grouped by degree inside fixed windows, not
-	// ascending — hold no duplicates, and are independent: next[u] may
-	// depend on data and the CSR only, never on the order of idx. The
-	// solver does not post-process next: any divide is the kernel's.
-	UpdateIdx(data []float64, xadj, adj []int32, next []float64, idx []int32)
+	// UpdateRows computes next[u], the value element u takes at the end
+	// of the iteration, for each u in rows.Idx and writes no other
+	// element of next and none of data; a row without neighbors keeps
+	// data[u]. The solver hands it the plan's interior rows (while
+	// Exchange messages are in flight at depths >= 1) and boundary rows
+	// (once every ghost has landed), or a non-empty prefix of one, in the
+	// plan's order — grouped by degree inside fixed windows — with no
+	// duplicates: next[u] may depend on data and row u's references only,
+	// read through the CSR or the chunked view alike. The solver does
+	// not post-process next: any divide is the kernel's.
+	UpdateRows(data []float64, rows sched.Rows, next []float64)
 }
 
 // sumRows writes next[u] = Σ data[adj[k]] over row u's entries for each
 // listed row — divided by the row's degree when mean is set, where a
-// row without entries keeps data[u]. It takes the rows four at a time:
-// when the four have the same degree — the plan's lists are grouped by
-// degree, so almost always — one inner loop feeds four independent
-// accumulators, which is four floating-point chains in flight instead
-// of one and an exit branch that repeats instead of guessing, and one
-// divisor serves the four sums. Each accumulator still starts from +0.0
-// and adds its row's neighbors in CSR order, so every next[u] is
-// bit-identical to the plain row loop, which the mixed groups, the
-// empty rows and the tail fall back to.
-func sumRows(data []float64, xadj, adj []int32, next []float64, idx []int32, mean bool) {
-	for ; len(idx) >= 4; idx = idx[4:] {
-		u0, u1, u2, u3 := idx[0], idx[1], idx[2], idx[3]
-		k0, k1, k2, k3 := xadj[u0], xadj[u1], xadj[u2], xadj[u3]
-		d := xadj[u0+1] - k0
-		if d == 0 || xadj[u1+1]-k1 != d || xadj[u2+1]-k2 != d || xadj[u3+1]-k3 != d {
-			sumRowsPlain(data, xadj, adj, next, idx[:4], mean)
+// row without entries keeps data[u]. A chunk the plan stored
+// interleaved is one stream of references feeding eight accumulators:
+// eight floating-point chains in flight, one exit branch and one divisor
+// for eight rows. Each accumulator starts from +0.0 and adds its row's
+// neighbors in CSR order, so every next[u] is bit-identical to the plain
+// row loop, which serves mixed chunks, empty rows and the tail.
+func sumRows(data []float64, r sched.Rows, next []float64, mean bool) {
+	chunks := min(len(r.Idx)/sched.ChunkRows, max(len(r.ChunkOff)-1, 0))
+	for c := range chunks {
+		refs := r.ChunkAdj[r.ChunkOff[c]:r.ChunkOff[c+1]]
+		u := (*[sched.ChunkRows]int32)(r.Idx[c*sched.ChunkRows:])
+		if len(refs) == 0 {
+			sumRowsPlain(data, r.Xadj, r.Adj, next, u[:], mean)
 			continue
 		}
-		// The flag is spent here, on a divisor in a floating-point
-		// register (x/1 is x, bit for bit): tested after the loop it
-		// takes a general register and the compiler spills k.
+		// Spent before the loop on a float divisor (x/1 is x, bit for
+		// bit): tested after it, the flag costs the loop a register.
 		div := 1.0
 		if mean {
-			div = float64(d)
+			div = float64(len(refs) / sched.ChunkRows)
 		}
-		// Equal lengths let the compiler drop the bounds checks on the
-		// four reference slices.
-		r0 := adj[k0 : k0+d]
-		r1 := adj[k1 : k1+d][:len(r0)]
-		r2 := adj[k2 : k2+d][:len(r0)]
-		r3 := adj[k3 : k3+d][:len(r0)]
-		var s0, s1, s2, s3 float64
-		for k := range r0 {
-			s0 += data[r0[k]]
-			s1 += data[r1[k]]
-			s2 += data[r2[k]]
-			s3 += data[r3[k]]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for ; len(refs) >= sched.ChunkRows; refs = refs[sched.ChunkRows:] {
+			k := (*[sched.ChunkRows]int32)(refs)
+			s0 += data[k[0]]
+			s1 += data[k[1]]
+			s2 += data[k[2]]
+			s3 += data[k[3]]
+			s4 += data[k[4]]
+			s5 += data[k[5]]
+			s6 += data[k[6]]
+			s7 += data[k[7]]
 		}
-		next[u0], next[u1], next[u2], next[u3] = s0/div, s1/div, s2/div, s3/div
+		next[u[0]], next[u[1]], next[u[2]], next[u[3]] = s0/div, s1/div, s2/div, s3/div
+		next[u[4]], next[u[5]], next[u[6]], next[u[7]] = s4/div, s5/div, s6/div, s7/div
 	}
-	sumRowsPlain(data, xadj, adj, next, idx, mean)
+	sumRowsPlain(data, r.Xadj, r.Adj, next, r.Idx[chunks*sched.ChunkRows:], mean)
 }
 
-// sumRowsPlain is sumRows one row at a time.
+// sumRowsPlain is sumRows one row at a time, through the CSR.
 func sumRowsPlain(data []float64, xadj, adj []int32, next []float64, idx []int32, mean bool) {
 	for _, u := range idx {
 		sum := 0.0
@@ -95,15 +93,15 @@ func sumRowsPlain(data []float64, xadj, adj []int32, next []float64, idx []int32
 // average of its neighbors' values. It is the solver's default kernel.
 type Figure8 struct{}
 
-// UpdateIdx averages each listed element's neighbors.
-func (Figure8) UpdateIdx(data []float64, xadj, adj []int32, next []float64, idx []int32) {
-	sumRows(data, xadj, adj, next, idx, true)
+// UpdateRows averages each listed element's neighbors.
+func (Figure8) UpdateRows(data []float64, rows sched.Rows, next []float64) {
+	sumRows(data, rows, next, true)
 }
 
 // Sweep is the paper's loop as written: the neighbor sums tv[u] of the
 // contiguous range [lo, hi), one row at a time, before the divide. The
 // solver does not call it; it is the oracle the kernel tests compare
-// UpdateIdx against, and the benchmark module compiles against this
+// UpdateRows against, and the benchmark module compiles against this
 // name and may not change in the same PR as the code it measures.
 func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int) {
 	for u := lo; u < hi; u++ {
@@ -123,12 +121,12 @@ func (Figure8) Sweep(data []float64, xadj, adj []int32, tv []float64, lo, hi int
 // smoothly instead of Figure8's pure neighbor averaging.
 type CG struct{}
 
-// UpdateIdx relaxes each listed element: the neighbor sums, then the
+// UpdateRows relaxes each listed element: the neighbor sums, then the
 // diagonal term and the divide in a second pass over the same rows.
-func (CG) UpdateIdx(data []float64, xadj, adj []int32, next []float64, idx []int32) {
-	sumRows(data, xadj, adj, next, idx, false)
-	for _, u := range idx {
-		if d := xadj[u+1] - xadj[u]; d > 0 {
+func (CG) UpdateRows(data []float64, rows sched.Rows, next []float64) {
+	sumRows(data, rows, next, false)
+	for _, u := range rows.Idx {
+		if d := rows.Xadj[u+1] - rows.Xadj[u]; d > 0 {
 			deg := float64(d)
 			next[u] = 0.5 * (deg*data[u] + next[u]) / deg
 		} else {

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"stance/internal/core"
 	"stance/internal/mesh"
 	"stance/internal/order"
+	"stance/internal/sched"
 )
 
 func testSolver(t *testing.T) *Solver {
@@ -76,11 +78,11 @@ func TestCGKernel(t *testing.T) {
 
 	// The split form yields the divided value bit for bit.
 	next := make([]float64, 4)
-	k.UpdateIdx(data, xadj, adj, next, []int32{1, 3})
-	k.UpdateIdx(data, xadj, adj, next, []int32{0, 2})
+	k.UpdateRows(data, sched.Rows{Idx: []int32{1, 3}, Xadj: xadj, Adj: adj}, next)
+	k.UpdateRows(data, sched.Rows{Idx: []int32{0, 2}, Xadj: xadj, Adj: adj}, next)
 	for u := range want {
 		if next[u] != tv[u]/2 {
-			t.Errorf("UpdateIdx next[%d] = %v, Sweep and the divide gave %v", u, next[u], tv[u]/2)
+			t.Errorf("UpdateRows next[%d] = %v, Sweep and the divide gave %v", u, next[u], tv[u]/2)
 		}
 	}
 }
@@ -161,7 +163,7 @@ func newSweepCase(rng *rand.Rand, degs []int, nGhost, listLen int) sweepCase {
 // sameBits compares two results bit for bit. Two NaNs compare equal
 // whatever their payloads: which operand's payload an addition of two
 // NaNs keeps is the instruction's operand order, the compiler's choice,
-// not the kernel's (CG's reference loop and UpdateIdx do differ there).
+// not the kernel's (CG's reference loop and UpdateRows do differ there).
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
@@ -210,52 +212,108 @@ var builtinKernels = []struct {
 	k    referenceKernel
 }{{"figure8", Figure8{}}, {"cg", CG{}}}
 
-// checkSweepIdx runs both built-in kernels over the case's list — whole
-// and the prefixes a fractional work factor sweeps — and holds every
-// listed row to the reference iteration's bits, every unlisted row of
-// next to the sentinel it held before, and data to what it was.
-func checkSweepIdx(t *testing.T, c sweepCase) {
+// chunkedRows is the Rows a plan hands a kernel for the list idx, built
+// the plain way: chunk c — rows idx[8c:8c+8] — holds its rows'
+// references interleaved when the eight share one degree d > 0, and
+// nothing otherwise; rows past the last whole chunk are in no chunk.
+func chunkedRows(xadj, adj, idx []int32) sched.Rows {
+	r := sched.Rows{Idx: idx, Xadj: xadj, Adj: adj, ChunkOff: []int32{0}, ChunkAdj: []int32{}}
+	for lo := 0; lo+sched.ChunkRows <= len(idx); lo += sched.ChunkRows {
+		chunk := idx[lo : lo+sched.ChunkRows]
+		d := xadj[chunk[0]+1] - xadj[chunk[0]]
+		uniform := d > 0
+		for _, u := range chunk {
+			uniform = uniform && xadj[u+1]-xadj[u] == d
+		}
+		for k := int32(0); uniform && k < d; k++ {
+			for _, u := range chunk {
+				r.ChunkAdj = append(r.ChunkAdj, adj[xadj[u]+k])
+			}
+		}
+		r.ChunkOff = append(r.ChunkOff, int32(len(r.ChunkAdj)))
+	}
+	return r
+}
+
+// byDegree returns idx ordered the way a plan window orders its rows:
+// by degree, ascending within a degree.
+func byDegree(xadj, idx []int32) []int32 {
+	out := slices.Clone(idx)
+	slices.SortFunc(out, func(a, b int32) int {
+		if da, db := xadj[a+1]-xadj[a], xadj[b+1]-xadj[b]; da != db {
+			return int(da - db)
+		}
+		return int(a - b)
+	})
+	return out
+}
+
+// sweepCoverage tallies what the checks ran through: chunks read
+// interleaved and chunks read through the CSR.
+type sweepCoverage struct{ chunked, fallback int }
+
+// checkSweepIdx runs both built-in kernels over the case's list, in its
+// own order and grouped by degree, each as the bare CSR and with the
+// list's chunked view — whole, and the prefixes a fractional work factor
+// sweeps — and holds every listed row to the reference iteration's bits,
+// every unlisted row of next to the sentinel it held before, and data to
+// what it was.
+func checkSweepIdx(t *testing.T, c sweepCase, cov *sweepCoverage) {
 	t.Helper()
 	nLocal := len(c.xadj) - 1
 	const sentinel = -12345.678
 	before := append([]float64(nil), c.data...)
 	for _, k := range builtinKernels {
 		want := referenceUpdate(k.k, c.data, c.xadj, c.adj)
-		for _, share := range []float64{1, 0.75, 0.5, 0.25} {
-			idx := c.idx[:int(share*float64(len(c.idx)))]
-			got := make([]float64, nLocal)
-			for u := range got {
-				got[u] = sentinel
-			}
-			k.k.UpdateIdx(c.data, c.xadj, c.adj, got, idx)
-			listed := make([]bool, nLocal)
-			for _, u := range idx {
-				listed[u] = true
-				if !sameBits(got[u], want[u]) {
-					t.Errorf("%s: row %d (degree %d) of list %v: UpdateIdx gave %v (%#x), Sweep and the divide %v (%#x)",
-						k.name, u, c.xadj[u+1]-c.xadj[u], idx, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
+		for _, list := range [][]int32{c.idx, byDegree(c.xadj, c.idx)} {
+			chunked := chunkedRows(c.xadj, c.adj, list)
+			for i := range len(chunked.ChunkOff) - 1 {
+				if chunked.ChunkOff[i] < chunked.ChunkOff[i+1] {
+					cov.chunked++
+				} else {
+					cov.fallback++
 				}
 			}
-			for u, on := range listed {
-				if !on && got[u] != sentinel {
-					t.Errorf("%s: unlisted row %d of next was written: %v", k.name, u, got[u])
+			for _, rows := range []sched.Rows{{Idx: list, Xadj: c.xadj, Adj: c.adj}, chunked} {
+				for _, share := range []float64{1, 0.9, 0.75, 0.5, 0.25} {
+					rows.Idx = list[:int(share*float64(len(list)))]
+					got := make([]float64, nLocal)
+					for u := range got {
+						got[u] = sentinel
+					}
+					k.k.UpdateRows(c.data, rows, got)
+					listed := make([]bool, nLocal)
+					for _, u := range rows.Idx {
+						listed[u] = true
+						if !sameBits(got[u], want[u]) {
+							t.Errorf("%s: row %d (degree %d) of list %v (chunk offsets %v): UpdateRows gave %v (%#x), Sweep and the divide %v (%#x)",
+								k.name, u, c.xadj[u+1]-c.xadj[u], rows.Idx, rows.ChunkOff, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
+						}
+					}
+					for u, on := range listed {
+						if !on && got[u] != sentinel {
+							t.Errorf("%s: unlisted row %d of next was written: %v", k.name, u, got[u])
+						}
+					}
 				}
 			}
 		}
 		for i := range before {
 			if math.Float64bits(c.data[i]) != math.Float64bits(before[i]) {
-				t.Fatalf("%s: UpdateIdx wrote data[%d]", k.name, i)
+				t.Fatalf("%s: UpdateRows wrote data[%d]", k.name, i)
 			}
 		}
 	}
 }
 
-// TestSweepIdxEqualsReference: the fused four-rows-at-a-time pass equals
-// the reference loop followed by the old divide bit for bit on
-// equal-degree groups, mixed groups, the tail, degree-0 rows (alone, in
-// whole groups and inside mixed ones) and rows up to degree 40, for
-// every list length around the group size and its prefixes, with ghost
-// references and special payloads in play.
+// TestSweepIdxEqualsReference: UpdateRows equals the reference loop
+// followed by the old divide bit for bit through both of its paths — the
+// chunked view's eight interleaved rows at a time and the CSR row loop —
+// on uniform chunks, mixed chunks, chunks of empty rows, empty rows
+// among others, degree-40 chunks, tails shorter than a chunk, every list
+// length up to the case's row count and prefixes that cut a chunk, with
+// ghost references and special payloads in play. The name is the one
+// the check had when the method was SweepIdx.
 func TestSweepIdxEqualsReference(t *testing.T) {
 	repeat := func(n int, degs ...int) []int {
 		var out []int
@@ -264,42 +322,51 @@ func TestSweepIdxEqualsReference(t *testing.T) {
 		}
 		return out[:n]
 	}
+	var cov sweepCoverage
 	for _, tc := range []struct {
 		name   string
 		degs   []int
 		nGhost int
 	}{
-		{"one degree", repeat(12, 5), 4},
-		{"degree zero only", repeat(12, 0), 0},
-		{"degree zero among others", repeat(12, 0, 3, 0, 0, 7), 3},
-		{"degree zero groups and tails", repeat(14, 0, 0, 0, 0, 2, 2, 2), 1},
-		{"benchmark mesh degrees", repeat(16, 4, 8), 6},
-		{"every group mixed", repeat(12, 4, 4, 4, 5), 2},
-		{"degree forty", repeat(9, 40, 40, 40, 40, 1), 9},
-		{"no ghosts", repeat(10, 3), 0},
+		{"one degree", repeat(36, 5), 4},
+		{"degree zero only", repeat(20, 0), 0},
+		{"degree zero among others", repeat(30, 0, 3, 0, 0, 7), 3},
+		{"degree zero groups and tails", repeat(30, 0, 0, 0, 0, 2, 2, 2), 1},
+		{"benchmark mesh degrees", repeat(40, 4, 8), 6},
+		{"every group mixed", repeat(24, 4, 4, 4, 5), 2},
+		{"degree forty", repeat(21, 40, 40, 40, 40, 40, 40, 1), 9},
+		{"no ghosts", repeat(20, 3), 0},
 		{"single row", []int{6}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for listLen := 0; listLen <= 14; listLen++ {
+			for listLen := 0; listLen <= len(tc.degs); listLen++ {
 				for seed := int64(1); seed <= 20; seed++ {
-					checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), tc.degs, tc.nGhost, listLen))
+					checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), tc.degs, tc.nGhost, listLen), &cov)
 				}
 			}
 		})
 	}
+	if cov.chunked == 0 || cov.fallback == 0 {
+		t.Errorf("the cases ran %d interleaved and %d CSR-read chunks, want both", cov.chunked, cov.fallback)
+	}
 }
 
-// FuzzSweepIdx holds UpdateIdx to the reference loop and the old divide
+// FuzzSweepIdx holds UpdateRows to the reference loop and the old divide
 // on arbitrary localized CSRs: degs gives each row's degree (mod 41),
-// seed the references, the payload and the list. testdata/fuzz holds
-// the shapes the fused divide added: whole groups of empty rows, empty
-// rows inside mixed groups and in the tail, and lists whose prefixes
-// cut a group.
+// seed the references, the payload and the list, which is checked as
+// drawn and grouped by degree, with and without its chunked view.
+// testdata/fuzz holds the shapes the fused divide added — whole groups of
+// empty rows, empty rows inside mixed groups and in the tail, lists whose
+// prefixes cut a group — and the ones the chunked view added: degree-40
+// chunks, a mixed chunk between uniform ones, a chunk of empty rows and
+// prefixes that cut a chunk. The name is the one the target had when the
+// method was SweepIdx.
 func FuzzSweepIdx(f *testing.F) {
 	f.Add(int64(1), []byte{4, 8, 4, 8, 4, 8, 4, 8, 4}, uint8(3), uint8(9))
 	f.Add(int64(2), []byte{0, 0, 0, 0, 40, 40, 40, 40}, uint8(0), uint8(8))
 	f.Add(int64(3), []byte{1}, uint8(1), uint8(1))
 	f.Add(int64(4), []byte{7, 7, 7, 6, 7, 7, 7, 7, 2, 2}, uint8(5), uint8(7))
+	f.Add(int64(5), []byte{4, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8}, uint8(6), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, degs []byte, nGhost, listLen uint8) {
 		if len(degs) == 0 || len(degs) > 64 {
 			t.Skip()
@@ -308,15 +375,15 @@ func FuzzSweepIdx(f *testing.F) {
 		for i, b := range degs {
 			d[i] = int(b) % 41
 		}
-		checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), d, int(nGhost%16), int(listLen)))
+		checkSweepIdx(t, newSweepCase(rand.New(rand.NewSource(seed)), d, int(nGhost%16), int(listLen)), &sweepCoverage{})
 	})
 }
 
 // rankShape is one rank's view of a benchmark workload: its localized
-// CSR, the plan's row lists and a data vector with the ghost section.
+// CSR, the plan's rows and a data vector with the ghost section.
 type rankShape struct {
 	xadj, adj          []int32
-	interior, boundary []int32
+	interior, boundary sched.Rows
 	data               []float64
 }
 
@@ -341,7 +408,7 @@ func benchShape(tb testing.TB, side, p int) rankShape {
 			return err
 		}
 		sh.xadj, sh.adj = rt.LocalAdj()
-		sh.interior, sh.boundary = rt.Plan().Interior(), rt.Plan().Boundary()
+		sh.interior, sh.boundary = rt.Plan().InteriorRows(), rt.Plan().BoundaryRows()
 		v := rt.NewVector()
 		v.SetByGlobal(func(g int64) float64 { return float64(g%97) + 1 })
 		sh.data = v.Data
@@ -358,9 +425,10 @@ func benchShape(tb testing.TB, side, p int) rankShape {
 
 // BenchmarkKernel times one full sweep of a rank's rows by each
 // built-in kernel in its two forms — the contiguous reference loop
-// (sums only, no divide) and UpdateIdx over the plan's interior and
-// boundary lists, which is what the solver runs — and reports the cost
-// per adjacency entry.
+// (sums only, no divide) and UpdateRows over the plan's interior and
+// boundary rows, which is what the solver runs — and reports the cost
+// per adjacency entry and the share of entries the plan's chunked views
+// hold.
 func BenchmarkKernel(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -385,11 +453,15 @@ func BenchmarkKernel(b *testing.B) {
 						if form == "reference" {
 							kern.k.Sweep(sh.data, sh.xadj, sh.adj, tv, 0, nLocal)
 						} else {
-							kern.k.UpdateIdx(sh.data, sh.xadj, sh.adj, tv, sh.interior)
-							kern.k.UpdateIdx(sh.data, sh.xadj, sh.adj, tv, sh.boundary)
+							kern.k.UpdateRows(sh.data, sh.interior, tv)
+							kern.k.UpdateRows(sh.data, sh.boundary, tv)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sh.adj)), "ns/entry")
+					if form == "plan" {
+						chunked := len(sh.interior.ChunkAdj) + len(sh.boundary.ChunkAdj)
+						b.ReportMetric(100*float64(chunked)/float64(len(sh.adj)), "%chunked")
+					}
 				})
 			}
 		}

@@ -15,6 +15,7 @@ import (
 
 	"stance/internal/core"
 	"stance/internal/hetero"
+	"stance/internal/sched"
 	"stance/internal/vtime"
 )
 
@@ -254,31 +255,31 @@ const (
 // the numerical result is independent of the environment — only the
 // time changes, exactly like a slower workstation. A fractional repeat
 // sweeps that share of each list's rows from its front: the plan groups
-// rows by degree only inside fixed windows, so a prefix holds its share
-// of the adjacency entries too. With a virtual compute cost the data is
-// swept once and workRep × WorkFactor is charged to the clock with a
-// single Sleep instead; between an exchange's Start and Wait that sleep
-// is when the in-flight deliveries land, so it hides the message flight
-// like real interior compute does.
+// rows by degree only inside fixed windows and counts chunks from the
+// front, so a prefix holds its share of the adjacency entries too. With
+// a virtual compute cost the data is swept once and workRep × WorkFactor
+// is charged to the clock with a single Sleep instead; between an
+// exchange's Start and Wait that sleep is when the in-flight deliveries
+// land, so it hides the message flight like real interior compute does.
 func (s *Solver) sweep(data []float64, part strip) {
 	nLocal := s.rt.LocalN()
 	s.t = slices.Grow(s.t[:0], nLocal)[:nLocal]
 	next := s.t
-	xadj, adj := s.rt.LocalAdj()
 	plan := s.rt.Plan()
-	var lists [2][]int32
+	var lists [2]sched.Rows
 	switch part {
 	case whole:
-		lists[0], lists[1] = plan.Interior(), plan.Boundary()
+		lists[0], lists[1] = plan.InteriorRows(), plan.BoundaryRows()
 	case interior:
-		lists[0] = plan.Interior()
+		lists[0] = plan.InteriorRows()
 	case boundary:
-		lists[0] = plan.Boundary()
+		lists[0] = plan.BoundaryRows()
 	}
 	pass := func(share float64) {
-		for _, idx := range lists {
-			if m := int(share * float64(len(idx))); m > 0 {
-				s.kern.UpdateIdx(data, xadj, adj, next, idx[:m])
+		for _, rows := range lists {
+			if m := int(share * float64(len(rows.Idx))); m > 0 {
+				rows.Idx = rows.Idx[:m]
+				s.kern.UpdateRows(data, rows, next)
 			}
 		}
 	}
@@ -306,7 +307,7 @@ func (s *Solver) sweep(data []float64, part strip) {
 	}
 	// Pure float arithmetic on deterministic inputs, so the charge is
 	// identical on every run.
-	n := len(lists[0]) + len(lists[1])
+	n := len(lists[0].Idx) + len(lists[1].Idx)
 	d := time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
 	s.clock.Sleep(d)
 	s.computeTime += d

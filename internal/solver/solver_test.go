@@ -12,6 +12,7 @@ import (
 	"stance/internal/hetero"
 	"stance/internal/mesh"
 	"stance/internal/order"
+	"stance/internal/sched"
 )
 
 func testMesh(t testing.TB) *graph.Graph {
@@ -145,7 +146,7 @@ func TestTimingsAccumulateAndReset(t *testing.T) {
 	}
 }
 
-// sweepCall is one UpdateIdx call as a recording kernel saw it.
+// sweepCall is one UpdateRows call as a recording kernel saw it.
 type sweepCall struct{ rows, entries int }
 
 // recordingKernel is Figure8 logging each call's row and adjacency
@@ -155,13 +156,13 @@ type recordingKernel struct {
 	calls *[]sweepCall
 }
 
-func (k recordingKernel) UpdateIdx(data []float64, xadj, adj []int32, next []float64, idx []int32) {
-	c := sweepCall{rows: len(idx)}
-	for _, u := range idx {
-		c.entries += int(xadj[u+1] - xadj[u])
+func (k recordingKernel) UpdateRows(data []float64, rows sched.Rows, next []float64) {
+	c := sweepCall{rows: len(rows.Idx)}
+	for _, u := range rows.Idx {
+		c.entries += int(rows.Xadj[u+1] - rows.Xadj[u])
 	}
 	*k.calls = append(*k.calls, c)
-	k.Figure8.UpdateIdx(data, xadj, adj, next, idx)
+	k.Figure8.UpdateRows(data, rows, next)
 }
 
 // rowsSwept is the total over a recording kernel's calls.
@@ -203,7 +204,7 @@ func countSweeps(t *testing.T, g *graph.Graph, env *hetero.Env, workRep, depth, 
 	if err := s.Run(iters, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range [][]int32{rt.Plan().Interior(), rt.Plan().Boundary()} {
+	for _, idx := range [][]int32{rt.Plan().InteriorRows().Idx, rt.Plan().BoundaryRows().Idx} {
 		if len(idx) > 0 {
 			lists++
 		}

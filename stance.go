@@ -51,6 +51,7 @@ import (
 	"stance/internal/order"
 	"stance/internal/partition"
 	"stance/internal/redist"
+	"stance/internal/sched"
 	"stance/internal/solver"
 )
 
@@ -92,12 +93,16 @@ type (
 	// Timings are the solver's accumulated per-rank measurements.
 	Timings = solver.Timings
 	// Kernel is the solver's per-iteration compute body: one method,
-	// UpdateIdx, handed the plan's row lists, which writes each listed
+	// UpdateRows, handed the plan's rows, which writes each listed
 	// element's new value — divide included; the solver only moves the
 	// values into the vector once every row is in. Rows arrive in the
 	// plan's order — grouped by degree, not ascending — and are
 	// independent.
 	Kernel = solver.Kernel
+	// Rows is what a Kernel sweeps: the listed rows, the localized CSR
+	// and the plan's chunked view of the list, which stores each
+	// eight-row chunk of one degree with its references interleaved.
+	Rows = sched.Rows
 	// OpHandle is one in-flight split-phase executor operation; Start
 	// calls on the Runtime return one and its Wait completes the op.
 	OpHandle = core.OpHandle
