@@ -18,8 +18,10 @@ import (
 // vertex set, changed edges — e.g. after a refinement step changes
 // which elements interact). The graph is given in the original vertex
 // numbering, like New's; the runtime's locality transform is reapplied
-// so existing data remains aligned. Collective when the inspector
-// strategy is StrategySimple.
+// so existing data remains aligned. A parked runtime only swaps the
+// graph: its next Bind or Rebind runs the inspector on it. Like Remap,
+// SetGraph refuses while split-phase handles are live. Collective when
+// the inspector strategy is StrategySimple.
 func (rt *Runtime) SetGraph(g *graph.Graph) error {
 	if g == nil {
 		return fmt.Errorf("core: nil graph")
@@ -28,11 +30,17 @@ func (rt *Runtime) SetGraph(g *graph.Graph) error {
 		return fmt.Errorf("core: adapted graph has %d vertices, runtime manages %d (vertex-set changes need a new runtime)",
 			g.N, rt.n)
 	}
-	tg, err := g.Permute(rt.perm)
+	if err := rt.quiescent("SetGraph"); err != nil {
+		return err
+	}
+	tg, err := permuteTopology(g, rt.perm)
 	if err != nil {
 		return err
 	}
 	rt.tg = tg
+	if rt.Parked() {
+		return nil
+	}
 	if err := rt.rebuild(); err != nil {
 		return err
 	}

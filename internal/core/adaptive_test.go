@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"stance/internal/comm"
@@ -141,6 +142,139 @@ func TestSetGraphValidation(t *testing.T) {
 	}
 	if err := rt.SetGraph(small); err == nil {
 		t.Error("vertex-count change accepted")
+	}
+}
+
+// TestSetGraphOnParkedRank: a parked rank has no inspector to re-run, so
+// SetGraph only swaps the graph in, and the rank's re-admission builds on
+// it — the run stays bit-exact against the sequential one that switches
+// graphs at the same iteration.
+func TestSetGraphOnParkedRank(t *testing.T) {
+	coarse, fine := refineMesh(t)
+	perm, err := order.RCB(coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, coarse.N)
+	for i := range want {
+		want[i] = initValue(int64(i))
+	}
+	for _, g := range []*graph.Graph{coarse, fine} {
+		tg, err := g.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqKernel(tg, want, 2)
+	}
+	world, err := comm.Open("inproc", 3, comm.TransportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	all, survivors := []int{0, 1, 2}, []int{0, 1}
+	var got []float64
+	err = world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, coarse, Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		if err := parKernel(rt, v, 2); err != nil {
+			return err
+		}
+		full := rt.Layout()
+		shrunk, err := rt.CutLayout([]float64{1, 1})
+		if err != nil {
+			return err
+		}
+		var sub *comm.Comm
+		if c.Rank() < 2 {
+			if sub, err = c.Sub(survivors); err != nil {
+				return err
+			}
+		}
+		if _, err := rt.Rebind(Rebind{Carrier: c, Sub: sub, Old: full, New: shrunk, OldProcs: all, NewProcs: survivors}); err != nil {
+			return err
+		}
+		if err := rt.SetGraph(fine); err != nil {
+			return fmt.Errorf("rank %d: SetGraph: %w", c.Rank(), err)
+		}
+		if c.Rank() == 2 && (!rt.Parked() || rt.Plan() != nil) {
+			return fmt.Errorf("SetGraph on a parked rank left it parked=%v with a plan", rt.Parked())
+		}
+		if rt.tg.Coords != nil {
+			return fmt.Errorf("rank %d: SetGraph kept the coordinates", c.Rank())
+		}
+		if sub, err = c.Sub(all); err != nil {
+			return err
+		}
+		if _, err := rt.Rebind(Rebind{Carrier: c, Sub: sub, Old: shrunk, New: full, OldProcs: survivors, NewProcs: all}); err != nil {
+			return err
+		}
+		if err := checkOracle(rt); err != nil {
+			return fmt.Errorf("rank %d after re-admission: %w", c.Rank(), err)
+		}
+		if err := parKernel(rt, v, 2); err != nil {
+			return err
+		}
+		res, err := rt.GatherGlobal(0, v)
+		if c.Rank() == 0 {
+			got = res
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("diverged at %d: %v != %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSetGraphRefusesLiveHandles: like Bind, Remap and Rebind, SetGraph
+// would rebuild the plan live split-phase handles replay, so it returns
+// the error Remap returns and changes nothing; once the handle is waited
+// on, it goes through.
+func TestSetGraphRefusesLiveHandles(t *testing.T) {
+	coarse, fine := refineMesh(t)
+	world, err := comm.Open("inproc", 2, comm.TransportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	err = world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, coarse, Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		v := rt.NewVector()
+		h, err := rt.ExchangeStart(v)
+		if err != nil {
+			return err
+		}
+		plan := rt.Plan()
+		_, remapErr := rt.Remap([]float64{2, 1})
+		setErr := rt.SetGraph(fine)
+		if setErr == nil || remapErr == nil ||
+			setErr.Error() != strings.Replace(remapErr.Error(), "Remap", "SetGraph", 1) {
+			return fmt.Errorf("with a live handle SetGraph returned %v, Remap %v", setErr, remapErr)
+		}
+		if rt.Plan() != plan {
+			return fmt.Errorf("a refused SetGraph rebuilt the plan")
+		}
+		if err := h.Wait(); err != nil {
+			return err
+		}
+		if err := rt.SetGraph(fine); err != nil {
+			return err
+		}
+		return checkOracle(rt)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

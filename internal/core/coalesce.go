@@ -14,7 +14,7 @@ func (rt *Runtime) ExchangeAll(vecs ...*Vector) error {
 	if len(vecs) == 0 {
 		return nil
 	}
-	if err := rt.collect(vecs); err != nil {
+	if err := rt.collect("ExchangeAll", vecs); err != nil {
 		return err
 	}
 	return rt.gather(rt.vecScratch)
@@ -28,15 +28,19 @@ func (rt *Runtime) ScatterAddAll(vecs ...*Vector) error {
 	if len(vecs) == 0 {
 		return nil
 	}
-	if err := rt.collect(vecs); err != nil {
+	if err := rt.collect("ScatterAddAll", vecs); err != nil {
 		return err
 	}
 	return rt.scatter(rt.vecScratch)
 }
 
-// collect validates ownership, checks the vectors against the live op
-// handles and refreshes the reused [][]float64 view of their data.
-func (rt *Runtime) collect(vecs []*Vector) error {
+// collect validates synchronous op op — on an active runtime, over its
+// own vectors, none of them shared with a live op handle — and refreshes
+// the reused [][]float64 view of the vectors' data.
+func (rt *Runtime) collect(op string, vecs []*Vector) error {
+	if rt.Parked() {
+		return fmt.Errorf("core: %s on a parked runtime", op)
+	}
 	rt.vecScratch = rt.vecScratch[:0]
 	for _, v := range vecs {
 		if v.rt != rt {
@@ -44,5 +48,5 @@ func (rt *Runtime) collect(vecs []*Vector) error {
 		}
 		rt.vecScratch = append(rt.vecScratch, v.Data)
 	}
-	return rt.checkLiveConflict("a coalesced synchronous op", vecs)
+	return rt.checkLiveConflict(op, vecs)
 }

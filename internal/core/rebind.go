@@ -64,8 +64,8 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 	if rb.Carrier == nil {
 		return stats, fmt.Errorf("core: rebind without a carrier")
 	}
-	if n := len(rt.live); n > 0 {
-		return stats, fmt.Errorf("core: rebind while %d split-phase op(s) are in flight; Wait on their handles first", n)
+	if err := rt.quiescent("rebind"); err != nil {
+		return stats, err
 	}
 	if rb.Old == nil || rb.New == nil {
 		return stats, fmt.Errorf("core: rebind without layouts")
@@ -101,7 +101,6 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 		// stays for that day.
 		rt.c = rb.Carrier
 		rt.layout, rt.sch = nil, nil
-		rt.lxadj, rt.ladj = rt.lxadj[:0], rt.ladj[:0]
 		stats.Total = rt.clock.Now().Sub(start)
 		return stats, nil
 	}

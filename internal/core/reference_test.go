@@ -22,8 +22,9 @@ import (
 // pattern into a fresh Refs, hand all of it to the schedule builder,
 // localize every reference (a binary search for each one off the
 // interval), compile a fresh plan and classify it by scanning every row
-// again. The one-pass inspector must produce exactly its schedule,
-// localized CSR and plan, whatever the runtime's storage held before.
+// again. The one-pass inspector must produce exactly its schedule and
+// plan, chunk tables included, whatever the runtime's storage held
+// before, and LocalAdj must materialize exactly the localized CSR.
 
 // oracleRefs extracts the full access pattern of rows iv.
 func oracleRefs(tg *graph.Graph, iv partition.Interval) sched.Refs {
@@ -109,7 +110,7 @@ func checkOracle(rt *Runtime) error {
 	if !slices.Equal(got.InteriorRows().Idx, want.InteriorRows().Idx) || !slices.Equal(got.BoundaryRows().Idx, want.BoundaryRows().Idx) {
 		return fmt.Errorf("interior/boundary lists differ from the reference")
 	}
-	if err := checkChunkViews(got, xadj, adj); err != nil {
+	if err := checkChunkViews(got, refs.Xadj, ladj); err != nil {
 		return err
 	}
 	if !slices.Equal(got.SendPeers(), want.SendPeers()) || !slices.Equal(got.RecvPeers(), want.RecvPeers()) {
@@ -123,45 +124,58 @@ func checkOracle(rt *Runtime) error {
 	return nil
 }
 
-// oracleChunks builds a row list's chunked view from scratch: chunk c —
-// rows[8c:8c+8] — holds its rows' references interleaved when the eight
-// share one degree d > 0, and nothing otherwise.
-func oracleChunks(rows, xadj, adj []int32) (off, refs []int32) {
+// oracleChunks builds a row list's chunk table from scratch: chunk c —
+// rows[8c:8c+8], or fewer at the end — holds its rows' references
+// interleaved when it has eight rows of one degree d > 0, and one row
+// after another otherwise.
+func oracleChunks(rows, xadj, adj []int32) (off, refs []int32, interleaved []bool) {
 	off = []int32{0}
-	for lo := 0; lo+sched.ChunkRows <= len(rows); lo += sched.ChunkRows {
-		chunk := rows[lo : lo+sched.ChunkRows]
+	for lo := 0; lo < len(rows); lo += sched.ChunkRows {
+		chunk := rows[lo:min(lo+sched.ChunkRows, len(rows))]
 		d := xadj[chunk[0]+1] - xadj[chunk[0]]
-		uniform := d > 0
+		lanes := len(chunk) == sched.ChunkRows && d > 0
 		for _, u := range chunk {
-			uniform = uniform && xadj[u+1]-xadj[u] == d
+			lanes = lanes && xadj[u+1]-xadj[u] == d
 		}
-		for k := int32(0); uniform && k < d; k++ {
+		for k := int32(0); lanes && k < d; k++ {
 			for _, u := range chunk {
 				refs = append(refs, adj[xadj[u]+k])
 			}
 		}
+		for _, u := range chunk {
+			if !lanes {
+				refs = append(refs, adj[xadj[u]:xadj[u+1]]...)
+			}
+		}
 		off = append(off, int32(len(refs)))
+		interleaved = append(interleaved, lanes)
 	}
-	return off, refs
+	return off, refs, interleaved
 }
 
-// checkChunkViews holds the plan's two Rows to the runtime's localized
-// CSR and a from-scratch build of their lists' chunked views — so no
-// table the plan took from its predecessor can show through.
+// checkChunkViews holds the plan's two Rows to the reference localized
+// CSR: their degrees, and their chunk tables against a from-scratch
+// build of the lists' tables from that CSR — so no table the plan took
+// from its predecessor can show through.
 func checkChunkViews(p *sched.Plan, xadj, adj []int32) error {
 	for _, r := range []struct {
 		name string
 		rows sched.Rows
 	}{{"interior", p.InteriorRows()}, {"boundary", p.BoundaryRows()}} {
-		if !slices.Equal(r.rows.Xadj, xadj) || !slices.Equal(r.rows.Adj, adj) {
-			return fmt.Errorf("%s rows carry another CSR than the runtime's", r.name)
+		if len(r.rows.Xadj) != len(xadj) {
+			return fmt.Errorf("%s rows carry %d row offsets for %d rows", r.name, len(r.rows.Xadj), len(xadj)-1)
 		}
-		off, refs := oracleChunks(r.rows.Idx, xadj, adj)
-		if !slices.Equal(r.rows.ChunkOff, off) {
-			return fmt.Errorf("%s chunk offsets differ from the reference", r.name)
+		for u := range len(xadj) - 1 {
+			if r.rows.Xadj[u+1]-r.rows.Xadj[u] != xadj[u+1]-xadj[u] {
+				return fmt.Errorf("%s rows give row %d another degree than the reference", r.name, u)
+			}
+		}
+		off, refs, lanes := oracleChunks(r.rows.Idx, xadj, adj)
+		if !slices.Equal(r.rows.ChunkOff, off) || !slices.Equal(r.rows.Interleaved, lanes) {
+			return fmt.Errorf("%s chunk offsets or forms differ from the reference", r.name)
 		}
 		if !slices.Equal(r.rows.ChunkAdj, refs) {
-			return fmt.Errorf("%s chunked references differ from the reference", r.name)
+			return fmt.Errorf("%s chunk references differ from the reference", r.name)
 		}
 	}
 	return nil
@@ -212,8 +226,9 @@ type oracleStep struct {
 	// uniform cut, the way the session recovers from a crash; the other
 	// ranks are dead and leave the script.
 	recoverTo []int
-	// setGraph replaces the graph; every rank must be active (a parked
-	// runtime has no inspector to re-run and would keep the old graph).
+	// setGraph replaces the graph on every rank still in the script: an
+	// active rank re-runs the inspector, a parked one only swaps the
+	// graph in for its next admission.
 	setGraph *graph.Graph
 }
 
@@ -389,7 +404,8 @@ var oracleStrategies = map[string]Strategy{"sort2": StrategySort2, "sort1": Stra
 
 // TestInspectorEqualsReference plays remaps, explicit re-cuts (growing,
 // shrinking and empty intervals), membership transitions with parking
-// and re-admission, a recovery bind and graph replacements, and demands
+// and re-admission, a recovery bind and graph replacements — on parked
+// ranks too — and demands
 // the reference inspector's result after every step — for each
 // strategy and each kind of layout, so storage the runtime reuses can
 // never show through.
@@ -433,6 +449,13 @@ func TestInspectorEqualsReference(t *testing.T) {
 			{remap: []float64{1, 3, 1, 2}},
 			{setGraph: coarse},
 			{remap: []float64{1, 1, 1, 1}},
+		},
+		"replace the graph while parked": {
+			{resize: []int64{n / 2, n - n/2}, active: []int{2, 0}},
+			{setGraph: fine},
+			{remap: []float64{1, 2}},
+			{resize: []int64{n / 4, n / 4, n / 4, n - 3*(n/4)}, active: all},
+			{setGraph: coarse},
 		},
 	}
 	for sname, strategy := range oracleStrategies {
@@ -534,8 +557,8 @@ func randomGraph(rng *rand.Rand, n int) (*graph.Graph, error) {
 
 // FuzzInspector draws a graph, a world size, a strategy, vertex weights
 // or not, and a sequence of remaps, explicit re-cuts, membership changes
-// and graph replacements, and checks every rank against the reference
-// inspector after each step.
+// and graph replacements — parked ranks included — and checks every rank
+// against the reference inspector after each step.
 func FuzzInspector(f *testing.F) {
 	f.Add(int64(1), uint16(60), uint8(3), uint8(4))
 	f.Add(int64(2), uint16(200), uint8(4), uint8(9))
@@ -588,9 +611,6 @@ func FuzzInspector(f *testing.F) {
 				steps = append(steps, oracleStep{resize: sizes, active: active})
 				members = len(active)
 			case 3:
-				if members < p {
-					continue
-				}
 				ng, err := randomGraph(rng, n)
 				if err != nil {
 					t.Fatal(err)
@@ -657,9 +677,16 @@ func TestChunkViewsEqualReference(t *testing.T) {
 			return err
 		}
 		_, adj := rt.LocalAdj()
-		chunked := len(rt.Plan().InteriorRows().ChunkAdj) + len(rt.Plan().BoundaryRows().ChunkAdj)
-		if 10*chunked < 8*len(adj) {
-			return fmt.Errorf("rank %d: chunked views hold %d of %d references, want at least 80 %%", c.Rank(), chunked, len(adj))
+		lanes := 0
+		for _, r := range []sched.Rows{rt.Plan().InteriorRows(), rt.Plan().BoundaryRows()} {
+			for c, on := range r.Interleaved {
+				if on {
+					lanes += int(r.ChunkOff[c+1] - r.ChunkOff[c])
+				}
+			}
+		}
+		if 10*lanes < 8*len(adj) {
+			return fmt.Errorf("rank %d: interleaved chunks hold %d of %d references, want at least 80 %%", c.Rank(), lanes, len(adj))
 		}
 		return nil
 	})
@@ -727,7 +754,7 @@ func TestInspectorTimeCoversThePass(t *testing.T) {
 		if st.Inspector != insp || insp <= 0 || insp > st.Total {
 			return fmt.Errorf("RemapStats.Inspector %v, LastInspectorTime %v, Total %v", st.Inspector, insp, st.Total)
 		}
-		pass := fastest(func() { rt.scanRows(rt.GlobalInterval()) })
+		pass := fastest(func() { rt.scanRefs(rt.GlobalInterval()) })
 		build := fastest(func() { _, err = sched.BuildSort2(rt.layout, c.Rank(), rt.off) })
 		if err != nil {
 			return err

@@ -34,8 +34,8 @@ type RemapStats struct {
 // all ranks must pass the same weights.
 func (rt *Runtime) Remap(newWeights []float64) (RemapStats, error) {
 	start := rt.clock.Now()
-	if n := len(rt.live); n > 0 {
-		return RemapStats{}, fmt.Errorf("core: Remap while %d split-phase op(s) are in flight; Wait on their handles first", n)
+	if err := rt.quiescent("Remap"); err != nil {
+		return RemapStats{}, err
 	}
 	if len(newWeights) != rt.c.Size() {
 		return RemapStats{}, fmt.Errorf("core: %d weights for %d ranks", len(newWeights), rt.c.Size())

@@ -303,6 +303,17 @@ func TestSplitPhaseGuards(t *testing.T) {
 	if _, err := rt.ScatterAddStart(v); err == nil || !strings.Contains(err.Error(), "parked") {
 		t.Errorf("ScatterAddStart on parked runtime: err=%v, want parked error", err)
 	}
+	// And so do the synchronous ones, the coalesced forms included.
+	for name, op := range map[string]func() error{
+		"Exchange":      func() error { return rt.Exchange(v) },
+		"ScatterAdd":    func() error { return rt.ScatterAdd(v) },
+		"ExchangeAll":   func() error { return rt.ExchangeAll(v) },
+		"ScatterAddAll": func() error { return rt.ScatterAddAll(v) },
+	} {
+		if err := op(); err == nil || !strings.Contains(err.Error(), "parked") {
+			t.Errorf("%s on parked runtime: err=%v, want parked error", name, err)
+		}
+	}
 }
 
 // TestOpTagWindowExhaustion pins the in-flight capacity contract: the

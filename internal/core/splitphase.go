@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -30,15 +31,15 @@ import (
 // order-sensitive. A conflicting Start errors loudly naming the live
 // op; it never queues silently. Synchronous executor calls follow the
 // same rule (they run on fixed tags and plan-owned scratch, so only a
-// shared vector conflicts); Remap and Rebind require zero live
-// handles.
+// shared vector conflicts); Bind, Remap, Rebind and SetGraph require
+// zero live handles.
 //
 // Wire tags rotate through a fixed window: the k-th Start since the
 // last schedule rebuild uses tagOpBase + k mod tagOpWindow. Starts are
 // collective in SPMD program order, so every rank assigns the same tag
 // to the same logical op and the per-(source, tag) FIFO pairing lines
-// up; rebuild (Bind, Remap, Rebind — all of which require zero live
-// handles) resets the counter, so a freshly admitted rank agrees with
+// up; rebuild (Bind, Remap, Rebind, SetGraph — all of which require
+// zero live handles) resets the counter, so a freshly admitted rank agrees with
 // the survivors. A Start whose tag is still owned by a live handle
 // errors: at most tagOpWindow ops can be in flight.
 
@@ -120,11 +121,8 @@ func (rt *Runtime) LiveOps() int { return len(rt.live) }
 // then must Wait on the handle before touching any ghost. Further
 // Starts on other vectors may be issued while this one is in flight.
 func (rt *Runtime) ExchangeStart(v *Vector) (*OpHandle, error) {
-	if v.rt != rt {
-		return nil, fmt.Errorf("core: vector belongs to a different runtime")
-	}
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	return rt.startGather(rt.vsetScratch)
+	return rt.start(opExchange, rt.vsetScratch)
 }
 
 // ExchangeAllStart is the coalesced ExchangeStart: all vectors' values
@@ -133,7 +131,7 @@ func (rt *Runtime) ExchangeAllStart(vecs ...*Vector) (*OpHandle, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("core: ExchangeAllStart with no vectors")
 	}
-	return rt.startGather(vecs)
+	return rt.start(opExchange, vecs)
 }
 
 // ScatterAddStart posts the sends of a ScatterAdd (each ghost
@@ -141,11 +139,8 @@ func (rt *Runtime) ExchangeAllStart(vecs ...*Vector) (*OpHandle, error) {
 // the caller must not modify the vector's owned elements or ghost
 // section.
 func (rt *Runtime) ScatterAddStart(v *Vector) (*OpHandle, error) {
-	if v.rt != rt {
-		return nil, fmt.Errorf("core: vector belongs to a different runtime")
-	}
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	return rt.startScatter(rt.vsetScratch)
+	return rt.start(opScatter, rt.vsetScratch)
 }
 
 // ScatterAddAllStart is the coalesced ScatterAddStart.
@@ -153,7 +148,7 @@ func (rt *Runtime) ScatterAddAllStart(vecs ...*Vector) (*OpHandle, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("core: ScatterAddAllStart with no vectors")
 	}
-	return rt.startScatter(vecs)
+	return rt.start(opScatter, vecs)
 }
 
 // Wait completes the operation: remaining arrivals are received in
@@ -192,36 +187,32 @@ func (h *OpHandle) Wait() error {
 		}
 	}
 	if h.kind == opScatter {
-		p := rt.plan
-		for _, q := range p.SendPeers() {
-			data := h.held[q]
-			if data == nil {
-				continue
-			}
-			h.held[q] = nil
-			err := p.AddLocal(q, data, h.vecs)
-			rt.c.Release(data)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-		}
+		return rt.applyHeld(h.held, h.vecs)
 	}
 	return nil
 }
 
-// startGather posts the Exchange sends and registers the live handle.
-func (rt *Runtime) startGather(vs []*Vector) (*OpHandle, error) {
-	h, err := rt.beginOp(opExchange, vs)
+// start posts an op's sends and registers the live handle: an Exchange
+// packs owned values for the send peers and awaits the receive peers'
+// ghosts; a ScatterAdd, its transpose, packs ghost contributions for the
+// receive peers and parks the send peers' arrivals that complete early
+// on the handle.
+func (rt *Runtime) start(kind opKind, vs []*Vector) (*OpHandle, error) {
+	h, err := rt.beginOp(kind, vs)
 	if err != nil {
 		return nil, err
 	}
 	p := rt.plan
-	for _, q := range p.RecvPeers() {
+	from, to, pack := p.RecvPeers(), p.SendPeers(), p.PackLocal
+	if kind == opScatter {
+		from, to, pack = to, from, p.PackGhost
+	}
+	for _, q := range from {
 		h.pending[q] = true
 		h.nPending++
 	}
-	for _, q := range p.SendPeers() {
-		buf := p.PackLocal(q, h.vecs)
+	for _, q := range to {
+		buf := pack(q, h.vecs)
 		if err := rt.c.Send(q, h.tag, buf); err != nil {
 			rt.retire(h)
 			return nil, err
@@ -231,39 +222,6 @@ func (rt *Runtime) startGather(vs []*Vector) (*OpHandle, error) {
 		// Opportunistic: between sends, service this op's arrivals and
 		// every other live op's, so no handle starves while another is
 		// being posted.
-		if err := h.poll(); err != nil {
-			rt.retire(h)
-			return nil, err
-		}
-		if err := rt.pollLive(); err != nil {
-			rt.retire(h)
-			return nil, err
-		}
-	}
-	rt.live = append(rt.live, h)
-	return h, nil
-}
-
-// startScatter posts the ScatterAdd sends and registers the live
-// handle; arrivals that complete early are parked on the handle.
-func (rt *Runtime) startScatter(vs []*Vector) (*OpHandle, error) {
-	h, err := rt.beginOp(opScatter, vs)
-	if err != nil {
-		return nil, err
-	}
-	p := rt.plan
-	for _, q := range p.SendPeers() {
-		h.pending[q] = true
-		h.nPending++
-	}
-	for _, q := range p.RecvPeers() {
-		buf := p.PackGhost(q, h.vecs)
-		if err := rt.c.Send(q, h.tag, buf); err != nil {
-			rt.retire(h)
-			return nil, err
-		}
-		rt.execMsgs++
-		rt.execBytes += int64(len(buf))
 		if err := h.poll(); err != nil {
 			rt.retire(h)
 			return nil, err
@@ -308,21 +266,9 @@ func (rt *Runtime) beginOp(kind opKind, vs []*Vector) (*OpHandle, error) {
 		h = &OpHandle{}
 	}
 	np := rt.plan.NProcs()
-	if cap(h.pending) < np {
-		h.pending = make([]bool, np)
-	} else {
-		h.pending = h.pending[:np]
-		for i := range h.pending {
-			h.pending[i] = false
-		}
-	}
-	if cap(h.held) < np {
-		h.held = make([][]byte, np)
-	} else {
-		h.held = h.held[:np]
-	}
-	h.vset = h.vset[:0]
-	h.vecs = h.vecs[:0]
+	h.pending = slices.Grow(h.pending[:0], np)[:np]
+	clear(h.pending)
+	h.held = slices.Grow(h.held[:0], np)[:np] // retire left it nil
 	for _, v := range vs {
 		h.vset = append(h.vset, v)
 		h.vecs = append(h.vecs, v.Data)
@@ -401,14 +347,9 @@ func (rt *Runtime) retire(h *OpHandle) {
 			h.held[q] = nil
 		}
 	}
-	for i := range h.vset {
-		h.vset[i] = nil
-	}
-	h.vset = h.vset[:0]
-	for i := range h.vecs {
-		h.vecs[i] = nil
-	}
-	h.vecs = h.vecs[:0]
+	clear(h.vset)
+	clear(h.vecs)
+	h.vset, h.vecs = h.vset[:0], h.vecs[:0]
 	h.done = true
 	h.nPending = 0
 	rt.opPool = append(rt.opPool, h)

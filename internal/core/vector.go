@@ -70,17 +70,10 @@ func (v *Vector) SetByGlobal(f func(global int64) float64) {
 // arrival order, so one slow peer no longer stalls the unpacking of
 // the others.
 func (rt *Runtime) Exchange(v *Vector) error {
-	if v.rt != rt {
-		return fmt.Errorf("core: vector belongs to a different runtime")
-	}
-	if rt.Parked() {
-		return fmt.Errorf("core: Exchange on a parked runtime")
-	}
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	if err := rt.checkLiveConflict("Exchange", rt.vsetScratch); err != nil {
+	if err := rt.collect("Exchange", rt.vsetScratch); err != nil {
 		return err
 	}
-	rt.vecScratch = append(rt.vecScratch[:0], v.Data)
 	return rt.gather(rt.vecScratch)
 }
 
@@ -89,17 +82,10 @@ func (rt *Runtime) Exchange(v *Vector) error {
 // accumulate partial contributions into the ghost section, then
 // scatter them home (the transpose of Exchange).
 func (rt *Runtime) ScatterAdd(v *Vector) error {
-	if v.rt != rt {
-		return fmt.Errorf("core: vector belongs to a different runtime")
-	}
-	if rt.Parked() {
-		return fmt.Errorf("core: ScatterAdd on a parked runtime")
-	}
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	if err := rt.checkLiveConflict("ScatterAdd", rt.vsetScratch); err != nil {
+	if err := rt.collect("ScatterAdd", rt.vsetScratch); err != nil {
 		return err
 	}
-	rt.vecScratch = append(rt.vecScratch[:0], v.Data)
 	return rt.scatter(rt.vecScratch)
 }
 
@@ -142,23 +128,9 @@ func (rt *Runtime) gather(vecs [][]float64) error {
 func (rt *Runtime) drainGather(tag int, pending []bool, nPending int, vecs [][]float64, block bool) (int, error) {
 	p := rt.plan
 	for nPending > 0 {
-		var src int
-		var data []byte
-		var err error
-		if block {
-			src, data, err = rt.c.RecvAnyOf(tag, pending)
-			if err != nil {
-				return nPending, err
-			}
-		} else {
-			var ok bool
-			src, data, ok, err = rt.c.PollAnyOf(tag, pending)
-			if err != nil {
-				return nPending, err
-			}
-			if !ok {
-				return nPending, nil
-			}
+		src, data, ok, err := rt.next(tag, pending, block)
+		if !ok {
+			return nPending, err
 		}
 		err = p.UnpackGhost(src, data, vecs)
 		rt.c.Release(data)
@@ -202,8 +174,19 @@ func (rt *Runtime) scatter(vecs [][]float64) error {
 	if _, err := rt.drainScatter(tagScatter, pending, nPending, p.Held(), true); err != nil {
 		return err
 	}
+	return rt.applyHeld(p.Held(), vecs)
+}
+
+// applyHeld adds the parked ScatterAdd payloads into the owned elements
+// in ascending peer order and hands them back to the transport.
+func (rt *Runtime) applyHeld(held [][]byte, vecs [][]float64) error {
+	p := rt.plan
 	for _, q := range p.SendPeers() {
-		data := p.TakeHeld(q)
+		data := held[q]
+		if data == nil {
+			continue
+		}
+		held[q] = nil
 		err := p.AddLocal(q, data, vecs)
 		rt.c.Release(data)
 		if err != nil {
@@ -218,29 +201,27 @@ func (rt *Runtime) scatter(vecs [][]float64) error {
 // the deterministic apply pass.
 func (rt *Runtime) drainScatter(tag int, pending []bool, nPending int, held [][]byte, block bool) (int, error) {
 	for nPending > 0 {
-		var src int
-		var data []byte
-		var err error
-		if block {
-			src, data, err = rt.c.RecvAnyOf(tag, pending)
-			if err != nil {
-				return nPending, err
-			}
-		} else {
-			var ok bool
-			src, data, ok, err = rt.c.PollAnyOf(tag, pending)
-			if err != nil {
-				return nPending, err
-			}
-			if !ok {
-				return nPending, nil
-			}
+		src, data, ok, err := rt.next(tag, pending, block)
+		if !ok {
+			return nPending, err
 		}
 		held[src] = data
 		pending[src] = false
 		nPending--
 	}
 	return nPending, nil
+}
+
+// next takes one payload on tag from a peer marked pending: waiting for
+// one with block set, and otherwise only one that has already arrived.
+// ok reports whether it took one.
+func (rt *Runtime) next(tag int, pending []bool, block bool) (src int, data []byte, ok bool, err error) {
+	if block {
+		src, data, err = rt.c.RecvAnyOf(tag, pending)
+		return src, data, err == nil, err
+	}
+	src, data, ok, err = rt.c.PollAnyOf(tag, pending)
+	return src, data, ok && err == nil, err
 }
 
 // releaseHeld returns any payloads still parked on the plan (after an

@@ -20,10 +20,11 @@ import (
 // A Plan is bound to the Schedule it was compiled from. Whenever the
 // layout or structure changes (Bind, Remap, Rebind, SetGraph) the
 // runtime's one-pass inspector hands the rebuilt schedule to Recompile,
-// which takes the previous plan's storage — row lists, chunked views,
+// which takes the previous plan's storage — row lists, chunk tables,
 // per-peer tables, wire buffers — for the new one, and then to
-// ClassifyRows with the localized CSR and the boundary rows the pass
-// recorded, so a steady-state rebuild allocates only the plan's header.
+// ClassifyRows with the rank's rows of the transformed CSR and the
+// boundary rows the pass recorded, so a steady-state rebuild allocates
+// only the plan's header.
 // The previous plan is left empty: a *Plan, and every slice read from
 // it, is valid until the runtime's next rebuild.
 type Plan struct {
@@ -72,16 +73,20 @@ type Plan struct {
 	interior, boundary []int32
 	classified         bool
 
-	// xadj/adj are the localized CSR the lists were classified against,
-	// and interiorChunks/boundaryChunks the lists' chunked views of it
-	// (see Rows).
-	xadj, adj                      []int32
+	// xadj holds the row offsets the lists were classified against, for
+	// the rows' degrees, and interiorChunks/boundaryChunks the lists'
+	// chunk tables (see Rows): the rank's one localized copy of its
+	// adjacency.
+	xadj                           []int32
 	interiorChunks, boundaryChunks chunks
 }
 
-// chunks is one row list's chunked view: Rows.ChunkOff and
-// Rows.ChunkAdj.
-type chunks struct{ off, adj []int32 }
+// chunks is one row list's chunk table: Rows.ChunkOff, Rows.ChunkAdj and
+// Rows.Interleaved.
+type chunks struct {
+	off, adj    []int32
+	interleaved []bool
+}
 
 // Compile builds the replay plan for a schedule.
 func Compile(s *Schedule) *Plan { return Recompile(nil, s) }
@@ -106,7 +111,7 @@ func Recompile(old *Plan, s *Schedule) *Plan {
 	clear(p.held) // pending is reset by every Pending call
 	p.ghostBuf = slices.Grow(p.ghostBuf[:0], s.NGhosts())
 	p.interior, p.boundary, p.classified = p.interior[:0], p.boundary[:0], false
-	p.xadj, p.adj = nil, nil
+	p.xadj = nil
 	p.interiorChunks.reset()
 	p.boundaryChunks.reset()
 	for q := 0; q < s.NProcs; q++ {
@@ -141,32 +146,35 @@ func Recompile(old *Plan, s *Schedule) *Plan {
 const rowWindow = 256
 
 // ChunkRows is how many consecutive rows of a plan list make one chunk
-// of its chunked view (see Rows). Chosen by measurement, like rowWindow:
+// of its chunk table (see Rows). Chosen by measurement, like rowWindow:
 // on a 45 000-row rank of the benchmark grid eight interleaved rows
 // sweep faster than four or sixteen (DESIGN.md "Chunked rows"). It
 // divides rowWindow, so a chunk never straddles a window.
 const ChunkRows = 8
 
-// Rows is what a kernel sweeps: a list of rows of a localized CSR and,
-// for a plan's list, the list's chunked view — the SELL-C-σ layout with
-// C = ChunkRows, σ being the plan's degree grouping.
+// Rows is what a kernel sweeps: a list of rows and the list's chunk
+// table, which holds every reference of every listed row exactly once,
+// localized — references < NLocal index the vector's local section,
+// the others its ghost section. It is the SELL-C-σ layout with
+// C = ChunkRows, σ being the plan's degree grouping, and it is the only
+// copy of the adjacency a rank keeps.
 type Rows struct {
 	// Idx lists the rows to sweep, in plan order.
 	Idx []int32
-	// Xadj and Adj are the localized CSR: row u's references are
-	// Adj[Xadj[u]:Xadj[u+1]], in the order a row's sum must add them.
-	Xadj, Adj []int32
-	// ChunkOff and ChunkAdj are the chunked view of the list Idx is a
-	// prefix of. Chunk c is rows Idx[8c:8c+8]. When all eight have the
-	// same degree d > 0, ChunkAdj[ChunkOff[c]:ChunkOff[c+1]] holds their
-	// references interleaved, 8d of them: the k-th reference of each of
+	// Xadj gives the rows' degrees: row u has Xadj[u+1]−Xadj[u]
+	// references.
+	Xadj []int32
+	// Chunk c is rows Idx[8c:8c+8] — the list's last chunk may hold fewer
+	// — and its references are ChunkAdj[ChunkOff[c]:ChunkOff[c+1]]. When
+	// Interleaved[c], the chunk's eight rows share one degree d > 0 and
+	// their 8d references are interleaved: the k-th reference of each of
 	// the eight rows, in list order, for k = 0, then 1, … up to d−1.
-	// Otherwise the range is empty and the chunk's rows are read through
-	// the CSR, as is the tail after the last whole chunk. ChunkOff has
-	// one entry per whole chunk of the list plus one, so a prefix keeps
-	// the list's tables and covers the chunks that fit in it; nil tables
-	// cover nothing.
+	// Otherwise the chunk stores its rows' references one row after
+	// another. Either way a row's references come in the order its sum
+	// must add them. The tables cover the whole list Idx is a prefix of,
+	// so a prefix keeps them and reads the chunks its rows fall in.
 	ChunkOff, ChunkAdj []int32
+	Interleaved        []bool
 }
 
 // Classify splits the local index set into interior and boundary
@@ -181,12 +189,12 @@ type Rows struct {
 // grouped by degree, non-decreasing, and ascending within a degree. A
 // kernel handed consecutive rows of equal degree can run them in
 // lockstep, and its loop's exit branch repeats instead of following
-// the mesh's scattered degrees. Each list's chunked view is built from
-// the CSR too (see Rows); the plan keeps xadj and adj for its Rows, so
-// they must not change while the plan is in use.
+// the mesh's scattered degrees. Each list's chunk table is copied from
+// the CSR too (see Rows); the plan keeps xadj for the rows' degrees, so
+// it must not change while the plan is in use.
 func (p *Plan) Classify(xadj, adj []int32) error {
-	if len(xadj) != p.nlocal+1 {
-		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
+	if err := p.checkCSR(xadj, adj); err != nil {
+		return err
 	}
 	p.boundary = p.boundary[:0]
 	for u := 0; u < p.nlocal; u++ {
@@ -197,20 +205,22 @@ func (p *Plan) Classify(xadj, adj []int32) error {
 			}
 		}
 	}
-	return p.ClassifyRows(xadj, adj, p.boundary)
+	return p.ClassifyRows(xadj, adj, 0, nil, p.boundary)
 }
 
 // ClassifyRows is Classify for a caller that found the boundary rows
-// while it localized the CSR — strictly ascending, each in [0, NLocal).
-// The interior is their complement, so no reference is read to find
-// it; the chunked views read each chunked reference once. boundary is
-// copied.
-func (p *Plan) ClassifyRows(xadj, adj, boundary []int32) error {
-	if len(xadj) != p.nlocal+1 {
-		return fmt.Errorf("sched: classify with %d-row CSR for %d local elements", len(xadj)-1, p.nlocal)
-	}
-	if int(xadj[p.nlocal]) > len(adj) {
-		return fmt.Errorf("sched: classify with %d references for a CSR of %d", len(adj), xadj[p.nlocal])
+// while it scanned the references — strictly ascending, each in
+// [0, NLocal), exactly the rows with a reference off the interval — and
+// reads a global CSR in place: row u's references are
+// adj[xadj[u]:xadj[u+1]], a reference g in [lo, lo+NLocal) is local
+// element g−lo, and any other is NLocal plus g's slot in ghosts, the
+// schedule's sorted ghost list. With lo = 0 and nil ghosts the CSR is
+// the localized one Classify reads. The interior is the boundary's
+// complement, so no reference is read to find it; the chunk tables read
+// each reference once. boundary is copied.
+func (p *Plan) ClassifyRows(xadj, adj []int32, lo int64, ghosts []int64, boundary []int32) error {
+	if err := p.checkCSR(xadj, adj); err != nil {
+		return err
 	}
 	p.boundary = append(p.boundary[:0], boundary...)
 	p.interior = slices.Grow(p.interior[:0], max(0, p.nlocal-len(boundary)))
@@ -229,45 +239,78 @@ func (p *Plan) ClassifyRows(xadj, adj, boundary []int32) error {
 	}
 	groupByDegree(p.interior, xadj)
 	groupByDegree(p.boundary, xadj)
-	p.xadj, p.adj = xadj, adj
-	p.interiorChunks.build(p.interior, xadj, adj)
-	p.boundaryChunks.build(p.boundary, xadj, adj)
+	p.xadj = xadj
+	p.interiorChunks.build(p.interior, xadj, adj, int32(lo))
+	p.boundaryChunks.build(p.boundary, xadj, adj, int32(lo))
+	// Only boundary rows reach off the interval, and they are few: their
+	// table takes the ghost slots in a second pass.
+	for i, ref := range p.boundaryChunks.adj {
+		if uint32(ref) < uint32(p.nlocal) || ghosts == nil {
+			continue
+		}
+		g := int64(ref + int32(lo))
+		slot, ok := slices.BinarySearch(ghosts, g)
+		if !ok {
+			return fmt.Errorf("sched: reference %d missing from ghost list", g)
+		}
+		p.boundaryChunks.adj[i] = int32(p.nlocal + slot)
+	}
 	p.classified = true
 	return nil
 }
 
-// reset empties the view, keeping its storage.
-func (c *chunks) reset() { c.off, c.adj = c.off[:0], c.adj[:0] }
+// checkCSR rejects a CSR of the wrong row count or with fewer references
+// than its row offsets span.
+func (p *Plan) checkCSR(xadj, adj []int32) error {
+	if len(xadj) != p.nlocal+1 || int(xadj[p.nlocal]) > len(adj) {
+		return fmt.Errorf("sched: classify with a %d-row CSR of %d references for %d local elements", len(xadj)-1, len(adj), p.nlocal)
+	}
+	return nil
+}
 
-// build lays out the chunked view of a row list in place: one pass over
-// the degrees sizes every chunk, a second interleaves the references of
-// the uniform ones. Both tables keep their high-water storage and are
-// reallocated at exactly the size needed when they fall short.
-func (c *chunks) build(rows, xadj, adj []int32) {
-	n := len(rows) / ChunkRows
+// reset empties the table, keeping its storage.
+func (c *chunks) reset() {
+	c.off, c.adj, c.interleaved = c.off[:0], c.adj[:0], c.interleaved[:0]
+}
+
+// build lays out the chunk table of a row list in place: one pass over
+// the degrees sizes and marks every chunk, a second copies each chunk's
+// references in, less lo, interleaved or one row after another. Every
+// table keeps its high-water storage and is reallocated at exactly the
+// size needed when it falls short.
+func (c *chunks) build(rows, xadj, adj []int32, lo int32) {
+	n := (len(rows) + ChunkRows - 1) / ChunkRows
+	chunk := func(i int) []int32 { return rows[i*ChunkRows : min((i+1)*ChunkRows, len(rows))] }
 	c.off = fit(c.off, n+1)
+	c.interleaved = fit(c.interleaved, n)
 	size := int32(0)
 	for i := range n {
 		c.off[i] = size
-		chunk := rows[i*ChunkRows : (i+1)*ChunkRows]
-		d := xadj[chunk[0]+1] - xadj[chunk[0]]
-		for _, u := range chunk[1:] {
-			if xadj[u+1]-xadj[u] != d {
-				d = 0
-			}
+		rs := chunk(i)
+		d := xadj[rs[0]+1] - xadj[rs[0]]
+		lanes := len(rs) == ChunkRows && d > 0
+		for _, u := range rs {
+			lanes = lanes && xadj[u+1]-xadj[u] == d
+			size += xadj[u+1] - xadj[u]
 		}
-		size += ChunkRows * d
+		c.interleaved[i] = lanes
 	}
 	c.off[n] = size
 	c.adj = fit(c.adj, int(size))
 	for i := range n {
 		dst := c.adj[c.off[i]:c.off[i+1]]
-		if len(dst) == 0 {
+		if !c.interleaved[i] {
+			for _, u := range chunk(i) {
+				for k, g := range adj[xadj[u]:xadj[u+1]] {
+					dst[k] = g - lo
+				}
+				dst = dst[xadj[u+1]-xadj[u]:]
+			}
 			continue
 		}
-		for j, u := range rows[i*ChunkRows : (i+1)*ChunkRows] {
-			for k, ref := range adj[xadj[u]:xadj[u+1]] {
-				dst[k*ChunkRows+j] = ref
+		for j, u := range chunk(i) {
+			for k, g := range adj[xadj[u]:xadj[u+1]] {
+				dst[k*ChunkRows+j] = g - lo
 			}
 		}
 	}
@@ -275,9 +318,9 @@ func (c *chunks) build(rows, xadj, adj []int32) {
 
 // fit returns s resliced to length n, reallocated at exactly n when its
 // capacity falls short.
-func fit(s []int32, n int) []int32 {
+func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -320,9 +363,9 @@ func groupByDegree(rows, xadj []int32) {
 func (p *Plan) Classified() bool { return p.classified }
 
 // InteriorRows returns the local indices that reference no ghost value,
-// in plan order (see Classify), with the CSR they were classified
-// against and their chunked view: what a kernel sweeps for the interior
-// strip. Not to be modified; Idx is empty until Classify runs.
+// in plan order (see Classify), with their degrees and chunk table: what
+// a kernel sweeps for the interior strip. Not to be modified; Idx is
+// empty until Classify runs.
 func (p *Plan) InteriorRows() Rows { return p.rows(p.interior, p.interiorChunks) }
 
 // BoundaryRows is InteriorRows for the local indices that reference at
@@ -330,7 +373,7 @@ func (p *Plan) InteriorRows() Rows { return p.rows(p.interior, p.interiorChunks)
 func (p *Plan) BoundaryRows() Rows { return p.rows(p.boundary, p.boundaryChunks) }
 
 func (p *Plan) rows(idx []int32, c chunks) Rows {
-	return Rows{Idx: idx, Xadj: p.xadj, Adj: p.adj, ChunkOff: c.off, ChunkAdj: c.adj}
+	return Rows{Idx: idx, Xadj: p.xadj, ChunkOff: c.off, ChunkAdj: c.adj, Interleaved: c.interleaved}
 }
 
 // Rank returns the rank the plan was compiled for.
@@ -359,9 +402,7 @@ func (p *Plan) GhostIdx(q int) []int32 { return p.ghost[q] }
 // Pending resets and returns the plan's scratch peer mask for an
 // arrival-order drain. The executor owns it until the operation ends.
 func (p *Plan) Pending() []bool {
-	for i := range p.pending {
-		p.pending[i] = false
-	}
+	clear(p.pending)
 	return p.pending
 }
 

@@ -224,45 +224,112 @@ func TestClassifyPlanOrder(t *testing.T) {
 	if err := Compile(planSchedule()).Classify(make([]int32, 3), nil); err == nil {
 		t.Error("Classify accepted a CSR of the wrong row count")
 	}
-	if err := Compile(planSchedule()).ClassifyRows([]int32{0, 1, 2, 3, 4}, make([]int32, 3), nil); err == nil {
+	if err := Compile(planSchedule()).ClassifyRows([]int32{0, 1, 2, 3, 4}, make([]int32, 3), 0, nil, nil); err == nil {
 		t.Error("ClassifyRows accepted fewer references than the row offsets span")
 	}
 }
 
-// oracleChunks builds a row list's chunked view the plain way: chunk c —
-// rows[8c:8c+8] — holds its rows' references interleaved when the eight
-// share one degree d > 0, and nothing otherwise.
-func oracleChunks(rows, xadj, adj []int32) (off, refs []int32) {
+// oracleChunks builds a row list's chunk table the plain way: chunk c —
+// rows[8c:8c+8], or fewer at the end — holds its rows' references
+// interleaved when it has eight rows of one degree d > 0, and one row
+// after another otherwise.
+func oracleChunks(rows, xadj, adj []int32) (off, refs []int32, interleaved []bool) {
 	off = []int32{0}
-	for lo := 0; lo+ChunkRows <= len(rows); lo += ChunkRows {
-		chunk := rows[lo : lo+ChunkRows]
+	for lo := 0; lo < len(rows); lo += ChunkRows {
+		chunk := rows[lo:min(lo+ChunkRows, len(rows))]
 		d := xadj[chunk[0]+1] - xadj[chunk[0]]
-		uniform := d > 0
+		lanes := len(chunk) == ChunkRows && d > 0
 		for _, u := range chunk {
-			uniform = uniform && xadj[u+1]-xadj[u] == d
+			lanes = lanes && xadj[u+1]-xadj[u] == d
 		}
-		for k := int32(0); uniform && k < d; k++ {
+		for k := int32(0); lanes && k < d; k++ {
 			for _, u := range chunk {
 				refs = append(refs, adj[xadj[u]+k])
 			}
 		}
+		for _, u := range chunk {
+			if !lanes {
+				refs = append(refs, adj[xadj[u]:xadj[u+1]]...)
+			}
+		}
 		off = append(off, int32(len(refs)))
+		interleaved = append(interleaved, lanes)
 	}
-	return off, refs
+	return off, refs, interleaved
 }
 
-// checkChunkViews holds a classified plan's Rows to the CSR it was
-// classified against and the oracle's chunked views of its lists.
+// checkChunkViews holds a classified plan's Rows to the row offsets it
+// was classified against and the oracle's chunk tables of its lists.
 func checkChunkViews(t *testing.T, p *Plan, xadj, adj []int32) {
 	t.Helper()
 	for li, r := range []Rows{p.InteriorRows(), p.BoundaryRows()} {
-		if !slices.Equal(r.Xadj, xadj) || !slices.Equal(r.Adj, adj) {
-			t.Fatalf("nLocal=%d list %d: Rows carries another CSR", p.NLocal(), li)
+		if !slices.Equal(r.Xadj, xadj) {
+			t.Fatalf("nLocal=%d list %d: Rows carries other row offsets", p.NLocal(), li)
 		}
-		off, refs := oracleChunks(r.Idx, xadj, adj)
-		if !slices.Equal(r.ChunkOff, off) || !slices.Equal(r.ChunkAdj, refs) {
-			t.Fatalf("nLocal=%d list %d: chunked view (%d offsets, %d references) differs from the oracle's (%d, %d)",
+		off, refs, lanes := oracleChunks(r.Idx, xadj, adj)
+		if !slices.Equal(r.ChunkOff, off) || !slices.Equal(r.ChunkAdj, refs) || !slices.Equal(r.Interleaved, lanes) {
+			t.Fatalf("nLocal=%d list %d: chunk table (%d offsets, %d references) differs from the oracle's (%d, %d)",
 				p.NLocal(), li, len(r.ChunkOff), len(r.ChunkAdj), len(off), len(refs))
+		}
+	}
+}
+
+// TestClassifyRowsLocalizes: classifying a rank's rows of a global CSR
+// in place — offsets that do not start at zero, local references off by
+// the interval's start, ghosts by global index on both sides of the
+// interval — yields the lists and chunk tables Classify makes from the
+// localized CSR, and a reference missing from the ghost list is an
+// error.
+func TestClassifyRowsLocalizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, nLocal := range []int{0, 1, 9, rowWindow + 3, 3*rowWindow + 17} {
+		const nGhost, lo, skip = 30, 500, 7
+		xadj, adj := randomLocalCSR(rng, nLocal, nGhost)
+		// Half the ghosts lie below the interval, half past it.
+		ghosts := make([]int64, nGhost)
+		for i := range ghosts {
+			ghosts[i] = int64(2 * i)
+			if i >= nGhost/2 {
+				ghosts[i] = int64(lo + nLocal + i)
+			}
+		}
+		gxadj := make([]int32, len(xadj))
+		for u, x := range xadj {
+			gxadj[u] = x + skip
+		}
+		gadj := make([]int32, skip, skip+len(adj))
+		var boundary []int32
+		for u := 0; u < nLocal; u++ {
+			for _, r := range adj[xadj[u]:xadj[u+1]] {
+				g := r + lo
+				if int(r) >= nLocal {
+					g = int32(ghosts[int(r)-nLocal])
+					if len(boundary) == 0 || boundary[len(boundary)-1] != int32(u) {
+						boundary = append(boundary, int32(u))
+					}
+				}
+				gadj = append(gadj, g)
+			}
+		}
+		s := &Schedule{NProcs: 1, NLocal: nLocal, SendIdx: [][]int32{nil}, RecvSlot: [][]int32{nil}}
+		want, got := Compile(s), Compile(s)
+		if err := want.Classify(xadj, adj); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.ClassifyRows(gxadj, gadj, lo, ghosts, boundary); err != nil {
+			t.Fatal(err)
+		}
+		for li, pair := range [][2]Rows{{got.InteriorRows(), want.InteriorRows()}, {got.BoundaryRows(), want.BoundaryRows()}} {
+			g, w := pair[0], pair[1]
+			if !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.ChunkOff, w.ChunkOff) ||
+				!slices.Equal(g.ChunkAdj, w.ChunkAdj) || !slices.Equal(g.Interleaved, w.Interleaved) {
+				t.Fatalf("nLocal=%d list %d: the in-place classification differs from the localized one", nLocal, li)
+			}
+		}
+		if len(boundary) > 0 {
+			if err := got.ClassifyRows(gxadj, gadj, lo, ghosts[:0], boundary); err == nil {
+				t.Errorf("nLocal=%d: ClassifyRows accepted a reference missing from the ghost list", nLocal)
+			}
 		}
 	}
 }
@@ -281,7 +348,7 @@ func TestChunkViewsKeepTheirStorage(t *testing.T) {
 	for i, nLocal := range []int{600, 300, 40, 2000, 7, 0, 900} {
 		xadj, adj := randomLocalCSR(rng, nLocal, 30)
 		p = Recompile(p, sched(nLocal))
-		if r := p.InteriorRows(); len(r.Idx) != 0 || len(r.ChunkOff) != 0 || len(r.ChunkAdj) != 0 {
+		if r := p.InteriorRows(); len(r.Idx) != 0 || len(r.ChunkOff) != 0 || len(r.ChunkAdj) != 0 || len(r.Interleaved) != 0 {
 			t.Fatalf("step %d: recompiled plan hands out a view before it is classified", i)
 		}
 		before := cap(p.InteriorRows().ChunkAdj)

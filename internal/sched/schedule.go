@@ -67,41 +67,10 @@ func (s *Schedule) Peers() int {
 // Equal reports whether two schedules are identical (used to verify
 // that Sort1, Sort2 and Simple agree).
 func (s *Schedule) Equal(o *Schedule) bool {
-	if s.Rank != o.Rank || s.NProcs != o.NProcs || s.NLocal != o.NLocal {
-		return false
-	}
-	if len(s.Ghosts) != len(o.Ghosts) {
-		return false
-	}
-	for i := range s.Ghosts {
-		if s.Ghosts[i] != o.Ghosts[i] {
-			return false
-		}
-	}
-	if len(s.SendIdx) != len(o.SendIdx) || len(s.RecvSlot) != len(o.RecvSlot) {
-		return false
-	}
-	for q := range s.SendIdx {
-		if len(s.SendIdx[q]) != len(o.SendIdx[q]) {
-			return false
-		}
-		for i := range s.SendIdx[q] {
-			if s.SendIdx[q][i] != o.SendIdx[q][i] {
-				return false
-			}
-		}
-	}
-	for q := range s.RecvSlot {
-		if len(s.RecvSlot[q]) != len(o.RecvSlot[q]) {
-			return false
-		}
-		for i := range s.RecvSlot[q] {
-			if s.RecvSlot[q][i] != o.RecvSlot[q][i] {
-				return false
-			}
-		}
-	}
-	return true
+	return s.Rank == o.Rank && s.NProcs == o.NProcs && s.NLocal == o.NLocal &&
+		slices.Equal(s.Ghosts, o.Ghosts) &&
+		slices.EqualFunc(s.SendIdx, o.SendIdx, slices.Equal[[]int32]) &&
+		slices.EqualFunc(s.RecvSlot, o.RecvSlot, slices.Equal[[]int32])
 }
 
 // Validate checks the schedule's local invariants against a layout:

@@ -9,7 +9,7 @@ import (
 )
 
 // Kernel is the compute body of one solver iteration: it sweeps local
-// elements, reading the solution vector through the localized CSR
+// elements, reading the solution vector through the plan's chunk tables
 // (references >= LocalN index the ghost section) and writing each
 // element's new value into next. The solver owns everything around the
 // sweep — the ghost exchange, the work amplification, moving next into
@@ -25,26 +25,26 @@ type Kernel interface {
 	// (once every ghost has landed), or a non-empty prefix of one, in the
 	// plan's order — grouped by degree inside fixed windows — with no
 	// duplicates: next[u] may depend on data and row u's references only,
-	// read through the CSR or the chunked view alike. The solver does
-	// not post-process next: any divide is the kernel's.
+	// which the chunk table holds (see sched.Rows). The solver does not
+	// post-process next: any divide is the kernel's.
 	UpdateRows(data []float64, rows sched.Rows, next []float64)
 }
 
-// sumRows writes next[u] = Σ data[adj[k]] over row u's entries for each
+// sumRows writes next[u] = Σ data[ref] over row u's references for each
 // listed row — divided by the row's degree when mean is set, where a
-// row without entries keeps data[u]. A chunk the plan stored
-// interleaved is one stream of references feeding eight accumulators:
-// eight floating-point chains in flight, one exit branch and one divisor
-// for eight rows. Each accumulator starts from +0.0 and adds its row's
-// neighbors in CSR order, so every next[u] is bit-identical to the plain
-// row loop, which serves mixed chunks, empty rows and the tail.
+// row without references keeps data[u]. An interleaved chunk is one
+// stream of references feeding eight accumulators: eight floating-point
+// chains in flight, one exit branch and one divisor for eight rows. Each
+// accumulator starts from +0.0 and adds its row's references in order,
+// so every next[u] is bit-identical to the row loop, which serves the
+// other chunks and a prefix's last, cut chunk.
 func sumRows(data []float64, r sched.Rows, next []float64, mean bool) {
-	chunks := min(len(r.Idx)/sched.ChunkRows, max(len(r.ChunkOff)-1, 0))
-	for c := range chunks {
+	whole := len(r.Idx) / sched.ChunkRows
+	for c, lanes := range r.Interleaved[:whole] {
 		refs := r.ChunkAdj[r.ChunkOff[c]:r.ChunkOff[c+1]]
 		u := (*[sched.ChunkRows]int32)(r.Idx[c*sched.ChunkRows:])
-		if len(refs) == 0 {
-			sumRowsPlain(data, r.Xadj, r.Adj, next, u[:], mean)
+		if !lanes {
+			sumRowsPlain(data, r.Xadj, refs, false, next, u[:], mean)
 			continue
 		}
 		// Spent before the loop on a float divisor (x/1 is x, bit for
@@ -68,18 +68,32 @@ func sumRows(data []float64, r sched.Rows, next []float64, mean bool) {
 		next[u[0]], next[u[1]], next[u[2]], next[u[3]] = s0/div, s1/div, s2/div, s3/div
 		next[u[4]], next[u[5]], next[u[6]], next[u[7]] = s4/div, s5/div, s6/div, s7/div
 	}
-	sumRowsPlain(data, r.Xadj, r.Adj, next, r.Idx[chunks*sched.ChunkRows:], mean)
+	if rest := r.Idx[whole*sched.ChunkRows:]; len(rest) > 0 {
+		refs := r.ChunkAdj[r.ChunkOff[whole]:r.ChunkOff[whole+1]]
+		sumRowsPlain(data, r.Xadj, refs, r.Interleaved[whole], next, rest, mean)
+	}
 }
 
-// sumRowsPlain is sumRows one row at a time, through the CSR.
-func sumRowsPlain(data []float64, xadj, adj []int32, next []float64, idx []int32, mean bool) {
-	for _, u := range idx {
+// sumRowsPlain is sumRows one row at a time over the first rows of one
+// chunk, whose references are refs: one row after another, or, with
+// lanes set, interleaved — row j's are refs[j], refs[j+8], ….
+func sumRowsPlain(data []float64, xadj, refs []int32, lanes bool, next []float64, idx []int32, mean bool) {
+	at := 0
+	for j, u := range idx {
+		d := int(xadj[u+1] - xadj[u])
 		sum := 0.0
-		for k := xadj[u]; k < xadj[u+1]; k++ {
-			sum += data[adj[k]]
+		if lanes {
+			for k := j; k < len(refs); k += sched.ChunkRows {
+				sum += data[refs[k]]
+			}
+		} else {
+			for _, ref := range refs[at : at+d] {
+				sum += data[ref]
+			}
+			at += d
 		}
 		if mean {
-			if d := xadj[u+1] - xadj[u]; d > 0 {
+			if d > 0 {
 				sum /= float64(d)
 			} else {
 				sum = data[u]

@@ -78,8 +78,8 @@ func TestCGKernel(t *testing.T) {
 
 	// The split form yields the divided value bit for bit.
 	next := make([]float64, 4)
-	k.UpdateRows(data, sched.Rows{Idx: []int32{1, 3}, Xadj: xadj, Adj: adj}, next)
-	k.UpdateRows(data, sched.Rows{Idx: []int32{0, 2}, Xadj: xadj, Adj: adj}, next)
+	k.UpdateRows(data, chunkedRows(xadj, adj, []int32{1, 3}), next)
+	k.UpdateRows(data, chunkedRows(xadj, adj, []int32{0, 2}), next)
 	for u := range want {
 		if next[u] != tv[u]/2 {
 			t.Errorf("UpdateRows next[%d] = %v, Sweep and the divide gave %v", u, next[u], tv[u]/2)
@@ -213,24 +213,30 @@ var builtinKernels = []struct {
 }{{"figure8", Figure8{}}, {"cg", CG{}}}
 
 // chunkedRows is the Rows a plan hands a kernel for the list idx, built
-// the plain way: chunk c — rows idx[8c:8c+8] — holds its rows'
-// references interleaved when the eight share one degree d > 0, and
-// nothing otherwise; rows past the last whole chunk are in no chunk.
+// the plain way: chunk c — rows idx[8c:8c+8], or fewer at the end —
+// holds its rows' references interleaved when it has eight rows of one
+// degree d > 0, and one row after another otherwise.
 func chunkedRows(xadj, adj, idx []int32) sched.Rows {
-	r := sched.Rows{Idx: idx, Xadj: xadj, Adj: adj, ChunkOff: []int32{0}, ChunkAdj: []int32{}}
-	for lo := 0; lo+sched.ChunkRows <= len(idx); lo += sched.ChunkRows {
-		chunk := idx[lo : lo+sched.ChunkRows]
+	r := sched.Rows{Idx: idx, Xadj: xadj, ChunkOff: []int32{0}}
+	for lo := 0; lo < len(idx); lo += sched.ChunkRows {
+		chunk := idx[lo:min(lo+sched.ChunkRows, len(idx))]
 		d := xadj[chunk[0]+1] - xadj[chunk[0]]
-		uniform := d > 0
+		lanes := len(chunk) == sched.ChunkRows && d > 0
 		for _, u := range chunk {
-			uniform = uniform && xadj[u+1]-xadj[u] == d
+			lanes = lanes && xadj[u+1]-xadj[u] == d
 		}
-		for k := int32(0); uniform && k < d; k++ {
+		for k := int32(0); lanes && k < d; k++ {
 			for _, u := range chunk {
 				r.ChunkAdj = append(r.ChunkAdj, adj[xadj[u]+k])
 			}
 		}
+		for _, u := range chunk {
+			if !lanes {
+				r.ChunkAdj = append(r.ChunkAdj, adj[xadj[u]:xadj[u+1]]...)
+			}
+		}
 		r.ChunkOff = append(r.ChunkOff, int32(len(r.ChunkAdj)))
+		r.Interleaved = append(r.Interleaved, lanes)
 	}
 	return r
 }
@@ -248,16 +254,17 @@ func byDegree(xadj, idx []int32) []int32 {
 	return out
 }
 
-// sweepCoverage tallies what the checks ran through: chunks read
-// interleaved and chunks read through the CSR.
-type sweepCoverage struct{ chunked, fallback int }
+// sweepCoverage tallies what the checks ran through: whole chunks read
+// interleaved and row after row, lists ending in a tail chunk of fewer
+// than eight rows, and prefixes that cut an interleaved or a
+// row-after-row chunk.
+type sweepCoverage struct{ interleaved, rowAfterRow, tail, cutInterleaved, cutRowAfterRow int }
 
 // checkSweepIdx runs both built-in kernels over the case's list, in its
-// own order and grouped by degree, each as the bare CSR and with the
-// list's chunked view — whole, and the prefixes a fractional work factor
-// sweeps — and holds every listed row to the reference iteration's bits,
-// every unlisted row of next to the sentinel it held before, and data to
-// what it was.
+// own order and grouped by degree, with the list's chunk table — whole,
+// and the prefixes a fractional work factor sweeps — and holds every
+// listed row to the reference iteration's bits, every unlisted row of
+// next to the sentinel it held before, and data to what it was.
 func checkSweepIdx(t *testing.T, c sweepCase, cov *sweepCoverage) {
 	t.Helper()
 	nLocal := len(c.xadj) - 1
@@ -266,34 +273,42 @@ func checkSweepIdx(t *testing.T, c sweepCase, cov *sweepCoverage) {
 	for _, k := range builtinKernels {
 		want := referenceUpdate(k.k, c.data, c.xadj, c.adj)
 		for _, list := range [][]int32{c.idx, byDegree(c.xadj, c.idx)} {
-			chunked := chunkedRows(c.xadj, c.adj, list)
-			for i := range len(chunked.ChunkOff) - 1 {
-				if chunked.ChunkOff[i] < chunked.ChunkOff[i+1] {
-					cov.chunked++
-				} else {
-					cov.fallback++
+			rows := chunkedRows(c.xadj, c.adj, list)
+			for i, lanes := range rows.Interleaved {
+				switch {
+				case (i+1)*sched.ChunkRows > len(list):
+					cov.tail++
+				case lanes:
+					cov.interleaved++
+				default:
+					cov.rowAfterRow++
 				}
 			}
-			for _, rows := range []sched.Rows{{Idx: list, Xadj: c.xadj, Adj: c.adj}, chunked} {
-				for _, share := range []float64{1, 0.9, 0.75, 0.5, 0.25} {
-					rows.Idx = list[:int(share*float64(len(list)))]
-					got := make([]float64, nLocal)
-					for u := range got {
-						got[u] = sentinel
+			for _, share := range []float64{1, 0.9, 0.75, 0.5, 0.25} {
+				rows.Idx = list[:int(share*float64(len(list)))]
+				if cut := len(rows.Idx) / sched.ChunkRows; len(rows.Idx)%sched.ChunkRows != 0 && len(rows.Idx) < len(list) {
+					if rows.Interleaved[cut] {
+						cov.cutInterleaved++
+					} else {
+						cov.cutRowAfterRow++
 					}
-					k.k.UpdateRows(c.data, rows, got)
-					listed := make([]bool, nLocal)
-					for _, u := range rows.Idx {
-						listed[u] = true
-						if !sameBits(got[u], want[u]) {
-							t.Errorf("%s: row %d (degree %d) of list %v (chunk offsets %v): UpdateRows gave %v (%#x), Sweep and the divide %v (%#x)",
-								k.name, u, c.xadj[u+1]-c.xadj[u], rows.Idx, rows.ChunkOff, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
-						}
+				}
+				got := make([]float64, nLocal)
+				for u := range got {
+					got[u] = sentinel
+				}
+				k.k.UpdateRows(c.data, rows, got)
+				listed := make([]bool, nLocal)
+				for _, u := range rows.Idx {
+					listed[u] = true
+					if !sameBits(got[u], want[u]) {
+						t.Errorf("%s: row %d (degree %d) of list %v (chunk offsets %v, interleaved %v): UpdateRows gave %v (%#x), Sweep and the divide %v (%#x)",
+							k.name, u, c.xadj[u+1]-c.xadj[u], rows.Idx, rows.ChunkOff, rows.Interleaved, got[u], math.Float64bits(got[u]), want[u], math.Float64bits(want[u]))
 					}
-					for u, on := range listed {
-						if !on && got[u] != sentinel {
-							t.Errorf("%s: unlisted row %d of next was written: %v", k.name, u, got[u])
-						}
+				}
+				for u, on := range listed {
+					if !on && got[u] != sentinel {
+						t.Errorf("%s: unlisted row %d of next was written: %v", k.name, u, got[u])
 					}
 				}
 			}
@@ -307,13 +322,14 @@ func checkSweepIdx(t *testing.T, c sweepCase, cov *sweepCoverage) {
 }
 
 // TestSweepIdxEqualsReference: UpdateRows equals the reference loop
-// followed by the old divide bit for bit through both of its paths — the
-// chunked view's eight interleaved rows at a time and the CSR row loop —
-// on uniform chunks, mixed chunks, chunks of empty rows, empty rows
-// among others, degree-40 chunks, tails shorter than a chunk, every list
-// length up to the case's row count and prefixes that cut a chunk, with
-// ghost references and special payloads in play. The name is the one
-// the check had when the method was SweepIdx.
+// followed by the old divide bit for bit through both forms of chunk —
+// eight interleaved rows at a time and one row after another — on
+// uniform chunks, mixed chunks, chunks of empty rows, empty rows inside
+// mixed chunks, degree-40 chunks, tail chunks shorter than eight rows,
+// every list length up to the case's row count and prefixes that cut an
+// interleaved and a row-after-row chunk, with ghost references and
+// special payloads in play. The name is the one the check had when the
+// method was SweepIdx.
 func TestSweepIdxEqualsReference(t *testing.T) {
 	repeat := func(n int, degs ...int) []int {
 		var out []int
@@ -346,21 +362,23 @@ func TestSweepIdxEqualsReference(t *testing.T) {
 			}
 		})
 	}
-	if cov.chunked == 0 || cov.fallback == 0 {
-		t.Errorf("the cases ran %d interleaved and %d CSR-read chunks, want both", cov.chunked, cov.fallback)
+	if cov.interleaved == 0 || cov.rowAfterRow == 0 || cov.tail == 0 || cov.cutInterleaved == 0 || cov.cutRowAfterRow == 0 {
+		t.Errorf("the cases ran %+v, want every kind", cov)
 	}
 }
 
 // FuzzSweepIdx holds UpdateRows to the reference loop and the old divide
 // on arbitrary localized CSRs: degs gives each row's degree (mod 41),
 // seed the references, the payload and the list, which is checked as
-// drawn and grouped by degree, with and without its chunked view.
-// testdata/fuzz holds the shapes the fused divide added — whole groups of
-// empty rows, empty rows inside mixed groups and in the tail, lists whose
-// prefixes cut a group — and the ones the chunked view added: degree-40
+// drawn and grouped by degree, through its chunk table. testdata/fuzz
+// holds the shapes the fused divide added — whole groups of empty rows,
+// empty rows inside mixed groups and in the tail, lists whose prefixes
+// cut a group — the ones the interleaved chunks added — degree-40
 // chunks, a mixed chunk between uniform ones, a chunk of empty rows and
-// prefixes that cut a chunk. The name is the one the target had when the
-// method was SweepIdx.
+// prefixes that cut a chunk — and the ones the row-after-row chunks
+// added: mixed degrees, empty rows inside a mixed chunk, a tail chunk,
+// and prefixes that cut an interleaved and a row-after-row chunk. The
+// name is the one the target had when the method was SweepIdx.
 func FuzzSweepIdx(f *testing.F) {
 	f.Add(int64(1), []byte{4, 8, 4, 8, 4, 8, 4, 8, 4}, uint8(3), uint8(9))
 	f.Add(int64(2), []byte{0, 0, 0, 0, 40, 40, 40, 40}, uint8(0), uint8(8))
@@ -427,8 +445,8 @@ func benchShape(tb testing.TB, side, p int) rankShape {
 // built-in kernel in its two forms — the contiguous reference loop
 // (sums only, no divide) and UpdateRows over the plan's interior and
 // boundary rows, which is what the solver runs — and reports the cost
-// per adjacency entry and the share of entries the plan's chunked views
-// hold.
+// per adjacency entry and the share of entries the plan's chunk tables
+// hold interleaved.
 func BenchmarkKernel(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -459,8 +477,15 @@ func BenchmarkKernel(b *testing.B) {
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sh.adj)), "ns/entry")
 					if form == "plan" {
-						chunked := len(sh.interior.ChunkAdj) + len(sh.boundary.ChunkAdj)
-						b.ReportMetric(100*float64(chunked)/float64(len(sh.adj)), "%chunked")
+						lanes := 0
+						for _, r := range []sched.Rows{sh.interior, sh.boundary} {
+							for c, on := range r.Interleaved {
+								if on {
+									lanes += int(r.ChunkOff[c+1] - r.ChunkOff[c])
+								}
+							}
+						}
+						b.ReportMetric(100*float64(lanes)/float64(len(sh.adj)), "%interleaved")
 					}
 				})
 			}

@@ -338,10 +338,9 @@ func WithFields(n int) Option {
 
 // WithKernel replaces the solver's compute body (the built-in Figure8
 // kernel by default). A kernel is one method, UpdateRows, which writes
-// each listed element's new value, reading its references through the
-// CSR or the plan's chunked view (see Rows); its rows arrive in the
-// plan's order, not ascending, and each row's result must not depend on
-// that order.
+// each listed element's new value, reading its references from the
+// list's chunk table (see Rows); its rows arrive in the plan's order,
+// not ascending, and each row's result must not depend on that order.
 func WithKernel(k Kernel) Option {
 	return func(c *session.Config) { c.Kernel = k }
 }

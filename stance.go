@@ -99,9 +99,12 @@ type (
 	// plan's order — grouped by degree, not ascending — and are
 	// independent.
 	Kernel = solver.Kernel
-	// Rows is what a Kernel sweeps: the listed rows, the localized CSR
-	// and the plan's chunked view of the list, which stores each
-	// eight-row chunk of one degree with its references interleaved.
+	// Rows is what a Kernel sweeps: the listed rows, their degrees and
+	// the list's chunk table, which holds every reference of every
+	// listed row exactly once — the rank's only localized copy of its
+	// adjacency. An eight-row chunk of one degree stores its references
+	// interleaved, any other chunk one row after another, and each chunk
+	// is marked with its form (see sched.Rows).
 	Rows = sched.Rows
 	// OpHandle is one in-flight split-phase executor operation; Start
 	// calls on the Runtime return one and its Wait completes the op.
