@@ -132,46 +132,6 @@ func BenchmarkTable5Adaptive(b *testing.B) {
 	})
 }
 
-// BenchmarkExchange isolates the executor's per-iteration ghost
-// exchange (gather) on a free network: the schedule-replay overhead
-// without modeled wire time. (The steady-state allocs/op measurement
-// with setup hoisted out of the timed region lives in
-// internal/bench's BenchmarkExchange.)
-func BenchmarkExchange(b *testing.B) {
-	g, err := mesh.Honeycomb(100, 180)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []int{2, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			ws, err := comm.NewWorld(p, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer comm.CloseWorld(ws)
-			b.ReportAllocs()
-			b.ResetTimer()
-			err = comm.SPMD(ws, func(c *comm.Comm) error {
-				rt, err := core.New(c, g, core.Config{Order: order.RCB})
-				if err != nil {
-					return err
-				}
-				v := rt.NewVector()
-				v.SetByGlobal(func(gid int64) float64 { return float64(gid) })
-				for i := 0; i < b.N; i++ {
-					if err := rt.Exchange(v); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkSolverIteration times one phase of the Figure 8 loop
 // (exchange + kernel) end to end.
 func BenchmarkSolverIteration(b *testing.B) {
@@ -179,13 +139,13 @@ func BenchmarkSolverIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws, err := comm.NewWorld(4, nil)
+	world, err := comm.Open("inproc", 4, comm.TransportOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer comm.CloseWorld(ws)
+	defer world.Close()
 	b.ResetTimer()
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -297,19 +257,19 @@ func BenchmarkAblationMulticast(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			model := &comm.Model{Latency: 50_000, Bandwidth: 25e6, Multicast: multicast} // 50us, 25 MB/s
-			ws, err := comm.NewWorld(5, model)
+			world, err := comm.Open("inproc", 5, comm.TransportOptions{Model: model})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer comm.CloseWorld(ws)
+			defer world.Close()
 			dsts := []int{1, 2, 3, 4}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ws[0].Multicast(dsts, 1, payload); err != nil {
+				if err := world.Comm(0).Multicast(dsts, 1, payload); err != nil {
 					b.Fatal(err)
 				}
 				for _, d := range dsts {
-					if _, err := ws[d].Recv(0, 1); err != nil {
+					if _, err := world.Comm(d).Recv(0, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -333,13 +293,13 @@ func BenchmarkCoalescing(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			model := &comm.Model{Latency: 200_000, Bandwidth: 25e6} // 0.2ms per message
-			ws, err := comm.NewWorld(2, model)
+			world, err := comm.Open("inproc", 2, comm.TransportOptions{Model: model})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer comm.CloseWorld(ws)
+			defer world.Close()
 			b.ResetTimer()
-			err = comm.SPMD(ws, func(c *comm.Comm) error {
+			err = world.SPMD(nil, func(c *comm.Comm) error {
 				rt, err := core.New(c, g, core.Config{Order: order.RCB})
 				if err != nil {
 					return err

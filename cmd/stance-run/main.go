@@ -139,6 +139,15 @@ func main() {
 	flag.Parse()
 	explicitFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicitFlags[f.Name] = true })
+	if *p <= 0 {
+		log.Fatalf("-p %d: the number of workstations must be positive", *p)
+	}
+	if *groups < 0 {
+		log.Fatalf("-groups %d: the group count must not be negative (0 = flat)", *groups)
+	}
+	if *ckptTimeout < 0 {
+		log.Fatalf("-ckpt %v: the detection timeout must not be negative (0 = off)", *ckptTimeout)
+	}
 	if *tcp {
 		if explicitFlags["transport"] && *transport != "tcp" {
 			log.Fatalf("-tcp conflicts with -transport %s", *transport)
@@ -238,7 +247,7 @@ func main() {
 	if *ckptTimeout > 0 {
 		cfg.Checkpoint = &ckpt.Config{DetectTimeout: *ckptTimeout, Kills: kills}
 	}
-	if *flushPeriod > 0 || *batchBytes > 0 || *compress != "" || *hbInterval > 0 || *hbMiss > 0 {
+	if *flushPeriod != 0 || *batchBytes != 0 || *compress != "" || *hbInterval != 0 || *hbMiss != 0 {
 		cfg.Tuning = &comm.TransportOptions{
 			FlushPeriod:       *flushPeriod,
 			BatchBytes:        *batchBytes,

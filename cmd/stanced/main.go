@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -59,12 +60,15 @@ func main() {
 	if *virtual {
 		clock = vtime.NewSim()
 	}
+	if *latency < 0 || !(*bandwidth >= 0) || *delay < 0 {
+		log.Fatalf("the network model must not be negative (-latency %v, -bandwidth %g, -delay %v)", *latency, *bandwidth, *delay)
+	}
 	var model *comm.Model
-	if *latency > 0 || *bandwidth > 0 || *delay > 0 {
+	if *latency != 0 || *bandwidth != 0 || *delay != 0 {
 		model = &comm.Model{Latency: *latency, Bandwidth: *bandwidth, Delay: *delay}
 	}
 	var tuning *comm.TransportOptions
-	if *flushPeriod > 0 || *batchBytes > 0 || *compress != "" || *hbInterval > 0 || *hbMiss > 0 {
+	if *flushPeriod != 0 || *batchBytes != 0 || *compress != "" || *hbInterval != 0 || *hbMiss != 0 {
 		tuning = &comm.TransportOptions{
 			FlushPeriod:       *flushPeriod,
 			BatchBytes:        *batchBytes,
@@ -77,6 +81,12 @@ func main() {
 		}
 	}
 
+	// Listen before building the pool: a bad or taken address fails
+	// here, and the log names the bound address (useful with port 0).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	svc, err := jobsvc.New(jobsvc.Config{
 		PoolRanks:      *pool,
 		Transport:      *transport,
@@ -91,18 +101,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler()}
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe() }()
-	log.Printf("pool of %d %s ranks, serving on %s", *pool, *transport, *addr)
+	go func() { done <- srv.Serve(ln) }()
+	log.Printf("pool of %d %s ranks, serving on %s", *pool, *transport, ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var serveErr error
 	select {
 	case s := <-sig:
 		log.Printf("%v: draining", s)
-	case err := <-done:
-		log.Printf("serve: %v", err)
+	case serveErr = <-done:
+		log.Printf("serve: %v", serveErr)
 	}
 
 	// Stop taking requests, then cancel every job and close the pool.
@@ -115,4 +126,7 @@ func main() {
 		log.Printf("service close: %v", err)
 	}
 	log.Printf("bye")
+	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
+		os.Exit(1)
+	}
 }

@@ -21,9 +21,9 @@ import (
 // execHarness is a warm world/runtime/vector stack for executor
 // benchmarks, built outside the timed region.
 type execHarness struct {
-	ws  []*comm.Comm
-	rts []*core.Runtime
-	vs  [][]*core.Vector
+	world *comm.World
+	rts   []*core.Runtime
+	vs    [][]*core.Vector
 }
 
 func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
@@ -32,13 +32,13 @@ func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws, err := comm.NewWorld(p, nil)
+	world, err := comm.Open("inproc", p, comm.TransportOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { comm.CloseWorld(ws) })
-	h := &execHarness{ws: ws, rts: make([]*core.Runtime, p), vs: make([][]*core.Vector, p)}
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	b.Cleanup(func() { world.Close() })
+	h := &execHarness{world: world, rts: make([]*core.Runtime, p), vs: make([][]*core.Vector, p)}
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -77,7 +77,7 @@ func BenchmarkExchange(b *testing.B) {
 			h := newExecHarness(b, p, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
-			err := comm.SPMD(h.ws, func(c *comm.Comm) error {
+			err := h.world.SPMD(nil, func(c *comm.Comm) error {
 				rt, v := h.rts[c.Rank()], h.vs[c.Rank()][0]
 				for i := 0; i < b.N; i++ {
 					if err := rt.Exchange(v); err != nil {
@@ -102,7 +102,7 @@ func BenchmarkScatterAdd(b *testing.B) {
 			h := newExecHarness(b, p, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
-			err := comm.SPMD(h.ws, func(c *comm.Comm) error {
+			err := h.world.SPMD(nil, func(c *comm.Comm) error {
 				rt, v := h.rts[c.Rank()], h.vs[c.Rank()][0]
 				for i := 0; i < b.N; i++ {
 					if err := rt.ScatterAdd(v); err != nil {
@@ -127,7 +127,7 @@ func BenchmarkExchangeAll(b *testing.B) {
 			h := newExecHarness(b, p, nvecs)
 			b.ReportAllocs()
 			b.ResetTimer()
-			err := comm.SPMD(h.ws, func(c *comm.Comm) error {
+			err := h.world.SPMD(nil, func(c *comm.Comm) error {
 				rt, vs := h.rts[c.Rank()], h.vs[c.Rank()]
 				for i := 0; i < b.N; i++ {
 					if err := rt.ExchangeAll(vs...); err != nil {

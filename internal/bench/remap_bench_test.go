@@ -35,7 +35,7 @@ func BenchmarkRemap(b *testing.B) {
 			skewed[0] = 2
 			b.ReportAllocs()
 			b.ResetTimer()
-			err := comm.SPMD(h.ws, func(c *comm.Comm) error {
+			err := h.world.SPMD(nil, func(c *comm.Comm) error {
 				rt := h.rts[c.Rank()]
 				for i := 0; i < b.N; i++ {
 					w := skewed

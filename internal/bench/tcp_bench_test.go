@@ -10,7 +10,6 @@ package bench
 // (BatchBytes 1).
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -34,9 +33,8 @@ func newTCPExecHarness(b *testing.B, p int, opts comm.TransportOptions) *execHar
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { w.Close() })
-	ws := w.Comms()
-	h := &execHarness{ws: ws, rts: make([]*core.Runtime, p), vs: make([][]*core.Vector, p)}
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	h := &execHarness{world: w, rts: make([]*core.Runtime, p), vs: make([][]*core.Vector, p)}
+	err = w.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -67,7 +65,7 @@ func BenchmarkTcpExchange(b *testing.B) {
 			h := newTCPExecHarness(b, p, comm.TransportOptions{})
 			b.ReportAllocs()
 			b.ResetTimer()
-			err := comm.SPMD(h.ws, func(c *comm.Comm) error {
+			err := h.world.SPMD(nil, func(c *comm.Comm) error {
 				rt, v := h.rts[c.Rank()], h.vs[c.Rank()][0]
 				for i := 0; i < b.N; i++ {
 					if err := rt.Exchange(v); err != nil {
@@ -110,7 +108,7 @@ func BenchmarkTcpExchangeBatched(b *testing.B) {
 			payload := make([]byte, msgBytes)
 			b.SetBytes(burst * msgBytes)
 			b.ResetTimer()
-			err = w.SPMD(context.Background(), func(c *comm.Comm) error {
+			err = w.SPMD(nil, func(c *comm.Comm) error {
 				if c.Rank() == 0 {
 					for i := 0; i < b.N; i++ {
 						for j := 0; j < burst; j++ {

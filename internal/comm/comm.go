@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,9 +130,9 @@ type Comm struct {
 	interBytes atomic.Int64
 }
 
-// NewComm wraps a transport endpoint. Most users obtain Comms from
-// a World (see Open) or from the legacy NewWorld/NewTCPWorld helpers.
-func NewComm(rank, size int, tr Transport) (*Comm, error) {
+// newComm wraps a transport endpoint: the one step every transport
+// factory and Sub share. Users obtain Comms from a World (see Open).
+func newComm(rank, size int, tr Transport) (*Comm, error) {
 	if size <= 0 || rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: invalid rank %d of %d", rank, size)
 	}
@@ -267,11 +266,6 @@ func (c *Comm) RecvAny(tag int) (int, []byte, error) {
 	return c.tr.RecvAnyOf(c.boundCtx(), tag, nil)
 }
 
-// RecvAnyContext is RecvAny under an explicit context.
-func (c *Comm) RecvAnyContext(ctx context.Context, tag int) (int, []byte, error) {
-	return c.tr.RecvAnyOf(ctx, tag, nil)
-}
-
 // RecvAnyOf blocks until a message with the tag arrives from a source
 // the mask admits (mask[src] true; nil admits every source) — the
 // arrival-order receive the executor drains with.
@@ -383,48 +377,3 @@ func (c *Comm) WorldRankOf(rank int) int {
 
 // Close shuts down the endpoint's transport.
 func (c *Comm) Close() error { return c.tr.Close() }
-
-// SPMD runs f once per communicator, each in its own goroutine — the
-// Single Program Multiple Data execution model of paper Section 2 —
-// and waits for all of them. The returned error joins every rank's
-// error. On a world with a simulated clock, every rank goroutine is
-// registered as a clock worker for the duration of the section (all of
-// them before any starts, so an early blocker cannot trigger a
-// premature advance): the clock then auto-advances whenever all ranks
-// are blocked, which is what makes virtual-time runs self-driving.
-func SPMD(comms []*Comm, f func(c *Comm) error) error {
-	var sim *vtime.Sim
-	if len(comms) > 0 {
-		sim = vtime.AsSim(comms[0].Clock())
-	}
-	if sim != nil {
-		sim.Add(len(comms))
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(comms))
-	for i, c := range comms {
-		wg.Add(1)
-		go func(i int, c *Comm) {
-			defer wg.Done()
-			if sim != nil {
-				defer sim.Done()
-			}
-			if err := f(c); err != nil {
-				errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// CloseWorld closes every communicator, returning the first error.
-func CloseWorld(comms []*Comm) error {
-	var first error
-	for _, c := range comms {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -10,28 +10,30 @@ import (
 	"time"
 )
 
-// worlds returns both transports' worlds for transport-agnostic tests.
-func worlds(t *testing.T, p int) map[string][]*Comm {
+// open opens a p-rank world and closes it when the test ends.
+func open(t testing.TB, transport string, p int, opts TransportOptions) *World {
 	t.Helper()
-	in, err := NewWorld(p, nil)
+	w, err := Open(transport, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, closer, err := NewTCPWorld(p)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// worlds returns both transports' worlds for transport-agnostic tests.
+func worlds(t *testing.T, p int) map[string]*World {
+	t.Helper()
+	return map[string]*World{
+		"inproc": open(t, "inproc", p, TransportOptions{}),
+		"tcp":    open(t, "tcp", p, TransportOptions{}),
 	}
-	t.Cleanup(func() {
-		CloseWorld(in)
-		closer()
-	})
-	return map[string][]*Comm{"inproc": in, "tcp": tcp}
 }
 
 func TestSendRecvBothTransports(t *testing.T) {
-	for name, ws := range worlds(t, 2) {
+	for name, w := range worlds(t, 2) {
 		t.Run(name, func(t *testing.T) {
-			err := SPMD(ws, func(c *Comm) error {
+			err := w.SPMD(nil, func(c *Comm) error {
 				if c.Rank() == 0 {
 					if err := c.Send(1, 7, []byte("hello")); err != nil {
 						return err
@@ -62,10 +64,10 @@ func TestSendRecvBothTransports(t *testing.T) {
 }
 
 func TestFIFOPerSourceTag(t *testing.T) {
-	for name, ws := range worlds(t, 2) {
+	for name, w := range worlds(t, 2) {
 		t.Run(name, func(t *testing.T) {
 			const n = 200
-			err := SPMD(ws, func(c *Comm) error {
+			err := w.SPMD(nil, func(c *Comm) error {
 				if c.Rank() == 0 {
 					for i := 0; i < n; i++ {
 						if err := c.Send(1, 5, []byte{byte(i)}); err != nil {
@@ -93,12 +95,8 @@ func TestFIFOPerSourceTag(t *testing.T) {
 }
 
 func TestTagsDoNotInterfere(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	err = SPMD(ws, func(c *Comm) error {
+	w := open(t, "inproc", 2, TransportOptions{})
+	err := w.SPMD(nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, []byte("a")); err != nil {
 				return err
@@ -125,11 +123,7 @@ func TestTagsDoNotInterfere(t *testing.T) {
 }
 
 func TestRecvAnyPrefersLowestRank(t *testing.T) {
-	ws, err := NewWorld(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 3, TransportOptions{})
 	// Ranks 1 and 2 send; rank 0 waits until both arrived, then
 	// receives twice: must get rank 1 first.
 	var wg sync.WaitGroup
@@ -137,18 +131,18 @@ func TestRecvAnyPrefersLowestRank(t *testing.T) {
 	for r := 1; r <= 2; r++ {
 		go func(r int) {
 			defer wg.Done()
-			if err := ws[r].Send(0, 9, []byte{byte(r)}); err != nil {
+			if err := w.Comm(r).Send(0, 9, []byte{byte(r)}); err != nil {
 				t.Error(err)
 			}
 		}(r)
 	}
 	wg.Wait()
 	// Both messages are now in the mailbox.
-	src1, d1, err := ws[0].RecvAny(9)
+	src1, d1, err := w.Comm(0).RecvAny(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src2, d2, err := ws[0].RecvAny(9)
+	src2, d2, err := w.Comm(0).RecvAny(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +152,13 @@ func TestRecvAnyPrefersLowestRank(t *testing.T) {
 }
 
 func TestSendBufferReuse(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{})
 	buf := []byte{1, 2, 3}
-	if err := ws[0].Send(1, 1, buf); err != nil {
+	if err := w.Comm(0).Send(1, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // mutate after send
-	got, err := ws[1].Recv(0, 1)
+	got, err := w.Comm(1).Recv(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,34 +168,27 @@ func TestSendBufferReuse(t *testing.T) {
 }
 
 func TestSendRecvBounds(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	if err := ws[0].Send(2, 0, nil); err == nil {
+	w := open(t, "inproc", 2, TransportOptions{})
+	if err := w.Comm(0).Send(2, 0, nil); err == nil {
 		t.Error("send to rank 2 of 2 accepted")
 	}
-	if _, err := ws[0].Recv(-1, 0); err == nil {
+	if _, err := w.Comm(0).Recv(-1, 0); err == nil {
 		t.Error("recv from rank -1 accepted")
 	}
-	if err := ws[0].Multicast([]int{0, 5}, 0, nil); err == nil {
+	if err := w.Comm(0).Multicast([]int{0, 5}, 0, nil); err == nil {
 		t.Error("multicast to bad rank accepted")
 	}
 }
 
 func TestCloseUnblocksRecv(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := open(t, "inproc", 2, TransportOptions{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := ws[0].Recv(1, 1)
+		_, err := w.Comm(0).Recv(1, 1)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	ws[0].Close()
+	w.Comm(0).Close()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrClosed) {
@@ -214,17 +197,13 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on close")
 	}
-	CloseWorld(ws)
+	w.Close()
 }
 
 func TestRecvTimeout(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{})
 	start := time.Now()
-	_, err = ws[0].RecvTimeout(1, 1, 30*time.Millisecond)
+	_, err := w.Comm(0).RecvTimeout(1, 1, 30*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -232,30 +211,26 @@ func TestRecvTimeout(t *testing.T) {
 		t.Error("timeout returned too early")
 	}
 	// A message that is already there is returned immediately.
-	if err := ws[1].Send(0, 2, []byte("x")); err != nil {
+	if err := w.Comm(1).Send(0, 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ws[0].RecvTimeout(1, 2, time.Second)
+	got, err := w.Comm(0).RecvTimeout(1, 2, time.Second)
 	if err != nil || string(got) != "x" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 }
 
 func TestStatsCounting(t *testing.T) {
-	ws, err := NewWorld(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	ws[0].Send(1, 1, make([]byte, 10))
-	ws[0].Send(2, 1, make([]byte, 5))
-	msgs, bytes := ws[0].Stats()
+	w := open(t, "inproc", 3, TransportOptions{})
+	w.Comm(0).Send(1, 1, make([]byte, 10))
+	w.Comm(0).Send(2, 1, make([]byte, 5))
+	msgs, bytes := w.Comm(0).Stats()
 	if msgs != 2 || bytes != 15 {
 		t.Errorf("stats = %d msgs %d bytes, want 2/15", msgs, bytes)
 	}
 	// Multicast on a multicast-capable transport counts once.
-	ws[1].Multicast([]int{0, 2}, 1, make([]byte, 8))
-	msgs, bytes = ws[1].Stats()
+	w.Comm(1).Multicast([]int{0, 2}, 1, make([]byte, 8))
+	msgs, bytes = w.Comm(1).Stats()
 	if msgs != 1 || bytes != 8 {
 		t.Errorf("multicast stats = %d msgs %d bytes, want 1/8", msgs, bytes)
 	}
@@ -360,14 +335,10 @@ func TestModelCostSaturates(t *testing.T) {
 
 func TestModelSlowsSends(t *testing.T) {
 	model := &Model{Latency: 5 * time.Millisecond}
-	ws, err := NewWorld(2, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{Model: model})
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		if err := ws[0].Send(1, 1, nil); err != nil {
+		if err := w.Comm(0).Send(1, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,18 +352,14 @@ func TestSharedMediumSerializesSenders(t *testing.T) {
 	// Ethernet must take twice as long as one: the medium is a single
 	// wire, not a switch.
 	model := &Model{Latency: 20 * time.Millisecond}
-	ws, err := NewWorld(3, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 3, TransportOptions{Model: model})
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, sender := range []int{0, 1} {
 		wg.Add(1)
 		go func(sender int) {
 			defer wg.Done()
-			if err := ws[sender].Send(2, 1, nil); err != nil {
+			if err := w.Comm(sender).Send(2, 1, nil); err != nil {
 				t.Error(err)
 			}
 		}(sender)
@@ -405,13 +372,9 @@ func TestSharedMediumSerializesSenders(t *testing.T) {
 
 func TestMulticastChargesOnce(t *testing.T) {
 	model := &Model{Latency: 10 * time.Millisecond, Multicast: true}
-	ws, err := NewWorld(4, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 4, TransportOptions{Model: model})
 	start := time.Now()
-	if err := ws[0].Multicast([]int{1, 2, 3}, 1, []byte("x")); err != nil {
+	if err := w.Comm(0).Multicast([]int{1, 2, 3}, 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -419,20 +382,16 @@ func TestMulticastChargesOnce(t *testing.T) {
 		t.Errorf("multicast took %v, want ~1 latency charge", elapsed)
 	}
 	for r := 1; r <= 3; r++ {
-		got, err := ws[r].Recv(0, 1)
+		got, err := w.Comm(r).Recv(0, 1)
 		if err != nil || string(got) != "x" {
 			t.Fatalf("rank %d: %q, %v", r, got, err)
 		}
 	}
 	// Without the capability, each destination pays.
 	noMC := &Model{Latency: 10 * time.Millisecond, Multicast: false}
-	ws2, err := NewWorld(4, noMC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws2)
+	w2 := open(t, "inproc", 4, TransportOptions{Model: noMC})
 	start = time.Now()
-	if err := ws2[0].Multicast([]int{1, 2, 3}, 1, []byte("x")); err != nil {
+	if err := w2.Comm(0).Multicast([]int{1, 2, 3}, 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 28*time.Millisecond {
@@ -441,10 +400,10 @@ func TestMulticastChargesOnce(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	for name, ws := range worlds(t, 4) {
+	for name, w := range worlds(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			var counter sync.Map
-			err := SPMD(ws, func(c *Comm) error {
+			err := w.SPMD(nil, func(c *Comm) error {
 				for round := 0; round < 3; round++ {
 					counter.Store(fmt.Sprintf("%d-%d", round, c.Rank()), true)
 					if err := c.Barrier(100); err != nil {
@@ -468,9 +427,9 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestBcast(t *testing.T) {
-	for name, ws := range worlds(t, 4) {
+	for name, w := range worlds(t, 4) {
 		t.Run(name, func(t *testing.T) {
-			err := SPMD(ws, func(c *Comm) error {
+			err := w.SPMD(nil, func(c *Comm) error {
 				var payload []byte
 				if c.Rank() == 2 {
 					payload = []byte("broadcast")
@@ -492,23 +451,19 @@ func TestBcast(t *testing.T) {
 }
 
 func TestBcastBadRoot(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	if _, err := ws[0].Bcast(5, 1, nil); err == nil {
+	w := open(t, "inproc", 2, TransportOptions{})
+	if _, err := w.Comm(0).Bcast(5, 1, nil); err == nil {
 		t.Error("bad root accepted")
 	}
-	if _, err := ws[0].Gather(-1, 1, nil); err == nil {
+	if _, err := w.Comm(0).Gather(-1, 1, nil); err == nil {
 		t.Error("bad gather root accepted")
 	}
 }
 
 func TestGatherAllGather(t *testing.T) {
-	for name, ws := range worlds(t, 3) {
+	for name, w := range worlds(t, 3) {
 		t.Run(name, func(t *testing.T) {
-			err := SPMD(ws, func(c *Comm) error {
+			err := w.SPMD(nil, func(c *Comm) error {
 				mine := []byte(fmt.Sprintf("rank%d", c.Rank()))
 				parts, err := c.Gather(0, 102, mine)
 				if err != nil {
@@ -542,12 +497,8 @@ func TestGatherAllGather(t *testing.T) {
 }
 
 func TestAllReduce(t *testing.T) {
-	ws, err := NewWorld(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	err = SPMD(ws, func(c *Comm) error {
+	w := open(t, "inproc", 4, TransportOptions{})
+	err := w.SPMD(nil, func(c *Comm) error {
 		vals := []float64{float64(c.Rank()), 1}
 		sum, err := c.AllReduceF64(104, vals, func(a, b float64) float64 { return a + b })
 		if err != nil {
@@ -564,12 +515,8 @@ func TestAllReduce(t *testing.T) {
 }
 
 func TestAllReduceLengthMismatch(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	err = SPMD(ws, func(c *Comm) error {
+	w := open(t, "inproc", 2, TransportOptions{})
+	err := w.SPMD(nil, func(c *Comm) error {
 		vals := make([]float64, 1+c.Rank()) // deliberately unequal
 		_, err := c.AllReduceF64(105, vals, func(a, b float64) float64 { return a + b })
 		if err == nil {
@@ -583,13 +530,9 @@ func TestAllReduceLengthMismatch(t *testing.T) {
 }
 
 func TestSPMDJoinsErrors(t *testing.T) {
-	ws, err := NewWorld(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 3, TransportOptions{})
 	sentinel := errors.New("boom")
-	err = SPMD(ws, func(c *Comm) error {
+	err := w.SPMD(nil, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return sentinel
 		}
@@ -601,12 +544,8 @@ func TestSPMDJoinsErrors(t *testing.T) {
 }
 
 func TestSingleRankCollectives(t *testing.T) {
-	ws, err := NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	c := ws[0]
+	w := open(t, "inproc", 1, TransportOptions{})
+	c := w.Comm(0)
 	if err := c.Barrier(1); err != nil {
 		t.Fatal(err)
 	}
@@ -621,13 +560,13 @@ func TestSingleRankCollectives(t *testing.T) {
 }
 
 func TestNewWorldErrors(t *testing.T) {
-	if _, err := NewWorld(0, nil); err == nil {
+	if _, err := Open("inproc", 0, TransportOptions{}); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, _, err := NewTCPWorld(0); err == nil {
+	if _, err := Open("tcp", 0, TransportOptions{}); err == nil {
 		t.Error("tcp p=0 accepted")
 	}
-	if _, err := NewComm(3, 2, nil); err == nil {
+	if _, err := newComm(3, 2, nil); err == nil {
 		t.Error("bad rank accepted")
 	}
 }
@@ -636,13 +575,9 @@ func TestRandomTrafficProperty(t *testing.T) {
 	// A storm of random messages: every (src, dst, tag) stream must
 	// arrive complete and in order.
 	const p = 4
-	ws, err := NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", p, TransportOptions{})
 	const perPeer = 50
-	err = SPMD(ws, func(c *Comm) error {
+	err := w.SPMD(nil, func(c *Comm) error {
 		rng := rand.New(rand.NewSource(int64(c.Rank())))
 		// Send perPeer messages to every other rank on tags 0/1.
 		type job struct{ dst, tag int }
@@ -688,16 +623,12 @@ func TestRandomTrafficProperty(t *testing.T) {
 }
 
 func TestTCPLargeMessage(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
+	w := open(t, "tcp", 2, TransportOptions{})
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	err = SPMD(ws, func(c *Comm) error {
+	err := w.SPMD(nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, payload)
 		}
@@ -721,15 +652,11 @@ func TestTCPLargeMessage(t *testing.T) {
 }
 
 func TestTCPSelfSend(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
+	w := open(t, "tcp", 2, TransportOptions{})
+	if err := w.Comm(0).Send(0, 1, []byte("self")); err != nil {
 		t.Fatal(err)
 	}
-	defer closer()
-	if err := ws[0].Send(0, 1, []byte("self")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ws[0].Recv(0, 1)
+	got, err := w.Comm(0).Recv(0, 1)
 	if err != nil || string(got) != "self" {
 		t.Fatalf("self send: %q, %v", got, err)
 	}

@@ -14,12 +14,7 @@ import (
 func simWorld(t *testing.T, p int, model *Model) (*World, *vtime.Sim) {
 	t.Helper()
 	clk := vtime.NewSim()
-	w, err := Open("inproc", p, TransportOptions{Model: model, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w, clk
+	return open(t, "inproc", p, TransportOptions{Model: model, Clock: clk}), clk
 }
 
 // TestDelayedDeliveryVirtualSemantics covers Model.Delay on the
@@ -253,13 +248,7 @@ func TestDelayedDeliveryMaskedRecv(t *testing.T) {
 		}
 	}
 	t.Run("real", func(t *testing.T) {
-		ws, err := NewWorld(3, &Model{Delay: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := WrapWorld(ws, nil)
-		defer w.Close()
-		run(t, w)
+		run(t, open(t, "inproc", 3, TransportOptions{Model: &Model{Delay: time.Millisecond}}))
 	})
 	t.Run("virtual", func(t *testing.T) {
 		w, _ := simWorld(t, 3, &Model{Delay: time.Millisecond})

@@ -47,7 +47,7 @@ func newHybridWorld(p int, opts TransportOptions) ([]*Comm, func() error, error)
 	}
 	comms := make([]*Comm, p)
 	for i := range comms {
-		c, err := NewComm(i, p, &hybridTransport{
+		c, err := newComm(i, p, &hybridTransport{
 			tcpTransport: transports[i],
 			peers:        transports,
 			topo:         opts.Topology,

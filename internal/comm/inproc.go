@@ -33,14 +33,6 @@ type inprocTransport struct {
 	interWire *sync.Mutex
 }
 
-// NewWorld creates an in-process world of p ranks whose messages cost
-// according to model (nil for a free network) on the real clock. Use
-// Open with a TransportOptions.Clock to run the world on a simulated
-// clock.
-func NewWorld(p int, model *Model) ([]*Comm, error) {
-	return newInprocWorld(p, TransportOptions{Model: model})
-}
-
 // newInprocWorld builds the in-process world from validated options.
 // Of the options it honors Model, Clock, Topology and InterModel; the
 // socket tunings have nothing to tune here.
@@ -71,7 +63,7 @@ func newInprocWorld(p int, opts TransportOptions) ([]*Comm, error) {
 	}
 	comms := make([]*Comm, p)
 	for i := range comms {
-		c, err := NewComm(i, p, &inprocTransport{
+		c, err := newComm(i, p, &inprocTransport{
 			mailbox: boxes[i], rank: i, boxes: boxes,
 			model: model, topo: topo, inter: inter,
 			wires: wires, interWire: interWire,

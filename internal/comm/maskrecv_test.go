@@ -6,18 +6,18 @@ import (
 )
 
 func TestRecvAnyOfRespectsMask(t *testing.T) {
-	for name, ws := range worlds(t, 3) {
+	for name, w := range worlds(t, 3) {
 		t.Run(name, func(t *testing.T) {
 			// Both peers send; the masked receive must return rank 2's
 			// message even though rank 1's is (or may be) already
 			// queued ahead of it.
-			if err := ws[1].Send(0, 21, []byte{1}); err != nil {
+			if err := w.Comm(1).Send(0, 21, []byte{1}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ws[2].Send(0, 21, []byte{2}); err != nil {
+			if err := w.Comm(2).Send(0, 21, []byte{2}); err != nil {
 				t.Fatal(err)
 			}
-			src, data, err := ws[0].RecvAnyOf(21, []bool{false, false, true})
+			src, data, err := w.Comm(0).RecvAnyOf(21, []bool{false, false, true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -25,7 +25,7 @@ func TestRecvAnyOfRespectsMask(t *testing.T) {
 				t.Fatalf("masked receive returned src %d payload %v", src, data)
 			}
 			// Rank 1's message is still queued for a later receive.
-			src, data, err = ws[0].RecvAnyOf(21, []bool{false, true, false})
+			src, data, err = w.Comm(0).RecvAnyOf(21, []bool{false, true, false})
 			if err != nil || src != 1 || data[0] != 1 {
 				t.Fatalf("queued message lost: src %d payload %v err %v", src, data, err)
 			}
@@ -34,22 +34,18 @@ func TestRecvAnyOfRespectsMask(t *testing.T) {
 }
 
 func TestRecvAnyOfKeepsFutureMessagesQueued(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{})
 	// Rank 1 runs two "operations" ahead: both messages sit in rank
 	// 0's mailbox. Masked receives must consume them strictly in FIFO
 	// order, one per operation.
 	for i := byte(0); i < 2; i++ {
-		if err := ws[1].Send(0, 22, []byte{i}); err != nil {
+		if err := w.Comm(1).Send(0, 22, []byte{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mask := []bool{false, true}
 	for i := byte(0); i < 2; i++ {
-		src, data, err := ws[0].RecvAnyOf(22, mask)
+		src, data, err := w.Comm(0).RecvAnyOf(22, mask)
 		if err != nil || src != 1 || data[0] != i {
 			t.Fatalf("op %d: src %d payload %v err %v", i, src, data, err)
 		}
@@ -57,39 +53,35 @@ func TestRecvAnyOfKeepsFutureMessagesQueued(t *testing.T) {
 }
 
 func TestPollAnyOf(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
-	if _, _, ok, err := ws[0].PollAnyOf(23, nil); ok || err != nil {
+	w := open(t, "inproc", 2, TransportOptions{})
+	if _, _, ok, err := w.Comm(0).PollAnyOf(23, nil); ok || err != nil {
 		t.Fatalf("empty poll: ok=%v err=%v", ok, err)
 	}
-	if err := ws[1].Send(0, 23, []byte("x")); err != nil {
+	if err := w.Comm(1).Send(0, 23, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	src, data, ok, err := ws[0].PollAnyOf(23, []bool{false, true})
+	src, data, ok, err := w.Comm(0).PollAnyOf(23, []bool{false, true})
 	if err != nil || !ok || src != 1 || string(data) != "x" {
 		t.Fatalf("poll after send: src=%d data=%q ok=%v err=%v", src, data, ok, err)
 	}
 	// The wrong mask leaves a queued message untouched.
-	if err := ws[1].Send(0, 23, []byte("y")); err != nil {
+	if err := w.Comm(1).Send(0, 23, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := ws[0].PollAnyOf(23, []bool{true, false}); ok {
+	if _, _, ok, _ := w.Comm(0).PollAnyOf(23, []bool{true, false}); ok {
 		t.Fatal("poll returned a message the mask excluded")
 	}
 }
 
 func TestRecvInto(t *testing.T) {
-	for name, ws := range worlds(t, 2) {
+	for name, w := range worlds(t, 2) {
 		t.Run(name, func(t *testing.T) {
 			payload := []byte{1, 2, 3, 4, 5}
-			if err := ws[0].Send(1, 24, payload); err != nil {
+			if err := w.Comm(0).Send(1, 24, payload); err != nil {
 				t.Fatal(err)
 			}
 			buf := make([]byte, 8)
-			n, err := ws[1].RecvInto(0, 24, buf)
+			n, err := w.Comm(1).RecvInto(0, 24, buf)
 			if err != nil || n != 5 {
 				t.Fatalf("RecvInto = %d, %v", n, err)
 			}
@@ -97,10 +89,10 @@ func TestRecvInto(t *testing.T) {
 				t.Fatalf("RecvInto copied %v", buf[:n])
 			}
 			// A payload that does not fit is an error.
-			if err := ws[0].Send(1, 24, make([]byte, 16)); err != nil {
+			if err := w.Comm(0).Send(1, 24, make([]byte, 16)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ws[1].RecvInto(0, 24, buf); err == nil {
+			if _, err := w.Comm(1).RecvInto(0, 24, buf); err == nil {
 				t.Fatal("oversized payload accepted")
 			}
 		})
@@ -108,27 +100,23 @@ func TestRecvInto(t *testing.T) {
 }
 
 func TestReleaseRecyclesBuffers(t *testing.T) {
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{})
 	payload := make([]byte, 512)
 	// After a Release, the next send into the same mailbox reuses the
 	// returned buffer (same backing array).
-	if err := ws[0].Send(1, 25, payload); err != nil {
+	if err := w.Comm(0).Send(1, 25, payload); err != nil {
 		t.Fatal(err)
 	}
-	data, err := ws[1].Recv(0, 25)
+	data, err := w.Comm(1).Recv(0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := &data[:1][0]
-	ws[1].Release(data)
-	if err := ws[0].Send(1, 25, payload); err != nil {
+	w.Comm(1).Release(data)
+	if err := w.Comm(0).Send(1, 25, payload); err != nil {
 		t.Fatal(err)
 	}
-	data, err = ws[1].Recv(0, 25)
+	data, err = w.Comm(1).Recv(0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +129,18 @@ func TestInprocSteadyStateAllocFree(t *testing.T) {
 	// The executor acceptance criterion at the transport level: once
 	// the pool is warm, a send/receive/Release round trip on the
 	// inproc transport touches the allocator zero times.
-	ws, err := NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseWorld(ws)
+	w := open(t, "inproc", 2, TransportOptions{})
 	payload := make([]byte, 1024)
 	mask := []bool{true, true}
 	op := func() {
-		if err := ws[0].Send(1, 26, payload); err != nil {
+		if err := w.Comm(0).Send(1, 26, payload); err != nil {
 			t.Fatal(err)
 		}
-		_, data, err := ws[1].RecvAnyOf(26, mask)
+		_, data, err := w.Comm(1).RecvAnyOf(26, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws[1].Release(data)
+		w.Comm(1).Release(data)
 	}
 	for i := 0; i < 8; i++ {
 		op() // warm the pool and the per-(src,tag) queue

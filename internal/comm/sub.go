@@ -76,7 +76,7 @@ func (c *Comm) Sub(members []int) (*Comm, error) {
 		memberMask: mask,
 		scratch:    make([]bool, root.size),
 	}
-	sc, err := NewComm(me, len(members), st)
+	sc, err := newComm(me, len(members), st)
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,7 @@ func TestSubConcurrentWrappedWorlds(t *testing.T) {
 			}
 			subs[i] = sc
 		}
-		worlds[gi] = WrapWorld(subs, nil)
+		worlds[gi] = WrapWorld(subs)
 	}
 
 	var wg sync.WaitGroup

@@ -209,14 +209,6 @@ func (o *outbox) closeDiscard() {
 	o.mu.Unlock()
 }
 
-// NewTCPWorld creates a world of p ranks connected by a full mesh of
-// loopback TCP connections with default options, demonstrating the
-// runtime over real sockets. The returned closer shuts down all
-// connections.
-func NewTCPWorld(p int) ([]*Comm, func() error, error) {
-	return newTCPWorld(p, TransportOptions{})
-}
-
 // newTCPWorld builds the TCP world. The model's Latency and Bandwidth
 // charge the sender's clock before each socket write, so a zero-Delay
 // model prices messages identically on inproc and tcp; Model.Delay is
@@ -233,7 +225,7 @@ func newTCPWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
 	}
 	comms := make([]*Comm, p)
 	for i := range comms {
-		c, err := NewComm(i, p, transports[i])
+		c, err := newComm(i, p, transports[i])
 		if err != nil {
 			closer()
 			return nil, nil, err

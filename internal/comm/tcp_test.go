@@ -10,50 +10,39 @@ import (
 func TestTCPMulticastFallsBackToUnicast(t *testing.T) {
 	// The TCP transport has no hardware multicast; Multicast must
 	// still deliver everywhere and count one message per destination.
-	ws, closer, err := NewTCPWorld(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	if err := ws[0].Multicast([]int{1, 2, 3}, 5, []byte("fan")); err != nil {
+	w := open(t, "tcp", 4, TransportOptions{})
+	if err := w.Comm(0).Multicast([]int{1, 2, 3}, 5, []byte("fan")); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r <= 3; r++ {
-		got, err := ws[r].Recv(0, 5)
+		got, err := w.Comm(r).Recv(0, 5)
 		if err != nil || string(got) != "fan" {
 			t.Fatalf("rank %d: %q, %v", r, got, err)
 		}
 	}
-	msgs, bytes := ws[0].Stats()
+	msgs, bytes := w.Comm(0).Stats()
 	if msgs != 3 || bytes != 9 {
 		t.Errorf("stats = %d msgs / %d bytes, want 3/9 (per-destination accounting)", msgs, bytes)
 	}
 }
 
 func TestTCPFrameLimit(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
+	w := open(t, "tcp", 2, TransportOptions{})
 	huge := make([]byte, maxFrame+1)
-	if err := ws[0].Send(1, 1, huge); err == nil {
+	if err := w.Comm(0).Send(1, 1, huge); err == nil {
 		t.Error("over-limit frame accepted")
 	}
 }
 
 func TestTCPCloseFailsPendingRecv(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := open(t, "tcp", 2, TransportOptions{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := ws[0].Recv(1, 9)
+		_, err := w.Comm(0).Recv(1, 9)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	closer()
+	w.Close()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrClosed) {
@@ -65,12 +54,9 @@ func TestTCPCloseFailsPendingRecv(t *testing.T) {
 }
 
 func TestTCPSendAfterCloseFails(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closer()
-	if err := ws[0].Send(1, 1, []byte("late")); err == nil {
+	w := open(t, "tcp", 2, TransportOptions{})
+	w.Close()
+	if err := w.Comm(0).Send(1, 1, []byte("late")); err == nil {
 		t.Error("send after close succeeded")
 	}
 }
@@ -78,12 +64,8 @@ func TestTCPSendAfterCloseFails(t *testing.T) {
 func TestTCPCollectivesUnderConcurrentTraffic(t *testing.T) {
 	// Collectives interleaved with point-to-point chatter on other
 	// tags must not cross-talk.
-	ws, closer, err := NewTCPWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	err = SPMD(ws, func(c *Comm) error {
+	w := open(t, "tcp", 3, TransportOptions{})
+	err := w.SPMD(nil, func(c *Comm) error {
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() + 2) % c.Size()
 		for round := 0; round < 20; round++ {

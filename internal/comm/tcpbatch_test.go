@@ -248,12 +248,8 @@ func TestTCPHeartbeatQuietWorldStaysUp(t *testing.T) {
 // TestTCPSendRejectsReservedTag keeps application traffic out of the
 // heartbeat tag: the liveness protocol owns it.
 func TestTCPSendRejectsReservedTag(t *testing.T) {
-	ws, closer, err := NewTCPWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	if err := ws[0].Send(1, hbTag, []byte("impostor")); err == nil {
+	w := open(t, "tcp", 2, TransportOptions{})
+	if err := w.Comm(0).Send(1, hbTag, []byte("impostor")); err == nil {
 		t.Error("send on the reserved heartbeat tag succeeded")
 	}
 }

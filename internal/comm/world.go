@@ -2,10 +2,13 @@ package comm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+
+	"stance/internal/vtime"
 )
 
 // TransportFactory builds the endpoints of a p-rank world from
@@ -60,8 +63,9 @@ func init() {
 }
 
 // World is a first-class SPMD world: the set of communicators plus the
-// lifecycle they share. It replaces the raw []*Comm + ad-hoc closer
-// pair the library used to hand out.
+// lifecycle they share. Open (or WrapWorld, for sub-world endpoints)
+// builds one, SPMD runs a section on it and Close releases it; there
+// is no other way into a world.
 type World struct {
 	comms     []*Comm
 	closer    func() error
@@ -115,10 +119,12 @@ func Open(transport string, p int, opts TransportOptions) (*World, error) {
 	return &World{comms: comms, closer: closer, transport: transport}, nil
 }
 
-// WrapWorld adopts pre-built endpoints (for example from the legacy
-// NewWorld/NewTCPWorld constructors) into a World. closer may be nil.
-func WrapWorld(comms []*Comm, closer func() error) *World {
-	return &World{comms: comms, closer: closer, transport: "custom"}
+// WrapWorld adopts pre-built endpoints into a World, so a set of
+// sub-world endpoints (Comm.Sub) can run their own SPMD sections with
+// their own cancellation. Close closes the endpoints, which for
+// sub-communicators leaves the parent world's transport untouched.
+func WrapWorld(comms []*Comm) *World {
+	return &World{comms: comms, transport: "custom"}
 }
 
 // Size returns the number of ranks.
@@ -139,12 +145,15 @@ func (w *World) Comm(rank int) *Comm {
 // modified.
 func (w *World) Comms() []*Comm { return w.comms }
 
-// SPMD runs f once per rank, each in its own goroutine, with ctx bound
-// to every endpoint's blocking operations: cancelling ctx unblocks
-// pending receives with ctx.Err() and tears the section down instead of
-// deadlocking. It joins all ranks and returns their joined errors.
-// Only one SPMD section may run on a world at a time; a concurrent
-// call fails rather than racing on the context binding.
+// SPMD runs f once per rank, each in its own goroutine — the Single
+// Program Multiple Data execution model of paper Section 2 — with ctx
+// bound to every endpoint's blocking operations: cancelling ctx
+// unblocks pending receives with ctx.Err() and tears the section down
+// instead of deadlocking; a rank returning an error cancels the others
+// the same way. It joins all ranks and returns every failed rank's
+// error, prefixed "rank r: ", joined. Only one SPMD section may run on
+// a world at a time; a concurrent call fails rather than racing on the
+// context binding.
 func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -177,17 +186,38 @@ func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 	for _, c := range w.comms {
 		c.setContext(runCtx)
 	}
-	err := SPMD(w.comms, func(c *Comm) error {
-		err := f(c)
-		if err != nil {
-			cancel()
-		}
-		return err
-	})
+	// On a simulated clock every rank goroutine is a clock worker for
+	// the duration of the section, all of them registered before any
+	// starts, so an early blocker cannot trigger a premature advance:
+	// the clock then auto-advances whenever all ranks are blocked, which
+	// is what makes virtual-time runs self-driving.
+	var sim *vtime.Sim
+	if len(w.comms) > 0 {
+		sim = vtime.AsSim(w.comms[0].Clock())
+	}
+	if sim != nil {
+		sim.Add(len(w.comms))
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(w.comms))
+	for i, c := range w.comms {
+		wg.Add(1)
+		go func(i int, c *Comm) {
+			defer wg.Done()
+			if sim != nil {
+				defer sim.Done()
+			}
+			if err := f(c); err != nil {
+				cancel()
+				errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
+			}
+		}(i, c)
+	}
+	wg.Wait()
 	for _, c := range w.comms {
 		c.setContext(nil)
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // Stats returns the total messages and payload bytes sent by all ranks
@@ -224,7 +254,12 @@ func (w *World) Close() error {
 		return w.closeErr
 	}
 	w.closed = true
-	err := CloseWorld(w.comms)
+	var err error
+	for _, c := range w.comms {
+		if cerr := c.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if w.closer != nil {
 		if cerr := w.closer(); err == nil {
 			err = cerr

@@ -34,7 +34,7 @@ func TestWorldRegistry(t *testing.T) {
 
 	if !has("test-custom") { // the registry is process-wide: -count=2 runs this twice
 		RegisterTransport("test-custom", func(p int, opts TransportOptions) ([]*Comm, func() error, error) {
-			comms, err := NewWorld(p, opts.Model)
+			comms, err := newInprocWorld(p, TransportOptions{Model: opts.Model})
 			return comms, nil, err
 		})
 	}

@@ -70,12 +70,9 @@ func TestSetGraphAdaptsTheInspector(t *testing.T) {
 	seqKernel(tgFine, want, itersAfter)
 
 	for _, strategy := range []Strategy{StrategySort2, StrategySimple} {
-		ws, err := comm.NewWorld(3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		world := openWorld(t, 3)
 		var got []float64
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, coarse, Config{Order: order.RCB, Strategy: strategy})
 			if err != nil {
 				return err
@@ -112,7 +109,7 @@ func TestSetGraphAdaptsTheInspector(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %d: %v", strategy, err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("strategy %d: diverged at %d after adaptation: %v != %v",
@@ -124,12 +121,8 @@ func TestSetGraphAdaptsTheInspector(t *testing.T) {
 
 func TestSetGraphValidation(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := New(ws[0], g, Config{})
+	world := openWorld(t, 1)
+	rt, err := New(world.Comm(0), g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +273,8 @@ func TestSetGraphRefusesLiveHandles(t *testing.T) {
 
 func TestExchangeAllMatchesSeparateExchanges(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 3)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -331,12 +320,8 @@ func TestExchangeAllMatchesSeparateExchanges(t *testing.T) {
 
 func TestExchangeAllEdgeCases(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := New(ws[0], g, Config{})
+	world := openWorld(t, 1)
+	rt, err := New(world.Comm(0), g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +332,7 @@ func TestExchangeAllEdgeCases(t *testing.T) {
 	if err := rt.ExchangeAll(v); err != nil {
 		t.Errorf("single-vector ExchangeAll: %v", err)
 	}
-	rt2, err := New(ws[0], g, Config{})
+	rt2, err := New(world.Comm(0), g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +344,8 @@ func TestExchangeAllEdgeCases(t *testing.T) {
 
 func TestCoalescingSavesMessages(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err

@@ -11,6 +11,18 @@ import (
 	"stance/internal/order"
 )
 
+// openWorld opens an in-process world of p ranks and closes it when
+// the test ends.
+func openWorld(t testing.TB, p int) *comm.World {
+	t.Helper()
+	w, err := comm.Open("inproc", p, comm.TransportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 // seqKernel runs the paper's Figure 8 loop sequentially on the
 // transformed graph: t[i] = sum of neighbors' y, then y[i] = t[i]/deg.
 func seqKernel(g *graph.Graph, y []float64, iters int) {
@@ -62,13 +74,9 @@ func initValue(g int64) float64 { return math.Sin(float64(g)*0.7) + 2 }
 // global vector (transformed order).
 func runParallel(t *testing.T, g *graph.Graph, p, iters int, cfg Config) []float64 {
 	t.Helper()
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, p)
 	var result []float64
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, cfg)
 		if err != nil {
 			return err
@@ -178,12 +186,8 @@ func TestSharedTransform(t *testing.T) {
 			t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := New(ws[0], g, Config{Transform: tr})
+	world := openWorld(t, 1)
+	rt, err := New(world.Comm(0), g, Config{Transform: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestSharedTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(ws[0], small, Config{Transform: tr}); err == nil {
+	if _, err := New(world.Comm(0), small, Config{Transform: tr}); err == nil {
 		t.Error("transform of another graph accepted")
 	}
 }
@@ -206,12 +210,9 @@ func TestRemapPreservesComputation(t *testing.T) {
 
 	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapMCR, RemapKeepArrangement} {
 		p := 4
-		ws, err := comm.NewWorld(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		world := openWorld(t, p)
 		var got []float64
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, g, Config{
 				Order:       order.RCB,
 				Weights:     []float64{1, 1, 1, 1},
@@ -251,7 +252,7 @@ func TestRemapPreservesComputation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("policy %d: %v", policy, err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("policy %d: element %d = %v, want %v after remap", policy, i, got[i], want[i])
@@ -269,11 +270,8 @@ func TestRemapMovesLessWithMCR(t *testing.T) {
 	newW := []float64{0.10, 0.13, 0.29, 0.24, 0.24}
 	moved := map[RemapPolicy]int64{}
 	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapKeepArrangement} {
-		ws, err := comm.NewWorld(5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		world := openWorld(t, 5)
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, g, Config{Weights: oldW, RemapPolicy: policy})
 			if err != nil {
 				return err
@@ -291,7 +289,7 @@ func TestRemapMovesLessWithMCR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 	}
 	if moved[RemapMCRIterated] >= moved[RemapKeepArrangement] {
 		t.Errorf("MCR moved %d elements, keep-arrangement moved %d; MCR should move less",
@@ -301,12 +299,8 @@ func TestRemapMovesLessWithMCR(t *testing.T) {
 
 func TestRemapNoChange(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{})
 		if err != nil {
 			return err
@@ -330,11 +324,8 @@ func TestScatterAdd(t *testing.T) {
 	// Each element pushes 1 to every neighbor: the result must be the
 	// vertex degree.
 	for _, p := range []int{1, 3} {
-		ws, err := comm.NewWorld(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		world := openWorld(t, p)
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, g, Config{Order: order.RCB})
 			if err != nil {
 				return err
@@ -368,18 +359,14 @@ func TestScatterAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 	}
 }
 
 func TestUnpermuteRoundTrip(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -415,24 +402,20 @@ func TestUnpermuteRoundTrip(t *testing.T) {
 
 func TestConfigErrors(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, 2)
 	if _, err := New(nil, g, Config{}); err == nil {
 		t.Error("nil comm accepted")
 	}
-	if _, err := New(ws[0], nil, Config{}); err == nil {
+	if _, err := New(world.Comm(0), nil, Config{}); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := New(ws[0], g, Config{Weights: []float64{1}}); err == nil {
+	if _, err := New(world.Comm(0), g, Config{Weights: []float64{1}}); err == nil {
 		t.Error("short weights accepted")
 	}
-	if _, err := New(ws[0], g, Config{Order: order.Morton, Weights: []float64{1, 1}}); err == nil {
+	if _, err := New(world.Comm(0), g, Config{Order: order.Morton, Weights: []float64{1, 1}}); err == nil {
 		// testMesh has coords, so use a graph without them.
 		bare, _ := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, nil)
-		if _, err := New(ws[0], bare, Config{Order: order.Morton, Weights: []float64{1, 1}}); err == nil {
+		if _, err := New(world.Comm(0), bare, Config{Order: order.Morton, Weights: []float64{1, 1}}); err == nil {
 			t.Error("failing ordering accepted")
 		}
 	}
@@ -440,16 +423,12 @@ func TestConfigErrors(t *testing.T) {
 
 func TestForeignVectorRejected(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
+	world := openWorld(t, 1)
+	rtA, err := New(world.Comm(0), g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer comm.CloseWorld(ws)
-	rtA, err := New(ws[0], g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtB, err := New(ws[0], g, Config{})
+	rtB, err := New(world.Comm(0), g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +449,8 @@ func TestForeignVectorRejected(t *testing.T) {
 
 func TestMultipleVectorsSurviveRemap(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 3)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -514,13 +489,13 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	}
 	const iters = 3
 	want := seqReference(t, g, order.RCB, iters)
-	ws, closer, err := comm.NewTCPWorld(3)
+	world, err := comm.Open("tcp", 3, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer()
+	defer world.Close()
 	var got []float64
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err

@@ -17,13 +17,10 @@ import (
 
 func TestExchangeFailsAfterPeerLoss(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := openWorld(t, 2)
 	rts := make([]*Runtime, 2)
 	vecs := make([]*Vector, 2)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -36,7 +33,7 @@ func TestExchangeFailsAfterPeerLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Workstation 1 dies.
-	ws[1].Close()
+	world.Comm(1).Close()
 	// Rank 0's next exchange must fail: the send may still succeed
 	// (its own endpoint is alive) but the receive from the dead peer
 	// blocks until rank 0's endpoint is closed too. Use a watchdog
@@ -49,7 +46,7 @@ func TestExchangeFailsAfterPeerLoss(t *testing.T) {
 		exchErr = rts[0].Exchange(vecs[0])
 	}()
 	time.Sleep(20 * time.Millisecond)
-	ws[0].Close()
+	world.Comm(0).Close()
 	wg.Wait()
 	if exchErr == nil {
 		t.Fatal("exchange with a dead peer succeeded")
@@ -61,12 +58,9 @@ func TestExchangeFailsAfterPeerLoss(t *testing.T) {
 
 func TestRemapFailsCleanlyOnClosedWorld(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := openWorld(t, 2)
 	rts := make([]*Runtime, 2)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -78,7 +72,7 @@ func TestRemapFailsCleanlyOnClosedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comm.CloseWorld(ws)
+	world.Close()
 	if _, err := rts[0].Remap([]float64{3, 1}); err == nil {
 		t.Fatal("remap on a closed world succeeded")
 	}
@@ -86,13 +80,10 @@ func TestRemapFailsCleanlyOnClosedWorld(t *testing.T) {
 
 func TestGatherGlobalFailsOnClosedWorld(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := openWorld(t, 2)
 	rts := make([]*Runtime, 2)
 	vecs := make([]*Vector, 2)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{})
 		if err != nil {
 			return err
@@ -104,7 +95,7 @@ func TestGatherGlobalFailsOnClosedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comm.CloseWorld(ws)
+	world.Close()
 	if _, err := rts[0].GatherGlobal(0, vecs[0]); err == nil {
 		t.Fatal("gather on a closed world succeeded")
 	}

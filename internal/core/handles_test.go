@@ -80,11 +80,7 @@ func genHandleScript(seed int64, p, rounds int) handleScript {
 func runHandleScript(t *testing.T, p int, sc handleScript, async bool) [][][]float64 {
 	t.Helper()
 	g := testMesh(t)
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, p)
 
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
@@ -113,7 +109,7 @@ func runHandleScript(t *testing.T, p int, sc handleScript, async bool) [][][]flo
 	}
 	wShrunk := wFull[:p-1]
 
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err

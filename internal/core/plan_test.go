@@ -146,11 +146,7 @@ func refExchangeAll(rt *Runtime, vecs ...*Vector) error {
 func execScript(t *testing.T, p int, planPath bool) [][][]float64 {
 	t.Helper()
 	g := testMesh(t)
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, p)
 
 	var mu = make(chan struct{}, 1) // snapshot append guard
 	mu <- struct{}{}
@@ -191,7 +187,7 @@ func execScript(t *testing.T, p int, planPath bool) [][][]float64 {
 	for i := range weights {
 		weights[i] = 1
 	}
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB, Weights: weights})
 		if err != nil {
 			return err
@@ -306,13 +302,9 @@ func TestPlanInvalidatedByRemap(t *testing.T) {
 	// newW.
 	collect := func(build func(c *comm.Comm) (*Runtime, *Vector, error)) [][]float64 {
 		t.Helper()
-		ws, err := comm.NewWorld(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer comm.CloseWorld(ws)
+		world := openWorld(t, p)
 		out := make([][]float64, p)
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, v, err := build(c)
 			if err != nil {
 				return err
@@ -385,13 +377,9 @@ func TestScatterAddAll(t *testing.T) {
 	const p = 3
 	run := func(coalesced bool) [][]float64 {
 		t.Helper()
-		ws, err := comm.NewWorld(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer comm.CloseWorld(ws)
+		world := openWorld(t, p)
 		out := make([][]float64, p)
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, g, Config{Order: order.RCB})
 			if err != nil {
 				return err
@@ -436,12 +424,8 @@ func TestScatterAddAll(t *testing.T) {
 	}
 	// And the counts themselves are right: every element accumulated
 	// its degree (a) and half its degree (b).
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := New(ws[0], g, Config{Order: order.RCB})
+	world := openWorld(t, 1)
+	rt, err := New(world.Comm(0), g, Config{Order: order.RCB})
 	if err != nil {
 		t.Fatal(err)
 	}

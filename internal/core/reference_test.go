@@ -495,12 +495,8 @@ func TestInspectorRangeCheck(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/ref=%d/p=%d", sname, bad, p), func(t *testing.T) {
-					ws, err := comm.NewWorld(p, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer comm.CloseWorld(ws)
-					err = comm.SPMD(ws, func(c *comm.Comm) error {
+					world := openWorld(t, p)
+					err := world.SPMD(nil, func(c *comm.Comm) error {
 						rt, err := New(c, g, Config{Order: order.RCB, Strategy: strategy})
 						if err != nil {
 							return err
@@ -666,12 +662,8 @@ func TestChunkViewsEqualReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -735,12 +727,8 @@ func TestInspectorTimeCoversThePass(t *testing.T) {
 		}
 		return best
 	}
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err

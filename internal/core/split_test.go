@@ -22,11 +22,7 @@ import (
 func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 	t.Helper()
 	g := testMesh(t)
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, p)
 
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
@@ -48,7 +44,7 @@ func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 	for i := range weights {
 		weights[i] = 1
 	}
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB, Weights: weights})
 		if err != nil {
 			return err
@@ -212,12 +208,8 @@ func TestSplitPhaseMatchesSyncBitForBit(t *testing.T) {
 // Independent-vector ops, by contrast, must be allowed to coexist.
 func TestSplitPhaseGuards(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
 			return err
@@ -287,12 +279,8 @@ func TestSplitPhaseGuards(t *testing.T) {
 
 	// Split-phase ops on a parked runtime fail like their sync
 	// counterparts.
-	parkedWs, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(parkedWs)
-	rt, err := NewParked(parkedWs[0], g, Config{Order: order.RCB})
+	parked := openWorld(t, 1)
+	rt, err := NewParked(parked.Comm(0), g, Config{Order: order.RCB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +310,8 @@ func TestSplitPhaseGuards(t *testing.T) {
 // reusing a live tag.
 func TestOpTagWindowExhaustion(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := New(ws[0], g, Config{Order: order.RCB})
+	world := openWorld(t, 1)
+	rt, err := New(world.Comm(0), g, Config{Order: order.RCB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,10 +448,7 @@ func TestClassificationPropertyRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 3, 5} {
-			ws, err := comm.NewWorld(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			world := openWorld(t, p)
 			weights := make([]float64, p)
 			for i := range weights {
 				weights[i] = 0.5 + rng.Float64()
@@ -476,7 +457,7 @@ func TestClassificationPropertyRandomGraphs(t *testing.T) {
 			for i := range remapW {
 				remapW[i] = 0.5 + rng.Float64()
 			}
-			err = comm.SPMD(ws, func(c *comm.Comm) error {
+			err := world.SPMD(nil, func(c *comm.Comm) error {
 				rt, err := New(c, g, Config{Order: order.Hilbert, Weights: weights})
 				if err != nil {
 					return err
@@ -488,7 +469,7 @@ func TestClassificationPropertyRandomGraphs(t *testing.T) {
 				checkSplit(t, rt, "remapped")
 				return nil
 			})
-			comm.CloseWorld(ws)
+			world.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,12 +31,8 @@ func TestWeightedRuntimeBalancesVertexWeight(t *testing.T) {
 		}
 	}
 	const p = 4
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, p)
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := New(c, g, Config{Order: order.RCB, VertexWeights: weights})
 		if err != nil {
 			return err
@@ -96,12 +92,9 @@ func TestWeightedRemapPreservesComputation(t *testing.T) {
 	const before, after = 3, 3
 	want := seqReference(t, g, order.RCB, before+after)
 	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapMCR, RemapKeepArrangement} {
-		ws, err := comm.NewWorld(3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		world := openWorld(t, 3)
 		var got []float64
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := New(c, g, Config{Order: order.RCB, VertexWeights: weights, RemapPolicy: policy})
 			if err != nil {
 				return err
@@ -129,7 +122,7 @@ func TestWeightedRemapPreservesComputation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("policy %d: %v", policy, err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("policy %d: diverged at %d after weighted remap", policy, i)
@@ -140,12 +133,8 @@ func TestWeightedRemapPreservesComputation(t *testing.T) {
 
 func TestVertexWeightsValidation(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	if _, err := New(ws[0], g, Config{VertexWeights: []float64{1, 2}}); err == nil {
+	world := openWorld(t, 1)
+	if _, err := New(world.Comm(0), g, Config{VertexWeights: []float64{1, 2}}); err == nil {
 		t.Error("short vertex weights accepted")
 	}
 }

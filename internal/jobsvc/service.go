@@ -529,7 +529,7 @@ func (s *Service) executeJob(j *job) (*session.RunReport, []float64, error) {
 		}
 		subComms[i] = sc
 	}
-	world := comm.WrapWorld(subComms, nil)
+	world := comm.WrapWorld(subComms)
 	cfg, err := j.spec.sessionConfig(world)
 	if err != nil {
 		return nil, nil, err

@@ -177,12 +177,12 @@ func TestShortHorizonSuppressesRemap(t *testing.T) {
 
 func TestZeroInformationKeepsLayout(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
+	world, err := comm.Open("inproc", 2, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	defer world.Close()
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{})
 		if err != nil {
 			return err
@@ -210,12 +210,12 @@ func TestPartialInformationUsesMeanRate(t *testing.T) {
 	// rank is assumed average, so weights come out equal and no remap
 	// happens under a priced model.
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
+	world, err := comm.Open("inproc", 2, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	defer world.Close()
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{})
 		if err != nil {
 			return err

@@ -162,12 +162,12 @@ func TestSimpleEqualsSort2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := comm.NewWorld(p, nil)
+		world, err := comm.Open("inproc", p, comm.TransportOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		schedules := make([]*Schedule, p)
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err = world.SPMD(nil, func(c *comm.Comm) error {
 			s, err := BuildSimple(c, layout, refsFor(t, g, layout, c.Rank()))
 			if err != nil {
 				return err
@@ -178,7 +178,7 @@ func TestSimpleEqualsSort2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comm.CloseWorld(ws)
+		world.Close()
 		for rank := 0; rank < p; rank++ {
 			want, err := BuildSort2(layout, rank, refsFor(t, g, layout, rank))
 			if err != nil {

@@ -18,22 +18,22 @@ import (
 )
 
 // handWired runs iters iterations of the Figure 8 loop the way callers
-// used to before the session API existed — NewWorld → SPMD → core.New
+// used to before the session API existed — Open → World.SPMD → core.New
 // → solver.New (→ loadbal.New) with a manual check loop — and returns
 // the gathered result.
 func handWired(t *testing.T, p, iters, checkEvery int, env *hetero.Env, balance bool) []float64 {
 	t.Helper()
-	ws, err := comm.NewWorld(p, nil)
+	world, err := comm.Open("inproc", p, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer comm.CloseWorld(ws)
+	defer world.Close()
 	g, err := mesh.Honeycomb(20, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []float64
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil {
 			return err

@@ -89,7 +89,7 @@ func TestConcurrentSubWorldSessions(t *testing.T) {
 			}
 			subs[i] = sc
 		}
-		w := comm.WrapWorld(subs, nil)
+		w := comm.WrapWorld(subs)
 		wg.Add(1)
 		go func(gi int, w *comm.World) {
 			defer wg.Done()

@@ -20,12 +20,8 @@ func testSolver(t *testing.T) *Solver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { comm.CloseWorld(ws) })
-	rt, err := core.New(ws[0], g, core.Config{Order: order.RCB})
+	world := openWorld(t, 1)
+	rt, err := core.New(world.Comm(0), g, core.Config{Order: order.RCB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +410,9 @@ func benchShape(tb testing.TB, side, p int) rankShape {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ws, err := comm.NewWorld(p, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(tb, p)
 	var sh rankShape
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	err = world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{Order: order.RCB})
 		if err != nil || c.Rank() != 0 {
 			return err

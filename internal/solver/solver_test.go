@@ -15,6 +15,18 @@ import (
 	"stance/internal/sched"
 )
 
+// openWorld opens an in-process world of p ranks and closes it when
+// the test ends.
+func openWorld(t testing.TB, p int) *comm.World {
+	t.Helper()
+	w, err := comm.Open("inproc", p, comm.TransportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 func testMesh(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, err := mesh.GridTriangulated(12, 10, 0.2, 3)
@@ -27,12 +39,8 @@ func testMesh(t testing.TB) *graph.Graph {
 // seqResult runs the solver single-rank as the reference.
 func seqResult(t *testing.T, g *graph.Graph, iters, workRep int) []float64 {
 	t.Helper()
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := core.New(ws[0], g, core.Config{Order: order.RCB})
+	world := openWorld(t, 1)
+	rt, err := core.New(world.Comm(0), g, core.Config{Order: order.RCB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +70,9 @@ func TestSolverMatchesSequentialUnderAnyEnvironment(t *testing.T) {
 	}
 	for name, env := range envs {
 		for _, workRep := range []int{1, 3} {
-			ws, err := comm.NewWorld(3, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			world := openWorld(t, 3)
 			var got []float64
-			err = comm.SPMD(ws, func(c *comm.Comm) error {
+			err := world.SPMD(nil, func(c *comm.Comm) error {
 				rt, err := core.New(c, g, core.Config{Order: order.RCB})
 				if err != nil {
 					return err
@@ -91,7 +96,7 @@ func TestSolverMatchesSequentialUnderAnyEnvironment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rep=%d: %v", name, workRep, err)
 			}
-			comm.CloseWorld(ws)
+			world.Close()
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s rep=%d: element %d = %v, want %v (work amplification must not change results)",
@@ -104,12 +109,8 @@ func TestSolverMatchesSequentialUnderAnyEnvironment(t *testing.T) {
 
 func TestTimingsAccumulateAndReset(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	err = comm.SPMD(ws, func(c *comm.Comm) error {
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
 		rt, err := core.New(c, g, core.Config{})
 		if err != nil {
 			return err
@@ -180,12 +181,8 @@ func rowsSwept(calls []sweepCall) int {
 // accounted and how many of the plan's two lists hold rows.
 func countSweeps(t *testing.T, g *graph.Graph, env *hetero.Env, workRep, depth, iters int, cost time.Duration) (swept int, charged time.Duration, lists int) {
 	t.Helper()
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := core.New(ws[0], g, core.Config{})
+	world := openWorld(t, 1)
+	rt, err := core.New(world.Comm(0), g, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +300,9 @@ func TestHalfSpeedWorkstationSweepsTwice(t *testing.T) {
 	g := testMesh(t)
 	const iters = 4
 	for depth := 0; depth <= 2; depth++ {
-		ws, err := comm.NewWorld(2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		world := openWorld(t, 2)
 		env := &hetero.Env{Speeds: []float64{1, 0.5}}
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := core.New(c, g, core.Config{Order: order.RCB})
 			if err != nil {
 				return err
@@ -333,7 +327,7 @@ func TestHalfSpeedWorkstationSweepsTwice(t *testing.T) {
 			}
 			return nil
 		})
-		comm.CloseWorld(ws)
+		world.Close()
 		if err != nil {
 			t.Errorf("depth %d: %v", depth, err)
 		}
@@ -352,13 +346,9 @@ func TestPartialPassLeavesNoRowUnwritten(t *testing.T) {
 	g := testMesh(t)
 	const iters, fields = 6, 2
 	run := func(p, depth, workRep int, env *hetero.Env, k Kernel) [fields][]float64 {
-		ws, err := comm.NewWorld(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer comm.CloseWorld(ws)
+		world := openWorld(t, p)
 		var out [fields][]float64
-		err = comm.SPMD(ws, func(c *comm.Comm) error {
+		err := world.SPMD(nil, func(c *comm.Comm) error {
 			rt, err := core.New(c, g, core.Config{Order: order.RCB})
 			if err != nil {
 				return err
@@ -422,12 +412,8 @@ func TestPartialPassLeavesNoRowUnwritten(t *testing.T) {
 
 func TestRunHook(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
-	rt, err := core.New(ws[0], g, core.Config{})
+	world := openWorld(t, 1)
+	rt, err := core.New(world.Comm(0), g, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,15 +447,11 @@ func TestRunHook(t *testing.T) {
 
 func TestNewErrors(t *testing.T) {
 	g := testMesh(t)
-	ws, err := comm.NewWorld(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseWorld(ws)
+	world := openWorld(t, 2)
 	if _, err := New(nil, nil, 1); err == nil {
 		t.Error("nil runtime accepted")
 	}
-	rt, err := core.New(ws[0], g, core.Config{})
+	rt, err := core.New(world.Comm(0), g, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,13 +489,10 @@ func TestFractionalWorkFactorStaysProportional(t *testing.T) {
 	}
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
 		for depth := 0; depth <= 1; depth++ {
-			ws, err := comm.NewWorld(2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			world := openWorld(t, 2)
 			env := hetero.Uniform(2)
 			env.Loads = []hetero.Load{{Rank: 0, Factor: 1 + frac}, {Rank: 1, Factor: 1 + frac}}
-			err = comm.SPMD(ws, func(c *comm.Comm) error {
+			err := world.SPMD(nil, func(c *comm.Comm) error {
 				rt, err := core.New(c, g, core.Config{Order: order.RCB})
 				if err != nil {
 					return err
@@ -564,7 +543,7 @@ func TestFractionalWorkFactorStaysProportional(t *testing.T) {
 				}
 				return nil
 			})
-			comm.CloseWorld(ws)
+			world.Close()
 			if err != nil {
 				t.Errorf("factor %v, depth %d: %v", 1+frac, depth, err)
 			}

@@ -10,7 +10,7 @@
 // # The simulated clock's contract
 //
 // A Sim serves a fixed set of registered workers (the SPMD rank
-// goroutines; comm.SPMD registers them automatically). Virtual time
+// goroutines; comm.World.SPMD registers them automatically). Virtual time
 // only moves in one place: when every registered worker is blocked —
 // either in Sleep or parked on an external condition it has announced
 // through Block — the clock jumps to the earliest scheduled event and
@@ -172,7 +172,7 @@ func (s *Sim) Now() time.Time {
 }
 
 // Add registers n worker goroutines. Register every worker of a
-// cohort before any of them starts blocking (comm.SPMD does), or an
+// cohort before any of them starts blocking (comm.World.SPMD does), or an
 // early blocker could be mistaken for "everyone is blocked" and
 // advance the clock prematurely.
 func (s *Sim) Add(n int) {
