@@ -202,7 +202,7 @@ func BenchmarkAblationMCRCost(b *testing.B) {
 			return err
 		},
 		"iterated": func() error {
-			_, err := redist.Iterated(old, newW, redist.OverlapCost, 0)
+			_, err := redist.Iterated(old, newW, redist.OverlapCost)
 			return err
 		},
 		"bruteforce": func() error {

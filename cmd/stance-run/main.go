@@ -34,7 +34,6 @@ import (
 
 	"stance/internal/ckpt"
 	"stance/internal/comm"
-	"stance/internal/core"
 	"stance/internal/hetero"
 	"stance/internal/loadbal"
 	"stance/internal/mesh"
@@ -109,7 +108,6 @@ func main() {
 	workRep := flag.Int("work", 200, "kernel work amplification per element")
 	meshSpec := flag.String("mesh", "honeycomb:60x80", "mesh: "+meshspec.Names())
 	ordName := flag.String("order", "rcb", "locality ordering: "+strings.Join(order.Names(), ", "))
-	strategy := flag.String("strategy", "sort2", "inspector strategy: sort1, sort2, simple")
 	lb := flag.Bool("lb", false, "enable adaptive load balancing")
 	pipeline := flag.Int("pipeline", 0, "executor depth: 0 = synchronous exchange then sweep, 1 = every field's exchange in flight behind the interior sweep, >=2 = a field's next exchange also departs as soon as its update completes")
 	fields := flag.Int("fields", 1, "independent solution fields the solver advances per iteration (>=2 lets -pipeline fly several exchanges at once)")
@@ -258,16 +256,6 @@ func main() {
 		if err := cfg.Tuning.Validate(); err != nil {
 			log.Fatal(err)
 		}
-	}
-	switch *strategy {
-	case "sort1":
-		cfg.Strategy = core.StrategySort1
-	case "sort2":
-		cfg.Strategy = core.StrategySort2
-	case "simple":
-		cfg.Strategy = core.StrategySimple
-	default:
-		log.Fatalf("unknown strategy %q", *strategy)
 	}
 	cfg.Env = env
 	if env.Elastic() {

@@ -69,7 +69,7 @@ func main() {
 	}
 	describe("MCR, one greedy sweep:", old, single)
 
-	iterated, err := redist.Iterated(old, newW, redist.OverlapCost, 0)
+	iterated, err := redist.Iterated(old, newW, redist.OverlapCost)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 	}
 	describe("brute force over all 5!:", old, best)
 
-	msgAware, err := redist.Iterated(old, newW, redist.OverlapMessagesCost(2), 0)
+	msgAware, err := redist.Iterated(old, newW, redist.OverlapMessagesCost(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestTable2Shape(t *testing.T) {
 					t.Fatal(err)
 				}
 				newW := randWeights(rng, p)
-				mcr, err := redist.Iterated(old, newW, redist.OverlapCost, 0)
+				mcr, err := redist.Iterated(old, newW, redist.OverlapCost)
 				if err != nil {
 					t.Fatal(err)
 				}

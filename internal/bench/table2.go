@@ -38,7 +38,7 @@ func MeasureRemap(size int64, p, samples int, withMCR bool, netScale float64, se
 		if withMCR {
 			// The runtime's default arrangement search (MCR sweeps with
 			// swap refinement to convergence).
-			newLayout, err = redist.Iterated(old, newW, redist.OverlapCost, 0)
+			newLayout, err = redist.Iterated(old, newW, redist.OverlapCost)
 		} else {
 			newLayout, err = partition.New(size, newW, old.Arrangement())
 		}

@@ -20,8 +20,7 @@ import (
 // numbering, like New's; the runtime's locality transform is reapplied
 // so existing data remains aligned. A parked runtime only swaps the
 // graph: its next Bind or Rebind runs the inspector on it. Like Remap,
-// SetGraph refuses while split-phase handles are live. Collective when
-// the inspector strategy is StrategySimple.
+// SetGraph refuses while split-phase handles are live.
 func (rt *Runtime) SetGraph(g *graph.Graph) error {
 	if g == nil {
 		return fmt.Errorf("core: nil graph")

@@ -69,52 +69,48 @@ func TestSetGraphAdaptsTheInspector(t *testing.T) {
 	seqKernel(tgCoarse, want, itersBefore)
 	seqKernel(tgFine, want, itersAfter)
 
-	for _, strategy := range []Strategy{StrategySort2, StrategySimple} {
-		world := openWorld(t, 3)
-		var got []float64
-		err := world.SPMD(nil, func(c *comm.Comm) error {
-			rt, err := New(c, coarse, Config{Order: order.RCB, Strategy: strategy})
-			if err != nil {
-				return err
-			}
-			v := rt.NewVector()
-			v.SetByGlobal(initValue)
-			if err := parKernel(rt, v, itersBefore); err != nil {
-				return err
-			}
-			oldGhosts := rt.Schedule().NGhosts()
-			if err := rt.SetGraph(fine); err != nil {
-				return err
-			}
-			if rt.Schedule().NGhosts() < oldGhosts {
-				return fmt.Errorf("refinement should not shrink the ghost set (%d -> %d)",
-					oldGhosts, rt.Schedule().NGhosts())
-			}
-			if len(v.Data) != rt.LocalN()+rt.Schedule().NGhosts() {
-				return fmt.Errorf("vector not resized after SetGraph")
-			}
-			checkSplit(t, rt, "after SetGraph")
-			if err := parKernel(rt, v, itersAfter); err != nil {
-				return err
-			}
-			full, err := rt.GatherGlobal(0, v)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				got = full
-			}
-			return nil
-		})
+	world := openWorld(t, 3)
+	var got []float64
+	err = world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, coarse, Config{Order: order.RCB})
 		if err != nil {
-			t.Fatalf("strategy %d: %v", strategy, err)
+			return err
 		}
-		world.Close()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("strategy %d: diverged at %d after adaptation: %v != %v",
-					strategy, i, got[i], want[i])
-			}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		if err := parKernel(rt, v, itersBefore); err != nil {
+			return err
+		}
+		oldGhosts := rt.Schedule().NGhosts()
+		if err := rt.SetGraph(fine); err != nil {
+			return err
+		}
+		if rt.Schedule().NGhosts() < oldGhosts {
+			return fmt.Errorf("refinement should not shrink the ghost set (%d -> %d)",
+				oldGhosts, rt.Schedule().NGhosts())
+		}
+		if len(v.Data) != rt.LocalN()+rt.Schedule().NGhosts() {
+			return fmt.Errorf("vector not resized after SetGraph")
+		}
+		checkSplit(t, rt, "after SetGraph")
+		if err := parKernel(rt, v, itersAfter); err != nil {
+			return err
+		}
+		full, err := rt.GatherGlobal(0, v)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			got = full
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("diverged at %d after adaptation: %v != %v", i, got[i], want[i])
 		}
 	}
 }
@@ -205,7 +201,7 @@ func TestSetGraphOnParkedRank(t *testing.T) {
 		if _, err := rt.Rebind(Rebind{Carrier: c, Sub: sub, Old: shrunk, New: full, OldProcs: survivors, NewProcs: all}); err != nil {
 			return err
 		}
-		if err := checkOracle(rt); err != nil {
+		if err := checkOracle(rt, oracleSort2); err != nil {
 			return fmt.Errorf("rank %d after re-admission: %w", c.Rank(), err)
 		}
 		if err := parKernel(rt, v, 2); err != nil {
@@ -264,7 +260,7 @@ func TestSetGraphRefusesLiveHandles(t *testing.T) {
 		if err := rt.SetGraph(fine); err != nil {
 			return err
 		}
-		return checkOracle(rt)
+		return checkOracle(rt, oracleSort2)
 	})
 	if err != nil {
 		t.Fatal(err)

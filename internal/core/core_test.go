@@ -9,6 +9,7 @@ import (
 	"stance/internal/graph"
 	"stance/internal/mesh"
 	"stance/internal/order"
+	"stance/internal/partition"
 )
 
 // openWorld opens an in-process world of p ranks and closes it when
@@ -154,16 +155,34 @@ func TestParallelMatchesSequentialExactly(t *testing.T) {
 	}
 }
 
+// TestAllStrategiesComputeTheSame: the runtime builds with Sort2 alone,
+// and on every rank each of the paper's three builders (Table 3)
+// reproduces the schedule and plan it replays, so each computes the
+// same bit-exact result the runtime does.
 func TestAllStrategiesComputeTheSame(t *testing.T) {
 	g := testMesh(t)
 	const iters = 4
-	want := seqReference(t, g, order.RCB, iters)
-	for _, s := range []Strategy{StrategySort1, StrategySort2, StrategySimple} {
-		got := runParallel(t, g, 3, iters, Config{Order: order.RCB, Strategy: s})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("strategy %d: element %d = %v, want %v", s, i, got[i], want[i])
+	world := openWorld(t, 3)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		for _, name := range []string{"sort1", "sort2", "simple"} {
+			if err := checkOracle(rt, oracleBuilders[name]); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seqReference(t, g, order.RCB, iters)
+	got := runParallel(t, g, 3, iters, Config{Order: order.RCB})
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -208,55 +227,50 @@ func TestRemapPreservesComputation(t *testing.T) {
 	const itersBefore, itersAfter = 3, 4
 	want := seqReference(t, g, order.RCB, itersBefore+itersAfter)
 
-	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapMCR, RemapKeepArrangement} {
-		p := 4
-		world := openWorld(t, p)
-		var got []float64
-		err := world.SPMD(nil, func(c *comm.Comm) error {
-			rt, err := New(c, g, Config{
-				Order:       order.RCB,
-				Weights:     []float64{1, 1, 1, 1},
-				RemapPolicy: policy,
-			})
-			if err != nil {
-				return err
-			}
-			v := rt.NewVector()
-			v.SetByGlobal(initValue)
-			if err := parKernel(rt, v, itersBefore); err != nil {
-				return err
-			}
-			// The environment "adapts": rank 0 slows to a third.
-			stats, err := rt.Remap([]float64{0.33, 1, 1, 1})
-			if err != nil {
-				return err
-			}
-			if !stats.Changed {
-				return fmt.Errorf("remap with changed weights reported no change")
-			}
-			if stats.Moved <= 0 {
-				return fmt.Errorf("remap moved %d elements", stats.Moved)
-			}
-			if err := parKernel(rt, v, itersAfter); err != nil {
-				return err
-			}
-			full, err := rt.GatherGlobal(0, v)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				got = full
-			}
-			return nil
+	world := openWorld(t, 4)
+	var got []float64
+	err := world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{
+			Order:   order.RCB,
+			Weights: []float64{1, 1, 1, 1},
 		})
 		if err != nil {
-			t.Fatalf("policy %d: %v", policy, err)
+			return err
 		}
-		world.Close()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("policy %d: element %d = %v, want %v after remap", policy, i, got[i], want[i])
-			}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		if err := parKernel(rt, v, itersBefore); err != nil {
+			return err
+		}
+		// The environment "adapts": rank 0 slows to a third.
+		stats, err := rt.Remap([]float64{0.33, 1, 1, 1})
+		if err != nil {
+			return err
+		}
+		if !stats.Changed {
+			return fmt.Errorf("remap with changed weights reported no change")
+		}
+		if stats.Moved <= 0 {
+			return fmt.Errorf("remap moved %d elements", stats.Moved)
+		}
+		if err := parKernel(rt, v, itersAfter); err != nil {
+			return err
+		}
+		full, err := rt.GatherGlobal(0, v)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			got = full
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v after remap", i, got[i], want[i])
 		}
 	}
 }
@@ -268,32 +282,35 @@ func TestRemapMovesLessWithMCR(t *testing.T) {
 	}
 	oldW := []float64{0.27, 0.18, 0.34, 0.07, 0.14}
 	newW := []float64{0.10, 0.13, 0.29, 0.24, 0.24}
-	moved := map[RemapPolicy]int64{}
-	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapKeepArrangement} {
-		world := openWorld(t, 5)
-		err := world.SPMD(nil, func(c *comm.Comm) error {
-			rt, err := New(c, g, Config{Weights: oldW, RemapPolicy: policy})
-			if err != nil {
-				return err
-			}
-			rt.NewVector()
-			stats, err := rt.Remap(newW)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				moved[policy] = stats.Moved
-			}
-			return nil
-		})
+	var moved, keepMoved int64
+	world := openWorld(t, 5)
+	err = world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Weights: oldW})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		world.Close()
+		old := rt.Layout()
+		rt.NewVector()
+		stats, err := rt.Remap(newW)
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		// The paper's "without MCR" arm: the new weights cut under the
+		// old arrangement.
+		keep, err := partition.New(old.N(), newW, old.Arrangement())
+		if err != nil {
+			return err
+		}
+		moved = stats.Moved
+		keepMoved, err = partition.Moved(old, keep)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if moved[RemapMCRIterated] >= moved[RemapKeepArrangement] {
+	if moved >= keepMoved {
 		t.Errorf("MCR moved %d elements, keep-arrangement moved %d; MCR should move less",
-			moved[RemapMCRIterated], moved[RemapKeepArrangement])
+			moved, keepMoved)
 	}
 }
 

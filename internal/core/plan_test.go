@@ -7,6 +7,7 @@ import (
 
 	"stance/internal/comm"
 	"stance/internal/order"
+	"stance/internal/partition"
 )
 
 // The reference implementations below are the pre-plan executor data
@@ -297,9 +298,8 @@ func TestPlanInvalidatedByRemap(t *testing.T) {
 	oldW := []float64{1, 1, 1}
 	newW := []float64{0.5, 1, 2}
 
-	// Remapped runtime: built under oldW, remapped to newW keeping the
-	// arrangement, so the resulting layout equals a fresh build with
-	// newW.
+	// Remapped runtime: built under oldW and remapped to newW; the fresh
+	// one is bound to the layout the remap chose, so the two must agree.
 	collect := func(build func(c *comm.Comm) (*Runtime, *Vector, error)) [][]float64 {
 		t.Helper()
 		world := openWorld(t, p)
@@ -327,8 +327,9 @@ func TestPlanInvalidatedByRemap(t *testing.T) {
 		return out
 	}
 
+	var chosen *partition.Layout
 	remapped := collect(func(c *comm.Comm) (*Runtime, *Vector, error) {
-		rt, err := New(c, g, Config{Order: order.RCB, Weights: oldW, RemapPolicy: RemapKeepArrangement})
+		rt, err := New(c, g, Config{Order: order.RCB, Weights: oldW})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -343,12 +344,18 @@ func TestPlanInvalidatedByRemap(t *testing.T) {
 		if got, want := rt.Plan().NLocal(), rt.LocalN(); got != want {
 			return nil, nil, fmt.Errorf("rank %d: rebuilt plan NLocal %d, layout %d", c.Rank(), got, want)
 		}
+		if c.Rank() == 0 {
+			chosen = rt.Layout()
+		}
 		v.SetByGlobal(initValue)
 		return rt, v, nil
 	})
 	fresh := collect(func(c *comm.Comm) (*Runtime, *Vector, error) {
-		rt, err := New(c, g, Config{Order: order.RCB, Weights: newW})
+		rt, err := NewParked(c, g, Config{Order: order.RCB})
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := rt.Bind(c, chosen); err != nil {
 			return nil, nil, err
 		}
 		v := rt.NewVector()

@@ -38,18 +38,25 @@ func oracleRefs(tg *graph.Graph, iv partition.Interval) sched.Refs {
 	return r
 }
 
-// oracleBuild runs the runtime's configured builder on refs. Collective
-// when the strategy is StrategySimple, like the runtime's own build.
-func oracleBuild(rt *Runtime, refs sched.Refs) (*sched.Schedule, error) {
-	switch rt.cfg.Strategy {
-	case StrategySort1:
-		return sched.BuildSort1(rt.layout, rt.c.Rank(), refs)
-	case StrategySimple:
-		return sched.BuildSimple(rt.c, rt.layout, refs)
-	default:
-		return sched.BuildSort2(rt.layout, rt.c.Rank(), refs)
-	}
+// oracleBuilder runs one of the paper's three schedule builders
+// (Table 3) on a rank's refs. The runtime builds with Sort2 alone, and
+// every one of them must produce its schedule; oracleSimple is
+// collective over the runtime's world.
+type oracleBuilder func(rt *Runtime, refs sched.Refs) (*sched.Schedule, error)
+
+func oracleSort2(rt *Runtime, refs sched.Refs) (*sched.Schedule, error) {
+	return sched.BuildSort2(rt.layout, rt.c.Rank(), refs)
 }
+
+func oracleSort1(rt *Runtime, refs sched.Refs) (*sched.Schedule, error) {
+	return sched.BuildSort1(rt.layout, rt.c.Rank(), refs)
+}
+
+func oracleSimple(rt *Runtime, refs sched.Refs) (*sched.Schedule, error) {
+	return sched.BuildSimple(rt.c, rt.layout, refs)
+}
+
+var oracleBuilders = map[string]oracleBuilder{"sort2": oracleSort2, "sort1": oracleSort1, "simple": oracleSimple}
 
 // oracleLocalize rewrites refs into local/ghost references.
 func oracleLocalize(refs sched.Refs, iv partition.Interval, s *sched.Schedule) ([]int32, error) {
@@ -68,13 +75,13 @@ func oracleLocalize(refs sched.Refs, iv partition.Interval, s *sched.Schedule) (
 	return ladj, nil
 }
 
-// checkOracle rebuilds rank state the reference way and compares the
-// runtime's against it. Collective over the runtime's world when the
-// strategy is StrategySimple.
-func checkOracle(rt *Runtime) error {
+// checkOracle rebuilds rank state the reference way, the schedule with
+// build, and compares the runtime's against it. Collective over the
+// runtime's world when build is oracleSimple.
+func checkOracle(rt *Runtime, build oracleBuilder) error {
 	iv := rt.GlobalInterval()
 	refs := oracleRefs(rt.tg, iv)
-	s, err := oracleBuild(rt, refs)
+	s, err := build(rt, refs)
 	if err != nil {
 		return fmt.Errorf("reference build: %w", err)
 	}
@@ -243,8 +250,9 @@ type oracleWorld struct {
 }
 
 // runOracleScript builds a p-rank runtime under cfg and plays the steps,
-// comparing every rank with the reference inspector after each one.
-func runOracleScript(t testing.TB, g *graph.Graph, p int, cfg Config, steps []oracleStep) {
+// comparing every rank with the reference inspector, its schedule built
+// by build, after each one.
+func runOracleScript(t testing.TB, g *graph.Graph, p int, cfg Config, build oracleBuilder, steps []oracleStep) {
 	t.Helper()
 	// A World's section cancels the other ranks when one fails a check,
 	// where a bare SPMD would leave them blocked on it.
@@ -276,7 +284,7 @@ func runOracleScript(t testing.TB, g *graph.Graph, p int, cfg Config, steps []or
 				}
 				return nil
 			}
-			if err := checkOracle(rt); err != nil {
+			if err := checkOracle(rt, build); err != nil {
 				return fmt.Errorf("rank %d %s: %w", me, label, err)
 			}
 			if err := checkVector(rt, v); err != nil {
@@ -395,20 +403,18 @@ func oracleConfigs(g *graph.Graph, p int) map[string]Config {
 	}
 	return map[string]Config{
 		"flat":     {Order: order.RCB},
-		"weighted": {Order: order.RCB, VertexWeights: degree, RemapPolicy: RemapMCR},
-		"hier":     {Order: order.RCB, Groups: groups, GroupWindow: 8},
+		"weighted": {Order: order.RCB, VertexWeights: degree},
+		"hier":     {Order: order.RCB, Groups: groups},
 	}
 }
-
-var oracleStrategies = map[string]Strategy{"sort2": StrategySort2, "sort1": StrategySort1, "simple": StrategySimple}
 
 // TestInspectorEqualsReference plays remaps, explicit re-cuts (growing,
 // shrinking and empty intervals), membership transitions with parking
 // and re-admission, a recovery bind and graph replacements — on parked
 // ranks too — and demands
-// the reference inspector's result after every step — for each
-// strategy and each kind of layout, so storage the runtime reuses can
-// never show through.
+// the reference inspector's result after every step — with each of the
+// paper's three builders making the reference schedule, and for each
+// kind of layout — so storage the runtime reuses can never show through.
 func TestInspectorEqualsReference(t *testing.T) {
 	coarse, fine := refineMesh(t)
 	n := int64(coarse.N)
@@ -458,20 +464,18 @@ func TestInspectorEqualsReference(t *testing.T) {
 			{setGraph: coarse},
 		},
 	}
-	for sname, strategy := range oracleStrategies {
+	for sname, build := range oracleBuilders {
 		for cname, cfg := range oracleConfigs(coarse, 4) {
-			cfg.Strategy = strategy
 			for name, steps := range scripts {
 				t.Run(sname+"/"+cname+"/"+name, func(t *testing.T) {
-					runOracleScript(t, coarse, 4, cfg, steps)
+					runOracleScript(t, coarse, 4, cfg, build, steps)
 				})
 			}
 		}
 		// One rank owns everything: no ghost, no peer, every row interior.
 		for cname, cfg := range oracleConfigs(coarse, 1) {
-			cfg.Strategy = strategy
 			t.Run(sname+"/"+cname+"/p=1", func(t *testing.T) {
-				runOracleScript(t, coarse, 1, cfg, []oracleStep{
+				runOracleScript(t, coarse, 1, cfg, build, []oracleStep{
 					{remap: []float64{1}}, {setGraph: fine}, {remap: []float64{2}}, {setGraph: coarse},
 				})
 			})
@@ -486,18 +490,18 @@ func TestInspectorEqualsReference(t *testing.T) {
 // validation still sees it.
 func TestInspectorRangeCheck(t *testing.T) {
 	g := testMesh(t)
-	for sname, strategy := range oracleStrategies {
+	for sname, build := range oracleBuilders {
 		for _, bad := range []int32{int32(g.N) + 5, -1} {
 			// p=1 runs every builder without a peer to strand; p=2 puts
 			// the bad row on rank 1 under the communication-free builders.
 			for _, p := range []int{1, 2} {
-				if p > 1 && strategy == StrategySimple {
+				if p > 1 && sname == "simple" {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/ref=%d/p=%d", sname, bad, p), func(t *testing.T) {
 					world := openWorld(t, p)
 					err := world.SPMD(nil, func(c *comm.Comm) error {
-						rt, err := New(c, g, Config{Order: order.RCB, Strategy: strategy})
+						rt, err := New(c, g, Config{Order: order.RCB})
 						if err != nil {
 							return err
 						}
@@ -505,7 +509,7 @@ func TestInspectorRangeCheck(t *testing.T) {
 						tg.Adj = slices.Clone(tg.Adj)
 						tg.Adj[len(tg.Adj)-2] = bad // in the last row: rank p-1's
 						rt.tg = &tg
-						_, want := oracleBuild(rt, oracleRefs(rt.tg, rt.GlobalInterval()))
+						_, want := build(rt, oracleRefs(rt.tg, rt.GlobalInterval()))
 						got := rt.rebuild()
 						if c.Rank() != p-1 {
 							if got != nil || want != nil {
@@ -551,7 +555,7 @@ func randomGraph(rng *rand.Rand, n int) (*graph.Graph, error) {
 	return graph.FromEdges(n, edges, nil)
 }
 
-// FuzzInspector draws a graph, a world size, a strategy, vertex weights
+// FuzzInspector draws a graph, a world size, an oracle builder, vertex weights
 // or not, and a sequence of remaps, explicit re-cuts, membership changes
 // and graph replacements — parked ranks included — and checks every rank
 // against the reference inspector after each step.
@@ -569,7 +573,9 @@ func FuzzInspector(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Strategy: Strategy(rng.Intn(3)), RemapPolicy: RemapPolicy(rng.Intn(3))}
+		build := []oracleBuilder{oracleSort2, oracleSort1, oracleSimple}[rng.Intn(3)]
+		rng.Intn(3) // a draw nothing reads: it keeps every corpus entry's script
+		var cfg Config
 		if rng.Intn(2) == 0 {
 			cfg.VertexWeights = make([]float64, n)
 			for v := range cfg.VertexWeights {
@@ -614,7 +620,7 @@ func FuzzInspector(f *testing.F) {
 				steps = append(steps, oracleStep{setGraph: ng})
 			}
 		}
-		runOracleScript(t, g, p, cfg, steps)
+		runOracleScript(t, g, p, cfg, build, steps)
 	})
 }
 
@@ -628,7 +634,7 @@ func TestInspectorEqualsReferenceAcrossWindows(t *testing.T) {
 	}
 	for name, cfg := range oracleConfigs(g, 4) {
 		t.Run(name, func(t *testing.T) {
-			runOracleScript(t, g, 4, cfg, []oracleStep{
+			runOracleScript(t, g, 4, cfg, oracleSort2, []oracleStep{
 				{remap: []float64{1, 2, 4, 8}},
 				{remap: []float64{8, 4, 2, 1}},
 				{remap: []float64{1, 1, 1, 1}},
@@ -689,7 +695,7 @@ func TestChunkViewsEqualReference(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	for name, cfg := range oracleConfigs(g, 4) {
 		t.Run(name, func(t *testing.T) {
-			runOracleScript(t, g, 4, cfg, []oracleStep{
+			runOracleScript(t, g, 4, cfg, oracleSort2, []oracleStep{
 				{remap: []float64{3, 1, 1, 1}},
 				{resize: []int64{n / 3, n / 3, n - 2*(n/3)}, active: []int{0, 1, 2}},
 				{remap: []float64{1, 2, 1}},
@@ -697,7 +703,7 @@ func TestChunkViewsEqualReference(t *testing.T) {
 				{recoverTo: []int{0, 2, 3}},
 				{remap: []float64{1, 1, 2}},
 			})
-			runOracleScript(t, g, 4, cfg, []oracleStep{
+			runOracleScript(t, g, 4, cfg, oracleSort2, []oracleStep{
 				{setGraph: fine},
 				{remap: []float64{1, 1, 1, 5}},
 			})

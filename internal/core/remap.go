@@ -28,7 +28,7 @@ type RemapStats struct {
 }
 
 // Remap redistributes the data for new processor capabilities: a new
-// layout is chosen under the configured policy, every registered
+// layout is chosen by the arrangement search, every registered
 // vector's owned section is moved according to the transfer plan, and
 // the inspector rebuilds the schedule and local subgraph. Collective;
 // all ranks must pass the same weights.
@@ -76,37 +76,20 @@ func (rt *Runtime) Remap(newWeights []float64) (RemapStats, error) {
 	return stats, nil
 }
 
-// chooseLayout picks the new layout under the configured remap policy,
-// cutting by vertex weights when the runtime carries them. A
-// hierarchical configuration recuts hierarchically regardless of the
-// remap policy: the group-contiguous arrangement is what keeps the
-// inter-group boundaries few and refined, and an arrangement search
-// that scattered groups along the list would undo exactly that.
+// chooseLayout picks the new layout: the arrangement redist.Iterated
+// finds to keep the most data in place, cut by vertex weights when the
+// runtime carries them. A hierarchical configuration recuts
+// hierarchically instead: the group-contiguous arrangement is what
+// keeps the inter-group boundaries few and refined, and an arrangement
+// search that scattered groups along the list would undo exactly that.
 func (rt *Runtime) chooseLayout(newWeights []float64) (*partition.Layout, error) {
-	if spec, ok := rt.hierSpec(len(newWeights)); ok {
-		if rt.itemWeights != nil {
-			return partition.NewHierarchicalWeighted(rt.itemWeights, newWeights, spec)
-		}
-		return partition.NewHierarchical(rt.n, newWeights, spec)
+	if _, ok := rt.hierSpec(len(newWeights)); ok {
+		return rt.CutLayout(newWeights)
 	}
 	if rt.itemWeights != nil {
-		switch rt.cfg.RemapPolicy {
-		case RemapKeepArrangement:
-			return partition.NewWeighted(rt.itemWeights, newWeights, rt.layout.Arrangement())
-		case RemapMCR:
-			return redist.MinimizeCostRedistributionWeighted(rt.layout, rt.itemWeights, newWeights, rt.cfg.RemapCost)
-		default:
-			return redist.IteratedWeighted(rt.layout, rt.itemWeights, newWeights, rt.cfg.RemapCost, 0)
-		}
+		return redist.IteratedWeighted(rt.layout, rt.itemWeights, newWeights, nil)
 	}
-	switch rt.cfg.RemapPolicy {
-	case RemapKeepArrangement:
-		return partition.New(rt.n, newWeights, rt.layout.Arrangement())
-	case RemapMCR:
-		return redist.MinimizeCostRedistribution(rt.layout, newWeights, rt.cfg.RemapCost)
-	default:
-		return redist.Iterated(rt.layout, newWeights, rt.cfg.RemapCost, 0)
-	}
+	return redist.Iterated(rt.layout, newWeights, nil)
 }
 
 // moveVectors executes the transfer plan for every registered vector

@@ -15,7 +15,6 @@ import (
 	"stance/internal/graph"
 	"stance/internal/order"
 	"stance/internal/partition"
-	"stance/internal/redist"
 	"stance/internal/sched"
 	"stance/internal/vtime"
 )
@@ -28,38 +27,12 @@ const (
 	tagGatherV  = 0x205
 )
 
-// Strategy selects the inspector's schedule builder (paper Table 3).
-type Strategy int
-
-const (
-	// StrategySort2 builds schedules locally, generating send lists
-	// pre-sorted (the fastest builder; the default).
-	StrategySort2 Strategy = iota
-	// StrategySort1 builds schedules locally and sorts send lists
-	// afterwards.
-	StrategySort1
-	// StrategySimple dereferences through a distributed translation
-	// table with two message rounds (the baseline).
-	StrategySimple
-)
-
-// RemapPolicy selects how Remap chooses the new layout's arrangement
-// (paper Section 3.4).
-type RemapPolicy int
-
-const (
-	// RemapMCRIterated runs MCR sweeps with swap refinement to
-	// convergence (the default; still O(p^3) per sweep).
-	RemapMCRIterated RemapPolicy = iota
-	// RemapMCR runs the paper's single greedy MCR sweep.
-	RemapMCR
-	// RemapKeepArrangement re-cuts the list under the current
-	// arrangement without searching (the paper's "without MCR"
-	// baseline in Table 2).
-	RemapKeepArrangement
-)
-
-// Config parameterizes Runtime construction.
+// Config parameterizes Runtime construction. The inspector always
+// builds with sched.BuildSort2, and Remap always searches arrangements
+// with redist.Iterated for the largest overlap. The paper's
+// alternatives — schedule_sort1, the translation-table baseline, the
+// single MCR sweep and the re-cut without a search — are reproduced by
+// internal/bench's Tables 1–3, not configured here.
 type Config struct {
 	// Order is the locality transformation (nil means identity; the
 	// experiments use order.RCB or order.Spectral). It must be
@@ -81,13 +54,6 @@ type Config struct {
 	// choice is the vertex degree, which tracks the Figure 8 kernel's
 	// per-element cost.
 	VertexWeights []float64
-	// Strategy selects the inspector variant.
-	Strategy Strategy
-	// RemapPolicy selects the arrangement search used by Remap.
-	RemapPolicy RemapPolicy
-	// RemapCost scores candidate arrangements (nil means maximize
-	// overlap).
-	RemapCost redist.CostFunc
 	// Groups assigns each rank of the full world to a node group
 	// (comm.Topology.GroupOfSlice; nil means a flat environment). With
 	// groups set, CutLayout cuts hierarchically: across groups first —
@@ -96,11 +62,9 @@ type Config struct {
 	// inter-group link — then within groups by member capability. The
 	// hierarchical cut applies only when the weights cover the full
 	// world: an elastic subset has no stable rank -> group mapping, so
-	// it falls back to the flat cut.
+	// it falls back to the flat cut. A group boundary slides at most
+	// n/(8·G) list elements from its balanced position.
 	Groups []int
-	// GroupWindow bounds how far a group boundary may slide from its
-	// balanced position, in list elements (0 means n/(8·G)).
-	GroupWindow int64
 }
 
 // Runtime is one rank's view of a distributed computational graph.
@@ -355,7 +319,6 @@ func (rt *Runtime) hierSpec(p int) (partition.HierSpec, bool) {
 		GroupOf: rt.cfg.Groups,
 		Xadj:    rt.tg.Xadj,
 		Adj:     rt.tg.Adj,
-		Window:  rt.cfg.GroupWindow,
 	}, true
 }
 
@@ -390,24 +353,14 @@ func (rt *Runtime) Bind(c *comm.Comm, layout *partition.Layout) error {
 // rebuild runs the inspector for the current layout: one pass over the
 // rank's references, the schedule build from what the pass set aside,
 // and the plan recompiled and classified in the previous plan's
-// storage. All three strategies take this path; the builders differ
-// only in how they turn the same off-interval references into the same
-// schedule. Collective when StrategySimple.
+// storage. It sends nothing: BuildSort2 infers what every peer needs
+// from access symmetry.
 func (rt *Runtime) rebuild() error {
 	start := rt.clock.Now()
 	rank := rt.c.Rank()
 	iv := rt.layout.Interval(rank)
 	rt.scanRefs(iv)
-	var s *sched.Schedule
-	var err error
-	switch rt.cfg.Strategy {
-	case StrategySort1:
-		s, err = sched.BuildSort1(rt.layout, rank, rt.off)
-	case StrategySimple:
-		s, err = sched.BuildSimple(rt.c, rt.layout, rt.off)
-	default:
-		s, err = sched.BuildSort2(rt.layout, rank, rt.off)
-	}
+	s, err := sched.BuildSort2(rt.layout, rank, rt.off)
 	if err != nil {
 		return err
 	}

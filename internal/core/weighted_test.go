@@ -91,42 +91,39 @@ func TestWeightedRemapPreservesComputation(t *testing.T) {
 	}
 	const before, after = 3, 3
 	want := seqReference(t, g, order.RCB, before+after)
-	for _, policy := range []RemapPolicy{RemapMCRIterated, RemapMCR, RemapKeepArrangement} {
-		world := openWorld(t, 3)
-		var got []float64
-		err := world.SPMD(nil, func(c *comm.Comm) error {
-			rt, err := New(c, g, Config{Order: order.RCB, VertexWeights: weights, RemapPolicy: policy})
-			if err != nil {
-				return err
-			}
-			v := rt.NewVector()
-			v.SetByGlobal(initValue)
-			if err := parKernel(rt, v, before); err != nil {
-				return err
-			}
-			if _, err := rt.Remap([]float64{2, 1, 1}); err != nil {
-				return err
-			}
-			if err := parKernel(rt, v, after); err != nil {
-				return err
-			}
-			full, err := rt.GatherGlobal(0, v)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				got = full
-			}
-			return nil
-		})
+	world := openWorld(t, 3)
+	var got []float64
+	err = world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB, VertexWeights: weights})
 		if err != nil {
-			t.Fatalf("policy %d: %v", policy, err)
+			return err
 		}
-		world.Close()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("policy %d: diverged at %d after weighted remap", policy, i)
-			}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		if err := parKernel(rt, v, before); err != nil {
+			return err
+		}
+		if _, err := rt.Remap([]float64{2, 1, 1}); err != nil {
+			return err
+		}
+		if err := parKernel(rt, v, after); err != nil {
+			return err
+		}
+		full, err := rt.GatherGlobal(0, v)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			got = full
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("diverged at %d after weighted remap", i)
 		}
 	}
 }
@@ -150,7 +147,7 @@ func TestWeightedMCRKeepsOverlapAdvantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	newW := []float64{0.10, 0.13, 0.29, 0.24, 0.24}
-	mcr, err := redist.IteratedWeighted(old, items, newW, redist.OverlapCost, 0)
+	mcr, err := redist.IteratedWeighted(old, items, newW, redist.OverlapCost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func ExampleIterated() {
 	old, _ := partition.NewBlock(100, []float64{0.27, 0.18, 0.34, 0.07, 0.14})
 	newW := []float64{0.10, 0.13, 0.29, 0.24, 0.24}
 
-	best, _ := redist.Iterated(old, newW, redist.OverlapCost, 0)
+	best, _ := redist.Iterated(old, newW, redist.OverlapCost)
 	ov, _ := partition.Overlap(old, best)
 	moved, _ := partition.Moved(old, best)
 	fmt.Printf("kept %d, moved %d\n", ov, moved)

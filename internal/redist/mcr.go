@@ -90,49 +90,33 @@ func MinimizeCostRedistribution(old *partition.Layout, newWeights []float64, cos
 	return mcrRun(old, build, cost, 1)
 }
 
-// MinimizeCostRedistributionWeighted is MCR over weighted layouts:
-// candidate arrangements re-cut the list so each processor's block
-// carries item weight proportional to its capability (block sizes
-// depend on the position along the list, not just the processor).
-func MinimizeCostRedistributionWeighted(old *partition.Layout, itemWeights, newProcWeights []float64, cost CostFunc) (*partition.Layout, error) {
-	build, err := weightedBuilder(old, itemWeights, newProcWeights)
-	if err != nil {
-		return nil, err
-	}
-	return mcrRun(old, build, cost, 1)
-}
-
-// Iterated strengthens the paper's single MCR sweep into a local
-// search: it alternates greedy Move sweeps (the Figure 6 step) with
-// pairwise-swap refinement until the cost stops improving, bounded by
-// maxPasses rounds (maxPasses <= 0 means p rounds). Each round costs
-// the same O(p^3) as one MCR sweep. The swap neighborhood matters:
-// Move-only hill climbing gets stuck exactly one transposition away
-// from the optimum on easily-constructed instances — including the
+// Iterated is the arrangement search core.Runtime.Remap runs. It
+// strengthens the paper's single MCR sweep into a local search: it
+// alternates greedy Move sweeps (the Figure 6 step) with pairwise-swap
+// refinement until the cost stops improving, for at most p rounds. Each
+// round costs the same O(p^3) as one MCR sweep. The swap neighborhood
+// matters: Move-only hill climbing gets stuck exactly one transposition
+// away from the optimum on easily-constructed instances — including the
 // paper's own Figure 5 example, where the single sweep reaches overlap
 // 53 against an optimum of 64.
-func Iterated(old *partition.Layout, newWeights []float64, cost CostFunc, maxPasses int) (*partition.Layout, error) {
+func Iterated(old *partition.Layout, newWeights []float64, cost CostFunc) (*partition.Layout, error) {
 	build, err := countBuilder(old, newWeights)
 	if err != nil {
 		return nil, err
 	}
-	if maxPasses <= 0 {
-		maxPasses = old.P()
-	}
-	return mcrRun(old, build, cost, maxPasses)
+	return mcrRun(old, build, cost, old.P())
 }
 
-// IteratedWeighted is Iterated over weighted layouts (see
-// MinimizeCostRedistributionWeighted).
-func IteratedWeighted(old *partition.Layout, itemWeights, newProcWeights []float64, cost CostFunc, maxPasses int) (*partition.Layout, error) {
+// IteratedWeighted is Iterated over weighted layouts: candidate
+// arrangements re-cut the list so each processor's block carries item
+// weight proportional to its capability (block sizes depend on the
+// position along the list, not just the processor).
+func IteratedWeighted(old *partition.Layout, itemWeights, newProcWeights []float64, cost CostFunc) (*partition.Layout, error) {
 	build, err := weightedBuilder(old, itemWeights, newProcWeights)
 	if err != nil {
 		return nil, err
 	}
-	if maxPasses <= 0 {
-		maxPasses = old.P()
-	}
-	return mcrRun(old, build, cost, maxPasses)
+	return mcrRun(old, build, cost, old.P())
 }
 
 // layoutBuilder materializes a candidate layout for an arrangement.

@@ -100,7 +100,7 @@ func TestMCRFigure5(t *testing.T) {
 		t.Errorf("single-sweep MCR overlap = %d, want 53", ovSingle)
 	}
 
-	iterated, err := Iterated(old, newW, OverlapCost, 0)
+	iterated, err := Iterated(old, newW, OverlapCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestMCRNearOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		iter, err := Iterated(old, newW, OverlapCost, 0)
+		iter, err := Iterated(old, newW, OverlapCost)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,9 @@
 // removes duplicate off-processor references with a hash table and
 // builds the communication schedules the executor replays every
 // iteration. Three builders are provided, matching the paper's
-// Table 3 comparison:
+// Table 3 comparison. The runtime builds with Sort2 alone; Sort1 and
+// Simple produce the same schedule and are reached only from
+// internal/bench's Table 3 and the tests:
 //
 //   - Sort1 (schedule_sort1): exploits access symmetry to build the
 //     schedule without any communication; send and receive segments

@@ -135,10 +135,6 @@ type Config struct {
 	// VertexWeights are per-vertex computational weights in original
 	// vertex numbering (nil means unit weights).
 	VertexWeights []float64
-	// Strategy selects the Phase B inspector variant.
-	Strategy core.Strategy
-	// RemapPolicy selects the arrangement search used on remaps.
-	RemapPolicy core.RemapPolicy
 	// Env simulates a nonuniform/adaptive cluster (nil means uniform,
 	// unloaded). Availability outages in the environment enable the
 	// elastic membership protocol.
@@ -426,8 +422,6 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 		Order:         cfg.Order,
 		Weights:       cfg.Weights,
 		VertexWeights: cfg.VertexWeights,
-		Strategy:      cfg.Strategy,
-		RemapPolicy:   cfg.RemapPolicy,
 	}
 	if cfg.Topology != nil && !cfg.FlatCut {
 		cc.Groups = cfg.Topology.GroupOfSlice()

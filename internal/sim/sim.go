@@ -34,7 +34,6 @@ import (
 
 	"stance/internal/ckpt"
 	"stance/internal/comm"
-	"stance/internal/core"
 	"stance/internal/graph"
 	"stance/internal/hetero"
 	"stance/internal/loadbal"
@@ -120,9 +119,11 @@ func Generate(seed int64) (*Scenario, error) {
 		WorkRep:     1,
 		ComputeCost: time.Duration(1+rng.Intn(20)) * time.Microsecond,
 	}
-	cfg.Strategy = []core.Strategy{core.StrategySort2, core.StrategySort1, core.StrategySimple}[rng.Intn(3)]
-	cfg.RemapPolicy = []core.RemapPolicy{core.RemapMCRIterated, core.RemapMCR, core.RemapKeepArrangement}[rng.Intn(3)]
-	rng.Intn(4) // a draw nothing reads: without it every later draw of every seed shifts
+	// Three draws nothing reads: without them every later draw of every
+	// seed shifts, and the CI seed list would cover other scenarios.
+	rng.Intn(3)
+	rng.Intn(3)
+	rng.Intn(4)
 
 	// Network: free, latency-only, delay-only, or the full model.
 	switch rng.Intn(4) {

@@ -213,18 +213,6 @@ func WithVertexWeights(w []float64) Option {
 	return func(c *session.Config) { c.VertexWeights = w }
 }
 
-// WithStrategy selects the Phase B inspector variant (StrategySort2,
-// StrategySort1 or StrategySimple).
-func WithStrategy(s Strategy) Option {
-	return func(c *session.Config) { c.Strategy = s }
-}
-
-// WithRemapPolicy selects the arrangement search used on remaps
-// (RemapMCRIterated, RemapMCR or RemapKeepArrangement).
-func WithRemapPolicy(p RemapPolicy) Option {
-	return func(c *session.Config) { c.RemapPolicy = p }
-}
-
 // WithBalancer enables Phase D adaptive load balancing with the given
 // configuration; Session.Run then checks every CheckEvery iterations
 // and remaps when profitable. A zero Horizon defaults to the check

@@ -28,7 +28,6 @@ func TestSessionFacade(t *testing.T) {
 		stance.WithClock(stance.NewSimClock()),
 		stance.WithVirtualCompute(time.Microsecond),
 		stance.WithOrdering("rcb"),
-		stance.WithStrategy(stance.StrategySort2),
 		stance.WithEnv(stance.LoadedEnv(3, 2.5)),
 		stance.WithWorkRep(2),
 		stance.WithCheckEvery(4),
@@ -100,7 +99,6 @@ func TestSessionFacadeWeights(t *testing.T) {
 		stance.WithOrderFunc(stance.RCB),
 		stance.WithWeights(1, 3),
 		stance.WithVertexWeights(vw),
-		stance.WithRemapPolicy(stance.RemapMCR),
 		stance.WithNetworkModel(stance.Ethernet(0.01)))
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,9 @@
 //     partitioning for any capability vector is just cutting the list
 //     into contiguous intervals (see Orderings).
 //   - Phase B, inspector: off-processor references are deduplicated
-//     and turned into communication schedules, either with zero
-//     communication by exploiting access symmetry (schedule_sort1/2)
-//     or through a distributed translation table (the baseline).
+//     and turned into communication schedules with zero communication
+//     by exploiting access symmetry (schedule_sort2; the paper's other
+//     builders are reproduced by its Table 3 harness).
 //   - Phase C, executor: Exchange and ScatterAdd replay the schedules
 //     to move ghost data each iteration.
 //   - Phase D, load balancing: measured per-item compute rates feed a
@@ -75,10 +75,6 @@ type (
 	Vector = core.Vector
 	// RemapStats reports what a redistribution moved and cost.
 	RemapStats = core.RemapStats
-	// Strategy selects the inspector variant.
-	Strategy = core.Strategy
-	// RemapPolicy selects the arrangement search used on remaps.
-	RemapPolicy = core.RemapPolicy
 	// Layout assigns contiguous intervals of the one-dimensional list
 	// to processors.
 	Layout = partition.Layout
@@ -144,20 +140,6 @@ const (
 func NewEstimator(kind EstimatorKind, alpha float64) (*Estimator, error) {
 	return loadbal.NewEstimator(kind, alpha)
 }
-
-// Inspector strategies (paper Table 3).
-const (
-	StrategySort2  = core.StrategySort2
-	StrategySort1  = core.StrategySort1
-	StrategySimple = core.StrategySimple
-)
-
-// Remap policies (paper Section 3.4).
-const (
-	RemapMCRIterated     = core.RemapMCRIterated
-	RemapMCR             = core.RemapMCR
-	RemapKeepArrangement = core.RemapKeepArrangement
-)
 
 // Ethernet models the paper's 10 Mbit shared Ethernet; scale < 1
 // speeds it up proportionally.
