@@ -164,7 +164,9 @@ func decodeLayout(vals []float64) (*partition.Layout, []float64, error) {
 		return nil, nil, fmt.Errorf("missing processor count")
 	}
 	k := int(vals[0])
-	if k <= 0 || len(vals) < 1+(k+1)+k {
+	// (k+1) starts + k arrangement entries after the count, tested by
+	// division: 1+(k+1)+k overflows for a hostile k.
+	if k <= 0 || k > (len(vals)-2)/2 {
 		return nil, nil, fmt.Errorf("%d processors promised, %d values present", k, len(vals)-1)
 	}
 	starts := make([]int64, k+1)

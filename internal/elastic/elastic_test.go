@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -55,6 +56,17 @@ func TestProposalWireRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeVerdict([]byte{1, 2, 3}); err == nil {
 		t.Error("non-f64 payload accepted")
+	}
+}
+
+// TestDecodeVerdictHostileCount: a side count so large that the
+// payload-length arithmetic would overflow is an error, not a
+// makeslice panic.
+func TestDecodeVerdictHostileCount(t *testing.T) {
+	for _, k := range []float64{4e18, 3e18, math.MaxInt64 / 3, 1 << 62, 2} {
+		if _, err := decodeVerdict(comm.F64sToBytes([]float64{opEpoch, 0, 0, k})); err == nil {
+			t.Errorf("side count %g over an empty payload accepted", k)
+		}
 	}
 }
 

@@ -94,8 +94,9 @@ func decodeSide(vals []float64) (active []int, l *partition.Layout, rest []float
 		return nil, nil, nil, fmt.Errorf("elastic: truncated proposal side")
 	}
 	k := int(vals[0])
-	// k ranks + (k+1) starts + k arrangement entries.
-	if k <= 0 || len(vals) < 1+3*k+1 {
+	// k ranks + (k+1) starts + k arrangement entries after the count,
+	// tested by division: 1+3*k+1 overflows for a hostile k.
+	if k <= 0 || k > (len(vals)-2)/3 {
 		return nil, nil, nil, fmt.Errorf("elastic: malformed proposal side of %d entries", k)
 	}
 	vals = vals[1:]

@@ -16,13 +16,16 @@ import (
 const chaosSeeds = 24
 
 func TestSimChaosSeeds(t *testing.T) {
+	t.Cleanup(func() { flushTimeline(t) })
 	for seed := int64(0); seed < chaosSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if _, err := RunChaos(seed); err != nil {
+			res, err := RunChaos(seed)
+			if err != nil {
 				t.Fatal(err)
 			}
+			checkTimeline(t, "chaos", seed, res)
 		})
 	}
 }

@@ -23,6 +23,7 @@ import (
 const simSeeds = 32
 
 func TestSimSeeds(t *testing.T) {
+	t.Cleanup(func() { flushTimeline(t) })
 	for seed := int64(0); seed < simSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -34,6 +35,7 @@ func TestSimSeeds(t *testing.T) {
 			if len(res.Values) != res.Scenario.Graph.N {
 				t.Fatalf("gathered %d values for %d vertices", len(res.Values), res.Scenario.Graph.N)
 			}
+			checkTimeline(t, "sim", seed, res)
 		})
 	}
 }

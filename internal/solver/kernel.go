@@ -26,7 +26,10 @@ type Kernel interface {
 	// plan's order — grouped by degree inside fixed windows — with no
 	// duplicates: next[u] may depend on data and row u's references only,
 	// which the chunk table holds (see sched.Rows). The solver does not
-	// post-process next: any divide is the kernel's.
+	// post-process next: any divide is the kernel's. Under virtual
+	// compute the call runs inside a vtime.Charge, concurrently with
+	// other ranks' code on a simulated clock, so it must not read the
+	// clock, communicate or touch state another rank can see.
 	UpdateRows(data []float64, rows sched.Rows, next []float64)
 }
 

@@ -182,9 +182,10 @@ func (s *Solver) SetFields(n int) error {
 
 // SetVirtualCompute switches the solver to virtual compute charging:
 // each element costs perItem × workRep × WorkFactor on the clock per
-// iteration, charged with a single Sleep, while the kernel sweeps the
-// data exactly once for the numerics. The result is bit-for-bit the
-// same as the spinning mode; only where the time comes from changes.
+// iteration, charged with one vtime.Charge around the kernel's single
+// sweep of the data (the sweep runs while the charge elapses, so on a
+// simulated clock the ranks' kernels overlap). The result is bit-for-bit
+// the same as the spinning mode; only where the time comes from changes.
 // perItem <= 0 restores real spinning.
 func (s *Solver) SetVirtualCompute(perItem time.Duration) {
 	if perItem < 0 {
@@ -257,9 +258,12 @@ const (
 // sweeps that share of each list's rows from its front: the plan groups
 // rows by degree only inside fixed windows and counts chunks from the
 // front, so a prefix holds its share of the adjacency entries too. With
-// a virtual compute cost the data is swept once and workRep × WorkFactor
-// is charged to the clock with a single Sleep instead; between an
-// exchange's Start and Wait that sleep is when the in-flight deliveries
+// a virtual compute cost the data is swept once, inside one
+// vtime.Charge of workRep × WorkFactor: on a simulated clock the rank
+// counts as blocked while its kernel runs, so every rank's sweep runs at
+// the same time instead of one after another, and the virtual timeline
+// is the one a sweep followed by a Sleep would give. Between an
+// exchange's Start and Wait that charge is when the in-flight deliveries
 // land, so it hides the message flight like real interior compute does.
 func (s *Solver) sweep(data []float64, part strip) {
 	nLocal := s.rt.LocalN()
@@ -290,28 +294,28 @@ func (s *Solver) sweep(data []float64, part strip) {
 		// sub-world.
 		factor = s.env.WorkFactor(s.rt.Comm().WorldRank(), s.iter)
 	}
-	r := 1.0
+	var d time.Duration // this sweep's compute time
 	if s.costPerItem == 0 {
-		r = max(float64(s.workRep)*factor, 1)
-	}
-	// Whole passes, then a prefix pass for what is left of r.
-	for ; r > 0; r-- {
-		pass(min(r, 1))
+		// Whole passes, then a prefix pass for what is left of r.
+		for r := max(float64(s.workRep)*factor, 1); r > 0; r-- {
+			pass(min(r, 1))
+		}
+	} else {
+		// Pure float arithmetic on deterministic inputs, so the charge
+		// is identical on every run.
+		n := len(lists[0].Idx) + len(lists[1].Idx)
+		d = time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
+		vtime.Charge(s.clock, d, func() { pass(1) })
 	}
 	if part != interior {
 		copy(data, next)
 	}
-	if s.costPerItem == 0 {
-		s.computeTime += s.lap()
-		return
+	// A virtual charge is d, not the reading; the lap restamps for the
+	// next phase either way.
+	if lap := s.lap(); s.costPerItem == 0 {
+		d = lap
 	}
-	// Pure float arithmetic on deterministic inputs, so the charge is
-	// identical on every run.
-	n := len(lists[0].Idx) + len(lists[1].Idx)
-	d := time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
-	s.clock.Sleep(d)
 	s.computeTime += d
-	s.lap() // the charge is d, not the reading; restamp for the next phase
 }
 
 // Timings are the accumulated per-rank measurements since the last

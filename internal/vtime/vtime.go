@@ -20,6 +20,21 @@
 // schedules the goroutines. If every worker is blocked and no event is
 // scheduled, no virtual future can unblock anyone: that is a deadlock,
 // and the stall handler fires instead of hanging the process.
+//
+// # Charged compute
+//
+// Charge(clock, d, f) runs the pure computation f and returns once d of
+// clock time has passed since the call. On a Sim the wake-up at now+d
+// is scheduled before f starts and held until f returns, and the worker
+// counts as blocked while f runs: the clock fires every earlier event
+// meanwhile, so other workers run, and charge their own computations, at
+// the same real time. For that to leave the virtual timeline exactly
+// where a sequential f-then-Sleep would, f must not touch the clock (no
+// Now, Sleep or AfterFunc), must not communicate and must share no
+// state with other workers. Then f creates no events, at most one worker
+// runs anything but a charged computation at a time, and every timer is
+// scheduled in the same order, at the same instant, as before. Now after
+// Charge returns is the call's instant plus d, as after a Sleep.
 package vtime
 
 import (
@@ -69,6 +84,19 @@ type realTimer struct{ t *time.Timer }
 
 func (t realTimer) Stop() bool { return t.t.Stop() }
 
+// Charge runs f and returns once d of clock time has passed since the
+// call: the virtual compute charge of work f really does. On a Sim the
+// charge overlaps f (see the package comment, "Charged compute", for
+// what f may do); on any other clock it is f() followed by Sleep(d).
+func Charge(c Clock, d time.Duration, f func()) {
+	if s := AsSim(c); s != nil && d > 0 {
+		s.charge(d, f)
+		return
+	}
+	f()
+	c.Sleep(d)
+}
+
 // AsSim returns the Sim behind a Clock, or nil for any other
 // implementation — the hook blocking primitives use to decide whether
 // waiter accounting applies.
@@ -95,6 +123,7 @@ type timer struct {
 	kind    int
 	fired   bool
 	stopped bool
+	busy    bool // a Charge's computation still runs: nothing at or past it fires
 	fn      func()
 	next    *timer // freelist link
 }
@@ -199,17 +228,64 @@ func (s *Sim) Sleep(d time.Duration) {
 		return
 	}
 	s.mu.Lock()
+	s.waitLocked(s.parkLocked(d, false))
+	s.mu.Unlock()
+}
+
+// charge is Charge on a Sim: the wake-up is scheduled busy, and the
+// worker counted as blocked, before f starts, exactly as if it were
+// already parked in Sleep(d). Events due before the wake-up fire while
+// f runs; the wake-up, and everything due after it, waits for f to
+// return — the order a sequential f-then-Sleep gives.
+func (s *Sim) charge(d time.Duration, f func()) {
+	s.mu.Lock()
+	t := s.parkLocked(d, true)
+	s.mu.Unlock()
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		// f panicked: the worker runs on without its wake-up. Drop it (a
+		// stopped timer is discarded when popped, never recycled) and
+		// take back its blocked mark.
+		s.mu.Lock()
+		t.busy, t.stopped = false, true
+		s.blocked--
+		s.stallGen++
+		s.mu.Unlock()
+	}()
+	f()
+	returned = true
+	s.mu.Lock()
+	t.busy = false
+	s.stallGen++
+	s.maybeAdvanceLocked()
+	s.waitLocked(t)
+	s.mu.Unlock()
+}
+
+// parkLocked schedules the calling worker's wake-up d from now — held
+// while busy — and counts the worker as blocked. If it was the last
+// runnable worker, the clock advances.
+func (s *Sim) parkLocked(d time.Duration, busy bool) *timer {
 	t := s.newTimerLocked(s.now+d, timerSleep, nil)
+	t.busy = busy
 	heap.Push(&s.timers, t)
 	s.stalled = false
 	s.stallGen++
 	s.blocked++
 	s.maybeAdvanceLocked()
+	return t
+}
+
+// waitLocked waits for a parked worker's wake-up to fire and recycles
+// it.
+func (s *Sim) waitLocked(t *timer) {
 	for !t.fired {
 		s.cond.Wait()
 	}
 	s.putTimerLocked(t)
-	s.mu.Unlock()
 }
 
 // AfterFunc implements Clock. f runs on a dispatcher goroutine once
@@ -291,6 +367,12 @@ func (s *Sim) maybeAdvanceLocked() {
 	for s.workers > 0 && s.blocked >= s.workers && s.pending == 0 {
 		var t *timer
 		for len(s.timers) > 0 {
+			if s.timers[0].busy {
+				// A Charge's computation is still running. Everyone being
+				// blocked is not a stall: the charge re-evaluates when its
+				// computation returns.
+				return
+			}
 			c := heap.Pop(&s.timers).(*timer)
 			if c.stopped {
 				// Callback timers are never recycled: their simTimer
