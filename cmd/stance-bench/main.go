@@ -47,16 +47,16 @@ func main() {
 		Quick: *quick, NetScale: *netScale, Seed: *seed,
 		Pipeline: *pipeline, Fields: *fields,
 		Transport: *transport, Groups: *groups,
-	}
-	if *flushPeriod > 0 || *batchBytes > 0 || *compress != "" {
-		opts.Tuning = &comm.TransportOptions{
+		Net: comm.TransportOptions{
 			FlushPeriod: *flushPeriod,
 			BatchBytes:  *batchBytes,
 			Compression: *compress,
-		}
-		if err := opts.Tuning.Validate(); err != nil {
-			log.Fatal(err)
-		}
+		},
+	}
+	// Tables 1–3 never open Net, so a bad tuning fails here rather
+	// than after them.
+	if err := opts.Net.Validate(); err != nil {
+		log.Fatal(err)
 	}
 	if *virtual {
 		if *transport != "" && *transport != "inproc" {

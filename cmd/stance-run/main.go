@@ -217,9 +217,17 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := session.Config{
-		Procs:      *p,
-		Transport:  *transport,
-		Model:      comm.Ethernet(*netScale),
+		Procs:     *p,
+		Transport: *transport,
+		Net: comm.TransportOptions{
+			Model:             comm.Ethernet(*netScale),
+			FlushPeriod:       *flushPeriod,
+			BatchBytes:        *batchBytes,
+			Compression:       *compress,
+			HeartbeatInterval: *hbInterval,
+			HeartbeatMiss:     *hbMiss,
+		},
+		Groups:     *groups,
 		OrderName:  *ordName,
 		WorkRep:    *workRep,
 		CheckEvery: *checkEvery,
@@ -231,31 +239,14 @@ func main() {
 		// The simulated clock: the run's timings become exact virtual
 		// durations, the wall time collapses to milliseconds, and the
 		// same invocation reproduces the same report byte for byte.
-		cfg.Clock = vtime.NewSim()
+		cfg.Net.Clock = vtime.NewSim()
 		cfg.ComputeCost = *cost
 	}
 	if *groups > 0 {
-		topo, err := comm.ContiguousGroups(*p, *groups)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Topology = topo
-		cfg.InterModel = comm.Ethernet(*netScale * *interScale)
+		cfg.Net.InterModel = comm.Ethernet(*netScale * *interScale)
 	}
 	if *ckptTimeout > 0 {
 		cfg.Checkpoint = &ckpt.Config{DetectTimeout: *ckptTimeout, Kills: kills}
-	}
-	if *flushPeriod != 0 || *batchBytes != 0 || *compress != "" || *hbInterval != 0 || *hbMiss != 0 {
-		cfg.Tuning = &comm.TransportOptions{
-			FlushPeriod:       *flushPeriod,
-			BatchBytes:        *batchBytes,
-			Compression:       *compress,
-			HeartbeatInterval: *hbInterval,
-			HeartbeatMiss:     *hbMiss,
-		}
-		if err := cfg.Tuning.Validate(); err != nil {
-			log.Fatal(err)
-		}
 	}
 	cfg.Env = env
 	if env.Elastic() {

@@ -32,6 +32,8 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-tcp", "-batch", "-5"},
 		{"-tcp", "-hb-miss", "-2"},
 		{"-tcp", "-flush", "-1ms"},
+		{"-tcp", "-compress", "bogus"},
+		{"-tcp", "-hb", "1ms", "-flush", "2ms"},
 		{"-mesh", "grid:0x0"},
 		{"-load", "9:2"},
 	} {

@@ -56,29 +56,24 @@ func main() {
 	if *virtual && *transport != "inproc" {
 		log.Fatalf("-virtual requires the inproc transport (real %s sockets deliver on the wall clock, which a simulated clock cannot see)", *transport)
 	}
-	var clock vtime.Clock
-	if *virtual {
-		clock = vtime.NewSim()
-	}
 	if *latency < 0 || !(*bandwidth >= 0) || *delay < 0 {
 		log.Fatalf("the network model must not be negative (-latency %v, -bandwidth %g, -delay %v)", *latency, *bandwidth, *delay)
 	}
-	var model *comm.Model
-	if *latency != 0 || *bandwidth != 0 || *delay != 0 {
-		model = &comm.Model{Latency: *latency, Bandwidth: *bandwidth, Delay: *delay}
+	netOpts := comm.TransportOptions{
+		FlushPeriod:       *flushPeriod,
+		BatchBytes:        *batchBytes,
+		Compression:       *compress,
+		HeartbeatInterval: *hbInterval,
+		HeartbeatMiss:     *hbMiss,
 	}
-	var tuning *comm.TransportOptions
-	if *flushPeriod != 0 || *batchBytes != 0 || *compress != "" || *hbInterval != 0 || *hbMiss != 0 {
-		tuning = &comm.TransportOptions{
-			FlushPeriod:       *flushPeriod,
-			BatchBytes:        *batchBytes,
-			Compression:       *compress,
-			HeartbeatInterval: *hbInterval,
-			HeartbeatMiss:     *hbMiss,
-		}
-		if err := tuning.Validate(); err != nil {
-			log.Fatal(err)
-		}
+	if *latency != 0 || *bandwidth != 0 || *delay != 0 {
+		netOpts.Model = &comm.Model{Latency: *latency, Bandwidth: *bandwidth, Delay: *delay}
+	}
+	if *virtual {
+		netOpts.Clock = vtime.NewSim()
+	}
+	if err := netOpts.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	// Listen before building the pool: a bad or taken address fails
@@ -90,12 +85,10 @@ func main() {
 	svc, err := jobsvc.New(jobsvc.Config{
 		PoolRanks:      *pool,
 		Transport:      *transport,
-		Model:          model,
-		Clock:          clock,
+		Net:            netOpts,
 		MaxConcurrent:  *maxJobs,
 		MaxRanksPerJob: *maxRanks,
 		QueueDepth:     *queue,
-		Tuning:         tuning,
 	})
 	if err != nil {
 		log.Fatal(err)

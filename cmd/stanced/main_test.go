@@ -55,6 +55,8 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-transport", "tcp", "-batch", "-5"},
 		{"-transport", "tcp", "-hb-miss", "-2"},
 		{"-transport", "tcp", "-flush", "-1ms"},
+		{"-transport", "tcp", "-compress", "bogus"},
+		{"-transport", "tcp", "-hb", "1ms", "-flush", "2ms"},
 		{"-addr", "bogus:::"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

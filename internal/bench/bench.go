@@ -43,13 +43,15 @@ type Options struct {
 	// advances per iteration (0 or 1 = the paper's single field). With
 	// Pipeline >= 1 and Fields >= 2, several exchanges fly concurrently.
 	Fields int
-	// Clock runs the solver tables (4 and 5) on an explicit clock (nil
-	// means the real clock). With a vtime.Sim the tables measure exact
-	// virtual durations and complete instantly — the deterministic mode
-	// the shape tests run in. Tables 1–3 measure real computation
-	// (orderings, MCR sweeps, inspector builds) and always use the wall
-	// clock.
-	Clock vtime.Clock
+	// Net is the network the solver tables (4 and 5) open their worlds
+	// with: the clock (nil means the real clock) and, for socket
+	// transports, the wire tuning (batching, compression, heartbeats).
+	// Every table sets Net.Model itself, from NetScale. With a
+	// vtime.Sim clock the tables measure exact virtual durations and
+	// complete instantly — the deterministic mode the shape tests run
+	// in. Tables 1–3 measure real computation (orderings, MCR sweeps,
+	// inspector builds) and always use the wall clock.
+	Net comm.TransportOptions
 	// ComputeCost virtualizes the solver tables' per-element compute on
 	// the clock (see session.Config.ComputeCost); zero keeps the real
 	// spinning kernel.
@@ -59,9 +61,6 @@ type Options struct {
 	// Ethernet model, so absolute numbers shift; the tables stay
 	// comparable within one transport.
 	Transport string
-	// Tuning carries wire-transport options (batching, compression,
-	// heartbeats) for socket transports; nil means library defaults.
-	Tuning *comm.TransportOptions
 	// Groups is the node-group count for the hierarchical twins (Tables
 	// H1 and H2); 0 or 1 means the default of 2 groups.
 	Groups int
@@ -71,7 +70,7 @@ type Options struct {
 // simulated clock and virtualized compute, so Table 4/5 runs measure
 // exact virtual durations in milliseconds of real time.
 func (o Options) Virtual(cost time.Duration) Options {
-	o.Clock = vtime.NewSim()
+	o.Net.Clock = vtime.NewSim()
 	o.ComputeCost = cost
 	return o
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"stance/internal/ckpt"
+	"stance/internal/comm"
 	"stance/internal/mesh"
 	"stance/internal/session"
 	"stance/internal/vtime"
@@ -30,7 +31,7 @@ func TestCheckpointSteadyAlloc(t *testing.T) {
 	}
 	s, err := session.New(context.Background(), g, session.Config{
 		Procs:       3,
-		Clock:       vtime.NewSim(),
+		Net:         comm.TransportOptions{Clock: vtime.NewSim()},
 		OrderName:   "rcb",
 		CheckEvery:  10,
 		ComputeCost: time.Microsecond,

@@ -87,11 +87,13 @@ func MeasureHierRun(g *graph.Graph, opts Options, p, groups, iters int,
 		return nil, err
 	}
 	s, err := session.New(context.Background(), g, session.Config{
-		Procs:       p,
-		Clock:       vtime.NewSim(),
-		Model:       comm.Ethernet(opts.netScale()),
-		Topology:    topo,
-		InterModel:  comm.Ethernet(opts.netScale() * interScale),
+		Procs: p,
+		Net: comm.TransportOptions{
+			Clock:      vtime.NewSim(),
+			Model:      comm.Ethernet(opts.netScale()),
+			Topology:   topo,
+			InterModel: comm.Ethernet(opts.netScale() * interScale),
+		},
 		FlatCut:     flatCut,
 		FlatReports: flatReports,
 		ComputeCost: hierCompute(opts),

@@ -29,7 +29,7 @@ func delayedSession(depth int, delay time.Duration) (*session.Session, error) {
 	}
 	return session.New(context.Background(), g, session.Config{
 		Procs:     4,
-		Model:     &comm.Model{Delay: delay},
+		Net:       comm.TransportOptions{Model: &comm.Model{Delay: delay}},
 		OrderName: "rcb",
 		WorkRep:   200,
 		Pipeline:  depth,
@@ -90,8 +90,7 @@ func TestOverlapLatencyHidingVirtual(t *testing.T) {
 		}
 		s, err := session.New(context.Background(), g, session.Config{
 			Procs:       4,
-			Model:       &comm.Model{Delay: benchDelay},
-			Clock:       vtime.NewSim(),
+			Net:         comm.TransportOptions{Model: &comm.Model{Delay: benchDelay}, Clock: vtime.NewSim()},
 			OrderName:   "rcb",
 			ComputeCost: 4 * time.Microsecond,
 			Pipeline:    depth,

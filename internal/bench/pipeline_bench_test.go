@@ -33,7 +33,7 @@ func BenchmarkPipelineLatencyHiding(b *testing.B) {
 			}
 			s, err := session.New(context.Background(), g, session.Config{
 				Procs:     4,
-				Model:     &comm.Model{Delay: benchDelay},
+				Net:       comm.TransportOptions{Model: &comm.Model{Delay: benchDelay}},
 				OrderName: "rcb",
 				Fields:    2,
 				Pipeline:  depth,
@@ -81,8 +81,7 @@ func TestPipelineLatencyHidingVirtual(t *testing.T) {
 		}
 		s, err := session.New(context.Background(), g, session.Config{
 			Procs:       4,
-			Model:       &comm.Model{Delay: benchDelay},
-			Clock:       vtime.NewSim(),
+			Net:         comm.TransportOptions{Model: &comm.Model{Delay: benchDelay}, Clock: vtime.NewSim()},
 			OrderName:   "rcb",
 			ComputeCost: 500 * time.Nanosecond,
 			Fields:      2,

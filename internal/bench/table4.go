@@ -43,17 +43,17 @@ func MeasureStaticRun(g *graph.Graph, p, iters, workRep int, netScale float64, d
 
 // measureRun executes an iterative solve through the session driver
 // and returns its report (Wall is rank 0's barrier-to-barrier time on
-// opts.Clock). bal (if non-nil) enables the paper's periodic
+// opts.Net.Clock). bal (if non-nil) enables the paper's periodic
 // load-balance protocol: a check every 10 iterations, remapping when
 // profitable.
 func measureRun(g *graph.Graph, env *hetero.Env, p, iters, workRep int,
 	opts Options, bal *loadbal.Config) (*session.RunReport, error) {
+	net := opts.Net
+	net.Model = comm.Ethernet(opts.netScale())
 	s, err := session.New(context.Background(), g, session.Config{
 		Procs:       p,
 		Transport:   opts.Transport,
-		Tuning:      opts.Tuning,
-		Model:       comm.Ethernet(opts.netScale()),
-		Clock:       opts.Clock,
+		Net:         net,
 		ComputeCost: opts.ComputeCost,
 		Env:         env,
 		WorkRep:     workRep,

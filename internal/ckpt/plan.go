@@ -70,14 +70,15 @@ func EncodePlan(p *Plan) []byte {
 // DecodeVerdict decodes a TagCtl payload. It returns (nil, nil) for an
 // all-alive verdict, a plan for a recovery verdict, and an error
 // wrapping ErrUnrecoverable for an abort verdict or any malformed
-// payload.
+// payload: a member that cannot read the coordinator's verdict has no
+// consistent way to continue.
 func DecodeVerdict(data []byte) (*Plan, error) {
 	vals, err := comm.BytesToF64s(data)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: verdict: %w", err)
+		return nil, malformed("%v", err)
 	}
 	if len(vals) == 0 {
-		return nil, fmt.Errorf("ckpt: empty verdict")
+		return nil, malformed("empty")
 	}
 	switch int(vals[0]) {
 	case opAlive:
@@ -85,39 +86,44 @@ func DecodeVerdict(data []byte) (*Plan, error) {
 	case opAbort:
 		dead, _, err := decodeRanks(vals[1:])
 		if err != nil {
-			return nil, fmt.Errorf("ckpt: abort verdict: %w", err)
+			return nil, malformed("abort dead set: %v", err)
 		}
 		return nil, fmt.Errorf("ckpt: ranks %v died and their checkpoints are lost: %w", dead, ErrUnrecoverable)
 	case opRecover:
 		p := &Plan{}
 		if len(vals) < 3 {
-			return nil, fmt.Errorf("ckpt: truncated recovery verdict")
+			return nil, malformed("truncated recovery verdict")
 		}
 		p.Iter = int(vals[1])
 		p.CkptIter = int(vals[2])
 		rest := vals[3:]
 		if p.Dead, rest, err = decodeRanks(rest); err != nil {
-			return nil, fmt.Errorf("ckpt: recovery verdict dead set: %w", err)
+			return nil, malformed("dead set: %v", err)
 		}
 		if p.OldActive, rest, err = decodeRanks(rest); err != nil {
-			return nil, fmt.Errorf("ckpt: recovery verdict old active set: %w", err)
+			return nil, malformed("old active set: %v", err)
 		}
 		if p.NewActive, rest, err = decodeRanks(rest); err != nil {
-			return nil, fmt.Errorf("ckpt: recovery verdict new active set: %w", err)
+			return nil, malformed("new active set: %v", err)
 		}
 		if p.Old, rest, err = decodeLayout(rest); err != nil {
-			return nil, fmt.Errorf("ckpt: recovery verdict old layout: %w", err)
+			return nil, malformed("old layout: %v", err)
 		}
 		if p.New, rest, err = decodeLayout(rest); err != nil {
-			return nil, fmt.Errorf("ckpt: recovery verdict new layout: %w", err)
+			return nil, malformed("new layout: %v", err)
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("ckpt: %d trailing values after recovery verdict", len(rest))
+			return nil, malformed("%d trailing values after recovery verdict", len(rest))
 		}
 		return p, nil
 	default:
-		return nil, fmt.Errorf("ckpt: unknown verdict opcode %v", vals[0])
+		return nil, malformed("unknown opcode %v", vals[0])
 	}
+}
+
+// malformed is DecodeVerdict's error for a payload it cannot read.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("ckpt: malformed verdict: %s: %w", fmt.Sprintf(format, args...), ErrUnrecoverable)
 }
 
 func appendRanks(vals []float64, ranks []int) []float64 {

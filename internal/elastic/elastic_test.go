@@ -70,6 +70,46 @@ func TestDecodeVerdictHostileCount(t *testing.T) {
 	}
 }
 
+// FuzzElasticVerdict: decodeVerdict never panics, and a payload it
+// accepts re-encodes to one that decodes to an equal proposal. Run
+// under `go test -fuzz=FuzzElasticVerdict ./internal/elastic`.
+func FuzzElasticVerdict(f *testing.F) {
+	f.Add(encodeOp(opContinue))
+	f.Add(encodeOp(opRunEnd))
+	old, err := partition.NewBlock(101, []float64{1, 2, 1, 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	recut, err := partition.New(101, []float64{1, 1, 3}, []int{2, 0, 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeProposal(&Proposal{
+		Iter: 40, Next: Membership{Epoch: 3, Active: []int{0, 2, 5}},
+		OldActive: []int{0, 1, 2, 5}, Old: old, New: recut,
+	}))
+	// The hostile side counts that once overflowed decodeSide's length
+	// arithmetic into a makeslice panic.
+	for _, k := range []float64{4e18, 3e18} {
+		f.Add(comm.F64sToBytes([]float64{opEpoch, 0, 0, k}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := decodeVerdict(data)
+		if err != nil || p == nil {
+			return
+		}
+		again, err := decodeVerdict(encodeProposal(p))
+		if err != nil {
+			t.Fatalf("re-encoded proposal does not decode: %v", err)
+		}
+		if again.Iter != p.Iter || again.Next.Epoch != p.Next.Epoch ||
+			!equalInts(again.Next.Active, p.Next.Active) || !equalInts(again.OldActive, p.OldActive) ||
+			!again.Old.Equal(p.Old) || !again.New.Equal(p.New) {
+			t.Fatalf("round trip changed the proposal:\n in: %+v\nout: %+v", p, again)
+		}
+	})
+}
+
 func TestValidActive(t *testing.T) {
 	for _, bad := range [][]int{nil, {}, {1, 2}, {0, 2, 2}, {0, 3, 1}, {0, 8}} {
 		if err := ValidActive(bad, 4); err == nil {

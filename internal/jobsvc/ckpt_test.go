@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stance/internal/ckpt"
+	"stance/internal/comm"
 	"stance/internal/vtime"
 )
 
@@ -13,7 +14,7 @@ import (
 // the survivors, finishes Done with the recovery in its report, and
 // its result is bit-identical to a dedicated run that never failed.
 func TestJobRecoversFromKill(t *testing.T) {
-	s, err := New(Config{PoolRanks: 3, Clock: vtime.NewSim()})
+	s, err := New(Config{PoolRanks: 3, Net: comm.TransportOptions{Clock: vtime.NewSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestJobRecoversFromKill(t *testing.T) {
 // cause in its status — not hang its grant — and the freed ranks must
 // immediately serve the next job.
 func TestUnrecoverableJobFailsAndFreesPool(t *testing.T) {
-	s, err := New(Config{PoolRanks: 2, Clock: vtime.NewSim()})
+	s, err := New(Config{PoolRanks: 2, Net: comm.TransportOptions{Clock: vtime.NewSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestUnrecoverableJobFailsAndFreesPool(t *testing.T) {
 // one pool rank so the victim job wants 3 but is granted 2, leaving
 // its kill of sub-rank 2 pointing at a rank that never existed.
 func TestKillBeyondGrantIsDropped(t *testing.T) {
-	s, err := New(Config{PoolRanks: 3, Clock: vtime.NewSim()})
+	s, err := New(Config{PoolRanks: 3, Net: comm.TransportOptions{Clock: vtime.NewSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,19 +39,15 @@ type Config struct {
 	// Transport names the comm transport the pool runs on ("" means
 	// "inproc").
 	Transport string
-	// Model is the network cost model for the pool (nil: free network).
-	Model *comm.Model
-	// Clock is the service time source (nil: the real clock). A
-	// vtime.Sim runs the whole service — every job, every deadline —
-	// in deterministic virtual time.
-	Clock vtime.Clock
-	// Tuning carries wire-transport options (batching, compression,
-	// heartbeats) for the pool world. It is pool-scoped, not per-job:
-	// every session multiplexes over the one shared socket mesh, so
+	// Net describes the pool's network and goes to comm.Open
+	// unchanged: the cost model (nil Model: a free network), the clock
+	// (nil Clock: the real clock) and the wire tuning (batching,
+	// compression, heartbeats). The service runs on the pool's clock,
+	// so a vtime.Sim runs the whole service — every job, every
+	// deadline — in deterministic virtual time. It is pool-scoped, not
+	// per-job: every session multiplexes over the one shared world, so
 	// there is exactly one flush loop and one liveness policy to tune.
-	// Model and Clock must stay nil here — set them through the fields
-	// above.
-	Tuning *comm.TransportOptions
+	Net comm.TransportOptions
 	// MaxConcurrent caps simultaneously running jobs (0: PoolRanks,
 	// the natural bound since every job needs at least one rank).
 	MaxConcurrent int
@@ -97,9 +93,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.PoolRanks <= 0 {
 		return nil, fmt.Errorf("jobsvc: pool of %d ranks, want > 0", cfg.PoolRanks)
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vtime.Real{}
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = cfg.PoolRanks
 	}
@@ -112,25 +105,14 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = FairShare{}
 	}
-	opts := comm.TransportOptions{}
-	if cfg.Tuning != nil {
-		opts = *cfg.Tuning
-		if opts.Model != nil {
-			return nil, fmt.Errorf("jobsvc: set the network model through Config.Model, not Tuning.Model")
-		}
-		if opts.Clock != nil {
-			return nil, fmt.Errorf("jobsvc: set the clock through Config.Clock, not Tuning.Clock")
-		}
-	}
-	opts.Model, opts.Clock = cfg.Model, cfg.Clock
-	pool, err := comm.Open(cfg.Transport, cfg.PoolRanks, opts)
+	pool, err := comm.Open(cfg.Transport, cfg.PoolRanks, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
 	return &Service{
 		cfg:    cfg,
 		pool:   pool,
-		clock:  cfg.Clock,
+		clock:  pool.Comm(0).Clock(),
 		held:   cfg.StartHeld,
 		jobs:   make(map[string]*job),
 		busy:   make(map[int]string),

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stance/internal/comm"
 	"stance/internal/session"
 	"stance/internal/vtime"
 )
@@ -115,7 +116,7 @@ func TestSingleJobBitExact(t *testing.T) {
 // ranks to the queue). Every job must complete with a consistent
 // report and results bit-identical to dedicated runs.
 func TestStancedSmoke(t *testing.T) {
-	s, err := New(Config{PoolRanks: 4, Clock: vtime.NewSim()})
+	s, err := New(Config{PoolRanks: 4, Net: comm.TransportOptions{Clock: vtime.NewSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestCancel(t *testing.T) {
 // charged to the clock, so the deadline fires deterministically
 // mid-run.
 func TestDeadline(t *testing.T) {
-	s, err := New(Config{PoolRanks: 1, Clock: vtime.NewSim()})
+	s, err := New(Config{PoolRanks: 1, Net: comm.TransportOptions{Clock: vtime.NewSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"stance/internal/ckpt"
+	"stance/internal/comm"
 	"stance/internal/mesh"
 	"stance/internal/order"
 	"stance/internal/vtime"
@@ -39,7 +40,7 @@ func TestKillRecoverBitExact(t *testing.T) {
 	}
 
 	ref := base
-	ref.Clock = vtime.NewSim()
+	ref.Net.Clock = vtime.NewSim()
 	fixed, err := New(context.Background(), g, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestKillRecoverBitExact(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Clock = vtime.NewSim()
+	cfg.Net.Clock = vtime.NewSim()
 	cfg.Checkpoint = &ckpt.Config{
 		DetectTimeout: detectTimeout,
 		Kills:         []ckpt.Kill{{Rank: 2, Iter: 30}},
@@ -154,7 +155,7 @@ func TestKillAtRunBoundaryRecoversNextRun(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Clock = vtime.NewSim()
+	cfg.Net.Clock = vtime.NewSim()
 	cfg.ComputeCost = 10 * time.Microsecond
 	cfg.Checkpoint = &ckpt.Config{Kills: []ckpt.Kill{{Rank: 1, Iter: 30}}}
 	s, err := New(context.Background(), g, cfg)
@@ -221,7 +222,7 @@ func TestKillBeforeFirstCheckpointReinits(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Clock = vtime.NewSim()
+	cfg.Net.Clock = vtime.NewSim()
 	cfg.ComputeCost = 10 * time.Microsecond
 	cfg.Checkpoint = &ckpt.Config{Kills: []ckpt.Kill{{Rank: 1, Iter: 0}}}
 	s, err := New(context.Background(), g, cfg)
@@ -264,7 +265,7 @@ func TestKillCoordinatorFailsLoudly(t *testing.T) {
 		Procs:       3,
 		Order:       order.RCB,
 		CheckEvery:  10,
-		Clock:       vtime.NewSim(),
+		Net:         comm.TransportOptions{Clock: vtime.NewSim()},
 		ComputeCost: 10 * time.Microsecond,
 		Checkpoint:  &ckpt.Config{Kills: []ckpt.Kill{{Rank: 0, Iter: 15}}},
 	}
@@ -295,7 +296,7 @@ func TestKillBuddyPairFailsLoudly(t *testing.T) {
 		Procs:       4,
 		Order:       order.RCB,
 		CheckEvery:  10,
-		Clock:       vtime.NewSim(),
+		Net:         comm.TransportOptions{Clock: vtime.NewSim()},
 		ComputeCost: 10 * time.Microsecond,
 		Checkpoint: &ckpt.Config{Kills: []ckpt.Kill{
 			{Rank: 1, Iter: 15},
@@ -345,7 +346,7 @@ func TestSequentialKillsRecoverTwice(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Clock = vtime.NewSim()
+	cfg.Net.Clock = vtime.NewSim()
 	cfg.ComputeCost = 10 * time.Microsecond
 	cfg.Checkpoint = &ckpt.Config{Kills: []ckpt.Kill{
 		{Rank: 3, Iter: 20},

@@ -21,10 +21,12 @@ import (
 // decision and layout — are exact and the same at every depth.
 func depthCfg(depth, fields int) Config {
 	return Config{
-		Procs:       4,
-		Order:       order.RCB,
-		Clock:       vtime.NewSim(),
-		Model:       &comm.Model{Latency: 100 * time.Microsecond},
+		Procs: 4,
+		Order: order.RCB,
+		Net: comm.TransportOptions{
+			Clock: vtime.NewSim(),
+			Model: &comm.Model{Latency: 100 * time.Microsecond},
+		},
 		ComputeCost: time.Microsecond,
 		Pipeline:    depth,
 		Fields:      fields,

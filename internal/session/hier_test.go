@@ -51,14 +51,16 @@ func hierRun(t *testing.T, g *graph.Graph, iters int, mutate func(*Config)) (*Ru
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Procs:    4,
-		Clock:    vtime.NewSim(),
-		Topology: topo,
-		// Intra-group links are fast; the inter-group link is both
-		// higher-latency and two orders of magnitude thinner, so the
-		// bytes a cut pushes across it dominate the phase time.
-		Model:       &comm.Model{Latency: 20 * time.Microsecond, Bandwidth: 1e7},
-		InterModel:  &comm.Model{Latency: 200 * time.Microsecond, Bandwidth: 1e5},
+		Procs: 4,
+		Net: comm.TransportOptions{
+			Clock:    vtime.NewSim(),
+			Topology: topo,
+			// Intra-group links are fast; the inter-group link is both
+			// higher-latency and two orders of magnitude thinner, so the
+			// bytes a cut pushes across it dominate the phase time.
+			Model:      &comm.Model{Latency: 20 * time.Microsecond, Bandwidth: 1e7},
+			InterModel: &comm.Model{Latency: 200 * time.Microsecond, Bandwidth: 1e5},
+		},
 		ComputeCost: time.Microsecond,
 	}
 	if mutate != nil {
@@ -127,9 +129,9 @@ func TestHierarchicalCutBeatsFlatOnSlowLink(t *testing.T) {
 	// On a uniform network (no InterModel) the hierarchy is free to be
 	// present without cost: results stay bit-identical to a plain flat
 	// world, and the counters still attribute the crossings.
-	uniHier, uniHierVals := hierRun(t, g, iters, func(cfg *Config) { cfg.InterModel = nil })
+	uniHier, uniHierVals := hierRun(t, g, iters, func(cfg *Config) { cfg.Net.InterModel = nil })
 	_, uniFlatVals := hierRun(t, g, iters, func(cfg *Config) {
-		cfg.Topology, cfg.InterModel = nil, nil
+		cfg.Net.Topology, cfg.Net.InterModel = nil, nil
 	})
 	sameBits(t, "uniform hier vs flat world", uniHierVals, uniFlatVals)
 	sameBits(t, "uniform vs priced", uniHierVals, hierVals)
@@ -160,11 +162,13 @@ func TestLeaderReportsSlowLinkTraffic(t *testing.T) {
 	}
 	run := func(bal *loadbal.Config, flatReports bool) *RunReport {
 		s, err := New(context.Background(), g, Config{
-			Procs:       p,
-			Clock:       vtime.NewSim(),
-			Topology:    topo,
-			Model:       &comm.Model{Latency: 10 * time.Microsecond},
-			InterModel:  &comm.Model{Latency: 100 * time.Microsecond},
+			Procs: p,
+			Net: comm.TransportOptions{
+				Clock:      vtime.NewSim(),
+				Topology:   topo,
+				Model:      &comm.Model{Latency: 10 * time.Microsecond},
+				InterModel: &comm.Model{Latency: 100 * time.Microsecond},
+			},
 			OrderName:   "rcb",
 			ComputeCost: 2 * time.Microsecond,
 			CheckEvery:  checkEvery,
@@ -226,12 +230,12 @@ func TestSessionTopologyValidation(t *testing.T) {
 	}
 	// InterModel without a Topology is meaningless.
 	if _, err := New(context.Background(), g, Config{
-		Procs: 4, InterModel: &comm.Model{Latency: time.Millisecond},
+		Procs: 4, Net: comm.TransportOptions{InterModel: &comm.Model{Latency: time.Millisecond}},
 	}); err == nil {
 		t.Error("InterModel without Topology accepted")
 	}
 	// A topology must cover exactly the world's ranks.
-	if _, err := New(context.Background(), g, Config{Procs: 3, Topology: topo}); err == nil {
+	if _, err := New(context.Background(), g, Config{Procs: 3, Net: comm.TransportOptions{Topology: topo}}); err == nil {
 		t.Error("4-rank topology on a 3-rank world accepted")
 	}
 	// An adopted world's transport is already built; a topology cannot
@@ -241,14 +245,7 @@ func TestSessionTopologyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := New(context.Background(), g, Config{World: w, Topology: topo}); err == nil {
+	if _, err := New(context.Background(), g, Config{World: w, Net: comm.TransportOptions{Topology: topo}}); err == nil {
 		t.Error("Topology alongside an adopted World accepted")
-	}
-	// Topology belongs in Config, not in the transport tuning.
-	if _, err := New(context.Background(), g, Config{
-		Procs:  4,
-		Tuning: &comm.TransportOptions{Topology: topo},
-	}); err == nil {
-		t.Error("Tuning.Topology accepted")
 	}
 }

@@ -63,44 +63,30 @@ type Config struct {
 	// instead of opening a fresh one — the stanced job service carves
 	// per-job sub-worlds out of one shared rank pool (comm.WrapWorld
 	// over Comm.Sub endpoints) and hands each job's session its slice.
-	// Procs must equal World.Size() (or be zero, which adopts it);
-	// Transport and Model must be unset — the adopted world already
-	// has both — and a nil Clock is taken from the world. Close leaves
-	// an adopted world open: the provider owns its lifecycle.
+	// Procs must equal World.Size() (or be zero, which adopts it), and
+	// Transport, Net and Groups must be zero: the adopted world's
+	// transport is already built, with its own model, clock and
+	// topology. Close leaves an adopted world open: the provider owns
+	// its lifecycle.
 	World *comm.World
 	// Transport names a registered comm transport ("" means "inproc").
 	Transport string
-	// Tuning carries the transport's wire tuning (batching flush
-	// period, batch cap, compression codec, heartbeat liveness, outbox
-	// high-water mark, mesh deadlines) to comm.Open — the facade's
-	// WithTransportTuning. nil means library defaults. Its Model and
-	// Clock fields must stay nil: Config.Model and Config.Clock are the
-	// single source of truth and are injected into the tuning at Open.
-	// Like Transport and Model it conflicts with an adopted World.
-	Tuning *comm.TransportOptions
-	// Model is the network cost model (nil means a free network); every
-	// transport applies it in full, on the socket transports additive
-	// to the real wire time.
-	Model *comm.Model
-	// Topology declares a two-level world: ranks grouped into node
-	// clusters joined by a slower inter-group link (the paper's
-	// nonuniform network). It flows into every hierarchy-aware layer:
-	// the transport prices (and counts) inter-group traffic separately,
-	// the partitioner cuts across groups first, and the decentralized
-	// balancer exchanges reports through group leaders. Must cover
-	// exactly Procs ranks; conflicts with an adopted World (whose
-	// transport is already built).
-	Topology *comm.Topology
-	// Groups is the convenience form of Topology: split the Procs ranks
-	// into this many contiguous, near-equal node groups. 0 means flat;
-	// cannot be combined with an explicit Topology.
+	// Net describes the network — model, clock, topology, inter-group
+	// model and wire tuning, documented on comm.TransportOptions — and
+	// goes to comm.Open unchanged, with Groups resolved into
+	// Net.Topology. The zero value is a free network on the real clock.
+	// The session measures every duration in its RunReport, and the
+	// balancer decides, on its world's clock: a vtime.Sim runs the
+	// whole session in deterministic virtual time (in-process transport
+	// only). A topology (the paper's nonuniform network: node groups
+	// joined by a slower link priced by InterModel) also drives the
+	// hierarchy-aware cut and the decentralized balancer's leader
+	// exchange; it must cover exactly Procs ranks.
+	Net comm.TransportOptions
+	// Groups is the convenience form of Net.Topology: split the Procs
+	// ranks into this many contiguous, near-equal node groups. 0 means
+	// flat; cannot be combined with an explicit Net.Topology.
 	Groups int
-	// InterModel is the cost model for messages crossing group
-	// boundaries (requires Topology; nil prices inter-group traffic on
-	// Model like everything else). This is the knob that makes the
-	// network nonuniform: intra-group messages cost Model, inter-group
-	// messages cost InterModel.
-	InterModel *comm.Model
 	// FlatCut keeps hierarchical pricing and leader-aggregated checks
 	// but cuts the partition flat, ignoring group boundaries — the
 	// control arm for measuring what the hierarchy-aware cut is worth.
@@ -109,13 +95,6 @@ type Config struct {
 	// reports by flat all-gather instead of through group leaders — the
 	// control arm for measuring the leader aggregation.
 	FlatReports bool
-	// Clock is the session's time source (nil means the real clock):
-	// network charges, delivery delays, every measured duration in the
-	// RunReport and the balancer's decisions all come off it. A
-	// vtime.Sim runs the whole session in deterministic virtual time —
-	// hours of simulated adaptivity in milliseconds, same clock ⇒ same
-	// report. Only the in-process transport supports a simulated clock.
-	Clock vtime.Clock
 	// ComputeCost, when positive, virtualizes the solver's compute:
 	// each element charges ComputeCost × WorkRep × WorkFactor to the
 	// clock per iteration instead of spinning the kernel that many
@@ -275,51 +254,19 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 			return nil, fmt.Errorf("session: Procs %d does not match the adopted world's %d ranks",
 				cfg.Procs, cfg.World.Size())
 		}
-		if cfg.Transport != "" {
-			return nil, fmt.Errorf("session: Transport %q conflicts with an adopted World", cfg.Transport)
-		}
-		if cfg.Model != nil {
-			return nil, fmt.Errorf("session: Model conflicts with an adopted World (the world's transport already has one)")
-		}
-		if cfg.Tuning != nil {
-			return nil, fmt.Errorf("session: Tuning conflicts with an adopted World (the world's transport is already built)")
-		}
-		if cfg.Topology != nil {
-			return nil, fmt.Errorf("session: Topology conflicts with an adopted World (the world's transport is already built)")
+		if cfg.Transport != "" || cfg.Net != (comm.TransportOptions{}) || cfg.Groups != 0 {
+			return nil, fmt.Errorf("session: Transport, Net and Groups conflict with an adopted World (its transport is already built)")
 		}
 	}
 	if cfg.Groups != 0 {
-		if cfg.Topology != nil {
-			return nil, fmt.Errorf("session: Groups conflicts with an explicit Topology — set one or the other")
-		}
-		if cfg.World != nil {
-			return nil, fmt.Errorf("session: Groups conflicts with an adopted World (the world's transport is already built)")
+		if cfg.Net.Topology != nil {
+			return nil, fmt.Errorf("session: Groups conflicts with an explicit Net.Topology — set one or the other")
 		}
 		topo, err := comm.ContiguousGroups(cfg.Procs, cfg.Groups)
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		cfg.Topology = topo
-	}
-	if cfg.InterModel != nil && cfg.Topology == nil {
-		return nil, fmt.Errorf("session: InterModel requires a Topology (there is no inter-group link without groups)")
-	}
-	if cfg.Tuning != nil {
-		if cfg.Tuning.Model != nil {
-			return nil, fmt.Errorf("session: set the network model through Config.Model, not Tuning.Model")
-		}
-		if cfg.Tuning.Clock != nil {
-			return nil, fmt.Errorf("session: set the clock through Config.Clock, not Tuning.Clock")
-		}
-		if cfg.Tuning.Topology != nil {
-			return nil, fmt.Errorf("session: set the topology through Config.Topology, not Tuning.Topology")
-		}
-		if cfg.Tuning.InterModel != nil {
-			return nil, fmt.Errorf("session: set the inter-group model through Config.InterModel, not Tuning.InterModel")
-		}
-		if err := cfg.Tuning.Validate(); err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
+		cfg.Net.Topology = topo
 	}
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("session: world size must be positive, got %d", cfg.Procs)
@@ -378,30 +325,15 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	world := cfg.World
 	ownWorld := world == nil
 	if ownWorld {
-		if cfg.Clock == nil {
-			cfg.Clock = vtime.Real{}
-		}
-		opts := comm.TransportOptions{}
-		if cfg.Tuning != nil {
-			opts = *cfg.Tuning
-		}
-		opts.Model, opts.Clock = cfg.Model, cfg.Clock
-		opts.Topology, opts.InterModel = cfg.Topology, cfg.InterModel
 		var err error
-		world, err = comm.Open(cfg.Transport, cfg.Procs, opts)
-		if err != nil {
+		if world, err = comm.Open(cfg.Transport, cfg.Procs, cfg.Net); err != nil {
 			return nil, err
 		}
-	} else if cfg.Clock == nil {
-		// An adopted world already runs on a clock (a sub-world
-		// delegates to its parent's); the session must measure on the
-		// same timeline.
-		cfg.Clock = world.Comm(0).Clock()
 	}
 	s := &Session{
 		cfg:      cfg,
 		ctx:      ctx,
-		clock:    cfg.Clock,
+		clock:    world.Comm(0).Clock(),
 		g:        g,
 		world:    world,
 		ownWorld: ownWorld,
@@ -423,8 +355,8 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 		Weights:       cfg.Weights,
 		VertexWeights: cfg.VertexWeights,
 	}
-	if cfg.Topology != nil && !cfg.FlatCut {
-		cc.Groups = cfg.Topology.GroupOfSlice()
+	if cfg.Net.Topology != nil && !cfg.FlatCut {
+		cc.Groups = cfg.Net.Topology.GroupOfSlice()
 	}
 	var err error
 	if cc.Transform, err = core.NewTransform(g, cc); err == nil {
@@ -557,7 +489,7 @@ func (s *Session) newBalancer(rt *core.Runtime) (*loadbal.Balancer, error) {
 	if bc.Decentralized && bc.Topology == nil && !s.cfg.FlatReports {
 		// On a two-level world the decentralized check routes through
 		// group leaders by default; FlatReports is the explicit opt-out.
-		bc.Topology = s.cfg.Topology
+		bc.Topology = s.cfg.Net.Topology
 	}
 	bc.Estimator = bc.Estimator.Clone()
 	return loadbal.New(rt, bc)
@@ -634,7 +566,7 @@ type RunReport struct {
 	Msgs  int64 `json:"msgs"`
 	Bytes int64 `json:"bytes"`
 	// InterMsgs and InterBytes are the subset of Msgs/Bytes that
-	// crossed a group boundary on a two-level world (Config.Topology) —
+	// crossed a group boundary on a two-level world (Config.Net.Topology) —
 	// the traffic the slow inter-group link carried. Zero on flat
 	// worlds and adopted worlds.
 	InterMsgs  int64 `json:"inter_msgs,omitempty"`

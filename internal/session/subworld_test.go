@@ -4,10 +4,12 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"stance/internal/comm"
 	"stance/internal/graph"
 	"stance/internal/mesh"
+	"stance/internal/vtime"
 )
 
 // TestConcurrentSubWorldSessions is the stanced multiplexing pattern at
@@ -146,5 +148,44 @@ func TestConcurrentSubWorldSessions(t *testing.T) {
 					gi, v, results[gi][v], refs[gi][v])
 			}
 		}
+	}
+}
+
+// TestAdoptedWorldOwnsTheNetwork: an adopted world's transport is
+// already built, so a session given one rejects every network setting
+// of its own — a clock above all, which the transport would never run
+// on while the session measured on it — and measures on the world's
+// clock instead.
+func TestAdoptedWorldOwnsTheNetwork(t *testing.T) {
+	g, err := mesh.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := vtime.NewSim()
+	w, err := comm.Open("inproc", 2, comm.TransportOptions{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for name, cfg := range map[string]Config{
+		"Net.Clock":       {Net: comm.TransportOptions{Clock: vtime.NewSim()}},
+		"Net.Model":       {Net: comm.TransportOptions{Model: &comm.Model{Latency: time.Millisecond}}},
+		"Net.FlushPeriod": {Net: comm.TransportOptions{FlushPeriod: time.Millisecond}},
+		"Transport":       {Transport: "inproc"},
+		"Groups":          {Groups: 2},
+	} {
+		cfg.World = w
+		if s, err := New(context.Background(), g, cfg); err == nil {
+			s.Close()
+			t.Errorf("%s alongside an adopted World accepted", name)
+		}
+	}
+	s, err := New(context.Background(), g, Config{World: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.clock != vtime.Clock(clk) {
+		t.Errorf("session clock %T is not the adopted world's", s.clock)
 	}
 }

@@ -60,10 +60,8 @@ func TestTcpHeartbeatKillRecover(t *testing.T) {
 	const detectTimeout = 5 * time.Minute
 	cfg := base
 	cfg.Transport = "tcp"
-	cfg.Tuning = &comm.TransportOptions{
-		HeartbeatInterval: 15 * time.Millisecond,
-		HeartbeatMiss:     3,
-	}
+	cfg.Net.HeartbeatInterval = 15 * time.Millisecond
+	cfg.Net.HeartbeatMiss = 3
 	cfg.Checkpoint = &ckpt.Config{DetectTimeout: detectTimeout}
 	s, err := New(context.Background(), g, cfg)
 	if err != nil {
@@ -120,9 +118,9 @@ func TestTcpHeartbeatKillRecover(t *testing.T) {
 	if rec.DetectLatency >= detectTimeout {
 		t.Errorf("detect latency %v reached the protocol deadline %v", rec.DetectLatency, detectTimeout)
 	}
-	if rep2.Transport.NDroppedHB < int64(cfg.Tuning.HeartbeatMiss) {
+	if rep2.Transport.NDroppedHB < int64(cfg.Net.HeartbeatMiss) {
 		t.Errorf("n_dropped_hb = %d, want >= %d misses behind the declaration",
-			rep2.Transport.NDroppedHB, cfg.Tuning.HeartbeatMiss)
+			rep2.Transport.NDroppedHB, cfg.Net.HeartbeatMiss)
 	}
 
 	got, err := s.ResultByVertex()

@@ -18,8 +18,7 @@ import (
 func virtualCfg(clk *vtime.Sim) Config {
 	return Config{
 		Procs:       3,
-		Clock:       clk,
-		Model:       &comm.Model{Latency: 100 * time.Microsecond},
+		Net:         comm.TransportOptions{Clock: clk, Model: &comm.Model{Latency: 100 * time.Microsecond}},
 		OrderName:   "rcb",
 		ComputeCost: 5 * time.Microsecond,
 		CheckEvery:  10,
@@ -198,7 +197,7 @@ func TestVirtualSessionWallIsVirtual(t *testing.T) {
 	clk := vtime.NewSim()
 	s, err := New(context.Background(), g, Config{
 		Procs:       2,
-		Clock:       clk,
+		Net:         comm.TransportOptions{Clock: clk},
 		ComputeCost: time.Millisecond, // 120 elements × 1ms × 100 iters = 6s+ virtual per rank
 	})
 	if err != nil {
@@ -233,7 +232,7 @@ func TestTCPRejectsSimClock(t *testing.T) {
 	_, err = New(context.Background(), g, Config{
 		Procs:     2,
 		Transport: "tcp",
-		Clock:     vtime.NewSim(),
+		Net:       comm.TransportOptions{Clock: vtime.NewSim()},
 	})
 	if err == nil {
 		t.Fatal("tcp transport accepted a simulated clock")
@@ -283,8 +282,8 @@ func TestVirtualReportIgnoresRowOrder(t *testing.T) {
 			env.Speeds[3] = 3
 			env.Loads = []hetero.Load{{Rank: 0, Factor: 1.75}, {Rank: 2, Factor: 1.25, FromIter: 5}, {Rank: 3, Factor: 1.3, FromIter: 12}}
 			s, err := New(context.Background(), g, Config{
-				Procs: 4, OrderName: "rcb", Clock: vtime.NewSim(),
-				Model:       &comm.Model{Latency: 100 * time.Microsecond, Bandwidth: 1.25e6},
+				Procs: 4, OrderName: "rcb",
+				Net:         comm.TransportOptions{Clock: vtime.NewSim(), Model: &comm.Model{Latency: 100 * time.Microsecond, Bandwidth: 1.25e6}},
 				ComputeCost: time.Microsecond, WorkRep: 3, Pipeline: depth, Fields: fields, CheckEvery: 10,
 				Env: env, Balancer: &loadbal.Config{},
 			})

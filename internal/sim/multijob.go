@@ -34,6 +34,7 @@ import (
 	"math/rand"
 	"time"
 
+	"stance/internal/comm"
 	"stance/internal/jobsvc"
 	"stance/internal/session"
 	"stance/internal/vtime"
@@ -170,7 +171,7 @@ func RunMultiJob(seed int64) (*MultiJobResult, error) {
 	}
 
 	clk := vtime.NewSim()
-	svc, err := jobsvc.New(jobsvc.Config{PoolRanks: sc.Pool, Clock: clk})
+	svc, err := jobsvc.New(jobsvc.Config{PoolRanks: sc.Pool, Net: comm.TransportOptions{Clock: clk}})
 	if err != nil {
 		return nil, fail("service: %v", err)
 	}

@@ -56,7 +56,7 @@ type Scenario struct {
 	Iters    int
 	Segments []int
 	Resizes  [][]int
-	// Cfg is the session configuration (Clock is filled in by Run).
+	// Cfg is the session configuration (Net.Clock is filled in by Run).
 	Cfg session.Config
 
 	// Feature flags, for picking interesting seeds in tests.
@@ -129,18 +129,18 @@ func Generate(seed int64) (*Scenario, error) {
 	switch rng.Intn(4) {
 	case 0: // free network
 	case 1:
-		cfg.Model = &comm.Model{Latency: time.Duration(50+rng.Intn(500)) * time.Microsecond}
+		cfg.Net.Model = &comm.Model{Latency: time.Duration(50+rng.Intn(500)) * time.Microsecond}
 	case 2:
-		cfg.Model = &comm.Model{Delay: time.Duration(200+rng.Intn(4800)) * time.Microsecond}
+		cfg.Net.Model = &comm.Model{Delay: time.Duration(200+rng.Intn(4800)) * time.Microsecond}
 		sc.HasDelay = true
 	default:
-		cfg.Model = &comm.Model{
+		cfg.Net.Model = &comm.Model{
 			Latency:   time.Duration(50+rng.Intn(300)) * time.Microsecond,
 			Bandwidth: 1e6 * (1 + 9*rng.Float64()),
 			Delay:     time.Duration(rng.Intn(3000)) * time.Microsecond,
 			Multicast: rng.Intn(2) == 0,
 		}
-		sc.HasDelay = cfg.Model.Delay > 0
+		sc.HasDelay = cfg.Net.Model.Delay > 0
 	}
 
 	// Heterogeneity: base speeds, competing loads and capability
@@ -308,8 +308,8 @@ func Generate(seed int64) (*Scenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: seed %d: %w", seed, err)
 		}
-		cfg.Topology = topo
-		cfg.InterModel = &comm.Model{
+		cfg.Net.Topology = topo
+		cfg.Net.InterModel = &comm.Model{
 			Latency:   time.Duration(500+rng.Intn(2000)) * time.Microsecond,
 			Bandwidth: 1e5 * (1 + 9*rng.Float64()),
 			Multicast: rng.Intn(2) == 0,
@@ -327,7 +327,7 @@ func Generate(seed int64) (*Scenario, error) {
 	sc.Desc = fmt.Sprintf(
 		"seed=%d n=%d procs=%d iters=%v order=%s check=%d cost=%v model=%+v pipeline=%d fields=%d kernel=%q balancer=%v elastic=%v ckpt=%v kills=%v loads=%d traces=%d outages=%d resizes=%v groups=%v flatcut=%v",
 		seed, g.N, procs, sc.Segments, cfg.OrderName, checkEvery, cfg.ComputeCost,
-		cfg.Model, cfg.Pipeline, sc.Fields, sc.Kernel, sc.HasBalancer, sc.Elastic,
+		cfg.Net.Model, cfg.Pipeline, sc.Fields, sc.Kernel, sc.HasBalancer, sc.Elastic,
 		sc.Checkpoint, sc.Kills,
 		len(env.Loads), len(env.Traces), len(env.Outages), sc.Resizes, sc.Groups, sc.FlatCut)
 	return sc, nil
@@ -409,7 +409,7 @@ func execute(sc *Scenario) (*Result, error) {
 	})
 
 	cfg := sc.Cfg
-	cfg.Clock = clk
+	cfg.Net.Clock = clk
 	s, err := session.New(ctx, sc.Graph, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)

@@ -226,7 +226,7 @@ func TestVirtualSteadyStateAllocTripwire(t *testing.T) {
 	clk := vtime.NewSim()
 	s, err := session.New(context.Background(), g, session.Config{
 		Procs:       3,
-		Clock:       clk,
+		Net:         comm.TransportOptions{Clock: clk},
 		OrderName:   "rcb",
 		ComputeCost: time.Microsecond,
 	})

@@ -64,9 +64,10 @@ type (
 	// structure of a nonuniform network. See WithGroups and
 	// WithTopology.
 	Topology = comm.Topology
-	// TransportOptions is the composable transport configuration:
-	// model, clock, and the wire tuning (batching, compression,
-	// heartbeat liveness, outbox bounds, mesh deadlines).
+	// TransportOptions is the composable network configuration:
+	// model, clock, topology, inter-group model and the wire tuning
+	// (batching, compression, heartbeat liveness, outbox bounds, mesh
+	// deadlines). OpenWorld takes one; the session options fill one.
 	TransportOptions = comm.TransportOptions
 	// TransportStats are the wire counters a socket transport
 	// accumulates (framed writes, wire bytes, missed heartbeats,
@@ -99,17 +100,18 @@ func WithTransport(name string) Option {
 // and ignores it). The default is a free network; Ethernet(scale)
 // reproduces the paper's 10 Mbit shared medium.
 func WithNetworkModel(m *NetworkModel) Option {
-	return func(c *session.Config) { c.Model = m }
+	return func(c *session.Config) { c.Net.Model = m }
 }
 
 // WithTransportTuning tunes the wire transport the session opens:
 // batching flush period and batch cap, per-batch compression codec,
 // heartbeat interval and miss budget (transport-level failure
 // detection feeding the checkpoint gate), outbox high-water mark, and
-// mesh dial/accept deadlines. Zero fields mean library defaults. The
-// tuning's Model and Clock must stay nil — set them with
-// WithNetworkModel and WithClock; NewSession fails loudly otherwise.
-// The in-process transport has no wire and ignores the tuning.
+// mesh dial/accept deadlines. Zero fields mean library defaults. Any of
+// Model, Clock, Topology and InterModel that o leaves nil keeps the
+// value set by WithNetworkModel, WithClock, WithTopology or
+// WithInterModel, so the options may come in any order. The in-process
+// transport has no wire and ignores the tuning.
 //
 //	s, err := stance.NewSession(ctx, g, 4,
 //	    stance.WithTransport("tcp"),
@@ -119,7 +121,22 @@ func WithNetworkModel(m *NetworkModel) Option {
 //	        HeartbeatInterval: 25 * time.Millisecond,
 //	    }))
 func WithTransportTuning(o TransportOptions) Option {
-	return func(c *session.Config) { c.Tuning = &o }
+	return func(c *session.Config) {
+		n := o // a copy: the Option may be applied to more than one config
+		if n.Model == nil {
+			n.Model = c.Net.Model
+		}
+		if n.Clock == nil {
+			n.Clock = c.Net.Clock
+		}
+		if n.Topology == nil {
+			n.Topology = c.Net.Topology
+		}
+		if n.InterModel == nil {
+			n.InterModel = c.Net.InterModel
+		}
+		c.Net = n
+	}
 }
 
 // WithGroups declares a two-level cluster: the session's ranks split
@@ -146,7 +163,7 @@ func WithGroups(n int) Option {
 // with NewTopology or ContiguousGroups. Mutually exclusive with
 // WithGroups.
 func WithTopology(t *Topology) Option {
-	return func(c *session.Config) { c.Topology = t }
+	return func(c *session.Config) { c.Net.Topology = t }
 }
 
 // WithInterModel sets the cost model for messages crossing group
@@ -154,7 +171,7 @@ func WithTopology(t *Topology) Option {
 // WithGroups or WithTopology; without it inter-group traffic is priced
 // on the ordinary network model like everything else.
 func WithInterModel(m *NetworkModel) Option {
-	return func(c *session.Config) { c.InterModel = m }
+	return func(c *session.Config) { c.Net.InterModel = m }
 }
 
 // WithClock sets the session's time source. Everything temporal —
@@ -174,7 +191,7 @@ func WithInterModel(m *NetworkModel) Option {
 //	    stance.WithVirtualCompute(10*time.Microsecond),
 //	    stance.WithNetworkModel(&stance.NetworkModel{Delay: 5 * time.Millisecond}))
 func WithClock(clk Clock) Option {
-	return func(c *session.Config) { c.Clock = clk }
+	return func(c *session.Config) { c.Net.Clock = clk }
 }
 
 // WithVirtualCompute virtualizes the solver's compute: each element
@@ -385,16 +402,14 @@ func NewSession(ctx context.Context, g *Graph, procs int, opts ...Option) (*Sess
 func NewSimClock() *SimClock { return vtime.NewSim() }
 
 // OpenWorld builds a World of p ranks on a registered transport (""
-// selects "inproc"); model prices messages on modeled transports (nil
-// means free). Most callers want NewSession instead and never touch
-// the world directly.
-func OpenWorld(transport string, p int, model *NetworkModel) (*World, error) {
-	return comm.Open(transport, p, comm.TransportOptions{Model: model})
-}
-
-// OpenWorldOptions is OpenWorld with the full transport options —
-// model, clock and wire tuning — validated at open.
-func OpenWorldOptions(transport string, p int, o TransportOptions) (*World, error) {
+// selects "inproc"). o describes the network — model, clock, topology,
+// inter-group model and wire tuning — and is validated at open; the
+// zero value is a free network on the real clock. Most callers want
+// NewSession instead and never touch the world directly.
+//
+//	w, err := stance.OpenWorld("inproc", 4,
+//	    stance.TransportOptions{Model: stance.Ethernet(0.1)})
+func OpenWorld(transport string, p int, o TransportOptions) (*World, error) {
 	return comm.Open(transport, p, o)
 }
 

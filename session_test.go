@@ -164,7 +164,7 @@ func TestSessionFacadeGroups(t *testing.T) {
 
 // TestOpenWorldFacade checks the World layer through the facade.
 func TestOpenWorldFacade(t *testing.T) {
-	w, err := stance.OpenWorld("inproc", 2, nil)
+	w, err := stance.OpenWorld("inproc", 2, stance.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +227,63 @@ func TestWithOverlapIsDepthOne(t *testing.T) {
 	}
 }
 
+// TestTransportTuningComposes: the network options build one
+// TransportOptions, and WithTransportTuning keeps the model, clock,
+// topology and inter-group model it leaves nil, so the options give
+// the same network in any order.
+func TestTransportTuningComposes(t *testing.T) {
+	clk := stance.NewSimClock()
+	model, inter := stance.Ethernet(0.1), stance.Ethernet(1)
+	topo, err := stance.ContiguousGroups(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuning := stance.WithTransportTuning(stance.TransportOptions{FlushPeriod: time.Millisecond, Compression: "flate"})
+	network := []stance.Option{
+		stance.WithClock(clk), stance.WithNetworkModel(model),
+		stance.WithTopology(topo), stance.WithInterModel(inter),
+	}
+	want := stance.TransportOptions{
+		Model: model, Clock: clk, Topology: topo, InterModel: inter,
+		FlushPeriod: time.Millisecond, Compression: "flate",
+	}
+	for name, opts := range map[string][]stance.Option{
+		"tuning last":   append(append([]stance.Option{}, network...), tuning),
+		"tuning first":  append([]stance.Option{tuning}, network...),
+		"tuning middle": {network[0], network[1], tuning, network[2], network[3]},
+	} {
+		var cfg stance.SessionConfig
+		for _, o := range opts {
+			o(&cfg)
+		}
+		if cfg.Net != want {
+			t.Errorf("%s: Net = %+v, want %+v", name, cfg.Net, want)
+		}
+	}
+
+	// One tuning Option applied to two configs leaves each with its
+	// own clock and model.
+	clk2, model2 := stance.NewSimClock(), stance.Ethernet(2)
+	var a, b stance.SessionConfig
+	for _, o := range []stance.Option{stance.WithClock(clk), stance.WithNetworkModel(model), tuning} {
+		o(&a)
+	}
+	for _, o := range []stance.Option{stance.WithClock(clk2), stance.WithNetworkModel(model2), tuning} {
+		o(&b)
+	}
+	if a.Net.Clock != clk || a.Net.Model != model {
+		t.Errorf("first config: clock %p model %p, want %p %p", a.Net.Clock, a.Net.Model, clk, model)
+	}
+	if b.Net.Clock != clk2 || b.Net.Model != model2 {
+		t.Errorf("reused tuning: clock %p model %p, want %p %p", b.Net.Clock, b.Net.Model, clk2, model2)
+	}
+	var c stance.SessionConfig
+	tuning(&c)
+	if c.Net.Clock != nil || c.Net.Model != nil || c.Net.Topology != nil || c.Net.InterModel != nil {
+		t.Errorf("reused tuning on an empty config carried over %+v", c.Net)
+	}
+}
+
 // TestSessionTransformsOnce: Phase A runs once per session whatever the
 // world size and whatever happens to the membership afterwards; every
 // rank's runtime shares the one permutation; and the numbers are those
@@ -240,7 +297,7 @@ func TestSessionTransformsOnce(t *testing.T) {
 
 	// The reference: hand-wired ranks, no shared transform.
 	var want []float64
-	world, err := stance.OpenWorld("inproc", 4, nil)
+	world, err := stance.OpenWorld("inproc", 4, stance.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Simulated clock and virtual compute: the 2.5x imbalance the
 	// balancer must see is exact, not a wall-clock reading of
 	// microsecond kernels.
-	world, err := stance.OpenWorldOptions("inproc", 3, stance.TransportOptions{Clock: stance.NewSimClock()})
+	world, err := stance.OpenWorld("inproc", 3, stance.TransportOptions{Clock: stance.NewSimClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFacadeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := stance.OpenWorld("tcp", 2, nil)
+	world, err := stance.OpenWorld("tcp", 2, stance.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
