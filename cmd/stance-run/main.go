@@ -143,6 +143,15 @@ func main() {
 	if *groups < 0 {
 		log.Fatalf("-groups %d: the group count must not be negative (0 = flat)", *groups)
 	}
+	if *workRep < 0 {
+		log.Fatalf("-work %d: the work amplification must not be negative (0 = 1)", *workRep)
+	}
+	if *checkEvery < 0 {
+		log.Fatalf("-check-every %d: the check interval must not be negative (0 = every 10 iterations)", *checkEvery)
+	}
+	if !(*ewma >= 0) { // NaN too
+		log.Fatalf("-ewma %v: the smoothing factor must be a number >= 0 (0 = the paper's last window)", *ewma)
+	}
 	if *ckptTimeout < 0 {
 		log.Fatalf("-ckpt %v: the detection timeout must not be negative (0 = off)", *ckptTimeout)
 	}

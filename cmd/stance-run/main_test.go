@@ -36,6 +36,9 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-tcp", "-hb", "1ms", "-flush", "2ms"},
 		{"-mesh", "grid:0x0"},
 		{"-load", "9:2"},
+		{"-ewma", "-0.5", "-lb"},
+		{"-work", "-5"},
+		{"-check-every", "-3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			// A small valid run underneath, so a flag that is not

@@ -16,7 +16,8 @@ type Point struct {
 	X, Y, Z float64
 }
 
-// Coord returns the axis-th coordinate (0 = X, 1 = Y, 2 = Z).
+// Coord returns the axis-th coordinate (0 = X, 1 = Y, 2 = Z). It is
+// small enough to inline, so per-vertex loops can call it.
 func (p Point) Coord(axis int) float64 {
 	switch axis {
 	case 0:
@@ -26,7 +27,7 @@ func (p Point) Coord(axis int) float64 {
 	case 2:
 		return p.Z
 	}
-	panic(fmt.Sprintf("geom: invalid axis %d", axis))
+	panic("geom: invalid axis")
 }
 
 // WithCoord returns a copy of p with the axis-th coordinate replaced.

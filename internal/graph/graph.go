@@ -8,8 +8,9 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
-	"sort"
+	"sync"
 
 	"stance/internal/geom"
 )
@@ -92,7 +93,7 @@ func FromEdges(n int, edges []Edge, coords []geom.Point) (*Graph, error) {
 	// lists are identical, then detect duplicates.
 	for v := 0; v < n; v++ {
 		lst := g.Adj[g.Xadj[v]:g.Xadj[v+1]]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
+		slices.Sort(lst)
 		for i := 1; i < len(lst); i++ {
 			if lst[i] == lst[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, lst[i])
@@ -190,19 +191,63 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 	if g.Coords != nil {
 		ng.Coords = make([]geom.Point, g.N)
 	}
-	for nw := 0; nw < g.N; nw++ {
-		old := inv[nw]
+	for nw, old := range inv {
 		ng.Xadj[nw+1] = ng.Xadj[nw] + int32(g.Degree(int(old)))
-		if g.Coords != nil {
-			ng.Coords[nw] = g.Coords[old]
-		}
-		dst := ng.Adj[ng.Xadj[nw]:ng.Xadj[nw+1]]
-		for i, w := range g.Neighbors(int(old)) {
-			dst[i] = perm[w]
-		}
-		slices.Sort(dst)
 	}
+	// Rows are independent once Xadj is known: fill contiguous ranges
+	// of new vertices, each holding about the same number of entries,
+	// on up to GOMAXPROCS goroutines.
+	fill := func(from, to int) {
+		for nw := from; nw < to; nw++ {
+			old := inv[nw]
+			if g.Coords != nil {
+				ng.Coords[nw] = g.Coords[old]
+			}
+			dst := ng.Adj[ng.Xadj[nw]:ng.Xadj[nw+1]]
+			for i, w := range g.Neighbors(int(old)) {
+				dst[i] = perm[w]
+			}
+			sortRow(dst)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)/permuteGrain)
+	var wg sync.WaitGroup
+	from := 0
+	for k := 1; k < workers; k++ {
+		to, _ := slices.BinarySearch(ng.Xadj[:g.N], int32(len(g.Adj)*k/workers))
+		wg.Add(1)
+		go func(from, to int) {
+			defer wg.Done()
+			fill(from, to)
+		}(from, to)
+		from = to
+	}
+	fill(from, g.N)
+	wg.Wait()
 	return ng, nil
+}
+
+// permuteGrain is the fewest adjacency entries Permute gives a
+// goroutine of its own.
+const permuteGrain = 1 << 15
+
+// insertionMax is the longest row sortRow sorts by insertion; mesh rows
+// are shorter.
+const insertionMax = 16
+
+// sortRow sorts an adjacency row in place.
+func sortRow(r []int32) {
+	if len(r) > insertionMax {
+		slices.Sort(r)
+		return
+	}
+	for i := 1; i < len(r); i++ {
+		x, j := r[i], i
+		for ; j > 0 && r[j-1] > x; j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = x
+	}
 }
 
 // Connected reports whether the graph is connected (true for N <= 1).

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -222,6 +224,68 @@ func TestPermuteErrors(t *testing.T) {
 	}
 	if _, err := g.Permute([]int32{0, 1, 1}); err == nil {
 		t.Error("non-injective perm: expected error")
+	}
+}
+
+// TestPermuteEqualsReference checks the row-parallel Permute against
+// mapping every row through perm and sorting it, on CSRs large enough
+// to be split across goroutines: symmetric and not, with empty rows
+// and rows longer than the insertion-sort cutoff.
+func TestPermuteEqualsReference(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(5))
+	nonSym := &Graph{N: n, Xadj: make([]int32, n+1), Coords: make([]geom.Point, n)}
+	for v := 0; v < n; v++ {
+		deg := rng.Intn(12) // about one row in twelve is empty
+		if v%97 == 0 {
+			deg = insertionMax + 1 + rng.Intn(40)
+		}
+		for i := 0; i < deg; i++ {
+			nonSym.Adj = append(nonSym.Adj, int32(rng.Intn(n)))
+		}
+		nonSym.Xadj[v+1] = int32(len(nonSym.Adj))
+		nonSym.Coords[v] = geom.Point{X: float64(v), Y: rng.Float64()}
+	}
+	graphs := map[string]*Graph{
+		"symmetric":     randomGraph(t, n, 3*n, 9),
+		"non-symmetric": nonSym,
+	}
+	for name, g := range graphs {
+		if 1+len(g.Adj)/permuteGrain < 4 {
+			t.Fatalf("%s: %d entries leave some of 4 goroutines idle", name, len(g.Adj))
+		}
+		perm := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			perm[i] = int32(p)
+		}
+		inv := make([]int, n)
+		for old, nw := range perm {
+			inv[nw] = old
+		}
+		want := &Graph{N: n, Xadj: []int32{0}}
+		for _, old := range inv {
+			row := make([]int32, 0, g.Degree(old))
+			for _, w := range g.Neighbors(old) {
+				row = append(row, perm[w])
+			}
+			slices.Sort(row)
+			want.Adj = append(want.Adj, row...)
+			want.Xadj = append(want.Xadj, int32(len(want.Adj)))
+			if g.Coords != nil {
+				want.Coords = append(want.Coords, g.Coords[old])
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := g.Permute(perm)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
+			}
+			if got.N != n || !slices.Equal(got.Xadj, want.Xadj) || !slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Coords, want.Coords) {
+				t.Errorf("%s GOMAXPROCS=%d: differs from the map-and-sort reference", name, procs)
+			}
+		}
 	}
 }
 

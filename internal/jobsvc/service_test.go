@@ -331,6 +331,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Graph: good, Iters: 10, Timeout: -time.Second},            // negative timeout
 		{Graph: good, Iters: 10, ComputeCost: -time.Second},        // negative cost
 		{Graph: GraphSpec{Kind: "honeycomb", Rows: -1}, Iters: 10}, // generator error
+		{Graph: good, Iters: 10, WorkRep: -1},                      // negative work
+		{Graph: good, Iters: 10, CheckEvery: -3},                   // negative check period
 	}
 	for i, sp := range bad {
 		if _, err := s.Submit(sp); err == nil {

@@ -143,6 +143,12 @@ func (sp Spec) validate(maxRanks int) error {
 	if sp.Ranks > maxRanks {
 		return fmt.Errorf("jobsvc: ranks %d exceeds the per-job limit %d", sp.Ranks, maxRanks)
 	}
+	if sp.WorkRep < 0 {
+		return fmt.Errorf("jobsvc: negative work_rep %d", sp.WorkRep)
+	}
+	if sp.CheckEvery < 0 {
+		return fmt.Errorf("jobsvc: negative check_every %d", sp.CheckEvery)
+	}
 	if sp.ComputeCost < 0 {
 		return fmt.Errorf("jobsvc: negative compute cost %v", sp.ComputeCost)
 	}

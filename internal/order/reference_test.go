@@ -159,8 +159,126 @@ func TestBisectionEqualsReference(t *testing.T) {
 		pts[i] = geom.Point{X: rng.NormFloat64(), Y: 3 * rng.Float64(), Z: rng.ExpFloat64()}
 	}
 	meshes["cloud3d"] = cloud(pts)
+	for name, pts := range keyClouds() {
+		meshes[name] = cloud(pts)
+	}
 	for name, g := range meshes {
 		checkAgainstReference(t, name, g)
+	}
+}
+
+// keyClouds are point sets whose sort keys stress the key path: signed
+// zeros tied on the split axis, negative, subnormal and huge
+// coordinates, flat axes, and the key sequences that once defeated
+// pivot selection (sorted, reversed, organ-pipe, constant, sawtooth).
+func keyClouds() map[string][]geom.Point {
+	const n = 5000
+	rng := rand.New(rand.NewSource(13))
+	negZero := math.Copysign(0, -1)
+	points := func(f func(i int) geom.Point) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = f(i)
+		}
+		return pts
+	}
+	clouds := map[string][]geom.Point{
+		// Most X keys are ±0, so zeros of both signs meet at the median.
+		"signed-zeros": points(func(int) geom.Point {
+			x := [...]float64{0, negZero, 0, negZero, 0, negZero, -1, 1}[rng.Intn(8)]
+			return geom.Point{X: x, Y: 0.5 * rng.Float64(), Z: [2]float64{0, negZero}[rng.Intn(2)]}
+		}),
+		"negative": points(func(int) geom.Point {
+			return geom.Point{X: -1 - 999*rng.Float64(), Y: -2 - 48*rng.Float64(), Z: -rng.Float64()}
+		}),
+		"subnormal": points(func(int) geom.Point {
+			return geom.Point{X: float64(rng.Intn(64)-32) * 5e-324, Y: float64(rng.Intn(16)) * 5e-324}
+		}),
+		"huge": points(func(int) geom.Point {
+			return geom.Point{X: (2*rng.Float64() - 1) * 1e300, Y: (2*rng.Float64() - 1) * 1e300, Z: 1e300}
+		}),
+		// Extents overflow to +Inf on both axes, which then tie.
+		"overflow": points(func(int) geom.Point {
+			return geom.Point{X: (2*rng.Float64() - 1) * 1.7e308, Y: (2*rng.Float64() - 1) * 1.7e308}
+		}),
+		"flat-x": points(func(int) geom.Point {
+			return geom.Point{X: 3, Y: float64(rng.Intn(100)), Z: float64(rng.Intn(4))}
+		}),
+		"flat-y": points(func(int) geom.Point {
+			return geom.Point{X: rng.Float64(), Y: -7, Z: 2 * rng.Float64()}
+		}),
+		"flat-z": points(func(int) geom.Point {
+			return geom.Point{X: rng.Float64(), Y: float64(rng.Intn(50)) / 49, Z: 7}
+		}),
+	}
+	patterns := map[string]func(i int) float64{
+		"sorted":    func(i int) float64 { return float64(i) },
+		"reversed":  func(i int) float64 { return float64(n - i) },
+		"organpipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"constant":  func(int) float64 { return 1 },
+		"sawtooth":  func(i int) float64 { return float64(i % 7) },
+	}
+	for name, key := range patterns {
+		clouds["keys-"+name] = points(func(i int) geom.Point {
+			return geom.Point{X: key(i), Y: float64(i%3) / 2}
+		})
+	}
+	return clouds
+}
+
+// RCBStages runs RCB's recursion, stopped early: each stage must hold
+// the cells the reference bisection's first levels produce.
+func TestRCBStagesEqualReference(t *testing.T) {
+	g, err := mesh.GridTriangulated(70, 50, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{g, mesh.Paper(), cloud(keyClouds()["signed-zeros"])} {
+		const levels = 5
+		want := make([][]int32, levels)
+		for k := range want {
+			want[k] = make([]int32, g.N)
+		}
+		var walk func(ids []int32, level int, cell int32)
+		walk = func(ids []int32, level int, cell int32) {
+			if level == levels {
+				return
+			}
+			if len(ids) < 2 {
+				for k, c := level, cell; k < levels; k++ {
+					c *= 2
+					for _, v := range ids {
+						want[k][v] = c
+					}
+				}
+				return
+			}
+			key := refAxisLongest(ids, g.Coords)
+			sort.SliceStable(ids, func(i, j int) bool {
+				ki, kj := key(ids[i]), key(ids[j])
+				return ki < kj || (ki == kj && ids[i] < ids[j])
+			})
+			mid := len(ids) / 2
+			for i, v := range ids {
+				want[level][v] = 2*cell + int32(min(i/mid, 1))
+			}
+			walk(ids[:mid], level+1, 2*cell)
+			walk(ids[mid:], level+1, 2*cell+1)
+		}
+		ids := make([]int32, g.N)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		walk(ids, 0, 0)
+		got, err := RCBStages(g, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if !slices.Equal(got[k], want[k]) {
+				t.Fatalf("%d vertices: stage %d differs from the reference", g.N, k)
+			}
+		}
 	}
 }
 
@@ -187,36 +305,6 @@ func TestBisectionIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// Adversarial inputs must hit the sort fallback, not a quadratic
-// selection: sorted, reversed, organ-pipe and constant key sequences.
-func TestSelectLowestPatterns(t *testing.T) {
-	const n = 5000
-	patterns := map[string]func(i int) float64{
-		"sorted":    func(i int) float64 { return float64(i) },
-		"reversed":  func(i int) float64 { return float64(n - i) },
-		"organpipe": func(i int) float64 { return float64(min(i, n-i)) },
-		"constant":  func(int) float64 { return 1 },
-		"sawtooth":  func(i int) float64 { return float64(i % 7) },
-	}
-	for name, key := range patterns {
-		for _, k := range []int{0, 1, n / 2, n - 1, n} {
-			s := make([]keyed, n)
-			for i := range s {
-				s[i] = keyed{key: key(i), id: int32(i)}
-			}
-			want := slices.Clone(s)
-			slices.SortFunc(want, compareKeyed)
-			selectLowest(s, k)
-			lo, hi := slices.Clone(s[:k]), slices.Clone(s[k:])
-			slices.SortFunc(lo, compareKeyed)
-			slices.SortFunc(hi, compareKeyed)
-			if !slices.Equal(lo, want[:k]) || !slices.Equal(hi, want[k:]) {
-				t.Errorf("%s k=%d: s[:k] is not the k lowest", name, k)
-			}
-		}
-	}
-}
-
 func TestNonFiniteCoordinateRejected(t *testing.T) {
 	bad := map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)}
 	orderings := map[string]Func{"rcb": RCB, "rib": RIB, "morton": Morton, "hilbert": Hilbert}
@@ -238,9 +326,10 @@ func TestNonFiniteCoordinateRejected(t *testing.T) {
 	}
 }
 
-// FuzzRCB draws a point cloud with forced duplicate coordinates and
-// checks that RCB and RIB return a valid permutation, equal to the
-// reference, identically at GOMAXPROCS 1 and 4.
+// FuzzRCB draws a point cloud with forced duplicate coordinates, zeros
+// of both signs among them, and checks that RCB and RIB return a valid
+// permutation, equal to the reference, identically at GOMAXPROCS 1
+// and 4.
 func FuzzRCB(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(1))
 	f.Add(int64(2), uint16(1), uint8(3))
@@ -254,6 +343,7 @@ func FuzzRCB(f *testing.F) {
 		for i := range pool {
 			pool[i] = rng.NormFloat64()
 		}
+		pool = append(pool, 0, math.Copysign(0, -1))
 		pts := make([]geom.Point, int(n)%16384)
 		for i := range pts {
 			pts[i] = geom.Point{X: pool[rng.Intn(len(pool))], Y: pool[rng.Intn(len(pool))]}
