@@ -36,6 +36,8 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-tcp", "-hb", "1ms", "-flush", "2ms"},
 		{"-mesh", "grid:0x0"},
 		{"-load", "9:2"},
+		{"-load", "0:Inf"},
+		{"-load", "0:NaN"},
 		{"-ewma", "-0.5", "-lb"},
 		{"-work", "-5"},
 		{"-check-every", "-3"},

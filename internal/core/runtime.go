@@ -101,19 +101,17 @@ type Runtime struct {
 	boundaryRows []int32
 
 	vecs []*Vector
-	// vecScratch is the reused [][]float64 view handed to the plan's
-	// pack/unpack calls, so Exchange/ScatterAdd stay allocation-free.
-	vecScratch [][]float64
 	// wireScratch is a reused receive buffer for non-replay transfers
 	// (redistribution).
 	wireScratch []byte
 
 	// live are the handle-based operations currently between Start and
 	// Wait, in start order; each owns its arrival mask, parked payloads
-	// and wire tag. opPool recycles completed handles and opSeq drives
-	// the rotating tag window (reset on every rebuild — see
-	// splitphase.go). vsetScratch is the reused single-vector view the
-	// one-vector Starts hand to beginOp.
+	// and wire tag. opPool recycles completed handles — every executor
+	// op, synchronous ones included, runs on one — and opSeq drives the
+	// rotating tag window (reset on every rebuild — see splitphase.go).
+	// vsetScratch is the reused single-vector view the one-vector entry
+	// points hand to start.
 	live        []*OpHandle
 	opPool      []*OpHandle
 	opSeq       int

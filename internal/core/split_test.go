@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -307,47 +308,69 @@ func TestSplitPhaseGuards(t *testing.T) {
 // TestOpTagWindowExhaustion pins the in-flight capacity contract: the
 // rotating tag window admits up to tagOpWindow concurrent handles, and
 // the next Start fails with an actionable error instead of silently
-// reusing a live tag.
+// reusing a live tag. Synchronous ops send on their kind's fixed tag,
+// so beside a full window they still run — counted in Ops, never in
+// Overlapped or Pipelined, and never left live.
 func TestOpTagWindowExhaustion(t *testing.T) {
 	g := testMesh(t)
-	world := openWorld(t, 1)
-	rt, err := New(world.Comm(0), g, Config{Order: order.RCB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handles := make([]*OpHandle, 0, tagOpWindow)
-	vecs := make([]*Vector, 0, tagOpWindow)
-	for i := 0; i < tagOpWindow; i++ {
-		v := rt.NewVector()
-		v.SetByGlobal(initValue)
-		h, err := rt.ExchangeStart(v)
+	world := openWorld(t, 2)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB})
 		if err != nil {
-			t.Fatalf("Start %d: %v", i, err)
+			return err
 		}
-		handles = append(handles, h)
-		vecs = append(vecs, v)
-	}
-	extra := rt.NewVector()
-	if _, err := rt.ExchangeStart(extra); err == nil || !strings.Contains(err.Error(), "window") {
-		t.Fatalf("Start past the tag window: err=%v, want window-exhaustion error", err)
-	}
-	for _, h := range handles {
-		if err := h.Wait(); err != nil {
-			t.Fatal(err)
+		handles := make([]*OpHandle, 0, tagOpWindow)
+		vecs := make([]*Vector, 0, tagOpWindow)
+		for i := 0; i < tagOpWindow; i++ {
+			v := rt.NewVector()
+			v.SetByGlobal(initValue)
+			h, err := rt.ExchangeStart(v)
+			if err != nil {
+				return fmt.Errorf("Start %d: %w", i, err)
+			}
+			handles = append(handles, h)
+			vecs = append(vecs, v)
 		}
-	}
-	if rt.LiveOps() != 0 {
-		t.Fatalf("LiveOps=%d after draining, want 0", rt.LiveOps())
-	}
-	// Slots recycle once their owners retire.
-	h, err := rt.ExchangeStart(vecs[0])
+		spare := rt.NewVector()
+		spare.SetByGlobal(initValue)
+		if _, err := rt.ExchangeStart(spare); err == nil || !strings.Contains(err.Error(), "window") {
+			return fmt.Errorf("Start past the tag window: err=%v, want window-exhaustion error", err)
+		}
+		before := rt.ExecStats()
+		if err := rt.Exchange(spare); err != nil {
+			return fmt.Errorf("Exchange beside a full window: %w", err)
+		}
+		if err := rt.ScatterAdd(spare); err != nil {
+			return fmt.Errorf("ScatterAdd beside a full window: %w", err)
+		}
+		d := rt.ExecStats().Sub(before)
+		if d.Ops != 2 || d.Overlapped != 0 || d.Pipelined != 0 || d.Idle != 0 {
+			return fmt.Errorf("synchronous ops beside a full window counted %+v, want 2 ops and nothing split-phase", d)
+		}
+		if d.Msgs == 0 {
+			return fmt.Errorf("synchronous ops on 2 ranks sent no messages")
+		}
+		if n := rt.LiveOps(); n != tagOpWindow {
+			return fmt.Errorf("LiveOps=%d after the synchronous ops, want %d", n, tagOpWindow)
+		}
+		for _, h := range handles {
+			if err := h.Wait(); err != nil {
+				return err
+			}
+		}
+		if rt.LiveOps() != 0 {
+			return fmt.Errorf("LiveOps=%d after draining, want 0", rt.LiveOps())
+		}
+		// Slots recycle once their owners retire.
+		h, err := rt.ExchangeStart(vecs[0])
+		if err != nil {
+			return err
+		}
+		return h.Wait()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	_ = extra
 }
 
 // planWindow is sched's unexported rowWindow: how many consecutive

@@ -6,53 +6,54 @@ import (
 	"time"
 )
 
-// Asynchronous dataflow executor operations (the overlapped Phase C′
-// data path, generalized to many ops in flight): Start posts every
-// send of a schedule replay and returns an OpHandle immediately, the
-// caller computes over the plan's interior elements while the messages
-// are in flight, and handle.Wait() drains the arrivals and completes
-// that operation. Independent handles — ops touching disjoint vector
-// sets — progress concurrently: each handle owns its arrival mask,
-// its parked-payload slots and a private wire tag, so several replay
-// ops pipeline through the mailbox without stealing each other's
-// messages, and the opportunistic poll-drain between sends services
-// every live handle fairly. Everything runs on the same compiled plan,
-// persistent wire buffers and masked arrival-order receives as the
-// synchronous path (the transport copies payloads at Send, so the
-// plan's per-peer wire buffers are shared safely across live ops), so
-// the steady state stays allocation-free and the results are
-// bit-for-bit identical — Exchange unpacks into disjoint ghost slots
-// in arrival order, ScatterAdd applies contributions in ascending peer
+// The executor's one data path (paper Phase C: gather and scatter, each
+// a replay of the inspector's schedule). Every replay op — Exchange,
+// ScatterAdd, their coalesced forms and their Start variants — runs the
+// same handle lifecycle: beginOp readies a pooled OpHandle, start packs
+// and posts every send (draining whatever has already arrived between
+// sends), and Wait drains the rest in arrival order, applies ScatterAdd
+// contributions in ascending peer order and retires the handle. A
+// Start entry point returns the handle between the two, so the caller
+// computes over the plan's interior elements while the messages are in
+// flight; a synchronous entry point is run, a start followed at once
+// by its Wait. All per-op state
+// — arrival mask, parked payloads, vector view, wire tag — lives on the
+// handle; the plan holds compiled tables and wire buffers only (the
+// transport copies payloads at Send, so live ops share them safely).
+// The steady state allocates nothing, and the results are bit-for-bit
+// the same whichever way an op is entered: Exchange unpacks into
+// disjoint ghost slots in arrival order, ScatterAdd applies in peer
 // order regardless of arrival order.
 //
 // Dependency rule: two ops conflict iff they share a vector, in any
 // kind combination — Exchange writes the ghost section, ScatterAdd
 // reads it and writes the owned section, so any overlap is
-// order-sensitive. A conflicting Start errors loudly naming the live
-// op; it never queues silently. Synchronous executor calls follow the
-// same rule (they run on fixed tags and plan-owned scratch, so only a
-// shared vector conflicts); Bind, Remap, Rebind and SetGraph require
-// zero live handles.
+// order-sensitive. A conflicting op, synchronous or Start, errors
+// loudly naming the live op; it never queues silently. Bind, Remap,
+// Rebind and SetGraph require zero live handles.
 //
-// Wire tags rotate through a fixed window: the k-th Start since the
-// last schedule rebuild uses tagOpBase + k mod tagOpWindow. Starts are
-// collective in SPMD program order, so every rank assigns the same tag
-// to the same logical op and the per-(source, tag) FIFO pairing lines
-// up; rebuild (Bind, Remap, Rebind, SetGraph — all of which require
-// zero live handles) resets the counter, so a freshly admitted rank agrees with
-// the survivors. A Start whose tag is still owned by a live handle
-// errors: at most tagOpWindow ops can be in flight.
+// Wire tags: a synchronous op sends on its kind's fixed tag
+// (tagExchange, tagScatter) and is never live while user code runs, so
+// it needs no slot. Start handles rotate through a fixed window: the
+// k-th Start since the last schedule rebuild uses tagOpBase + k mod
+// tagOpWindow. Starts are collective in SPMD program order, so every
+// rank assigns the same tag to the same logical op and the
+// per-(source, tag) FIFO pairing lines up; rebuild (Bind, Remap,
+// Rebind, SetGraph — all of which require zero live handles) resets
+// the counter, so a freshly admitted rank agrees with the survivors. A
+// Start whose tag is still owned by a live handle errors: at most
+// tagOpWindow Starts can be in flight.
 
 const (
 	// tagOpBase is the first of the tagOpWindow rotating wire tags
-	// handle-based ops send on (distinct from every fixed tag range:
+	// Start handles send on (distinct from every fixed tag range:
 	// inspector 0x1xx, runtime 0x2xx, loadbal 0x4xx, session 0x5xx,
 	// elastic 0x6xx).
 	tagOpBase   = 0x1000
 	tagOpWindow = 64
 )
 
-// opKind is the replay direction of a handle-based op.
+// opKind is the replay direction of an executor op.
 type opKind uint8
 
 const (
@@ -70,24 +71,32 @@ func (k opKind) String() string {
 	return "none"
 }
 
-// startName returns the user-facing Start entry point for error
-// messages as a constant (the zero-alloc path must not build strings).
-func (k opKind) startName() string {
-	if k == opScatter {
+// name returns the entry point that issued an op of this kind, for
+// error messages, as a constant (the zero-alloc path must not build
+// strings).
+func (k opKind) name(split bool) string {
+	switch {
+	case !split:
+		return k.String()
+	case k == opScatter:
 		return "ScatterAddStart"
 	}
 	return "ExchangeStart"
 }
 
-// OpHandle is one in-flight executor operation: it owns the arrival
-// mask, the parked out-of-order payloads and the wire tag of a posted
-// Exchange or ScatterAdd until Wait drains it. Handles are pooled on
-// the runtime — Wait recycles them — so the steady state allocates
-// nothing; a handle is invalid after Wait returns.
+// OpHandle is one executor operation between its start and its
+// completion: it owns the arrival mask, the parked out-of-order
+// payloads and the wire tag of a posted Exchange or ScatterAdd. Handles
+// are pooled on the runtime — completion recycles them — so the steady
+// state allocates nothing; a handle is invalid after Wait returns.
 type OpHandle struct {
 	rt   *Runtime
 	kind opKind
 	tag  int
+	// split records that a Start entry point created the handle: it
+	// holds a window tag, is live until Wait, and counts in Overlapped,
+	// Pipelined and Idle. A synchronous op's handle does none of these.
+	split bool
 	// vset names the vectors for dependency tracking; vecs is the
 	// retained data view the drain unpacks into. Both are reused
 	// backing arrays.
@@ -95,7 +104,7 @@ type OpHandle struct {
 	vecs [][]float64
 	// pending marks the peers whose payload has not arrived; held
 	// parks ScatterAdd payloads that completed out of order until the
-	// deterministic ascending-peer apply pass in Wait.
+	// deterministic ascending-peer apply pass.
 	pending  []bool
 	held     [][]byte
 	nPending int
@@ -122,7 +131,7 @@ func (rt *Runtime) LiveOps() int { return len(rt.live) }
 // Starts on other vectors may be issued while this one is in flight.
 func (rt *Runtime) ExchangeStart(v *Vector) (*OpHandle, error) {
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	return rt.start(opExchange, rt.vsetScratch)
+	return rt.start(opExchange, rt.vsetScratch, true)
 }
 
 // ExchangeAllStart is the coalesced ExchangeStart: all vectors' values
@@ -131,7 +140,7 @@ func (rt *Runtime) ExchangeAllStart(vecs ...*Vector) (*OpHandle, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("core: ExchangeAllStart with no vectors")
 	}
-	return rt.start(opExchange, vecs)
+	return rt.start(opExchange, vecs, true)
 }
 
 // ScatterAddStart posts the sends of a ScatterAdd (each ghost
@@ -140,7 +149,7 @@ func (rt *Runtime) ExchangeAllStart(vecs ...*Vector) (*OpHandle, error) {
 // section.
 func (rt *Runtime) ScatterAddStart(v *Vector) (*OpHandle, error) {
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	return rt.start(opScatter, rt.vsetScratch)
+	return rt.start(opScatter, rt.vsetScratch, true)
 }
 
 // ScatterAddAllStart is the coalesced ScatterAddStart.
@@ -148,15 +157,17 @@ func (rt *Runtime) ScatterAddAllStart(vecs ...*Vector) (*OpHandle, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("core: ScatterAddAllStart with no vectors")
 	}
-	return rt.start(opScatter, vecs)
+	return rt.start(opScatter, vecs, true)
 }
 
-// Wait completes the operation: remaining arrivals are received in
+// Wait completes the operation: every live op's arrivals are serviced
+// without blocking, then this op's remaining arrivals are received in
 // arrival order (Exchange payloads unpack into their disjoint ghost
 // slots; ScatterAdd payloads park per peer, then apply in ascending
 // peer order — the same deterministic accumulation as the synchronous
-// path). Time spent blocked accumulates into the handle's Idle and
-// the runtime's ExecStats.Idle. The handle is recycled and invalid
+// entry points, which run this completion themselves). For a Start
+// handle, the time spent blocked accumulates into the handle's Idle
+// and the runtime's ExecStats.Idle. The handle is recycled and invalid
 // afterwards.
 func (h *OpHandle) Wait() error {
 	if h == nil || h.done || h.rt == nil {
@@ -164,24 +175,20 @@ func (h *OpHandle) Wait() error {
 	}
 	rt := h.rt
 	defer rt.retire(h)
-	// Service every live op's arrivals without blocking first, then
-	// charge only the genuinely blocking remainder of this one to the
-	// idle counters.
 	if err := rt.pollLive(); err != nil {
 		return err
 	}
 	if h.nPending > 0 {
-		t0 := rt.clock.Now()
-		var err error
-		switch h.kind {
-		case opExchange:
-			h.nPending, err = rt.drainGather(h.tag, h.pending, h.nPending, h.vecs, true)
-		case opScatter:
-			h.nPending, err = rt.drainScatter(h.tag, h.pending, h.nPending, h.held, true)
+		var t0 time.Time
+		if h.split {
+			t0 = rt.clock.Now()
 		}
-		d := rt.clock.Now().Sub(t0)
-		h.idle += d
-		rt.execIdle += d
+		err := h.drain(true)
+		if h.split {
+			d := rt.clock.Now().Sub(t0)
+			h.idle += d
+			rt.execIdle += d
+		}
 		if err != nil {
 			return err
 		}
@@ -192,13 +199,22 @@ func (h *OpHandle) Wait() error {
 	return nil
 }
 
-// start posts an op's sends and registers the live handle: an Exchange
-// packs owned values for the send peers and awaits the receive peers'
-// ghosts; a ScatterAdd, its transpose, packs ghost contributions for the
-// receive peers and parks the send peers' arrivals that complete early
-// on the handle.
-func (rt *Runtime) start(kind opKind, vs []*Vector) (*OpHandle, error) {
-	h, err := rt.beginOp(kind, vs)
+// run is a synchronous op: its start followed at once by its Wait.
+func (rt *Runtime) run(kind opKind, vs []*Vector) error {
+	h, err := rt.start(kind, vs, false)
+	if err != nil {
+		return err
+	}
+	return h.Wait()
+}
+
+// start posts an op's sends and, for a Start entry point, registers the
+// live handle: an Exchange packs owned values for the send peers and
+// awaits the receive peers' ghosts; a ScatterAdd, its transpose, packs
+// ghost contributions for the receive peers and parks the send peers'
+// arrivals that complete early on the handle.
+func (rt *Runtime) start(kind opKind, vs []*Vector, split bool) (*OpHandle, error) {
+	h, err := rt.beginOp(kind, vs, split)
 	if err != nil {
 		return nil, err
 	}
@@ -220,9 +236,9 @@ func (rt *Runtime) start(kind opKind, vs []*Vector) (*OpHandle, error) {
 		rt.execMsgs++
 		rt.execBytes += int64(len(buf))
 		// Opportunistic: between sends, service this op's arrivals and
-		// every other live op's, so no handle starves while another is
-		// being posted.
-		if err := h.poll(); err != nil {
+		// every live op's, so no handle starves while another is being
+		// posted.
+		if err := h.drain(false); err != nil {
 			rt.retire(h)
 			return nil, err
 		}
@@ -231,32 +247,40 @@ func (rt *Runtime) start(kind opKind, vs []*Vector) (*OpHandle, error) {
 			return nil, err
 		}
 	}
-	rt.live = append(rt.live, h)
+	if split {
+		rt.live = append(rt.live, h)
+	}
 	return h, nil
 }
 
 // beginOp validates the op against every live handle (dependency rule
-// and tag-window capacity), assigns the next rotating wire tag and
+// and, for a Start, tag-window capacity), assigns its wire tag and
 // readies a pooled handle.
-func (rt *Runtime) beginOp(kind opKind, vs []*Vector) (*OpHandle, error) {
+func (rt *Runtime) beginOp(kind opKind, vs []*Vector, split bool) (*OpHandle, error) {
 	if rt.Parked() {
-		return nil, fmt.Errorf("core: split-phase operation on a parked runtime")
+		return nil, fmt.Errorf("core: %s on a parked runtime", kind.name(split))
 	}
 	for _, v := range vs {
 		if v.rt != rt {
 			return nil, fmt.Errorf("core: vector belongs to a different runtime")
 		}
 	}
-	if err := rt.checkLiveConflict(kind.startName(), vs); err != nil {
+	if err := rt.checkLiveConflict(kind.name(split), vs); err != nil {
 		return nil, err
 	}
-	tag := tagOpBase + rt.opSeq%tagOpWindow
-	for _, o := range rt.live {
-		if o.tag == tag {
-			return nil, fmt.Errorf("core: too many ops in flight (the %d-tag window is exhausted); Wait on an earlier handle first", tagOpWindow)
-		}
+	tag := tagExchange
+	if kind == opScatter {
+		tag = tagScatter
 	}
-	rt.opSeq++
+	if split {
+		tag = tagOpBase + rt.opSeq%tagOpWindow
+		for _, o := range rt.live {
+			if o.tag == tag {
+				return nil, fmt.Errorf("core: too many ops in flight (the %d-tag window is exhausted); Wait on an earlier handle first", tagOpWindow)
+			}
+		}
+		rt.opSeq++
+	}
 
 	var h *OpHandle
 	if n := len(rt.opPool); n > 0 {
@@ -276,22 +300,25 @@ func (rt *Runtime) beginOp(kind opKind, vs []*Vector) (*OpHandle, error) {
 	h.rt = rt
 	h.kind = kind
 	h.tag = tag
+	h.split = split
 	h.nPending = 0
 	h.done = false
 	h.idle = 0
 
 	rt.execOps++
-	rt.execOverlap++
-	if len(rt.live) > 0 {
-		// This op overlaps at least one other live op — the pipelined
-		// regime the single-slot executor could not enter.
-		rt.execPipelined++
+	if split {
+		rt.execOverlap++
+		if len(rt.live) > 0 {
+			// This op overlaps at least one other live op — the
+			// pipelined regime the single-slot executor could not enter.
+			rt.execPipelined++
+		}
 	}
 	return h, nil
 }
 
-// checkLiveConflict enforces the dependency rule for a new op (handle
-// or synchronous) over the given vectors.
+// checkLiveConflict enforces the dependency rule for a new op over the
+// given vectors.
 func (rt *Runtime) checkLiveConflict(opName string, vs []*Vector) error {
 	for _, o := range rt.live {
 		for _, ov := range o.vset {
@@ -305,26 +332,71 @@ func (rt *Runtime) checkLiveConflict(opName string, vs []*Vector) error {
 	return nil
 }
 
-// poll takes this op's already-arrived payloads without blocking.
-func (h *OpHandle) poll() error {
-	if h.nPending == 0 {
-		return nil
+// drain takes this op's payloads in arrival order: with block set until
+// none is pending, otherwise only those already in the mailbox. An
+// Exchange payload unpacks straight into its ghost slots (safe out of
+// order: the slots are disjoint assignments); a ScatterAdd payload
+// parks in held, indexed by source, until the ascending-peer apply.
+func (h *OpHandle) drain(block bool) error {
+	rt := h.rt
+	for h.nPending > 0 {
+		src, data, ok, err := rt.next(h.tag, h.pending, block)
+		if !ok {
+			return err
+		}
+		h.pending[src] = false
+		h.nPending--
+		if h.kind == opScatter {
+			h.held[src] = data
+			continue
+		}
+		err = rt.plan.UnpackGhost(src, data, h.vecs)
+		rt.c.Release(data)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
-	var err error
-	switch h.kind {
-	case opExchange:
-		h.nPending, err = h.rt.drainGather(h.tag, h.pending, h.nPending, h.vecs, false)
-	case opScatter:
-		h.nPending, err = h.rt.drainScatter(h.tag, h.pending, h.nPending, h.held, false)
+	return nil
+}
+
+// next takes one payload on tag from a peer marked pending: waiting for
+// one with block set, and otherwise only one that has already arrived.
+// ok reports whether it took one.
+func (rt *Runtime) next(tag int, pending []bool, block bool) (src int, data []byte, ok bool, err error) {
+	if block {
+		src, data, err = rt.c.RecvAnyOf(tag, pending)
+		return src, data, err == nil, err
 	}
-	return err
+	src, data, ok, err = rt.c.PollAnyOf(tag, pending)
+	return src, data, ok && err == nil, err
+}
+
+// applyHeld adds the parked ScatterAdd payloads into the owned elements
+// in ascending peer order and hands them back to the transport. Floating
+// point addition is not associative and several peers may contribute
+// to one owned element, so the apply order must not follow arrivals.
+func (rt *Runtime) applyHeld(held [][]byte, vecs [][]float64) error {
+	p := rt.plan
+	for _, q := range p.SendPeers() {
+		data := held[q]
+		if data == nil {
+			continue
+		}
+		held[q] = nil
+		err := p.AddLocal(q, data, vecs)
+		rt.c.Release(data)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return nil
 }
 
 // pollLive services every live handle's arrivals without blocking, in
 // start order — the fair poll-drain shared across in-flight ops.
 func (rt *Runtime) pollLive() error {
 	for _, o := range rt.live {
-		if err := o.poll(); err != nil {
+		if err := o.drain(false); err != nil {
 			return err
 		}
 	}

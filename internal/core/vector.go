@@ -67,172 +67,46 @@ func (v *Vector) SetByGlobal(f func(global int64) float64) {
 // replaying the compiled plan: owned values are packed per peer
 // straight into persistent wire buffers, sends overlap with draining
 // whatever has already arrived, and the remaining receives complete in
-// arrival order, so one slow peer no longer stalls the unpacking of
-// the others.
+// arrival order, so one slow peer does not stall the unpacking of the
+// others. It is ExchangeStart and Wait in one call (see splitphase.go).
 func (rt *Runtime) Exchange(v *Vector) error {
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	if err := rt.collect("Exchange", rt.vsetScratch); err != nil {
-		return err
-	}
-	return rt.gather(rt.vecScratch)
+	return rt.run(opExchange, rt.vsetScratch)
 }
 
 // ScatterAdd is the executor's scatter primitive: each ghost value is
 // sent back to its owner and added into the owned element. Callers
 // accumulate partial contributions into the ghost section, then
-// scatter them home (the transpose of Exchange).
+// scatter them home (the transpose of Exchange). Receives complete in
+// arrival order, but the contributions are added in ascending peer
+// order, so the result does not depend on network timing.
 func (rt *Runtime) ScatterAdd(v *Vector) error {
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	if err := rt.collect("ScatterAdd", rt.vsetScratch); err != nil {
-		return err
-	}
-	return rt.scatter(rt.vecScratch)
+	return rt.run(opScatter, rt.vsetScratch)
 }
 
-// gather replays the Exchange direction of the plan for one or more
-// vectors coalesced onto the same wire messages. Callers have already
-// checked the vectors against the live handles; the fixed tag and the
-// plan-owned pending scratch never collide with handle-based ops.
-func (rt *Runtime) gather(vecs [][]float64) error {
-	p := rt.plan
-	rt.execOps++
-	pending := p.Pending()
-	nPending := 0
-	for _, q := range p.RecvPeers() {
-		pending[q] = true
-		nPending++
+// ExchangeAll gathers the ghost sections of several vectors in one
+// round, coalescing all vectors' values for a peer into a single
+// message — the "message coalescing" optimization of paper Section 2.
+// On a latency-dominated network this divides the per-iteration setup
+// cost by the number of vectors (see BenchmarkCoalescing). Each
+// message carries the vectors' segments back to back, vector-major.
+func (rt *Runtime) ExchangeAll(vecs ...*Vector) error {
+	if len(vecs) == 0 {
+		return nil
 	}
-	for _, q := range p.SendPeers() {
-		buf := p.PackLocal(q, vecs)
-		if err := rt.c.Send(q, tagExchange, buf); err != nil {
-			return err
-		}
-		rt.execMsgs++
-		rt.execBytes += int64(len(buf))
-		// Overlap: unpack whatever has already arrived before packing
-		// the next message.
-		var err error
-		nPending, err = rt.drainGather(tagExchange, pending, nPending, vecs, false)
-		if err != nil {
-			return err
-		}
-	}
-	_, err := rt.drainGather(tagExchange, pending, nPending, vecs, true)
-	return err
+	return rt.run(opExchange, vecs)
 }
 
-// drainGather consumes Exchange payloads on the given tag in arrival
-// order, unpacking each straight into the ghost sections (safe out of
-// order: ghost slots are disjoint assignments). With block unset it
-// only takes messages that are already in the mailbox.
-func (rt *Runtime) drainGather(tag int, pending []bool, nPending int, vecs [][]float64, block bool) (int, error) {
-	p := rt.plan
-	for nPending > 0 {
-		src, data, ok, err := rt.next(tag, pending, block)
-		if !ok {
-			return nPending, err
-		}
-		err = p.UnpackGhost(src, data, vecs)
-		rt.c.Release(data)
-		if err != nil {
-			return nPending, fmt.Errorf("core: %w", err)
-		}
-		pending[src] = false
-		nPending--
+// ScatterAddAll is the coalesced transpose of ExchangeAll: every
+// vector's ghost contributions travel home in one message per peer and
+// are added into the owned elements, in the same deterministic peer
+// order as repeated ScatterAdd calls.
+func (rt *Runtime) ScatterAddAll(vecs ...*Vector) error {
+	if len(vecs) == 0 {
+		return nil
 	}
-	return nPending, nil
-}
-
-// scatter replays the ScatterAdd direction of the plan. Receives
-// complete in arrival order (parked per peer), but the accumulation is
-// applied in ascending peer order afterwards: several peers may
-// contribute to the same owned element, and floating-point addition is
-// not associative, so apply order must not depend on network timing.
-func (rt *Runtime) scatter(vecs [][]float64) error {
-	p := rt.plan
-	rt.execOps++
-	pending := p.Pending()
-	nPending := 0
-	for _, q := range p.SendPeers() {
-		pending[q] = true
-		nPending++
-	}
-	defer rt.releaseHeld()
-	for _, q := range p.RecvPeers() {
-		buf := p.PackGhost(q, vecs)
-		if err := rt.c.Send(q, tagScatter, buf); err != nil {
-			return err
-		}
-		rt.execMsgs++
-		rt.execBytes += int64(len(buf))
-		var err error
-		nPending, err = rt.drainScatter(tagScatter, pending, nPending, p.Held(), false)
-		if err != nil {
-			return err
-		}
-	}
-	if _, err := rt.drainScatter(tagScatter, pending, nPending, p.Held(), true); err != nil {
-		return err
-	}
-	return rt.applyHeld(p.Held(), vecs)
-}
-
-// applyHeld adds the parked ScatterAdd payloads into the owned elements
-// in ascending peer order and hands them back to the transport.
-func (rt *Runtime) applyHeld(held [][]byte, vecs [][]float64) error {
-	p := rt.plan
-	for _, q := range p.SendPeers() {
-		data := held[q]
-		if data == nil {
-			continue
-		}
-		held[q] = nil
-		err := p.AddLocal(q, data, vecs)
-		rt.c.Release(data)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	return nil
-}
-
-// drainScatter completes ScatterAdd receives on the given tag in
-// arrival order, parking each payload in held (indexed by source) until
-// the deterministic apply pass.
-func (rt *Runtime) drainScatter(tag int, pending []bool, nPending int, held [][]byte, block bool) (int, error) {
-	for nPending > 0 {
-		src, data, ok, err := rt.next(tag, pending, block)
-		if !ok {
-			return nPending, err
-		}
-		held[src] = data
-		pending[src] = false
-		nPending--
-	}
-	return nPending, nil
-}
-
-// next takes one payload on tag from a peer marked pending: waiting for
-// one with block set, and otherwise only one that has already arrived.
-// ok reports whether it took one.
-func (rt *Runtime) next(tag int, pending []bool, block bool) (src int, data []byte, ok bool, err error) {
-	if block {
-		src, data, err = rt.c.RecvAnyOf(tag, pending)
-		return src, data, err == nil, err
-	}
-	src, data, ok, err = rt.c.PollAnyOf(tag, pending)
-	return src, data, ok && err == nil, err
-}
-
-// releaseHeld returns any payloads still parked on the plan (after an
-// error cut an operation short) to the transport.
-func (rt *Runtime) releaseHeld() {
-	p := rt.plan
-	for _, q := range p.SendPeers() {
-		if data := p.TakeHeld(q); data != nil {
-			rt.c.Release(data)
-		}
-	}
+	return rt.run(opScatter, vecs)
 }
 
 // GatherGlobal assembles the full vector (transformed-global order) on

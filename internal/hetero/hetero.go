@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -121,16 +122,16 @@ func (e *Env) Validate() error {
 		return fmt.Errorf("hetero: no workstations")
 	}
 	for i, s := range e.Speeds {
-		if s <= 0 {
-			return fmt.Errorf("hetero: workstation %d has speed %g, want > 0", i, s)
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("hetero: workstation %d has speed %g, want finite and > 0", i, s)
 		}
 	}
 	for i, l := range e.Loads {
 		if l.Rank < 0 || l.Rank >= len(e.Speeds) {
 			return fmt.Errorf("hetero: load %d targets workstation %d of %d", i, l.Rank, len(e.Speeds))
 		}
-		if l.Factor < 1 {
-			return fmt.Errorf("hetero: load %d has factor %g, want >= 1", i, l.Factor)
+		if !(l.Factor >= 1) || math.IsInf(l.Factor, 1) {
+			return fmt.Errorf("hetero: load %d has factor %g, want finite and >= 1", i, l.Factor)
 		}
 		if l.UntilIter > 0 && l.UntilIter <= l.FromIter {
 			return fmt.Errorf("hetero: load %d spans [%d,%d)", i, l.FromIter, l.UntilIter)
@@ -155,8 +156,8 @@ func (e *Env) Validate() error {
 			return fmt.Errorf("hetero: trace %d has no steps", i)
 		}
 		for j, st := range tr.Steps {
-			if st.Capability < 0 {
-				return fmt.Errorf("hetero: trace %d step %d has capability %g, want >= 0", i, j, st.Capability)
+			if !(st.Capability >= 0) || math.IsInf(st.Capability, 1) {
+				return fmt.Errorf("hetero: trace %d step %d has capability %g, want finite and >= 0", i, j, st.Capability)
 			}
 			if st.Capability == 0 && tr.Rank == 0 {
 				return fmt.Errorf("hetero: trace %d step %d takes workstation 0 away, which hosts the membership coordinator and cannot go", i, j)

@@ -98,6 +98,13 @@ func TestValidateErrors(t *testing.T) {
 		{Speeds: []float64{1}, Loads: []Load{{Rank: 5, Factor: 2}}},
 		{Speeds: []float64{1}, Loads: []Load{{Rank: 0, Factor: 0.5}}},
 		{Speeds: []float64{1}, Loads: []Load{{Rank: 0, Factor: 2, FromIter: 10, UntilIter: 5}}},
+		// Non-finite values compare false against every bound, so each
+		// needs its own check.
+		{Speeds: []float64{1, math.NaN()}},
+		{Speeds: []float64{math.Inf(1)}},
+		{Speeds: []float64{math.Inf(-1)}},
+		{Speeds: []float64{1}, Loads: []Load{{Rank: 0, Factor: math.NaN()}}},
+		{Speeds: []float64{1}, Loads: []Load{{Rank: 0, Factor: math.Inf(1)}}},
 	}
 	for i, env := range cases {
 		if err := env.Validate(); err == nil {

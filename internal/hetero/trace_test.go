@@ -118,6 +118,9 @@ func TestTraceValidation(t *testing.T) {
 		{Speeds: []float64{1, 1}, Traces: []Trace{{Rank: 1, Steps: []TraceStep{
 			{FromIter: 5, Capability: 1}, {FromIter: 5, Capability: 2},
 		}}}}, // non-ascending steps
+		{Speeds: []float64{1, 1}, Traces: []Trace{{Rank: 1, Steps: []TraceStep{{FromIter: 0, Capability: math.NaN()}}}}},   // NaN capability
+		{Speeds: []float64{1, 1}, Traces: []Trace{{Rank: 1, Steps: []TraceStep{{FromIter: 0, Capability: math.Inf(1)}}}}},  // infinite capability
+		{Speeds: []float64{1, 1}, Traces: []Trace{{Rank: 1, Steps: []TraceStep{{FromIter: 0, Capability: math.Inf(-1)}}}}}, // -Inf capability
 	}
 	for i, env := range bad {
 		if err := env.Validate(); err == nil {

@@ -327,6 +327,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Graph: good, Iters: 10, Ranks: 3},                         // over per-job cap
 		{Graph: good, Iters: 10, Ranks: 1, MinRanks: 2},            // min > want
 		{Graph: good, Iters: 10, Kernel: "no-such-kernel"},         // unknown kernel
+		{Graph: good, Iters: 10, Order: "no-such-order"},           // unknown ordering
 		{Graph: GraphSpec{Kind: "nope"}, Iters: 10},                // unknown graph
 		{Graph: good, Iters: 10, Timeout: -time.Second},            // negative timeout
 		{Graph: good, Iters: 10, ComputeCost: -time.Second},        // negative cost

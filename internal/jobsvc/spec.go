@@ -19,6 +19,7 @@ import (
 	"stance/internal/graph"
 	"stance/internal/loadbal"
 	"stance/internal/mesh"
+	"stance/internal/order"
 	"stance/internal/session"
 	"stance/internal/solver"
 )
@@ -159,6 +160,9 @@ func (sp Spec) validate(maxRanks int) error {
 		if _, err := solver.KernelByName(sp.Kernel); err != nil {
 			return fmt.Errorf("jobsvc: %w", err)
 		}
+	}
+	if _, err := order.ByName(sp.Order); err != nil {
+		return fmt.Errorf("jobsvc: %w", err)
 	}
 	if sp.Checkpoint != nil {
 		if sp.Checkpoint.DetectTimeout < 0 {

@@ -17,6 +17,11 @@ import (
 // unpacked straight into the ghost section, with no intermediate
 // []float64 and no per-call buffer churn.
 //
+// A Plan holds compiled tables and wire buffers only. It keeps no
+// per-operation state: the arrival mask and the payloads parked for
+// the ordered ScatterAdd apply belong to the executor's op handle, so
+// any number of operations may replay one plan at a time.
+//
 // A Plan is bound to the Schedule it was compiled from. Whenever the
 // layout or structure changes (Bind, Remap, Rebind, SetGraph) the
 // runtime's one-pass inspector hands the rebuilt schedule to Recompile,
@@ -55,12 +60,6 @@ type Plan struct {
 	// side needs no counterpart: payloads are unpacked straight from
 	// the transport's pooled buffers and Released.
 	wire [][]byte
-
-	// pending is the scratch mask handed to comm.RecvAnyOf during the
-	// arrival-order drain; held parks payloads that completed out of
-	// order until they are applied in deterministic peer order.
-	pending []bool
-	held    [][]byte
 
 	// interior/boundary split the local index set [0, NLocal) for the
 	// executor: interior elements reference no ghost value, so a kernel
@@ -106,9 +105,6 @@ func Recompile(old *Plan, s *Schedule) *Plan {
 	p.local = slices.Grow(p.local[:0], s.NProcs)[:s.NProcs]
 	p.ghost = slices.Grow(p.ghost[:0], s.NProcs)[:s.NProcs]
 	p.wire = slices.Grow(p.wire[:0], s.NProcs)[:s.NProcs]
-	p.pending = slices.Grow(p.pending[:0], s.NProcs)[:s.NProcs]
-	p.held = slices.Grow(p.held[:0], s.NProcs)[:s.NProcs]
-	clear(p.held) // pending is reset by every Pending call
 	p.ghostBuf = slices.Grow(p.ghostBuf[:0], s.NGhosts())
 	p.interior, p.boundary, p.classified = p.interior[:0], p.boundary[:0], false
 	p.xadj = nil
@@ -398,31 +394,6 @@ func (p *Plan) LocalIdx(q int) []int32 { return p.local[q] }
 
 // GhostIdx returns peer q's absolute ghost index table.
 func (p *Plan) GhostIdx(q int) []int32 { return p.ghost[q] }
-
-// Pending resets and returns the plan's scratch peer mask for an
-// arrival-order drain. The executor owns it until the operation ends.
-func (p *Plan) Pending() []bool {
-	clear(p.pending)
-	return p.pending
-}
-
-// Hold parks a payload that completed out of order until TakeHeld
-// applies it in deterministic peer order. The plan takes ownership of
-// data until it is taken back.
-func (p *Plan) Hold(q int, data []byte) { p.held[q] = data }
-
-// TakeHeld returns and clears peer q's parked payload (nil if none).
-func (p *Plan) TakeHeld(q int) []byte {
-	d := p.held[q]
-	p.held[q] = nil
-	return d
-}
-
-// Held exposes the plan's parked-payload slots (indexed by peer) for
-// the synchronous executor's arrival-order drain. Handle-based ops own
-// their per-handle counterpart instead, so several ScatterAdds can be
-// in flight without sharing parking space.
-func (p *Plan) Held() [][]byte { return p.held }
 
 // wireFor returns peer q's send wire buffer resized to n bytes,
 // growing (and retaining) it only when a coalesced operation needs

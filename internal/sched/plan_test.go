@@ -122,25 +122,6 @@ func TestPlanUnpackLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestPlanPendingAndHold(t *testing.T) {
-	p := Compile(planSchedule())
-	mask := p.Pending()
-	if len(mask) != 3 {
-		t.Fatalf("mask length %d", len(mask))
-	}
-	mask[2] = true
-	if got := p.Pending(); got[2] {
-		t.Error("Pending did not reset the mask")
-	}
-	p.Hold(0, []byte{1})
-	if d := p.TakeHeld(0); len(d) != 1 {
-		t.Fatalf("TakeHeld = %v", d)
-	}
-	if d := p.TakeHeld(0); d != nil {
-		t.Error("TakeHeld did not clear the slot")
-	}
-}
-
 // randomLocalCSR draws a localized CSR of nLocal rows whose references
 // reach into a ghost section of nGhost slots; about one row in five
 // references a ghost, and degree-0 rows occur.

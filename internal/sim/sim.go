@@ -523,6 +523,9 @@ func checkInvariants(sc *Scenario, res *Result, ref []float64) error {
 		if sc.Pipeline == 0 && rep.Exec.Overlapped != 0 {
 			return fmt.Errorf("segment %d: synchronous run recorded %d overlapped ops", si, rep.Exec.Overlapped)
 		}
+		if sc.Pipeline == 0 && rep.Exec.Idle != 0 {
+			return fmt.Errorf("segment %d: synchronous run recorded %v idle time", si, rep.Exec.Idle)
+		}
 		if (sc.Pipeline == 0 || sc.Fields == 1) && rep.Exec.Pipelined != 0 {
 			return fmt.Errorf("segment %d: run with at most one exchange in flight recorded %d pipelined ops", si, rep.Exec.Pipelined)
 		}
