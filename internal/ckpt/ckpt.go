@@ -17,6 +17,7 @@ package ckpt
 
 import (
 	"errors"
+	"slices"
 	"time"
 )
 
@@ -107,10 +108,8 @@ type RecoveryEvent struct {
 // successor on the ring over active. With a single active rank there
 // is no buddy and Holder returns r itself.
 func Holder(r int, active []int) int {
-	for i, a := range active {
-		if a == r {
-			return active[(i+1)%len(active)]
-		}
+	if i := slices.Index(active, r); i >= 0 {
+		return active[(i+1)%len(active)]
 	}
 	return r
 }

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -30,12 +32,31 @@ func testPlan(t testing.TB) *Plan {
 	}
 }
 
+// Gate verdict opcodes as the control format (internal/ctl) numbers
+// them, for building malformed payloads by hand.
+const (
+	opRecover = 1
+	opAbort   = 2
+)
+
+func f64s(vals ...float64) []byte { return comm.F64sToBytes(vals) }
+
+// TestDecodeLayoutHostileCount: a processor count so large that the
+// payload-length arithmetic would overflow is an error, not a
+// makeslice panic.
+func TestDecodeLayoutHostileCount(t *testing.T) {
+	for _, k := range []float64{5e18, 4e18, math.MaxInt64 / 2, 1 << 62, 2} {
+		if _, err := DecodeVerdict(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0)); !errors.Is(err, ErrUnrecoverable) {
+			t.Errorf("processor count %g over two values: %v", k, err)
+		}
+	}
+}
+
 // TestDecodeVerdictMalformedIsUnrecoverable: every payload DecodeVerdict
 // cannot read fails with an error wrapping ErrUnrecoverable, the same
 // as an abort verdict, so the session fails the run loudly whichever
 // way the verdict went wrong.
 func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
-	f64s := func(vals ...float64) []byte { return comm.F64sToBytes(vals) }
 	plan := EncodePlan(testPlan(t))
 	for _, tc := range []struct {
 		name string
@@ -52,6 +73,13 @@ func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
 		{"recovery with a bad layout", f64s(opRecover, 30, 20, 0, 0, 0, 1, 5, 8, 0)},
 		{"trailing value", append(plan, f64s(0)...)},
 		{"cut short", plan[:len(plan)-8]},
+		{"alive with a trailing value", f64s(0, 0)},
+		{"NaN opcode", f64s(math.NaN())},
+		{"fractional iteration", f64s(opRecover, 30.5, 20, 0, 0, 0, 1, 0, 8, 0, 1, 0, 8, 0)},
+		{"NaN dead rank", f64s(opRecover, 30, 20, 1, math.NaN(), 0, 0, 1, 0, 8, 0, 1, 0, 8, 0)},
+		{"negative dead rank", f64s(opRecover, 30, 20, 1, -1, 0, 0, 1, 0, 8, 0, 1, 0, 8, 0)},
+		{"hostile dead count", f64s(opRecover, 30, 20, 1e18, 0)},
+		{"infinite layout start", f64s(opRecover, 30, 20, 0, 0, 0, 1, 0, math.Inf(1), 0, 1, 0, 8, 0)},
 	} {
 		p, err := DecodeVerdict(tc.data)
 		if err == nil {
@@ -74,9 +102,11 @@ func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
 	}
 }
 
-// FuzzCkptVerdict: DecodeVerdict never panics, and a payload it
-// accepts re-encodes to one that decodes to an equal verdict. Run
-// under `go test -fuzz=FuzzCkptVerdict ./internal/ckpt`.
+// FuzzCkptVerdict: DecodeVerdict never panics, fails only with an
+// error wrapping ErrUnrecoverable, allocates O(n) for an n-byte
+// payload, and a payload it accepts re-encodes to one that decodes to
+// an equal verdict. Run under `go test -fuzz=FuzzCkptVerdict
+// ./internal/ckpt`.
 func FuzzCkptVerdict(f *testing.F) {
 	f.Add(EncodeAlive())
 	f.Add(EncodeAbort([]int{1, 2}))
@@ -84,10 +114,19 @@ func FuzzCkptVerdict(f *testing.F) {
 	// The hostile processor counts that once overflowed decodeLayout's
 	// length arithmetic into a makeslice panic.
 	for _, k := range []float64{5e18, 4e18} {
-		f.Add(comm.F64sToBytes([]float64{opRecover, 30, 20, 0, 0, 0, k, 0, 0}))
+		f.Add(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		p, err := DecodeVerdict(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > allocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil && !errors.Is(err, ErrUnrecoverable) {
+			t.Fatalf("%v does not wrap ErrUnrecoverable", err)
+		}
 		if err != nil || p == nil {
 			return
 		}
@@ -109,3 +148,8 @@ func samePlan(a, b *Plan) bool {
 		slices.Equal(a.NewActive, b.NewActive) &&
 		a.Old.Equal(b.Old) && a.New.Equal(b.New)
 }
+
+// allocBound is what decoding an n-byte control payload may allocate:
+// a small multiple of n (a layout of p processors rebuilds a few
+// p-entry tables from its 16p bytes), plus room for an error.
+func allocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }

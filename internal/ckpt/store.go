@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"stance/internal/comm"
@@ -61,7 +62,7 @@ func (st *Store) Take(iter int, layout *partition.Layout, active []int, data [][
 		return fmt.Errorf("ckpt: %d fields passed to a %d-field store", len(data), st.fields)
 	}
 	me := st.c.Rank()
-	idx := indexOf(active, me)
+	idx := slices.Index(active, me)
 	if idx < 0 {
 		return fmt.Errorf("ckpt: rank %d is not in the active set %v", me, active)
 	}
@@ -102,7 +103,7 @@ func (st *Store) Take(iter int, layout *partition.Layout, active []int, data [][
 	if err := st.c.Send(succ, TagSnap, st.encBuf); err != nil {
 		return fmt.Errorf("ckpt: mirror to buddy %d: %w", succ, err)
 	}
-	predIdx := indexOf(active, pred)
+	predIdx := slices.Index(active, pred)
 	need := EncodedLen(st.fields, layout.Interval(predIdx).Len())
 	if cap(st.heldBuf) < need {
 		st.heldBuf = make([]byte, need)
@@ -201,8 +202,8 @@ func (st *Store) Restore(p *Plan, data [][]float64) error {
 	if !st.haveSnap || st.snapIter != p.CkptIter {
 		return fmt.Errorf("ckpt: rank %d has checkpoint iteration %d, plan restores %d", me, st.snapIter, p.CkptIter)
 	}
-	oldIdx := indexOf(p.OldActive, me)
-	newIdx := indexOf(p.NewActive, me)
+	oldIdx := slices.Index(p.OldActive, me)
+	newIdx := slices.Index(p.NewActive, me)
 	if oldIdx < 0 || newIdx < 0 {
 		return fmt.Errorf("ckpt: rank %d is not a survivor of the plan", me)
 	}
@@ -243,7 +244,7 @@ func (st *Store) Restore(p *Plan, data [][]float64) error {
 		if err != nil {
 			return err
 		}
-		dIdx := indexOf(p.OldActive, st.heldFrom)
+		dIdx := slices.Index(p.OldActive, st.heldFrom)
 		heldOld := partition.Interval{Lo: held.Lo, Hi: held.Hi}
 		for _, tr := range dp.Sends {
 			if tr.Peer == me {
@@ -265,7 +266,7 @@ func (st *Store) Restore(p *Plan, data [][]float64) error {
 
 	for _, tr := range my.Recvs {
 		src := tr.Peer
-		srcIdx := indexOf(p.OldActive, tr.Peer)
+		srcIdx := slices.Index(p.OldActive, tr.Peer)
 		if dead[tr.Peer] {
 			src = Holder(tr.Peer, p.OldActive)
 			if dead[src] || src == tr.Peer {
@@ -326,13 +327,4 @@ func unpackTransfer(data [][]float64, newIv partition.Interval, g partition.Inte
 		}
 	}
 	return nil
-}
-
-func indexOf(list []int, v int) int {
-	for i, x := range list {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

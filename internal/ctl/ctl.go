@@ -1,0 +1,362 @@
+// Package ctl is the control plane's wire format: the load reports
+// Phase D sends up to the controller, and the decisions, elastic epoch
+// verdicts and checkpoint recovery verdicts (paper Figure 3's interval
+// starts and arrangement) sent back down.
+//
+// Every message is a vector of little-endian float64 values, the codec
+// the rest of the library speaks (comm.F64sToBytes, byte for byte);
+// ranks, iterations, counts and offsets are integers below 2^53, so
+// they travel exactly. One reader decodes them all. It checks every
+// count against the remaining payload before it allocates, rejects
+// NaN, ±Inf and fractions where an integer belongs, and rejects
+// trailing values, so no payload panics a decoder and an n-byte one
+// never makes it allocate more than O(n).
+package ctl
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"stance/internal/comm"
+	"stance/internal/partition"
+)
+
+// Verdict opcodes: the first value of every elastic and checkpoint
+// verdict.
+const (
+	opContinue = 0 // elastic: membership unchanged
+	opEpoch    = 1 // elastic: an Epoch follows
+	opRunEnd   = 2 // elastic: run over, parked ranks return
+
+	opAlive   = 0 // checkpoint gate: every member answered
+	opRecover = 1 // checkpoint gate: a Recovery follows
+	opAbort   = 2 // checkpoint gate: the dead ranks follow
+)
+
+// writer is a payload under construction. Its methods append like
+// the built-in append: w = w.ints(...).
+type writer []byte
+
+func (w writer) floats(vs ...float64) writer {
+	for _, v := range vs {
+		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(v))
+	}
+	return w
+}
+
+func (w writer) ints(vs ...int) writer {
+	for _, v := range vs {
+		w = w.floats(float64(v))
+	}
+	return w
+}
+
+// ranks appends a count and that many ranks.
+func (w writer) ranks(rs []int) writer { return w.ints(len(rs)).ints(rs...) }
+
+// layout appends a layout's p+1 interval starts and p-entry
+// arrangement — the replicated translation state of paper Figure 3.
+// Every message states p before it.
+func (w writer) layout(l *partition.Layout) writer {
+	for _, s := range l.Starts() {
+		w = w.floats(float64(s))
+	}
+	return w.ints(l.Arrangement()...)
+}
+
+// reader consumes a payload front to back. The first failure sticks:
+// later reads return zeros, and done reports it.
+type reader struct {
+	data []byte
+	err  error
+}
+
+func newReader(data []byte) reader {
+	r := reader{data: data}
+	if len(data)%8 != 0 {
+		r.fail("payload of %d bytes is not a float64 vector", len(data))
+	}
+	return r
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("ctl: "+format, args...)
+	}
+}
+
+// left is the number of values not yet read.
+func (r *reader) left() int { return len(r.data) / 8 }
+
+func (r *reader) float() float64 {
+	if r.err != nil || len(r.data) < 8 {
+		r.fail("payload truncated")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
+	r.data = r.data[8:]
+	return v
+}
+
+// finite reads a rate, a time or a weight: finite and non-negative.
+func (r *reader) finite() float64 {
+	v := r.float()
+	if !(v >= 0) || math.IsInf(v, 1) {
+		r.fail("value %g is not finite and non-negative", v)
+		return 0
+	}
+	return v
+}
+
+// int rejects NaN, ±Inf, fractions and magnitudes past 2^53.
+func (r *reader) int() int {
+	v := r.float()
+	if v != math.Trunc(v) || math.Abs(v) > 1<<53 {
+		r.fail("value %g is not an integer", v)
+		return 0
+	}
+	return int(v)
+}
+
+// ranks reads a count and that many non-negative ranks. The count is
+// checked against the payload left, so a hostile one never reaches
+// the allocation.
+func (r *reader) ranks() []int {
+	k := r.int()
+	if k < 0 || k > r.left() {
+		r.fail("%d ranks with %d values left", k, r.left())
+		k = 0
+	}
+	out := make([]int, k)
+	for i := range out {
+		if out[i] = r.int(); out[i] < 0 {
+			r.fail("negative rank %d", out[i])
+		}
+	}
+	return out
+}
+
+// layout reads the starts and arrangement of a p-processor layout and
+// rebuilds it with partition.NewFromStarts, which checks the rest.
+func (r *reader) layout(p int) *partition.Layout {
+	if p <= 0 || p > (r.left()-1)/2 {
+		r.fail("layout of %d processors with %d values left", p, r.left())
+	}
+	if r.err != nil {
+		return nil
+	}
+	starts, arr := make([]int64, p+1), make([]int, p)
+	for i := range starts {
+		starts[i] = int64(r.int())
+	}
+	for i := range arr {
+		arr[i] = r.int()
+	}
+	l, err := partition.NewFromStarts(starts, arr)
+	if r.err == nil && err != nil {
+		r.fail("%v", err)
+	}
+	return l
+}
+
+// done reports the first failure, or values left after the last field.
+func (r *reader) done() error {
+	if r.err == nil && len(r.data) != 0 {
+		r.fail("%d trailing values", r.left())
+	}
+	return r.err
+}
+
+// Report is one rank's load report to the balance controller: its
+// measured compute seconds per data item, the window's item count
+// (which the controller never reads) and its last inspector time in
+// seconds, so that every rank prices a schedule rebuild alike.
+type Report struct {
+	Rate      float64
+	Items     int64
+	Inspector float64
+}
+
+// EncodeReport returns the report payload: rate, items, inspector.
+func EncodeReport(rep Report) []byte {
+	return make(writer, 0, 24).floats(rep.Rate, float64(rep.Items), rep.Inspector)
+}
+
+// DecodeReport reads one report.
+func DecodeReport(data []byte) (Report, error) {
+	r := newReader(data)
+	rep := Report{Rate: r.finite(), Items: int64(r.int()), Inspector: r.finite()}
+	if rep.Items < 0 {
+		r.fail("negative item count %d", rep.Items)
+	}
+	return rep, r.done()
+}
+
+// DecodeReports reads the gathered reports, indexed by rank, into the
+// rates and the slowest inspector time — the shared schedule-rebuild
+// estimate.
+func DecodeReports(reports [][]byte) (rates []float64, inspector float64, err error) {
+	rates = make([]float64, len(reports))
+	for q, data := range reports {
+		rep, err := DecodeReport(data)
+		if err != nil {
+			return nil, 0, fmt.Errorf("ctl: report from rank %d: %w", q, err)
+		}
+		rates[q], inspector = rep.Rate, max(inspector, rep.Inspector)
+	}
+	return rates, inspector, nil
+}
+
+// Sections decodes a packed vector of n payloads (comm.EncodeSections)
+// into one fresh copy, so the caller may release packed at once.
+func Sections(packed []byte, n int) ([][]byte, error) {
+	vec, err := comm.DecodeSections(append([]byte(nil), packed...))
+	if err == nil && len(vec) != n {
+		err = fmt.Errorf("ctl: vector carries %d payloads for %d ranks", len(vec), n)
+	}
+	return vec, err
+}
+
+// Decision is the balance controller's verdict: whether to remap, the
+// predicted per-phase seconds of the current and the new layout, the
+// estimated remap cost in seconds, and one capability weight per rank.
+type Decision struct {
+	Remap              bool
+	Current, New, Cost float64
+	Weights            []float64
+}
+
+// EncodeDecision returns the decision payload: remap (0 or 1),
+// current, new, cost, then the weights.
+func EncodeDecision(d Decision) []byte {
+	remap := 0.0
+	if d.Remap {
+		remap = 1
+	}
+	w := make(writer, 0, 8*(4+len(d.Weights)))
+	return w.floats(remap, d.Current, d.New, d.Cost).floats(d.Weights...)
+}
+
+// DecodeDecision reads a decision for p ranks.
+func DecodeDecision(data []byte, p int) (Decision, error) {
+	r := newReader(data)
+	remap := r.int()
+	d := Decision{Remap: remap == 1, Current: r.finite(), New: r.finite(), Cost: r.finite()}
+	if remap != 0 && remap != 1 {
+		r.fail("remap flag %d", remap)
+	}
+	if r.err == nil && r.left() != p {
+		r.fail("%d weights for %d ranks", r.left(), p)
+	}
+	if r.err == nil {
+		d.Weights = make([]float64, p)
+		for i := range d.Weights {
+			d.Weights[i] = r.finite()
+		}
+	}
+	return d, r.done()
+}
+
+// Epoch is the elastic coordinator's epoch proposal: the boundary
+// iteration, the incoming epoch number, and the outgoing and incoming
+// active world ranks with the layout cut over each. Carrying both
+// layouts lets a rank parked when the outgoing one was cut rebuild it.
+type Epoch struct {
+	Iter, Epoch       int
+	OldActive, Active []int
+	Old, New          *partition.Layout
+}
+
+// EncodeContinue returns the elastic verdict "membership unchanged".
+func EncodeContinue() []byte { return writer(nil).ints(opContinue) }
+
+// EncodeRunEnd returns the elastic verdict "run over", which releases
+// the parked ranks.
+func EncodeRunEnd() []byte { return writer(nil).ints(opRunEnd) }
+
+// EncodeEpoch returns the epoch proposal payload: opEpoch, iter,
+// epoch, then per side (old, new) the active ranks as a count k and k
+// ranks, and the layout over them as k+1 starts and k arrangement.
+func EncodeEpoch(e *Epoch) []byte {
+	w := writer(nil).ints(opEpoch, e.Iter, e.Epoch)
+	return w.ranks(e.OldActive).layout(e.Old).ranks(e.Active).layout(e.New)
+}
+
+// DecodeEpochVerdict reads an elastic verdict: nil for continue and
+// run end, the Epoch for a proposal.
+func DecodeEpochVerdict(data []byte) (*Epoch, error) {
+	r := newReader(data)
+	op := r.int()
+	if r.err == nil && (op == opContinue || op == opRunEnd) {
+		return nil, r.done()
+	}
+	if op != opEpoch {
+		r.fail("unknown elastic opcode %d", op)
+	}
+	e := &Epoch{Iter: r.int(), Epoch: r.int(), OldActive: r.ranks()}
+	e.Old = r.layout(len(e.OldActive))
+	e.Active = r.ranks()
+	e.New = r.layout(len(e.Active))
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Recovery is the checkpoint coordinator's recovery verdict: at gate
+// iteration Iter the ranks Dead (ascending) missed the gate, and the
+// survivors NewActive (OldActive minus Dead) restore checkpoint
+// iteration CkptIter, taken under OldActive and layout Old, onto the
+// layout New re-cut over them. CkptIter is -1 when no checkpoint
+// existed yet and survivors restart from initial conditions. Every
+// survivor executes it deterministically.
+type Recovery struct {
+	Iter, CkptIter             int
+	Dead, OldActive, NewActive []int
+	Old, New                   *partition.Layout
+}
+
+// EncodeAlive returns the checkpoint gate verdict "every member
+// answered".
+func EncodeAlive() []byte { return writer(nil).ints(opAlive) }
+
+// EncodeAbort returns the unrecoverable gate verdict: opAbort, then
+// the dead ranks as a count and ranks.
+func EncodeAbort(dead []int) []byte { return writer(nil).ints(opAbort).ranks(dead) }
+
+// EncodeRecovery returns the recovery gate verdict: opRecover, iter,
+// ckpt iter, the dead, old active and new active sets (each a count
+// and ranks), then per layout (old, new) p, p+1 starts and p
+// arrangement.
+func EncodeRecovery(p *Recovery) []byte {
+	w := writer(nil).ints(opRecover, p.Iter, p.CkptIter)
+	w = w.ranks(p.Dead).ranks(p.OldActive).ranks(p.NewActive)
+	return w.ints(p.Old.P()).layout(p.Old).ints(p.New.P()).layout(p.New)
+}
+
+// DecodeGateVerdict reads a checkpoint gate verdict: all nil for
+// alive, the Recovery for a recovery verdict, and the dead ranks,
+// non-nil, for an abort verdict.
+func DecodeGateVerdict(data []byte) (rec *Recovery, dead []int, err error) {
+	r := newReader(data)
+	switch op := r.int(); {
+	case r.err == nil && op == opAlive:
+		return nil, nil, r.done()
+	case op == opAbort:
+		dead = r.ranks()
+		if err := r.done(); err != nil {
+			return nil, nil, err
+		}
+		return nil, dead, nil
+	case op != opRecover:
+		r.fail("unknown gate opcode %d", op)
+	}
+	rec = &Recovery{Iter: r.int(), CkptIter: r.int(), Dead: r.ranks(), OldActive: r.ranks(), NewActive: r.ranks()}
+	rec.Old = r.layout(r.int())
+	rec.New = r.layout(r.int())
+	if err := r.done(); err != nil {
+		return nil, nil, err
+	}
+	return rec, nil, nil
+}

@@ -33,11 +33,13 @@ package elastic
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"stance/internal/comm"
 	"stance/internal/core"
+	"stance/internal/ctl"
 	"stance/internal/partition"
 	"stance/internal/redist"
 )
@@ -45,18 +47,12 @@ import (
 // Control-protocol tags (distinct from the runtime's, the balancer's
 // and the session driver's).
 const (
-	// tagCtl carries coordinator verdicts: continue, epoch proposal,
-	// or run end. Parked ranks block on it.
+	// tagCtl carries coordinator verdicts in the control plane's
+	// format (internal/ctl): continue, epoch proposal, or run end.
+	// Parked ranks block on it.
 	tagCtl = 0x601
 	// TagDrain is the drain barrier over the outgoing sub-world.
 	TagDrain = 0x602
-)
-
-// Verdict opcodes on tagCtl.
-const (
-	opContinue = iota // membership unchanged, keep iterating
-	opEpoch           // epoch transition: payload is a Proposal
-	opRunEnd          // run over (sent to parked ranks so they return)
 )
 
 // Membership is one epoch's active set.
@@ -75,14 +71,7 @@ func (m Membership) Contains(rank int) bool { return m.SubRank(rank) >= 0 }
 
 // SubRank returns the rank's position in the active set (its rank in
 // the epoch's sub-world), or -1 if parked.
-func (m Membership) SubRank(rank int) int {
-	for i, r := range m.Active {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
+func (m Membership) SubRank(rank int) int { return slices.Index(m.Active, rank) }
 
 // Proposal is an agreed epoch transition: everything a participant —
 // including a rank that has been parked since before the outgoing
@@ -236,8 +225,8 @@ func (ct *Controller) Boundary(iter int, oldLayout *partition.Layout,
 
 	cur := ct.Membership()
 	want := desired()
-	if want == nil || equalInts(want, cur.Active) {
-		if err := ct.multicastActive(cur, encodeOp(opContinue)); err != nil {
+	if want == nil || slices.Equal(want, cur.Active) {
+		if err := ct.multicastActive(cur, ctl.EncodeContinue()); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -316,7 +305,7 @@ func (ct *Controller) ReleaseParked(skip []int) error {
 	var parked []int
 	ct.mu.Lock()
 	for r := 0; r < ct.c.Size(); r++ {
-		if !ct.cur.Contains(r) && !containsInt(skip, r) {
+		if !ct.cur.Contains(r) && !slices.Contains(skip, r) {
 			parked = append(parked, r)
 		}
 	}
@@ -324,7 +313,7 @@ func (ct *Controller) ReleaseParked(skip []int) error {
 	if len(parked) == 0 {
 		return nil
 	}
-	payload := encodeOp(opRunEnd)
+	payload := ctl.EncodeRunEnd()
 	for _, r := range parked {
 		if err := ct.c.Send(r, tagCtl, payload); err != nil {
 			return err
@@ -410,35 +399,29 @@ func CrossCost(prop *Proposal, nVecs int) (bytes int64, msgs int, err error) {
 	return moved * 8 * int64(nVecs), transfers * nVecs, nil
 }
 
-// equalInts reports whether two int slices are element-wise equal.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// encodeProposal and decodeVerdict carry a Proposal as a ctl.Epoch;
+// decodeVerdict returns nil for a continue or run-end verdict.
+func encodeProposal(p *Proposal) []byte {
+	return ctl.EncodeEpoch(&ctl.Epoch{Iter: p.Iter, Epoch: p.Next.Epoch,
+		OldActive: p.OldActive, Old: p.Old, Active: p.Next.Active, New: p.New})
+}
+
+func decodeVerdict(data []byte) (*Proposal, error) {
+	e, err := ctl.DecodeEpochVerdict(data)
+	if err != nil || e == nil {
+		return nil, err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return &Proposal{Iter: e.Iter, Next: Membership{Epoch: e.Epoch, Active: e.Active},
+		OldActive: e.OldActive, Old: e.Old, New: e.New}, nil
 }
 
 // diffInts returns the elements of a not present in b.
 func diffInts(a, b []int) []int {
 	var out []int
 	for _, x := range a {
-		if !containsInt(b, x) {
+		if !slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
 	return out
-}
-
-func containsInt(list []int, x int) bool {
-	for _, y := range list {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }

@@ -1,13 +1,17 @@
 package elastic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"stance/internal/comm"
 	"stance/internal/core"
+	"stance/internal/ctl"
 	"stance/internal/graph"
 	"stance/internal/partition"
 )
@@ -38,20 +42,20 @@ func TestProposalWireRoundTrip(t *testing.T) {
 	if out.Iter != in.Iter || out.Next.Epoch != in.Next.Epoch {
 		t.Errorf("decoded iter/epoch %d/%d, want %d/%d", out.Iter, out.Next.Epoch, in.Iter, in.Next.Epoch)
 	}
-	if !equalInts(out.Next.Active, in.Next.Active) || !equalInts(out.OldActive, in.OldActive) {
+	if !slices.Equal(out.Next.Active, in.Next.Active) || !slices.Equal(out.OldActive, in.OldActive) {
 		t.Errorf("decoded active sets %v/%v, want %v/%v",
 			out.OldActive, out.Next.Active, in.OldActive, in.Next.Active)
 	}
 	if !out.Old.Equal(in.Old) || !out.New.Equal(in.New) {
 		t.Error("decoded layouts differ from the originals")
 	}
-	for _, op := range []int{opContinue, opRunEnd} {
-		p, err := decodeVerdict(encodeOp(op))
+	for _, data := range [][]byte{ctl.EncodeContinue(), ctl.EncodeRunEnd()} {
+		p, err := decodeVerdict(data)
 		if err != nil || p != nil {
-			t.Errorf("opcode %d decoded as (%v, %v), want (nil, nil)", op, p, err)
+			t.Errorf("verdict %v decoded as (%v, %v), want (nil, nil)", data, p, err)
 		}
 	}
-	if _, err := decodeVerdict(encodeOp(7)); err == nil {
+	if _, err := decodeVerdict(f64s(7)); err == nil {
 		t.Error("unknown opcode accepted")
 	}
 	if _, err := decodeVerdict([]byte{1, 2, 3}); err == nil {
@@ -64,18 +68,33 @@ func TestProposalWireRoundTrip(t *testing.T) {
 // makeslice panic.
 func TestDecodeVerdictHostileCount(t *testing.T) {
 	for _, k := range []float64{4e18, 3e18, math.MaxInt64 / 3, 1 << 62, 2} {
-		if _, err := decodeVerdict(comm.F64sToBytes([]float64{opEpoch, 0, 0, k})); err == nil {
+		if _, err := decodeVerdict(f64s(opEpoch, 0, 0, k)); err == nil {
 			t.Errorf("side count %g over an empty payload accepted", k)
 		}
 	}
 }
 
-// FuzzElasticVerdict: decodeVerdict never panics, and a payload it
-// accepts re-encodes to one that decodes to an equal proposal. Run
-// under `go test -fuzz=FuzzElasticVerdict ./internal/elastic`.
+// opEpoch is the proposal opcode as the control format (internal/ctl)
+// numbers it, for building malformed payloads by hand.
+const opEpoch = 1
+
+// f64s encodes values the way every control message is encoded:
+// little-endian float64s.
+func f64s(vals ...float64) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// FuzzElasticVerdict: decodeVerdict never panics, allocates O(n) for
+// an n-byte payload, and a payload it accepts re-encodes to one that
+// decodes to an equal proposal. Run under `go test
+// -fuzz=FuzzElasticVerdict ./internal/elastic`.
 func FuzzElasticVerdict(f *testing.F) {
-	f.Add(encodeOp(opContinue))
-	f.Add(encodeOp(opRunEnd))
+	f.Add(ctl.EncodeContinue())
+	f.Add(ctl.EncodeRunEnd())
 	old, err := partition.NewBlock(101, []float64{1, 2, 1, 1})
 	if err != nil {
 		f.Fatal(err)
@@ -91,10 +110,19 @@ func FuzzElasticVerdict(f *testing.F) {
 	// The hostile side counts that once overflowed decodeSide's length
 	// arithmetic into a makeslice panic.
 	for _, k := range []float64{4e18, 3e18} {
-		f.Add(comm.F64sToBytes([]float64{opEpoch, 0, 0, k}))
+		f.Add(f64s(opEpoch, 0, 0, k))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		p, err := decodeVerdict(data)
+		runtime.ReadMemStats(&after)
+		// A small multiple of n (a layout of p processors rebuilds a
+		// few p-entry tables from its 16p bytes), plus room for an
+		// error.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
 		if err != nil || p == nil {
 			return
 		}
@@ -103,7 +131,7 @@ func FuzzElasticVerdict(f *testing.F) {
 			t.Fatalf("re-encoded proposal does not decode: %v", err)
 		}
 		if again.Iter != p.Iter || again.Next.Epoch != p.Next.Epoch ||
-			!equalInts(again.Next.Active, p.Next.Active) || !equalInts(again.OldActive, p.OldActive) ||
+			!slices.Equal(again.Next.Active, p.Next.Active) || !slices.Equal(again.OldActive, p.OldActive) ||
 			!again.Old.Equal(p.Old) || !again.New.Equal(p.New) {
 			t.Fatalf("round trip changed the proposal:\n in: %+v\nout: %+v", p, again)
 		}
@@ -275,7 +303,7 @@ func TestProtocolShrinkGrow(t *testing.T) {
 		if evs[0].Epoch != 1 || evs[1].Epoch != 2 {
 			t.Errorf("rank %d epochs %d, %d, want 1, 2", rank, evs[0].Epoch, evs[1].Epoch)
 		}
-		if !equalInts(evs[0].Retired, []int{1}) || !equalInts(evs[1].Admitted, []int{1}) {
+		if !slices.Equal(evs[0].Retired, []int{1}) || !slices.Equal(evs[1].Admitted, []int{1}) {
 			t.Errorf("rank %d: retired %v / admitted %v, want [1] / [1]",
 				rank, evs[0].Retired, evs[1].Admitted)
 		}

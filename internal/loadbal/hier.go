@@ -2,9 +2,10 @@ package loadbal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stance/internal/comm"
+	"stance/internal/ctl"
 )
 
 // Leader-aggregated report exchange for two-level worlds (paper
@@ -35,26 +36,15 @@ func hierGroups(c *comm.Comm, topo *comm.Topology) (groupOf []int, members [][]i
 	if topo.P() != c.WorldSize() {
 		return nil, nil, fmt.Errorf("loadbal: topology covers %d ranks, world has %d", topo.P(), c.WorldSize())
 	}
-	size := c.Size()
-	worldGroup := make([]int, size)
-	present := map[int]bool{}
-	for r := 0; r < size; r++ {
+	worldGroup := make([]int, c.Size())
+	for r := range worldGroup {
 		worldGroup[r] = topo.GroupOf(c.WorldRankOf(r))
-		present[worldGroup[r]] = true
 	}
-	ids := make([]int, 0, len(present))
-	for g := range present {
-		ids = append(ids, g)
-	}
-	sort.Ints(ids)
-	compact := make(map[int]int, len(ids))
-	for i, g := range ids {
-		compact[g] = i
-	}
-	groupOf = make([]int, size)
+	ids := slices.Compact(slices.Sorted(slices.Values(worldGroup)))
+	groupOf = make([]int, len(worldGroup))
 	members = make([][]int, len(ids))
-	for r := 0; r < size; r++ {
-		g := compact[worldGroup[r]]
+	for r, wg := range worldGroup {
+		g, _ := slices.BinarySearch(ids, wg)
 		groupOf[r] = g
 		members[g] = append(members[g], r)
 	}
@@ -85,7 +75,7 @@ func leaderAllGather(c *comm.Comm, topo *comm.Topology, payload []byte) ([][]byt
 			return nil, err
 		}
 		defer c.Release(packed)
-		return decodeWorldVector(packed, c.Size())
+		return ctl.Sections(packed, c.Size())
 	}
 
 	// Leader: gather the group's reports over the fast links...
@@ -112,36 +102,24 @@ func leaderAllGather(c *comm.Comm, topo *comm.Topology, payload []byte) ([][]byt
 		}
 	}
 	all := make([][]byte, c.Size())
-	place := func(h int, packed []byte) error {
-		vec, err := comm.DecodeSections(packed)
-		if err != nil {
-			return err
-		}
-		if len(vec) != len(members[h]) {
-			return fmt.Errorf("loadbal: group %d vector carries %d reports for %d members", h, len(vec), len(members[h]))
-		}
-		for i, r := range members[h] {
-			// DecodeSections aliases the packed buffer, which goes back
-			// to the transport pool — copy the reports out.
-			all[r] = append([]byte(nil), vec[i]...)
-		}
-		return nil
-	}
-	if err := place(g, packedMine); err != nil {
-		return nil, err
-	}
 	for h, m := range members {
-		if h == g {
-			continue
+		packed := packedMine
+		if h != g {
+			if packed, err = c.Recv(m[0], tagLeaderX); err != nil {
+				return nil, err
+			}
 		}
-		packed, err := c.Recv(m[0], tagLeaderX)
-		if err != nil {
-			return nil, err
+		// ctl.Sections copies the reports out of the packed buffer,
+		// which goes back to the transport pool.
+		vec, err := ctl.Sections(packed, len(m))
+		if h != g {
+			c.Release(packed)
 		}
-		err = place(h, packed)
-		c.Release(packed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("loadbal: group %d: %w", h, err)
+		}
+		for i, r := range m {
+			all[r] = vec[i]
 		}
 	}
 
@@ -153,22 +131,4 @@ func leaderAllGather(c *comm.Comm, topo *comm.Topology, payload []byte) ([][]byt
 		}
 	}
 	return all, nil
-}
-
-// decodeWorldVector unpacks a leader's assembled world vector.
-func decodeWorldVector(packed []byte, size int) ([][]byte, error) {
-	vec, err := comm.DecodeSections(packed)
-	if err != nil {
-		return nil, err
-	}
-	if len(vec) != size {
-		return nil, fmt.Errorf("loadbal: world vector carries %d reports for %d ranks", len(vec), size)
-	}
-	// The packed buffer is released by the caller; the decision layer
-	// keeps the slices only within the check, so copy them out.
-	out := make([][]byte, size)
-	for i, v := range vec {
-		out[i] = append([]byte(nil), v...)
-	}
-	return out, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"stance/internal/comm"
 	"stance/internal/core"
+	"stance/internal/ctl"
 	"stance/internal/partition"
 	"stance/internal/redist"
 )
@@ -135,64 +136,52 @@ func (b *Balancer) Check(rep Report) (Decision, error) {
 	// measurement: the schedule-rebuild estimate must be identical on
 	// every rank, or (in decentralized mode) a borderline decision
 	// could diverge and strand some ranks in the remap collective.
-	payload := comm.F64sToBytes([]float64{
-		rep.RatePerItem, float64(rep.Items), b.rt.LastInspectorTime().Seconds(),
+	payload := ctl.EncodeReport(ctl.Report{
+		Rate: rep.RatePerItem, Items: rep.Items, Inspector: b.rt.LastInspectorTime().Seconds(),
 	})
-	var verdict []float64 // [remap 0/1, predCur, predNew, estCost, weights...]
-	if b.cfg.Decentralized {
-		var all [][]byte
-		var err error
-		if b.cfg.Topology != nil {
-			all, err = leaderAllGather(c, b.cfg.Topology, payload)
-		} else {
-			all, err = c.AllGather(tagLoadReport, payload)
-		}
+	var reports [][]byte
+	var err error
+	switch {
+	case !b.cfg.Decentralized:
+		reports, err = c.Gather(0, tagLoadReport, payload)
+	case b.cfg.Topology != nil:
+		reports, err = leaderAllGather(c, b.cfg.Topology, payload)
+	default:
+		reports, err = c.AllGather(tagLoadReport, payload)
+	}
+	if err != nil {
+		return Decision{}, err
+	}
+	// Decentralized, every rank computes the same pure-float decision
+	// from the same gathered inputs, so no broadcast is needed.
+	var verdict ctl.Decision
+	if b.cfg.Decentralized || c.Rank() == 0 {
+		rates, inspector, err := ctl.DecodeReports(reports)
 		if err != nil {
 			return Decision{}, err
 		}
-		rates, inspector, err := parseReports(all)
-		if err != nil {
-			return Decision{}, err
-		}
-		// Every rank computes the same pure-float decision from the
-		// same gathered inputs, so no broadcast is needed.
-		verdict, err = b.decide(rates, inspector)
-		if err != nil {
-			return Decision{}, err
-		}
-	} else {
-		reports, err := c.Gather(0, tagLoadReport, payload)
-		if err != nil {
-			return Decision{}, err
-		}
-		if c.Rank() == 0 {
-			rates, inspector, err := parseReports(reports)
-			if err != nil {
-				return Decision{}, err
-			}
-			verdict, err = b.decide(rates, inspector)
-			if err != nil {
-				return Decision{}, err
-			}
-		}
-		packed, err := c.Bcast(0, tagDecision, comm.F64sToBytes(verdict))
-		if err != nil {
-			return Decision{}, err
-		}
-		verdict, err = comm.BytesToF64s(packed)
-		if err != nil {
+		if verdict, err = b.decide(rates, inspector); err != nil {
 			return Decision{}, err
 		}
 	}
-	if len(verdict) != 4+c.Size() {
-		return Decision{}, fmt.Errorf("loadbal: malformed decision of %d values", len(verdict))
+	if !b.cfg.Decentralized {
+		var packed []byte
+		if c.Rank() == 0 {
+			packed = ctl.EncodeDecision(verdict)
+		}
+		if packed, err = c.Bcast(0, tagDecision, packed); err != nil {
+			return Decision{}, err
+		}
+		if verdict, err = ctl.DecodeDecision(packed, c.Size()); err != nil {
+			return Decision{}, err
+		}
 	}
 	d := Decision{
-		Remapped:           verdict[0] != 0,
-		PredictedCurrent:   verdict[1],
-		PredictedNew:       verdict[2],
-		EstimatedRemapCost: verdict[3],
-		NewWeights:         verdict[4:],
+		Remapped:           verdict.Remap,
+		PredictedCurrent:   verdict.Current,
+		PredictedNew:       verdict.New,
+		EstimatedRemapCost: verdict.Cost,
+		NewWeights:         verdict.Weights,
 	}
 	d.CheckTime = clock.Now().Sub(start)
 
@@ -206,35 +195,13 @@ func (b *Balancer) Check(rep Report) (Decision, error) {
 	return d, nil
 }
 
-// parseReports decodes the gathered per-rank reports into rates and
-// the slowest reported inspector time (the shared schedule-rebuild
-// estimate).
-func parseReports(reports [][]byte) ([]float64, float64, error) {
-	rates := make([]float64, len(reports))
-	inspector := 0.0
-	for q, data := range reports {
-		vals, err := comm.BytesToF64s(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(vals) != 3 {
-			return nil, 0, fmt.Errorf("loadbal: malformed report from rank %d", q)
-		}
-		rates[q] = vals[0]
-		if vals[2] > inspector {
-			inspector = vals[2]
-		}
-	}
-	return rates, inspector, nil
-}
-
 // decide runs on the controller (or on every rank when
 // decentralized): estimate capabilities from measured rates, predict
 // the next phase under current and proposed layouts, price the
 // redistribution, and compare. inspector is the gathered worst-case
 // schedule-rebuild time — deliberately not this rank's own, so every
 // rank prices the remap identically.
-func (b *Balancer) decide(rates []float64, inspector float64) ([]float64, error) {
+func (b *Balancer) decide(rates []float64, inspector float64) (ctl.Decision, error) {
 	if b.cfg.Estimator != nil {
 		b.cfg.Estimator.Observe(rates)
 		rates = b.cfg.Estimator.Predict()
@@ -254,68 +221,57 @@ func (b *Balancer) decide(rates []float64, inspector float64) ([]float64, error)
 	}
 	if nPos == 0 {
 		// No information at all: keep the current layout.
-		verdict := make([]float64, 4+p)
-		for i := range verdict[4:] {
-			verdict[4+i] = 1
+		weights := make([]float64, p)
+		for i := range weights {
+			weights[i] = 1
 		}
-		return verdict, nil
+		return ctl.Decision{Weights: weights}, nil
 	}
 	meanRate /= float64(nPos)
+	eff := make([]float64, p) // rates, the mean standing in for the unmeasured
 	weights := make([]float64, p)
 	for i, r := range rates {
 		if r <= 0 {
 			r = meanRate
 		}
-		weights[i] = 1 / r
+		eff[i], weights[i] = r, 1/r
 	}
 
 	// Predicted per-phase time = max_i items_i * rate_i (the paper's
 	// idle-time minimization target).
-	predCur := 0.0
-	for i := 0; i < p; i++ {
-		r := rates[i]
-		if r <= 0 {
-			r = meanRate
+	phase := func(size func(i int) int64) float64 {
+		worst := 0.0
+		for i, r := range eff {
+			if t := float64(size(i)) * r; t > worst {
+				worst = t
+			}
 		}
-		if t := float64(layout.Size(i)) * r; t > predCur {
-			predCur = t
-		}
+		return worst
 	}
+	predCur := phase(layout.Size)
 	newSizes, err := partition.SizesFromWeights(layout.N(), weights)
 	if err != nil {
-		return nil, err
+		return ctl.Decision{}, err
 	}
-	predNew := 0.0
-	for i := 0; i < p; i++ {
-		r := rates[i]
-		if r <= 0 {
-			r = meanRate
-		}
-		if t := float64(newSizes[i]) * r; t > predNew {
-			predNew = t
-		}
-	}
+	predNew := phase(func(i int) int64 { return newSizes[i] })
 
 	// Price the redistribution against the proposed layout (identity
 	// arrangement bound; MCR only lowers it) plus the gathered
 	// inspector time as the schedule-rebuild estimate.
 	cand, err := partition.NewFromSizes(newSizes, layout.Arrangement())
 	if err != nil {
-		return nil, err
+		return ctl.Decision{}, err
 	}
 	moveCost, err := b.cfg.CostModel.Estimate(layout, cand)
 	if err != nil {
-		return nil, err
+		return ctl.Decision{}, err
 	}
 	estCost := (moveCost + inspector) * b.cfg.SafetyFactor
 
 	gain := (predCur - predNew) * float64(b.cfg.Horizon)
-	remap := 0.0
-	if gain > estCost && predNew < predCur {
-		remap = 1
-	}
-	verdict := make([]float64, 0, 4+p)
-	verdict = append(verdict, remap, predCur, predNew, estCost)
-	verdict = append(verdict, weights...)
-	return verdict, nil
+	return ctl.Decision{
+		Remap:   gain > estCost && predNew < predCur,
+		Current: predCur, New: predNew, Cost: estCost,
+		Weights: weights,
+	}, nil
 }

@@ -11,6 +11,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -48,7 +49,8 @@ func (iv Interval) Intersect(o Interval) Interval {
 
 // SizesFromWeights apportions n elements to p processors in proportion
 // to weights, using the largest-remainder method so that the sizes sum
-// exactly to n. Weights must be non-negative with a positive sum.
+// exactly to n. Weights must be finite and non-negative with a positive,
+// finite sum.
 func SizesFromWeights(n int64, weights []float64) ([]int64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("partition: negative element count %d", n)
@@ -58,13 +60,13 @@ func SizesFromWeights(n int64, weights []float64) ([]int64, error) {
 	}
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("partition: negative weight %g at %d", w, i)
+		if badWeight(w) {
+			return nil, fmt.Errorf("partition: weight %g at %d, want finite and non-negative", w, i)
 		}
 		total += w
 	}
-	if total <= 0 {
-		return nil, fmt.Errorf("partition: weights sum to %g, want > 0", total)
+	if !(total > 0) || badWeight(total) {
+		return nil, fmt.Errorf("partition: weights sum to %g, want positive and finite", total)
 	}
 	sizes := make([]int64, len(weights))
 	type rem struct {
@@ -75,6 +77,9 @@ func SizesFromWeights(n int64, weights []float64) ([]int64, error) {
 	var assigned int64
 	for i, w := range weights {
 		exact := float64(n) * w / total
+		if badWeight(exact) {
+			return nil, fmt.Errorf("partition: weight %g at %d overflows %d elements", w, i, n)
+		}
 		sizes[i] = int64(exact)
 		rems[i] = rem{exact - float64(sizes[i]), i}
 		assigned += sizes[i]
@@ -90,6 +95,10 @@ func SizesFromWeights(n int64, weights []float64) ([]int64, error) {
 	}
 	return sizes, nil
 }
+
+// badWeight reports a weight that is negative, NaN or infinite: the
+// cuts turn weights into int64 sizes, and such a weight has none.
+func badWeight(w float64) bool { return !(w >= 0) || math.IsInf(w, 1) }
 
 // Layout is a complete distribution: n elements cut into p contiguous
 // blocks; block k (left to right) has size Sizes[k] and is owned by

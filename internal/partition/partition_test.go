@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,16 @@ func TestSizesFromWeightsErrors(t *testing.T) {
 	}
 	if _, err := SizesFromWeights(10, []float64{0, 0}); err == nil {
 		t.Error("zero-sum weights accepted")
+	}
+	// Non-finite weights once came back as garbage sizes with a nil
+	// error; a sum or a share past float64 range would too.
+	for _, w := range [][]float64{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {1, math.Inf(-1)},
+		{math.MaxFloat64, math.MaxFloat64}, {1e307, 1},
+	} {
+		if sizes, err := SizesFromWeights(100, w); err == nil {
+			t.Errorf("weights %v accepted as sizes %v", w, sizes)
+		}
 	}
 }
 

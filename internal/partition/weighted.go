@@ -13,8 +13,9 @@ import (
 
 // WeightedSizes splits len(itemWeights) items, in list order, into
 // contiguous blocks whose total item weight is proportional to
-// procWeights. Item weights must be non-negative with a positive sum;
-// blocks can balance weight only to the granularity of single items.
+// procWeights. Both kinds of weight must be finite and non-negative
+// with a positive, finite sum; blocks can balance weight only to the
+// granularity of single items.
 func WeightedSizes(itemWeights, procWeights []float64) ([]int64, error) {
 	n := len(itemWeights)
 	p := len(procWeights)
@@ -23,24 +24,24 @@ func WeightedSizes(itemWeights, procWeights []float64) ([]int64, error) {
 	}
 	var totalProc float64
 	for i, w := range procWeights {
-		if w < 0 {
-			return nil, fmt.Errorf("partition: negative processor weight %g at %d", w, i)
+		if badWeight(w) {
+			return nil, fmt.Errorf("partition: processor weight %g at %d, want finite and non-negative", w, i)
 		}
 		totalProc += w
 	}
-	if totalProc <= 0 {
-		return nil, fmt.Errorf("partition: processor weights sum to %g, want > 0", totalProc)
+	if !(totalProc > 0) || badWeight(totalProc) {
+		return nil, fmt.Errorf("partition: processor weights sum to %g, want positive and finite", totalProc)
 	}
 	prefix := make([]float64, n+1)
 	for i, w := range itemWeights {
-		if w < 0 {
-			return nil, fmt.Errorf("partition: negative item weight %g at %d", w, i)
+		if badWeight(w) {
+			return nil, fmt.Errorf("partition: item weight %g at %d, want finite and non-negative", w, i)
 		}
 		prefix[i+1] = prefix[i] + w
 	}
 	totalItem := prefix[n]
-	if totalItem <= 0 && n > 0 {
-		return nil, fmt.Errorf("partition: item weights sum to %g, want > 0", totalItem)
+	if (totalItem <= 0 && n > 0) || badWeight(totalItem) {
+		return nil, fmt.Errorf("partition: item weights sum to %g, want positive and finite", totalItem)
 	}
 	sizes := make([]int64, p)
 	cumProc := 0.0

@@ -126,6 +126,14 @@ func TestWeightedSizesErrors(t *testing.T) {
 	if _, err := WeightedSizes([]float64{0, 0}, []float64{1}); err == nil {
 		t.Error("zero item weights accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := WeightedSizes([]float64{1, bad, 1}, []float64{1, 1}); err == nil {
+			t.Errorf("item weight %g accepted", bad)
+		}
+		if _, err := WeightedSizes([]float64{1, 1}, []float64{bad, 1}); err == nil {
+			t.Errorf("processor weight %g accepted", bad)
+		}
+	}
 }
 
 func TestNewWeightedLayout(t *testing.T) {

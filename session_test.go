@@ -447,3 +447,48 @@ func TestSessionPhaseAErrors(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestSessionRejectsNonFiniteWeights: a NaN or infinite processor
+// weight is an error out of NewSession. It once cut int64 sizes out of
+// NaN and panicked in a rank goroutine, where the caller cannot recover.
+func TestSessionRejectsNonFiniteWeights(t *testing.T) {
+	g, err := stance.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][]float64{{math.NaN(), 1}, {math.Inf(1), 1}, {1, math.Inf(-1)}} {
+		s, err := stance.NewSession(context.Background(), g, 2, stance.WithWeights(w...))
+		if err == nil {
+			s.Close()
+			t.Fatalf("weights %v accepted", w)
+		}
+		if !strings.Contains(err.Error(), "want finite and non-negative") {
+			t.Errorf("weights %v: error %q", w, err)
+		}
+	}
+}
+
+// TestSessionRejectsNonFiniteVertexWeights: the same for one NaN or
+// infinite vertex weight, which the weighted cut's prefix sums once
+// carried into the layout.
+func TestSessionRejectsNonFiniteVertexWeights(t *testing.T) {
+	g, err := stance.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		vw := make([]float64, g.N)
+		for i := range vw {
+			vw[i] = 1
+		}
+		vw[g.N/2] = bad
+		s, err := stance.NewSession(context.Background(), g, 2, stance.WithVertexWeights(vw))
+		if err == nil {
+			s.Close()
+			t.Fatalf("vertex weight %g accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "want finite and non-negative") {
+			t.Errorf("vertex weight %g: error %q", bad, err)
+		}
+	}
+}
