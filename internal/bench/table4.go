@@ -34,7 +34,7 @@ func staticScale(opts Options) (iters, workRep int) {
 
 // MeasureStaticRun runs iters solver iterations on p equally fast,
 // unloaded workstations over the modeled Ethernet, returning the
-// session report (Wall is rank 0's barrier-to-barrier time; Exec the
+// session report (Wall is the Run's SPMD section, start to join; Exec the
 // executor's own traffic counters) at executor depth depth.
 func MeasureStaticRun(g *graph.Graph, p, iters, workRep int, netScale float64, depth int) (*session.RunReport, error) {
 	return measureRun(g, hetero.Uniform(p), p, iters, workRep,
@@ -42,8 +42,8 @@ func MeasureStaticRun(g *graph.Graph, p, iters, workRep int, netScale float64, d
 }
 
 // measureRun executes an iterative solve through the session driver
-// and returns its report (Wall is rank 0's barrier-to-barrier time on
-// opts.Net.Clock). bal (if non-nil) enables the paper's periodic
+// and returns its report (Wall is the Run's SPMD section, start to
+// join, on opts.Net.Clock). bal (if non-nil) enables the paper's periodic
 // load-balance protocol: a check every 10 iterations, remapping when
 // profitable.
 func measureRun(g *graph.Graph, env *hetero.Env, p, iters, workRep int,

@@ -52,8 +52,9 @@ type Transport interface {
 	// admissible has arrived yet.
 	PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error)
 	// RecvTimeout is Recv with a deadline on the transport's clock; it
-	// fails with ErrTimeout when the deadline passes first.
-	RecvTimeout(src, tag int, d time.Duration) ([]byte, error)
+	// fails with ErrTimeout when the deadline passes first, and with
+	// ctx.Err() when ctx is cancelled first.
+	RecvTimeout(ctx context.Context, src, tag int, d time.Duration) ([]byte, error)
 	// Release hands a payload returned by a receive back for reuse; the
 	// caller must not touch the buffer afterwards. Recycling is what
 	// makes the executor's steady-state data path allocation-free.
@@ -69,6 +70,9 @@ type Transport interface {
 	TransportStats() (stats TransportStats, ok bool)
 	// Close shuts the transport down; blocked receives fail.
 	Close() error
+	// box is the root-world mailbox the endpoint receives from, which
+	// World.SPMD covers for the duration of a section.
+	box() *mailbox
 }
 
 // Multicaster is implemented by transports that can deliver one
@@ -162,6 +166,21 @@ func (c *Comm) boundCtx() context.Context {
 	return context.Background()
 }
 
+// ctxErr is ctx.Err() read without taking the context's lock, which
+// every rank of a section shares: a non-blocking receive on Done(),
+// and Err() only once it is closed. A nil ctx is uncancellable.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // Context returns the context governing the endpoint's blocking
 // operations (context.Background unless bound by World.SPMD).
 func (c *Comm) Context() context.Context { return c.boundCtx() }
@@ -211,7 +230,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("comm: send to rank %d of %d", dst, c.size)
 	}
-	if err := c.boundCtx().Err(); err != nil {
+	if err := ctxErr(c.boundCtx()); err != nil {
 		return err
 	}
 	if err := c.tr.Send(dst, tag, data); err != nil {
@@ -255,9 +274,10 @@ func (c *Comm) RecvContext(ctx context.Context, src, tag int) ([]byte, error) {
 
 // RecvTimeout is Recv with a deadline on the world's clock, for failure
 // detection and tests; it fails with ErrTimeout when the deadline passes
-// without a matching message.
+// without a matching message, and with the bound context's error when
+// that is cancelled first.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	return c.tr.RecvTimeout(src, tag, d)
+	return c.tr.RecvTimeout(c.boundCtx(), src, tag, d)
 }
 
 // RecvAny blocks until a message with the given tag arrives from any
@@ -311,7 +331,7 @@ func (c *Comm) Multicast(dsts []int, tag int, data []byte) error {
 			return fmt.Errorf("comm: multicast to rank %d of %d", d, c.size)
 		}
 	}
-	if err := c.boundCtx().Err(); err != nil {
+	if err := ctxErr(c.boundCtx()); err != nil {
 		return err
 	}
 	if m, ok := c.tr.(Multicaster); ok {

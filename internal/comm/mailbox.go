@@ -151,6 +151,13 @@ type mailbox struct {
 	// watches are the contexts whose cancellation wakes the mailbox; see
 	// parkLocked.
 	watches []*cancelWatch
+	// section is the SPMD section covering this endpoint (see cover):
+	// the Done channel of its context, which World.SPMD watches once for
+	// every endpoint, and the receives parked under it right now.
+	section struct {
+		done   <-chan struct{}
+		parked int
+	}
 
 	// dead marks sources the transport's liveness layer has declared
 	// failed (missed heartbeats). Queued messages from a dead source
@@ -223,18 +230,17 @@ func (m *mailbox) wakeLocked() {
 
 // parkLocked blocks a receive that found nothing to take until the next
 // wake, or fails it with ctx.Err() when ctx (nil or Background:
-// uncancellable) is already cancelled. Cancellation reaches parked
-// receives through one watch per context: the first receive to park
-// under a context registers it, every later one under the same context
-// only counts itself in and out — no registration, no allocation, and
-// no contact with the context beyond reading its Done channel, which
-// takes no lock the other ranks of an SPMD section share. A watch is
-// dropped when its context is cancelled (World.SPMD cancels its
-// section's context on the way out), when the mailbox closes, or, idle,
-// when a receive parks under a different context — so the mailbox holds
-// at most one registration beyond the contexts receives are parked
-// under right now, and a context in use is never unregistered by
-// another's arrival.
+// uncancellable) is already cancelled. A receive under the context of
+// the SPMD section covering the mailbox parks without touching the
+// context beyond reading its Done channel: the section's one watch
+// wakes every endpoint it covers (World.SPMD). Any other context
+// reaches parked receives through one watch per context: the first
+// receive to park under it registers it, every later one only counts
+// itself in and out. A watch is dropped when its context is cancelled,
+// when the mailbox closes, or, idle, when a receive parks under a
+// different context — so the mailbox holds at most one registration
+// beyond the contexts receives are parked under right now, and a
+// context in use is never unregistered by another's arrival.
 func (m *mailbox) parkLocked(ctx context.Context) error {
 	var done <-chan struct{}
 	if ctx != nil {
@@ -244,17 +250,51 @@ func (m *mailbox) parkLocked(ctx context.Context) error {
 		m.waitLocked()
 		return nil
 	}
-	select {
-	case <-done:
-		return ctx.Err()
-	default:
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
-	w := m.watchLocked(ctx, done)
-	w.parked++
+	parked := &m.section.parked
+	if done != m.section.done {
+		parked = &m.watchLocked(ctx, done).parked
+	}
+	*parked++
 	m.waitLocked()
-	w.parked--
+	*parked--
 	return nil
 }
+
+// cover marks the mailbox as covered by the SPMD section whose context
+// has the given Done channel, unless another section covers it already
+// (a section nested on the same endpoint then parks on its own watch,
+// as any other context does). The section must wake the mailbox when
+// its context is cancelled.
+func (m *mailbox) cover(done <-chan struct{}) {
+	m.mu.Lock()
+	if m.section.done == nil {
+		m.section.done = done
+	}
+	m.mu.Unlock()
+}
+
+// uncover ends the section's cover, if it holds it.
+func (m *mailbox) uncover(done <-chan struct{}) {
+	m.mu.Lock()
+	if m.section.done == done {
+		m.section.done = nil
+	}
+	m.mu.Unlock()
+}
+
+// wake wakes every waiter, so receives re-check their contexts.
+func (m *mailbox) wake() {
+	m.mu.Lock()
+	m.wakeLocked()
+	m.mu.Unlock()
+}
+
+// box returns the mailbox itself: every transport endpoint embeds one,
+// and World.SPMD reaches it through the Transport interface.
+func (m *mailbox) box() *mailbox { return m }
 
 // watchLocked returns the watch on ctx, registering it — and retiring
 // the idle watches on other contexts — when there is none.
@@ -458,16 +498,13 @@ func (m *mailbox) Recv(ctx context.Context, src, tag int) ([]byte, error) {
 }
 
 // RecvTimeout is Recv with a deadline on the mailbox clock; it returns
-// ErrTimeout when the deadline passes without a matching message. On a
-// simulated clock the deadline is a scheduled event like any other, so
-// failure-detection timeouts fire at exact virtual instants.
-func (m *mailbox) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
+// ErrTimeout when the deadline passes without a matching message, and
+// ctx.Err() when ctx is cancelled first. On a simulated clock the
+// deadline is a scheduled event like any other, so failure-detection
+// timeouts fire at exact virtual instants.
+func (m *mailbox) RecvTimeout(ctx context.Context, src, tag int, d time.Duration) ([]byte, error) {
 	deadline := m.clock.Now().Add(d)
-	timer := m.clock.AfterFunc(d, func() {
-		m.mu.Lock()
-		m.wakeLocked()
-		m.mu.Unlock()
-	})
+	timer := m.clock.AfterFunc(d, m.wake)
 	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -475,10 +512,17 @@ func (m *mailbox) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
 		if data, ok, err := m.takeLocked(src, tag); ok || err != nil {
 			return data, err
 		}
+		// Cancellation is read before the deadline: a section torn down
+		// while the clock ran on to the deadline still ends in ctx.Err().
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if !m.clock.Now().Before(deadline) {
 			return nil, ErrTimeout
 		}
-		m.waitLocked()
+		if err := m.parkLocked(ctx); err != nil {
+			return nil, err
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package comm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestMailboxFailureOutcomes(t *testing.T) {
 		return err
 	}
 	timed := func(d time.Duration) func(m *mailbox) error {
-		return func(m *mailbox) error { _, err := m.RecvTimeout(1, tag, d); return err }
+		return func(m *mailbox) error { _, err := m.RecvTimeout(nil, 1, tag, d); return err }
 	}
 	cases := []struct {
 		name string
@@ -128,7 +129,7 @@ func TestMailboxFailureOutcomes(t *testing.T) {
 		{"dead/timeout", func(m *mailbox) { m.markPeerDead(1) }, timed(time.Minute), ErrPeerDead},
 		{"timeout", func(m *mailbox) {}, timed(time.Millisecond), ErrTimeout},
 		{"timeout/no such rank", func(m *mailbox) {}, func(m *mailbox) error {
-			_, err := m.RecvTimeout(-1, tag, time.Millisecond)
+			_, err := m.RecvTimeout(nil, -1, tag, time.Millisecond)
 			return err
 		}, ErrTimeout},
 	}
@@ -512,11 +513,7 @@ func TestWorldCancelWhileParkedEveryRank(t *testing.T) {
 			}()
 			eventually(t, func() bool {
 				for _, c := range w.Comms() {
-					m := boxOf(c)
-					m.mu.Lock()
-					parked := len(m.watches) == 1 && m.watches[0].parked == 1
-					m.mu.Unlock()
-					if !parked {
+					if !sectionParked(boxOf(c), 1) {
 						return false
 					}
 				}
@@ -566,6 +563,81 @@ func TestWorldSectionsLeaveNoWatch(t *testing.T) {
 		t.Errorf("a mailbox held %d watches at once, want at most 2", most)
 	}
 	eventually(t, func() bool { return mostWatches(w) == 0 })
+}
+
+// sectionParked reports whether m has n receives parked under the
+// section covering it and holds no watch of its own.
+func sectionParked(m *mailbox, n int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.section.done != nil && m.section.parked == n && len(m.watches) == 0
+}
+
+// TestWorldSectionWatchesOnce: a p=64 world runs a thousand sections,
+// each parking every rank once under the section's context, and the
+// section watches that context once, whatever p is. No mailbox
+// registers a watch of its own — every parked receive is counted under
+// the section's cover — and the caller's context carries exactly one
+// registration per section (the section context's link to it), which
+// the section lets go when it ends.
+func TestWorldSectionWatchesOnce(t *testing.T) {
+	const p, sections, tag = 64, 1000, 5
+	w, err := Open("inproc", p, TransportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ctx := newRegCtx()
+	others := make([]int, p-1)
+	for i := range others {
+		others[i] = i + 1
+	}
+	// parked waits, on a rank goroutine, for rank's one receive to park.
+	parked := func(rank int) error {
+		for deadline := time.Now().Add(5 * time.Second); !sectionParked(boxOf(w.Comm(rank)), 1); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("rank %d never parked under the section's cover", rank)
+			}
+		}
+		return nil
+	}
+	for i := 0; i < sections; i++ {
+		err := w.SPMD(ctx, func(c *Comm) error {
+			if c.Rank() != 0 {
+				if _, err := c.Recv(0, tag); err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					// Rank 0 parks in its turn before rank 1 answers.
+					if err := parked(0); err != nil {
+						return err
+					}
+					return c.Send(0, tag, nil)
+				}
+				return nil
+			}
+			for _, r := range others {
+				if err := parked(r); err != nil {
+					return err
+				}
+			}
+			if err := c.Multicast(others, tag, nil); err != nil {
+				return err
+			}
+			_, err := c.Recv(1, tag)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.live() != 0 || ctx.next != i+1 {
+			t.Fatalf("after section %d: %d live of %d registrations on the caller's context, want 0 of %d",
+				i, ctx.live(), ctx.next, i+1)
+		}
+	}
+	if most := mostWatches(w); most != 0 {
+		t.Errorf("a mailbox holds %d watches after the sections, want none", most)
+	}
 }
 
 // cycledMailbox returns a mailbox that has carried, and delivered,

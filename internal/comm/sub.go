@@ -137,8 +137,8 @@ func (t *subTransport) Recv(ctx context.Context, src, tag int) ([]byte, error) {
 
 // RecvTimeout delegates the timed receive to the parent endpoint, so
 // failure detection works on sub-worlds.
-func (t *subTransport) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	return t.parent.RecvTimeout(t.toWorld[src], tag, d)
+func (t *subTransport) RecvTimeout(ctx context.Context, src, tag int, d time.Duration) ([]byte, error) {
+	return t.parent.tr.RecvTimeout(ctx, t.toWorld[src], tag, d)
 }
 
 // RecvAnyOf admits only members, even under a nil mask: a non-member's
@@ -186,6 +186,8 @@ func (t *subTransport) Multicast(dsts []int, tag int, data []byte) error {
 }
 
 func (t *subTransport) Release(buf []byte) { t.parent.Release(buf) }
+
+func (t *subTransport) box() *mailbox { return t.parent.tr.box() }
 
 // Close is a no-op: the root world owns the transport and closes it.
 func (t *subTransport) Close() error { return nil }

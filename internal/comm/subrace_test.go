@@ -101,6 +101,7 @@ func TestSubConcurrentWrappedWorlds(t *testing.T) {
 			subs[i] = sc
 		}
 		worlds[gi] = WrapWorld(subs)
+		defer worlds[gi].Close()
 	}
 
 	var wg sync.WaitGroup

@@ -68,11 +68,18 @@ func init() {
 // is no other way into a world.
 type World struct {
 	comms     []*Comm
+	boxes     []*mailbox // comms[i]'s root-world mailbox
 	closer    func() error
 	transport string
 
-	mu       sync.Mutex
-	active   bool // an SPMD section is running
+	mu     sync.Mutex
+	active bool // an SPMD section is running
+	// ranks[i] hands each section to rank i's goroutine, which the first
+	// section starts and Close stops: every section after the first
+	// reuses the goroutines, and the stacks they have grown. running
+	// counts the goroutines until they have exited.
+	ranks    []chan *section
+	running  sync.WaitGroup
 	closed   bool
 	closeErr error
 }
@@ -116,15 +123,25 @@ func Open(transport string, p int, opts TransportOptions) (*World, error) {
 			c.topo = opts.Topology
 		}
 	}
-	return &World{comms: comms, closer: closer, transport: transport}, nil
+	return newWorld(comms, closer, transport), nil
+}
+
+func newWorld(comms []*Comm, closer func() error, transport string) *World {
+	boxes := make([]*mailbox, len(comms))
+	for i, c := range comms {
+		boxes[i] = c.tr.box()
+	}
+	return &World{comms: comms, boxes: boxes, closer: closer, transport: transport}
 }
 
 // WrapWorld adopts pre-built endpoints into a World, so a set of
 // sub-world endpoints (Comm.Sub) can run their own SPMD sections with
 // their own cancellation. Close closes the endpoints, which for
-// sub-communicators leaves the parent world's transport untouched.
+// sub-communicators leaves the parent world's transport untouched, and
+// ends the world's rank goroutines: a wrapped world must be closed like
+// any other.
 func WrapWorld(comms []*Comm) *World {
-	return &World{comms: comms, transport: "custom"}
+	return newWorld(comms, nil, "custom")
 }
 
 // Size returns the number of ranks.
@@ -145,15 +162,18 @@ func (w *World) Comm(rank int) *Comm {
 // modified.
 func (w *World) Comms() []*Comm { return w.comms }
 
-// SPMD runs f once per rank, each in its own goroutine — the Single
-// Program Multiple Data execution model of paper Section 2 — with ctx
-// bound to every endpoint's blocking operations: cancelling ctx
-// unblocks pending receives with ctx.Err() and tears the section down
-// instead of deadlocking; a rank returning an error cancels the others
-// the same way. It joins all ranks and returns every failed rank's
-// error, prefixed "rank r: ", joined. Only one SPMD section may run on
-// a world at a time; a concurrent call fails rather than racing on the
-// context binding.
+// SPMD runs f once per rank, each on the rank's own goroutine — the
+// Single Program Multiple Data execution model of paper Section 2 —
+// with ctx bound to every endpoint's blocking operations: cancelling
+// ctx unblocks pending receives, timed ones included, with ctx.Err()
+// and tears the section down instead of deadlocking; a rank returning
+// an error cancels the others the same way. The section watches its
+// context once, not once per endpoint: one callback wakes every
+// endpoint's mailbox, and a receive parked under the section's context
+// registers nothing of its own. It joins all ranks and returns every
+// failed rank's error, prefixed "rank r: ", joined. Only one SPMD
+// section may run on a world at a time; a concurrent call fails rather
+// than racing on the context binding.
 func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -168,10 +188,24 @@ func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 		return fmt.Errorf("comm: an SPMD section is already running on this world")
 	}
 	w.active = true
+	if w.ranks == nil {
+		w.ranks = make([]chan *section, len(w.comms))
+		for i := range w.ranks {
+			// One slot: the section is handed over without waiting for
+			// the goroutine to come back from the previous one.
+			w.ranks[i] = make(chan *section, 1)
+			w.running.Add(1)
+			go w.rank(i, w.ranks[i])
+		}
+	}
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
 		w.active = false
+		if w.closed {
+			// Close ran during the section and left the goroutines to it.
+			w.stopRanksLocked()
+		}
 		w.mu.Unlock()
 	}()
 	if err := ctx.Err(); err != nil {
@@ -183,9 +217,16 @@ func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 	// deadlocking the section.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	for _, c := range w.comms {
+	done := runCtx.Done()
+	for i, c := range w.comms {
 		c.setContext(runCtx)
+		w.boxes[i].cover(done)
 	}
+	stop := context.AfterFunc(runCtx, func() {
+		for _, m := range w.boxes {
+			m.wake()
+		}
+	})
 	// On a simulated clock every rank goroutine is a clock worker for
 	// the duration of the section, all of them registered before any
 	// starts, so an early blocker cannot trigger a premature advance:
@@ -198,26 +239,70 @@ func (w *World) SPMD(ctx context.Context, f func(c *Comm) error) error {
 	if sim != nil {
 		sim.Add(len(w.comms))
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(w.comms))
+	sec := &section{f: f, cancel: cancel, sim: sim, errs: make([]error, len(w.comms))}
+	sec.wg.Add(len(w.comms))
+	for _, ch := range w.ranks {
+		ch <- sec
+	}
+	sec.wg.Wait()
+	// The watch goes before the deferred cancel, so a section that ends
+	// normally wakes nobody on its way out.
+	stop()
 	for i, c := range w.comms {
-		wg.Add(1)
-		go func(i int, c *Comm) {
-			defer wg.Done()
-			if sim != nil {
-				defer sim.Done()
-			}
-			if err := f(c); err != nil {
-				cancel()
-				errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	for _, c := range w.comms {
 		c.setContext(nil)
+		w.boxes[i].uncover(done)
 	}
-	return errors.Join(errs...)
+	return errors.Join(sec.errs...)
+}
+
+// section is one SPMD call as the rank goroutines see it.
+type section struct {
+	f      func(c *Comm) error
+	cancel context.CancelFunc
+	sim    *vtime.Sim
+	errs   []error
+	wg     sync.WaitGroup
+}
+
+// run is one rank's share of the section.
+func (s *section) run(c *Comm, i int) {
+	defer s.wg.Done()
+	if s.sim != nil {
+		defer s.sim.Done()
+	}
+	if err := s.f(c); err != nil {
+		s.cancel()
+		s.errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
+	}
+}
+
+// rank is rank i's goroutine: it runs its share of every section
+// handed to it until the world closes. A body that ends its goroutine
+// mid-section (runtime.Goexit, as testing's FailNow does) ends this
+// one; a fresh one takes over, so the next section still finds rank i.
+func (w *World) rank(i int, sections <-chan *section) {
+	defer w.running.Done()
+	closed := false
+	defer func() {
+		if !closed {
+			w.running.Add(1)
+			go w.rank(i, sections)
+		}
+	}()
+	for s := range sections {
+		s.run(w.comms[i], i)
+	}
+	closed = true
+}
+
+// stopRanksLocked ends the rank goroutines and waits for them to exit.
+// Only Close stops them, and a closed world runs no further section.
+func (w *World) stopRanksLocked() {
+	for _, ch := range w.ranks {
+		close(ch)
+	}
+	w.ranks = nil
+	w.running.Wait()
 }
 
 // Stats returns the total messages and payload bytes sent by all ranks
@@ -244,7 +329,9 @@ func (w *World) InterGroupStats() (msgs, bytes int64) {
 	return msgs, bytes
 }
 
-// Close shuts every endpoint down and releases transport resources.
+// Close shuts every endpoint down, releases transport resources and
+// ends the rank goroutines: before it returns, or, when a section is
+// running, before that section's SPMD returns.
 // Pending receives fail with ErrClosed. Close is idempotent: repeated
 // calls return the first call's error.
 func (w *World) Close() error {
@@ -254,6 +341,9 @@ func (w *World) Close() error {
 		return w.closeErr
 	}
 	w.closed = true
+	if !w.active {
+		w.stopRanksLocked()
+	}
 	var err error
 	for _, c := range w.comms {
 		if cerr := c.Close(); cerr != nil && err == nil {

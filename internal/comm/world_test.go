@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,58 @@ func TestWorldCancelUnblocksRecv(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("cancelled Recv did not unblock")
+			}
+		})
+	}
+}
+
+// TestWorldCancelUnblocksRecvTimeout: a timed receive is a blocking
+// receive like any other, so a rank failing mid-section cancels a peer
+// parked in RecvTimeout at once, with context.Canceled, instead of
+// leaving it to sit out its deadline and report ErrTimeout. It holds
+// through a sub-world, whose timed receive waits in the parent
+// endpoint's mailbox.
+func TestWorldCancelUnblocksRecvTimeout(t *testing.T) {
+	for _, sub := range []bool{false, true} {
+		name := "world"
+		if sub {
+			name = "sub-world"
+		}
+		t.Run(name, func(t *testing.T) {
+			w, err := Open("inproc", 3, TransportOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			boom := errors.New("rank 0 failed")
+			var timed error
+			start := time.Now()
+			err = w.SPMD(context.Background(), func(c *Comm) error {
+				if sub {
+					sc, err := c.Sub([]int{2, 1, 0})
+					if err != nil {
+						return err
+					}
+					c = sc
+				}
+				switch c.WorldRank() {
+				case 0:
+					time.Sleep(10 * time.Millisecond)
+					return boom
+				case 1:
+					_, timed = c.RecvTimeout(c.Rank()+1, 9, 3*time.Second) // nobody sends
+					return timed
+				}
+				return nil
+			})
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("section took %v: the timed receive sat out its deadline", elapsed)
+			}
+			if !errors.Is(err, boom) {
+				t.Errorf("section error %v does not carry rank 0's", err)
+			}
+			if timed != context.Canceled {
+				t.Errorf("timed receive: %v, want context.Canceled", timed)
 			}
 		})
 	}
@@ -300,5 +353,133 @@ func TestWorldCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not unblock the pending Recv")
+	}
+}
+
+// TestWorldRankGoroutines: a world runs its sections on one goroutine
+// per rank, which Close ends — also when Close comes while a section is
+// running — and a rank body that ends its goroutine (runtime.Goexit, as
+// t.FailNow does) leaves a rank the next section still finds.
+func TestWorldRankGoroutines(t *testing.T) {
+	const p = 4
+	settled := func(before int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
+			}
+		}
+	}
+	t.Run("sections reuse them", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		w, err := Open("inproc", p, TransportOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := w.SPMD(context.Background(), func(c *Comm) error { return c.Barrier(1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Rank 2 ends its goroutine mid-section.
+		err = w.SPMD(context.Background(), func(c *Comm) error {
+			if c.Rank() == 2 {
+				runtime.Goexit()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := make([]bool, p)
+		if err := w.SPMD(context.Background(), func(c *Comm) error { ran[c.Rank()] = true; return c.Barrier(1) }); err != nil {
+			t.Fatal(err)
+		}
+		for r, ok := range ran {
+			if !ok {
+				t.Errorf("rank %d did not run the section after a Goexit", r)
+			}
+		}
+		w.Close()
+		settled(before)
+	})
+	t.Run("close during a section", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		w, err := Open("inproc", p, TransportOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		section := make(chan error, 1)
+		go func() {
+			section <- w.SPMD(context.Background(), func(c *Comm) error {
+				_, err := c.Recv((c.Rank()+1)%p, 2) // nobody sends
+				return err
+			})
+		}()
+		eventually(t, func() bool {
+			for _, c := range w.Comms() {
+				if !sectionParked(boxOf(c), 1) {
+					return false
+				}
+			}
+			return true
+		})
+		w.Close()
+		if err := <-section; !errors.Is(err, ErrClosed) {
+			t.Fatalf("section: %v, want ErrClosed", err)
+		}
+		settled(before)
+	})
+}
+
+// BenchmarkSPMDSection times one SPMD section on an in-process world,
+// the fixed cost a session Run pays around its iterations: with an
+// empty body (goroutines, join, the section's one cancellation watch),
+// one Barrier (a linear rank-0 fan-in and release), and one parked
+// receive per rank: a token passed once round the ring against the
+// order the ranks start in, so each rank, rank 0 included, is waiting
+// under the section's context well before the token reaches it.
+func BenchmarkSPMDSection(b *testing.B) {
+	const tag = 7
+	bodies := []struct {
+		name string
+		f    func(c *Comm) error
+	}{
+		{"empty", func(c *Comm) error { return nil }},
+		{"barrier", func(c *Comm) error { return c.Barrier(tag) }},
+		{"ring", func(c *Comm) error {
+			p, r := c.Size(), c.Rank()
+			if r == 0 {
+				if err := c.Send(p-1, tag, nil); err != nil {
+					return err
+				}
+			}
+			data, err := c.Recv((r+1)%p, tag)
+			if err != nil {
+				return err
+			}
+			c.Release(data)
+			if r == 0 {
+				return nil
+			}
+			return c.Send(r-1, tag, nil)
+		}},
+	}
+	for _, p := range []int{4, 64} {
+		w, err := Open("inproc", p, TransportOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, body := range bodies {
+			b.Run(fmt.Sprintf("p=%d/%s", p, body.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := w.SPMD(context.Background(), body.f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		w.Close()
 	}
 }

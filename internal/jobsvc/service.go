@@ -512,6 +512,7 @@ func (s *Service) executeJob(j *job) (*session.RunReport, []float64, error) {
 		subComms[i] = sc
 	}
 	world := comm.WrapWorld(subComms)
+	defer world.Close()
 	cfg, err := j.spec.sessionConfig(world)
 	if err != nil {
 		return nil, nil, err

@@ -192,6 +192,54 @@ func TestKillAtRunBoundaryRecoversNextRun(t *testing.T) {
 	}
 }
 
+// TestRunWallIsTheSection: a Run's Wall is its SPMD section's own
+// duration, to the nanosecond on the sim clock — the clock's advance
+// across the Run call, nothing before the section or after its join.
+// So a kill detected at a Run-start checkpoint gate, whose detection
+// waits out the coordinator's heartbeat deadline, lies inside that
+// Run's Wall.
+func TestRunWallIsTheSection(t *testing.T) {
+	g, err := mesh.Honeycomb(20, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const detect = time.Second
+	clk := vtime.NewSim()
+	s, err := New(context.Background(), g, Config{
+		Procs: 4, Order: order.RCB, WorkRep: 3, CheckEvery: 10,
+		Net:         comm.TransportOptions{Clock: clk},
+		ComputeCost: 10 * time.Microsecond,
+		Checkpoint:  &ckpt.Config{DetectTimeout: detect, Kills: []ckpt.Kill{{Rank: 1, Iter: 30}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for run := 1; run <= 2; run++ {
+		before := clk.Now()
+		rep, err := s.Run(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if advance := clk.Now().Sub(before); rep.Wall != advance {
+			t.Errorf("Run %d: Wall %v, the clock advanced %v", run, rep.Wall, advance)
+		}
+		if run == 1 {
+			if len(rep.Recoveries) != 0 || rep.Wall >= detect {
+				t.Fatalf("Run 1: %d recoveries, Wall %v; want none, well under the %v deadline", len(rep.Recoveries), rep.Wall, detect)
+			}
+			continue
+		}
+		// The kill at iteration 30 fires at Run 2's start gate.
+		if len(rep.Recoveries) != 1 || rep.Recoveries[0].Iter != 30 {
+			t.Fatalf("Run 2 recoveries %+v, want one at the iteration-30 gate", rep.Recoveries)
+		}
+		if latency := rep.Recoveries[0].DetectLatency; latency < detect || rep.Wall <= latency {
+			t.Errorf("Run 2: Wall %v does not hold the gate's detection latency %v (deadline %v)", rep.Wall, latency, detect)
+		}
+	}
+}
+
 // TestKillBeforeFirstCheckpointReinits: a rank killed at iteration 0
 // dies at the very first gate, before any checkpoint exists. The
 // survivors restart from the initial conditions (a pure function of

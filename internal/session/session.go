@@ -46,13 +46,6 @@ import (
 	"stance/internal/vtime"
 )
 
-// Barrier tags for the Run driver (distinct from the runtime's, the
-// balancer's and the elastic protocol's).
-const (
-	tagRunStart = 0x501
-	tagRunEnd   = 0x502
-)
-
 // Config parameterizes a session. The zero value runs the identity
 // ordering on one in-process rank with a free network and no load
 // balancing.
@@ -544,7 +537,11 @@ type MembershipEvent = elastic.Event
 type RunReport struct {
 	// Iters is the number of iterations this Run executed.
 	Iters int `json:"iters"`
-	// Wall is rank 0's barrier-to-barrier wall time.
+	// Wall is the Run's own duration on the session clock: from just
+	// before its SPMD section starts to just after the section joins,
+	// so Run-start checkpoint gates (and any failure detection they
+	// wait out) fall inside it. On a simulated clock the end is the
+	// last rank's finish.
 	Wall time.Duration `json:"wall_ns"`
 	// Ranks holds each rank's accumulated compute/comm time and items,
 	// indexed by world rank (parked ranks accumulate nothing).
@@ -574,8 +571,8 @@ type RunReport struct {
 	// Exec is the traffic the executor data path itself generated
 	// during the run (Exchange/ScatterAdd operations, messages and
 	// bytes summed over ranks), counted per operation by the runtimes.
-	// Unlike Msgs/Bytes it excludes barrier, balancer and remap
-	// traffic, so it is the pure schedule-replay cost.
+	// Unlike Msgs/Bytes it excludes membership, checkpoint, balancer
+	// and remap traffic, so it is the pure schedule-replay cost.
 	Exec core.ExecStats `json:"exec"`
 	// Transport is the wire-counter delta over the run (framed writes,
 	// wire bytes after batching and compression, missed heartbeats,
@@ -659,9 +656,9 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 	last := s.Iter() + iters
 	pending := s.pendingBoundary
 	s.pendingBoundary = false
-	var wall time.Duration
+	start := s.clock.Now()
 	err := s.world.SPMD(s.ctx, func(c *comm.Comm) error {
-		err := s.run(c, rep, last, pending, &wall)
+		err := s.run(c, rep, last, pending)
 		if err != nil && s.ckptOn() && errors.Is(err, comm.ErrKilled) {
 			// The rank's transport endpoint was crash-injected
 			// (comm.KillEndpoint): a crash-stop death, not a program
@@ -677,8 +674,10 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 		s.broken = true
 		return nil, err
 	}
+	// On a simulated clock nothing advances once the last rank is done,
+	// so this is that rank's finish.
+	rep.Wall = s.clock.Now().Sub(start)
 	s.pendingBoundary = last%s.cfg.CheckEvery == 0
-	rep.Wall = wall
 	msgs1, bytes1 := s.world.Stats()
 	rep.Msgs, rep.Bytes = msgs1-msgs0, bytes1-bytes0
 	if s.ownWorld {
@@ -719,11 +718,24 @@ func (s *Session) check(me int, rep *RunReport, iter int, tm solver.Timings) err
 // run ends; retiring ranks migrate their data away and join the parked
 // set. A fixed-membership session is the case where every rank is
 // active throughout, so Park is never reached and nobody is released.
-func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall *time.Duration) error {
+func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool) error {
 	me := c.Rank()
 	rk := s.ranks[me]
 	ctl := s.ctls[me]
 	usage := &rep.Ranks[me]
+	// The per-iteration callback only polls cancellation: a rank that
+	// never blocks (a one-rank world has no ghosts) must still notice
+	// it. It reads Done without the context's lock, which every rank
+	// shares, and Err only once that is closed.
+	done := s.ctx.Done()
+	cancelled := func(int) error {
+		select {
+		case <-done:
+			return s.ctx.Err()
+		default:
+			return nil
+		}
+	}
 	if s.killed != nil && s.killed[me] {
 		// A rank whose injected kill fired in an earlier Run stays
 		// silent forever; its own controller still lists it as active
@@ -732,12 +744,10 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall
 		return nil
 	}
 
-	var start time.Time
 	if ctl.ActiveHere() {
 		// The Run start is a checkpoint gate: ranks that died at the
 		// end of the previous Run (or whose kill names iteration 0)
-		// are detected before any survivor blocks in a barrier with
-		// them.
+		// are detected before any survivor exchanges with them.
 		res, err := s.ckptGate(c, rep, rk.sol.Iter())
 		if err != nil {
 			return err
@@ -745,10 +755,6 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall
 		if res == gateDied {
 			return nil
 		}
-		if err := s.subs[me].Barrier(tagRunStart); err != nil {
-			return err
-		}
-		start = s.clock.Now()
 		// A boundary that fell on the previous Run's final iteration
 		// was deferred; perform it now, on the window that Run left.
 		// With nothing deferred only the checkpoint is taken, under the
@@ -789,10 +795,7 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall
 		if next > last {
 			next = last
 		}
-		// The per-iteration callback only polls cancellation: a rank
-		// that never blocks (a one-rank world has no ghosts) must still
-		// notice it.
-		if err := rk.sol.Run(next-iter, func(int) error { return s.ctx.Err() }); err != nil {
+		if err := rk.sol.Run(next-iter, cancelled); err != nil {
 			return err
 		}
 		if next == last {
@@ -826,11 +829,7 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool, wall
 	tm := rk.sol.TakeTimings()
 	usage.Add(tm)
 	rk.window = tm
-	if err := s.subs[me].Barrier(tagRunEnd); err != nil {
-		return err
-	}
 	if me == 0 {
-		*wall = s.clock.Now().Sub(start)
 		// Dead ranks get no run-end verdict: nobody would ever consume
 		// it, and on a shared pool (jobsvc) the stale message could
 		// leak into a later tenant of the same rank.

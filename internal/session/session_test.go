@@ -436,10 +436,11 @@ func TestRunReportsExecutorTraffic(t *testing.T) {
 
 // TestDriverTraffic pins the messages the driver itself sends — world
 // total minus executor replay — which no other test covers. A fixed
-// session without a balancer pays two barriers per Run and nothing per
-// boundary; the membership protocol adds exactly one verdict multicast
-// per boundary performed (interior, plus the one deferred from the
-// previous Run's last iteration). It also pins a fixed session's view
+// session without a balancer sends nothing of its own, per Run or per
+// boundary: the Run is one SPMD section, which the join orders; the
+// membership protocol adds exactly one verdict multicast per boundary
+// performed (interior, plus the one deferred from the previous Run's
+// last iteration). It also pins a fixed session's view
 // of membership: everyone, epoch 0, and no Resize.
 func TestDriverTraffic(t *testing.T) {
 	const p, checkEvery = 4, 10
@@ -475,9 +476,9 @@ func TestDriverTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := int64(2 * p)
+				want := int64(0)
 				if elastic {
-					want += int64(iters / checkEvery)
+					want = int64(iters / checkEvery)
 				}
 				if got := rep.Msgs - rep.Exec.Msgs; got != want {
 					t.Errorf("Run(%d): driver sent %d messages (%d total, %d executor), want %d",

@@ -95,6 +95,7 @@ func TestConcurrentSubWorldSessions(t *testing.T) {
 		wg.Add(1)
 		go func(gi int, w *comm.World) {
 			defer wg.Done()
+			defer w.Close()
 			errs[gi] = func() error {
 				cfg := makeCfg(gi)
 				cfg.World = w
