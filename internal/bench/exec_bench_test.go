@@ -28,7 +28,13 @@ type execHarness struct {
 
 func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
 	b.Helper()
+	// The 60×100 honeycomb, and at p = 64 the 150×150 triangulated grid
+	// of the scale-p64 workload: about 85 ghosts from six peers a rank,
+	// where the mailbox's fan-in is the cost.
 	g, err := mesh.Honeycomb(60, 100)
+	if p == 64 {
+		g, err = mesh.GridTriangulated(150, 150, 0.2, 1)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,9 +76,9 @@ func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
 
 // BenchmarkExchange measures the steady-state ghost gather: pack from
 // the vector into a persistent wire buffer, send, drain receives in
-// arrival order, unpack straight into the ghost section.
+// arrival-order batches, unpack straight into the ghost section.
 func BenchmarkExchange(b *testing.B) {
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{2, 4, 64} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			h := newExecHarness(b, p, 1)
 			b.ReportAllocs()
@@ -97,7 +103,7 @@ func BenchmarkExchange(b *testing.B) {
 // travel home and accumulate into owned elements in deterministic
 // peer order.
 func BenchmarkScatterAdd(b *testing.B) {
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{2, 4, 64} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			h := newExecHarness(b, p, 1)
 			b.ReportAllocs()

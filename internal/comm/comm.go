@@ -48,17 +48,16 @@ type Transport interface {
 	// from already-served peers (which belong to a later collective
 	// operation) stay queued.
 	RecvAnyOf(ctx context.Context, tag int, mask []bool) (src int, data []byte, err error)
-	// PollAnyOf is the non-blocking RecvAnyOf: ok=false when nothing
-	// admissible has arrived yet.
-	PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error)
+	// TakeAnyOf is the batched RecvAnyOf: one receive takes the oldest
+	// queued message of every admitted source, sources ascending, into
+	// b. With await > 0 and nothing admissible queued it blocks, and no
+	// delivery short of the await-th awaited source wakes it; with
+	// await <= 0 it never blocks.
+	TakeAnyOf(ctx context.Context, tag int, mask []bool, await int, b *Batch) error
 	// RecvTimeout is Recv with a deadline on the transport's clock; it
 	// fails with ErrTimeout when the deadline passes first, and with
 	// ctx.Err() when ctx is cancelled first.
 	RecvTimeout(ctx context.Context, src, tag int, d time.Duration) ([]byte, error)
-	// Release hands a payload returned by a receive back for reuse; the
-	// caller must not touch the buffer afterwards. Recycling is what
-	// makes the executor's steady-state data path allocation-free.
-	Release(buf []byte)
 	// Clock is the clock cost charges, delivery delays and deadlines run
 	// on. The runtime derives every timing — solver phases, balance
 	// checks, remap costs — from it, so a world opened on a simulated
@@ -71,7 +70,8 @@ type Transport interface {
 	// Close shuts the transport down; blocked receives fail.
 	Close() error
 	// box is the root-world mailbox the endpoint receives from, which
-	// World.SPMD covers for the duration of a section.
+	// World.SPMD covers for the duration of a section and whose pool
+	// Comm.Release returns payloads to.
 	box() *mailbox
 }
 
@@ -293,16 +293,26 @@ func (c *Comm) RecvAnyOf(tag int, mask []bool) (int, []byte, error) {
 	return c.tr.RecvAnyOf(c.boundCtx(), tag, mask)
 }
 
-// PollAnyOf returns an already-arrived message from a source the mask
-// admits without blocking; ok=false means nothing admissible has
-// arrived yet.
-func (c *Comm) PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
-	return c.tr.PollAnyOf(tag, mask)
+// TakeAnyOf is the batched RecvAnyOf the executor drains with: one
+// receive takes the oldest queued message on tag of every source the
+// mask admits (nil admits every source), at most one per source,
+// sources ascending, into b. With await > 0 and nothing admissible
+// queued it blocks until await admitted sources — the ones the caller
+// still waits on — have a message queued, or the endpoint closes, the
+// bound context is cancelled or an admitted source is declared dead;
+// with await <= 0 it never blocks, and an empty batch means nothing
+// admissible has arrived. Messages from sources the mask leaves out
+// stay queued, as for RecvAnyOf.
+func (c *Comm) TakeAnyOf(tag int, mask []bool, await int, b *Batch) error {
+	return c.tr.TakeAnyOf(c.boundCtx(), tag, mask, await, b)
 }
 
-// Release hands a payload returned by a receive back to the transport
-// for reuse. The buffer must not be used afterwards.
-func (c *Comm) Release(buf []byte) { c.tr.Release(buf) }
+// Release hands payloads returned by receives back to the endpoint's
+// mailbox pool for reuse, all of them in one lock round; a batch goes
+// back as Release(b.Data...). The buffers must not be used afterwards.
+// Every endpoint, a sub-world's included, receives from its root
+// mailbox, so that is where the buffers return.
+func (c *Comm) Release(bufs ...[]byte) { c.tr.box().Release(bufs...) }
 
 // RecvInto receives from src into the caller's buffer, returning the
 // payload length; it fails (consuming the message) if the payload does

@@ -21,7 +21,19 @@ type msgq struct {
 
 func (q *msgq) empty() bool { return q.head == len(q.frames) }
 
-func (q *msgq) push(b []byte) { q.frames = append(q.frames, b) }
+// push appends b. A full backing array whose head has moved on is
+// compacted before it grows, so a FIFO that never quite empties — a
+// peer one operation ahead keeps it at one or two messages — stays at
+// its deepest length instead of creeping along an ever larger array.
+func (q *msgq) push(b []byte) {
+	if q.head > 0 && len(q.frames) == cap(q.frames) {
+		n := copy(q.frames, q.frames[q.head:])
+		clear(q.frames[n:])
+		q.frames = q.frames[:n]
+		q.head = 0
+	}
+	q.frames = append(q.frames, b)
+}
 
 func (q *msgq) pop() []byte {
 	b := q.frames[q.head]
@@ -48,14 +60,18 @@ type tagq struct {
 	queued int    // messages waiting, over all sources
 }
 
-func (t *tagq) push(src int, b []byte) {
+// push queues b behind src's earlier messages and reports whether it is
+// the only one queued from src: the first a batch waiter can count.
+func (t *tagq) push(src int, b []byte) (first bool) {
 	i, ok := slices.BinarySearch(t.srcs, src)
 	if !ok {
 		t.srcs = slices.Insert(t.srcs, i, src)
 		t.from = slices.Insert(t.from, i, msgq{})
 	}
+	first = t.from[i].empty()
 	t.from[i].push(b)
 	t.queued++
+	return first
 }
 
 // pop takes the oldest message of the non-empty FIFO at position i.
@@ -86,11 +102,42 @@ func (t *tagq) popLowest(mask []bool) (src int, data []byte) {
 		if t.from[i].empty() {
 			continue
 		}
-		if mask == nil || (src >= 0 && src < len(mask) && mask[src]) {
+		if admits(mask, src) {
 			return src, t.pop(i)
 		}
 	}
 	return -1, nil
+}
+
+// popBatch appends to b the oldest message of every source with one
+// queued that the mask admits, in ascending source order.
+func (t *tagq) popBatch(mask []bool, b *Batch) {
+	for i := 0; i < len(t.srcs) && t.queued > 0; i++ {
+		if src := t.srcs[i]; !t.from[i].empty() && admits(mask, src) {
+			b.Srcs = append(b.Srcs, src)
+			b.Data = append(b.Data, t.pop(i))
+		}
+	}
+}
+
+// admits reports whether the receive mask admits src; nil admits every
+// source.
+func admits(mask []bool, src int) bool {
+	return mask == nil || (src >= 0 && src < len(mask) && mask[src])
+}
+
+// Batch is what one TakeAnyOf took: Data[i] came from Srcs[i], at most
+// one message per source, sources ascending. TakeAnyOf empties it
+// before filling it, so one Batch serves every receive of an operation
+// and its backing arrays are reused.
+type Batch struct {
+	Srcs []int
+	Data [][]byte
+}
+
+func (b *Batch) reset() {
+	clear(b.Data)
+	b.Srcs, b.Data = b.Srcs[:0], b.Data[:0]
 }
 
 // cancelWatch is the mailbox's one registration on a context some
@@ -170,15 +217,27 @@ type mailbox struct {
 
 	// clock supplies deadlines; sim is non-nil when it is a simulated
 	// clock, in which case blocked receivers take part in the clock's
-	// waiter accounting: simWaiting counts the waiters currently marked
-	// blocked in the clock. Every wakeup path (deliver, close, cancel,
-	// deadline) goes through wakeLocked, which retires those marks
-	// atomically with the broadcast — the clock must see the woken
-	// waiters as runnable before it can advance again.
-	clock      vtime.Clock
-	sim        *vtime.Sim
-	simWaiting int
-	wakeGen    uint64
+	// waiter accounting. waiting counts the receives parked and not yet
+	// woken — on a simulated clock, the waiters marked blocked in it.
+	// Every wakeup path (deliver, close, cancel, deadline) goes through
+	// wakeLocked, which retires those marks atomically with the
+	// broadcast — the clock must see the woken waiters as runnable
+	// before it can advance again.
+	clock   vtime.Clock
+	sim     *vtime.Sim
+	waiting int
+	wakeGen uint64
+
+	// batch is the batch waiter: a TakeAnyOf parked until need more of
+	// the sources its mask admits have a message queued on its tag (see
+	// enqueueLocked). owner is the parked call's Batch, nil when no
+	// batch waiter is parked; a wake clears it.
+	batch struct {
+		owner *Batch
+		tag   int
+		mask  []bool
+		need  int
+	}
 }
 
 func newMailbox(clock vtime.Clock) *mailbox {
@@ -193,37 +252,41 @@ func newMailbox(clock vtime.Clock) *mailbox {
 
 // waitLocked parks the caller on the mailbox condition. On a simulated
 // clock the waiter is marked blocked so the clock can auto-advance; the
-// mark is retired either by the waker (wakeLocked) or, if the waker got
-// there first, not at all — simWaiting tracks exactly the marks still
-// outstanding.
+// mark is retired by the waker (wakeLocked) — waiting tracks exactly
+// the waiters not yet woken.
 func (m *mailbox) waitLocked() {
-	if m.sim == nil {
-		m.cond.Wait()
-		return
-	}
-	m.simWaiting++
+	m.waiting++
 	gen := m.wakeGen
-	m.sim.Block()
+	if m.sim != nil {
+		m.sim.Block()
+	}
 	m.cond.Wait()
 	// A wakeLocked since we parked has already retired every
 	// outstanding mark (including ours, and possibly before we actually
 	// woke); only a wake that bypassed wakeLocked — which none do —
 	// would leave our own mark to retire here.
 	if m.wakeGen == gen {
-		m.simWaiting--
-		m.sim.Unblock(1)
+		m.waiting--
+		if m.sim != nil {
+			m.sim.Unblock(1)
+		}
 	}
 }
 
 // wakeLocked wakes every waiter, first handing their runnable tokens
 // back to the simulated clock (no-op on the real clock). Every path
 // that can satisfy or abort a wait must use it instead of a bare
-// Broadcast.
+// Broadcast. With no waiter parked it does nothing: a waiter counted
+// out by an earlier wake has been signalled already.
 func (m *mailbox) wakeLocked() {
-	if m.sim != nil && m.simWaiting > 0 {
-		m.sim.Unblock(m.simWaiting)
-		m.simWaiting = 0
+	if m.waiting == 0 {
+		return
 	}
+	if m.sim != nil {
+		m.sim.Unblock(m.waiting)
+	}
+	m.waiting = 0
+	m.batch.owner = nil
 	m.wakeGen++
 	m.cond.Broadcast()
 }
@@ -324,38 +387,50 @@ func (m *mailbox) watchLocked(ctx context.Context, done <-chan struct{}) *cancel
 
 // takeBufLocked returns a payload buffer of length n, reusing a pooled
 // one when possible. One pool serves all message sizes on a rank, so the
-// newest-first scan skips entries of the wrong size for this request
-// instead of discarding them: too small, or more than poolSlack times
-// too large — an 8-byte heartbeat must not walk off with a checkpoint
-// mirror's 190 kB buffer, which a receiver that never Releases would
-// then drop to the GC, one fresh snapshot buffer per checkpoint. Small
-// control-frame buffers stay pooled for small requests, large ones for
-// large, and in the homogeneous steady state the newest entry fits
-// immediately.
+// scan skips entries of the wrong size for this request instead of
+// discarding them: too small, or more than poolSlack times too large —
+// an 8-byte heartbeat must not walk off with a checkpoint mirror's
+// 190 kB buffer, which a receiver that never Releases would then drop to
+// the GC, one fresh snapshot buffer per checkpoint. Among the entries
+// that fit it takes the smallest, newest first, and stops at an exact
+// fit: a small ghost message must not take the buffer the next large
+// one needs either, or the pool fills with small buffers while every
+// large message allocates — a rank whose peers' messages differ in size
+// and arrive in bursts, as the executor's do at p=64, did exactly that.
+// In the steady state an exact fit is in the pool.
 func (m *mailbox) takeBufLocked(n int) []byte {
+	best := -1
 	for i := len(m.free) - 1; i >= 0; i-- {
-		if c := cap(m.free[i]); c < n || c > poolSlack*n+poolSmall {
+		c := cap(m.free[i])
+		if c < n || c > poolSlack*n+poolSmall || best >= 0 && c >= cap(m.free[best]) {
 			continue
 		}
-		b := m.free[i]
-		last := len(m.free) - 1
-		m.free[i] = m.free[last]
-		m.free[last] = nil
-		m.free = m.free[:last]
-		return b[:n]
+		if best = i; c == n {
+			break
+		}
 	}
-	return make([]byte, n)
+	if best < 0 {
+		return make([]byte, n)
+	}
+	b := m.free[best]
+	last := len(m.free) - 1
+	m.free[best] = m.free[last]
+	m.free[last] = nil
+	m.free = m.free[:last]
+	return b[:n]
 }
 
-// Release returns a delivered payload buffer to the pool. The caller
-// must not touch the buffer afterwards.
-func (m *mailbox) Release(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
+// Release returns delivered payload buffers to the pool, all of them in
+// one lock round. The caller must not touch the buffers afterwards.
+func (m *mailbox) Release(bufs ...[]byte) {
 	m.mu.Lock()
-	if len(m.free) < maxPooled {
-		m.free = append(m.free, b[:0])
+	for _, b := range bufs {
+		if len(m.free) == maxPooled {
+			break
+		}
+		if cap(b) > 0 {
+			m.free = append(m.free, b[:0])
+		}
 	}
 	m.mu.Unlock()
 }
@@ -400,6 +475,16 @@ func (m *mailbox) allDeadLocked(mask []bool) bool {
 	return admitted
 }
 
+// anyDeadLocked reports whether some source the mask admits is dead.
+func (m *mailbox) anyDeadLocked(mask []bool) bool {
+	for src, dead := range m.dead {
+		if dead && admits(mask, src) {
+			return true
+		}
+	}
+	return false
+}
+
 // closedErrLocked is the error receives fail with after close.
 func (m *mailbox) closedErrLocked() error {
 	if m.closeErr != nil {
@@ -439,14 +524,27 @@ func (m *mailbox) deliver(src, tag int, payload []byte, delay time.Duration) err
 	return nil
 }
 
-// enqueueLocked makes a message receivable and wakes the waiters.
+// enqueueLocked makes a message receivable and wakes the waiters — with
+// one exception, the wake rule of TakeAnyOf: when the batch waiter is
+// the only receive parked, only the delivery that completes its count
+// wakes it. A delivery counts when the waiter's mask admits its source
+// on the waiter's tag and nothing from that source was queued there
+// yet; any other delivery leaves the waiter parked.
 func (m *mailbox) enqueueLocked(src, tag int, data []byte) {
 	t := m.tags[tag]
 	if t == nil {
 		t = &tagq{}
 		m.tags[tag] = t
 	}
-	t.push(src, data)
+	first := t.push(src, data)
+	if w := &m.batch; w.owner != nil && m.waiting == 1 {
+		if tag != w.tag || !first || !admits(w.mask, src) {
+			return
+		}
+		if w.need--; w.need > 0 {
+			return
+		}
+	}
 	m.wakeLocked()
 }
 
@@ -565,13 +663,52 @@ func (m *mailbox) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int, []b
 	}
 }
 
-// PollAnyOf is the non-blocking RecvAnyOf: it returns ok=false when no
-// admissible message has arrived yet, letting a send loop drain ready
-// receives without stalling.
-func (m *mailbox) PollAnyOf(tag int, mask []bool) (src int, data []byte, ok bool, err error) {
+// TakeAnyOf is the batched arrival-order receive: in one lock round it
+// takes the oldest queued message on tag of every source the mask admits
+// (nil admits all), at most one per source, sources ascending, into b.
+// With await <= 0 it never blocks, and an empty batch means nothing
+// admissible has arrived. Otherwise, when nothing admissible is queued,
+// it parks as the mailbox's batch waiter until await admitted sources
+// have a message queued — await is how many the caller still waits on,
+// and no delivery short of the last wakes it — or until the mailbox
+// closes, ctx is cancelled, an admitted source is declared dead or a
+// delivery for another parked receive wakes the mailbox. A wake that
+// finds some of the awaited messages queued returns those. The error
+// is that of RecvAnyOf, and b is empty when it is not nil.
+func (m *mailbox) TakeAnyOf(ctx context.Context, tag int, mask []bool, await int, b *Batch) error {
+	b.reset()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.takeAnyLocked(tag, mask)
+	for {
+		if t := m.tags[tag]; t != nil {
+			if t.popBatch(mask, b); len(b.Srcs) > 0 {
+				return nil
+			}
+		}
+		if m.closed {
+			return m.closedErrLocked()
+		}
+		if await <= 0 {
+			return nil
+		}
+		if m.allDeadLocked(mask) {
+			return fmt.Errorf("comm: every admitted source is dead: %w", ErrPeerDead)
+		}
+		// One batch waiter per mailbox; a second one, or one awaiting a
+		// dead source that can never count, parks as any receive does
+		// and is woken by every delivery.
+		batch := m.batch.owner == nil && !m.anyDeadLocked(mask)
+		if batch {
+			m.batch.owner, m.batch.tag, m.batch.mask, m.batch.need = b, tag, mask, await
+		}
+		err := m.parkLocked(ctx)
+		if batch && m.batch.owner == b {
+			m.batch.owner, m.batch.mask = nil, nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // Clock returns the clock deadlines and delivery delays run on.

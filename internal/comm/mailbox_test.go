@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +25,11 @@ func put(t *testing.T, m *mailbox, src, tag int, payload string) {
 }
 
 // TestMailboxLowestAdmittedSource pins the matching rule of RecvAnyOf
-// and PollAnyOf: the lowest source the mask admits wins whatever order
-// the messages arrived in, per-(source, tag) order is FIFO, and what a
-// mask does not admit stays queued, in order, for a later receive.
+// and TakeAnyOf: RecvAnyOf takes the lowest source the mask admits
+// whatever order the messages arrived in, TakeAnyOf takes the oldest
+// message of every admitted source in one batch, sources ascending,
+// per-(source, tag) order is FIFO, and what a mask does not admit stays
+// queued, in order, for a later receive.
 func TestMailboxLowestAdmittedSource(t *testing.T) {
 	mask := func(n int, on ...int) []bool {
 		m := make([]bool, n)
@@ -37,19 +41,34 @@ func TestMailboxLowestAdmittedSource(t *testing.T) {
 	cases := []struct {
 		name string
 		mask []bool
-		want []string // receive order under mask, "|", then what a nil mask drains
+		// Receive order under mask, "|", then what a nil mask drains:
+		// one message per RecvAnyOf, one space-separated batch per
+		// TakeAnyOf.
+		recv, batch []string
 	}{
-		{"nil mask", nil, []string{"1a", "1b", "3a", "3b", "70a"}},
-		{"one source", mask(71, 3), []string{"3a", "3b", "|", "1a", "1b", "70a"}},
-		{"two sources", mask(71, 70, 3), []string{"3a", "3b", "70a", "|", "1a", "1b"}},
-		{"short mask", mask(2, 1), []string{"1a", "1b", "|", "3a", "3b", "70a"}},
-		{"empty mask", mask(71), []string{"|", "1a", "1b", "3a", "3b", "70a"}},
+		{"nil mask", nil,
+			[]string{"1a", "1b", "3a", "3b", "70a"},
+			[]string{"1a 3a 70a", "1b 3b"}},
+		{"one source", mask(71, 3),
+			[]string{"3a", "3b", "|", "1a", "1b", "70a"},
+			[]string{"3a", "3b", "|", "1a 70a", "1b"}},
+		{"two sources", mask(71, 70, 3),
+			[]string{"3a", "3b", "70a", "|", "1a", "1b"},
+			[]string{"3a 70a", "3b", "|", "1a", "1b"}},
+		{"short mask", mask(2, 1),
+			[]string{"1a", "1b", "|", "3a", "3b", "70a"},
+			[]string{"1a", "1b", "|", "3a 70a", "3b"}},
+		{"empty mask", mask(71),
+			[]string{"|", "1a", "1b", "3a", "3b", "70a"},
+			[]string{"|", "1a 3a 70a", "1b 3b"}},
 	}
 	for _, tc := range cases {
-		for _, poll := range []bool{false, true} {
+		// recv: blocking RecvAnyOf; poll: TakeAnyOf that never blocks;
+		// batch: TakeAnyOf awaiting one source.
+		for _, mode := range []string{"recv", "poll", "batch"} {
 			name := tc.name
-			if poll {
-				name += "/poll"
+			if mode != "recv" {
+				name += "/" + mode
 			}
 			t.Run(name, func(t *testing.T) {
 				m := newMailbox(nil)
@@ -62,25 +81,39 @@ func TestMailboxLowestAdmittedSource(t *testing.T) {
 				put(t, m, 1, tag, "1a")
 				put(t, m, 3, tag, "3b")
 				put(t, m, 1, tag, "1b")
-				// take receives the next message the mask admits. Where the
-				// table expects none it polls, so the blocking variant is
-				// only asked for messages that should be there.
+				// take receives what the mask admits next. Where the table
+				// expects nothing it takes without blocking, so a blocking
+				// receive is only asked for messages that should be there.
+				var b Batch
 				take := func(mask []bool, expected bool) (string, bool) {
 					t.Helper()
-					if poll || !expected {
-						_, data, ok, err := m.PollAnyOf(tag, mask)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return string(data), ok
-					}
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 					defer cancel()
-					_, data, err := m.RecvAnyOf(ctx, tag, mask)
-					return string(data), err == nil
+					if mode == "recv" && expected {
+						_, data, err := m.RecvAnyOf(ctx, tag, mask)
+						return string(data), err == nil
+					}
+					await := 0
+					if mode == "batch" && expected {
+						await = 1
+					}
+					if err := m.TakeAnyOf(ctx, tag, mask, await, &b); err != nil {
+						t.Fatal(err)
+					}
+					got := make([]string, len(b.Srcs))
+					for i, src := range b.Srcs {
+						if got[i] = string(b.Data[i]); strings.TrimRight(got[i], "ab") != strconv.Itoa(src) {
+							t.Fatalf("batch says %q came from %d", got[i], src)
+						}
+					}
+					return strings.Join(got, " "), len(got) > 0
+				}
+				want := tc.batch
+				if mode == "recv" {
+					want = tc.recv
 				}
 				cur := tc.mask
-				for _, want := range append(tc.want, "|") {
+				for _, want := range append(want, "|") {
 					got, ok := take(cur, want != "|")
 					switch {
 					case want == "|" && ok:
@@ -109,6 +142,10 @@ func TestMailboxFailureOutcomes(t *testing.T) {
 		_, _, err := m.RecvAnyOf(context.Background(), tag, []bool{false, true})
 		return err
 	}
+	takeAny := func(m *mailbox) error {
+		var b Batch
+		return m.TakeAnyOf(context.Background(), tag, []bool{false, true}, 1, &b)
+	}
 	timed := func(d time.Duration) func(m *mailbox) error {
 		return func(m *mailbox) error { _, err := m.RecvTimeout(nil, 1, tag, d); return err }
 	}
@@ -120,12 +157,15 @@ func TestMailboxFailureOutcomes(t *testing.T) {
 	}{
 		{"closed/recv", func(m *mailbox) { m.Close() }, recv, ErrClosed},
 		{"closed/recvAnyOf", func(m *mailbox) { m.Close() }, recvAny, ErrClosed},
+		{"closed/takeAnyOf", func(m *mailbox) { m.Close() }, takeAny, ErrClosed},
 		{"closed/timeout", func(m *mailbox) { m.Close() }, timed(time.Minute), ErrClosed},
 		{"killed/recv", func(m *mailbox) { m.closeWith(ErrKilled) }, recv, ErrKilled},
 		{"killed/recvAnyOf", func(m *mailbox) { m.closeWith(ErrKilled) }, recvAny, ErrKilled},
+		{"killed/takeAnyOf", func(m *mailbox) { m.closeWith(ErrKilled) }, takeAny, ErrKilled},
 		{"killed then closed", func(m *mailbox) { m.closeWith(ErrKilled); m.Close() }, recv, ErrKilled},
 		{"dead/recv", func(m *mailbox) { m.markPeerDead(1) }, recv, ErrPeerDead},
 		{"dead/recvAnyOf", func(m *mailbox) { m.markPeerDead(1) }, recvAny, ErrPeerDead},
+		{"dead/takeAnyOf", func(m *mailbox) { m.markPeerDead(1) }, takeAny, ErrPeerDead},
 		{"dead/timeout", func(m *mailbox) { m.markPeerDead(1) }, timed(time.Minute), ErrPeerDead},
 		{"timeout", func(m *mailbox) {}, timed(time.Millisecond), ErrTimeout},
 		{"timeout/no such rank", func(m *mailbox) {}, func(m *mailbox) error {
@@ -167,11 +207,12 @@ func TestMailboxFailureOutcomes(t *testing.T) {
 	}
 	t.Run("poll and deliver after close", func(t *testing.T) {
 		m := newMailbox(nil)
-		if _, _, ok, err := m.PollAnyOf(tag, nil); ok || err != nil {
-			t.Fatalf("poll on an empty mailbox: %v, %v", ok, err)
+		var b Batch
+		if err := m.TakeAnyOf(nil, tag, nil, 0, &b); len(b.Srcs) > 0 || err != nil {
+			t.Fatalf("poll on an empty mailbox: %v, %v", b.Srcs, err)
 		}
 		m.Close()
-		if _, _, _, err := m.PollAnyOf(tag, nil); !errors.Is(err, ErrClosed) {
+		if err := m.TakeAnyOf(nil, tag, nil, 0, &b); !errors.Is(err, ErrClosed) {
 			t.Fatalf("poll on a closed mailbox: %v, want ErrClosed", err)
 		}
 		if err := m.deliver(0, tag, []byte("x"), 0); !errors.Is(err, ErrClosed) {
@@ -213,11 +254,12 @@ func TestMailboxDelayedLandingOrder(t *testing.T) {
 	send(2, tag, "2b", 30*time.Millisecond)
 	send(1, tag, "1a", 50*time.Millisecond)
 	send(3, tag, "3a", 0)
-	if _, data, ok, _ := m.PollAnyOf(tag, nil); !ok || string(data) != "3a" {
-		t.Fatalf("undelayed message: %q, %v", data, ok)
+	var b Batch
+	if m.TakeAnyOf(nil, tag, nil, 0, &b); len(b.Data) != 1 || string(b.Data[0]) != "3a" {
+		t.Fatalf("undelayed message: %q", b.Data)
 	}
-	if _, data, ok, _ := m.PollAnyOf(tag, nil); ok {
-		t.Fatalf("%q is receivable before its delay has passed", data)
+	if m.TakeAnyOf(nil, tag, nil, 0, &b); len(b.Data) > 0 {
+		t.Fatalf("%q is receivable before its delay has passed", b.Data)
 	}
 	want := []struct {
 		src     int
@@ -662,19 +704,34 @@ func cycledMailbox(tb testing.TB, tags, srcs int) *mailbox {
 	return m
 }
 
-// recvAnyOfRound is the benchmarked operation: one message in, matched
-// under a mask by RecvAnyOf, buffer released.
+// receiveRound is one benchmarked receive: one message in, matched
+// under mask, its buffer released.
+type receiveRound func(m *mailbox, tag int, mask []bool, payload []byte)
+
+// recvAnyOfRound matches the message by RecvAnyOf.
 func recvAnyOfRound(m *mailbox, tag int, mask []bool, payload []byte) {
 	m.deliver(5, tag, payload, 0)
 	_, data, _ := m.RecvAnyOf(nil, tag, mask)
 	m.Release(data)
 }
 
-// BenchmarkMailboxRecvAnyOf measures a matched receive on a tag the
-// mailbox has not seen before: on a fresh mailbox, and on one that has
-// already cycled 64 tags × 64 sources — the executor's rotating wire
-// tags at p=64. The two must cost the same and allocate nothing.
-func BenchmarkMailboxRecvAnyOf(b *testing.B) {
+// takeAnyOfRound returns the batch-take twin: the message taken under
+// the same mask by TakeAnyOf into a batch the round reuses, the batch
+// released in one call.
+func takeAnyOfRound() receiveRound {
+	var b Batch
+	return func(m *mailbox, tag int, mask []bool, payload []byte) {
+		m.deliver(5, tag, payload, 0)
+		m.TakeAnyOf(nil, tag, mask, 1, &b)
+		m.Release(b.Data...)
+	}
+}
+
+// benchmarkReceive measures a matched receive on a tag the mailbox has
+// not seen before: on a fresh mailbox, and on one that has already
+// cycled 64 tags × 64 sources — the executor's rotating wire tags at
+// p=64. The two must cost the same and allocate nothing.
+func benchmarkReceive(b *testing.B, round receiveRound) {
 	mask := make([]bool, 64)
 	mask[5], mask[9] = true, true
 	payload := make([]byte, 64)
@@ -683,18 +740,25 @@ func BenchmarkMailboxRecvAnyOf(b *testing.B) {
 		m    *mailbox
 	}{{"fresh", newMailbox(nil)}, {"cycled64x64", cycledMailbox(b, 64, 64)}} {
 		b.Run(bc.name, func(b *testing.B) {
-			recvAnyOfRound(bc.m, 1, mask, payload)
+			round(bc.m, 1, mask, payload)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recvAnyOfRound(bc.m, 1, mask, payload)
+				round(bc.m, 1, mask, payload)
 			}
 		})
 	}
 }
 
-// TestMailboxReceiveIsHistoryIndependent is the benchmark's claim as a
-// test: a receive costs what is waiting, not what was ever sent.
+// BenchmarkMailboxRecvAnyOf times one message matched by RecvAnyOf.
+func BenchmarkMailboxRecvAnyOf(b *testing.B) { benchmarkReceive(b, recvAnyOfRound) }
+
+// BenchmarkMailboxTakeAnyOf times the same message taken as a batch.
+func BenchmarkMailboxTakeAnyOf(b *testing.B) { benchmarkReceive(b, takeAnyOfRound()) }
+
+// TestMailboxReceiveIsHistoryIndependent is the benchmarks' claim as a
+// test: a receive, one message at a time or as a batch, costs what is
+// waiting, not what was ever sent.
 func TestMailboxReceiveIsHistoryIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing and allocation counts are perturbed by the race detector")
@@ -703,36 +767,45 @@ func TestMailboxReceiveIsHistoryIndependent(t *testing.T) {
 	mask[5], mask[9] = true, true
 	payload := make([]byte, 64)
 	const rounds, n = 15, 20000
-	timed := func(m *mailbox) time.Duration {
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			recvAnyOfRound(m, 1, mask, payload)
-		}
-		return time.Since(t0)
-	}
-	for attempt := 1; ; attempt++ {
-		fresh, cycled := newMailbox(nil), cycledMailbox(t, 64, 64)
-		for _, m := range []*mailbox{fresh, cycled} {
-			recvAnyOfRound(m, 1, mask, payload)
-			if avg := testing.AllocsPerRun(100, func() { recvAnyOfRound(m, 1, mask, payload) }); avg != 0 {
-				t.Fatalf("%.1f allocs per matched receive, want 0", avg)
+	for _, rc := range []struct {
+		name  string
+		round receiveRound
+	}{{"RecvAnyOf", recvAnyOfRound}, {"TakeAnyOf", takeAnyOfRound()}} {
+		t.Run(rc.name, func(t *testing.T) {
+			round := func(m *mailbox) { rc.round(m, 1, mask, payload) }
+			timed := func(m *mailbox) time.Duration {
+				t0 := time.Now()
+				for i := 0; i < n; i++ {
+					round(m)
+				}
+				return time.Since(t0)
 			}
-		}
-		// Best of several interleaved rounds, so a descheduled round on a
-		// loaded machine does not decide the comparison; a new pair of
-		// mailboxes per attempt, so an unlucky heap placement does not.
-		bf, bc := timed(fresh), timed(cycled)
-		for r := 1; r < rounds; r++ {
-			bf, bc = min(bf, timed(fresh)), min(bc, timed(cycled))
-		}
-		ratio := float64(bc) / float64(bf)
-		t.Logf("fresh %v, cycled %v per %d receives (ratio %.2f)", bf, bc, n, ratio)
-		if ratio >= 0.8 && ratio <= 1.2 {
-			return
-		}
-		if attempt == 5 {
-			t.Fatalf("a receive on a cycled mailbox costs %.2f× one on a fresh mailbox, want within 20%%", ratio)
-		}
+			for attempt := 1; ; attempt++ {
+				fresh, cycled := newMailbox(nil), cycledMailbox(t, 64, 64)
+				for _, m := range []*mailbox{fresh, cycled} {
+					round(m)
+					if avg := testing.AllocsPerRun(100, func() { round(m) }); avg != 0 {
+						t.Fatalf("%.1f allocs per matched receive, want 0", avg)
+					}
+				}
+				// Best of several interleaved rounds, so a descheduled round
+				// on a loaded machine does not decide the comparison; a new
+				// pair of mailboxes per attempt, so an unlucky heap placement
+				// does not.
+				bf, bc := timed(fresh), timed(cycled)
+				for r := 1; r < rounds; r++ {
+					bf, bc = min(bf, timed(fresh)), min(bc, timed(cycled))
+				}
+				ratio := float64(bc) / float64(bf)
+				t.Logf("fresh %v, cycled %v per %d receives (ratio %.2f)", bf, bc, n, ratio)
+				if ratio >= 0.8 && ratio <= 1.2 {
+					return
+				}
+				if attempt == 5 {
+					t.Fatalf("a receive on a cycled mailbox costs %.2f× one on a fresh mailbox, want within 20%%", ratio)
+				}
+			}
+		})
 	}
 }
 

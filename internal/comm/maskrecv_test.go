@@ -52,23 +52,24 @@ func TestRecvAnyOfKeepsFutureMessagesQueued(t *testing.T) {
 	}
 }
 
-func TestPollAnyOf(t *testing.T) {
+func TestTakeAnyOfPoll(t *testing.T) {
 	w := open(t, "inproc", 2, TransportOptions{})
-	if _, _, ok, err := w.Comm(0).PollAnyOf(23, nil); ok || err != nil {
-		t.Fatalf("empty poll: ok=%v err=%v", ok, err)
+	var b Batch
+	if err := w.Comm(0).TakeAnyOf(23, nil, 0, &b); len(b.Srcs) > 0 || err != nil {
+		t.Fatalf("empty poll: %v, err=%v", b.Srcs, err)
 	}
 	if err := w.Comm(1).Send(0, 23, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	src, data, ok, err := w.Comm(0).PollAnyOf(23, []bool{false, true})
-	if err != nil || !ok || src != 1 || string(data) != "x" {
-		t.Fatalf("poll after send: src=%d data=%q ok=%v err=%v", src, data, ok, err)
+	err := w.Comm(0).TakeAnyOf(23, []bool{false, true}, 0, &b)
+	if err != nil || len(b.Srcs) != 1 || b.Srcs[0] != 1 || string(b.Data[0]) != "x" {
+		t.Fatalf("poll after send: srcs=%v data=%q err=%v", b.Srcs, b.Data, err)
 	}
 	// The wrong mask leaves a queued message untouched.
 	if err := w.Comm(1).Send(0, 23, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := w.Comm(0).PollAnyOf(23, []bool{true, false}); ok {
+	if w.Comm(0).TakeAnyOf(23, []bool{true, false}, 0, &b); len(b.Srcs) > 0 {
 		t.Fatal("poll returned a message the mask excluded")
 	}
 }

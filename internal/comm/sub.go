@@ -152,12 +152,25 @@ func (t *subTransport) RecvAnyOf(ctx context.Context, tag int, mask []bool) (int
 	return t.fromWorld[w], data, nil
 }
 
-func (t *subTransport) PollAnyOf(tag int, mask []bool) (int, []byte, bool, error) {
-	w, data, ok, err := t.parent.tr.PollAnyOf(tag, t.translateMask(mask))
-	if err != nil || !ok {
-		return 0, nil, false, err
+// TakeAnyOf admits only members, as RecvAnyOf does, and hands the
+// batch back in sub-world ranks, re-sorted ascending: member order need
+// not follow world order.
+func (t *subTransport) TakeAnyOf(ctx context.Context, tag int, mask []bool, await int, b *Batch) error {
+	if err := t.parent.tr.TakeAnyOf(ctx, tag, t.translateMask(mask), await, b); err != nil {
+		return err
 	}
-	return t.fromWorld[w], data, true, nil
+	for i, w := range b.Srcs {
+		b.Srcs[i] = t.fromWorld[w]
+	}
+	// Insertion sort: the batch is a handful of peers, usually in order
+	// already, and sorting in place allocates nothing.
+	for i := 1; i < len(b.Srcs); i++ {
+		for j := i; j > 0 && b.Srcs[j] < b.Srcs[j-1]; j-- {
+			b.Srcs[j], b.Srcs[j-1] = b.Srcs[j-1], b.Srcs[j]
+			b.Data[j], b.Data[j-1] = b.Data[j-1], b.Data[j]
+		}
+	}
+	return nil
 }
 
 // translateMask maps a sub-world mask onto world numbering in the
@@ -184,8 +197,6 @@ func (t *subTransport) Multicast(dsts []int, tag int, data []byte) error {
 	}
 	return t.parent.Multicast(t.dstScratch, tag, data)
 }
-
-func (t *subTransport) Release(buf []byte) { t.parent.Release(buf) }
 
 func (t *subTransport) box() *mailbox { return t.parent.tr.box() }
 

@@ -4,19 +4,22 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"stance/internal/comm"
 )
 
 // The executor's one data path (paper Phase C: gather and scatter, each
 // a replay of the inspector's schedule). Every replay op — Exchange,
 // ScatterAdd, their coalesced forms and their Start variants — runs the
 // same handle lifecycle: beginOp readies a pooled OpHandle, start packs
-// and posts every send (draining whatever has already arrived between
-// sends), and Wait drains the rest in arrival order, applies ScatterAdd
-// contributions in ascending peer order and retires the handle. A
-// Start entry point returns the handle between the two, so the caller
-// computes over the plan's interior elements while the messages are in
-// flight; a synchronous entry point is run, a start followed at once
-// by its Wait. All per-op state
+// and posts every send, and Wait drains the arrivals in batches — each
+// receive takes every awaited payload already in the mailbox, and a
+// receive that finds none parks until the last of them has arrived —
+// applies ScatterAdd contributions in ascending peer order and retires
+// the handle. A Start entry point returns the handle between the two,
+// so the caller computes over the plan's interior elements while the
+// messages are in flight; a synchronous entry point is run, a start
+// followed at once by its Wait. All per-op state
 // — arrival mask, parked payloads, vector view, wire tag — lives on the
 // handle; the plan holds compiled tables and wire buffers only (the
 // transport copies payloads at Send, so live ops share them safely).
@@ -85,10 +88,11 @@ func (k opKind) name(split bool) string {
 }
 
 // OpHandle is one executor operation between its start and its
-// completion: it owns the arrival mask, the parked out-of-order
-// payloads and the wire tag of a posted Exchange or ScatterAdd. Handles
-// are pooled on the runtime — completion recycles them — so the steady
-// state allocates nothing; a handle is invalid after Wait returns.
+// completion: it owns the arrival mask, the receive batch, the parked
+// out-of-order payloads and the wire tag of a posted Exchange or
+// ScatterAdd. Handles are pooled on the runtime — completion recycles
+// them — so the steady state allocates nothing; a handle is invalid
+// after Wait returns.
 type OpHandle struct {
 	rt   *Runtime
 	kind opKind
@@ -104,9 +108,11 @@ type OpHandle struct {
 	vecs [][]float64
 	// pending marks the peers whose payload has not arrived; held
 	// parks ScatterAdd payloads that completed out of order until the
-	// deterministic ascending-peer apply pass.
+	// deterministic ascending-peer apply pass; batch is the reused
+	// receive batch the drain takes arrivals into.
 	pending  []bool
 	held     [][]byte
+	batch    comm.Batch
 	nPending int
 	done     bool
 	idle     time.Duration
@@ -162,8 +168,8 @@ func (rt *Runtime) ScatterAddAllStart(vecs ...*Vector) (*OpHandle, error) {
 
 // Wait completes the operation: every live op's arrivals are serviced
 // without blocking, then this op's remaining arrivals are received in
-// arrival order (Exchange payloads unpack into their disjoint ghost
-// slots; ScatterAdd payloads park per peer, then apply in ascending
+// arrival-order batches (Exchange payloads unpack into their disjoint
+// ghost slots; ScatterAdd payloads park per peer, then apply in ascending
 // peer order — the same deterministic accumulation as the synchronous
 // entry points, which run this completion themselves). For a Start
 // handle, the time spent blocked accumulates into the handle's Idle
@@ -208,11 +214,12 @@ func (rt *Runtime) run(kind opKind, vs []*Vector) error {
 	return h.Wait()
 }
 
-// start posts an op's sends and, for a Start entry point, registers the
-// live handle: an Exchange packs owned values for the send peers and
-// awaits the receive peers' ghosts; a ScatterAdd, its transpose, packs
-// ghost contributions for the receive peers and parks the send peers'
-// arrivals that complete early on the handle.
+// start posts an op's sends back to back and, for a Start entry point,
+// registers the live handle: an Exchange packs owned values for the send
+// peers and awaits the receive peers' ghosts; a ScatterAdd, its
+// transpose, packs ghost contributions for the receive peers and awaits
+// the send peers' arrivals. Nothing is received here: whatever arrives
+// meanwhile waits in the mailbox for Wait's first batch.
 func (rt *Runtime) start(kind opKind, vs []*Vector, split bool) (*OpHandle, error) {
 	h, err := rt.beginOp(kind, vs, split)
 	if err != nil {
@@ -225,8 +232,13 @@ func (rt *Runtime) start(kind opKind, vs []*Vector, split bool) (*OpHandle, erro
 	}
 	for _, q := range from {
 		h.pending[q] = true
-		h.nPending++
 	}
+	h.nPending = len(from)
+	// Room for every awaited payload in one batch, so a pooled handle
+	// never grows its batch in the steady state, whatever the arrival
+	// pattern.
+	h.batch.Srcs = slices.Grow(h.batch.Srcs[:0], len(from))
+	h.batch.Data = slices.Grow(h.batch.Data[:0], len(from))
 	for _, q := range to {
 		buf := pack(q, h.vecs)
 		if err := rt.c.Send(q, h.tag, buf); err != nil {
@@ -235,17 +247,6 @@ func (rt *Runtime) start(kind opKind, vs []*Vector, split bool) (*OpHandle, erro
 		}
 		rt.execMsgs++
 		rt.execBytes += int64(len(buf))
-		// Opportunistic: between sends, service this op's arrivals and
-		// every live op's, so no handle starves while another is being
-		// posted.
-		if err := h.drain(false); err != nil {
-			rt.retire(h)
-			return nil, err
-		}
-		if err := rt.pollLive(); err != nil {
-			rt.retire(h)
-			return nil, err
-		}
 	}
 	if split {
 		rt.live = append(rt.live, h)
@@ -332,43 +333,50 @@ func (rt *Runtime) checkLiveConflict(opName string, vs []*Vector) error {
 	return nil
 }
 
-// drain takes this op's payloads in arrival order: with block set until
-// none is pending, otherwise only those already in the mailbox. An
-// Exchange payload unpacks straight into its ghost slots (safe out of
-// order: the slots are disjoint assignments); a ScatterAdd payload
-// parks in held, indexed by source, until the ascending-peer apply.
+// drain takes this op's payloads a batch at a time: with block set until
+// none is pending, otherwise only those already in the mailbox. Each
+// batch is every pending peer's payload that has arrived; a blocking
+// receive that finds none parks until all nPending have arrived (or the
+// mailbox wakes it for another reason), so a rank parks about once per
+// op. Exchange payloads unpack straight into their ghost slots (safe in
+// any order: the slots are disjoint assignments) and go back to the pool
+// in one Release; ScatterAdd payloads park in held, indexed by source,
+// until the ascending-peer apply.
 func (h *OpHandle) drain(block bool) error {
-	rt := h.rt
+	rt, b := h.rt, &h.batch
 	for h.nPending > 0 {
-		src, data, ok, err := rt.next(h.tag, h.pending, block)
-		if !ok {
+		await := 0
+		if block {
+			await = h.nPending
+		}
+		if err := rt.c.TakeAnyOf(h.tag, h.pending, await, b); err != nil {
 			return err
 		}
-		h.pending[src] = false
-		h.nPending--
+		if len(b.Srcs) == 0 {
+			return nil
+		}
+		for _, src := range b.Srcs {
+			h.pending[src] = false
+		}
+		h.nPending -= len(b.Srcs)
 		if h.kind == opScatter {
-			h.held[src] = data
+			for i, src := range b.Srcs {
+				h.held[src] = b.Data[i]
+			}
 			continue
 		}
-		err = rt.plan.UnpackGhost(src, data, h.vecs)
-		rt.c.Release(data)
+		var err error
+		for i, src := range b.Srcs {
+			if err = rt.plan.UnpackGhost(src, b.Data[i], h.vecs); err != nil {
+				break
+			}
+		}
+		rt.c.Release(b.Data...)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil
-}
-
-// next takes one payload on tag from a peer marked pending: waiting for
-// one with block set, and otherwise only one that has already arrived.
-// ok reports whether it took one.
-func (rt *Runtime) next(tag int, pending []bool, block bool) (src int, data []byte, ok bool, err error) {
-	if block {
-		src, data, err = rt.c.RecvAnyOf(tag, pending)
-		return src, data, err == nil, err
-	}
-	src, data, ok, err = rt.c.PollAnyOf(tag, pending)
-	return src, data, ok && err == nil, err
 }
 
 // applyHeld adds the parked ScatterAdd payloads into the owned elements
@@ -404,8 +412,8 @@ func (rt *Runtime) pollLive() error {
 }
 
 // retire closes a handle: removes it from the live set, releases any
-// parked payloads (only present after an error cut the op short) and
-// recycles it into the pool.
+// parked payloads (only a ScatterAdd parks them, from its send peers,
+// and only an error leaves them behind) and recycles it into the pool.
 func (rt *Runtime) retire(h *OpHandle) {
 	for i, o := range rt.live {
 		if o == h {
@@ -413,10 +421,12 @@ func (rt *Runtime) retire(h *OpHandle) {
 			break
 		}
 	}
-	for q := range h.held {
-		if h.held[q] != nil {
-			rt.c.Release(h.held[q])
-			h.held[q] = nil
+	if h.kind == opScatter {
+		for _, q := range rt.plan.SendPeers() {
+			if h.held[q] != nil {
+				rt.c.Release(h.held[q])
+				h.held[q] = nil
+			}
 		}
 	}
 	clear(h.vset)

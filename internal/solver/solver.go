@@ -362,8 +362,14 @@ func (s *Solver) TakeTimings() Timings {
 // what lets the session check, remap, rebind or gather between Run
 // calls.
 func (s *Solver) Run(n int, afterIter func(iter int) error) error {
-	for k := 0; k < n; k++ {
+	// One clock read per phase boundary here too: the first iteration
+	// starts at a fresh stamp, every later one at the stamp the previous
+	// iteration's last lap left, so afterIter's time falls into the next
+	// phase.
+	if n > 0 {
 		s.stamp = s.clock.Now()
+	}
+	for k := 0; k < n; k++ {
 		// Depth 1 posts at the top of every iteration; depth >= 2 only
 		// of the first — each later one was posted behind its field's
 		// previous sweep.
