@@ -137,38 +137,18 @@ func main() {
 	flag.Parse()
 	explicitFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicitFlags[f.Name] = true })
-	if *p <= 0 {
-		log.Fatalf("-p %d: the number of workstations must be positive", *p)
-	}
-	if *groups < 0 {
-		log.Fatalf("-groups %d: the group count must not be negative (0 = flat)", *groups)
-	}
-	if *workRep < 0 {
-		log.Fatalf("-work %d: the work amplification must not be negative (0 = 1)", *workRep)
-	}
-	if *checkEvery < 0 {
-		log.Fatalf("-check-every %d: the check interval must not be negative (0 = every 10 iterations)", *checkEvery)
-	}
-	if !(*ewma >= 0) { // NaN too
-		log.Fatalf("-ewma %v: the smoothing factor must be a number >= 0 (0 = the paper's last window)", *ewma)
-	}
-	if *ckptTimeout < 0 {
-		log.Fatalf("-ckpt %v: the detection timeout must not be negative (0 = off)", *ckptTimeout)
-	}
+	// Only conflicts between flags are checked here; every value the
+	// session would reject is cfg.Validate's to report.
 	if *tcp {
 		if explicitFlags["transport"] && *transport != "tcp" {
 			log.Fatalf("-tcp conflicts with -transport %s", *transport)
 		}
 		*transport = "tcp"
 	}
-	if *virtual && *transport != "inproc" {
-		// The session would reject this too, but name the flags.
-		log.Fatalf("-virtual requires the inproc transport (real %s sockets deliver on the wall clock, which a simulated clock cannot see)", *transport)
-	}
 	if !*virtual && explicitFlags["cost"] {
 		log.Fatalf("-cost only applies with -virtual")
 	}
-	if len(kills) > 0 && *ckptTimeout <= 0 {
+	if len(kills) > 0 && *ckptTimeout == 0 {
 		log.Fatalf("-kill requires -ckpt: without checkpoints a killed rank is just a hang")
 	}
 	if *groups == 0 && explicitFlags["interscale"] {
@@ -205,9 +185,6 @@ func main() {
 			log.Fatalf("-p %d conflicts with -scenario %s, which describes %d workstations", *p, *scenario, env.P())
 		}
 		*p = env.P()
-	} else {
-		env = hetero.Uniform(*p)
-		env.Loads = append(env.Loads, loads...)
 	}
 
 	// Ctrl-C cancels the session context: every blocked receive
@@ -224,6 +201,12 @@ func main() {
 	kern, err := solver.KernelByName(*kernelName)
 	if err != nil {
 		log.Fatal(err)
+	}
+	var est *loadbal.Estimator
+	if *ewma != 0 {
+		if est, err = loadbal.NewEstimator(loadbal.EstimateEWMA, *ewma); err != nil {
+			log.Fatalf("-ewma: %v", err)
+		}
 	}
 	cfg := session.Config{
 		Procs:     *p,
@@ -254,8 +237,17 @@ func main() {
 	if *groups > 0 {
 		cfg.Net.InterModel = comm.Ethernet(*netScale * *interScale)
 	}
-	if *ckptTimeout > 0 {
+	if *ckptTimeout != 0 {
 		cfg.Checkpoint = &ckpt.Config{DetectTimeout: *ckptTimeout, Kills: kills}
+	}
+	// Validate before building anything a bad value would break: a
+	// uniform environment over -p workstations needs -p > 0.
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if env == nil {
+		env = hetero.Uniform(*p)
+		env.Loads = loads
 	}
 	cfg.Env = env
 	if env.Elastic() {
@@ -275,18 +267,11 @@ func main() {
 	if *lb {
 		// Horizon is left zero: the session defaults it to the check
 		// interval.
-		bal := loadbal.Config{
+		cfg.Balancer = &loadbal.Config{
 			CostModel:     redist.CostModel{PerMessage: 1e-3 * *netScale, PerByte: *netScale / 1.25e6},
 			Decentralized: *decentralized,
+			Estimator:     est,
 		}
-		if *ewma > 0 {
-			est, err := loadbal.NewEstimator(loadbal.EstimateEWMA, *ewma)
-			if err != nil {
-				log.Fatal(err)
-			}
-			bal.Estimator = est
-		}
-		cfg.Balancer = &bal
 		// Print remaps live, so long runs show balancing as it happens.
 		cfg.OnCheck = func(ev session.CheckEvent) {
 			if d := ev.Decision; d.Remapped {

@@ -53,12 +53,6 @@ func main() {
 	hbMiss := flag.Int("hb-miss", 0, "consecutive missed tcp heartbeats before a peer is declared dead (0 = default)")
 	flag.Parse()
 
-	if *virtual && *transport != "inproc" {
-		log.Fatalf("-virtual requires the inproc transport (real %s sockets deliver on the wall clock, which a simulated clock cannot see)", *transport)
-	}
-	if *latency < 0 || !(*bandwidth >= 0) || *delay < 0 {
-		log.Fatalf("the network model must not be negative (-latency %v, -bandwidth %g, -delay %v)", *latency, *bandwidth, *delay)
-	}
 	netOpts := comm.TransportOptions{
 		FlushPeriod:       *flushPeriod,
 		BatchBytes:        *batchBytes,

@@ -60,18 +60,10 @@ type Config struct {
 	// deadline declares the member dead. Members wait
 	// (active+2)*DetectTimeout for the verdict before presuming the
 	// coordinator dead. It must comfortably exceed the per-segment
-	// compute skew between ranks. Zero means 50ms.
+	// compute skew between ranks. Zero means 50ms; negative is an error.
 	DetectTimeout time.Duration `json:"detect_timeout_ns"`
 	// Kills is the injected crash schedule (empty in production).
 	Kills []Kill `json:"kills,omitempty"`
-}
-
-// WithDefaults returns the config with zero fields resolved.
-func (c Config) WithDefaults() Config {
-	if c.DetectTimeout <= 0 {
-		c.DetectTimeout = 50 * time.Millisecond
-	}
-	return c
 }
 
 // RecoveryEvent records one completed recovery epoch, appended to

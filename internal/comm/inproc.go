@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // inprocTransport connects goroutine "workstations" through shared
 // mailboxes, applying the network cost model on the sending side. On
@@ -37,9 +34,6 @@ type inprocTransport struct {
 // Of the options it honors Model, Clock, Topology and InterModel; the
 // socket tunings have nothing to tune here.
 func newInprocWorld(p int, opts TransportOptions) ([]*Comm, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("comm: world size must be positive, got %d", p)
-	}
 	model, topo, inter := opts.Model, opts.Topology, opts.InterModel
 	boxes := make([]*mailbox, p)
 	for i := range boxes {

@@ -26,7 +26,8 @@ var ErrPeerDead = fmt.Errorf("comm: peer declared dead by transport liveness: %w
 // size over the bandwidth, and the whole world shares one wire, so
 // concurrent transmissions from different workstations serialize —
 // the defining behaviour of the paper's shared Ethernet. A nil *Model
-// means a free (infinitely fast) network.
+// means a free (infinitely fast) network. Open rejects a negative
+// Latency or Delay and a negative or NaN Bandwidth.
 type Model struct {
 	// Latency is the fixed per-message cost (setup + wire latency).
 	// It blocks the sender while it occupies the shared wire.
@@ -67,9 +68,9 @@ const maxCost = time.Duration(math.MaxInt64)
 // cost returns the time one message of n payload bytes occupies the
 // sender. The result is saturated: it is never negative, and a
 // transfer term that overflows time.Duration clamps to maxCost. A
-// Bandwidth that is zero, negative or NaN means "infinite" (no
-// transfer term), so a misconfigured model degrades to latency-only
-// pricing instead of producing garbage durations.
+// Bandwidth that is zero, negative or NaN means "infinite" (no transfer
+// term): a model Open would reject still prices a direct call at
+// latency only instead of producing garbage durations.
 func (m *Model) cost(n int) time.Duration {
 	if m == nil {
 		return 0

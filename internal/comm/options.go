@@ -125,6 +125,11 @@ func (o TransportOptions) Validate() error {
 	if o.DialTimeout < 0 || o.AcceptTimeout < 0 {
 		return fmt.Errorf("comm: negative mesh deadline (dial %v, accept %v)", o.DialTimeout, o.AcceptTimeout)
 	}
+	for _, m := range [2]*Model{o.Model, o.InterModel} {
+		if m != nil && (m.Latency < 0 || m.Delay < 0 || !(m.Bandwidth >= 0)) {
+			return fmt.Errorf("comm: network model latency %v, bandwidth %g, delay %v; want each >= 0", m.Latency, m.Bandwidth, m.Delay)
+		}
+	}
 	if o.InterModel != nil && o.Topology == nil {
 		return fmt.Errorf("comm: InterModel requires a Topology (there is no inter-group traffic to price on a flat world)")
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,11 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 		{"negative dial timeout", TransportOptions{DialTimeout: -time.Second}, "dial -1s"},
 		{"negative accept timeout", TransportOptions{AcceptTimeout: -time.Second}, "accept -1s"},
 		{"inter-group model on a flat world", TransportOptions{InterModel: &Model{}}, "InterModel"},
+		{"negative model latency", TransportOptions{Model: &Model{Latency: -time.Millisecond}}, "network model"},
+		{"negative model delay", TransportOptions{Model: &Model{Delay: -time.Millisecond}}, "network model"},
+		{"negative model bandwidth", TransportOptions{Model: &Model{Bandwidth: -5}}, "network model"},
+		{"NaN model bandwidth", TransportOptions{Model: &Model{Bandwidth: math.NaN()}}, "network model"},
+		{"negative inter-group latency", TransportOptions{InterModel: &Model{Latency: -time.Millisecond}}, "network model"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -240,12 +240,6 @@ func newTCPWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
 // "tcp" transport and the "hybrid" transport, which embeds these
 // endpoints and reroutes intra-group traffic off their sockets.
 func newTCPTransports(p int, opts TransportOptions) ([]*tcpTransport, func() error, error) {
-	if p <= 0 {
-		return nil, nil, fmt.Errorf("comm: world size must be positive, got %d", p)
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
 	opts = opts.withDefaults()
 	if vtime.AsSim(opts.Clock) != nil {
 		return nil, nil, fmt.Errorf("comm: the tcp transport cannot run on a simulated clock (real sockets deliver on the wall clock); use the inproc transport for virtual-time runs")

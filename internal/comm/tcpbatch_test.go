@@ -225,18 +225,23 @@ func TestTCPHeartbeatDetectsKilledPeer(t *testing.T) {
 
 // TestTCPHeartbeatQuietWorldStaysUp pins the other half of liveness:
 // an idle world with heartbeats on must not false-positive — the
-// heartbeat traffic itself keeps every read deadline fed.
+// heartbeat traffic itself keeps every read deadline fed. The miss
+// budget (100ms) is wide enough that a reader starved of CPU for a few
+// scheduler slices on a loaded machine is not a death; a 20ms budget
+// once declared a live peer dead under -race next to other work.
 func TestTCPHeartbeatQuietWorldStaysUp(t *testing.T) {
+	const interval, miss = 10 * time.Millisecond, 10
 	w, err := Open("tcp", 2, TransportOptions{
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatMiss:     2,
+		HeartbeatInterval: interval,
+		HeartbeatMiss:     miss,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// Stay idle across many miss budgets' worth of intervals.
-	time.Sleep(200 * time.Millisecond)
+	// Stay idle across ten miss budgets: a hundred intervals that only
+	// heartbeats fill.
+	time.Sleep(10 * miss * interval)
 	if err := w.Comm(0).Send(1, 5, []byte("still here")); err != nil {
 		t.Fatal(err)
 	}

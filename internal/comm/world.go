@@ -11,7 +11,7 @@ import (
 	"stance/internal/vtime"
 )
 
-// TransportFactory builds the endpoints of a p-rank world from
+// TransportFactory builds the endpoints of a p-rank world, p > 0, from
 // validated options (factories ignore fields that do not apply to
 // them; the in-process transport has no sockets to tune). The returned
 // closer (which may be nil) releases resources the individual Comms do
@@ -86,11 +86,14 @@ type World struct {
 
 // Open builds a world of p ranks on the named transport ("" selects
 // "inproc"). The transport must have been registered with
-// RegisterTransport. The options are validated here, before any
-// factory runs, so a bad tuning fails identically on every transport.
+// RegisterTransport. The size and options are validated here, before
+// any factory runs, so a bad tuning fails identically on every transport.
 func Open(transport string, p int, opts TransportOptions) (*World, error) {
 	if transport == "" {
 		transport = "inproc"
+	}
+	if p <= 0 {
+		return nil, fmt.Errorf("comm: world size must be positive, got %d", p)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -35,7 +35,9 @@ func (s State) Finished() bool {
 type job struct {
 	id   string
 	spec Spec
-	g    *graph.Graph
+	// cfg is the spec's validated session configuration (see onWorld).
+	cfg session.Config
+	g   *graph.Graph
 
 	state     State
 	submitted time.Time

@@ -90,9 +90,6 @@ type Service struct {
 
 // New opens the pool world and starts the (initially idle) service.
 func New(cfg Config) (*Service, error) {
-	if cfg.PoolRanks <= 0 {
-		return nil, fmt.Errorf("jobsvc: pool of %d ranks, want > 0", cfg.PoolRanks)
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = cfg.PoolRanks
 	}
@@ -129,6 +126,10 @@ func (s *Service) Submit(spec Spec) (*Status, error) {
 	if err := spec.validate(s.cfg.MaxRanksPerJob); err != nil {
 		return nil, err
 	}
+	cfg, err := spec.sessionConfig()
+	if err != nil {
+		return nil, err
+	}
 	g, err := spec.Graph.Build()
 	if err != nil {
 		return nil, err
@@ -146,6 +147,7 @@ func (s *Service) Submit(spec Spec) (*Status, error) {
 	j := &job{
 		id:        fmt.Sprintf("job-%d", s.seq),
 		spec:      spec,
+		cfg:       cfg,
 		g:         g,
 		state:     Queued,
 		submitted: s.clock.Now(),
@@ -513,10 +515,7 @@ func (s *Service) executeJob(j *job) (*session.RunReport, []float64, error) {
 	}
 	world := comm.WrapWorld(subComms)
 	defer world.Close()
-	cfg, err := j.spec.sessionConfig(world)
-	if err != nil {
-		return nil, nil, err
-	}
+	cfg := onWorld(j.cfg, world)
 	cfg.OnMembership = func(ev session.MembershipEvent) { s.onMembership(j, ev) }
 	sess, err := session.New(j.ctx, j.g, cfg)
 	if err != nil {

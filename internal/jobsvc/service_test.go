@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stance/internal/ckpt"
 	"stance/internal/comm"
 	"stance/internal/session"
 	"stance/internal/vtime"
@@ -322,6 +323,8 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	defer s.Close()
 	good := GraphSpec{Kind: "honeycomb", Rows: 3, Cols: 3}
+	negDetect := &ckpt.Config{DetectTimeout: -time.Second}
+	farKill := &ckpt.Config{Kills: []ckpt.Kill{{Rank: 2, Iter: 1}}}
 	bad := []Spec{
 		{Graph: good},                                              // no iters
 		{Graph: good, Iters: 10, Ranks: 3},                         // over per-job cap
@@ -334,6 +337,10 @@ func TestSubmitValidation(t *testing.T) {
 		{Graph: GraphSpec{Kind: "honeycomb", Rows: -1}, Iters: 10}, // generator error
 		{Graph: good, Iters: 10, WorkRep: -1},                      // negative work
 		{Graph: good, Iters: 10, CheckEvery: -3},                   // negative check period
+		{Graph: good, Iters: 10, Ranks: -1},                        // negative ranks
+		{Graph: good, Iters: 10, MinRanks: -1},                     // negative min_ranks
+		{Graph: good, Iters: 10, Checkpoint: negDetect},            // negative detect timeout
+		{Graph: good, Iters: 10, Ranks: 2, Checkpoint: farKill},    // kill beyond ranks
 	}
 	for i, sp := range bad {
 		if _, err := s.Submit(sp); err == nil {

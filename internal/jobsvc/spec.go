@@ -12,6 +12,7 @@ package jobsvc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stance/internal/ckpt"
@@ -121,10 +122,10 @@ type Spec struct {
 
 // withDefaults returns the spec with zero optional fields resolved.
 func (sp Spec) withDefaults() Spec {
-	if sp.Ranks <= 0 {
+	if sp.Ranks == 0 {
 		sp.Ranks = 1
 	}
-	if sp.MinRanks <= 0 {
+	if sp.MinRanks == 0 {
 		sp.MinRanks = 1
 	}
 	if sp.Order == "" {
@@ -133,71 +134,43 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
-// validate checks a defaulted spec against the service limits.
+// validate checks a defaulted spec against the service's own limits.
+// What the job's session would reject is sessionConfig's to report.
 func (sp Spec) validate(maxRanks int) error {
 	if sp.Iters <= 0 {
 		return fmt.Errorf("jobsvc: iters %d, want > 0", sp.Iters)
 	}
-	if sp.MinRanks > sp.Ranks {
-		return fmt.Errorf("jobsvc: min_ranks %d > ranks %d", sp.MinRanks, sp.Ranks)
+	if sp.Ranks < 1 || sp.Ranks > maxRanks {
+		return fmt.Errorf("jobsvc: ranks %d, want 1 to the per-job limit %d", sp.Ranks, maxRanks)
 	}
-	if sp.Ranks > maxRanks {
-		return fmt.Errorf("jobsvc: ranks %d exceeds the per-job limit %d", sp.Ranks, maxRanks)
-	}
-	if sp.WorkRep < 0 {
-		return fmt.Errorf("jobsvc: negative work_rep %d", sp.WorkRep)
-	}
-	if sp.CheckEvery < 0 {
-		return fmt.Errorf("jobsvc: negative check_every %d", sp.CheckEvery)
-	}
-	if sp.ComputeCost < 0 {
-		return fmt.Errorf("jobsvc: negative compute cost %v", sp.ComputeCost)
+	if sp.MinRanks < 1 || sp.MinRanks > sp.Ranks {
+		return fmt.Errorf("jobsvc: min_ranks %d, want 1 to ranks %d", sp.MinRanks, sp.Ranks)
 	}
 	if sp.Timeout < 0 {
 		return fmt.Errorf("jobsvc: negative timeout %v", sp.Timeout)
 	}
-	if sp.Kernel != "" {
-		if _, err := solver.KernelByName(sp.Kernel); err != nil {
-			return fmt.Errorf("jobsvc: %w", err)
-		}
-	}
-	if _, err := order.ByName(sp.Order); err != nil {
-		return fmt.Errorf("jobsvc: %w", err)
-	}
-	if sp.Checkpoint != nil {
-		if sp.Checkpoint.DetectTimeout < 0 {
-			return fmt.Errorf("jobsvc: negative checkpoint detect timeout %v", sp.Checkpoint.DetectTimeout)
-		}
-		for _, k := range sp.Checkpoint.Kills {
-			if k.Rank < 0 || k.Rank >= sp.Ranks {
-				return fmt.Errorf("jobsvc: kill names rank %d of the %d requested", k.Rank, sp.Ranks)
-			}
-			if k.Iter < 0 {
-				return fmt.Errorf("jobsvc: kill at negative iteration %d", k.Iter)
-			}
-		}
-	}
 	return nil
 }
 
-// sessionConfig maps the spec onto a session running on the job's
-// sub-world. Worlds larger than one rank run elastic so the scheduler
-// can resize them mid-run.
-func (sp Spec) sessionConfig(world *comm.World) (session.Config, error) {
+// sessionConfig maps a defaulted spec onto its session on a world of
+// the requested Ranks and validates it: the session's rules are the
+// spec's. The ordering and kernel names resolve here, once per job.
+func (sp Spec) sessionConfig() (session.Config, error) {
 	cfg := session.Config{
-		World:       world,
-		OrderName:   sp.Order,
+		Procs:       sp.Ranks,
 		CheckEvery:  sp.CheckEvery,
 		WorkRep:     sp.WorkRep,
 		ComputeCost: sp.ComputeCost,
-		Elastic:     world.Size() > 1,
+		Checkpoint:  sp.Checkpoint,
+	}
+	var err error
+	if cfg.Order, err = order.ByName(sp.Order); err != nil {
+		return cfg, err
 	}
 	if sp.Kernel != "" {
-		k, err := solver.KernelByName(sp.Kernel)
-		if err != nil {
-			return session.Config{}, err
+		if cfg.Kernel, err = solver.KernelByName(sp.Kernel); err != nil {
+			return cfg, err
 		}
-		cfg.Kernel = k
 	}
 	if sp.Overlap {
 		cfg.Pipeline = 1
@@ -205,18 +178,22 @@ func (sp Spec) sessionConfig(world *comm.World) (session.Config, error) {
 	if sp.Balance {
 		cfg.Balancer = &loadbal.Config{}
 	}
-	if sp.Checkpoint != nil {
-		// The scheduler may have granted fewer ranks than requested;
-		// kills naming sub-ranks beyond the grant are dropped — the
-		// rank they would crash never existed.
-		ck := *sp.Checkpoint
-		ck.Kills = nil
-		for _, k := range sp.Checkpoint.Kills {
-			if k.Rank < world.Size() {
-				ck.Kills = append(ck.Kills, k)
-			}
-		}
-		cfg.Checkpoint = &ck
+	return cfg, cfg.Validate()
+}
+
+// onWorld moves a job's session configuration onto the sub-world the
+// scheduler granted it. Worlds larger than one rank run elastic so the
+// scheduler can resize them mid-run. The grant may be smaller than the
+// request: injected kills naming sub-ranks beyond it are dropped — the
+// rank they would crash never existed.
+func onWorld(cfg session.Config, world *comm.World) session.Config {
+	cfg.Procs = world.Size()
+	cfg.World = world
+	cfg.Elastic = world.Size() > 1
+	if ck := cfg.Checkpoint; ck != nil {
+		kept := *ck
+		kept.Kills = slices.DeleteFunc(slices.Clone(ck.Kills), func(k ckpt.Kill) bool { return k.Rank >= world.Size() })
+		cfg.Checkpoint = &kept
 	}
-	return cfg, nil
+	return cfg
 }

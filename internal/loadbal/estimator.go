@@ -46,7 +46,7 @@ type Estimator struct {
 // NewEstimator creates an estimator; zero values select the paper's
 // last-window behaviour.
 func NewEstimator(kind EstimatorKind, alpha float64) (*Estimator, error) {
-	if kind == EstimateEWMA && (alpha <= 0 || alpha > 1) {
+	if kind == EstimateEWMA && !(alpha > 0 && alpha <= 1) { // NaN too
 		return nil, fmt.Errorf("loadbal: EWMA alpha %g, want (0,1]", alpha)
 	}
 	return &Estimator{Kind: kind, Alpha: alpha, WindowCap: 8}, nil

@@ -17,6 +17,9 @@ func TestNewEstimatorValidation(t *testing.T) {
 	if _, err := NewEstimator(EstimateEWMA, 1.5); err == nil {
 		t.Error("alpha=1.5 accepted")
 	}
+	if _, err := NewEstimator(EstimateEWMA, math.NaN()); err == nil {
+		t.Error("alpha=NaN accepted")
+	}
 	if _, err := NewEstimator(EstimateLast, 0); err != nil {
 		t.Errorf("last-window estimator rejected: %v", err)
 	}

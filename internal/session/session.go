@@ -30,6 +30,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"stance/internal/ckpt"
@@ -124,10 +127,10 @@ type Config struct {
 	// allocations — whether or not membership changes. Leave it off for
 	// a run whose ranks never come or go.
 	Elastic bool
-	// WorkRep is the kernel work amplification (values < 1 are treated
-	// as 1): an iteration sweeps each element WorkRep × WorkFactor times
-	// — never less than once, the pass that computes the result — which
-	// is the quantity ComputeCost charges.
+	// WorkRep is the kernel work amplification (0 means 1; negative is
+	// an error): an iteration sweeps each element WorkRep × WorkFactor
+	// times — never less than once, the pass that computes the result —
+	// which is the quantity ComputeCost charges.
 	WorkRep int
 	// Kernel is the solver's compute body (nil means the built-in
 	// Figure 8 kernel).
@@ -152,7 +155,8 @@ type Config struct {
 	// it). A zero Horizon defaults to CheckEvery.
 	Balancer *loadbal.Config
 	// CheckEvery is the number of iterations between balance checks
-	// (default 10, the paper's protocol). Membership transitions happen
+	// (0 means 10, the paper's protocol; negative is an error).
+	// Membership transitions happen
 	// only at these boundaries, so it is also the granularity at which
 	// availability changes take effect.
 	CheckEvery int
@@ -228,10 +232,136 @@ type Session struct {
 	aliveVerdict []byte
 }
 
+// Validate reports the first rule the configuration breaks, or nil,
+// and changes nothing. It is the session's whole rule set: New calls
+// it first, and front ends that map their input onto a Config call it
+// instead of checking the same fields themselves. Zero means the
+// default for every count and duration; a negative one is an error.
+func (c Config) Validate() error {
+	procs := c.Procs
+	if c.World != nil && procs == 0 {
+		procs = c.World.Size()
+	}
+	b, ck := c.Balancer, c.Checkpoint
+	switch {
+	case c.World != nil && (procs != c.World.Size() || c.Transport != "" || c.Net != (comm.TransportOptions{}) || c.Groups != 0):
+		return fmt.Errorf("session: an adopted World (%d ranks) takes Procs 0 or %[1]d, got %d, and no Transport, Net or Groups",
+			c.World.Size(), procs)
+	case procs <= 0:
+		return fmt.Errorf("session: world size must be positive, got %d", procs)
+	case c.Groups < 0 || c.Groups > procs:
+		return fmt.Errorf("session: %d groups over %d ranks, want 0 (flat) to %d", c.Groups, procs, procs)
+	case c.Groups != 0 && c.Net.Topology != nil:
+		return fmt.Errorf("session: Groups conflicts with an explicit Net.Topology — set one or the other")
+	case c.Net.Topology != nil && c.Net.Topology.P() != procs:
+		return fmt.Errorf("session: topology covers %d ranks, world has %d", c.Net.Topology.P(), procs)
+	case c.Transport != "" && !slices.Contains(comm.Transports(), c.Transport):
+		return fmt.Errorf("session: unknown transport %q (registered: %s)", c.Transport, strings.Join(comm.Transports(), ", "))
+	case c.Env != nil && c.Env.P() != procs:
+		return fmt.Errorf("session: environment has %d workstations, world has %d", c.Env.P(), procs)
+	case c.Weights != nil && len(c.Weights) != procs:
+		return fmt.Errorf("session: %d weights for %d ranks", len(c.Weights), procs)
+	case c.WorkRep < 0:
+		return fmt.Errorf("session: negative work amplification %d", c.WorkRep)
+	case c.CheckEvery < 0:
+		return fmt.Errorf("session: negative check interval %d", c.CheckEvery)
+	case c.Pipeline < 0:
+		return fmt.Errorf("session: negative pipeline depth %d", c.Pipeline)
+	case c.Fields < 0:
+		return fmt.Errorf("session: negative field count %d", c.Fields)
+	case c.ComputeCost < 0:
+		return fmt.Errorf("session: negative compute cost %v", c.ComputeCost)
+	case b != nil && (b.Horizon < 0 || !(b.SafetyFactor >= 0) || math.IsInf(b.SafetyFactor, 1)):
+		return fmt.Errorf("session: balancer horizon %d, safety factor %g; want both finite, >= 0", b.Horizon, b.SafetyFactor)
+	case ck != nil && ck.DetectTimeout < 0:
+		return fmt.Errorf("session: negative checkpoint detect timeout %v", ck.DetectTimeout)
+	}
+	net := c.Net
+	if c.Groups != 0 {
+		net.Topology, _ = comm.ContiguousGroups(procs, c.Groups) // in range: checked above
+	}
+	if err := net.Validate(); err != nil {
+		return fmt.Errorf("session: %w", err)
+	}
+	if c.Order == nil && c.OrderName != "" {
+		if _, err := order.ByName(c.OrderName); err != nil {
+			return fmt.Errorf("session: %w", err)
+		}
+	}
+	if env := c.env(procs); env != nil {
+		if err := env.Validate(); err != nil {
+			return err
+		}
+	}
+	if ck != nil {
+		for _, k := range ck.Kills {
+			if k.Rank < 0 || k.Rank >= procs || k.Iter < 0 {
+				return fmt.Errorf("session: kill at rank %d, iteration %d; want rank < %d, iteration >= 0", k.Rank, k.Iter, procs)
+			}
+		}
+	}
+	return nil
+}
+
+// env is the environment the session runs in: Env with Outages merged
+// into a copy (a uniform one when Env is nil), so the caller's Env is
+// never edited.
+func (c Config) env(procs int) *hetero.Env {
+	if len(c.Outages) == 0 {
+		return c.Env
+	}
+	env := hetero.Uniform(procs)
+	if c.Env != nil {
+		env = c.Env.Clone()
+	}
+	env.Outages = append(env.Outages, c.Outages...)
+	return env
+}
+
+// withDefaults resolves what a valid configuration leaves at zero or
+// names indirectly: Procs from an adopted World, Groups into
+// Net.Topology, OrderName into Order, Outages into Env, CheckEvery 10,
+// WorkRep and Fields 1, the balancer's Horizon CheckEvery and the
+// checkpoint DetectTimeout 50ms (on copies, never the caller's).
+func (c Config) withDefaults() Config {
+	if c.World != nil && c.Procs == 0 {
+		c.Procs = c.World.Size()
+	}
+	if c.Groups != 0 {
+		// Validate checked 0 < Groups <= Procs, the only failures.
+		c.Net.Topology, _ = comm.ContiguousGroups(c.Procs, c.Groups)
+	}
+	if c.Order == nil && c.OrderName != "" {
+		c.Order, _ = order.ByName(c.OrderName) // Validate resolved it
+	}
+	c.Env = c.env(c.Procs)
+	if c.CheckEvery == 0 {
+		c.CheckEvery = 10
+	}
+	if c.WorkRep == 0 {
+		c.WorkRep = 1
+	}
+	if c.Fields == 0 {
+		c.Fields = 1
+	}
+	if b := c.Balancer; b != nil && b.Horizon == 0 {
+		resolved := *b
+		resolved.Horizon = c.CheckEvery
+		c.Balancer = &resolved
+	}
+	if ck := c.Checkpoint; ck != nil && ck.DetectTimeout == 0 {
+		resolved := *ck
+		resolved.DetectTimeout = 50 * time.Millisecond
+		c.Checkpoint = &resolved
+	}
+	return c
+}
+
 // New builds a session collectively: opens the world on the configured
 // transport and constructs the runtime, solver and (optionally)
 // balancer on every rank. ctx governs the whole session: cancelling it
-// unblocks any pending communication with ctx.Err().
+// unblocks any pending communication with ctx.Err(). A configuration
+// Validate rejects is returned as Validate's error.
 func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -239,82 +369,10 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("session: nil graph")
 	}
-	if cfg.World != nil {
-		if cfg.Procs == 0 {
-			cfg.Procs = cfg.World.Size()
-		}
-		if cfg.Procs != cfg.World.Size() {
-			return nil, fmt.Errorf("session: Procs %d does not match the adopted world's %d ranks",
-				cfg.Procs, cfg.World.Size())
-		}
-		if cfg.Transport != "" || cfg.Net != (comm.TransportOptions{}) || cfg.Groups != 0 {
-			return nil, fmt.Errorf("session: Transport, Net and Groups conflict with an adopted World (its transport is already built)")
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Groups != 0 {
-		if cfg.Net.Topology != nil {
-			return nil, fmt.Errorf("session: Groups conflicts with an explicit Net.Topology — set one or the other")
-		}
-		topo, err := comm.ContiguousGroups(cfg.Procs, cfg.Groups)
-		if err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		cfg.Net.Topology = topo
-	}
-	if cfg.Procs <= 0 {
-		return nil, fmt.Errorf("session: world size must be positive, got %d", cfg.Procs)
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 10
-	}
-	if cfg.Order == nil && cfg.OrderName != "" {
-		f, err := order.ByName(cfg.OrderName)
-		if err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		cfg.Order = f
-	}
-	if len(cfg.Outages) > 0 {
-		if cfg.Env == nil {
-			cfg.Env = hetero.Uniform(cfg.Procs)
-		} else {
-			cfg.Env = cfg.Env.Clone()
-		}
-		cfg.Env.Outages = append(cfg.Env.Outages, cfg.Outages...)
-	}
-	if cfg.Env != nil {
-		if err := cfg.Env.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Env.P() != cfg.Procs {
-			return nil, fmt.Errorf("session: environment has %d workstations, world has %d",
-				cfg.Env.P(), cfg.Procs)
-		}
-	}
-	if cfg.Weights != nil && len(cfg.Weights) != cfg.Procs {
-		return nil, fmt.Errorf("session: %d weights for %d ranks", len(cfg.Weights), cfg.Procs)
-	}
-	if cfg.Pipeline < 0 {
-		return nil, fmt.Errorf("session: negative pipeline depth %d", cfg.Pipeline)
-	}
-	if cfg.Fields < 0 {
-		return nil, fmt.Errorf("session: negative field count %d", cfg.Fields)
-	}
-	if cfg.ComputeCost < 0 {
-		return nil, fmt.Errorf("session: negative compute cost %v", cfg.ComputeCost)
-	}
-	if cfg.Checkpoint != nil {
-		resolved := cfg.Checkpoint.WithDefaults()
-		for _, k := range resolved.Kills {
-			if k.Rank < 0 || k.Rank >= cfg.Procs {
-				return nil, fmt.Errorf("session: kill names rank %d of %d", k.Rank, cfg.Procs)
-			}
-			if k.Iter < 0 {
-				return nil, fmt.Errorf("session: kill at negative iteration %d", k.Iter)
-			}
-		}
-		cfg.Checkpoint = &resolved
-	}
+	cfg = cfg.withDefaults()
 	world := cfg.World
 	ownWorld := world == nil
 	if ownWorld {
@@ -379,11 +437,7 @@ func (s *Session) buildRank(c *comm.Comm, cc core.Config) error {
 	}
 	s.ctls[c.Rank()] = ctl
 	if s.ckptOn() {
-		fields := s.cfg.Fields
-		if fields < 1 {
-			fields = 1
-		}
-		s.cks[c.Rank()] = ckpt.NewStore(c, fields)
+		s.cks[c.Rank()] = ckpt.NewStore(c, s.cfg.Fields)
 	}
 	rt, err := core.NewParked(c, s.g, cc)
 	if err != nil {
@@ -457,17 +511,11 @@ func (s *Session) newSolver(rt *core.Runtime) (*solver.Solver, error) {
 			return nil, err
 		}
 	}
-	if s.cfg.Fields > 1 {
-		if err := sol.SetFields(s.cfg.Fields); err != nil {
-			return nil, err
-		}
-	}
-	if err := sol.SetPipeline(s.cfg.Pipeline); err != nil {
-		return nil, err
-	}
-	if s.cfg.ComputeCost > 0 {
-		sol.SetVirtualCompute(s.cfg.ComputeCost)
-	}
+	// A fresh solver rejects only a field count below 1 and a negative
+	// depth, which Validate and the defaults step rule out.
+	_ = sol.SetFields(s.cfg.Fields)
+	_ = sol.SetPipeline(s.cfg.Pipeline)
+	sol.SetVirtualCompute(s.cfg.ComputeCost)
 	return sol, nil
 }
 
@@ -476,9 +524,6 @@ func (s *Session) newSolver(rt *core.Runtime) (*solver.Solver, error) {
 // a prototype, or the ranks would race on it.
 func (s *Session) newBalancer(rt *core.Runtime) (*loadbal.Balancer, error) {
 	bc := *s.cfg.Balancer
-	if bc.Horizon <= 0 {
-		bc.Horizon = s.cfg.CheckEvery
-	}
 	if bc.Decentralized && bc.Topology == nil && !s.cfg.FlatReports {
 		// On a two-level world the decentralized check routes through
 		// group leaders by default; FlatReports is the explicit opt-out.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"stance/internal/ckpt"
 	"stance/internal/comm"
 	"stance/internal/core"
 	"stance/internal/hetero"
@@ -350,15 +352,30 @@ func TestSessionConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]Config{
-		"zero procs":      {},
-		"bad transport":   {Procs: 2, Transport: "bogus"},
-		"bad order":       {Procs: 2, OrderName: "bogus"},
-		"env mismatch":    {Procs: 2, Env: hetero.Uniform(3)},
-		"weight mismatch": {Procs: 2, Weights: []float64{1, 2, 3}},
+		"zero procs":              {},
+		"bad transport":           {Procs: 2, Transport: "bogus"},
+		"bad order":               {Procs: 2, OrderName: "bogus"},
+		"env mismatch":            {Procs: 2, Env: hetero.Uniform(3)},
+		"weight mismatch":         {Procs: 2, Weights: []float64{1, 2, 3}},
+		"negative work rep":       {Procs: 2, WorkRep: -5},
+		"negative check interval": {Procs: 2, CheckEvery: -3},
+		"negative group count":    {Procs: 2, Groups: -1},
+		"negative detect timeout": {Procs: 2, Checkpoint: &ckpt.Config{DetectTimeout: -time.Second}},
+		"kill beyond the world":   {Procs: 2, Checkpoint: &ckpt.Config{Kills: []ckpt.Kill{{Rank: 5, Iter: 1}}}},
+		"negative model latency":  {Procs: 2, Net: comm.TransportOptions{Model: &comm.Model{Latency: -time.Millisecond}}},
+		"NaN safety factor":       {Procs: 2, Balancer: &loadbal.Config{SafetyFactor: math.NaN()}},
 	}
 	for name, cfg := range cases {
-		if _, err := New(context.Background(), g, cfg); err == nil {
+		verr := cfg.Validate()
+		if verr == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+		s, err := New(context.Background(), g, cfg)
+		if err == nil {
+			s.Close()
 			t.Errorf("%s: New succeeded", name)
+		} else if verr != nil && err.Error() != verr.Error() {
+			t.Errorf("%s: New said %q, Validate %q", name, err, verr)
 		}
 	}
 	if _, err := New(context.Background(), nil, Config{Procs: 1}); err == nil {

@@ -273,13 +273,14 @@ func WithElastic() Option {
 // elastic membership protocol). At every Run start and check boundary
 // the active ranks pass a checkpoint gate: each sends a heartbeat to
 // the coordinator, which collects them under cfg.DetectTimeout and
-// multicasts a verdict. When all answer, every rank snapshots its
-// vector intervals and solver iteration and mirrors the snapshot to
-// its buddy (the next active rank in ring order). When a rank goes
-// silent, the survivors re-cut its intervals, restore the last
-// checkpoint — the dead rank's state replayed by its buddy — roll the
-// solver back and continue; the final result is bit-identical to a run
-// that never failed, and the RunReport records a RecoveryEvent. A
+// multicasts a verdict (a zero DetectTimeout means 50ms; a negative
+// one makes NewSession return an error). When all answer, every rank
+// snapshots its vector intervals and solver iteration and mirrors the
+// snapshot to its buddy (the next active rank in ring order). When a
+// rank goes silent, the survivors re-cut its intervals, restore the
+// last checkpoint — the dead rank's state replayed by its buddy — roll
+// the solver back and continue; the final result is bit-identical to a
+// run that never failed, and the RunReport records a RecoveryEvent. A
 // failure that cannot be recovered (the coordinator died, or a rank
 // and its buddy died together) fails the Run loudly with an error
 // wrapping ErrUnrecoverable — never a hang. cfg.Kills injects
@@ -354,14 +355,16 @@ func WithKernel(k Kernel) Option {
 // each element n × WorkFactor times (never less than once), the same
 // quantity WithVirtualCompute charges, keeping the
 // compute-to-communication ratio of the paper's SUN4 + Ethernet setting
-// reproducible on modern hardware. The default is 1: one sweep per
-// iteration on a reference workstation, two on one half as fast.
+// reproducible on modern hardware. Zero means the default, 1: one
+// sweep per iteration on a reference workstation, two on one half as
+// fast. A negative n makes NewSession return an error.
 func WithWorkRep(n int) Option {
 	return func(c *session.Config) { c.WorkRep = n }
 }
 
 // WithCheckEvery sets the number of iterations between load-balance
-// checks (default 10, the paper's protocol).
+// checks. Zero means the default, 10 (the paper's protocol); a
+// negative n makes NewSession return an error.
 func WithCheckEvery(n int) Option {
 	return func(c *session.Config) { c.CheckEvery = n }
 }

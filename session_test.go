@@ -492,3 +492,29 @@ func TestSessionRejectsNonFiniteVertexWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestNewSessionRejectsBadValues: a negative count, duration or model
+// value, or a kill naming a rank the world lacks, is an error out of
+// NewSession — not a session that runs on defaults.
+func TestNewSessionRejectsBadValues(t *testing.T) {
+	g, err := stance.Honeycomb(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]stance.Option{
+		"negative work rep":       stance.WithWorkRep(-5),
+		"negative check interval": stance.WithCheckEvery(-3),
+		"negative group count":    stance.WithGroups(-1),
+		"negative detect timeout": stance.WithCheckpoint(stance.CheckpointConfig{DetectTimeout: -time.Second}),
+		"kill beyond the world": stance.WithCheckpoint(stance.CheckpointConfig{
+			Kills: []stance.Kill{{Rank: 5, Iter: 1}}}),
+		"negative model latency": stance.WithNetworkModel(&stance.NetworkModel{Latency: -time.Millisecond}),
+		"NaN safety factor":      stance.WithBalancer(stance.BalancerConfig{SafetyFactor: math.NaN()}),
+	} {
+		s, err := stance.NewSession(context.Background(), g, 2, opt)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
