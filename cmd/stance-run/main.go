@@ -240,23 +240,13 @@ func main() {
 	if *ckptTimeout != 0 {
 		cfg.Checkpoint = &ckpt.Config{DetectTimeout: *ckptTimeout, Kills: kills}
 	}
-	// Validate before building anything a bad value would break: a
-	// uniform environment over -p workstations needs -p > 0.
-	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if env == nil {
+	if env == nil && *p > 0 {
+		// A uniform environment over -p workstations needs -p > 0; a
+		// smaller -p fails Validate below.
 		env = hetero.Uniform(*p)
 		env.Loads = loads
 	}
 	cfg.Env = env
-	if env.Elastic() {
-		// Narrate membership transitions live, like remaps.
-		cfg.OnMembership = func(ev session.MembershipEvent) {
-			fmt.Printf("  iter %d: epoch %d, active %v (retired %v, admitted %v, moved %d bytes)\n",
-				ev.Iter, ev.Epoch, ev.Active, ev.Retired, ev.Admitted, ev.MovedBytes)
-		}
-	}
 	if *weighted {
 		vw := make([]float64, g.N)
 		for v := 0; v < g.N; v++ {
@@ -278,6 +268,19 @@ func main() {
 				fmt.Printf("  iter %d: remapped (predicted %.4fs -> %.4fs per phase, cost %.4fs)\n",
 					ev.Iter, d.PredictedCurrent, d.PredictedNew, d.EstimatedRemapCost)
 			}
+		}
+	}
+
+	// Validate the whole configuration before printing or building
+	// anything, so a rejected run prints nothing but its error.
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if env.Elastic() {
+		// Narrate membership transitions live, like remaps.
+		cfg.OnMembership = func(ev session.MembershipEvent) {
+			fmt.Printf("  iter %d: epoch %d, active %v (retired %v, admitted %v, moved %d bytes)\n",
+				ev.Iter, ev.Epoch, ev.Active, ev.Retired, ev.Admitted, ev.MovedBytes)
 		}
 	}
 

@@ -41,6 +41,7 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-ewma", "-0.5", "-lb"},
 		{"-work", "-5"},
 		{"-check-every", "-3"},
+		{"-virtual", "-tcp"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			// A small valid run underneath, so a flag that is not
@@ -50,8 +51,8 @@ func TestBadInputsExitOne(t *testing.T) {
 			defer cancel()
 			cmd := exec.CommandContext(ctx, os.Args[0], append(base, args...)...)
 			cmd.Env = append(os.Environ(), "STANCE_RUN_MAIN=1")
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
@@ -60,6 +61,9 @@ func TestBadInputsExitOne(t *testing.T) {
 			out := stderr.String()
 			if !strings.HasPrefix(out, "stance-run: ") || strings.Contains(out, "panic:") || strings.Contains(out, "goroutine ") {
 				t.Errorf("stderr is not one error line:\n%s", out)
+			}
+			if strings.Contains(stdout.String(), "mesh:") {
+				t.Errorf("rejected after the run began; stdout:\n%s", stdout.String())
 			}
 		})
 	}

@@ -1,9 +1,9 @@
 // Package ckpt implements crash-stop fault tolerance for a session:
 // lightweight peer checkpoints of vector state taken at check
-// boundaries, heartbeat-based failure detection with receive
-// deadlines, and the recovery plan survivors follow to re-cut a dead
+// boundaries, and the recovery plan survivors follow to re-cut a dead
 // rank's interval onto themselves and roll back to the last
-// checkpoint.
+// checkpoint. Detection is the session's boundary round: a member
+// whose report misses the coordinator's receive deadline is dead.
 //
 // The protocol is buddy mirroring on a ring: at each checkpoint every
 // active rank snapshots its own interval (all fields, plus the solver
@@ -17,8 +17,11 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"time"
+
+	"stance/internal/ctl"
 )
 
 // Wire tags used by the checkpoint/recovery protocol, in the 0x7xx
@@ -27,12 +30,6 @@ import (
 const (
 	// TagSnap carries encoded snapshots around the buddy ring.
 	TagSnap = 0x701
-	// TagHB carries heartbeats from members to the coordinator at
-	// every checkpoint gate.
-	TagHB = 0x702
-	// TagCtl carries the coordinator's gate verdict (alive, recover,
-	// or abort) to the members.
-	TagCtl = 0x703
 	// TagRestoreBase + i tags restore transfers whose data
 	// originates from the rank at position i of the pre-failure
 	// active set, so a buddy relaying a dead rank's state to the
@@ -46,8 +43,21 @@ const (
 // state.
 var ErrUnrecoverable = errors.New("ckpt: unrecoverable rank failure")
 
+// ReadVerdict decodes the boundary verdict a member of an active set of
+// p ranks received from the coordinator. Any payload it cannot read
+// fails with an error wrapping ErrUnrecoverable, as an abort verdict
+// does: a member that cannot read the verdict has no consistent way to
+// continue.
+func ReadVerdict(data []byte, p int) (ctl.Verdict, error) {
+	v, err := ctl.DecodeVerdict(data, p)
+	if err != nil {
+		return ctl.Verdict{}, fmt.Errorf("ckpt: malformed verdict: %v: %w", err, ErrUnrecoverable)
+	}
+	return v, nil
+}
+
 // Kill schedules an injected crash for testing and chaos runs: the
-// rank goes silent at the first checkpoint gate at or after Iter.
+// rank goes silent at the first boundary at or after Iter.
 type Kill struct {
 	Rank int `json:"rank"`
 	Iter int `json:"iter"`
@@ -56,9 +66,9 @@ type Kill struct {
 // Config enables crash-stop fault tolerance on a session.
 type Config struct {
 	// DetectTimeout is the receive deadline the coordinator applies
-	// to each member's heartbeat at a checkpoint gate; a missed
-	// deadline declares the member dead. Members wait
-	// (active+2)*DetectTimeout for the verdict before presuming the
+	// to each member's boundary report; a missed deadline declares the
+	// member dead. Members wait (active+2)*DetectTimeout, saturated at
+	// the largest Duration, for the verdict before presuming the
 	// coordinator dead. It must comfortably exceed the per-segment
 	// compute skew between ranks. Zero means 50ms; negative is an error.
 	DetectTimeout time.Duration `json:"detect_timeout_ns"`
@@ -69,8 +79,8 @@ type Config struct {
 // RecoveryEvent records one completed recovery epoch, appended to
 // RunReport.Recoveries by the coordinator.
 type RecoveryEvent struct {
-	// Iter is the iteration of the checkpoint gate that detected
-	// the failure.
+	// Iter is the iteration of the boundary that detected the
+	// failure.
 	Iter int `json:"iter"`
 	// RestoredIter is the checkpoint iteration the survivors rolled
 	// back to (0 when the run restarted from initial conditions).
@@ -78,14 +88,14 @@ type RecoveryEvent struct {
 	// RollbackDepth is Iter - RestoredIter: the number of
 	// iterations of lost work replayed after the restore.
 	RollbackDepth int `json:"rollback_depth"`
-	// Dead lists the world ranks declared dead at this gate.
+	// Dead lists the world ranks declared dead at this boundary.
 	Dead []int `json:"dead"`
 	// Active lists the surviving active set the run continued on.
 	Active []int `json:"active"`
 	// Epoch is the membership epoch after the recovery transition.
 	Epoch int `json:"epoch"`
 	// DetectLatency is the virtual (or wall) time the coordinator
-	// spent between reaching the gate and declaring the verdict.
+	// spent collecting the boundary's reports before its verdict.
 	DetectLatency time.Duration `json:"detect_latency_ns"`
 	// RestoredBytes is the total checkpoint payload written back
 	// into vectors across all survivors (N * fields * 8 for a full

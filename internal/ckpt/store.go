@@ -1,12 +1,11 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"stance/internal/comm"
+	"stance/internal/ctl"
 	"stance/internal/partition"
 	"stance/internal/redist"
 )
@@ -34,8 +33,6 @@ type Store struct {
 	heldBuf  []byte
 	heldLen  int
 	heldFrom int // world rank it belongs to; -1 when none
-
-	hbBuf [8]byte
 
 	dead []bool // world ranks this rank has seen declared dead
 }
@@ -126,28 +123,6 @@ func (st *Store) Have() (iter int, layout *partition.Layout, ok bool) {
 	return st.snapIter, st.layout, true
 }
 
-// SendHB sends this rank's gate heartbeat to the coordinator.
-func (st *Store) SendHB(iter int) error {
-	binary.LittleEndian.PutUint64(st.hbBuf[:], uint64(iter))
-	return st.c.Send(0, TagHB, st.hbBuf[:])
-}
-
-// RecvHB collects one heartbeat from src with a receive deadline; it
-// returns comm.ErrTimeout (wrapped) when src misses the gate.
-func (st *Store) RecvHB(src int, d time.Duration) (int, error) {
-	data, err := st.c.RecvTimeout(src, TagHB, d)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) != 8 {
-		st.c.Release(data)
-		return 0, fmt.Errorf("ckpt: %d-byte heartbeat from rank %d", len(data), src)
-	}
-	iter := int(binary.LittleEndian.Uint64(data))
-	st.c.Release(data)
-	return iter, nil
-}
-
 // MarkDead records ranks as permanently dead; a dead rank is filtered
 // out of every future desired active set, so the environment can never
 // re-admit it.
@@ -194,7 +169,7 @@ func (st *Store) FilterDead(want []int) []int {
 // its own snapshot, transfers from surviving peers, and the dead
 // ranks' regions replayed from whichever buddy holds their snapshot.
 // It must be called by every survivor of the plan.
-func (st *Store) Restore(p *Plan, data [][]float64) error {
+func (st *Store) Restore(p *ctl.Recovery, data [][]float64) error {
 	me := st.c.Rank()
 	if len(data) != st.fields {
 		return fmt.Errorf("ckpt: %d fields passed to a %d-field store", len(data), st.fields)

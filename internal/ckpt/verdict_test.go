@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"stance/internal/comm"
+	"stance/internal/ctl"
 	"stance/internal/partition"
 )
 
 // testPlan is a small, valid recovery verdict: rank 2 of four died and
 // the three survivors re-cut.
-func testPlan(t testing.TB) *Plan {
+func testPlan(t testing.TB) *ctl.Recovery {
 	t.Helper()
 	old, err := partition.NewBlock(40, []float64{1, 1, 1, 1})
 	if err != nil {
@@ -23,7 +24,7 @@ func testPlan(t testing.TB) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Plan{
+	return &ctl.Recovery{
 		Iter: 30, CkptIter: 20,
 		Dead:      []int{2},
 		OldActive: []int{0, 1, 2, 3},
@@ -32,32 +33,38 @@ func testPlan(t testing.TB) *Plan {
 	}
 }
 
-// Gate verdict opcodes as the control format (internal/ctl) numbers
-// them, for building malformed payloads by hand.
+// verdictP is the active-set size the test verdicts are read under:
+// testPlan's pre-failure set.
+const verdictP = 4
+
+// Verdict opcodes as the control format (internal/ctl) numbers them,
+// for building malformed payloads by hand.
 const (
-	opRecover = 1
-	opAbort   = 2
+	opRecover = 3
+	opAbort   = 4
 )
 
 func f64s(vals ...float64) []byte { return comm.F64sToBytes(vals) }
 
+func encodePlan(p *ctl.Recovery) []byte { return ctl.EncodeVerdict(ctl.Verdict{Recovery: p}) }
+
 // TestDecodeLayoutHostileCount: a processor count so large that the
-// payload-length arithmetic would overflow is an error, not a
-// makeslice panic.
+// payload-length arithmetic would overflow is an unrecoverable error,
+// not a makeslice panic.
 func TestDecodeLayoutHostileCount(t *testing.T) {
 	for _, k := range []float64{5e18, 4e18, math.MaxInt64 / 2, 1 << 62, 2} {
-		if _, err := DecodeVerdict(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0)); !errors.Is(err, ErrUnrecoverable) {
+		if _, err := ReadVerdict(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0), verdictP); !errors.Is(err, ErrUnrecoverable) {
 			t.Errorf("processor count %g over two values: %v", k, err)
 		}
 	}
 }
 
-// TestDecodeVerdictMalformedIsUnrecoverable: every payload DecodeVerdict
+// TestDecodeVerdictMalformedIsUnrecoverable: every payload ReadVerdict
 // cannot read fails with an error wrapping ErrUnrecoverable, the same
 // as an abort verdict, so the session fails the run loudly whichever
 // way the verdict went wrong.
 func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
-	plan := EncodePlan(testPlan(t))
+	plan := encodePlan(testPlan(t))
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -81,66 +88,68 @@ func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
 		{"hostile dead count", f64s(opRecover, 30, 20, 1e18, 0)},
 		{"infinite layout start", f64s(opRecover, 30, 20, 0, 0, 0, 1, 0, math.Inf(1), 0, 1, 0, 8, 0)},
 	} {
-		p, err := DecodeVerdict(tc.data)
+		v, err := ReadVerdict(tc.data, verdictP)
 		if err == nil {
-			t.Errorf("%s: decoded as %+v", tc.name, p)
+			t.Errorf("%s: decoded as %+v", tc.name, v)
 			continue
 		}
 		if !errors.Is(err, ErrUnrecoverable) {
 			t.Errorf("%s: %v does not wrap ErrUnrecoverable", tc.name, err)
 		}
 	}
-	if _, err := DecodeVerdict(EncodeAbort([]int{1, 2})); !errors.Is(err, ErrUnrecoverable) {
-		t.Errorf("abort verdict: %v does not wrap ErrUnrecoverable", err)
+	if v, err := ReadVerdict(ctl.EncodeVerdict(ctl.Verdict{Dead: []int{1, 2}}), verdictP); err != nil || !slices.Equal(v.Dead, []int{1, 2}) {
+		t.Errorf("abort verdict decoded as (%+v, %v), want dead ranks [1 2]", v, err)
 	}
-	if p, err := DecodeVerdict(EncodeAlive()); p != nil || err != nil {
-		t.Errorf("alive verdict decoded as (%v, %v), want (nil, nil)", p, err)
+	if v, err := ReadVerdict(ctl.EncodeVerdict(ctl.Verdict{}), verdictP); err != nil || v.Dead != nil || v.Recovery != nil || v.Epoch != nil || v.Decision != nil {
+		t.Errorf("continue verdict decoded as (%+v, %v), want an empty verdict", v, err)
 	}
-	p, err := DecodeVerdict(plan)
-	if err != nil || !samePlan(p, testPlan(t)) {
-		t.Errorf("recovery verdict decoded as (%+v, %v)", p, err)
+	v, err := ReadVerdict(plan, verdictP)
+	if err != nil || !samePlan(v.Recovery, testPlan(t)) {
+		t.Errorf("recovery verdict decoded as (%+v, %v)", v, err)
 	}
 }
 
-// FuzzCkptVerdict: DecodeVerdict never panics, fails only with an
-// error wrapping ErrUnrecoverable, allocates O(n) for an n-byte
-// payload, and a payload it accepts re-encodes to one that decodes to
-// an equal verdict. Run under `go test -fuzz=FuzzCkptVerdict
-// ./internal/ckpt`.
+// FuzzCkptVerdict: ReadVerdict never panics, fails only with an error
+// wrapping ErrUnrecoverable, allocates O(n) for an n-byte payload, and
+// a recovery or abort verdict it accepts re-encodes to one that reads
+// back equal. Run under `go test -fuzz=FuzzCkptVerdict ./internal/ckpt`.
 func FuzzCkptVerdict(f *testing.F) {
-	f.Add(EncodeAlive())
-	f.Add(EncodeAbort([]int{1, 2}))
-	f.Add(EncodePlan(testPlan(f)))
-	// The hostile processor counts that once overflowed decodeLayout's
-	// length arithmetic into a makeslice panic.
+	f.Add(ctl.EncodeVerdict(ctl.Verdict{}))
+	f.Add(ctl.EncodeVerdict(ctl.Verdict{Dead: []int{1, 2}}))
+	f.Add(encodePlan(testPlan(f)))
+	// The hostile processor counts that once overflowed the layout
+	// decode's length arithmetic into a makeslice panic.
 	for _, k := range []float64{5e18, 4e18} {
 		f.Add(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p, err := DecodeVerdict(data)
+		v, err := ReadVerdict(data, verdictP)
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > allocBound(len(data)) {
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16*uint64(len(data))+64<<10 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil && !errors.Is(err, ErrUnrecoverable) {
 			t.Fatalf("%v does not wrap ErrUnrecoverable", err)
 		}
-		if err != nil || p == nil {
-			return
-		}
-		again, err := DecodeVerdict(EncodePlan(p))
-		if err != nil {
-			t.Fatalf("re-encoded plan does not decode: %v", err)
-		}
-		if !samePlan(again, p) {
-			t.Fatalf("round trip changed the plan:\n in: %+v\nout: %+v", p, again)
+		switch {
+		case err != nil:
+		case v.Recovery != nil:
+			again, err := ReadVerdict(encodePlan(v.Recovery), verdictP)
+			if err != nil || !samePlan(again.Recovery, v.Recovery) {
+				t.Fatalf("round trip changed the plan:\n in: %+v\nout: %+v (%v)", v.Recovery, again.Recovery, err)
+			}
+		case v.Dead != nil:
+			again, err := ReadVerdict(ctl.EncodeVerdict(ctl.Verdict{Dead: v.Dead}), verdictP)
+			if err != nil || !slices.Equal(again.Dead, v.Dead) {
+				t.Fatalf("round trip changed the dead ranks: %v became (%v, %v)", v.Dead, again.Dead, err)
+			}
 		}
 	})
 }
 
-func samePlan(a, b *Plan) bool {
+func samePlan(a, b *ctl.Recovery) bool {
 	return a != nil && b != nil &&
 		a.Iter == b.Iter && a.CkptIter == b.CkptIter &&
 		slices.Equal(a.Dead, b.Dead) &&
@@ -148,8 +157,3 @@ func samePlan(a, b *Plan) bool {
 		slices.Equal(a.NewActive, b.NewActive) &&
 		a.Old.Equal(b.Old) && a.New.Equal(b.New)
 }
-
-// allocBound is what decoding an n-byte control payload may allocate:
-// a small multiple of n (a layout of p processors rebuilds a few
-// p-entry tables from its 16p bytes), plus room for an error.
-func allocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }

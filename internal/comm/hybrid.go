@@ -18,9 +18,7 @@ package comm
 import "fmt"
 
 func init() {
-	RegisterTransport("hybrid", func(p int, opts TransportOptions) ([]*Comm, func() error, error) {
-		return newHybridWorld(p, opts)
-	})
+	register("hybrid", newHybridWorld, true)
 }
 
 // hybridTransport overrides the TCP endpoint's Send to route

@@ -213,11 +213,10 @@ func (o *outbox) closeDiscard() {
 // charge the sender's clock before each socket write, so a zero-Delay
 // model prices messages identically on inproc and tcp; Model.Delay is
 // applied by the receiving mailbox, additive to the real wire time. One
-// thing real sockets cannot do, and the constructor rejects loudly
-// instead of approximating: a simulated clock. Socket reads complete on
-// the wall clock, invisible to a vtime.Sim, so the sim would advance
-// past in-flight messages (or declare a deadlock while bytes are on the
-// wire) and determinism is lost. Virtual time is an inproc-only feature.
+// thing real sockets cannot do, and Open rejects loudly instead of
+// approximating: a simulated clock (the registry marks "tcp" and
+// "hybrid" as needing the real one). Virtual time is an inproc-only
+// feature.
 func newTCPWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
 	transports, closer, err := newTCPTransports(p, opts)
 	if err != nil {
@@ -241,9 +240,6 @@ func newTCPWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
 // endpoints and reroutes intra-group traffic off their sockets.
 func newTCPTransports(p int, opts TransportOptions) ([]*tcpTransport, func() error, error) {
 	opts = opts.withDefaults()
-	if vtime.AsSim(opts.Clock) != nil {
-		return nil, nil, fmt.Errorf("comm: the tcp transport cannot run on a simulated clock (real sockets deliver on the wall clock); use the inproc transport for virtual-time runs")
-	}
 	codec, err := codecOf(opts.Compression)
 	if err != nil {
 		return nil, nil, err

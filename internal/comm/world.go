@@ -18,17 +18,27 @@ import (
 // not own, such as a shared socket mesh.
 type TransportFactory func(p int, opts TransportOptions) (comms []*Comm, closer func() error, err error)
 
+// registered is a registry entry: the factory, and whether the
+// transport delivers on the wall clock, which a simulated clock cannot
+// observe.
+type registered struct {
+	factory   TransportFactory
+	realClock bool
+}
+
 var (
 	transportMu sync.RWMutex
-	transports  = map[string]TransportFactory{}
+	transports  = map[string]registered{}
 )
 
 // RegisterTransport makes a transport available to Open under the given
 // name, so new backends plug in without touching the callers. The
-// built-in transports "inproc" and "tcp" are registered at package
-// initialization. Registering a name twice panics, like net/sql driver
-// registration.
-func RegisterTransport(name string, factory TransportFactory) {
+// built-in transports "inproc", "tcp" and "hybrid" are registered at
+// package initialization. Registering a name twice panics, like
+// net/sql driver registration.
+func RegisterTransport(name string, factory TransportFactory) { register(name, factory, false) }
+
+func register(name string, factory TransportFactory, realClock bool) {
 	if name == "" || factory == nil {
 		panic("comm: RegisterTransport with empty name or nil factory")
 	}
@@ -37,7 +47,7 @@ func RegisterTransport(name string, factory TransportFactory) {
 	if _, dup := transports[name]; dup {
 		panic(fmt.Sprintf("comm: transport %q registered twice", name))
 	}
-	transports[name] = factory
+	transports[name] = registered{factory, realClock}
 }
 
 // Transports returns the sorted names of the registered transports.
@@ -57,9 +67,11 @@ func init() {
 		comms, err := newInprocWorld(p, opts)
 		return comms, nil, err
 	})
-	RegisterTransport("tcp", func(p int, opts TransportOptions) ([]*Comm, func() error, error) {
-		return newTCPWorld(p, opts)
-	})
+	// Socket reads complete on the wall clock, invisible to a
+	// vtime.Sim, so the sim would advance past in-flight messages (or
+	// declare a deadlock while bytes are on the wire): the socket
+	// transports need the real clock.
+	register("tcp", newTCPWorld, true)
 }
 
 // World is a first-class SPMD world: the set of communicators plus the
@@ -84,13 +96,20 @@ type World struct {
 	closeErr error
 }
 
-// Open builds a world of p ranks on the named transport ("" selects
-// "inproc"). The transport must have been registered with
-// RegisterTransport. The size and options are validated here, before
-// any factory runs, so a bad tuning fails identically on every transport.
-func Open(transport string, p int, opts TransportOptions) (*World, error) {
-	if transport == "" {
-		transport = "inproc"
+// CheckOpen reports the first reason Open would refuse to build a world
+// of p ranks on the named transport with opts, before any factory runs:
+// a non-positive size, options TransportOptions.Validate rejects, a
+// topology of another size, an unregistered name, or a simulated clock
+// on a transport that needs the real one.
+func CheckOpen(transport string, p int, opts TransportOptions) error {
+	_, err := lookup(transport, p, opts)
+	return err
+}
+
+// lookup runs CheckOpen's checks and returns the transport's factory.
+func lookup(name string, p int, opts TransportOptions) (TransportFactory, error) {
+	if name == "" {
+		name = "inproc"
 	}
 	if p <= 0 {
 		return nil, fmt.Errorf("comm: world size must be positive, got %d", p)
@@ -102,11 +121,29 @@ func Open(transport string, p int, opts TransportOptions) (*World, error) {
 		return nil, fmt.Errorf("comm: topology covers %d ranks, world has %d", opts.Topology.P(), p)
 	}
 	transportMu.RLock()
-	factory, ok := transports[transport]
+	tr, ok := transports[name]
 	transportMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("comm: unknown transport %q (registered: %s)",
-			transport, strings.Join(Transports(), ", "))
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("comm: unknown transport %q (registered: %s)", name, strings.Join(Transports(), ", "))
+	case tr.realClock && vtime.AsSim(opts.Clock) != nil:
+		return nil, fmt.Errorf("comm: the %s transport cannot run on a simulated clock (real sockets deliver on the wall clock); use the inproc transport for virtual-time runs", name)
+	}
+	return tr.factory, nil
+}
+
+// Open builds a world of p ranks on the named transport ("" selects
+// "inproc"). The transport must have been registered with
+// RegisterTransport. The size and options are checked here (CheckOpen),
+// before any factory runs, so a bad tuning fails identically on every
+// transport.
+func Open(transport string, p int, opts TransportOptions) (*World, error) {
+	if transport == "" {
+		transport = "inproc"
+	}
+	factory, err := lookup(transport, p, opts)
+	if err != nil {
+		return nil, err
 	}
 	comms, closer, err := factory(p, opts)
 	if err != nil {

@@ -1,7 +1,9 @@
-// Package ctl is the control plane's wire format: the load reports
-// Phase D sends up to the controller, and the decisions, elastic epoch
-// verdicts and checkpoint recovery verdicts (paper Figure 3's interval
-// starts and arrangement) sent back down.
+// Package ctl is the control plane's wire format: the one round rank 0
+// runs at a check boundary (paper Section 3.5's controller). Every
+// member sends rank 0 one Report; rank 0 answers with one Verdict —
+// abort, recovery, epoch proposal, or continue with the balance
+// decision (paper Figure 3's interval starts and arrangement) — and
+// wakes parked ranks with the same codec. Both travel on Tag.
 //
 // Every message is a vector of little-endian float64 values, the codec
 // the rest of the library speaks (comm.F64sToBytes, byte for byte);
@@ -22,16 +24,21 @@ import (
 	"stance/internal/partition"
 )
 
-// Verdict opcodes: the first value of every elastic and checkpoint
-// verdict.
-const (
-	opContinue = 0 // elastic: membership unchanged
-	opEpoch    = 1 // elastic: an Epoch follows
-	opRunEnd   = 2 // elastic: run over, parked ranks return
+// Tag carries the boundary round: members' reports up to rank 0, and
+// rank 0's verdicts down to the members and to parked ranks. The two
+// directions never share a (source, destination) pair, so one tag
+// keeps them apart. It sits in the session's 0x5xx block (core uses
+// 0x2xx, loadbal 0x4xx, elastic 0x6xx, ckpt 0x7xx).
+const Tag = 0x501
 
-	opAlive   = 0 // checkpoint gate: every member answered
-	opRecover = 1 // checkpoint gate: a Recovery follows
-	opAbort   = 2 // checkpoint gate: the dead ranks follow
+// Verdict opcodes: the first value of every verdict.
+const (
+	opContinue = 0 // membership and layout unchanged; a Decision may follow
+	opEpoch    = 1 // an Epoch follows
+	opRunEnd   = 2 // run over, parked ranks return
+	opRecover  = 3 // a Recovery follows
+	opAbort    = 4 // the dead ranks follow
+	opRemap    = 5 // a Decision that remaps follows
 )
 
 // writer is a payload under construction. Its methods append like
@@ -168,38 +175,41 @@ func (r *reader) done() error {
 	return r.err
 }
 
-// Report is one rank's load report to the balance controller: its
-// measured compute seconds per data item, the window's item count
-// (which the controller never reads) and its last inspector time in
-// seconds, so that every rank prices a schedule rebuild alike.
+// Report is one member's message to rank 0 at a boundary: the
+// boundary iteration, which is also its liveness proof under a
+// checkpoint deadline, its measured compute seconds per data item, and
+// its last inspector time in seconds, so that every rank prices a
+// schedule rebuild alike.
 type Report struct {
-	Rate      float64
-	Items     int64
-	Inspector float64
+	Iter            int
+	Rate, Inspector float64
 }
 
-// EncodeReport returns the report payload: rate, items, inspector.
+// EncodeReport returns the report payload: iter, rate, inspector.
 func EncodeReport(rep Report) []byte {
-	return make(writer, 0, 24).floats(rep.Rate, float64(rep.Items), rep.Inspector)
+	return make(writer, 0, 24).ints(rep.Iter).floats(rep.Rate, rep.Inspector)
 }
 
 // DecodeReport reads one report.
 func DecodeReport(data []byte) (Report, error) {
 	r := newReader(data)
-	rep := Report{Rate: r.finite(), Items: int64(r.int()), Inspector: r.finite()}
-	if rep.Items < 0 {
-		r.fail("negative item count %d", rep.Items)
+	rep := Report{Iter: r.int(), Rate: r.finite(), Inspector: r.finite()}
+	if rep.Iter < 0 {
+		r.fail("negative iteration %d", rep.Iter)
 	}
 	return rep, r.done()
 }
 
-// DecodeReports reads the gathered reports, indexed by rank, into the
-// rates and the slowest inspector time — the shared schedule-rebuild
-// estimate.
-func DecodeReports(reports [][]byte) (rates []float64, inspector float64, err error) {
+// DecodeReports reads the reports gathered at the iteration-iter
+// boundary, indexed by rank, into the rates and the slowest inspector
+// time — the shared schedule-rebuild estimate.
+func DecodeReports(reports [][]byte, iter int) (rates []float64, inspector float64, err error) {
 	rates = make([]float64, len(reports))
 	for q, data := range reports {
 		rep, err := DecodeReport(data)
+		if err == nil && rep.Iter != iter {
+			err = fmt.Errorf("ctl: report for iteration %d at the iteration-%d boundary", rep.Iter, iter)
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("ctl: report from rank %d: %w", q, err)
 		}
@@ -227,37 +237,6 @@ type Decision struct {
 	Weights            []float64
 }
 
-// EncodeDecision returns the decision payload: remap (0 or 1),
-// current, new, cost, then the weights.
-func EncodeDecision(d Decision) []byte {
-	remap := 0.0
-	if d.Remap {
-		remap = 1
-	}
-	w := make(writer, 0, 8*(4+len(d.Weights)))
-	return w.floats(remap, d.Current, d.New, d.Cost).floats(d.Weights...)
-}
-
-// DecodeDecision reads a decision for p ranks.
-func DecodeDecision(data []byte, p int) (Decision, error) {
-	r := newReader(data)
-	remap := r.int()
-	d := Decision{Remap: remap == 1, Current: r.finite(), New: r.finite(), Cost: r.finite()}
-	if remap != 0 && remap != 1 {
-		r.fail("remap flag %d", remap)
-	}
-	if r.err == nil && r.left() != p {
-		r.fail("%d weights for %d ranks", r.left(), p)
-	}
-	if r.err == nil {
-		d.Weights = make([]float64, p)
-		for i := range d.Weights {
-			d.Weights[i] = r.finite()
-		}
-	}
-	return d, r.done()
-}
-
 // Epoch is the elastic coordinator's epoch proposal: the boundary
 // iteration, the incoming epoch number, and the outgoing and incoming
 // active world ranks with the layout cut over each. Carrying both
@@ -268,95 +247,109 @@ type Epoch struct {
 	Old, New          *partition.Layout
 }
 
-// EncodeContinue returns the elastic verdict "membership unchanged".
-func EncodeContinue() []byte { return writer(nil).ints(opContinue) }
-
-// EncodeRunEnd returns the elastic verdict "run over", which releases
-// the parked ranks.
-func EncodeRunEnd() []byte { return writer(nil).ints(opRunEnd) }
-
-// EncodeEpoch returns the epoch proposal payload: opEpoch, iter,
-// epoch, then per side (old, new) the active ranks as a count k and k
-// ranks, and the layout over them as k+1 starts and k arrangement.
-func EncodeEpoch(e *Epoch) []byte {
-	w := writer(nil).ints(opEpoch, e.Iter, e.Epoch)
-	return w.ranks(e.OldActive).layout(e.Old).ranks(e.Active).layout(e.New)
-}
-
-// DecodeEpochVerdict reads an elastic verdict: nil for continue and
-// run end, the Epoch for a proposal.
-func DecodeEpochVerdict(data []byte) (*Epoch, error) {
-	r := newReader(data)
-	op := r.int()
-	if r.err == nil && (op == opContinue || op == opRunEnd) {
-		return nil, r.done()
-	}
-	if op != opEpoch {
-		r.fail("unknown elastic opcode %d", op)
-	}
-	e := &Epoch{Iter: r.int(), Epoch: r.int(), OldActive: r.ranks()}
-	e.Old = r.layout(len(e.OldActive))
-	e.Active = r.ranks()
-	e.New = r.layout(len(e.Active))
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// Recovery is the checkpoint coordinator's recovery verdict: at gate
-// iteration Iter the ranks Dead (ascending) missed the gate, and the
-// survivors NewActive (OldActive minus Dead) restore checkpoint
-// iteration CkptIter, taken under OldActive and layout Old, onto the
-// layout New re-cut over them. CkptIter is -1 when no checkpoint
-// existed yet and survivors restart from initial conditions. Every
-// survivor executes it deterministically.
+// Recovery is the checkpoint coordinator's recovery verdict: at
+// boundary iteration Iter the ranks Dead (ascending) missed their
+// deadline, and the survivors NewActive (OldActive minus Dead) restore
+// checkpoint iteration CkptIter, taken under OldActive and layout Old,
+// onto the layout New re-cut over them. CkptIter is -1 when no
+// checkpoint existed yet and survivors restart from initial
+// conditions. Every survivor executes it deterministically.
 type Recovery struct {
 	Iter, CkptIter             int
 	Dead, OldActive, NewActive []int
 	Old, New                   *partition.Layout
 }
 
-// EncodeAlive returns the checkpoint gate verdict "every member
-// answered".
-func EncodeAlive() []byte { return writer(nil).ints(opAlive) }
-
-// EncodeAbort returns the unrecoverable gate verdict: opAbort, then
-// the dead ranks as a count and ranks.
-func EncodeAbort(dead []int) []byte { return writer(nil).ints(opAbort).ranks(dead) }
-
-// EncodeRecovery returns the recovery gate verdict: opRecover, iter,
-// ckpt iter, the dead, old active and new active sets (each a count
-// and ranks), then per layout (old, new) p, p+1 starts and p
-// arrangement.
-func EncodeRecovery(p *Recovery) []byte {
-	w := writer(nil).ints(opRecover, p.Iter, p.CkptIter)
-	w = w.ranks(p.Dead).ranks(p.OldActive).ranks(p.NewActive)
-	return w.ints(p.Old.P()).layout(p.Old).ints(p.New.P()).layout(p.New)
+// Verdict is rank 0's one answer at a boundary, in the order it ranks
+// the outcomes: abort (Dead non-nil: the failure is unrecoverable),
+// else Recovery, else an Epoch proposal, else continue — carrying the
+// balance Decision when a centralized check ran. RunEnd, sent to
+// parked ranks only, ends their Run.
+type Verdict struct {
+	Dead     []int
+	Recovery *Recovery
+	Epoch    *Epoch
+	RunEnd   bool
+	Decision *Decision
 }
 
-// DecodeGateVerdict reads a checkpoint gate verdict: all nil for
-// alive, the Recovery for a recovery verdict, and the dead ranks,
-// non-nil, for an abort verdict.
-func DecodeGateVerdict(data []byte) (rec *Recovery, dead []int, err error) {
+// EncodeVerdict returns the verdict payload: the opcode, then
+//   - abort: the dead ranks as a count and ranks;
+//   - recovery: iter, ckpt iter, the dead, old active and new active
+//     sets (each a count and ranks), then per layout (old, new) p,
+//     p+1 starts and p arrangement;
+//   - epoch: iter, epoch, then per side (old, new) the active ranks as
+//     a count k and k ranks, and the layout over them as k+1 starts and
+//     k arrangement;
+//   - continue or remap (the decision's remap flag picks the opcode):
+//     with a decision, current, new, cost and the weights; without
+//     one, nothing.
+func EncodeVerdict(v Verdict) []byte {
+	var w writer
+	switch {
+	case v.Dead != nil:
+		return w.ints(opAbort).ranks(v.Dead)
+	case v.Recovery != nil:
+		p := v.Recovery
+		w = w.ints(opRecover, p.Iter, p.CkptIter).ranks(p.Dead).ranks(p.OldActive).ranks(p.NewActive)
+		return w.ints(p.Old.P()).layout(p.Old).ints(p.New.P()).layout(p.New)
+	case v.Epoch != nil:
+		e := v.Epoch
+		w = w.ints(opEpoch, e.Iter, e.Epoch)
+		return w.ranks(e.OldActive).layout(e.Old).ranks(e.Active).layout(e.New)
+	case v.RunEnd:
+		return w.ints(opRunEnd)
+	case v.Decision == nil:
+		return w.ints(opContinue)
+	}
+	d, op := v.Decision, opContinue
+	if d.Remap {
+		op = opRemap
+	}
+	w = make(writer, 0, 8*(4+len(d.Weights)))
+	return w.ints(op).floats(d.Current, d.New, d.Cost).floats(d.Weights...)
+}
+
+// DecodeVerdict reads a verdict addressed to a rank whose active set
+// has p ranks — the number of weights a decision must carry. A parked
+// rank passes 0: no decision addresses it.
+func DecodeVerdict(data []byte, p int) (Verdict, error) {
 	r := newReader(data)
+	var v Verdict
 	switch op := r.int(); {
-	case r.err == nil && op == opAlive:
-		return nil, nil, r.done()
-	case op == opAbort:
-		dead = r.ranks()
-		if err := r.done(); err != nil {
-			return nil, nil, err
+	case op == opContinue && r.left() == 0:
+	case op == opContinue || op == opRemap:
+		d := &Decision{Remap: op == opRemap, Current: r.finite(), New: r.finite(), Cost: r.finite()}
+		if r.err == nil && (p <= 0 || r.left() != p) {
+			r.fail("%d weights for %d ranks", r.left(), p)
 		}
-		return nil, dead, nil
-	case op != opRecover:
-		r.fail("unknown gate opcode %d", op)
+		if r.err == nil {
+			d.Weights = make([]float64, p)
+			for i := range d.Weights {
+				d.Weights[i] = r.finite()
+			}
+		}
+		v.Decision = d
+	case op == opEpoch:
+		e := &Epoch{Iter: r.int(), Epoch: r.int(), OldActive: r.ranks()}
+		e.Old = r.layout(len(e.OldActive))
+		e.Active = r.ranks()
+		e.New = r.layout(len(e.Active))
+		v.Epoch = e
+	case op == opRunEnd:
+		v.RunEnd = true
+	case op == opRecover:
+		rec := &Recovery{Iter: r.int(), CkptIter: r.int(), Dead: r.ranks(), OldActive: r.ranks(), NewActive: r.ranks()}
+		rec.Old = r.layout(r.int())
+		rec.New = r.layout(r.int())
+		v.Recovery = rec
+	case op == opAbort:
+		v.Dead = r.ranks()
+	default:
+		r.fail("unknown verdict opcode %d", op)
 	}
-	rec = &Recovery{Iter: r.int(), CkptIter: r.int(), Dead: r.ranks(), OldActive: r.ranks(), NewActive: r.ranks()}
-	rec.Old = r.layout(r.int())
-	rec.New = r.layout(r.int())
 	if err := r.done(); err != nil {
-		return nil, nil, err
+		return Verdict{}, err
 	}
-	return rec, nil, nil
+	return v, nil
 }

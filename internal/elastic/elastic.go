@@ -9,12 +9,12 @@
 //
 //   - propose: at a boundary, the coordinator compares the current
 //     active set against the desired one (availability windows in
-//     hetero.Env, or an explicit resize request) and multicasts a
-//     verdict to the active members — either "continue" or a Proposal
+//     hetero.Env, or an explicit resize request) and builds a Proposal
 //     carrying the next membership, the outgoing layout (admitted
 //     ranks were parked when it was cut and cannot know it) and the
-//     incoming layout. Parked ranks being admitted receive the same
-//     proposal as their wake-up message.
+//     incoming layout. The session sends it as the boundary round's
+//     verdict (internal/ctl) to the active members, and the same bytes
+//     to the parked ranks being admitted as their wake-up message.
 //   - drain: the outgoing sub-world barriers, so every member has
 //     fully completed the epoch's final iteration before data moves.
 //   - commit: every participant migrates its vectors onto the
@@ -23,12 +23,11 @@
 //     schedules on a fresh sub-world of the new active set, and
 //     retiring ranks park.
 //
-// Parked ranks block in a single receive on the control tag — no
-// polling, no barrier participation — until the coordinator either
-// admits them (a Proposal) or ends the run. A rank failing mid-epoch
-// cancels the SPMD section's shared context, which unblocks parked
-// receives with a wrapped context.Canceled instead of deadlocking the
-// world.
+// Parked ranks block in a single receive on ctl.Tag — no polling, no
+// barrier participation — until the coordinator either admits them (a
+// Proposal) or ends the run. A rank failing mid-epoch cancels the SPMD
+// section's shared context, which unblocks parked receives with a
+// wrapped context.Canceled instead of deadlocking the world.
 package elastic
 
 import (
@@ -44,16 +43,9 @@ import (
 	"stance/internal/redist"
 )
 
-// Control-protocol tags (distinct from the runtime's, the balancer's
-// and the session driver's).
-const (
-	// tagCtl carries coordinator verdicts in the control plane's
-	// format (internal/ctl): continue, epoch proposal, or run end.
-	// Parked ranks block on it.
-	tagCtl = 0x601
-	// TagDrain is the drain barrier over the outgoing sub-world.
-	TagDrain = 0x602
-)
+// TagDrain is the drain barrier over the outgoing sub-world (distinct
+// from the runtime's, the balancer's and the control round's tags).
+const TagDrain = 0x602
 
 // Membership is one epoch's active set.
 type Membership struct {
@@ -75,17 +67,11 @@ func (m Membership) SubRank(rank int) int { return slices.Index(m.Active, rank) 
 
 // Proposal is an agreed epoch transition: everything a participant —
 // including a rank that has been parked since before the outgoing
-// layout existed — needs to commit it deterministically.
-type Proposal struct {
-	// Iter is the global iteration count at the boundary.
-	Iter int
-	// Next is the incoming membership.
-	Next Membership
-	// OldActive is the outgoing active set (the carrier ranks of Old).
-	OldActive []int
-	// Old and New are the outgoing and incoming layouts.
-	Old, New *partition.Layout
-}
+// layout existed — needs to commit it deterministically: the boundary
+// iteration, the incoming epoch number and active set, the outgoing
+// active set (the carrier ranks of Old), and the outgoing and incoming
+// layouts. It is its own wire form, the verdict's ctl.Epoch.
+type Proposal = ctl.Epoch
 
 // Event records one committed membership transition. The JSON field
 // names are stable API (the stanced job service serves reports over
@@ -200,35 +186,19 @@ func (ct *Controller) TakeResize() []int {
 	return r
 }
 
-// Boundary runs the propose step at an iteration boundary for an
-// active rank. On the coordinator, desired() names the wanted active
-// set (nil means no change) and cut() builds the incoming layout for
-// it; members pass nils and receive the verdict. It returns nil when
-// membership is unchanged, or the agreed Proposal — in which case
-// every returned-to rank must call Transition, and parked ranks being
-// admitted have been sent the same proposal as their wake-up. All
-// active ranks must call Boundary at the same iteration.
-func (ct *Controller) Boundary(iter int, oldLayout *partition.Layout,
-	desired func() []int, cut func(active []int) (*partition.Layout, error)) (*Proposal, error) {
-	if !ct.ActiveHere() {
-		return nil, fmt.Errorf("elastic: Boundary on parked rank %d", ct.c.Rank())
-	}
+// Boundary is the coordinator's propose step at an iteration
+// boundary: want names the desired active set (nil means no change),
+// oldLayout is the outgoing one, and cut builds the incoming layout for
+// want. It returns nil when membership is unchanged, or the Proposal
+// that the coordinator announces to the active members and the
+// admitted ranks and that every participant commits with Transition.
+func (ct *Controller) Boundary(iter int, want []int, oldLayout *partition.Layout,
+	cut func(active []int) (*partition.Layout, error)) (*Proposal, error) {
 	if ct.c.Rank() != 0 {
-		data, err := ct.c.Recv(0, tagCtl)
-		if err != nil {
-			return nil, err
-		}
-		prop, err := decodeVerdict(data)
-		ct.c.Release(data)
-		return prop, err
+		return nil, fmt.Errorf("elastic: Boundary on rank %d; only the coordinator proposes", ct.c.Rank())
 	}
-
 	cur := ct.Membership()
-	want := desired()
 	if want == nil || slices.Equal(want, cur.Active) {
-		if err := ct.multicastActive(cur, ctl.EncodeContinue()); err != nil {
-			return nil, err
-		}
 		return nil, nil
 	}
 	if err := ValidActive(want, ct.c.Size()); err != nil {
@@ -238,33 +208,8 @@ func (ct *Controller) Boundary(iter int, oldLayout *partition.Layout,
 	if err != nil {
 		return nil, err
 	}
-	prop := &Proposal{
-		Iter:      iter,
-		Next:      Membership{Epoch: cur.Epoch + 1, Active: append([]int(nil), want...)},
-		OldActive: cur.Active,
-		Old:       oldLayout,
-		New:       newLayout,
-	}
-	payload := encodeProposal(prop)
-	if err := ct.multicastActive(cur, payload); err != nil {
-		return nil, err
-	}
-	// Wake the parked ranks being admitted with the same proposal.
-	for _, r := range diffInts(want, cur.Active) {
-		if err := ct.c.Send(r, tagCtl, payload); err != nil {
-			return nil, err
-		}
-	}
-	return prop, nil
-}
-
-// multicastActive sends a control payload to every active member but
-// the coordinator.
-func (ct *Controller) multicastActive(cur Membership, payload []byte) error {
-	if len(cur.Active) == 1 {
-		return nil
-	}
-	return ct.c.Multicast(cur.Active[1:], tagCtl, payload)
+	return &Proposal{Iter: iter, Epoch: cur.Epoch + 1, OldActive: cur.Active, Old: oldLayout,
+		Active: append([]int(nil), want...), New: newLayout}, nil
 }
 
 // Park blocks a parked rank until the coordinator releases it: an
@@ -272,22 +217,32 @@ func (ct *Controller) multicastActive(cur Membership, payload []byte) error {
 // returns nil (the rank stays parked for the next run). A cancelled
 // session context unblocks the receive with its error.
 func (ct *Controller) Park() (*Proposal, error) {
+	me := ct.c.Rank()
 	if ct.ActiveHere() {
-		return nil, fmt.Errorf("elastic: Park on active rank %d", ct.c.Rank())
+		return nil, fmt.Errorf("elastic: Park on active rank %d", me)
 	}
-	data, err := ct.c.Recv(0, tagCtl)
+	data, err := ct.c.Recv(0, ctl.Tag)
 	if err != nil {
 		return nil, err
 	}
-	prop, err := decodeVerdict(data)
+	prop, err := admission(data, me)
 	ct.c.Release(data)
-	if err != nil {
+	return prop, err
+}
+
+// admission reads the verdict that woke parked rank me: the Proposal
+// admitting it, nil for run end, and an error for anything else.
+func admission(data []byte, me int) (*Proposal, error) {
+	v, err := ctl.DecodeVerdict(data, 0)
+	switch {
+	case err != nil:
 		return nil, err
+	case v.RunEnd:
+		return nil, nil
+	case v.Epoch == nil || !slices.Contains(v.Epoch.Active, me):
+		return nil, fmt.Errorf("elastic: parked rank %d woken by a verdict that does not admit it", me)
 	}
-	if prop != nil && !prop.Next.Contains(ct.c.Rank()) {
-		return nil, fmt.Errorf("elastic: parked rank %d woken by an epoch that excludes it", ct.c.Rank())
-	}
-	return prop, nil
+	return v.Epoch, nil
 }
 
 // ReleaseParked ends the run for every parked rank (coordinator only):
@@ -313,9 +268,9 @@ func (ct *Controller) ReleaseParked(skip []int) error {
 	if len(parked) == 0 {
 		return nil
 	}
-	payload := ctl.EncodeRunEnd()
+	payload := ctl.EncodeVerdict(ctl.Verdict{RunEnd: true})
 	for _, r := range parked {
-		if err := ct.c.Send(r, tagCtl, payload); err != nil {
+		if err := ct.c.Send(r, ctl.Tag, payload); err != nil {
 			return err
 		}
 	}
@@ -334,10 +289,10 @@ func (ct *Controller) Transition(prop *Proposal, oldSub *comm.Comm, rt *core.Run
 	start := clock.Now()
 	ev := Event{
 		Iter:     prop.Iter,
-		Epoch:    prop.Next.Epoch,
-		Active:   append([]int(nil), prop.Next.Active...),
-		Retired:  diffInts(prop.OldActive, prop.Next.Active),
-		Admitted: diffInts(prop.Next.Active, prop.OldActive),
+		Epoch:    prop.Epoch,
+		Active:   append([]int(nil), prop.Active...),
+		Retired:  diffInts(prop.OldActive, prop.Active),
+		Admitted: diffInts(prop.Active, prop.OldActive),
 	}
 	var err error
 	ev.MovedBytes, ev.Msgs, err = CrossCost(prop, rt.NumVectors())
@@ -352,8 +307,8 @@ func (ct *Controller) Transition(prop *Proposal, oldSub *comm.Comm, rt *core.Run
 		}
 	}
 	var newSub *comm.Comm
-	if prop.Next.Contains(ct.c.Rank()) {
-		newSub, err = ct.c.Sub(prop.Next.Active)
+	if slices.Contains(prop.Active, ct.c.Rank()) {
+		newSub, err = ct.c.Sub(prop.Active)
 		if err != nil {
 			return ev, nil, err
 		}
@@ -364,13 +319,13 @@ func (ct *Controller) Transition(prop *Proposal, oldSub *comm.Comm, rt *core.Run
 		Old:      prop.Old,
 		New:      prop.New,
 		OldProcs: prop.OldActive,
-		NewProcs: prop.Next.Active,
+		NewProcs: prop.Active,
 	})
 	if err != nil {
 		return ev, nil, err
 	}
 	ct.mu.Lock()
-	ct.cur = prop.Next
+	ct.cur = Membership{Epoch: prop.Epoch, Active: prop.Active}
 	ct.mu.Unlock()
 	ev.Duration = clock.Now().Sub(start)
 	return ev, newSub, nil
@@ -392,27 +347,11 @@ func (ct *Controller) Force(next Membership) {
 // proposal for a runtime carrying nVecs registered vectors — the
 // world-wide accounting, identical on every participant.
 func CrossCost(prop *Proposal, nVecs int) (bytes int64, msgs int, err error) {
-	moved, transfers, err := redist.CrossStats(prop.Old, prop.New, prop.OldActive, prop.Next.Active)
+	moved, transfers, err := redist.CrossStats(prop.Old, prop.New, prop.OldActive, prop.Active)
 	if err != nil {
 		return 0, 0, err
 	}
 	return moved * 8 * int64(nVecs), transfers * nVecs, nil
-}
-
-// encodeProposal and decodeVerdict carry a Proposal as a ctl.Epoch;
-// decodeVerdict returns nil for a continue or run-end verdict.
-func encodeProposal(p *Proposal) []byte {
-	return ctl.EncodeEpoch(&ctl.Epoch{Iter: p.Iter, Epoch: p.Next.Epoch,
-		OldActive: p.OldActive, Old: p.Old, Active: p.Next.Active, New: p.New})
-}
-
-func decodeVerdict(data []byte) (*Proposal, error) {
-	e, err := ctl.DecodeEpochVerdict(data)
-	if err != nil || e == nil {
-		return nil, err
-	}
-	return &Proposal{Iter: e.Iter, Next: Membership{Epoch: e.Epoch, Active: e.Active},
-		OldActive: e.OldActive, Old: e.Old, New: e.New}, nil
 }
 
 // diffInts returns the elements of a not present in b.

@@ -16,50 +16,61 @@ import (
 	"stance/internal/partition"
 )
 
+// testAdmission is a proposal that admits rank 1: the active set
+// grows from {0, 2, 5} to {0, 1, 2, 5} with a re-cut layout.
+func testAdmission(t testing.TB) *Proposal {
+	t.Helper()
+	old, err := partition.New(101, []float64{1, 1, 3}, []int{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recut, err := partition.NewBlock(101, []float64{1, 2, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Proposal{Iter: 40, Epoch: 3, OldActive: []int{0, 2, 5}, Old: old, Active: []int{0, 1, 2, 5}, New: recut}
+}
+
+// admitted is the parked rank testAdmission admits.
+const admitted = 1
+
+func encodeProposal(p *Proposal) []byte { return ctl.EncodeVerdict(ctl.Verdict{Epoch: p}) }
+
+func sameProposal(a, b *Proposal) bool {
+	return a.Iter == b.Iter && a.Epoch == b.Epoch &&
+		slices.Equal(a.Active, b.Active) && slices.Equal(a.OldActive, b.OldActive) &&
+		a.Old.Equal(b.Old) && a.New.Equal(b.New)
+}
+
+// TestProposalWireRoundTrip: a proposal read by the parked rank it
+// admits is the proposal sent; run end releases the rank with no
+// proposal; any other verdict, or one it cannot read, is an error.
 func TestProposalWireRoundTrip(t *testing.T) {
-	old, err := partition.NewBlock(101, []float64{1, 2, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	new, err := partition.New(101, []float64{1, 1, 3}, []int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &Proposal{
-		Iter:      40,
-		Next:      Membership{Epoch: 3, Active: []int{0, 2, 5}},
-		OldActive: []int{0, 1, 2, 5},
-		Old:       old,
-		New:       new,
-	}
-	out, err := decodeVerdict(encodeProposal(in))
+	in := testAdmission(t)
+	out, err := admission(encodeProposal(in), admitted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil {
-		t.Fatal("proposal decoded as a continue/run-end verdict")
+		t.Fatal("proposal decoded as a run-end verdict")
 	}
-	if out.Iter != in.Iter || out.Next.Epoch != in.Next.Epoch {
-		t.Errorf("decoded iter/epoch %d/%d, want %d/%d", out.Iter, out.Next.Epoch, in.Iter, in.Next.Epoch)
+	if !sameProposal(out, in) {
+		t.Errorf("decoded proposal %+v, want %+v", out, in)
 	}
-	if !slices.Equal(out.Next.Active, in.Next.Active) || !slices.Equal(out.OldActive, in.OldActive) {
-		t.Errorf("decoded active sets %v/%v, want %v/%v",
-			out.OldActive, out.Next.Active, in.OldActive, in.Next.Active)
+	if p, err := admission(ctl.EncodeVerdict(ctl.Verdict{RunEnd: true}), admitted); err != nil || p != nil {
+		t.Errorf("run-end verdict decoded as (%v, %v), want (nil, nil)", p, err)
 	}
-	if !out.Old.Equal(in.Old) || !out.New.Equal(in.New) {
-		t.Error("decoded layouts differ from the originals")
-	}
-	for _, data := range [][]byte{ctl.EncodeContinue(), ctl.EncodeRunEnd()} {
-		p, err := decodeVerdict(data)
-		if err != nil || p != nil {
-			t.Errorf("verdict %v decoded as (%v, %v), want (nil, nil)", data, p, err)
+	for name, data := range map[string][]byte{
+		"continue":              ctl.EncodeVerdict(ctl.Verdict{}),
+		"not admitting":         encodeProposal(&Proposal{Iter: 40, Epoch: 3, OldActive: in.Active, Old: in.New, Active: in.OldActive, New: in.Old}),
+		"unknown opcode":        f64s(7),
+		"non-f64 payload":       {1, 2, 3},
+		"truncated proposal":    encodeProposal(in)[:8*5],
+		"proposal with a trail": append(encodeProposal(in), f64s(0)...),
+	} {
+		if p, err := admission(data, admitted); err == nil {
+			t.Errorf("%s: accepted as %+v", name, p)
 		}
-	}
-	if _, err := decodeVerdict(f64s(7)); err == nil {
-		t.Error("unknown opcode accepted")
-	}
-	if _, err := decodeVerdict([]byte{1, 2, 3}); err == nil {
-		t.Error("non-f64 payload accepted")
 	}
 }
 
@@ -68,7 +79,7 @@ func TestProposalWireRoundTrip(t *testing.T) {
 // makeslice panic.
 func TestDecodeVerdictHostileCount(t *testing.T) {
 	for _, k := range []float64{4e18, 3e18, math.MaxInt64 / 3, 1 << 62, 2} {
-		if _, err := decodeVerdict(f64s(opEpoch, 0, 0, k)); err == nil {
+		if _, err := admission(f64s(opEpoch, 0, 0, k), admitted); err == nil {
 			t.Errorf("side count %g over an empty payload accepted", k)
 		}
 	}
@@ -88,34 +99,23 @@ func f64s(vals ...float64) []byte {
 	return out
 }
 
-// FuzzElasticVerdict: decodeVerdict never panics, allocates O(n) for
-// an n-byte payload, and a payload it accepts re-encodes to one that
-// decodes to an equal proposal. Run under `go test
+// FuzzElasticVerdict: a parked rank's read of the verdict that woke it
+// never panics, allocates O(n) for an n-byte payload, and a proposal it
+// accepts re-encodes to one that reads back equal. Run under `go test
 // -fuzz=FuzzElasticVerdict ./internal/elastic`.
 func FuzzElasticVerdict(f *testing.F) {
-	f.Add(ctl.EncodeContinue())
-	f.Add(ctl.EncodeRunEnd())
-	old, err := partition.NewBlock(101, []float64{1, 2, 1, 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	recut, err := partition.New(101, []float64{1, 1, 3}, []int{2, 0, 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(encodeProposal(&Proposal{
-		Iter: 40, Next: Membership{Epoch: 3, Active: []int{0, 2, 5}},
-		OldActive: []int{0, 1, 2, 5}, Old: old, New: recut,
-	}))
-	// The hostile side counts that once overflowed decodeSide's length
-	// arithmetic into a makeslice panic.
+	f.Add(ctl.EncodeVerdict(ctl.Verdict{}))
+	f.Add(ctl.EncodeVerdict(ctl.Verdict{RunEnd: true}))
+	f.Add(encodeProposal(testAdmission(f)))
+	// The hostile side counts that once overflowed the side decode's
+	// length arithmetic into a makeslice panic.
 	for _, k := range []float64{4e18, 3e18} {
 		f.Add(f64s(opEpoch, 0, 0, k))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p, err := decodeVerdict(data)
+		p, err := admission(data, admitted)
 		runtime.ReadMemStats(&after)
 		// A small multiple of n (a layout of p processors rebuilds a
 		// few p-entry tables from its 16p bytes), plus room for an
@@ -126,14 +126,9 @@ func FuzzElasticVerdict(f *testing.F) {
 		if err != nil || p == nil {
 			return
 		}
-		again, err := decodeVerdict(encodeProposal(p))
-		if err != nil {
-			t.Fatalf("re-encoded proposal does not decode: %v", err)
-		}
-		if again.Iter != p.Iter || again.Next.Epoch != p.Next.Epoch ||
-			!slices.Equal(again.Next.Active, p.Next.Active) || !slices.Equal(again.OldActive, p.OldActive) ||
-			!again.Old.Equal(p.Old) || !again.New.Equal(p.New) {
-			t.Fatalf("round trip changed the proposal:\n in: %+v\nout: %+v", p, again)
+		again, err := admission(encodeProposal(p), admitted)
+		if err != nil || again == nil || !sameProposal(again, p) {
+			t.Fatalf("round trip changed the proposal:\n in: %+v\nout: %+v (%v)", p, again, err)
 		}
 	})
 }
@@ -178,7 +173,9 @@ func ringGraph(t *testing.T, n int) *graph.Graph {
 // TestProtocolShrinkGrow drives the raw epoch protocol on a 3-rank
 // world: full membership, retire rank 1, grow back — asserting that a
 // distributed vector survives both transitions bit for bit and that
-// the parked rank blocks in Park until its admission proposal.
+// the parked rank blocks in Park until its admission proposal. The
+// proposals travel as the session's boundary round sends them: one
+// verdict multicast to the members, the same bytes to admitted ranks.
 func TestProtocolShrinkGrow(t *testing.T) {
 	const n = 31
 	g := ringGraph(t, n)
@@ -194,7 +191,7 @@ func TestProtocolShrinkGrow(t *testing.T) {
 	events := map[int][]Event{}
 
 	err = world.SPMD(nil, func(c *comm.Comm) error {
-		ctl, err := NewController(c, all)
+		ct, err := NewController(c, all)
 		if err != nil {
 			return err
 		}
@@ -215,7 +212,7 @@ func TestProtocolShrinkGrow(t *testing.T) {
 			mu.Unlock()
 		}
 		transition := func(prop *Proposal, oldSub *comm.Comm) (*comm.Comm, error) {
-			ev, newSub, err := ctl.Transition(prop, oldSub, rt)
+			ev, newSub, err := ct.Transition(prop, oldSub, rt)
 			if err != nil {
 				return nil, err
 			}
@@ -223,12 +220,42 @@ func TestProtocolShrinkGrow(t *testing.T) {
 			return newSub, nil
 		}
 
+		// boundary is the membership half of a round on the active set:
+		// the coordinator proposes and announces, members receive.
+		boundary := func(iter int, want []int, cut func([]int) (*partition.Layout, error)) (*Proposal, error) {
+			active := ct.Membership().Active
+			if c.Rank() != 0 {
+				data, err := c.Recv(0, ctl.Tag)
+				if err != nil {
+					return nil, err
+				}
+				v, err := ctl.DecodeVerdict(data, len(active))
+				c.Release(data)
+				return v.Epoch, err
+			}
+			prop, err := ct.Boundary(iter, want, rt.Layout(), cut)
+			if err != nil {
+				return nil, err
+			}
+			payload := ctl.EncodeVerdict(ctl.Verdict{Epoch: prop})
+			if err := c.Multicast(active[1:], ctl.Tag, payload); err != nil {
+				return nil, err
+			}
+			if prop != nil {
+				for _, r := range diffInts(want, active) {
+					if err := c.Send(r, ctl.Tag, payload); err != nil {
+						return nil, err
+					}
+				}
+			}
+			return prop, nil
+		}
+
 		// Boundary 1: shrink to {0, 2}.
-		desired := func() []int { return shrunk }
 		cut := func(active []int) (*partition.Layout, error) {
 			return rt.CutLayout([]float64{1, 1})
 		}
-		prop, err := ctl.Boundary(10, rt.Layout(), desired, cut)
+		prop, err := boundary(10, shrunk, cut)
 		if err != nil {
 			return err
 		}
@@ -247,7 +274,7 @@ func TestProtocolShrinkGrow(t *testing.T) {
 				return fmt.Errorf("retired rank not parked (%d values held)", len(v.Data))
 			}
 			// Block until re-admitted.
-			prop, err := ctl.Park()
+			prop, err := ct.Park()
 			if err != nil {
 				return err
 			}
@@ -259,19 +286,17 @@ func TestProtocolShrinkGrow(t *testing.T) {
 			}
 		} else {
 			// Boundary 2 on the shrunken world: no change.
-			desired = func() []int { return nil }
-			if prop, err = ctl.Boundary(20, rt.Layout(), desired, nil); err != nil {
+			if prop, err = boundary(20, nil, nil); err != nil {
 				return err
 			}
 			if prop != nil {
 				return fmt.Errorf("rank %d: no-change boundary proposed an epoch", c.Rank())
 			}
 			// Boundary 3: grow back.
-			desired = func() []int { return all }
 			cut = func(active []int) (*partition.Layout, error) {
 				return rt.CutLayout([]float64{1, 1, 1})
 			}
-			if prop, err = ctl.Boundary(30, rt.Layout(), desired, cut); err != nil {
+			if prop, err = boundary(30, all, cut); err != nil {
 				return err
 			}
 			if prop == nil {

@@ -18,12 +18,6 @@ import (
 	"stance/internal/redist"
 )
 
-// Message tags for the controller protocol.
-const (
-	tagLoadReport = 0x401
-	tagDecision   = 0x402
-)
-
 // Config parameterizes the balancer.
 type Config struct {
 	// Horizon is the number of future iterations a remap is assumed to
@@ -59,9 +53,12 @@ type Config struct {
 	Topology *comm.Topology
 }
 
-// Report is one rank's load report: measured compute seconds per data
-// item over the window since the last check.
+// Report is one rank's load report: the boundary iteration, which
+// every rank's must match, and the measured compute seconds per data
+// item over the window since the last check. Items, the window's item
+// count, is not shipped: the controller never reads it.
 type Report struct {
+	Iter        int
 	RatePerItem float64
 	Items       int64
 }
@@ -120,71 +117,83 @@ func (b *Balancer) Reset() {
 	b.cfg.Estimator.Reset()
 }
 
-// Check is the collective load-balance check. In the paper's
-// centralized mode every rank reports its measured rate to rank 0,
-// which decides and broadcasts; in decentralized mode the rates travel
-// by all-gather and every rank computes the identical decision. If
-// remapping is profitable, all ranks remap together. The caller
-// supplies the window measurement (typically solver.Timings since the
-// last check).
+// Check is the collective load-balance check, composed of the steps
+// the session's boundary round runs: every rank reports, Decide, then
+// Apply on every rank. In the paper's centralized mode the reports go
+// to rank 0 (ctl.Tag), which decides and answers with a continue
+// verdict carrying the decision; in decentralized mode they travel by
+// all-gather (through group leaders on a two-level world) and every
+// rank computes the identical decision itself. The caller supplies the
+// window measurement (typically solver.Timings since the last check).
 func (b *Balancer) Check(rep Report) (Decision, error) {
 	c := b.rt.Comm()
-	clock := b.rt.Clock()
-	start := clock.Now()
-
+	start := b.rt.Clock().Now()
 	// The report carries the rank's last inspector time alongside the
 	// measurement: the schedule-rebuild estimate must be identical on
 	// every rank, or (in decentralized mode) a borderline decision
 	// could diverge and strand some ranks in the remap collective.
 	payload := ctl.EncodeReport(ctl.Report{
-		Rate: rep.RatePerItem, Items: rep.Items, Inspector: b.rt.LastInspectorTime().Seconds(),
+		Iter: rep.Iter, Rate: rep.RatePerItem, Inspector: b.rt.LastInspectorTime().Seconds(),
 	})
 	var reports [][]byte
 	var err error
 	switch {
 	case !b.cfg.Decentralized:
-		reports, err = c.Gather(0, tagLoadReport, payload)
+		reports, err = c.Gather(0, ctl.Tag, payload)
 	case b.cfg.Topology != nil:
 		reports, err = leaderAllGather(c, b.cfg.Topology, payload)
 	default:
-		reports, err = c.AllGather(tagLoadReport, payload)
+		reports, err = c.AllGather(ctl.Tag, payload)
 	}
 	if err != nil {
 		return Decision{}, err
 	}
 	// Decentralized, every rank computes the same pure-float decision
 	// from the same gathered inputs, so no broadcast is needed.
-	var verdict ctl.Decision
+	verdict := &ctl.Decision{}
 	if b.cfg.Decentralized || c.Rank() == 0 {
-		rates, inspector, err := ctl.DecodeReports(reports)
+		rates, inspector, err := ctl.DecodeReports(reports, rep.Iter)
 		if err != nil {
 			return Decision{}, err
 		}
-		if verdict, err = b.decide(rates, inspector); err != nil {
+		if *verdict, err = b.Decide(rates, inspector); err != nil {
 			return Decision{}, err
 		}
 	}
 	if !b.cfg.Decentralized {
 		var packed []byte
 		if c.Rank() == 0 {
-			packed = ctl.EncodeDecision(verdict)
+			packed = ctl.EncodeVerdict(ctl.Verdict{Decision: verdict})
 		}
-		if packed, err = c.Bcast(0, tagDecision, packed); err != nil {
+		if packed, err = c.Bcast(0, ctl.Tag, packed); err != nil {
 			return Decision{}, err
 		}
-		if verdict, err = ctl.DecodeDecision(packed, c.Size()); err != nil {
+		v, err := ctl.DecodeVerdict(packed, c.Size())
+		if err != nil {
 			return Decision{}, err
 		}
+		verdict = v.Decision
 	}
-	d := Decision{
-		Remapped:           verdict.Remap,
-		PredictedCurrent:   verdict.Current,
-		PredictedNew:       verdict.New,
-		EstimatedRemapCost: verdict.Cost,
-		NewWeights:         verdict.Weights,
-	}
-	d.CheckTime = clock.Now().Sub(start)
+	return b.Apply(verdict, start)
+}
 
+// Apply is every rank's remap step on the controller's decision: it
+// records the check's cost since start and, when the decision says so,
+// remaps onto its weights. A nil decision (a verdict that carried
+// none) is an error.
+func (b *Balancer) Apply(v *ctl.Decision, start time.Time) (Decision, error) {
+	if v == nil {
+		return Decision{}, fmt.Errorf("loadbal: the verdict carries no balance decision")
+	}
+	clock := b.rt.Clock()
+	d := Decision{
+		Remapped:           v.Remap,
+		PredictedCurrent:   v.Current,
+		PredictedNew:       v.New,
+		EstimatedRemapCost: v.Cost,
+		NewWeights:         v.Weights,
+		CheckTime:          clock.Now().Sub(start),
+	}
 	if d.Remapped {
 		t0 := clock.Now()
 		if _, err := b.rt.Remap(d.NewWeights); err != nil {
@@ -195,13 +204,13 @@ func (b *Balancer) Check(rep Report) (Decision, error) {
 	return d, nil
 }
 
-// decide runs on the controller (or on every rank when
-// decentralized): estimate capabilities from measured rates, predict
-// the next phase under current and proposed layouts, price the
-// redistribution, and compare. inspector is the gathered worst-case
-// schedule-rebuild time — deliberately not this rank's own, so every
-// rank prices the remap identically.
-func (b *Balancer) decide(rates []float64, inspector float64) (ctl.Decision, error) {
+// Decide runs on the controller (or on every rank when
+// decentralized): estimate capabilities from measured rates, indexed by
+// rank, predict the next phase under current and proposed layouts,
+// price the redistribution, and compare. inspector is the gathered
+// worst-case schedule-rebuild time — deliberately not this rank's own,
+// so every rank prices the remap identically.
+func (b *Balancer) Decide(rates []float64, inspector float64) (ctl.Decision, error) {
 	if b.cfg.Estimator != nil {
 		b.cfg.Estimator.Observe(rates)
 		rates = b.cfg.Estimator.Predict()

@@ -3,11 +3,14 @@ package session
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"stance/internal/ckpt"
 	"stance/internal/comm"
+	"stance/internal/loadbal"
 	"stance/internal/mesh"
 	"stance/internal/order"
 	"stance/internal/vtime"
@@ -328,6 +331,40 @@ func TestKillCoordinatorFailsLoudly(t *testing.T) {
 	}
 	if !errors.Is(err, ckpt.ErrUnrecoverable) {
 		t.Fatalf("Run error %v does not wrap ckpt.ErrUnrecoverable", err)
+	}
+}
+
+// TestVerdictDeadlineSaturates is FuzzConfig's seed whose coordinator
+// dies at iteration 0 under a DetectTimeout of 2^62 ns: the members'
+// verdict deadline, (active+2)·DetectTimeout, must saturate at the
+// largest Duration instead of wrapping to a shorter one (2^62 ns at
+// three ranks), the virtual clock must wait it out, and the error must
+// name it.
+func TestVerdictDeadlineSaturates(t *testing.T) {
+	g, err := mesh.Honeycomb(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := vtime.NewSim()
+	cfg := Config{
+		Procs: 3, Groups: 3, ComputeCost: 1 << 62, WorkRep: 1 << 62, CheckEvery: 1 << 62, Pipeline: 1 << 40, Fields: 3,
+		Net:        comm.TransportOptions{Clock: clk},
+		Checkpoint: &ckpt.Config{DetectTimeout: 1 << 62, Kills: []ckpt.Kill{{Rank: 0, Iter: 0}}},
+		Balancer:   &loadbal.Config{Horizon: 1 << 62, SafetyFactor: 1e300},
+	}
+	s, err := New(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t0 := clk.Now()
+	_, err = s.Run(2)
+	bound := time.Duration(math.MaxInt64).String()
+	if !errors.Is(err, ckpt.ErrUnrecoverable) || !strings.Contains(err.Error(), "within "+bound) {
+		t.Fatalf("Run: %v; want the unrecoverable dead-coordinator error naming the bound %s", err, bound)
+	}
+	if waited := clk.Now().Sub(t0); waited <= 1<<62 {
+		t.Errorf("the members waited %v of virtual time, not the saturated deadline", waited)
 	}
 }
 

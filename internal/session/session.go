@@ -15,11 +15,13 @@
 //
 // There is one driver. Every session gives every rank a membership
 // controller and runs the same loop; at a check boundary the steps are
-// always gate → verdict → check → take, each switched on by its own
-// configuration (Checkpoint, Elastic or outages, Balancer, Checkpoint).
-// A fixed-membership session is the same loop with the verdict off:
-// every rank stays active, the runtimes bind on the world endpoints
-// themselves, and a boundary without a balancer sends nothing.
+// always round → take: one control round to rank 0 and back (reports
+// in when Checkpoint or a centralized Balancer is on, one verdict out
+// when Checkpoint, Elastic or outages, or a centralized Balancer is
+// on), then the checkpoint (Checkpoint). A fixed-membership session is
+// the same loop with the round off: every rank stays active, the
+// runtimes bind on the world endpoints themselves, and a boundary
+// without a balancer sends nothing.
 //
 // The facade package re-exports this as stance.NewSession with
 // functional options; internal callers (the bench harness) use the
@@ -31,8 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"time"
 
 	"stance/internal/ckpt"
@@ -44,7 +44,6 @@ import (
 	"stance/internal/loadbal"
 	"stance/internal/metrics"
 	"stance/internal/order"
-	"stance/internal/partition"
 	"stance/internal/solver"
 	"stance/internal/vtime"
 )
@@ -169,8 +168,8 @@ type Config struct {
 	// each committed membership transition. Same rules as OnCheck.
 	OnMembership func(MembershipEvent)
 	// Checkpoint enables crash-stop fault tolerance (internal/ckpt):
-	// buddy checkpoints at every check boundary, heartbeat failure
-	// detection with the configured receive deadline, and survivor-side
+	// buddy checkpoints at every check boundary, failure detection by
+	// the boundary round's receive deadline, and survivor-side
 	// restart from the last checkpoint. It implies the elastic path
 	// (recovery is a membership transition). The DetectTimeout must
 	// exceed the compute skew between ranks within one check segment,
@@ -223,13 +222,11 @@ type Session struct {
 	// stopped at different iterations, so any further collective would
 	// misalign and deadlock. Only Close remains usable.
 	broken bool
-	// Crash-stop state (nil/empty without Config.Checkpoint): each
-	// rank's checkpoint store, the per-rank killed flags (written only
-	// by the rank's own SPMD goroutine when its injected kill fires),
-	// and the preencoded all-alive gate verdict.
-	cks          []*ckpt.Store
-	killed       []bool
-	aliveVerdict []byte
+	// Crash-stop state (nil without Config.Checkpoint): each rank's
+	// checkpoint store and the per-rank killed flags (written only by
+	// the rank's own SPMD goroutine when its injected kill fires).
+	cks    []*ckpt.Store
+	killed []bool
 }
 
 // Validate reports the first rule the configuration breaks, or nil,
@@ -253,10 +250,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("session: %d groups over %d ranks, want 0 (flat) to %d", c.Groups, procs, procs)
 	case c.Groups != 0 && c.Net.Topology != nil:
 		return fmt.Errorf("session: Groups conflicts with an explicit Net.Topology — set one or the other")
-	case c.Net.Topology != nil && c.Net.Topology.P() != procs:
-		return fmt.Errorf("session: topology covers %d ranks, world has %d", c.Net.Topology.P(), procs)
-	case c.Transport != "" && !slices.Contains(comm.Transports(), c.Transport):
-		return fmt.Errorf("session: unknown transport %q (registered: %s)", c.Transport, strings.Join(comm.Transports(), ", "))
 	case c.Env != nil && c.Env.P() != procs:
 		return fmt.Errorf("session: environment has %d workstations, world has %d", c.Env.P(), procs)
 	case c.Weights != nil && len(c.Weights) != procs:
@@ -280,7 +273,7 @@ func (c Config) Validate() error {
 	if c.Groups != 0 {
 		net.Topology, _ = comm.ContiguousGroups(procs, c.Groups) // in range: checked above
 	}
-	if err := net.Validate(); err != nil {
+	if err := comm.CheckOpen(c.Transport, procs, net); err != nil {
 		return fmt.Errorf("session: %w", err)
 	}
 	if c.Order == nil && c.OrderName != "" {
@@ -396,7 +389,6 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Session, error) {
 	if cfg.Checkpoint != nil {
 		s.cks = make([]*ckpt.Store, cfg.Procs)
 		s.killed = make([]bool, cfg.Procs)
-		s.aliveVerdict = ckpt.EncodeAlive()
 	}
 	// Phase A runs once, here, and every rank shares its result
 	// read-only. The session itself keeps no reference: the ranks'
@@ -584,8 +576,8 @@ type RunReport struct {
 	Iters int `json:"iters"`
 	// Wall is the Run's own duration on the session clock: from just
 	// before its SPMD section starts to just after the section joins,
-	// so Run-start checkpoint gates (and any failure detection they
-	// wait out) fall inside it. On a simulated clock the end is the
+	// so the Run-start boundary round (and any failure detection it
+	// waits out) falls inside it. On a simulated clock the end is the
 	// last rank's finish.
 	Wall time.Duration `json:"wall_ns"`
 	// Ranks holds each rank's accumulated compute/comm time and items,
@@ -708,8 +700,8 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 			// The rank's transport endpoint was crash-injected
 			// (comm.KillEndpoint): a crash-stop death, not a program
 			// error. The rank goes silent — exactly like an injected
-			// gate kill — and the survivors' heartbeat detection and
-			// recovery carry the run.
+			// kill — and the survivors' detection and recovery carry
+			// the run.
 			s.killed[c.Rank()] = true
 			return nil
 		}
@@ -738,24 +730,6 @@ func (s *Session) Run(iters int) (*RunReport, error) {
 		rep.Exec.Add(rk.rt.ExecStats().Sub(execBefore[i]))
 	}
 	return rep, nil
-}
-
-// check runs one collective balance check on a rank and records the
-// event on rank 0.
-func (s *Session) check(me int, rep *RunReport, iter int, tm solver.Timings) error {
-	rk := s.ranks[me]
-	d, err := rk.bal.Check(loadbal.Report{RatePerItem: tm.RatePerItem(), Items: tm.Items})
-	if err != nil {
-		return err
-	}
-	if me == 0 {
-		ev := CheckEvent{Iter: iter, Decision: d}
-		rep.Checks = append(rep.Checks, ev)
-		if s.cfg.OnCheck != nil {
-			s.cfg.OnCheck(ev)
-		}
-	}
-	return nil
 }
 
 // run is one rank's Run body. Active ranks iterate in segments between
@@ -790,27 +764,17 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool) erro
 	}
 
 	if ctl.ActiveHere() {
-		// The Run start is a checkpoint gate: ranks that died at the
-		// end of the previous Run (or whose kill names iteration 0)
-		// are detected before any survivor exchanges with them.
-		res, err := s.ckptGate(c, rep, rk.sol.Iter())
-		if err != nil {
+		// The Run start is a boundary round: ranks that died at the end
+		// of the previous Run (or whose kill names iteration 0) are
+		// detected before any survivor exchanges with them, and a
+		// boundary that fell on the previous Run's final iteration was
+		// deferred and is performed now, on the window that Run left.
+		// With nothing deferred only the checkpoint round and take run,
+		// under the Run-start layout and membership. A rank retired
+		// here parks at the top of the loop; an admitted rank wakes
+		// inside its Park call below.
+		if died, err := s.round(c, rep, rk.sol.Iter(), rk.window, pending); died || err != nil {
 			return err
-		}
-		if res == gateDied {
-			return nil
-		}
-		// A boundary that fell on the previous Run's final iteration
-		// was deferred; perform it now, on the window that Run left.
-		// With nothing deferred only the checkpoint is taken, under the
-		// Run-start layout and membership. A recovery voids both: it
-		// re-cut, rolled back and re-checkpointed already. A rank
-		// retired here parks at the top of the loop; an admitted rank
-		// wakes inside its Park call below.
-		if res == gateAlive {
-			if err := s.boundary(me, rep, rk.sol.Iter(), rk.window, pending); err != nil {
-				return err
-			}
 		}
 	}
 	for {
@@ -851,22 +815,9 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool) erro
 		tm := rk.sol.TakeTimings()
 		usage.Add(tm)
 		rk.window = tm
-		// The checkpoint gate runs first at every interior boundary —
-		// after the segment's timings are recorded, so a dying rank's
-		// last segment is still accounted. A recovery voids the rest
-		// of this boundary: membership and balance restart fresh on
-		// the survivor world at the next one.
-		res, err := s.ckptGate(c, rep, next)
-		if err != nil {
-			return err
-		}
-		switch res {
-		case gateDied:
-			return nil
-		case gateRecovered:
-			continue
-		}
-		if err := s.boundary(me, rep, next, tm, true); err != nil {
+		// The round runs after the segment's timings are recorded, so
+		// a dying rank's last segment is still accounted.
+		if died, err := s.round(c, rep, next, tm, true); died || err != nil {
 			return err
 		}
 	}
@@ -887,70 +838,6 @@ func (s *Session) run(c *comm.Comm, rep *RunReport, last int, pending bool) erro
 		}
 	}
 	return nil
-}
-
-// boundary is an active rank's share of one check boundary once its
-// checkpoint gate has passed, in the order every configuration keeps:
-// the coordinator's membership verdict (elastic sessions only — it
-// costs a multicast, which a fixed run must not pay), then the balance
-// check on the window tm (ranks with a balancer), then the checkpoint
-// (Config.Checkpoint), taken last so the snapshot matches the layout
-// the next segment runs on (a check may remap). A transition ends the
-// boundary early: it forces a fresh cut and resets the balancer, and
-// its commit takes the checkpoint itself, jointly with any admitted
-// ranks, so checking or taking again here would misalign the buddy
-// ring. full=false is a Run start with nothing deferred: the checkpoint
-// only.
-func (s *Session) boundary(me int, rep *RunReport, iter int, tm solver.Timings, full bool) error {
-	rk := s.ranks[me]
-	if full {
-		if s.elastic {
-			ctl := s.ctls[me]
-			prop, err := ctl.Boundary(iter, rk.rt.Layout(), s.desiredFn(ctl, iter), s.cutFn(rk))
-			if err != nil {
-				return err
-			}
-			if prop != nil {
-				return s.commit(me, rep, prop, s.subs[me])
-			}
-		}
-		if rk.bal != nil {
-			if err := s.check(me, rep, iter, tm); err != nil {
-				return err
-			}
-		}
-	}
-	if s.ckptOn() {
-		return s.ckptTake(me, iter)
-	}
-	return nil
-}
-
-// desiredFn is the coordinator's membership policy at a boundary: an
-// explicit Resize request wins, otherwise the environment's
-// availability windows name the set; nil means no change.
-func (s *Session) desiredFn(ctl *elastic.Controller, iter int) func() []int {
-	return func() []int {
-		want := ctl.TakeResize()
-		if want == nil && s.cfg.Env != nil && s.cfg.Env.Elastic() {
-			want = s.cfg.Env.ActiveSet(iter)
-		}
-		if want != nil && s.ckptOn() {
-			// A dead rank can never be re-admitted: the environment
-			// and Resize callers don't know who died, so the
-			// coordinator filters them here. Only invoked on rank 0.
-			want = s.cks[0].FilterDead(want)
-		}
-		return want
-	}
-}
-
-// cutFn builds the incoming layout for a proposed active set, cutting
-// by the configured capability weights restricted to its members.
-func (s *Session) cutFn(rk *rankState) func(active []int) (*partition.Layout, error) {
-	return func(active []int) (*partition.Layout, error) {
-		return rk.rt.CutLayout(s.activeWeights(active))
-	}
 }
 
 // commit applies an agreed membership transition on one rank: drain,

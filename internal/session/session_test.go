@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"stance/internal/mesh"
 	"stance/internal/order"
 	"stance/internal/solver"
+	"stance/internal/vtime"
 )
 
 // handWired runs iters iterations of the Figure 8 loop the way callers
@@ -209,14 +209,16 @@ func TestRunDeferredCheck(t *testing.T) {
 		Procs: 3,
 		Order: order.RCB,
 		Env:   hetero.PaperAdaptive(3, 3),
-		// Enough work per phase that the 3x imbalance outweighs the
-		// remap's cost on the real clock by an order of magnitude: the
-		// inspector figure the balancer prices with covers all of
-		// Phase B, and a cold one on a 200-row rank is tens of
-		// microseconds.
-		WorkRep:    100,
-		Balancer:   &loadbal.Config{},
-		CheckEvery: 5,
+		// On the simulated clock the rates, the inspector time and the
+		// remap cost the balancer weighs are virtual charges, so the
+		// remap decision is the same on every run. On the real clock a
+		// loaded host inflates the measured inspector time past the
+		// window's gain and the check, correctly, keeps the layout.
+		WorkRep:     100,
+		Balancer:    &loadbal.Config{},
+		CheckEvery:  5,
+		Net:         comm.TransportOptions{Clock: vtime.NewSim()},
+		ComputeCost: time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,18 +354,20 @@ func TestSessionConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]Config{
-		"zero procs":              {},
-		"bad transport":           {Procs: 2, Transport: "bogus"},
-		"bad order":               {Procs: 2, OrderName: "bogus"},
-		"env mismatch":            {Procs: 2, Env: hetero.Uniform(3)},
-		"weight mismatch":         {Procs: 2, Weights: []float64{1, 2, 3}},
-		"negative work rep":       {Procs: 2, WorkRep: -5},
-		"negative check interval": {Procs: 2, CheckEvery: -3},
-		"negative group count":    {Procs: 2, Groups: -1},
-		"negative detect timeout": {Procs: 2, Checkpoint: &ckpt.Config{DetectTimeout: -time.Second}},
-		"kill beyond the world":   {Procs: 2, Checkpoint: &ckpt.Config{Kills: []ckpt.Kill{{Rank: 5, Iter: 1}}}},
-		"negative model latency":  {Procs: 2, Net: comm.TransportOptions{Model: &comm.Model{Latency: -time.Millisecond}}},
-		"NaN safety factor":       {Procs: 2, Balancer: &loadbal.Config{SafetyFactor: math.NaN()}},
+		"zero procs":                  {},
+		"bad transport":               {Procs: 2, Transport: "bogus"},
+		"bad order":                   {Procs: 2, OrderName: "bogus"},
+		"env mismatch":                {Procs: 2, Env: hetero.Uniform(3)},
+		"weight mismatch":             {Procs: 2, Weights: []float64{1, 2, 3}},
+		"negative work rep":           {Procs: 2, WorkRep: -5},
+		"negative check interval":     {Procs: 2, CheckEvery: -3},
+		"negative group count":        {Procs: 2, Groups: -1},
+		"negative detect timeout":     {Procs: 2, Checkpoint: &ckpt.Config{DetectTimeout: -time.Second}},
+		"kill beyond the world":       {Procs: 2, Checkpoint: &ckpt.Config{Kills: []ckpt.Kill{{Rank: 5, Iter: 1}}}},
+		"negative model latency":      {Procs: 2, Net: comm.TransportOptions{Model: &comm.Model{Latency: -time.Millisecond}}},
+		"NaN safety factor":           {Procs: 2, Balancer: &loadbal.Config{SafetyFactor: math.NaN()}},
+		"tcp on a simulated clock":    {Procs: 2, Transport: "tcp", Net: comm.TransportOptions{Clock: vtime.NewSim()}},
+		"hybrid on a simulated clock": {Procs: 2, Transport: "hybrid", Groups: 2, Net: comm.TransportOptions{Clock: vtime.NewSim()}},
 	}
 	for name, cfg := range cases {
 		verr := cfg.Validate()
@@ -452,13 +456,19 @@ func TestRunReportsExecutorTraffic(t *testing.T) {
 }
 
 // TestDriverTraffic pins the messages the driver itself sends — world
-// total minus executor replay — which no other test covers. A fixed
-// session without a balancer sends nothing of its own, per Run or per
-// boundary: the Run is one SPMD section, which the join orders; the
-// membership protocol adds exactly one verdict multicast per boundary
-// performed (interior, plus the one deferred from the previous Run's
-// last iteration). It also pins a fixed session's view
-// of membership: everyone, epoch 0, and no Resize.
+// total minus executor replay — which no other test covers, per Run
+// and so per boundary: every Run after the first performs iters/10
+// boundaries (the interior ones, plus the one deferred from the
+// previous Run's last iteration). A fixed session without a balancer
+// sends nothing of its own: the Run is one SPMD section, which the
+// join orders. Otherwise a boundary is one control round — a report
+// from each of the p−1 members when checkpoints or a centralized
+// balancer are on, one verdict multicast when anything is on — plus
+// the decentralized all-gather (p−1 reports in, one multicast out) and
+// the checkpoint's buddy ring (p messages). On a uniform world under
+// the simulated clock no check remaps, so nothing else moves. It also
+// pins a fixed session's view of membership: everyone, epoch 0, and no
+// Resize.
 func TestDriverTraffic(t *testing.T) {
 	const p, checkEvery = 4, 10
 	g, err := mesh.Honeycomb(20, 30)
@@ -477,9 +487,25 @@ func TestDriverTraffic(t *testing.T) {
 			}
 		}
 	}
-	for _, elastic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("elastic=%v", elastic), func(t *testing.T) {
-			s, err := New(context.Background(), g, Config{Procs: p, Order: order.RCB, CheckEvery: checkEvery, Elastic: elastic})
+	ck := &ckpt.Config{DetectTimeout: time.Second}
+	central, decentral := &loadbal.Config{}, &loadbal.Config{Decentralized: true}
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		perBoundary int64
+	}{
+		{"fixed", Config{}, 0},
+		{"elastic", Config{Elastic: true}, 1},
+		{"checkpoint", Config{Checkpoint: ck}, p - 1 + 1 + p},
+		{"centralized", Config{Balancer: central}, p - 1 + 1},
+		{"decentralized", Config{Balancer: decentral}, p - 1 + 1},
+		{"all three", Config{Elastic: true, Checkpoint: ck, Balancer: central}, p - 1 + 1 + p},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Procs, cfg.Order, cfg.CheckEvery = p, order.RCB, checkEvery
+			cfg.Net.Clock, cfg.ComputeCost = vtime.NewSim(), time.Microsecond
+			s, err := New(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -493,17 +519,17 @@ func TestDriverTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := int64(0)
-				if elastic {
-					want = int64(iters / checkEvery)
+				if len(rep.Remaps()) != 0 {
+					t.Fatalf("Run(%d) remapped %d times on a uniform world", iters, len(rep.Remaps()))
 				}
+				want := tc.perBoundary * int64(iters/checkEvery)
 				if got := rep.Msgs - rep.Exec.Msgs; got != want {
 					t.Errorf("Run(%d): driver sent %d messages (%d total, %d executor), want %d",
 						iters, got, rep.Msgs, rep.Exec.Msgs, want)
 				}
 			}
 			everyone(t, s)
-			if !elastic {
+			if tc.name == "fixed" {
 				if err := s.Resize([]int{0, 1}); err == nil || !strings.Contains(err.Error(), "fixed-membership session") {
 					t.Errorf("Resize on a fixed session: %v, want the fixed-membership error", err)
 				}

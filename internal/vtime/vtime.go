@@ -40,6 +40,7 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -269,7 +270,7 @@ func (s *Sim) charge(d time.Duration, f func()) {
 // while busy — and counts the worker as blocked. If it was the last
 // runnable worker, the clock advances.
 func (s *Sim) parkLocked(d time.Duration, busy bool) *timer {
-	t := s.newTimerLocked(s.now+d, timerSleep, nil)
+	t := s.newTimerLocked(d, timerSleep, nil)
 	t.busy = busy
 	heap.Push(&s.timers, t)
 	s.stalled = false
@@ -297,7 +298,7 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 		d = 0
 	}
 	s.mu.Lock()
-	t := s.newTimerLocked(s.now+d, timerCallback, f)
+	t := s.newTimerLocked(d, timerCallback, f)
 	heap.Push(&s.timers, t)
 	s.stalled = false
 	s.stallGen++
@@ -464,8 +465,14 @@ func (s *Sim) confirmStall(gen uint64) {
 	panic(msg)
 }
 
-// newTimerLocked takes a timer from the freelist or allocates one.
-func (s *Sim) newTimerLocked(due time.Duration, kind int, fn func()) *timer {
+// newTimerLocked takes a timer from the freelist or allocates one, due
+// d from now. A deadline past the end of virtual time saturates there
+// instead of wrapping into the past.
+func (s *Sim) newTimerLocked(d time.Duration, kind int, fn func()) *timer {
+	due := s.now + d
+	if d > 0 && due < s.now {
+		due = math.MaxInt64
+	}
 	t := s.free
 	if t == nil {
 		t = &timer{}

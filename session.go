@@ -33,8 +33,8 @@ type (
 	// WithCheckpoint.
 	CheckpointConfig = ckpt.Config
 	// Kill is one injected crash in a CheckpointConfig: the rank goes
-	// permanently silent at the first checkpoint gate at or after the
-	// given iteration.
+	// permanently silent at the first boundary at or after the given
+	// iteration.
 	Kill = ckpt.Kill
 	// RecoveryEvent is one completed crash recovery recorded in a
 	// RunReport: who died, who survived, how far the survivors rolled
@@ -106,7 +106,7 @@ func WithNetworkModel(m *NetworkModel) Option {
 // WithTransportTuning tunes the wire transport the session opens:
 // batching flush period and batch cap, per-batch compression codec,
 // heartbeat interval and miss budget (transport-level failure
-// detection feeding the checkpoint gate), outbox high-water mark, and
+// detection feeding the boundary round), outbox high-water mark, and
 // mesh dial/accept deadlines. Zero fields mean library defaults. Any of
 // Model, Clock, Topology and InterModel that o leaves nil keeps the
 // value set by WithNetworkModel, WithClock, WithTopology or
@@ -271,10 +271,10 @@ func WithElastic() Option {
 
 // WithCheckpoint enables crash-stop fault tolerance (which implies the
 // elastic membership protocol). At every Run start and check boundary
-// the active ranks pass a checkpoint gate: each sends a heartbeat to
-// the coordinator, which collects them under cfg.DetectTimeout and
-// multicasts a verdict (a zero DetectTimeout means 50ms; a negative
-// one makes NewSession return an error). When all answer, every rank
+// each active rank sends its boundary report to the coordinator, which
+// collects them under cfg.DetectTimeout and multicasts one verdict (a
+// zero DetectTimeout means 50ms; a negative one makes NewSession return
+// an error). When all answer, every rank
 // snapshots its vector intervals and solver iteration and mirrors the
 // snapshot to its buddy (the next active rank in ring order). When a
 // rank goes silent, the survivors re-cut its intervals, restore the
