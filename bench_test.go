@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one per table
-// (see EXPERIMENTS.md for the recorded paper-vs-measured runs, and
-// cmd/stance-bench for the full table output with paper columns).
+// (cmd/stance-bench prints the full tables, the paper's published
+// columns beside the measured ones).
 package stance_test
 
 import (

@@ -3,8 +3,7 @@
 // hierarchical twins (Tables H1 and H2): the same loop and balance
 // protocol on a two-level cluster of node groups over a slower
 // inter-group link. Each table prints the paper's published numbers
-// next to the measured ones; see EXPERIMENTS.md for the recorded
-// comparison.
+// next to the measured ones.
 //
 // Usage:
 //

@@ -42,6 +42,7 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-work", "-5"},
 		{"-check-every", "-3"},
 		{"-virtual", "-tcp"},
+		{"-transport", "hybrid"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			// A small valid run underneath, so a flag that is not

@@ -2,8 +2,7 @@
 // the paper's evaluation (Section 5), shared by the stance-bench
 // command and the repository's testing.B benchmarks. Each generator
 // returns a Table carrying the measured rows next to the paper's
-// published numbers, so EXPERIMENTS.md can record paper-vs-measured
-// directly from this output.
+// published numbers, which stance-bench prints side by side.
 //
 // Absolute numbers differ from the paper's 1995 SUN4/Ethernet cluster;
 // the network cost model (comm.Ethernet) reproduces the latency and
@@ -75,14 +74,6 @@ func (o Options) Virtual(cost time.Duration) Options {
 	return o
 }
 
-// DefaultOptions returns the settings used for EXPERIMENTS.md: the
-// paper's full-speed Ethernet model. Table 2 moves megabytes per
-// sample and caps its sample counts to keep the full run around a
-// minute.
-func DefaultOptions() Options {
-	return Options{NetScale: 1, Seed: 1}
-}
-
 func (o Options) netScale() float64 {
 	if o.NetScale <= 0 {
 		return 1
@@ -99,7 +90,7 @@ type Table struct {
 	Notes  []string
 }
 
-// String renders the table for terminals and EXPERIMENTS.md.
+// String renders the table for terminals.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", t.ID, t.Title)

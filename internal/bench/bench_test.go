@@ -139,7 +139,7 @@ func TestTable3Shape(t *testing.T) {
 	// dominate), and the sorting strategies beat it decisively at 5
 	// workstations. The paper's downward sortN trend is sub-millisecond
 	// on modern hardware and drowns in timer noise, so it is not
-	// asserted (see EXPERIMENTS.md, Table 3).
+	// asserted.
 	simpleAt2 := cellSeconds(t, tab, 0, "Simple")
 	simpleAt5 := cellSeconds(t, tab, 3, "Simple")
 	if simpleAt5 <= simpleAt2 {

@@ -18,7 +18,7 @@ package comm
 import "fmt"
 
 func init() {
-	register("hybrid", newHybridWorld, true)
+	register("hybrid", newHybridWorld, needsRealClock|needsTopology)
 }
 
 // hybridTransport overrides the TCP endpoint's Send to route
@@ -33,12 +33,11 @@ type hybridTransport struct {
 
 // newHybridWorld builds the hybrid world: a TCP mesh for the
 // inter-group traffic, with intra-group sends rerouted through shared
-// memory. The topology is mandatory — without one there is no "intra"
-// to route differently, and the caller wants plain "tcp".
+// memory. The topology is mandatory (the registry's needsTopology, so
+// CheckOpen refuses a world without one before this runs): without one
+// there is no "intra" to route differently, and the caller wants plain
+// "tcp".
 func newHybridWorld(p int, opts TransportOptions) ([]*Comm, func() error, error) {
-	if opts.Topology == nil {
-		return nil, nil, fmt.Errorf("comm: the hybrid transport requires a Topology (without groups it degenerates to \"tcp\")")
-	}
 	transports, closer, err := newTCPTransports(p, opts)
 	if err != nil {
 		return nil, nil, err

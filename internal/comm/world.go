@@ -18,13 +18,25 @@ import (
 // not own, such as a shared socket mesh.
 type TransportFactory func(p int, opts TransportOptions) (comms []*Comm, closer func() error, err error)
 
-// registered is a registry entry: the factory, and whether the
-// transport delivers on the wall clock, which a simulated clock cannot
-// observe.
+// registered is a registry entry: the factory and what the transport
+// needs of its options.
 type registered struct {
-	factory   TransportFactory
-	realClock bool
+	factory TransportFactory
+	needs   needs
 }
+
+// needs marks what a registered transport requires of its options,
+// checked by CheckOpen before the factory runs.
+type needs uint8
+
+const (
+	// needsRealClock: the transport delivers on the wall clock, which a
+	// simulated clock cannot observe.
+	needsRealClock needs = 1 << iota
+	// needsTopology: the transport routes by group, so a world without
+	// a Topology has nothing to route.
+	needsTopology
+)
 
 var (
 	transportMu sync.RWMutex
@@ -36,9 +48,9 @@ var (
 // built-in transports "inproc", "tcp" and "hybrid" are registered at
 // package initialization. Registering a name twice panics, like
 // net/sql driver registration.
-func RegisterTransport(name string, factory TransportFactory) { register(name, factory, false) }
+func RegisterTransport(name string, factory TransportFactory) { register(name, factory, 0) }
 
-func register(name string, factory TransportFactory, realClock bool) {
+func register(name string, factory TransportFactory, n needs) {
 	if name == "" || factory == nil {
 		panic("comm: RegisterTransport with empty name or nil factory")
 	}
@@ -47,7 +59,7 @@ func register(name string, factory TransportFactory, realClock bool) {
 	if _, dup := transports[name]; dup {
 		panic(fmt.Sprintf("comm: transport %q registered twice", name))
 	}
-	transports[name] = registered{factory, realClock}
+	transports[name] = registered{factory, n}
 }
 
 // Transports returns the sorted names of the registered transports.
@@ -71,7 +83,7 @@ func init() {
 	// vtime.Sim, so the sim would advance past in-flight messages (or
 	// declare a deadlock while bytes are on the wire): the socket
 	// transports need the real clock.
-	register("tcp", newTCPWorld, true)
+	register("tcp", newTCPWorld, needsRealClock)
 }
 
 // World is a first-class SPMD world: the set of communicators plus the
@@ -99,8 +111,9 @@ type World struct {
 // CheckOpen reports the first reason Open would refuse to build a world
 // of p ranks on the named transport with opts, before any factory runs:
 // a non-positive size, options TransportOptions.Validate rejects, a
-// topology of another size, an unregistered name, or a simulated clock
-// on a transport that needs the real one.
+// topology of another size, an unregistered name, a simulated clock on
+// a transport that needs the real one, or no topology for a transport
+// that needs one.
 func CheckOpen(transport string, p int, opts TransportOptions) error {
 	_, err := lookup(transport, p, opts)
 	return err
@@ -126,8 +139,10 @@ func lookup(name string, p int, opts TransportOptions) (TransportFactory, error)
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("comm: unknown transport %q (registered: %s)", name, strings.Join(Transports(), ", "))
-	case tr.realClock && vtime.AsSim(opts.Clock) != nil:
+	case tr.needs&needsRealClock != 0 && vtime.AsSim(opts.Clock) != nil:
 		return nil, fmt.Errorf("comm: the %s transport cannot run on a simulated clock (real sockets deliver on the wall clock); use the inproc transport for virtual-time runs", name)
+	case tr.needs&needsTopology != 0 && opts.Topology == nil:
+		return nil, fmt.Errorf("comm: the %s transport requires a Topology (without groups it degenerates to \"tcp\")", name)
 	}
 	return tr.factory, nil
 }
@@ -304,16 +319,27 @@ type section struct {
 	wg     sync.WaitGroup
 }
 
-// run is one rank's share of the section.
+// errGoexit is the error of a rank whose body ended its goroutine
+// instead of returning.
+var errGoexit = errors.New("comm: the SPMD body exited without returning (runtime.Goexit, as t.Fatal calls)")
+
+// run is one rank's share of the section. A body that does not return
+// (runtime.Goexit) fails its rank like an error does: the section is
+// cancelled, so peers parked on the rank unwind instead of waiting for
+// it forever.
 func (s *section) run(c *Comm, i int) {
 	defer s.wg.Done()
 	if s.sim != nil {
 		defer s.sim.Done()
 	}
-	if err := s.f(c); err != nil {
-		s.cancel()
-		s.errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
-	}
+	err := errGoexit
+	defer func() {
+		if err != nil {
+			s.cancel()
+			s.errs[i] = fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+	}()
+	err = s.f(c)
 }
 
 // rank is rank i's goroutine: it runs its share of every section

@@ -259,40 +259,53 @@ func TestWorldDoubleClose(t *testing.T) {
 	}
 }
 
-// TestWorldRankFailureUnblocksPeers: when one rank's function fails,
-// peers blocked waiting for its messages must unwind with an error
-// instead of deadlocking the section.
+// TestWorldRankFailureUnblocksPeers: when one rank's function fails —
+// by returning an error, or by ending its goroutine (runtime.Goexit, as
+// t.Fatal does) — peers blocked waiting for its messages must unwind
+// with an error naming the rank instead of deadlocking the section, and
+// the next section on the world must still run.
 func TestWorldRankFailureUnblocksPeers(t *testing.T) {
-	w, err := Open("inproc", 3, TransportOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	bang := errors.New("rank 1 exploded")
-	done := make(chan error, 1)
-	go func() {
-		done <- w.SPMD(context.Background(), func(c *Comm) error {
-			if c.Rank() == 1 {
-				return bang
+	for _, tc := range []struct {
+		name string
+		fail func() error
+		want error
+	}{
+		{"error", func() error { return bang }, bang},
+		{"Goexit", func() error { runtime.Goexit(); return nil }, errGoexit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Open("inproc", 3, TransportOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, err := c.Recv(1, 11) // rank 1 never sends
-			return err
+			defer w.Close()
+			done := make(chan error, 1)
+			go func() {
+				done <- w.SPMD(context.Background(), func(c *Comm) error {
+					if c.Rank() == 1 {
+						return tc.fail()
+					}
+					_, err := c.Recv(1, 11) // rank 1 never sends
+					return err
+				})
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "rank 1: ") {
+					t.Fatalf("SPMD error %v does not include rank 1's failure", err)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("SPMD error %v: peers did not unwind with context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("rank failure left peers deadlocked")
+			}
+			// The section's internal cancellation must not poison the world.
+			if err := w.SPMD(context.Background(), func(c *Comm) error { return c.Barrier(1) }); err != nil {
+				t.Fatalf("SPMD after failed section: %v", err)
+			}
 		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, bang) {
-			t.Fatalf("SPMD error %v does not include the failing rank's error", err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("SPMD error %v: peers did not unwind with context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("rank failure left peers deadlocked")
-	}
-	// The section's internal cancellation must not poison the world.
-	if err := w.SPMD(context.Background(), func(c *Comm) error { return nil }); err != nil {
-		t.Fatalf("SPMD after failed section: %v", err)
 	}
 }
 
@@ -381,15 +394,15 @@ func TestWorldRankGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Rank 2 ends its goroutine mid-section.
+		// Rank 2 ends its goroutine mid-section, which fails the section.
 		err = w.SPMD(context.Background(), func(c *Comm) error {
 			if c.Rank() == 2 {
 				runtime.Goexit()
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, errGoexit) {
+			t.Fatalf("section with a Goexit rank returned %v", err)
 		}
 		ran := make([]bool, p)
 		if err := w.SPMD(context.Background(), func(c *Comm) error { ran[c.Rank()] = true; return c.Barrier(1) }); err != nil {

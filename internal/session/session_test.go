@@ -368,6 +368,7 @@ func TestSessionConfigValidation(t *testing.T) {
 		"NaN safety factor":           {Procs: 2, Balancer: &loadbal.Config{SafetyFactor: math.NaN()}},
 		"tcp on a simulated clock":    {Procs: 2, Transport: "tcp", Net: comm.TransportOptions{Clock: vtime.NewSim()}},
 		"hybrid on a simulated clock": {Procs: 2, Transport: "hybrid", Groups: 2, Net: comm.TransportOptions{Clock: vtime.NewSim()}},
+		"hybrid without a topology":   {Procs: 2, Transport: "hybrid"},
 	}
 	for name, cfg := range cases {
 		verr := cfg.Validate()
