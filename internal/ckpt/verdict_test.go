@@ -42,11 +42,30 @@ const verdictP = 4
 const (
 	opRecover = 3
 	opAbort   = 4
+	opRemap   = 5
 )
 
 func f64s(vals ...float64) []byte { return comm.F64sToBytes(vals) }
 
 func encodePlan(p *ctl.Recovery) []byte { return ctl.EncodeVerdict(ctl.Verdict{Recovery: p}) }
+
+// remapVerdicts is a remap verdict for verdictP ranks, carrying the
+// layout they move to, then three that break its layout: cut short
+// inside it, a value trailing it, and an arrangement that is no
+// permutation.
+func remapVerdicts(t testing.TB) [][]byte {
+	t.Helper()
+	l, err := partition.New(40, []float64{2, 1, 1, 1}, []int{1, 0, 3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ctl.EncodeVerdict(ctl.Verdict{Decision: &ctl.Decision{
+		Remap: true, Current: 0.5, New: 0.25, Cost: 0.125, Weights: []float64{2, 1, 1, 1}, Layout: l}})
+	return [][]byte{
+		good, good[:len(good)-8*5], append(good, f64s(0)...),
+		f64s(opRemap, 0.5, 0.25, 0.125, 2, 1, 1, 1, 0, 10, 20, 30, 40, 0, 1, 1, 3),
+	}
+}
 
 // TestDecodeLayoutHostileCount: a processor count so large that the
 // payload-length arithmetic would overflow is an unrecoverable error,
@@ -87,6 +106,9 @@ func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
 		{"negative dead rank", f64s(opRecover, 30, 20, 1, -1, 0, 0, 1, 0, 8, 0, 1, 0, 8, 0)},
 		{"hostile dead count", f64s(opRecover, 30, 20, 1e18, 0)},
 		{"infinite layout start", f64s(opRecover, 30, 20, 0, 0, 0, 1, 0, math.Inf(1), 0, 1, 0, 8, 0)},
+		{"remap layout cut short", remapVerdicts(t)[1]},
+		{"remap layout with a trailing value", remapVerdicts(t)[2]},
+		{"remap arrangement no permutation", remapVerdicts(t)[3]},
 	} {
 		v, err := ReadVerdict(tc.data, verdictP)
 		if err == nil {
@@ -107,6 +129,9 @@ func TestDecodeVerdictMalformedIsUnrecoverable(t *testing.T) {
 	if err != nil || !samePlan(v.Recovery, testPlan(t)) {
 		t.Errorf("recovery verdict decoded as (%+v, %v)", v, err)
 	}
+	if v, err := ReadVerdict(remapVerdicts(t)[0], verdictP); err != nil || v.Decision == nil || v.Decision.Layout == nil || v.Decision.Layout.P() != verdictP {
+		t.Errorf("remap verdict decoded as (%+v, %v), want a layout over %d ranks", v, err, verdictP)
+	}
 }
 
 // FuzzCkptVerdict: ReadVerdict never panics, fails only with an error
@@ -121,6 +146,9 @@ func FuzzCkptVerdict(f *testing.F) {
 	// decode's length arithmetic into a makeslice panic.
 	for _, k := range []float64{5e18, 4e18} {
 		f.Add(f64s(opRecover, 30, 20, 0, 0, 0, k, 0, 0))
+	}
+	for _, data := range remapVerdicts(f) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

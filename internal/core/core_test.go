@@ -336,6 +336,100 @@ func TestRemapNoChange(t *testing.T) {
 	}
 }
 
+// TestRemapToAppliesTheGivenLayout: RemapTo searches nothing. Every
+// rank is handed the identity-arranged cut of skewed weights — a
+// layout the arrangement search would not choose — and applies it
+// verbatim, and the kernel stays bit-exact against the sequential
+// reference across the move.
+func TestRemapToAppliesTheGivenLayout(t *testing.T) {
+	g := testMesh(t)
+	const itersBefore, itersAfter = 3, 4
+	want := seqReference(t, g, order.RCB, itersBefore+itersAfter)
+	skewed := []float64{1, 1, 1, 3}
+	world := openWorld(t, 4)
+	var got []float64
+	err := world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB, Weights: []float64{3, 1, 1, 1}})
+		if err != nil {
+			return err
+		}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		if err := parKernel(rt, v, itersBefore); err != nil {
+			return err
+		}
+		l, err := rt.CutLayout(skewed)
+		if err != nil {
+			return err
+		}
+		if chosen, err := rt.ChooseLayout(skewed); err != nil || chosen.Equal(l) {
+			return fmt.Errorf("the search chose %v (%v); the test needs a layout it would not choose", chosen, err)
+		}
+		stats, err := rt.RemapTo(l)
+		if err != nil {
+			return err
+		}
+		if !stats.Changed || stats.Moved <= 0 || !rt.Layout().Equal(l) {
+			return fmt.Errorf("rank %d: RemapTo reported %+v and runs on %v, want the given %v", c.Rank(), stats, rt.Layout(), l)
+		}
+		if err := parKernel(rt, v, itersAfter); err != nil {
+			return err
+		}
+		full, err := rt.GatherGlobal(0, v)
+		if c.Rank() == 0 {
+			got = full
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v after RemapTo", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRemapToRejects: a nil layout, one over another number of
+// elements and one over another number of ranks are errors, not
+// panics, and leave the runtime working.
+func TestRemapToRejects(t *testing.T) {
+	g := testMesh(t)
+	const p = 3
+	world := openWorld(t, p)
+	err := world.SPMD(nil, func(c *comm.Comm) error {
+		rt, err := New(c, g, Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		v := rt.NewVector()
+		v.SetByGlobal(initValue)
+		before := rt.Layout()
+		n := before.N()
+		wrongN, err := partition.NewBlock(n+1, []float64{1, 1, 1})
+		if err != nil {
+			return err
+		}
+		wrongP, err := partition.NewBlock(n, []float64{1, 1})
+		if err != nil {
+			return err
+		}
+		for name, l := range map[string]*partition.Layout{"nil": nil, "another N": wrongN, "another P": wrongP} {
+			if _, err := rt.RemapTo(l); err == nil {
+				return fmt.Errorf("rank %d: RemapTo accepted a layout of %s", c.Rank(), name)
+			}
+		}
+		if !rt.Layout().Equal(before) {
+			return fmt.Errorf("rank %d: a refused RemapTo changed the layout", c.Rank())
+		}
+		return rt.Exchange(v)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScatterAdd(t *testing.T) {
 	g := testMesh(t)
 	// Each element pushes 1 to every neighbor: the result must be the

@@ -9,10 +9,10 @@ import (
 	"stance/internal/redist"
 )
 
-// tagRebind carries cross-world migration data during membership
-// transitions. It is distinct from tagRedist (in-world remaps) so the
-// two kinds of data movement pair independently in the per-(source,
-// tag) FIFO queues.
+// tagRebind carries the migration data of every layout change: a
+// membership transition's across the parent world and a remap's within
+// the runtime's own. Each is a collective that receives all it expects
+// before it returns, so per-(source, tag) FIFO order pairs them up.
 const tagRebind = 0x206
 
 // Rebind describes one rank's side of a membership transition: data
@@ -88,7 +88,7 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 		return stats, fmt.Errorf("core: retiring rank %d owns %d elements in the incoming layout",
 			rb.Carrier.Rank(), plan.New.Len())
 	}
-	if err := rt.moveVectorsOn(rb.Carrier, tagRebind, plan); err != nil {
+	if err := rt.moveVectors(rb.Carrier, plan); err != nil {
 		return stats, err
 	}
 	stats.MovedBytes = plan.MovedBytes() * int64(len(rt.vecs))

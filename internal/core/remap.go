@@ -27,62 +27,65 @@ type RemapStats struct {
 	Changed bool
 }
 
-// Remap redistributes the data for new processor capabilities: a new
-// layout is chosen by the arrangement search, every registered
-// vector's owned section is moved according to the transfer plan, and
-// the inspector rebuilds the schedule and local subgraph. Collective;
-// all ranks must pass the same weights.
+// Remap redistributes the data for new processor capabilities: it
+// chooses the layout with ChooseLayout and applies it with RemapTo.
+// Collective; all ranks must pass the same weights. A session's ranks
+// do not call it: the controller chooses the layout once and every
+// member applies it with RemapTo.
 func (rt *Runtime) Remap(newWeights []float64) (RemapStats, error) {
+	newLayout, err := rt.ChooseLayout(newWeights)
+	if err != nil {
+		return RemapStats{}, err
+	}
+	return rt.RemapTo(newLayout)
+}
+
+// RemapTo redistributes the data onto a chosen layout: every
+// registered vector's owned section moves according to the transfer
+// plan, and the inspector rebuilds the schedule and local subgraph —
+// Rebind's step, within the runtime's own world. Collective; all ranks
+// must pass equal layouts, over the runtime's elements and world.
+func (rt *Runtime) RemapTo(newLayout *partition.Layout) (RemapStats, error) {
 	start := rt.clock.Now()
 	if err := rt.quiescent("Remap"); err != nil {
 		return RemapStats{}, err
 	}
-	if len(newWeights) != rt.c.Size() {
-		return RemapStats{}, fmt.Errorf("core: %d weights for %d ranks", len(newWeights), rt.c.Size())
+	if rt.Parked() || newLayout == nil {
+		return RemapStats{}, fmt.Errorf("core: a remap needs an active runtime and a layout")
 	}
-	newLayout, err := rt.chooseLayout(newWeights)
-	if err != nil {
-		return RemapStats{}, err
-	}
+	// Moved checks the layout covers the runtime's elements and ranks.
 	stats := RemapStats{}
-	stats.Moved, err = partition.Moved(rt.layout, newLayout)
-	if err != nil {
+	var err error
+	if stats.Moved, err = partition.Moved(rt.layout, newLayout); err != nil {
 		return RemapStats{}, err
 	}
-	stats.Messages, err = partition.Messages(rt.layout, newLayout)
-	if err != nil {
+	if stats.Messages, err = partition.Messages(rt.layout, newLayout); err != nil {
 		return RemapStats{}, err
 	}
-	if newLayout.Equal(rt.layout) {
-		stats.Total = rt.clock.Now().Sub(start)
-		return stats, nil
+	if !newLayout.Equal(rt.layout) {
+		procs := identityArrangement(rt.c.Size())
+		rb := Rebind{Carrier: rt.c, Sub: rt.c, Old: rt.layout, New: newLayout, OldProcs: procs, NewProcs: procs}
+		if _, err := rt.Rebind(rb); err != nil {
+			return RemapStats{}, err
+		}
+		stats.Changed, stats.Inspector = true, rt.lastInspector
 	}
-	stats.Changed = true
-
-	plan, err := redist.NewPlan(rt.layout, newLayout, rt.c.Rank())
-	if err != nil {
-		return RemapStats{}, err
-	}
-	if err := rt.moveVectors(plan); err != nil {
-		return RemapStats{}, err
-	}
-	rt.layout = newLayout
-	if err := rt.rebuild(); err != nil {
-		return RemapStats{}, err
-	}
-	rt.fitVectors()
-	stats.Inspector = rt.lastInspector
 	stats.Total = rt.clock.Now().Sub(start)
 	return stats, nil
 }
 
-// chooseLayout picks the new layout: the arrangement redist.Iterated
-// finds to keep the most data in place, cut by vertex weights when the
-// runtime carries them. A hierarchical configuration recuts
-// hierarchically instead: the group-contiguous arrangement is what
-// keeps the inter-group boundaries few and refined, and an arrangement
-// search that scattered groups along the list would undo exactly that.
-func (rt *Runtime) chooseLayout(newWeights []float64) (*partition.Layout, error) {
+// ChooseLayout picks the layout a remap to newWeights moves to: the
+// arrangement redist.Iterated finds to keep the most data in place,
+// cut by vertex weights when the runtime carries them. A hierarchical
+// configuration recuts hierarchically instead: the group-contiguous
+// arrangement is what keeps the inter-group boundaries few and
+// refined, and an arrangement search that scattered groups along the
+// list would undo exactly that. It is the balance controller's half
+// of a remap (loadbal.Balancer.Decide); it communicates nothing.
+func (rt *Runtime) ChooseLayout(newWeights []float64) (*partition.Layout, error) {
+	if rt.Parked() || len(newWeights) != rt.c.Size() {
+		return nil, fmt.Errorf("core: %d weights for %d ranks, or a parked runtime", len(newWeights), rt.c.Size())
+	}
 	if _, ok := rt.hierSpec(len(newWeights)); ok {
 		return rt.CutLayout(newWeights)
 	}
@@ -92,20 +95,14 @@ func (rt *Runtime) chooseLayout(newWeights []float64) (*partition.Layout, error)
 	return redist.Iterated(rt.layout, newWeights, nil)
 }
 
-// moveVectors executes the transfer plan for every registered vector
-// within the runtime's own world.
-func (rt *Runtime) moveVectors(plan *redist.Plan) error {
-	return rt.moveVectorsOn(rt.c, tagRedist, plan)
-}
-
-// moveVectorsOn executes the transfer plan for every registered vector
-// over an explicit carrier communicator — the runtime's own world for
-// a Remap, the full parent world for a cross-world Rebind (whose
-// transfer peers are carrier ranks). Vectors move in registration
-// order on all ranks, so same-tag transfers pair up FIFO. Each vector
-// moves into its spare array and keeps the one it leaves as the next
-// spare, so a steady state of remaps allocates nothing here.
-func (rt *Runtime) moveVectorsOn(c *comm.Comm, tag int, plan *redist.Plan) error {
+// moveVectors executes a Rebind's transfer plan for every registered
+// vector over its carrier communicator — the runtime's own world for a
+// remap, the full parent world for a membership transition (transfer
+// peers are carrier ranks). Vectors move in registration order on all
+// ranks, so transfers pair up FIFO. Each vector moves into its spare
+// array and keeps the one it leaves as the next spare, so a steady
+// state of remaps allocates nothing here.
+func (rt *Runtime) moveVectors(c *comm.Comm, plan *redist.Plan) error {
 	for _, v := range rt.vecs {
 		oldLocal := v.Data[:plan.Old.Len()]
 		// Every element is written below — kept range or a receive — so
@@ -121,14 +118,14 @@ func (rt *Runtime) moveVectorsOn(c *comm.Comm, tag int, plan *redist.Plan) error
 			seg := oldLocal[off : off+s.Global.Len()]
 			buf := rt.wire(8 * len(seg))
 			comm.PutF64s(buf, seg)
-			if err := c.Send(s.Peer, tag, buf); err != nil {
+			if err := c.Send(s.Peer, tagRebind, buf); err != nil {
 				return err
 			}
 		}
 		for _, r := range plan.Recvs {
 			want := int(r.Global.Len())
 			buf := rt.wire(8 * want)
-			n, err := c.RecvInto(r.Peer, tag, buf)
+			n, err := c.RecvInto(r.Peer, tagRebind, buf)
 			if err != nil {
 				return err
 			}

@@ -23,16 +23,15 @@ import (
 const (
 	tagExchange = 0x202
 	tagScatter  = 0x203
-	tagRedist   = 0x204
 	tagGatherV  = 0x205
 )
 
 // Config parameterizes Runtime construction. The inspector always
-// builds with sched.BuildSort2, and Remap always searches arrangements
-// with redist.Iterated for the largest overlap. The paper's
-// alternatives — schedule_sort1, the translation-table baseline, the
-// single MCR sweep and the re-cut without a search — are reproduced by
-// internal/bench's Tables 1–3, not configured here.
+// builds with sched.BuildSort2, and ChooseLayout always searches
+// arrangements with redist.Iterated for the largest overlap. The
+// paper's alternatives — schedule_sort1, the translation-table
+// baseline, the single MCR sweep and the re-cut without a search — are
+// reproduced by internal/bench's Tables 1–3, not configured here.
 type Config struct {
 	// Order is the locality transformation (nil means identity; the
 	// experiments use order.RCB or order.Spectral). It must be

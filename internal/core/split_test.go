@@ -241,8 +241,9 @@ func TestSplitPhaseGuards(t *testing.T) {
 		mustErr("sync Exchange on a vector with a live op", rt.Exchange(v))
 		mustErr("sync ScatterAdd on a vector with a live op", rt.ScatterAdd(v))
 		mustErr("coalesced ExchangeAll overlapping a live op", rt.ExchangeAll(v, w))
-		if _, err := rt.Remap([]float64{1, 2}); err == nil {
-			t.Errorf("rank %d: Remap while in flight succeeded, want error", c.Rank())
+		_, remapErr := rt.Remap([]float64{1, 2})
+		if _, toErr := rt.RemapTo(rt.Layout()); remapErr == nil || toErr == nil || toErr.Error() != remapErr.Error() {
+			t.Errorf("rank %d: in flight, Remap returned %v and RemapTo %v; want one error", c.Rank(), remapErr, toErr)
 		}
 		// An op on an unrelated vector is independent and must be
 		// admitted alongside the live one, and sync ops on unrelated

@@ -17,7 +17,7 @@ type Vector struct {
 	// the runtime: they re-slice it, and a move swaps it with spare, so
 	// a slice of Data kept across one is overwritten by a later one.
 	Data []float64
-	// spare is the array Data left at the last move (see moveVectorsOn).
+	// spare is the array Data left at the last move (see moveVectors).
 	spare []float64
 }
 

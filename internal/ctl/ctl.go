@@ -230,11 +230,13 @@ func Sections(packed []byte, n int) ([][]byte, error) {
 
 // Decision is the balance controller's verdict: whether to remap, the
 // predicted per-phase seconds of the current and the new layout, the
-// estimated remap cost in seconds, and one capability weight per rank.
+// estimated remap cost in seconds, one capability weight per rank, and
+// — only when it remaps — the layout every rank moves to.
 type Decision struct {
 	Remap              bool
 	Current, New, Cost float64
 	Weights            []float64
+	Layout             *partition.Layout
 }
 
 // Epoch is the elastic coordinator's epoch proposal: the boundary
@@ -281,9 +283,10 @@ type Verdict struct {
 //   - epoch: iter, epoch, then per side (old, new) the active ranks as
 //     a count k and k ranks, and the layout over them as k+1 starts and
 //     k arrangement;
-//   - continue or remap (the decision's remap flag picks the opcode):
-//     with a decision, current, new, cost and the weights; without
-//     one, nothing.
+//   - continue: with a decision, current, new, cost and the p weights;
+//     without one, nothing;
+//   - remap (a decision whose remap flag is set): current, new, cost,
+//     the p weights, then the layout as p+1 starts and p arrangement.
 func EncodeVerdict(v Verdict) []byte {
 	var w writer
 	switch {
@@ -302,17 +305,17 @@ func EncodeVerdict(v Verdict) []byte {
 	case v.Decision == nil:
 		return w.ints(opContinue)
 	}
-	d, op := v.Decision, opContinue
-	if d.Remap {
-		op = opRemap
+	d := v.Decision
+	w = make(writer, 0, 8*(5+3*len(d.Weights))) // room for a remap's layout
+	if !d.Remap {
+		return w.ints(opContinue).floats(d.Current, d.New, d.Cost).floats(d.Weights...)
 	}
-	w = make(writer, 0, 8*(4+len(d.Weights)))
-	return w.ints(op).floats(d.Current, d.New, d.Cost).floats(d.Weights...)
+	return w.ints(opRemap).floats(d.Current, d.New, d.Cost).floats(d.Weights...).layout(d.Layout)
 }
 
 // DecodeVerdict reads a verdict addressed to a rank whose active set
-// has p ranks — the number of weights a decision must carry. A parked
-// rank passes 0: no decision addresses it.
+// has p ranks: a decision carries p weights, a remap a p-rank layout.
+// A parked rank passes 0: no decision addresses it.
 func DecodeVerdict(data []byte, p int) (Verdict, error) {
 	r := newReader(data)
 	var v Verdict
@@ -320,7 +323,7 @@ func DecodeVerdict(data []byte, p int) (Verdict, error) {
 	case op == opContinue && r.left() == 0:
 	case op == opContinue || op == opRemap:
 		d := &Decision{Remap: op == opRemap, Current: r.finite(), New: r.finite(), Cost: r.finite()}
-		if r.err == nil && (p <= 0 || r.left() != p) {
+		if r.err == nil && (p <= 0 || r.left() < p) {
 			r.fail("%d weights for %d ranks", r.left(), p)
 		}
 		if r.err == nil {
@@ -328,6 +331,9 @@ func DecodeVerdict(data []byte, p int) (Verdict, error) {
 			for i := range d.Weights {
 				d.Weights[i] = r.finite()
 			}
+		}
+		if d.Remap {
+			d.Layout = r.layout(p)
 		}
 		v.Decision = d
 	case op == opEpoch:

@@ -31,6 +31,28 @@ func testEpoch(t testing.TB) *Epoch {
 	}
 }
 
+// testRemap is a remap decision over three ranks with the layout it
+// moves to: positions hold ranks 2, 0 and 1, over 30 elements.
+func testRemap(t testing.TB) *Decision {
+	l, err := partition.NewFromStarts([]int64{0, 6, 13, 30}, []int{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Decision{Remap: true, Current: 0.5, New: 0.25, Cost: 0.125, Weights: []float64{1, 2.5, 0.75}, Layout: l}
+}
+
+// Malformed remaps for a three-rank receiver, each breaking the layout
+// of a testRemap verdict: its starts and arrangement run past the
+// payload, a value trails it, or its arrangement is no permutation.
+func badRemaps(t testing.TB) [][]byte {
+	good := EncodeVerdict(Verdict{Decision: testRemap(t)})
+	return [][]byte{
+		good[:len(good)-8*4],
+		append(good, f64s(0)...),
+		f64s(wRemap, 0.5, 0.25, 0.125, 1, 2.5, 0.75, 0, 6, 13, 30, 2, 0, 0),
+	}
+}
+
 func testRecovery(t testing.TB) *Recovery {
 	return &Recovery{
 		Iter: 30, CkptIter: 20,
@@ -52,7 +74,8 @@ func testVerdicts(t testing.TB) []struct {
 	}{
 		{Verdict{}, 4},
 		{Verdict{Decision: &Decision{Weights: []float64{1, 1}}}, 2},
-		{Verdict{Decision: &Decision{Remap: true, Current: 0.5, New: 0.25, Cost: 0.125, Weights: []float64{1, 2.5, 0.75}}}, 3},
+		{Verdict{Decision: testRemap(t)}, 3},
+		{Verdict{Decision: &Decision{Remap: true, Weights: []float64{1}, Layout: mustLayout(t, 5, []float64{1}, []int{0})}}, 1},
 		{Verdict{Epoch: testEpoch(t)}, 4},
 		{Verdict{Epoch: testEpoch(t)}, 0},
 		{Verdict{RunEnd: true}, 0},
@@ -75,8 +98,9 @@ const (
 // report without its item count. Each verdict keeps the layout of the
 // message it replaced, under the one opcode space: recovery and abort
 // moved from 1 and 2 to 3 and 4, and a decision's remap flag became the
-// continue/remap opcode, so a decision verdict is exactly as long as
-// the old decision.
+// continue/remap opcode, so a continue verdict is exactly as long as
+// the old decision. A remap appends the layout every rank moves to, in
+// the layout encoding epochs and recoveries use.
 func TestControlWireBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -87,8 +111,8 @@ func TestControlWireBytes(t *testing.T) {
 		{"continue", EncodeVerdict(Verdict{}), []float64{0}},
 		{"continue with a decision", EncodeVerdict(Verdict{Decision: &Decision{Weights: []float64{1, 1}}}),
 			[]float64{0, 0, 0, 0, 1, 1}},
-		{"remap", EncodeVerdict(Verdict{Decision: &Decision{Remap: true, Current: 0.5, New: 0.25, Cost: 0.125, Weights: []float64{1, 2.5, 0.75}}}),
-			[]float64{5, 0.5, 0.25, 0.125, 1, 2.5, 0.75}},
+		{"remap", EncodeVerdict(Verdict{Decision: testRemap(t)}),
+			[]float64{5, 0.5, 0.25, 0.125, 1, 2.5, 0.75, 0, 6, 13, 30, 2, 0, 1}},
 		{"epoch", EncodeVerdict(Verdict{Epoch: testEpoch(t)}), []float64{1, 40, 3,
 			4, 0, 1, 2, 5, 0, 20, 61, 81, 101, 0, 1, 2, 3,
 			3, 0, 2, 5, 0, 61, 81, 101, 2, 0, 1}},
@@ -103,6 +127,15 @@ func TestControlWireBytes(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes %x, want %x", tc.name, len(tc.got), tc.got, want)
 		}
 	}
+}
+
+// sameDecision compares two decisions field by field, the layout by
+// value.
+func sameDecision(a, b *Decision) bool {
+	return a == nil && b == nil || a != nil && b != nil &&
+		a.Remap == b.Remap && a.Current == b.Current && a.New == b.New && a.Cost == b.Cost &&
+		slices.Equal(a.Weights, b.Weights) && (a.Layout == nil) == (b.Layout == nil) &&
+		(a.Layout == nil || a.Layout.Equal(b.Layout))
 }
 
 // sameVerdict compares two verdicts field by field, layouts by value.
@@ -120,12 +153,13 @@ func sameVerdict(a, b Verdict) bool {
 			a.Old.Equal(b.Old) && a.New.Equal(b.New)
 	}
 	return (a.Dead == nil) == (b.Dead == nil) && slices.Equal(a.Dead, b.Dead) && a.RunEnd == b.RunEnd &&
-		reflect.DeepEqual(a.Decision, b.Decision) && sameEpoch(a.Epoch, b.Epoch) && sameRecovery(a.Recovery, b.Recovery)
+		sameDecision(a.Decision, b.Decision) && sameEpoch(a.Epoch, b.Epoch) && sameRecovery(a.Recovery, b.Recovery)
 }
 
 // TestVerdictRoundTrip: every verdict decodes to itself for a receiver
-// of the right active-set size, and a decision reaches no other —
-// neither a parked rank nor a world of another size.
+// of the right active-set size, and a decision — a remap's with its
+// layout included — reaches no other: neither a parked rank nor a
+// world of another size.
 func TestVerdictRoundTrip(t *testing.T) {
 	for i, tc := range testVerdicts(t) {
 		got, err := DecodeVerdict(EncodeVerdict(tc.v), tc.p)
@@ -139,6 +173,11 @@ func TestVerdictRoundTrip(t *testing.T) {
 			if _, err := DecodeVerdict(EncodeVerdict(tc.v), p); err == nil {
 				t.Errorf("verdict %d: a decision of %d weights accepted for %d ranks", i, tc.p, p)
 			}
+		}
+	}
+	for i, data := range badRemaps(t) {
+		if v, err := DecodeVerdict(data, 3); err == nil {
+			t.Errorf("malformed remap %d decoded as %+v", i, v.Decision)
 		}
 	}
 	rep := Report{Iter: 7, Rate: 1e-6, Inspector: 0.5}
@@ -311,6 +350,10 @@ func FuzzVerdict(f *testing.F) {
 	f.Add(f64s(wRemap, 0.5, 0.25, 0.125, math.NaN()), uint8(1))
 	f.Add(f64s(0.5, 0, 0, 0), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(200))
+	f.Add(EncodeVerdict(Verdict{Decision: testRemap(f)}), uint8(3))
+	for _, data := range badRemaps(f) {
+		f.Add(data, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, p uint8) {
 		var v Verdict
 		var err error
@@ -328,16 +371,20 @@ func FuzzVerdict(f *testing.F) {
 }
 
 // FuzzDecision: a continue or remap verdict that DecodeVerdict accepts
-// for a receiver of p ranks carries a decision of exactly p weights,
+// for a receiver of p ranks carries a decision of exactly p weights —
+// and, when it remaps, a layout over p ranks and no layout otherwise —
 // is rejected by a receiver of any other size (a parked rank included),
 // and re-encodes to the same decision. Run under `go test
 // -fuzz=FuzzDecision ./internal/ctl`.
 func FuzzDecision(f *testing.F) {
-	f.Add(EncodeVerdict(Verdict{Decision: &Decision{Remap: true, Current: 0.5, New: 0.25, Cost: 0.125, Weights: []float64{1, 2.5, 0.75}}}), uint8(3))
 	f.Add(EncodeVerdict(Verdict{Decision: &Decision{Weights: []float64{1, 1}}}), uint8(2))
 	f.Add(f64s(wRemap, 0.5, 0.25, 0.125, math.NaN()), uint8(1))
 	f.Add(f64s(0.5, 0, 0, 0), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(200))
+	f.Add(EncodeVerdict(Verdict{Decision: testRemap(f)}), uint8(3))
+	for _, data := range badRemaps(f) {
+		f.Add(data, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, p uint8) {
 		var v Verdict
 		var err error
@@ -347,8 +394,8 @@ func FuzzDecision(f *testing.F) {
 		if err != nil || v.Decision == nil {
 			return
 		}
-		if len(v.Decision.Weights) != int(p) {
-			t.Fatalf("a decision of %d weights accepted for %d ranks", len(v.Decision.Weights), p)
+		if d := v.Decision; len(d.Weights) != int(p) || d.Remap != (d.Layout != nil) || d.Layout != nil && d.Layout.P() != int(p) {
+			t.Fatalf("a decision of %d weights (remap %v, layout %v) accepted for %d ranks", len(d.Weights), d.Remap, d.Layout, p)
 		}
 		for _, q := range []int{0, int(p) - 1, int(p) + 1} {
 			if _, err := DecodeVerdict(data, q); err == nil {
@@ -356,7 +403,7 @@ func FuzzDecision(f *testing.F) {
 			}
 		}
 		again, err := DecodeVerdict(EncodeVerdict(v), int(p))
-		if err != nil || !reflect.DeepEqual(again.Decision, v.Decision) {
+		if err != nil || !sameDecision(again.Decision, v.Decision) {
 			t.Fatalf("round trip changed the decision: %+v became (%+v, %v)", v.Decision, again.Decision, err)
 		}
 	})

@@ -179,11 +179,11 @@ func (b *Balancer) Check(rep Report) (Decision, error) {
 
 // Apply is every rank's remap step on the controller's decision: it
 // records the check's cost since start and, when the decision says so,
-// remaps onto its weights. A nil decision (a verdict that carried
-// none) is an error.
+// remaps onto the layout it carries, searching nothing. A nil decision
+// (a verdict that carried none), or a remap without a layout, is an error.
 func (b *Balancer) Apply(v *ctl.Decision, start time.Time) (Decision, error) {
-	if v == nil {
-		return Decision{}, fmt.Errorf("loadbal: the verdict carries no balance decision")
+	if v == nil || v.Remap && v.Layout == nil {
+		return Decision{}, fmt.Errorf("loadbal: the verdict carries no balance decision or no remap layout")
 	}
 	clock := b.rt.Clock()
 	d := Decision{
@@ -196,7 +196,7 @@ func (b *Balancer) Apply(v *ctl.Decision, start time.Time) (Decision, error) {
 	}
 	if d.Remapped {
 		t0 := clock.Now()
-		if _, err := b.rt.Remap(d.NewWeights); err != nil {
+		if _, err := b.rt.RemapTo(v.Layout); err != nil {
 			return Decision{}, err
 		}
 		d.RemapTime = clock.Now().Sub(t0)
@@ -209,7 +209,9 @@ func (b *Balancer) Apply(v *ctl.Decision, start time.Time) (Decision, error) {
 // rank, predict the next phase under current and proposed layouts,
 // price the redistribution, and compare. inspector is the gathered
 // worst-case schedule-rebuild time — deliberately not this rank's own,
-// so every rank prices the remap identically.
+// so every rank prices the remap identically. A remap decision carries
+// its layout (Runtime.ChooseLayout), so the arrangement search runs
+// where Decide does: once per world unless decentralized.
 func (b *Balancer) Decide(rates []float64, inspector float64) (ctl.Decision, error) {
 	if b.cfg.Estimator != nil {
 		b.cfg.Estimator.Observe(rates)
@@ -278,9 +280,13 @@ func (b *Balancer) Decide(rates []float64, inspector float64) (ctl.Decision, err
 	estCost := (moveCost + inspector) * b.cfg.SafetyFactor
 
 	gain := (predCur - predNew) * float64(b.cfg.Horizon)
-	return ctl.Decision{
+	d := ctl.Decision{
 		Remap:   gain > estCost && predNew < predCur,
 		Current: predCur, New: predNew, Cost: estCost,
 		Weights: weights,
-	}, nil
+	}
+	if d.Remap {
+		d.Layout, err = b.rt.ChooseLayout(weights)
+	}
+	return d, err
 }

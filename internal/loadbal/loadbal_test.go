@@ -7,6 +7,7 @@ import (
 
 	"stance/internal/comm"
 	"stance/internal/core"
+	"stance/internal/ctl"
 	"stance/internal/graph"
 	"stance/internal/hetero"
 	"stance/internal/mesh"
@@ -246,6 +247,51 @@ func TestPartialInformationUsesMeanRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDecisionCarriesTheLayout: a decision to remap carries the layout
+// the arrangement search chose, and Apply moves onto the layout it is
+// handed without searching: given an identity-arranged cut as if the
+// controller had chosen it, every rank ends on exactly that layout. A
+// nil decision and a remap decision without a layout are errors.
+func TestDecisionCarriesTheLayout(t *testing.T) {
+	g := testMesh(t)
+	simSPMD(t, 3, func(c *comm.Comm) error {
+		rt, err := core.New(c, g, core.Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		b, err := New(rt, Config{})
+		if err != nil {
+			return err
+		}
+		d, err := b.Decide([]float64{3e-6, 1e-6, 1e-6}, 0)
+		if err != nil {
+			return err
+		}
+		chosen, err := rt.ChooseLayout(d.Weights)
+		if err != nil || !d.Remap || d.Layout == nil || !d.Layout.Equal(chosen) {
+			return fmt.Errorf("decision %+v, want a remap onto the search's %v (%v)", d, chosen, err)
+		}
+		weights := []float64{1, 2, 3}
+		for _, v := range []*ctl.Decision{nil, {Remap: true, Weights: weights}} {
+			if _, err := b.Apply(v, rt.Clock().Now()); err == nil {
+				return fmt.Errorf("Apply accepted %+v", v)
+			}
+		}
+		l, err := rt.CutLayout(weights)
+		if err != nil {
+			return err
+		}
+		got, err := b.Apply(&ctl.Decision{Remap: true, Weights: weights, Layout: l}, rt.Clock().Now())
+		if err != nil {
+			return err
+		}
+		if !got.Remapped || !rt.Layout().Equal(l) {
+			return fmt.Errorf("rank %d: Apply reported %+v and runs on %v, want the carried %v", c.Rank(), got, rt.Layout(), l)
+		}
+		return nil
+	})
 }
 
 func TestNewValidation(t *testing.T) {

@@ -90,7 +90,7 @@ func MinimizeCostRedistribution(old *partition.Layout, newWeights []float64, cos
 	return mcrRun(old, build, cost, 1)
 }
 
-// Iterated is the arrangement search core.Runtime.Remap runs. It
+// Iterated is the arrangement search core.Runtime.ChooseLayout runs. It
 // strengthens the paper's single MCR sweep into a local search: it
 // alternates greedy Move sweeps (the Figure 6 step) with pairwise-swap
 // refinement until the cost stops improving, for at most p rounds. Each

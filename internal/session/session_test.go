@@ -467,9 +467,14 @@ func TestRunReportsExecutorTraffic(t *testing.T) {
 // balancer are on, one verdict multicast when anything is on — plus
 // the decentralized all-gather (p−1 reports in, one multicast out) and
 // the checkpoint's buddy ring (p messages). On a uniform world under
-// the simulated clock no check remaps, so nothing else moves. It also
-// pins a fixed session's view of membership: everyone, epoch 0, and no
-// Resize.
+// the simulated clock no check remaps, so nothing else moves. The
+// loaded row does remap: a competing load on rank 1 over iterations
+// 120–400 makes the centralized balancer move data when it starts,
+// inside Run(100), and back when it ends, inside Run(1000). Its counts (control round plus remap
+// transfers) are pinned as they stood while every member still ran
+// the arrangement search itself, so shipping the chosen layout in the
+// verdict adds bytes but never a message. It also pins a fixed
+// session's view of membership: everyone, epoch 0, and no Resize.
 func TestDriverTraffic(t *testing.T) {
 	const p, checkEvery = 4, 10
 	g, err := mesh.Honeycomb(20, 30)
@@ -490,17 +495,21 @@ func TestDriverTraffic(t *testing.T) {
 	}
 	ck := &ckpt.Config{DetectTimeout: time.Second}
 	central, decentral := &loadbal.Config{}, &loadbal.Config{Decentralized: true}
+	loaded := hetero.Uniform(p)
+	loaded.Loads = []hetero.Load{{Rank: 1, Factor: 3, FromIter: 120, UntilIter: 400}}
 	for _, tc := range []struct {
 		name        string
 		cfg         Config
 		perBoundary int64
+		remapped    []int64 // the driver's messages per Run when its checks remap
 	}{
-		{"fixed", Config{}, 0},
-		{"elastic", Config{Elastic: true}, 1},
-		{"checkpoint", Config{Checkpoint: ck}, p - 1 + 1 + p},
-		{"centralized", Config{Balancer: central}, p - 1 + 1},
-		{"decentralized", Config{Balancer: decentral}, p - 1 + 1},
-		{"all three", Config{Elastic: true, Checkpoint: ck, Balancer: central}, p - 1 + 1 + p},
+		{"fixed", Config{}, 0, nil},
+		{"elastic", Config{Elastic: true}, 1, nil},
+		{"checkpoint", Config{Checkpoint: ck}, p - 1 + 1 + p, nil},
+		{"centralized", Config{Balancer: central}, p - 1 + 1, nil},
+		{"decentralized", Config{Balancer: decentral}, p - 1 + 1, nil},
+		{"all three", Config{Elastic: true, Checkpoint: ck, Balancer: central}, p - 1 + 1 + p, nil},
+		{"loaded centralized", Config{Balancer: central, Env: loaded}, p - 1 + 1, []int64{43, 403}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -515,15 +524,20 @@ func TestDriverTraffic(t *testing.T) {
 			if _, err := s.Run(50); err != nil { // ends on a boundary, so the next Run opens with one
 				t.Fatal(err)
 			}
-			for _, iters := range []int{100, 1000} {
+			for i, iters := range []int{100, 1000} {
 				rep, err := s.Run(iters)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(rep.Remaps()) != 0 {
-					t.Fatalf("Run(%d) remapped %d times on a uniform world", iters, len(rep.Remaps()))
-				}
 				want := tc.perBoundary * int64(iters/checkEvery)
+				switch remaps := len(rep.Remaps()); {
+				case tc.remapped == nil && remaps != 0:
+					t.Fatalf("Run(%d) remapped %d times on a uniform world", iters, remaps)
+				case tc.remapped != nil && remaps == 0:
+					t.Fatalf("Run(%d) did not remap under the load", iters)
+				case tc.remapped != nil:
+					want = tc.remapped[i]
+				}
 				if got := rep.Msgs - rep.Exec.Msgs; got != want {
 					t.Errorf("Run(%d): driver sent %d messages (%d total, %d executor), want %d",
 						iters, got, rep.Msgs, rep.Exec.Msgs, want)
