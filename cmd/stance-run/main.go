@@ -114,12 +114,11 @@ func main() {
 	kernelName := flag.String("kernel", "figure8", "solver compute body: "+solver.KernelNames())
 	checkEvery := flag.Int("check-every", 10, "iterations between load-balance checks")
 	netScale := flag.Float64("netscale", 0.1, "Ethernet model scale (in-process transport only)")
-	groups := flag.Int("groups", 0, "node-group count for a two-level cluster: ranks split into this many groups over a slower inter-group link (0 = flat); enables the hierarchy-aware cut and leader-aggregated balance checks")
+	groups := flag.Int("groups", 0, "node-group count for a two-level cluster: ranks split into this many groups over a slower inter-group link (0 = flat); enables the hierarchy-aware cut")
 	interScale := flag.Float64("interscale", 10, "inter-group link slowdown relative to -netscale (with -groups)")
 	transport := flag.String("transport", "inproc", "comm transport: "+strings.Join(comm.Transports(), ", "))
 	tcp := flag.Bool("tcp", false, "shorthand for -transport tcp")
 	weighted := flag.Bool("weighted", false, "balance vertex weight (degree) instead of vertex counts")
-	decentralized := flag.Bool("decentralized", false, "decide load balancing on every rank (no controller)")
 	ewma := flag.Float64("ewma", 0, "EWMA smoothing for rate estimates (0 = paper's last-window)")
 	scenario := flag.String("scenario", "", "JSON file with the full simulated environment (speeds, loads, outages, traces); conflicts with -load and fixes -p")
 	virtual := flag.Bool("virtual", false, "run on the simulated clock: deterministic virtual time, instant wall time (inproc transport only)")
@@ -258,9 +257,8 @@ func main() {
 		// Horizon is left zero: the session defaults it to the check
 		// interval.
 		cfg.Balancer = &loadbal.Config{
-			CostModel:     redist.CostModel{PerMessage: 1e-3 * *netScale, PerByte: *netScale / 1.25e6},
-			Decentralized: *decentralized,
-			Estimator:     est,
+			CostModel: redist.CostModel{PerMessage: 1e-3 * *netScale, PerByte: *netScale / 1.25e6},
+			Estimator: est,
 		}
 		// Print remaps live, so long runs show balancing as it happens.
 		cfg.OnCheck = func(ev session.CheckEvent) {

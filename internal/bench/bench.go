@@ -60,8 +60,8 @@ type Options struct {
 	// Ethernet model, so absolute numbers shift; the tables stay
 	// comparable within one transport.
 	Transport string
-	// Groups is the node-group count for the hierarchical twins (Tables
-	// H1 and H2); 0 or 1 means the default of 2 groups.
+	// Groups is the node-group count for the hierarchical twin (Table
+	// H1); 0 or 1 means the default of 2 groups.
 	Groups int
 }
 

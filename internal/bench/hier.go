@@ -7,30 +7,24 @@ import (
 
 	"stance/internal/comm"
 	"stance/internal/graph"
-	"stance/internal/loadbal"
 	"stance/internal/session"
 	"stance/internal/vtime"
 )
 
-// The hierarchical twins of Tables 4 and 5: the same parallel loop and
-// balance protocol, but on a two-level cluster — node groups joined by
-// a slower shared link (the paper's Section 4 nonuniform network).
-// Table H1 sweeps the inter-group slowdown and shows the crossover
-// where the hierarchy-aware cut overtakes the flat cut; Table H2
-// compares the slow-link cost of a balance check under the flat
-// all-gather against the leader-aggregated exchange.
+// The hierarchical twin of Table 4: the same parallel loop, but on a
+// two-level cluster — node groups joined by a slower shared link (the
+// paper's Section 4 nonuniform network). Table H1 sweeps the
+// inter-group slowdown and shows the crossover where the
+// hierarchy-aware cut overtakes the flat cut.
 //
-// Both twins always run on a simulated clock with virtualized compute:
-// the effects they measure are properties of the network model, and
-// the virtual clock makes every duration exact and deterministic
+// The twin always runs on a simulated clock with virtualized compute:
+// the effect it measures is a property of the network model, and the
+// virtual clock makes every duration exact and deterministic
 // regardless of how loaded the machine is.
 
-// hierProcs/hierGroups are the twins' cluster shape; -groups on
-// stance-bench overrides the group count.
-const (
-	hierProcs       = 4
-	hierChecksProcs = 8
-)
+// hierProcs is the twin's cluster size; -groups on stance-bench sets
+// the group count.
+const hierProcs = 4
 
 // hierGroupCount resolves the configured group count (default 2).
 func hierGroupCount(opts Options) int {
@@ -78,10 +72,10 @@ func hierCompute(opts Options) time.Duration {
 // MeasureHierRun runs the parallel loop on a two-level world whose
 // inter-group link is interScale× the modeled Ethernet, with either
 // the hierarchy-aware cut or (flatCut) the flat reference cut, and
-// returns the report — Wall and InterMsgs/InterBytes are the columns
-// the twins print. bal configures the balancer arm (nil = static).
+// returns the report — Wall and InterBytes are the columns the twin
+// prints.
 func MeasureHierRun(g *graph.Graph, opts Options, p, groups, iters int,
-	interScale float64, flatCut, flatReports bool, bal *loadbal.Config) (*session.RunReport, error) {
+	interScale float64, flatCut bool) (*session.RunReport, error) {
 	topo, err := comm.ContiguousGroups(p, groups)
 	if err != nil {
 		return nil, err
@@ -95,10 +89,8 @@ func MeasureHierRun(g *graph.Graph, opts Options, p, groups, iters int,
 			InterModel: comm.Ethernet(opts.netScale() * interScale),
 		},
 		FlatCut:     flatCut,
-		FlatReports: flatReports,
 		ComputeCost: hierCompute(opts),
 		WorkRep:     1,
-		Balancer:    bal,
 	})
 	if err != nil {
 		return nil, err
@@ -141,11 +133,11 @@ func TableHierStatic(opts Options) (*Table, error) {
 		},
 	}
 	for _, scale := range scales {
-		flat, err := MeasureHierRun(g, opts, hierProcs, groups, iters, scale, true, false, nil)
+		flat, err := MeasureHierRun(g, opts, hierProcs, groups, iters, scale, true)
 		if err != nil {
 			return nil, err
 		}
-		hier, err := MeasureHierRun(g, opts, hierProcs, groups, iters, scale, false, false, nil)
+		hier, err := MeasureHierRun(g, opts, hierProcs, groups, iters, scale, false)
 		if err != nil {
 			return nil, err
 		}
@@ -154,67 +146,6 @@ func TableHierStatic(opts Options) (*Table, error) {
 			seconds(flat.Wall.Seconds()), seconds(hier.Wall.Seconds()),
 			fmt.Sprintf("%.2f", flat.Wall.Seconds()/hier.Wall.Seconds()),
 			fmt.Sprintf("%d", flat.InterBytes), fmt.Sprintf("%d", hier.InterBytes),
-		})
-	}
-	return t, nil
-}
-
-// TableHierChecks is Table 5's two-level twin: what one decentralized
-// balance check costs the slow inter-group link. The flat all-gather
-// puts O(P) messages on it per check; the leader-aggregated exchange
-// puts G·(G−1) there. Message counts are exact deltas against a
-// balancer-free baseline of the identical run, so the per-check cost
-// is a measurement, not an estimate.
-func TableHierChecks(opts Options) (*Table, error) {
-	const p = hierChecksProcs
-	groups := hierGroupCount(opts)
-	const checkEvery = 10
-	iters := 30
-	if opts.Quick {
-		iters = 20
-	}
-	nChecks := (iters - 1) / checkEvery // the final boundary's check is deferred
-	g, err := dumbbellMesh(1100, 900, 300)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "Table H2",
-		Title: "Slow-link cost of one decentralized balance check: flat all-gather vs leader aggregation",
-		Header: []string{
-			"Exchange", "Slow-link msgs/check", "Slow-link bytes/check", "Wall",
-		},
-		Notes: []string{
-			fmt.Sprintf("%d workstations in %d groups, %d checks over %d iterations, uniform environment (no remaps), virtual clock",
-				p, groups, nChecks, iters),
-			fmt.Sprintf("flat all-gather costs P = %d slow-link messages per check; leader aggregation costs G(G-1) = %d",
-				p, groups*(groups-1)),
-		},
-	}
-	base, err := MeasureHierRun(g, opts, p, groups, iters, 16, false, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, arm := range []struct {
-		name        string
-		flatReports bool
-	}{
-		{"flat all-gather", true},
-		{"leader-aggregated", false},
-	} {
-		rep, err := MeasureHierRun(g, opts, p, groups, iters, 16, false, arm.flatReports,
-			&loadbal.Config{Decentralized: true})
-		if err != nil {
-			return nil, err
-		}
-		if got := len(rep.Checks); got != nChecks {
-			return nil, fmt.Errorf("bench: %s arm ran %d checks, expected %d", arm.name, got, nChecks)
-		}
-		t.Rows = append(t.Rows, []string{
-			arm.name,
-			fmt.Sprintf("%d", (rep.InterMsgs-base.InterMsgs)/int64(nChecks)),
-			fmt.Sprintf("%d", (rep.InterBytes-base.InterBytes)/int64(nChecks)),
-			seconds(rep.Wall.Seconds()),
 		})
 	}
 	return t, nil

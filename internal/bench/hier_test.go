@@ -55,25 +55,3 @@ func TestTableHierStaticShape(t *testing.T) {
 		}
 	}
 }
-
-// TestTableHierChecksShape pins the exact slow-link price of a
-// decentralized balance check: P messages under the flat all-gather,
-// G·(G−1) under the leader aggregation.
-func TestTableHierChecksShape(t *testing.T) {
-	tab, err := TableHierChecks(hierOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("%d rows, want flat and leader arms", len(tab.Rows))
-	}
-	if got := cellInt(t, tab, 0, "Slow-link msgs/check"); got != hierChecksProcs {
-		t.Errorf("flat all-gather check costs %d slow-link messages, want P = %d", got, hierChecksProcs)
-	}
-	if got := cellInt(t, tab, 1, "Slow-link msgs/check"); got != 2 {
-		t.Errorf("leader-aggregated check costs %d slow-link messages, want G(G-1) = 2", got)
-	}
-	if fb, lb := cellInt(t, tab, 0, "Slow-link bytes/check"), cellInt(t, tab, 1, "Slow-link bytes/check"); lb >= fb {
-		t.Errorf("leader exchange puts %d bytes/check on the slow link, flat %d — no saving", lb, fb)
-	}
-}

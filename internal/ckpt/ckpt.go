@@ -25,7 +25,7 @@ import (
 )
 
 // Wire tags used by the checkpoint/recovery protocol, in the 0x7xx
-// block (core uses 0x2xx, loadbal 0x4xx, session 0x5xx, elastic 0x6xx,
+// block (core uses 0x2xx, session 0x5xx, elastic 0x6xx,
 // op handles 0x1000+).
 const (
 	// TagSnap carries encoded snapshots around the buddy ring.

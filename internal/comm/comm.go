@@ -80,9 +80,11 @@ type Transport interface {
 // send — the Ethernet/ATM multicast capability of paper Section 3.6.
 // It is optional because it is a real difference between media: a
 // socket mesh has no multicast, and Comm.Multicast falls back to one
-// send per destination there.
+// send per destination there. Multicast returns the copies the medium
+// carried — one per medium that multicasts, one per destination on a
+// medium that does not — which is what Comm.Stats counts.
 type Multicaster interface {
-	Multicast(dsts []int, tag int, data []byte) error
+	Multicast(dsts []int, tag int, data []byte) (int, error)
 }
 
 // A missing method is a build error here, not a degraded path at run
@@ -333,45 +335,54 @@ func (c *Comm) RecvInto(src, tag int, buf []byte) (int, error) {
 }
 
 // Multicast sends data to every rank in dsts. If the transport
-// supports hardware-style multicast the message is charged once;
-// otherwise it falls back to point-to-point sends.
+// supports hardware-style multicast the message is charged once per
+// medium that multicasts; otherwise it falls back to point-to-point
+// sends. Stats counts the copies the medium carried.
 func (c *Comm) Multicast(dsts []int, tag int, data []byte) error {
+	_, err := c.multicast(dsts, tag, data)
+	return err
+}
+
+// multicast is Multicast returning the copies it counted.
+func (c *Comm) multicast(dsts []int, tag int, data []byte) (int, error) {
 	for _, d := range dsts {
 		if d < 0 || d >= c.size {
-			return fmt.Errorf("comm: multicast to rank %d of %d", d, c.size)
+			return 0, fmt.Errorf("comm: multicast to rank %d of %d", d, c.size)
 		}
 	}
 	if err := ctxErr(c.boundCtx()); err != nil {
-		return err
+		return 0, err
 	}
-	if m, ok := c.tr.(Multicaster); ok {
-		if err := m.Multicast(dsts, tag, data); err != nil {
-			return err
-		}
-		c.sentMsgs.Add(1)
-		c.sentBytes.Add(int64(len(data)))
-		if c.Root().topo != nil {
-			// A multicast is one message on the medium, but each
-			// cross-group destination is one crossing of the slow link.
-			inter := int64(0)
-			for _, d := range dsts {
-				if c.interCrossing(d) {
-					inter++
-				}
-			}
-			if inter > 0 {
-				c.interMsgs.Add(inter)
-				c.interBytes.Add(inter * int64(len(data)))
+	m, ok := c.tr.(Multicaster)
+	if !ok {
+		for _, d := range dsts {
+			if err := c.Send(d, tag, data); err != nil {
+				return 0, err
 			}
 		}
-		return nil
+		return len(dsts), nil
 	}
-	for _, d := range dsts {
-		if err := c.Send(d, tag, data); err != nil {
-			return err
+	copies, err := m.Multicast(dsts, tag, data)
+	if err != nil {
+		return 0, err
+	}
+	c.sentMsgs.Add(int64(copies))
+	c.sentBytes.Add(int64(copies) * int64(len(data)))
+	if c.Root().topo != nil {
+		// Each cross-group destination is one crossing of the slow
+		// link, whatever the medium charged.
+		inter := int64(0)
+		for _, d := range dsts {
+			if c.interCrossing(d) {
+				inter++
+			}
+		}
+		if inter > 0 {
+			c.interMsgs.Add(inter)
+			c.interBytes.Add(inter * int64(len(data)))
 		}
 	}
-	return nil
+	return copies, nil
 }
 
 // Stats returns the number of messages and payload bytes this rank

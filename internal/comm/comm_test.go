@@ -228,7 +228,7 @@ func TestStatsCounting(t *testing.T) {
 	if msgs != 2 || bytes != 15 {
 		t.Errorf("stats = %d msgs %d bytes, want 2/15", msgs, bytes)
 	}
-	// Multicast on a multicast-capable transport counts once.
+	// A multicast on a free network (no model) counts one copy.
 	w.Comm(1).Multicast([]int{0, 2}, 1, make([]byte, 8))
 	msgs, bytes = w.Comm(1).Stats()
 	if msgs != 1 || bytes != 8 {
@@ -397,6 +397,71 @@ func TestMulticastChargesOnce(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 28*time.Millisecond {
 		t.Errorf("non-multicast medium took %v, want >= 3 latency charges", elapsed)
 	}
+}
+
+// TestMulticastCountsCopies: Stats counts the copies the medium
+// carried — one on a medium that multicasts, one per destination on a
+// medium that does not (as tcp's point-to-point fallback counts),
+// summed over the media of a two-level world — and a sub-world counts
+// what its parent does.
+func TestMulticastCountsCopies(t *testing.T) {
+	payload := []byte("four")
+	for _, tc := range []struct {
+		name     string
+		opts     TransportOptions
+		groups   []int // nil: a flat world of 4
+		dsts     []int
+		wantMsgs int64
+	}{
+		{"free network", TransportOptions{}, nil, []int{1, 2, 3}, 1},
+		{"multicast medium", TransportOptions{Model: &Model{Multicast: true}}, nil, []int{1, 2, 3}, 1},
+		{"point-to-point medium", TransportOptions{Model: &Model{}}, nil, []int{1, 2, 3}, 3},
+		// Two intra-group destinations share one multicast; each of the
+		// three across the non-multicast backbone is a copy.
+		{"two-level", TransportOptions{Model: &Model{Multicast: true}, InterModel: &Model{}},
+			[]int{0, 0, 0, 1, 1, 1}, []int{1, 2, 3, 4, 5}, 1 + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts, p := tc.opts, 4
+			if tc.groups != nil {
+				topo, err := NewTopology(tc.groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Topology, p = topo, len(tc.groups)
+			}
+			w := open(t, "inproc", p, opts)
+			if err := w.Comm(0).Multicast(tc.dsts, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+			msgs, bytes := w.Comm(0).Stats()
+			if want := tc.wantMsgs; msgs != want || bytes != want*int64(len(payload)) {
+				t.Errorf("stats = %d msgs / %d bytes, want %d/%d", msgs, bytes, want, want*int64(len(payload)))
+			}
+		})
+	}
+	t.Run("sub-world", func(t *testing.T) {
+		w := open(t, "inproc", 4, TransportOptions{Model: &Model{}})
+		var sub *Comm
+		err := w.SPMD(nil, func(c *Comm) error {
+			if c.Rank() != 0 {
+				return nil
+			}
+			var err error
+			if sub, err = c.Sub([]int{0, 2, 3}); err != nil {
+				return err
+			}
+			return sub.Multicast([]int{1, 2}, 1, payload)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subMsgs, _ := sub.Stats()
+		rootMsgs, _ := w.Comm(0).Stats()
+		if subMsgs != 2 || rootMsgs != 2 {
+			t.Errorf("sub-world multicast to 2 counts %d on the sub-world and %d on the root, want 2 and 2", subMsgs, rootMsgs)
+		}
+	})
 }
 
 func TestBarrier(t *testing.T) {

@@ -6,9 +6,8 @@ import "fmt"
 // two-level structure of a nonuniform computational environment: fast
 // links inside a group (one department's switched LAN, one SMP node),
 // a slow shared link between groups. The partitioner cuts across
-// groups before cutting within them, the balancer aggregates load
-// reports through group leaders, and a transport prices (or routes) a
-// message by whether its endpoints share a group.
+// groups before cutting within them, and a transport prices (or
+// routes) a message by whether its endpoints share a group.
 //
 // A Topology is immutable after construction and safe for concurrent
 // use.
@@ -84,11 +83,6 @@ func (t *Topology) GroupOf(rank int) int { return t.groupOf[rank] }
 // Members returns group g's ranks in ascending order. The slice is
 // shared and must not be modified.
 func (t *Topology) Members(g int) []int { return t.members[g] }
-
-// Leader returns group g's leader: its lowest rank. Leadership must be
-// a pure function of the topology so every rank derives the same
-// leaders without communicating.
-func (t *Topology) Leader(g int) int { return t.members[g][0] }
 
 // SameGroup reports whether two ranks share a group — the predicate
 // that prices a message as intra- or inter-group.

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ func TestTopologyValidation(t *testing.T) {
 	if topo.P() != 5 || topo.Groups() != 2 {
 		t.Fatalf("P=%d Groups=%d, want 5/2", topo.P(), topo.Groups())
 	}
-	if topo.Leader(0) != 1 || topo.Leader(1) != 0 {
-		t.Errorf("leaders = %d,%d, want 1,0 (lowest member rank)", topo.Leader(0), topo.Leader(1))
+	if !slices.Equal(topo.Members(0), []int{1, 3}) || !slices.Equal(topo.Members(1), []int{0, 2, 4}) {
+		t.Errorf("members = %v,%v, want [1 3],[0 2 4]", topo.Members(0), topo.Members(1))
 	}
 	if !topo.SameGroup(0, 2) || topo.SameGroup(0, 1) {
 		t.Error("SameGroup misclassifies")

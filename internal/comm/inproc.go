@@ -136,19 +136,13 @@ func (t *inprocTransport) Send(dst, tag int, data []byte) error {
 // per destination like repeated sends. On a two-level world the
 // destinations split into an intra-group part (priced on this group's
 // fast medium) and an inter-group part (priced on the slow backbone),
-// each honoring its own model's Multicast capability.
-func (t *inprocTransport) Multicast(dsts []int, tag int, data []byte) error {
-	n := len(data)
+// each honoring its own model's Multicast capability. It returns the
+// copies charged, summed over the media.
+func (t *inprocTransport) Multicast(dsts []int, tag int, data []byte) (int, error) {
+	var copies int
 	if t.inter == nil {
 		// One medium — the flat behaviour.
-		w := t.wireFor(t.rank)
-		if t.model == nil || t.model.Multicast {
-			t.transmitOn(t.model, w, n)
-		} else {
-			for range dsts {
-				t.transmitOn(t.model, w, n)
-			}
-		}
+		copies = t.transmitCopies(t.model, t.wireFor(t.rank), len(dsts), len(data))
 	} else {
 		intra, inter := 0, 0
 		for _, d := range dsts {
@@ -159,29 +153,32 @@ func (t *inprocTransport) Multicast(dsts []int, tag int, data []byte) error {
 			}
 		}
 		if intra > 0 {
-			if t.model == nil || t.model.Multicast {
-				intra = 1
-			}
-			w := t.wireFor(t.rank)
-			for i := 0; i < intra; i++ {
-				t.transmitOn(t.model, w, n)
-			}
+			copies += t.transmitCopies(t.model, t.wireFor(t.rank), intra, len(data))
 		}
 		if inter > 0 {
-			if t.inter.Multicast {
-				inter = 1
-			}
-			for i := 0; i < inter; i++ {
-				t.transmitOn(t.inter, t.interWire, n)
-			}
+			copies += t.transmitCopies(t.inter, t.interWire, inter, len(data))
 		}
 	}
 	for _, d := range dsts {
 		if err := t.dispatch(d, tag, data); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return copies, nil
+}
+
+// transmitCopies occupies medium m for an n-byte message to k
+// destinations: once when the medium multicasts (a nil model is free
+// and counts as one copy), once per destination otherwise. It returns
+// the copies charged.
+func (t *inprocTransport) transmitCopies(m *Model, w *sync.Mutex, k, n int) int {
+	if m == nil || m.Multicast {
+		k = 1
+	}
+	for range k {
+		t.transmitOn(m, w, n)
+	}
+	return k
 }
 
 // TransportStats reports no counters: shared memory has no wire.

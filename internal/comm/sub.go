@@ -190,12 +190,14 @@ func (t *subTransport) translateMask(mask []bool) []bool {
 	return t.scratch
 }
 
-func (t *subTransport) Multicast(dsts []int, tag int, data []byte) error {
+// Multicast passes the parent's copy count through, so the sub-world
+// and the parent count the same messages.
+func (t *subTransport) Multicast(dsts []int, tag int, data []byte) (int, error) {
 	t.dstScratch = t.dstScratch[:0]
 	for _, d := range dsts {
 		t.dstScratch = append(t.dstScratch, t.toWorld[d])
 	}
-	return t.parent.Multicast(t.dstScratch, tag, data)
+	return t.parent.multicast(t.dstScratch, tag, data)
 }
 
 func (t *subTransport) box() *mailbox { return t.parent.tr.box() }

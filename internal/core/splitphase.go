@@ -50,7 +50,7 @@ import (
 const (
 	// tagOpBase is the first of the tagOpWindow rotating wire tags
 	// Start handles send on (distinct from every fixed tag range:
-	// inspector 0x1xx, runtime 0x2xx, loadbal 0x4xx, session 0x5xx,
+	// inspector 0x1xx, runtime 0x2xx, session 0x5xx,
 	// elastic 0x6xx).
 	tagOpBase   = 0x1000
 	tagOpWindow = 64

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"stance/internal/comm"
 	"stance/internal/partition"
 )
 
@@ -28,7 +27,7 @@ import (
 // rank 0's verdicts down to the members and to parked ranks. The two
 // directions never share a (source, destination) pair, so one tag
 // keeps them apart. It sits in the session's 0x5xx block (core uses
-// 0x2xx, loadbal 0x4xx, elastic 0x6xx, ckpt 0x7xx).
+// 0x2xx, elastic 0x6xx, ckpt 0x7xx).
 const Tag = 0x501
 
 // Verdict opcodes: the first value of every verdict.
@@ -178,8 +177,8 @@ func (r *reader) done() error {
 // Report is one member's message to rank 0 at a boundary: the
 // boundary iteration, which is also its liveness proof under a
 // checkpoint deadline, its measured compute seconds per data item, and
-// its last inspector time in seconds, so that every rank prices a
-// schedule rebuild alike.
+// its last inspector time in seconds, so that rank 0 prices a remap's
+// schedule rebuild with the world's slowest.
 type Report struct {
 	Iter            int
 	Rate, Inspector float64
@@ -216,16 +215,6 @@ func DecodeReports(reports [][]byte, iter int) (rates []float64, inspector float
 		rates[q], inspector = rep.Rate, max(inspector, rep.Inspector)
 	}
 	return rates, inspector, nil
-}
-
-// Sections decodes a packed vector of n payloads (comm.EncodeSections)
-// into one fresh copy, so the caller may release packed at once.
-func Sections(packed []byte, n int) ([][]byte, error) {
-	vec, err := comm.DecodeSections(append([]byte(nil), packed...))
-	if err == nil && len(vec) != n {
-		err = fmt.Errorf("ctl: vector carries %d payloads for %d ranks", len(vec), n)
-	}
-	return vec, err
 }
 
 // Decision is the balance controller's verdict: whether to remap, the
@@ -265,7 +254,7 @@ type Recovery struct {
 // Verdict is rank 0's one answer at a boundary, in the order it ranks
 // the outcomes: abort (Dead non-nil: the failure is unrecoverable),
 // else Recovery, else an Epoch proposal, else continue — carrying the
-// balance Decision when a centralized check ran. RunEnd, sent to
+// balance Decision when a balance check ran. RunEnd, sent to
 // parked ranks only, ends their Run.
 type Verdict struct {
 	Dead     []int

@@ -275,33 +275,32 @@ func allocated(f func()) uint64 {
 // itself and holds k slice headers and rates), plus room for an error.
 func allocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }
 
-// FuzzLoadReports feeds a leader's packed world vector of boundary
-// reports through the world-vector decode and then the report decode:
-// neither panics, the two allocate O(n) for an n-byte payload, and
-// reports they accept re-encode to reports that decode the same. Run
-// under `go test -fuzz=FuzzLoadReports ./internal/ctl`.
+// FuzzLoadReports feeds the reports rank 0 collects at a boundary
+// through DecodeReports: data is cut into n equal payloads, one per
+// member. The decode never panics, allocates O(n) for an n-byte
+// vector, and reports it accepts re-encode to reports that decode the
+// same. Run under `go test -fuzz=FuzzLoadReports ./internal/ctl`.
 func FuzzLoadReports(f *testing.F) {
-	good := [][]byte{
+	good := slices.Concat(
 		EncodeReport(Report{Iter: 20, Rate: 1e-6, Inspector: 0.5}),
 		EncodeReport(Report{Iter: 20, Rate: 2e-6}),
 		EncodeReport(Report{Iter: 20}),
-	}
-	f.Add(comm.EncodeSections(good), uint8(3), uint16(20))
-	f.Add(comm.EncodeSections(good), uint8(2), uint16(20))
-	f.Add(comm.EncodeSections(good), uint8(3), uint16(10))
-	f.Add(comm.EncodeSections([][]byte{f64s(1, math.NaN(), 0), f64s(1.5, 1, 0)}), uint8(2), uint16(1))
-	f.Add(comm.EncodeSections([][]byte{f64s(1, 1)}), uint8(1), uint16(1))
+	)
+	f.Add(good, uint8(3), uint16(20))
+	f.Add(good, uint8(2), uint16(20))
+	f.Add(good, uint8(3), uint16(10))
+	f.Add(slices.Concat(f64s(1, math.NaN(), 0), f64s(1.5, 1, 0)), uint8(2), uint16(1))
+	f.Add(f64s(1, 1), uint8(1), uint16(1))
 	f.Add([]byte{255, 255, 255, 255}, uint8(255), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8, iter uint16) {
-		var vec [][]byte
+		vec := make([][]byte, n)
+		for q := range vec {
+			vec[q] = data[q*len(data)/len(vec) : (q+1)*len(data)/len(vec)]
+		}
 		var rates []float64
 		var inspector float64
 		var err error
-		if got := allocated(func() {
-			if vec, err = Sections(data, int(n)); err == nil {
-				rates, inspector, err = DecodeReports(vec, int(iter))
-			}
-		}); got > allocBound(len(data)) {
+		if got := allocated(func() { rates, inspector, err = DecodeReports(vec, int(iter)) }); got > allocBound(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {
@@ -319,11 +318,7 @@ func FuzzLoadReports(f *testing.F) {
 				t.Fatalf("report %d round trip: %+v became (%+v, %v)", q, rep, back, err)
 			}
 		}
-		vec2, err := Sections(comm.EncodeSections(again), int(n))
-		if err != nil {
-			t.Fatalf("re-encoded vector does not decode: %v", err)
-		}
-		rates2, inspector2, err := DecodeReports(vec2, int(iter))
+		rates2, inspector2, err := DecodeReports(again, int(iter))
 		if err != nil || !reflect.DeepEqual(rates2, rates) || inspector2 != inspector {
 			t.Fatalf("round trip changed the reports: rates %v -> %v, inspector %g -> %g (%v)",
 				rates, rates2, inspector, inspector2, err)

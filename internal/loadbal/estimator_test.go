@@ -100,65 +100,6 @@ func TestEstimatorWindowCap(t *testing.T) {
 	}
 }
 
-// TestDecentralizedMatchesCentralized runs the same imbalanced
-// scenario under both strategies; both must remap and agree on the
-// weights, and in decentralized mode all ranks decide identically
-// without a controller broadcast.
-func TestDecentralizedMatchesCentralized(t *testing.T) {
-	g := testMesh(t)
-	env := hetero.PaperAdaptive(3, 3)
-	run := func(decentralized bool) []Decision {
-		decisions := make([]Decision, 3)
-		simSPMD(t, 3, func(c *comm.Comm) error {
-			rt, err := core.New(c, g, core.Config{})
-			if err != nil {
-				return err
-			}
-			s, err := virtualSolver(rt, env, 2)
-			if err != nil {
-				return err
-			}
-			b, err := New(rt, Config{Horizon: 100, Decentralized: decentralized})
-			if err != nil {
-				return err
-			}
-			if err := s.Run(8, nil); err != nil {
-				return err
-			}
-			tm := s.TakeTimings()
-			d, err := b.Check(Report{RatePerItem: tm.RatePerItem(), Items: tm.Items})
-			if err != nil {
-				return err
-			}
-			decisions[c.Rank()] = d
-			return nil
-		})
-		return decisions
-	}
-	central := run(false)
-	decentral := run(true)
-	for rank := 0; rank < 3; rank++ {
-		if !central[rank].Remapped {
-			t.Fatalf("centralized rank %d did not remap", rank)
-		}
-		if !decentral[rank].Remapped {
-			t.Fatalf("decentralized rank %d did not remap", rank)
-		}
-	}
-	// Decentralized ranks must agree exactly among themselves.
-	for rank := 1; rank < 3; rank++ {
-		if decentral[rank].PredictedCurrent != decentral[0].PredictedCurrent ||
-			decentral[rank].PredictedNew != decentral[0].PredictedNew {
-			t.Fatalf("decentralized ranks disagree: %+v vs %+v", decentral[rank], decentral[0])
-		}
-		for i := range decentral[rank].NewWeights {
-			if decentral[rank].NewWeights[i] != decentral[0].NewWeights[i] {
-				t.Fatalf("decentralized weights disagree at rank %d", rank)
-			}
-		}
-	}
-}
-
 // TestEstimatorDampensTransientLoad shows the EWMA extension doing its
 // job end to end: a load that vanished before the check no longer
 // dominates the estimate the way the last window would.

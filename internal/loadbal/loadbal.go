@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"stance/internal/comm"
 	"stance/internal/core"
 	"stance/internal/ctl"
 	"stance/internal/partition"
@@ -36,21 +35,6 @@ type Config struct {
 	// history (nil: the paper's last-window behaviour). See
 	// EstimatorKind for the policies.
 	Estimator *Estimator
-	// Decentralized replaces the centralized controller with the
-	// paper's envisioned distributed strategy: rates travel by
-	// all-gather and every rank computes the (identical) decision
-	// itself, removing the controller bottleneck at the price of p
-	// concurrent reductions.
-	Decentralized bool
-	// Topology routes the decentralized report exchange through group
-	// leaders on a two-level world: members report to their group
-	// leader over the fast links, only leaders exchange across the slow
-	// inter-group link — G·(G−1) slow-link messages per check instead
-	// of O(P) — and leaders multicast the assembled vector back down.
-	// Every rank still sees the identical report vector, so decisions
-	// are bit-exact against the flat exchange. nil keeps the flat
-	// all-gather; ignored in centralized mode.
-	Topology *comm.Topology
 }
 
 // Report is one rank's load report: the boundary iteration, which
@@ -118,63 +102,44 @@ func (b *Balancer) Reset() {
 }
 
 // Check is the collective load-balance check, composed of the steps
-// the session's boundary round runs: every rank reports, Decide, then
-// Apply on every rank. In the paper's centralized mode the reports go
-// to rank 0 (ctl.Tag), which decides and answers with a continue
-// verdict carrying the decision; in decentralized mode they travel by
-// all-gather (through group leaders on a two-level world) and every
-// rank computes the identical decision itself. The caller supplies the
-// window measurement (typically solver.Timings since the last check).
+// the session's boundary round runs: every rank reports to rank 0
+// (ctl.Tag), rank 0 runs Decide and answers with a continue verdict
+// carrying the decision, then Apply on every rank. The caller supplies
+// the window measurement (typically solver.Timings since the last
+// check).
 func (b *Balancer) Check(rep Report) (Decision, error) {
 	c := b.rt.Comm()
 	start := b.rt.Clock().Now()
 	// The report carries the rank's last inspector time alongside the
-	// measurement: the schedule-rebuild estimate must be identical on
-	// every rank, or (in decentralized mode) a borderline decision
-	// could diverge and strand some ranks in the remap collective.
+	// measurement: rank 0 prices the schedule rebuild with the world's
+	// slowest.
 	payload := ctl.EncodeReport(ctl.Report{
 		Iter: rep.Iter, Rate: rep.RatePerItem, Inspector: b.rt.LastInspectorTime().Seconds(),
 	})
-	var reports [][]byte
-	var err error
-	switch {
-	case !b.cfg.Decentralized:
-		reports, err = c.Gather(0, ctl.Tag, payload)
-	case b.cfg.Topology != nil:
-		reports, err = leaderAllGather(c, b.cfg.Topology, payload)
-	default:
-		reports, err = c.AllGather(ctl.Tag, payload)
-	}
+	reports, err := c.Gather(0, ctl.Tag, payload)
 	if err != nil {
 		return Decision{}, err
 	}
-	// Decentralized, every rank computes the same pure-float decision
-	// from the same gathered inputs, so no broadcast is needed.
-	verdict := &ctl.Decision{}
-	if b.cfg.Decentralized || c.Rank() == 0 {
+	var packed []byte
+	if c.Rank() == 0 {
 		rates, inspector, err := ctl.DecodeReports(reports, rep.Iter)
 		if err != nil {
 			return Decision{}, err
 		}
-		if *verdict, err = b.Decide(rates, inspector); err != nil {
-			return Decision{}, err
-		}
-	}
-	if !b.cfg.Decentralized {
-		var packed []byte
-		if c.Rank() == 0 {
-			packed = ctl.EncodeVerdict(ctl.Verdict{Decision: verdict})
-		}
-		if packed, err = c.Bcast(0, ctl.Tag, packed); err != nil {
-			return Decision{}, err
-		}
-		v, err := ctl.DecodeVerdict(packed, c.Size())
+		d, err := b.Decide(rates, inspector)
 		if err != nil {
 			return Decision{}, err
 		}
-		verdict = v.Decision
+		packed = ctl.EncodeVerdict(ctl.Verdict{Decision: &d})
 	}
-	return b.Apply(verdict, start)
+	if packed, err = c.Bcast(0, ctl.Tag, packed); err != nil {
+		return Decision{}, err
+	}
+	v, err := ctl.DecodeVerdict(packed, c.Size())
+	if err != nil {
+		return Decision{}, err
+	}
+	return b.Apply(v.Decision, start)
 }
 
 // Apply is every rank's remap step on the controller's decision: it
@@ -204,14 +169,13 @@ func (b *Balancer) Apply(v *ctl.Decision, start time.Time) (Decision, error) {
 	return d, nil
 }
 
-// Decide runs on the controller (or on every rank when
-// decentralized): estimate capabilities from measured rates, indexed by
-// rank, predict the next phase under current and proposed layouts,
-// price the redistribution, and compare. inspector is the gathered
-// worst-case schedule-rebuild time — deliberately not this rank's own,
-// so every rank prices the remap identically. A remap decision carries
+// Decide runs on the controller, rank 0: estimate capabilities from
+// measured rates, indexed by rank, predict the next phase under
+// current and proposed layouts, price the redistribution, and compare.
+// inspector is the gathered worst-case schedule-rebuild time, the
+// world's slowest rather than rank 0's own. A remap decision carries
 // its layout (Runtime.ChooseLayout), so the arrangement search runs
-// where Decide does: once per world unless decentralized.
+// once per world, where Decide does.
 func (b *Balancer) Decide(rates []float64, inspector float64) (ctl.Decision, error) {
 	if b.cfg.Estimator != nil {
 		b.cfg.Estimator.Observe(rates)

@@ -2,6 +2,7 @@ package loadbal
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,6 +94,68 @@ func runScenario(t *testing.T, env *hetero.Env, cfg Config, warmup int) ([]Decis
 		return nil
 	})
 	return decisions, sizes
+}
+
+func decisionsEqual(a, b Decision) error {
+	if a.Remapped != b.Remapped {
+		return fmt.Errorf("Remapped %v vs %v", a.Remapped, b.Remapped)
+	}
+	if a.PredictedCurrent != b.PredictedCurrent || a.PredictedNew != b.PredictedNew ||
+		a.EstimatedRemapCost != b.EstimatedRemapCost {
+		return fmt.Errorf("predictions (%g,%g,%g) vs (%g,%g,%g)",
+			a.PredictedCurrent, a.PredictedNew, a.EstimatedRemapCost,
+			b.PredictedCurrent, b.PredictedNew, b.EstimatedRemapCost)
+	}
+	if !slices.Equal(a.NewWeights, b.NewWeights) {
+		return fmt.Errorf("weights %v vs %v", a.NewWeights, b.NewWeights)
+	}
+	return nil
+}
+
+// TestExchangeModesBitExact: rank 0's verdict is the only decision, so
+// under heterogeneous speeds every rank holds the identical decision —
+// same remap verdict, same weights, same predictions — and the
+// identical resulting layout.
+func TestExchangeModesBitExact(t *testing.T) {
+	g := testMesh(t)
+	const p = 4
+	decisions := make([]Decision, p)
+	sizes := make([][]int64, p)
+	simSPMD(t, p, func(c *comm.Comm) error {
+		rt, err := core.New(c, g, core.Config{Order: order.RCB})
+		if err != nil {
+			return err
+		}
+		b, err := New(rt, Config{})
+		if err != nil {
+			return err
+		}
+		// Rank r runs (r+1)× slower than rank 0 — the heterogeneous
+		// speeds of the paper's Table 4 environments.
+		d, err := b.Check(Report{
+			RatePerItem: float64(c.Rank()+1) * 1e-6,
+			Items:       rt.Layout().Size(c.Rank()),
+		})
+		if err != nil {
+			return err
+		}
+		decisions[c.Rank()] = d
+		for q := range p {
+			sizes[c.Rank()] = append(sizes[c.Rank()], rt.Layout().Size(q))
+		}
+		return nil
+	})
+	if !decisions[0].Remapped {
+		t.Error("heterogeneous speeds should have triggered a remap in this scenario")
+	}
+	for r := 1; r < p; r++ {
+		if err := decisionsEqual(decisions[0], decisions[r]); err != nil {
+			t.Errorf("rank %d decision diverges from rank 0: %v", r, err)
+		}
+		if !slices.Equal(sizes[0], sizes[r]) {
+			t.Errorf("rank %d holds layout sizes %v, rank 0 %v", r, sizes[r], sizes[0])
+		}
+	}
 }
 
 func TestImbalanceTriggersRemap(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"stance/internal/comm"
 	"stance/internal/ctl"
 	"stance/internal/elastic"
-	"stance/internal/loadbal"
 	"stance/internal/partition"
 	"stance/internal/solver"
 )
@@ -19,22 +18,20 @@ import (
 // round is an active rank's share of one boundary at iteration iter, on
 // the window tm: the paper's controller round (Section 3.5), then the
 // checkpoint take. Every member sends rank 0 one ctl.Report when
-// checkpoints or a centralized balancer are on, and rank 0 answers with
-// one ctl.Verdict when checkpoints, elastic membership or a centralized
-// balancer are on, choosing in the order it ranks the outcomes: abort
-// or recovery if a member missed its deadline, else an epoch proposal
-// if the desired active set changed, else continue with the
-// centralized balance decision. A fixed session with none of these
-// sends nothing. The decentralized check runs after the verdict, and
-// the checkpoint is taken last, so the snapshot matches the layout the
-// next segment runs on (a check may remap). A recovery or a transition
-// ends the boundary: each re-cut, reset the balancer and took the
-// checkpoint itself. full=false is a Run start with nothing deferred:
-// the checkpoint round and take only. The caller must have drained the
-// pipeline and recorded the solver's timings first (a dying rank's last
-// segment must still be accounted). It reports whether this rank's
-// injected kill fired: the rank must then return from the SPMD body at
-// once and silently.
+// checkpoints or a balancer are on, and rank 0 answers with one
+// ctl.Verdict when checkpoints, elastic membership or a balancer are
+// on, choosing in the order it ranks the outcomes: abort or recovery if
+// a member missed its deadline, else an epoch proposal if the desired
+// active set changed, else continue with the balance decision. A fixed
+// session with none of these sends nothing. The checkpoint is taken
+// last, so the snapshot matches the layout the next segment runs on (a
+// check may remap). A recovery or a transition ends the boundary: each
+// re-cut, reset the balancer and took the checkpoint itself. full=false
+// is a Run start with nothing deferred: the checkpoint round and take
+// only. The caller must have drained the pipeline and recorded the
+// solver's timings first (a dying rank's last segment must still be
+// accounted). It reports whether this rank's injected kill fired: the
+// rank must then return from the SPMD body at once and silently.
 func (s *Session) round(c *comm.Comm, rep *RunReport, iter int, tm solver.Timings, full bool) (died bool, err error) {
 	me := c.Rank()
 	rk := s.ranks[me]
@@ -45,14 +42,14 @@ func (s *Session) round(c *comm.Comm, rep *RunReport, iter int, tm solver.Timing
 		return true, nil
 	}
 	start := s.clock.Now()
-	central := full && rk.bal != nil && !s.cfg.Balancer.Decentralized
-	reports := s.ckptOn() || central
+	balance := full && rk.bal != nil
+	reports := s.ckptOn() || balance
 	var v ctl.Verdict
 	var detect time.Duration
 	switch {
 	case !reports && !(full && s.elastic):
 	case me == 0:
-		v, detect, err = s.coordinate(c, iter, tm, full, central)
+		v, detect, err = s.coordinate(c, iter, tm, full, balance)
 	default:
 		v, err = s.await(c, iter, tm, reports)
 	}
@@ -69,13 +66,8 @@ func (s *Session) round(c *comm.Comm, rep *RunReport, iter int, tm solver.Timing
 	case v.RunEnd:
 		return false, fmt.Errorf("session: active rank %d got a run-end verdict at iteration %d", me, iter)
 	}
-	if full && rk.bal != nil {
-		var d loadbal.Decision
-		if central {
-			d, err = rk.bal.Apply(v.Decision, start)
-		} else {
-			d, err = rk.bal.Check(loadbal.Report{Iter: iter, RatePerItem: tm.RatePerItem(), Items: tm.Items})
-		}
+	if balance {
+		d, err := rk.bal.Apply(v.Decision, start)
 		if err != nil {
 			return false, err
 		}
@@ -100,19 +92,19 @@ func (s *Session) report(rk *rankState, iter int, tm solver.Timings) []byte {
 }
 
 // coordinate is rank 0's side of the round. With checkpoints or a
-// centralized balancer on it first receives one report per member —
-// under DetectTimeout each with checkpoints, continuing past misses so
-// one dead rank cannot mask another. It then chooses the verdict, sends
+// balancer on it first receives one report per member — under
+// DetectTimeout each with checkpoints, continuing past misses so one
+// dead rank cannot mask another. It then chooses the verdict, sends
 // it to the members (and an admission's same bytes to the admitted
 // parked ranks), and returns it with the time collection took, a
 // recovery's detection latency.
-func (s *Session) coordinate(c *comm.Comm, iter int, tm solver.Timings, full, central bool) (ctl.Verdict, time.Duration, error) {
+func (s *Session) coordinate(c *comm.Comm, iter int, tm solver.Timings, full, balance bool) (ctl.Verdict, time.Duration, error) {
 	rk := s.ranks[0]
 	cur := s.ctls[0].Membership()
 	var v ctl.Verdict
 	t0 := s.clock.Now()
 	var reports [][]byte
-	if s.ckptOn() || central {
+	if s.ckptOn() || balance {
 		reports = make([][]byte, len(cur.Active))
 		reports[0] = s.report(rk, iter, tm)
 		for i, r := range cur.Active[1:] {
@@ -159,7 +151,7 @@ func (s *Session) coordinate(c *comm.Comm, iter int, tm solver.Timings, full, ce
 			return v, 0, err
 		}
 	}
-	if v.Epoch == nil && central {
+	if v.Epoch == nil && balance {
 		d, err := rk.bal.Decide(rates, inspector)
 		if err != nil {
 			return v, 0, err

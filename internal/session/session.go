@@ -16,9 +16,8 @@
 // There is one driver. Every session gives every rank a membership
 // controller and runs the same loop; at a check boundary the steps are
 // always round → take: one control round to rank 0 and back (reports
-// in when Checkpoint or a centralized Balancer is on, one verdict out
-// when Checkpoint, Elastic or outages, or a centralized Balancer is
-// on), then the checkpoint (Checkpoint). A fixed-membership session is
+// in when Checkpoint or a Balancer is on, one verdict out when
+// Checkpoint, Elastic or outages, or a Balancer is on), then the checkpoint (Checkpoint). A fixed-membership session is
 // the same loop with the round off: every rank stays active, the
 // runtimes bind on the world endpoints themselves, and a boundary
 // without a balancer sends nothing.
@@ -75,21 +74,16 @@ type Config struct {
 	// whole session in deterministic virtual time (in-process transport
 	// only). A topology (the paper's nonuniform network: node groups
 	// joined by a slower link priced by InterModel) also drives the
-	// hierarchy-aware cut and the decentralized balancer's leader
-	// exchange; it must cover exactly Procs ranks.
+	// hierarchy-aware cut; it must cover exactly Procs ranks.
 	Net comm.TransportOptions
 	// Groups is the convenience form of Net.Topology: split the Procs
 	// ranks into this many contiguous, near-equal node groups. 0 means
 	// flat; cannot be combined with an explicit Net.Topology.
 	Groups int
-	// FlatCut keeps hierarchical pricing and leader-aggregated checks
-	// but cuts the partition flat, ignoring group boundaries — the
-	// control arm for measuring what the hierarchy-aware cut is worth.
+	// FlatCut keeps hierarchical pricing but cuts the partition flat,
+	// ignoring group boundaries — the control arm for measuring what
+	// the hierarchy-aware cut is worth.
 	FlatCut bool
-	// FlatReports keeps the hierarchy-aware cut but exchanges balance
-	// reports by flat all-gather instead of through group leaders — the
-	// control arm for measuring the leader aggregation.
-	FlatReports bool
 	// ComputeCost, when positive, virtualizes the solver's compute:
 	// each element charges ComputeCost × WorkRep × WorkFactor to the
 	// clock per iteration instead of spinning the kernel that many
@@ -516,11 +510,6 @@ func (s *Session) newSolver(rt *core.Runtime) (*solver.Solver, error) {
 // a prototype, or the ranks would race on it.
 func (s *Session) newBalancer(rt *core.Runtime) (*loadbal.Balancer, error) {
 	bc := *s.cfg.Balancer
-	if bc.Decentralized && bc.Topology == nil && !s.cfg.FlatReports {
-		// On a two-level world the decentralized check routes through
-		// group leaders by default; FlatReports is the explicit opt-out.
-		bc.Topology = s.cfg.Net.Topology
-	}
 	bc.Estimator = bc.Estimator.Clone()
 	return loadbal.New(rt, bc)
 }

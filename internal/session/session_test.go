@@ -316,8 +316,8 @@ func TestSessionClose(t *testing.T) {
 }
 
 // TestSessionClonesEstimator: the configured estimator is a prototype;
-// each rank's balancer must get its own copy or decentralized checks
-// race on the shared history (caught by -race) and can diverge.
+// each rank's balancer gets its own copy, so the history rank 0's
+// checks observe never lands in the caller's estimator.
 func TestSessionClonesEstimator(t *testing.T) {
 	g, err := mesh.Honeycomb(20, 30)
 	if err != nil {
@@ -332,7 +332,7 @@ func TestSessionClonesEstimator(t *testing.T) {
 		Order:      order.RCB,
 		Env:        hetero.PaperAdaptive(3, 2),
 		WorkRep:    2,
-		Balancer:   &loadbal.Config{Estimator: est, Decentralized: true},
+		Balancer:   &loadbal.Config{Estimator: est},
 		CheckEvery: 3,
 	})
 	if err != nil {
@@ -463,13 +463,11 @@ func TestRunReportsExecutorTraffic(t *testing.T) {
 // previous Run's last iteration). A fixed session without a balancer
 // sends nothing of its own: the Run is one SPMD section, which the
 // join orders. Otherwise a boundary is one control round — a report
-// from each of the p−1 members when checkpoints or a centralized
-// balancer are on, one verdict multicast when anything is on — plus
-// the decentralized all-gather (p−1 reports in, one multicast out) and
+// from each of the p−1 members when checkpoints or a balancer are on, one verdict multicast when anything is on — plus
 // the checkpoint's buddy ring (p messages). On a uniform world under
 // the simulated clock no check remaps, so nothing else moves. The
 // loaded row does remap: a competing load on rank 1 over iterations
-// 120–400 makes the centralized balancer move data when it starts,
+// 120–400 makes the balancer move data when it starts,
 // inside Run(100), and back when it ends, inside Run(1000). Its counts (control round plus remap
 // transfers) are pinned as they stood while every member still ran
 // the arrangement search itself, so shipping the chosen layout in the
@@ -494,7 +492,7 @@ func TestDriverTraffic(t *testing.T) {
 		}
 	}
 	ck := &ckpt.Config{DetectTimeout: time.Second}
-	central, decentral := &loadbal.Config{}, &loadbal.Config{Decentralized: true}
+	central := &loadbal.Config{}
 	loaded := hetero.Uniform(p)
 	loaded.Loads = []hetero.Load{{Rank: 1, Factor: 3, FromIter: 120, UntilIter: 400}}
 	for _, tc := range []struct {
@@ -507,7 +505,6 @@ func TestDriverTraffic(t *testing.T) {
 		{"elastic", Config{Elastic: true}, 1, nil},
 		{"checkpoint", Config{Checkpoint: ck}, p - 1 + 1 + p, nil},
 		{"centralized", Config{Balancer: central}, p - 1 + 1, nil},
-		{"decentralized", Config{Balancer: decentral}, p - 1 + 1, nil},
 		{"all three", Config{Elastic: true, Checkpoint: ck, Balancer: central}, p - 1 + 1 + p, nil},
 		{"loaded centralized", Config{Balancer: central, Env: loaded}, p - 1 + 1, []int64{43, 403}},
 	} {

@@ -255,7 +255,11 @@ func TestTCPRejectsSimClock(t *testing.T) {
 // and 200 µs of modeled latency on the critical path each. Wall and
 // Bytes moved once more when a remap verdict began carrying its
 // layout: 72 bytes (2p+1 values) per remap, whose multicast to the
-// three members charges rank 0 3 × 57.6 µs of modeled bandwidth.
+// three members charges rank 0 3 × 57.6 µs of modeled bandwidth. Msgs
+// and Bytes moved once more when a multicast began counting the copies
+// its medium carries: the model does not multicast, so each of the 3
+// remap verdicts (136 bytes) counts 3 copies, not 1 — 6 messages and
+// 816 bytes more, at the same Wall.
 func TestVirtualReportIgnoresRowOrder(t *testing.T) {
 	g, err := mesh.GridTriangulated(60, 60, 0.2, 1)
 	if err != nil {
@@ -270,12 +274,12 @@ func TestVirtualReportIgnoresRowOrder(t *testing.T) {
 		compute     [4]time.Duration
 		depths      [3]pin
 	}{
-		1: {362, 112968, [4]time.Duration{112665000, 92400000, 97987500, 80236200}, [3]pin{
+		1: {368, 113784, [4]time.Duration{112665000, 92400000, 97987500, 80236200}, [3]pin{
 			{163254550, [4]time.Duration{41673150, 61529550, 54554300, 69714050}},
 			{162451300, [4]time.Duration{35529250, 52915250, 51080850, 62737650}},
 			{162451300, [4]time.Duration{35529250, 52915250, 51080850, 62737650}},
 		}},
-		2: {712, 225312, [4]time.Duration{225330000, 184800000, 195975000, 160472400}, [3]pin{
+		2: {718, 226128, [4]time.Duration{225330000, 184800000, 195975000, 160472400}, [3]pin{
 			{324486650, [4]time.Duration{85997850, 127120050, 110439700, 143350750}},
 			{323489000, [4]time.Duration{76248600, 112183500, 104731450, 128666300}},
 			{323489000, [4]time.Duration{72898300, 106825100, 102046850, 125947400}},

@@ -194,10 +194,10 @@ func Generate(seed int64) (*Scenario, error) {
 
 	// Balancer: present most of the time — forced remaps are the point.
 	if rng.Intn(4) != 3 {
-		bal := &loadbal.Config{
-			Decentralized: rng.Intn(3) == 0,
-			SafetyFactor:  1,
-		}
+		// A draw nothing reads (it once chose a decentralized balancer),
+		// kept like the three above so later draws do not shift.
+		_ = rng.Intn(3)
+		bal := &loadbal.Config{SafetyFactor: 1}
 		if rng.Intn(2) == 0 {
 			bal.CostModel = redist.CostModel{PerMessage: 1e-4, PerByte: 1e-8}
 		}
@@ -299,9 +299,8 @@ func Generate(seed int64) (*Scenario, error) {
 	// Two-level worlds (the paper's nonuniform network): about a third
 	// of the multi-rank seeds group the ranks over a slower inter-group
 	// link. The hierarchy composes with everything above — elastic
-	// churn falls back to flat cuts on partial active sets, the
-	// decentralized balancer routes reports through group leaders, and
-	// the bit-equality invariant must hold regardless. These draws come
+	// churn falls back to flat cuts on partial active sets, and the
+	// bit-equality invariant must hold regardless. These draws come
 	// last so older seeds keep their pre-hierarchy scenarios.
 	if procs > 1 && rng.Intn(3) == 0 {
 		topo, err := comm.ContiguousGroups(procs, 2)
@@ -315,7 +314,7 @@ func Generate(seed int64) (*Scenario, error) {
 			Multicast: rng.Intn(2) == 0,
 		}
 		cfg.FlatCut = rng.Intn(4) == 0
-		cfg.FlatReports = rng.Intn(4) == 0
+		_ = rng.Intn(4) // unread: it once chose flat balance reports
 		sc.Hierarchical = true
 		sc.Groups = topo.GroupOfSlice()
 		sc.FlatCut = cfg.FlatCut

@@ -145,10 +145,10 @@ func WithTransportTuning(o TransportOptions) Option {
 // hierarchy-aware layer engages: the transport prices and counts
 // inter-group traffic separately (RunReport.InterMsgs/InterBytes), the
 // partitioner cuts across group boundaries first and refines them to
-// minimize slow-link traffic, and a decentralized balancer exchanges
-// reports through group leaders — O(groups) slow-link messages per
-// check instead of O(P). Combine with WithInterModel to make the
-// inter-group link actually slower:
+// minimize slow-link traffic. A balance check's round crosses the slow
+// link 2·(P − P/G) times: each far-group report in to rank 0, and the
+// verdict back out to each far-group member. Combine with
+// WithInterModel to make the inter-group link actually slower:
 //
 //	s, err := stance.NewSession(ctx, g, 8,
 //	    stance.WithGroups(2),
