@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -19,8 +20,14 @@ import (
 // iterations between boundaries must stay as allocation-free as the
 // plain replay path, and the boundaries themselves must reuse the
 // store's persistent encode/mirror buffers rather than allocate per
-// take. The bound is per-iteration averaged across the whole run —
-// gates, takes and all — so either regression trips it.
+// take. The objects bound is per-iteration averaged across the whole
+// run — gates, takes and all — so either regression trips it. An
+// object count cannot see a take that allocated a fresh snapshot
+// buffer at every boundary, one object each time, so the bytes
+// allocated per check boundary, across all three ranks, must also stay
+// below one rank's encoded snapshot: the own snapshot and the mirror
+// both live in reused buffers (about 860 bytes against the smallest
+// rank's 1.6 kB, measured).
 func TestCheckpointSteadyAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector; CI runs this in a no-race step")
@@ -29,11 +36,12 @@ func TestCheckpointSteadyAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const checkEvery = 10
 	s, err := session.New(context.Background(), g, session.Config{
 		Procs:       3,
 		Net:         comm.TransportOptions{Clock: vtime.NewSim()},
 		OrderName:   "rcb",
-		CheckEvery:  10,
+		CheckEvery:  checkEvery,
 		ComputeCost: time.Microsecond,
 		Checkpoint:  &ckpt.Config{DetectTimeout: time.Second},
 	})
@@ -52,9 +60,19 @@ func TestCheckpointSteadyAlloc(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perIter := (m1.Mallocs - m0.Mallocs) / iters
-	t.Logf("checkpointed steady state: %d allocs/iteration across 3 ranks", perIter)
+	perBoundary := (m1.TotalAlloc - m0.TotalAlloc) / (iters / checkEvery)
+	snap := uint64(math.MaxUint64)
+	for r := 0; r < 3; r++ {
+		snap = min(snap, uint64(ckpt.EncodedLen(1, s.Runtime(r).GlobalInterval().Len())))
+	}
+	t.Logf("checkpointed steady state: %d allocs/iteration, %d bytes/boundary across 3 ranks (smallest snapshot %d bytes)",
+		perIter, perBoundary, snap)
 	if perIter > 150 {
 		t.Errorf("checkpointed steady state allocates %d objects/iteration; takes must reuse the store's persistent buffers", perIter)
+	}
+	if perBoundary >= snap {
+		t.Errorf("checkpointed steady state allocates %d bytes per check boundary, at least one %d-byte snapshot; takes must reuse the store's snapshot and mirror buffers",
+			perBoundary, snap)
 	}
 }
 

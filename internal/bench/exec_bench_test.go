@@ -28,6 +28,12 @@ type execHarness struct {
 
 func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
 	b.Helper()
+	return newExecHarnessOn(b, p, nvecs, comm.TransportOptions{})
+}
+
+// newExecHarnessOn is newExecHarness on a world opened with opts.
+func newExecHarnessOn(b *testing.B, p, nvecs int, opts comm.TransportOptions) *execHarness {
+	b.Helper()
 	// The 60×100 honeycomb, and at p = 64 the 150×150 triangulated grid
 	// of the scale-p64 workload: about 85 ghosts from six peers a rank,
 	// where the mailbox's fan-in is the cost.
@@ -38,7 +44,7 @@ func newExecHarness(b *testing.B, p, nvecs int) *execHarness {
 	if err != nil {
 		b.Fatal(err)
 	}
-	world, err := comm.Open("inproc", p, comm.TransportOptions{})
+	world, err := comm.Open("inproc", p, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

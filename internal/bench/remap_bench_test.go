@@ -4,8 +4,11 @@ package bench
 // transition pays — choose/receive the new layout, build the transfer
 // plan, move every registered vector's owned section, and rebuild the
 // schedule. BenchmarkRemap alternates between two capability vectors
-// so every iteration really moves data (the layouts differ), on a free
-// inproc network so the numbers are pure software overhead.
+// so every iteration really moves data (the layouts differ). Each runs
+// on a free inproc network, where the numbers are pure software
+// overhead, and again on the adaptive-p4 workload's simulated clock and
+// priced network (the sim rows), where a rank's migration waits on the
+// virtual timeline and its schedule rebuild runs meanwhile.
 
 import (
 	"fmt"
@@ -16,15 +19,17 @@ import (
 	"stance/internal/mesh"
 	"stance/internal/order"
 	"stance/internal/partition"
+	"stance/internal/vtime"
 )
 
 // BenchmarkRemap measures a full in-world remap round trip: plan
 // build, vector movement over the wire and the inspector rebuild,
 // alternating between a skewed and a uniform capability vector.
 func BenchmarkRemap(b *testing.B) {
-	for _, p := range []int{2, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			h := newExecHarness(b, p, 1)
+	for _, row := range remapRows([]int{2, 4}) {
+		p := row.p
+		b.Run(row.name, func(b *testing.B) {
+			h := newExecHarnessOn(b, p, 1, row.opts())
 			// Two weight vectors whose layouts differ: rank 0 twice as
 			// capable vs uniform.
 			skewed := make([]float64, p)
@@ -65,13 +70,14 @@ func BenchmarkRemap(b *testing.B) {
 // world and the schedule rebuild on each new sub-world — per
 // shrink+grow round trip.
 func BenchmarkRebind(b *testing.B) {
-	for _, p := range []int{3, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+	for _, row := range remapRows([]int{3, 4}) {
+		p := row.p
+		b.Run(row.name, func(b *testing.B) {
 			g, err := mesh.Honeycomb(60, 100)
 			if err != nil {
 				b.Fatal(err)
 			}
-			world, err := comm.Open("inproc", p, comm.TransportOptions{})
+			world, err := comm.Open("inproc", p, row.opts())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -127,6 +133,34 @@ func BenchmarkRebind(b *testing.B) {
 			}
 		})
 	}
+}
+
+// remapRow is one row of the redistribution benchmarks: p ranks on a
+// free network and the real clock, or, with sim set, on a fresh
+// simulated clock with the adaptive-p4 workload's Ethernet model.
+type remapRow struct {
+	name string
+	p    int
+	sim  bool
+}
+
+// remapRows returns the real-clock row of every p, then the sim row of
+// the largest.
+func remapRows(ps []int) []remapRow {
+	var rows []remapRow
+	for _, p := range ps {
+		rows = append(rows, remapRow{name: fmt.Sprintf("p=%d", p), p: p})
+	}
+	last := ps[len(ps)-1]
+	return append(rows, remapRow{name: fmt.Sprintf("p=%d/sim", last), p: last, sim: true})
+}
+
+// opts returns the row's transport options.
+func (r remapRow) opts() comm.TransportOptions {
+	if !r.sim {
+		return comm.TransportOptions{}
+	}
+	return comm.TransportOptions{Clock: vtime.NewSim(), Model: comm.Ethernet(0.01)}
 }
 
 // rebindTo executes one commit step of the membership protocol —

@@ -10,11 +10,20 @@ import (
 	"stance/internal/redist"
 )
 
-// Store is one rank's side of the checkpoint protocol: it keeps the
-// rank's own last snapshot, the mirrored snapshot of its ring
-// predecessor (whose buddy this rank is), and the persistent wire
-// buffers both travel through. All buffers are reused across takes, so
-// steady-state checkpointing with a stable layout allocates nothing.
+// Store is one rank's side of the checkpoint protocol. It owns two
+// buffers, both encoded snapshots:
+//   - encBuf is the rank's own last snapshot, encoded straight from the
+//     vectors at the take and sent to the buddy from there (a send
+//     copies its payload before it returns), so the next take reuses
+//     it. Only Restore decodes it, once per recovery.
+//   - held is the ring predecessor's mirrored snapshot (whose buddy this
+//     rank is), kept in the buffer the mailbox delivered it in; the next
+//     take's mirror replaces it and returns it to the mailbox's pool,
+//     where the delivery after that finds it.
+//
+// A take therefore copies the vectors twice — into encBuf, and into
+// the buddy's delivery buffer — and, with a stable layout, allocates
+// nothing.
 type Store struct {
 	c      *comm.Comm
 	fields int
@@ -22,16 +31,13 @@ type Store struct {
 	// Own snapshot.
 	haveSnap bool
 	snapIter int
-	snapIv   partition.Interval
-	snapData [][]float64 // per field, persistent backing
 	layout   *partition.Layout
-	active   []int // active set at the take, persistent copy
+	active   []int       // active set at the take, persistent copy
+	encBuf   []byte      // own snapshot, encoded
+	views    [][]float64 // per-field owned sections, the encoder's input
 
-	encBuf []byte // own snapshot, encoded for the buddy send
-
-	// Predecessor's mirrored snapshot, kept encoded.
-	heldBuf  []byte
-	heldLen  int
+	// Predecessor's mirrored snapshot, encoded, in a mailbox buffer.
+	held     []byte
 	heldFrom int // world rank it belongs to; -1 when none
 
 	dead []bool // world ranks this rank has seen declared dead
@@ -48,9 +54,9 @@ func NewStore(c *comm.Comm, fields int) *Store {
 	}
 }
 
-// Take checkpoints this rank's state at iteration iter: it copies the
-// owned interval of every field out of data (the vectors' backing
-// slices, ghosts ignored), then mirrors the encoded snapshot to the
+// Take checkpoints this rank's state at iteration iter: it encodes the
+// owned interval of every field of data (the vectors' backing slices,
+// ghosts ignored) as the rank's own snapshot, then mirrors it to the
 // ring successor in active and receives the predecessor's in exchange.
 // Take is collective over active and must be called at a point where
 // every member calls it under the same layout and active set.
@@ -65,54 +71,51 @@ func (st *Store) Take(iter int, layout *partition.Layout, active []int, data [][
 	}
 	iv := layout.Interval(idx)
 	n := int(iv.Len())
-	if st.snapData == nil {
-		st.snapData = make([][]float64, st.fields)
-	}
+	st.views = st.views[:0]
 	for f, vals := range data {
 		if len(vals) < n {
 			return fmt.Errorf("ckpt: field %d has %d elements, interval needs %d", f, len(vals), n)
 		}
-		if cap(st.snapData[f]) < n {
-			st.snapData[f] = make([]float64, n)
-		}
-		st.snapData[f] = st.snapData[f][:n]
-		copy(st.snapData[f], vals[:n])
+		st.views = append(st.views, vals[:n])
 	}
+	snap := Snapshot{Iter: iter, Lo: iv.Lo, Hi: iv.Hi, Fields: st.views}
+	// The encoder validates before it writes, so a failed take leaves
+	// the last snapshot in place.
+	enc, err := AppendSnapshot(st.encBuf[:0], &snap)
+	clear(st.views) // drop the references to the vectors
+	if err != nil {
+		return err
+	}
+	st.encBuf = enc
 	st.haveSnap = true
 	st.snapIter = iter
-	st.snapIv = iv
 	st.layout = layout
 	st.active = append(st.active[:0], active...)
 
 	if len(active) == 1 {
-		st.heldFrom = -1
-		st.heldLen = 0
+		st.dropHeld()
 		return nil
-	}
-	snap := Snapshot{Iter: iter, Lo: iv.Lo, Hi: iv.Hi, Fields: st.snapData}
-	var err error
-	st.encBuf, err = AppendSnapshot(st.encBuf[:0], &snap)
-	if err != nil {
-		return err
 	}
 	succ := active[(idx+1)%len(active)]
 	pred := active[(idx-1+len(active))%len(active)]
 	if err := st.c.Send(succ, TagSnap, st.encBuf); err != nil {
 		return fmt.Errorf("ckpt: mirror to buddy %d: %w", succ, err)
 	}
-	predIdx := slices.Index(active, pred)
-	need := EncodedLen(st.fields, layout.Interval(predIdx).Len())
-	if cap(st.heldBuf) < need {
-		st.heldBuf = make([]byte, need)
-	}
-	st.heldBuf = st.heldBuf[:need]
-	got, err := st.c.RecvInto(pred, TagSnap, st.heldBuf)
+	got, err := st.c.Recv(pred, TagSnap)
 	if err != nil {
 		return fmt.Errorf("ckpt: mirror from %d: %w", pred, err)
 	}
-	st.heldLen = got
-	st.heldFrom = pred
+	st.dropHeld()
+	st.held, st.heldFrom = got, pred
 	return nil
+}
+
+// dropHeld returns the held mirror's buffer to the mailbox pool.
+func (st *Store) dropHeld() {
+	if st.held != nil {
+		st.c.Release(st.held)
+	}
+	st.held, st.heldFrom = nil, -1
 }
 
 // Have reports the last checkpoint, if any.
@@ -177,6 +180,10 @@ func (st *Store) Restore(p *ctl.Recovery, data [][]float64) error {
 	if !st.haveSnap || st.snapIter != p.CkptIter {
 		return fmt.Errorf("ckpt: rank %d has checkpoint iteration %d, plan restores %d", me, st.snapIter, p.CkptIter)
 	}
+	own, err := DecodeSnapshot(st.encBuf)
+	if err != nil {
+		return fmt.Errorf("ckpt: own snapshot: %w", err)
+	}
 	oldIdx := slices.Index(p.OldActive, me)
 	newIdx := slices.Index(p.NewActive, me)
 	if oldIdx < 0 || newIdx < 0 {
@@ -201,13 +208,13 @@ func (st *Store) Restore(p *ctl.Recovery, data [][]float64) error {
 	// outbound message (own segments and the held dead snapshots'
 	// segments) before blocking in receives cannot deadlock.
 	for _, tr := range my.Sends {
-		buf := packTransfer(st.snapData, my.Old, tr.Global, st.fields)
+		buf := packTransfer(own.Fields, my.Old, tr.Global, st.fields)
 		if err := st.c.Send(tr.Peer, TagRestoreBase+oldIdx, buf); err != nil {
 			return err
 		}
 	}
 	if st.heldFrom >= 0 && dead[st.heldFrom] {
-		held, err := DecodeSnapshot(st.heldBuf[:st.heldLen])
+		held, err := DecodeSnapshot(st.held)
 		if err != nil {
 			return fmt.Errorf("ckpt: held snapshot for rank %d: %w", st.heldFrom, err)
 		}
@@ -234,7 +241,7 @@ func (st *Store) Restore(p *ctl.Recovery, data [][]float64) error {
 	}
 
 	for f := range data {
-		if err := my.ApplyLocal(st.snapData[f][:my.Old.Len()], data[f][:newIv.Len()]); err != nil {
+		if err := my.ApplyLocal(own.Fields[f][:my.Old.Len()], data[f][:newIv.Len()]); err != nil {
 			return err
 		}
 	}

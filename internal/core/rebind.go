@@ -47,15 +47,17 @@ type RebindStats struct {
 	MovedBytes int64 `json:"moved_bytes"`
 	Msgs       int   `json:"msgs"`
 	// Total is the wall time of the whole rebind on this rank;
-	// Inspector is the schedule-rebuild portion (zero when parking).
+	// Inspector is the schedule rebuild's own time, which overlaps the
+	// migration (zero when parking; see Runtime.LastInspectorTime).
 	Total     time.Duration `json:"total_ns"`
 	Inspector time.Duration `json:"inspector_ns"`
 }
 
 // Rebind migrates the runtime across a membership transition: every
 // registered vector's owned section moves to the incoming layout over
-// the carrier world, then the runtime either rebuilds its schedule on
-// the new sub-world or parks. All ranks of the union of the outgoing
+// the carrier world, and the runtime either comes back bound to the
+// new sub-world, its schedule rebuilt while the data moved
+// (migrateAndInspect), or parks. All ranks of the union of the outgoing
 // and incoming active sets must call Rebind with the same layouts and
 // mappings; parked ranks that stay parked do not participate.
 func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
@@ -88,7 +90,12 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 		return stats, fmt.Errorf("core: retiring rank %d owns %d elements in the incoming layout",
 			rb.Carrier.Rank(), plan.New.Len())
 	}
-	if err := rt.moveVectors(rb.Carrier, plan); err != nil {
+	if rb.Sub == nil {
+		err = rt.moveVectors(rb.Carrier, plan, rt.nGhosts())
+	} else {
+		err = rt.migrateAndInspect(rb.Carrier, plan, rb.New, rb.Sub.Rank())
+	}
+	if err != nil {
 		return stats, err
 	}
 	stats.MovedBytes = plan.MovedBytes() * int64(len(rt.vecs))
@@ -106,11 +113,36 @@ func (rt *Runtime) Rebind(rb Rebind) (RebindStats, error) {
 	}
 	rt.c = rb.Sub
 	rt.layout = rb.New
-	if err := rt.rebuild(); err != nil {
-		return stats, err
-	}
 	rt.fitVectors()
 	stats.Inspector = rt.lastInspector
 	stats.Total = rt.clock.Now().Sub(start)
 	return stats, nil
+}
+
+// migrateAndInspect moves the vectors along plan over c while the
+// inspector rebuilds for the incoming layout on rank: the rebuild needs
+// the layout, the transformed graph and the rank, never the moved data,
+// and writes nothing the move reads (see inspect), so it runs on its own
+// goroutine while this rank's migration waits on its peers. The move's
+// capacity hint is read from the outgoing schedule before the rebuild
+// replaces it. Every path joins the rebuild before it returns — a
+// migration error, a rebuild error, a panic in either — so no goroutine
+// outlives the call; the migration's error wins, then the rebuild's.
+func (rt *Runtime) migrateAndInspect(c *comm.Comm, plan *redist.Plan, layout *partition.Layout, rank int) (err error) {
+	ghosts := rt.nGhosts()
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("core: inspector panicked: %v", r)
+			}
+		}()
+		done <- rt.inspect(layout, rank)
+	}()
+	defer func() {
+		if inspErr := <-done; err == nil {
+			err = inspErr
+		}
+	}()
+	return rt.moveVectors(c, plan, ghosts)
 }

@@ -20,8 +20,9 @@ type RemapStats struct {
 	// Total is the wall time of the whole remap on this rank,
 	// including data movement and the inspector rebuild.
 	Total time.Duration
-	// Inspector is the rebuild portion: all of Phase B (see
-	// Runtime.LastInspectorTime).
+	// Inspector is the rebuild's own time: all of Phase B (see
+	// Runtime.LastInspectorTime). The rebuild runs while the data
+	// moves, so Total covers it without adding it.
 	Inspector time.Duration
 	// Changed reports whether the layout actually changed.
 	Changed bool
@@ -101,15 +102,16 @@ func (rt *Runtime) ChooseLayout(newWeights []float64) (*partition.Layout, error)
 // peers are carrier ranks). Vectors move in registration order on all
 // ranks, so transfers pair up FIFO. Each vector moves into its spare
 // array and keeps the one it leaves as the next spare, so a steady
-// state of remaps allocates nothing here.
-func (rt *Runtime) moveVectors(c *comm.Comm, plan *redist.Plan) error {
+// state of remaps allocates nothing here. ghosts is the outgoing
+// ghost-section size, the capacity hint for the incoming one.
+func (rt *Runtime) moveVectors(c *comm.Comm, plan *redist.Plan, ghosts int) error {
 	for _, v := range rt.vecs {
 		oldLocal := v.Data[:plan.Old.Len()]
 		// Every element is written below — kept range or a receive — so
 		// the spare's old contents need no clearing. The ghost section
 		// fitVectors appends is about as long as the current one.
 		nNew := int(plan.New.Len())
-		newLocal := slices.Grow(v.spare[:0], nNew+rt.nGhosts())[:nNew]
+		newLocal := slices.Grow(v.spare[:0], nNew+ghosts)[:nNew]
 		if err := plan.ApplyLocal(oldLocal, newLocal); err != nil {
 			return err
 		}

@@ -347,17 +347,33 @@ func (rt *Runtime) Bind(c *comm.Comm, layout *partition.Layout) error {
 	return nil
 }
 
-// rebuild runs the inspector for the current layout: one pass over the
+// rebuild runs the inspector for the current layout and rank (see
+// inspect).
+func (rt *Runtime) rebuild() error { return rt.inspect(rt.layout, rt.c.Rank()) }
+
+// inspect runs the inspector for layout on rank: one pass over the
 // rank's references, the schedule build from what the pass set aside,
 // and the plan recompiled and classified in the previous plan's
-// storage. It sends nothing: BuildSort2 infers what every peer needs
-// from access symmetry.
-func (rt *Runtime) rebuild() error {
-	start := rt.clock.Now()
-	rank := rt.c.Rank()
-	iv := rt.layout.Interval(rank)
+// storage. It sends nothing — BuildSort2 infers what every peer needs
+// from access symmetry — and it writes the inspector's state alone (the
+// reference split, the schedule, the plan, the op-tag counter and
+// lastInspector), reading nothing else but the transformed graph, so
+// Rebind runs it while the vectors migrate. Nor does it read a
+// simulated clock: Phase B never blocks, so it takes no virtual time,
+// and an overlapped rebuild is not the clock's worker — a reading there
+// would see whatever instants the migration waits through. On a
+// simulated clock lastInspector is therefore zero, the reading a
+// worker's own stamps would give; on a real clock it is the rebuild's
+// wall time.
+func (rt *Runtime) inspect(layout *partition.Layout, rank int) error {
+	timed := vtime.AsSim(rt.clock) == nil
+	var start time.Time
+	if timed {
+		start = rt.clock.Now()
+	}
+	iv := layout.Interval(rank)
 	rt.scanRefs(iv)
-	s, err := sched.BuildSort2(rt.layout, rank, rt.off)
+	s, err := sched.BuildSort2(layout, rank, rt.off)
 	if err != nil {
 		return err
 	}
@@ -376,7 +392,10 @@ func (rt *Runtime) rebuild() error {
 	// The whole of Phase B, not the builder call: the builder sees a
 	// few thousand references and takes microseconds, and the balancer
 	// prices a remap with this figure.
-	rt.lastInspector = rt.clock.Now().Sub(start)
+	rt.lastInspector = 0
+	if timed {
+		rt.lastInspector = rt.clock.Now().Sub(start)
+	}
 	return err
 }
 
@@ -539,7 +558,8 @@ func (rt *Runtime) LocalAdj() (xadj, adj []int32) {
 // LastInspectorTime reports how long the most recent inspector run took
 // — all of Phase B: the pass over the rank's references, the schedule
 // build, the plan compile, the classification and the chunk tables. It
-// is the cost the load balancer weighs remapping against.
+// is the cost the load balancer weighs remapping against. On a
+// simulated clock it is zero: Phase B takes no virtual time.
 func (rt *Runtime) LastInspectorTime() time.Duration { return rt.lastInspector }
 
 // quiescent returns the error op returns while split-phase handles are

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"stance/internal/ckpt"
@@ -196,7 +197,10 @@ type Session struct {
 	// ownWorld marks a world the session opened itself (and therefore
 	// closes); an adopted Config.World stays open after Close.
 	ownWorld bool
-	ranks    []*rankState
+	// closed is set by Close. The rank states stay: Resize is safe to
+	// call concurrently with Run and Close, and reads the flag alone.
+	closed atomic.Bool
+	ranks  []*rankState
 	// elastic marks a session whose membership can change (Config.Elastic,
 	// availability outages or checkpoints). ctls and subs are per-world-
 	// rank and every session has them: the rank's membership controller
@@ -876,7 +880,7 @@ func (s *Session) commit(me int, rep *RunReport, prop *elastic.Proposal, oldSub 
 // environment re-asserts its own active set at the following boundary.
 // Safe to call concurrently with Run.
 func (s *Session) Resize(active []int) error {
-	if s.ranks == nil {
+	if s.closed.Load() {
 		return fmt.Errorf("session: closed")
 	}
 	if !s.elastic {
@@ -902,7 +906,7 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // Iter returns the number of completed iterations across all Runs
 // (rank 0's count; ranks only diverge after a mid-run error).
 func (s *Session) Iter() int {
-	if s.ranks == nil {
+	if s.closed.Load() {
 		return 0
 	}
 	return s.ranks[0].sol.Iter()
@@ -910,7 +914,7 @@ func (s *Session) Iter() int {
 
 // usable reports whether collective operations may still run.
 func (s *Session) usable() error {
-	if s.ranks == nil {
+	if s.closed.Load() {
 		return fmt.Errorf("session: closed")
 	}
 	if s.broken {
@@ -923,7 +927,7 @@ func (s *Session) usable() error {
 // need the low-level API alongside the driver. It returns nil on a
 // closed session and panics on an out-of-range rank.
 func (s *Session) Runtime(rank int) *core.Runtime {
-	if s.ranks == nil {
+	if s.closed.Load() {
 		return nil
 	}
 	if rank < 0 || rank >= len(s.ranks) {
@@ -935,7 +939,7 @@ func (s *Session) Runtime(rank int) *core.Runtime {
 // Solver returns rank's solver, or nil on a closed session. It panics
 // on an out-of-range rank.
 func (s *Session) Solver(rank int) *solver.Solver {
-	if s.ranks == nil {
+	if s.closed.Load() {
 		return nil
 	}
 	if rank < 0 || rank >= len(s.ranks) {
@@ -992,7 +996,7 @@ func (s *Session) ResultByVertex() ([]float64, error) {
 // fail; repeated Close calls are safe and return the first call's
 // error.
 func (s *Session) Close() error {
-	s.ranks = nil
+	s.closed.Store(true)
 	if s.ownWorld && s.world != nil {
 		return s.world.Close()
 	}

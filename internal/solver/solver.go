@@ -262,7 +262,8 @@ const (
 // vtime.Charge of workRep × WorkFactor: on a simulated clock the rank
 // counts as blocked while its kernel runs, so every rank's sweep runs at
 // the same time instead of one after another, and the virtual timeline
-// is the one a sweep followed by a Sleep would give. Between an
+// is the one a sweep followed by a Sleep would give; the strip's move
+// into the vector runs inside the same charge. Between an
 // exchange's Start and Wait that charge is when the in-flight deliveries
 // land, so it hides the message flight like real interior compute does.
 func (s *Solver) sweep(data []float64, part strip) {
@@ -300,15 +301,21 @@ func (s *Solver) sweep(data []float64, part strip) {
 		for r := max(float64(s.workRep)*factor, 1); r > 0; r-- {
 			pass(min(r, 1))
 		}
+		if part != interior {
+			copy(data, next)
+		}
 	} else {
 		// Pure float arithmetic on deterministic inputs, so the charge
-		// is identical on every run.
+		// is identical on every run. The copy into the owned section is
+		// as rank-local as the kernel, so it runs inside the charge too.
 		n := len(lists[0].Idx) + len(lists[1].Idx)
 		d = time.Duration(float64(s.costPerItem) * float64(s.workRep) * factor * float64(n))
-		vtime.Charge(s.clock, d, func() { pass(1) })
-	}
-	if part != interior {
-		copy(data, next)
+		vtime.Charge(s.clock, d, func() {
+			pass(1)
+			if part != interior {
+				copy(data, next)
+			}
+		})
 	}
 	// A virtual charge is d, not the reading; the lap restamps for the
 	// next phase either way.
