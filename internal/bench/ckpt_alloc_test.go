@@ -63,7 +63,7 @@ func TestCheckpointSteadyAlloc(t *testing.T) {
 	perBoundary := (m1.TotalAlloc - m0.TotalAlloc) / (iters / checkEvery)
 	snap := uint64(math.MaxUint64)
 	for r := 0; r < 3; r++ {
-		snap = min(snap, uint64(ckpt.EncodedLen(1, s.Runtime(r).GlobalInterval().Len())))
+		snap = min(snap, uint64(ckpt.EncodedLen(1, int64(s.Runtime(r).LocalN()))))
 	}
 	t.Logf("checkpointed steady state: %d allocs/iteration, %d bytes/boundary across 3 ranks (smallest snapshot %d bytes)",
 		perIter, perBoundary, snap)

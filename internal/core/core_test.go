@@ -454,7 +454,7 @@ func TestScatterAdd(t *testing.T) {
 			if err := rt.ScatterAdd(v); err != nil {
 				return err
 			}
-			iv := rt.GlobalInterval()
+			iv := rt.globalInterval()
 			for u := 0; u < nLocal; u++ {
 				wantDeg := 0
 				// Degree in the transformed graph equals degree of the
@@ -573,7 +573,7 @@ func TestMultipleVectorsSurviveRemap(t *testing.T) {
 		if _, err := rt.Remap([]float64{3, 1, 2}); err != nil {
 			return err
 		}
-		iv := rt.GlobalInterval()
+		iv := rt.globalInterval()
 		for u := 0; u < rt.LocalN(); u++ {
 			gid := iv.Lo + int64(u)
 			if a.Data[u] != float64(gid) {

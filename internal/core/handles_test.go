@@ -11,15 +11,16 @@ import (
 )
 
 // The multi-handle property test: random scripts of concurrent
-// handle-based executor operations — random vector subsets, random
-// Exchange/ScatterAdd kinds, coalesced multi-vector ops, random Wait
-// interleavings, a mid-script Remap and a cross-world shrink/grow
-// Rebind — must be bit-exact against the synchronous reference
-// executing the same ops in start order. Ops in one round touch
-// disjoint vector sets, so the dependency tracker admits them all and
-// any drain order is semantically equivalent; the test pins that the
-// implementation actually delivers that equivalence down to the bit
-// pattern.
+// executor operations — random vector subsets, random Exchange/ScatterAdd
+// kinds, random Wait interleavings, a mid-script Remap and a cross-world
+// shrink/grow Rebind — must be bit-exact against the synchronous
+// reference executing the same ops, coalesced, in start order. The
+// handle run starts one Exchange per vector of an op and runs each
+// ScatterAdd synchronously while those handles are live. Ops in one
+// round touch disjoint vector sets, so the dependency tracker admits
+// them all and any drain order is semantically equivalent; the test
+// pins that the implementation actually delivers that equivalence down
+// to the bit pattern.
 
 const nScriptVecs = 4
 
@@ -74,9 +75,9 @@ func genHandleScript(seed int64, p, rounds int) handleScript {
 }
 
 // runHandleScript executes the script on a p-rank world, either with
-// op handles drained in the script's wait order (async) or with the
-// synchronous executor in start order, snapshotting every rank's full
-// vector data after each round.
+// Exchange handles drained in the script's wait order (async) or with
+// the synchronous executor in start order, snapshotting every rank's
+// full vector data after each round.
 func runHandleScript(t *testing.T, p int, sc handleScript, async bool) [][][]float64 {
 	t.Helper()
 	g := testMesh(t)
@@ -152,21 +153,27 @@ func runHandleScript(t *testing.T, p int, sc handleScript, async bool) [][][]flo
 		runRound := func(step int) error {
 			rd := sc.rounds[step]
 			if async {
-				hs := make([]*OpHandle, len(rd.ops))
+				hs := make([][]*OpHandle, len(rd.ops))
 				for i, op := range rd.ops {
-					var err error
 					if op.scatter {
-						hs[i], err = rt.ScatterAddAllStart(opVecs(op)...)
-					} else {
-						hs[i], err = rt.ExchangeAllStart(opVecs(op)...)
+						if err := rt.ScatterAddAll(opVecs(op)...); err != nil {
+							return err
+						}
+						continue
 					}
-					if err != nil {
-						return err
+					for _, v := range opVecs(op) {
+						h, err := rt.ExchangeStart(v)
+						if err != nil {
+							return err
+						}
+						hs[i] = append(hs[i], h)
 					}
 				}
 				for _, i := range rd.wait {
-					if err := hs[i].Wait(); err != nil {
-						return err
+					for _, h := range hs[i] {
+						if err := h.Wait(); err != nil {
+							return err
+						}
 					}
 				}
 			} else {

@@ -234,8 +234,12 @@ func NewTransform(g *graph.Graph, cfg Config) (*Transform, error) {
 	if err := order.Validate(perm, g.N); err != nil {
 		return nil, fmt.Errorf("core: ordering: %w", err)
 	}
+	// The transformed CSR leaves the coordinates behind: the ordering
+	// has read them, and nothing after it does.
+	top := *g
+	top.Coords = nil
 	t := &Transform{perm: perm}
-	if t.tg, err = permuteTopology(g, perm); err != nil {
+	if t.tg, err = top.Permute(perm); err != nil {
 		return nil, err
 	}
 	if cfg.VertexWeights != nil {
@@ -248,14 +252,6 @@ func NewTransform(g *graph.Graph, cfg Config) (*Transform, error) {
 		}
 	}
 	return t, nil
-}
-
-// permuteTopology renumbers g's CSR by perm and leaves its coordinates
-// behind: the ordering has read them, and nothing after it does.
-func permuteTopology(g *graph.Graph, perm []int32) (*graph.Graph, error) {
-	top := *g
-	top.Coords = nil
-	return top.Permute(perm)
 }
 
 // NewParked builds a dormant runtime: it holds the Phase A locality
@@ -276,8 +272,6 @@ func NewParked(c *comm.Comm, g *graph.Graph, cfg Config) (*Runtime, error) {
 	} else if len(t.perm) != g.N {
 		return nil, fmt.Errorf("core: transform of %d vertices for a graph of %d", len(t.perm), g.N)
 	}
-	// The runtime keeps the transform's parts, not the Transform:
-	// SetGraph replaces tg alone.
 	cfg.Transform = nil
 	return &Runtime{
 		c: c, clock: c.Clock(), cfg: cfg, n: int64(g.N),
@@ -380,9 +374,9 @@ func (rt *Runtime) inspect(layout *partition.Layout, rank int) error {
 	rt.sch = s
 	rt.plan = sched.Recompile(rt.plan, s)
 	// The rotating op-tag counter restarts with the schedule: every
-	// rebuild site (Bind, Remap, Rebind, SetGraph) requires zero live
-	// handles, and resetting here keeps a freshly admitted rank's tag
-	// sequence aligned with the survivors'.
+	// rebuild site (Bind, Remap, Rebind) requires zero live handles, and
+	// resetting here keeps a freshly admitted rank's tag sequence aligned
+	// with the survivors'.
 	rt.opSeq = 0
 	// The interior/boundary split and the lists' chunk tables ride on the
 	// plan, so they are rebuilt here too and stay valid across remaps and
@@ -466,13 +460,13 @@ func (rt *Runtime) Clock() vtime.Clock { return rt.clock }
 func (rt *Runtime) Layout() *partition.Layout { return rt.layout }
 
 // Schedule returns the current communication schedule (nil while
-// parked). It is valid until the next Bind, Remap, Rebind or SetGraph,
+// parked). It is valid until the next Bind, Remap or Rebind,
 // which builds a new one; the plan's per-peer tables alias its lists.
 func (rt *Runtime) Schedule() *sched.Schedule { return rt.sch }
 
 // Plan returns the compiled exchange plan the executor replays (nil
 // while parked). The plan and every slice read from it are valid until
-// the next Bind, Remap, Rebind or SetGraph: the rebuild returns a new
+// the next Bind, Remap or Rebind: the rebuild returns a new
 // *Plan and reuses this one's storage for it.
 func (rt *Runtime) Plan() *sched.Plan {
 	if rt.Parked() {
@@ -520,9 +514,9 @@ func (rt *Runtime) nGhosts() int {
 	return rt.sch.NGhosts()
 }
 
-// GlobalInterval returns the contiguous range of transformed indices
+// globalInterval returns the contiguous range of transformed indices
 // this rank owns (empty while parked).
-func (rt *Runtime) GlobalInterval() partition.Interval {
+func (rt *Runtime) globalInterval() partition.Interval {
 	if rt.layout == nil {
 		return partition.Interval{}
 	}
@@ -540,7 +534,7 @@ func (rt *Runtime) LocalAdj() (xadj, adj []int32) {
 	if rt.Parked() {
 		return nil, nil
 	}
-	iv := rt.GlobalInterval()
+	iv := rt.globalInterval()
 	rows := rt.tg.Xadj[iv.Lo : iv.Hi+1]
 	for _, x := range rows {
 		xadj = append(xadj, x-rows[0])

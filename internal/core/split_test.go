@@ -15,11 +15,11 @@ import (
 
 // splitScript drives one world through a fixed mix of executor
 // operations with compute interleaved between the exchange halves,
-// using either the split-phase ops (ExchangeStart/Finish and the
-// ScatterAdd analogue) or the synchronous ones at the same program
-// points. Snapshots of every rank's full vector data are taken after
-// each step; the two modes must agree bit for bit, including across a
-// Remap.
+// using either split-phase Exchanges (ExchangeStart and Wait, two in
+// flight where the synchronous run coalesces) or the synchronous ones
+// at the same program points, with a ScatterAdd between them. Snapshots
+// of every rank's full vector data are taken after each step; the two
+// modes must agree bit for bit, including across a Remap.
 func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 	t.Helper()
 	g := testMesh(t)
@@ -103,30 +103,27 @@ func splitScript(t *testing.T, p int, split bool) [][][]float64 {
 					w.Data[adj[k]] += v.Data[u] * 0.25
 				}
 			}
-			if split {
-				h, err := rt.ScatterAddStart(w)
-				if err != nil {
-					return err
-				}
-				if err := h.Wait(); err != nil {
-					return err
-				}
-			} else {
-				if err := rt.ScatterAdd(w); err != nil {
-					return err
-				}
+			if err := rt.ScatterAdd(w); err != nil {
+				return err
 			}
 			snapshot(c.Rank(), step, w)
 			step++
 
-			// Coalesced exchange, split vs sync.
+			// Two exchanges in flight against one coalesced exchange.
 			if split {
-				h, err := rt.ExchangeAllStart(v, w)
+				hv, err := rt.ExchangeStart(v)
+				if err != nil {
+					return err
+				}
+				hw, err := rt.ExchangeStart(w)
 				if err != nil {
 					return err
 				}
 				interiorMix()
-				if err := h.Wait(); err != nil {
+				if err := hw.Wait(); err != nil {
+					return err
+				}
+				if err := hv.Wait(); err != nil {
 					return err
 				}
 			} else {
@@ -235,9 +232,6 @@ func TestSplitPhaseGuards(t *testing.T) {
 		if _, err := rt.ExchangeStart(v); err == nil {
 			t.Errorf("rank %d: second ExchangeStart on the same vector succeeded, want error", c.Rank())
 		}
-		if _, err := rt.ScatterAddStart(v); err == nil {
-			t.Errorf("rank %d: ScatterAddStart on a vector with a live Exchange succeeded, want error", c.Rank())
-		}
 		mustErr("sync Exchange on a vector with a live op", rt.Exchange(v))
 		mustErr("sync ScatterAdd on a vector with a live op", rt.ScatterAdd(v))
 		mustErr("coalesced ExchangeAll overlapping a live op", rt.ExchangeAll(v, w))
@@ -289,9 +283,6 @@ func TestSplitPhaseGuards(t *testing.T) {
 	v := rt.NewVector()
 	if _, err := rt.ExchangeStart(v); err == nil || !strings.Contains(err.Error(), "parked") {
 		t.Errorf("ExchangeStart on parked runtime: err=%v, want parked error", err)
-	}
-	if _, err := rt.ScatterAddStart(v); err == nil || !strings.Contains(err.Error(), "parked") {
-		t.Errorf("ScatterAddStart on parked runtime: err=%v, want parked error", err)
 	}
 	// And so do the synchronous ones, the coalesced forms included.
 	for name, op := range map[string]func() error{

@@ -10,19 +10,19 @@ import (
 
 // The executor's one data path (paper Phase C: gather and scatter, each
 // a replay of the inspector's schedule). Every replay op — Exchange,
-// ScatterAdd, their coalesced forms and their Start variants — runs the
-// same handle lifecycle: beginOp readies a pooled OpHandle, start packs
-// and posts every send, and Wait drains the arrivals in batches — each
+// ScatterAdd, their coalesced forms and ExchangeStart — runs the same
+// handle lifecycle: beginOp readies a pooled OpHandle, start packs and
+// posts every send, and Wait drains the arrivals in batches — each
 // receive takes every awaited payload already in the mailbox, and a
 // receive that finds none parks until the last of them has arrived —
 // applies ScatterAdd contributions in ascending peer order and retires
-// the handle. A Start entry point returns the handle between the two,
-// so the caller computes over the plan's interior elements while the
-// messages are in flight; a synchronous entry point is run, a start
-// followed at once by its Wait. All per-op state
-// — arrival mask, parked payloads, vector view, wire tag — lives on the
-// handle; the plan holds compiled tables and wire buffers only (the
-// transport copies payloads at Send, so live ops share them safely).
+// the handle. ExchangeStart returns the handle between the two, so the
+// caller computes over the plan's interior elements while the messages
+// are in flight; a synchronous entry point is run, a start followed at
+// once by its Wait. All per-op state — arrival mask, parked payloads,
+// vector view, wire tag — lives on the handle; the plan holds compiled
+// tables and wire buffers only (the transport copies payloads at Send,
+// so live ops share them safely).
 // The steady state allocates nothing, and the results are bit-for-bit
 // the same whichever way an op is entered: Exchange unpacks into
 // disjoint ghost slots in arrival order, ScatterAdd applies in peer
@@ -32,8 +32,8 @@ import (
 // kind combination — Exchange writes the ghost section, ScatterAdd
 // reads it and writes the owned section, so any overlap is
 // order-sensitive. A conflicting op, synchronous or Start, errors
-// loudly naming the live op; it never queues silently. Bind, Remap,
-// Rebind and SetGraph require zero live handles.
+// loudly naming the live op; it never queues silently. Bind, Remap and
+// Rebind require zero live handles.
 //
 // Wire tags: a synchronous op sends on its kind's fixed tag
 // (tagExchange, tagScatter) and is never live while user code runs, so
@@ -41,8 +41,8 @@ import (
 // k-th Start since the last schedule rebuild uses tagOpBase + k mod
 // tagOpWindow. Starts are collective in SPMD program order, so every
 // rank assigns the same tag to the same logical op and the
-// per-(source, tag) FIFO pairing lines up; rebuild (Bind, Remap,
-// Rebind, SetGraph — all of which require zero live handles) resets
+// per-(source, tag) FIFO pairing lines up; rebuild (Bind, Remap and
+// Rebind, all of which require zero live handles) resets
 // the counter, so a freshly admitted rank agrees with the survivors. A
 // Start whose tag is still owned by a live handle errors: at most
 // tagOpWindow Starts can be in flight.
@@ -76,15 +76,12 @@ func (k opKind) String() string {
 
 // name returns the entry point that issued an op of this kind, for
 // error messages, as a constant (the zero-alloc path must not build
-// strings).
+// strings). ExchangeStart is the one split entry point.
 func (k opKind) name(split bool) string {
-	switch {
-	case !split:
-		return k.String()
-	case k == opScatter:
-		return "ScatterAddStart"
+	if split {
+		return "ExchangeStart"
 	}
-	return "ExchangeStart"
+	return k.String()
 }
 
 // OpHandle is one executor operation between its start and its
@@ -138,32 +135,6 @@ func (rt *Runtime) LiveOps() int { return len(rt.live) }
 func (rt *Runtime) ExchangeStart(v *Vector) (*OpHandle, error) {
 	rt.vsetScratch = append(rt.vsetScratch[:0], v)
 	return rt.start(opExchange, rt.vsetScratch, true)
-}
-
-// ExchangeAllStart is the coalesced ExchangeStart: all vectors' values
-// for a peer share one in-flight message and one handle.
-func (rt *Runtime) ExchangeAllStart(vecs ...*Vector) (*OpHandle, error) {
-	if len(vecs) == 0 {
-		return nil, fmt.Errorf("core: ExchangeAllStart with no vectors")
-	}
-	return rt.start(opExchange, vecs, true)
-}
-
-// ScatterAddStart posts the sends of a ScatterAdd (each ghost
-// contribution travels home) and returns its handle. Until Wait runs,
-// the caller must not modify the vector's owned elements or ghost
-// section.
-func (rt *Runtime) ScatterAddStart(v *Vector) (*OpHandle, error) {
-	rt.vsetScratch = append(rt.vsetScratch[:0], v)
-	return rt.start(opScatter, rt.vsetScratch, true)
-}
-
-// ScatterAddAllStart is the coalesced ScatterAddStart.
-func (rt *Runtime) ScatterAddAllStart(vecs ...*Vector) (*OpHandle, error) {
-	if len(vecs) == 0 {
-		return nil, fmt.Errorf("core: ScatterAddAllStart with no vectors")
-	}
-	return rt.start(opScatter, vecs, true)
 }
 
 // Wait completes the operation: every live op's arrivals are serviced

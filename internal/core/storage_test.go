@@ -72,7 +72,7 @@ func TestPhaseBKeepsOneAdjacency(t *testing.T) {
 					return err
 				}
 			}
-			iv := rt.GlobalInterval()
+			iv := rt.globalInterval()
 			entries = max(entries, int(rt.tg.Xadj[iv.Hi]-rt.tg.Xadj[iv.Lo]))
 			rows = max(rows, rt.LocalN())
 			words := phaseBWords(rt)

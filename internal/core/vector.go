@@ -13,7 +13,7 @@ import (
 // registered with their runtime and follow it through Remap.
 type Vector struct {
 	rt *Runtime
-	// Data is valid until the next Bind, Remap, Rebind or SetGraph on
+	// Data is valid until the next Bind, Remap or Rebind on
 	// the runtime: they re-slice it, and a move swaps it with spare, so
 	// a slice of Data kept across one is overwritten by a later one.
 	Data []float64
@@ -50,13 +50,10 @@ func (rt *Runtime) fitVectors() {
 // Local returns the owned section.
 func (v *Vector) Local() []float64 { return v.Data[:v.rt.LocalN()] }
 
-// Ghost returns the ghost section (valid after Exchange).
-func (v *Vector) Ghost() []float64 { return v.Data[v.rt.LocalN():] }
-
 // SetByGlobal initializes the owned section from a function of the
 // transformed global index.
 func (v *Vector) SetByGlobal(f func(global int64) float64) {
-	iv := v.rt.GlobalInterval()
+	iv := v.rt.globalInterval()
 	for u := range v.Local() {
 		v.Data[u] = f(iv.Lo + int64(u))
 	}

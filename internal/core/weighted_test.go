@@ -39,7 +39,7 @@ func TestWeightedRuntimeBalancesVertexWeight(t *testing.T) {
 		}
 		// This rank's block weight must be within one max-weight item
 		// of the fair share.
-		iv := rt.GlobalInterval()
+		iv := rt.globalInterval()
 		blockW := 0.0
 		perm := rt.Perm()
 		inv := make([]int32, g.N)

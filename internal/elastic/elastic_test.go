@@ -308,7 +308,7 @@ func TestProtocolShrinkGrow(t *testing.T) {
 		}
 
 		// Everyone is active again; the vector must be intact.
-		iv := rt.GlobalInterval()
+		iv := rt.Layout().Interval(rt.Comm().Rank())
 		for u := int64(0); u < iv.Len(); u++ {
 			if want := float64(iv.Lo+u) * 1.5; v.Data[u] != want {
 				return fmt.Errorf("rank %d: element %d = %g after shrink+grow, want %g",

@@ -23,13 +23,12 @@ import (
 // any number of operations may replay one plan at a time.
 //
 // A Plan is bound to the Schedule it was compiled from. Whenever the
-// layout or structure changes (Bind, Remap, Rebind, SetGraph) the
-// runtime's one-pass inspector hands the rebuilt schedule to Recompile,
-// which takes the previous plan's storage — row lists, chunk tables,
-// per-peer tables, wire buffers — for the new one, and then to
-// ClassifyRows with the rank's rows of the transformed CSR and the
-// boundary rows the pass recorded, so a steady-state rebuild allocates
-// only the plan's header.
+// layout changes (Bind, Remap, Rebind) the runtime's one-pass inspector
+// hands the rebuilt schedule to Recompile, which takes the previous
+// plan's storage — row lists, chunk tables, per-peer tables, wire
+// buffers — for the new one, and then to ClassifyRows with the rank's
+// rows of the transformed CSR and the boundary rows the pass recorded,
+// so a steady-state rebuild allocates only the plan's header.
 // The previous plan is left empty: a *Plan, and every slice read from
 // it, is valid until the runtime's next rebuild.
 type Plan struct {

@@ -58,7 +58,8 @@ type (
 	// RankUsage is one rank's accumulated timings in a RunReport.
 	RankUsage = session.RankUsage
 	// World is a first-class SPMD world: endpoints plus shared
-	// lifecycle, built from a registered transport.
+	// lifecycle, built from a registered transport. Session.World
+	// returns the session's; SessionConfig.World adopts one.
 	World = comm.World
 	// Topology assigns every rank to a node group — the two-level
 	// structure of a nonuniform network. See WithGroups and
@@ -67,16 +68,13 @@ type (
 	// TransportOptions is the composable network configuration:
 	// model, clock, topology, inter-group model and the wire tuning
 	// (batching, compression, heartbeat liveness, outbox bounds, mesh
-	// deadlines). OpenWorld takes one; the session options fill one.
+	// deadlines). The session options fill one.
 	TransportOptions = comm.TransportOptions
 	// TransportStats are the wire counters a socket transport
 	// accumulates (framed writes, wire bytes, missed heartbeats,
 	// backpressure stalls); RunReport.Transport carries the per-run
 	// delta.
 	TransportStats = comm.TransportStats
-	// TransportFactory builds the endpoints of a world; register one
-	// with RegisterTransport to plug in a new backend by name.
-	TransportFactory = comm.TransportFactory
 )
 
 // ErrUnrecoverable marks a rank failure the checkpoint protocol cannot
@@ -88,9 +86,9 @@ var ErrUnrecoverable = ckpt.ErrUnrecoverable
 // Option configures NewSession.
 type Option func(*session.Config)
 
-// WithTransport selects a registered comm transport by name ("inproc"
-// or "tcp" are built in; see RegisterTransport). The default is
-// "inproc".
+// WithTransport selects a comm transport by name: "inproc" (the
+// default), "tcp", or "hybrid" (in-process inside each node group, tcp
+// between groups; it needs WithGroups or WithTopology).
 func WithTransport(name string) Option {
 	return func(c *session.Config) { c.Transport = name }
 }
@@ -403,24 +401,3 @@ func NewSession(ctx context.Context, g *Graph, procs int, opts ...Option) (*Sess
 // jumping straight to the next due event, so simulated hours cost
 // real milliseconds and identical runs produce identical timings.
 func NewSimClock() *SimClock { return vtime.NewSim() }
-
-// OpenWorld builds a World of p ranks on a registered transport (""
-// selects "inproc"). o describes the network — model, clock, topology,
-// inter-group model and wire tuning — and is validated at open; the
-// zero value is a free network on the real clock. Most callers want
-// NewSession instead and never touch the world directly.
-//
-//	w, err := stance.OpenWorld("inproc", 4,
-//	    stance.TransportOptions{Model: stance.Ethernet(0.1)})
-func OpenWorld(transport string, p int, o TransportOptions) (*World, error) {
-	return comm.Open(transport, p, o)
-}
-
-// RegisterTransport makes a message-passing backend available to
-// OpenWorld and WithTransport under the given name.
-func RegisterTransport(name string, factory TransportFactory) {
-	comm.RegisterTransport(name, factory)
-}
-
-// Transports lists the registered transport names.
-func Transports() []string { return comm.Transports() }

@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"stance"
+	"stance/internal/comm"
+	"stance/internal/core"
+	"stance/internal/solver"
 )
 
 // TestSessionFacade drives the one-call API end to end the way the
@@ -24,6 +27,10 @@ func TestSessionFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	est, err := stance.NewEstimator(stance.EstimateEWMA, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := stance.NewSession(context.Background(), g, 3,
 		stance.WithClock(stance.NewSimClock()),
 		stance.WithVirtualCompute(time.Microsecond),
@@ -31,7 +38,7 @@ func TestSessionFacade(t *testing.T) {
 		stance.WithEnv(stance.LoadedEnv(3, 2.5)),
 		stance.WithWorkRep(2),
 		stance.WithCheckEvery(4),
-		stance.WithBalancer(stance.BalancerConfig{Horizon: 50}))
+		stance.WithBalancer(stance.BalancerConfig{Horizon: 50, Estimator: est}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,44 +169,6 @@ func TestSessionFacadeGroups(t *testing.T) {
 	}
 }
 
-// TestOpenWorldFacade checks the World layer through the facade.
-func TestOpenWorldFacade(t *testing.T) {
-	w, err := stance.OpenWorld("inproc", 2, stance.TransportOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	err = w.SPMD(ctx, func(c *stance.Comm) error {
-		if c.Rank() == 0 {
-			_, err := c.Recv(1, 3) // no sender: must unblock on cancel
-			return err
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SPMD = %v, want context.Canceled", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close = %v", err)
-	}
-	found := false
-	for _, name := range stance.Transports() {
-		if name == "tcp" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Transports() = %v, want tcp listed", stance.Transports())
-	}
-}
-
 // TestWithOverlapIsDepthOne pins the benchmark-kept spelling: it is
 // WithPipeline(1), applied in order like every option.
 func TestWithOverlapIsDepthOne(t *testing.T) {
@@ -287,7 +256,7 @@ func TestTransportTuningComposes(t *testing.T) {
 // TestSessionTransformsOnce: Phase A runs once per session whatever the
 // world size and whatever happens to the membership afterwards; every
 // rank's runtime shares the one permutation; and the numbers are those
-// of ranks that each prepared their own transform through stance.New.
+// of ranks that each prepared their own transform through core.New.
 func TestSessionTransformsOnce(t *testing.T) {
 	const p, iters = 16, 40
 	g, err := stance.GridMesh(40, 40, 0.2, 7)
@@ -297,16 +266,16 @@ func TestSessionTransformsOnce(t *testing.T) {
 
 	// The reference: hand-wired ranks, no shared transform.
 	var want []float64
-	world, err := stance.OpenWorld("inproc", 4, stance.TransportOptions{})
+	world, err := comm.Open("inproc", 4, comm.TransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = world.SPMD(context.Background(), func(c *stance.Comm) error {
-		rt, err := stance.New(c, g, stance.Config{Order: stance.RCB})
+	err = world.SPMD(context.Background(), func(c *comm.Comm) error {
+		rt, err := core.New(c, g, core.Config{Order: stance.RCB})
 		if err != nil {
 			return err
 		}
-		sol, err := stance.NewSolver(rt, nil, 1)
+		sol, err := solver.New(rt, nil, 1)
 		if err != nil {
 			return err
 		}

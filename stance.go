@@ -34,11 +34,11 @@
 //	s, err := stance.NewSession(ctx, g, 4, stance.WithOrdering("rcb"))
 //	report, err := s.Run(100)
 //
-// Below that sits the World/transport layer (OpenWorld,
-// RegisterTransport) and the low-level collective API (New, NewSolver,
-// NewBalancer) for callers that need to own the SPMD loop themselves.
-// See examples/ for runnable programs and DESIGN.md for the full
-// architecture.
+// The session is the whole public tier: there is no constructor below
+// NewSession. Session.Runtime, Session.Solver and Session.World hand
+// out one rank's runtime and solver and the session's world for
+// inspection. See examples/ for runnable programs and DESIGN.md for the
+// full architecture.
 package stance
 
 import (
@@ -49,7 +49,6 @@ import (
 	"stance/internal/loadbal"
 	"stance/internal/mesh"
 	"stance/internal/order"
-	"stance/internal/partition"
 	"stance/internal/redist"
 	"stance/internal/sched"
 	"stance/internal/solver"
@@ -58,8 +57,6 @@ import (
 // Re-exported core types. The aliases expose the internal
 // implementations as the public API surface.
 type (
-	// Comm is one rank's endpoint in an SPMD world.
-	Comm = comm.Comm
 	// NetworkModel emulates a shared-medium network's latency and
 	// bandwidth for in-process worlds.
 	NetworkModel = comm.Model
@@ -67,24 +64,15 @@ type (
 	Graph = graph.Graph
 	// Edge is an undirected graph edge.
 	Edge = graph.Edge
-	// Config parameterizes the runtime.
-	Config = core.Config
-	// Runtime is one rank's view of the distributed computation.
+	// Runtime is one rank's view of the distributed computation;
+	// Session.Runtime returns one.
 	Runtime = core.Runtime
-	// Vector is a distributed array with a ghost section.
-	Vector = core.Vector
-	// RemapStats reports what a redistribution moved and cost.
-	RemapStats = core.RemapStats
-	// Layout assigns contiguous intervals of the one-dimensional list
-	// to processors.
-	Layout = partition.Layout
-	// Interval is a half-open range of global indices.
-	Interval = partition.Interval
 	// Env describes a simulated nonuniform/adaptive cluster.
 	Env = hetero.Env
 	// Load is a competing load on one workstation.
 	Load = hetero.Load
-	// Solver runs the paper's Figure 8 irregular loop.
+	// Solver runs the paper's Figure 8 irregular loop; Session.Solver
+	// returns one.
 	Solver = solver.Solver
 	// Timings are the solver's accumulated per-rank measurements.
 	Timings = solver.Timings
@@ -102,21 +90,15 @@ type (
 	// interleaved, any other chunk one row after another, and each chunk
 	// is marked with its form (see sched.Rows).
 	Rows = sched.Rows
-	// OpHandle is one in-flight split-phase executor operation; Start
-	// calls on the Runtime return one and its Wait completes the op.
-	OpHandle = core.OpHandle
 	// Figure8 is the paper's default kernel.
 	Figure8 = solver.Figure8
 	// ExecStats counts the executor data path's traffic, including the
 	// Overlapped/Pipelined/Idle counters of executor depths >= 1.
 	ExecStats = core.ExecStats
-	// Balancer drives the periodic load-balance check.
-	Balancer = loadbal.Balancer
 	// BalancerConfig parameterizes the balancer.
 	BalancerConfig = loadbal.Config
-	// Report is one rank's load report.
-	Report = loadbal.Report
-	// Decision is the controller's load-balancing verdict.
+	// Decision is the controller's load-balancing verdict, as a
+	// CheckEvent records it.
 	Decision = loadbal.Decision
 	// CostModel prices redistributions for profitability decisions.
 	CostModel = redist.CostModel
@@ -166,21 +148,6 @@ func NewTopology(groupOf []int) (*Topology, error) {
 // WithGroups constructs internally.
 func ContiguousGroups(p, groups int) (*Topology, error) {
 	return comm.ContiguousGroups(p, groups)
-}
-
-// New builds the runtime collectively on every rank.
-func New(c *Comm, g *Graph, cfg Config) (*Runtime, error) {
-	return core.New(c, g, cfg)
-}
-
-// NewSolver creates the Figure 8 solver on a runtime; env may be nil.
-func NewSolver(rt *Runtime, env *Env, workRep int) (*Solver, error) {
-	return solver.New(rt, env, workRep)
-}
-
-// NewBalancer creates the adaptive load balancer bound to a runtime.
-func NewBalancer(rt *Runtime, cfg BalancerConfig) (*Balancer, error) {
-	return loadbal.New(rt, cfg)
 }
 
 // UniformEnv returns p equally fast, unloaded workstations.
